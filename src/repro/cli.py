@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 
 from repro.analysis.hitrate import analytic_hit_rate, diminishing_returns_ttl
 from repro.analysis.tables import Table
+from repro.core.campaign import CAMPAIGNS
 from repro.core.effective_ttl import DelegationConfig, effective_record_ttl
 from repro.core.recommendations import OperatorKind, ZoneSituation, recommend
 from repro.resolver.policy import ResolverPolicy
@@ -203,41 +204,9 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
 
 # ------------------------------------------------------- sharded campaigns
 
-#: Campaigns `repro run` can execute through repro.runner.
-_RUN_CAMPAIGNS = (
-    "t2-uy", "t2-anicuy", "t2-googleco", "t10-controlled", "crawl", "ddos",
-    "prefetch", "ecs", "push",
-)
-
-#: Campaigns that accept a --faults schedule (the controlled-TTL and crawl
-#: campaigns build many isolated worlds whose endpoints a plan cannot
-#: meaningfully target, so they reject one instead of ignoring it).
-_FAULTABLE_CAMPAIGNS = ("t2-uy", "t2-anicuy", "t2-googleco", "ddos", "push")
-
-#: Campaigns whose resolver populations can be armed with --predict
-#: (refresh-ahead + RFC 8767 serve-stale; see docs/prediction.md).
-_PREDICT_CAMPAIGNS = ("t2-uy", "t2-anicuy", "t2-googleco")
-
-#: Campaigns that can spill mid-shard world snapshots (--snapshot-every):
-#: the centricity campaigns, whose shards run one long Measurement with a
-#: resumable cursor.  The others' shards are single world-build-and-run
-#: cells too short to be worth snapshotting.
-_SNAPSHOT_CAMPAIGNS = ("t2-uy", "t2-anicuy", "t2-googleco")
-
 #: Worlds `repro serve` can front; mirrors repro.serve.config.WORLD_BUILDERS
 #: (kept literal here so --help needs no heavyweight import).
 _SERVE_WORLDS = ("cl", "uy", "googleco", "nl", "controlled")
-
-
-def _centricity_report(title: str, run) -> str:
-    table = Table(["metric", "value"], title=title)
-    for key in ("probes", "vps", "queries", "responses_valid",
-                "responses_discarded", "resolvers"):
-        table.add_row(key, run.summary[key])
-    b = run.breakdown
-    table.add_row("child-centric", f"{b.child_fraction * 100:.1f}%")
-    table.add_row("parent-centric", f"{b.parent_fraction * 100:.1f}%")
-    return table.render()
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -286,17 +255,25 @@ def _write_metrics(args: argparse.Namespace, snapshot) -> None:
         print(f"metrics written to {args.metrics}", file=sys.stderr)
 
 
+def _unsupported(args: argparse.Namespace, flag: str, capability: str,
+                 noun: str) -> int:
+    """Reject ``flag`` on a campaign whose spec lacks ``capability``."""
+    capable = [
+        spec.name for spec in CAMPAIGNS.values() if getattr(spec, capability)
+    ]
+    print(f"error: {flag} is not supported for {args.campaign} "
+          f"({noun} campaigns: {', '.join(capable)})", file=sys.stderr)
+    return 2
+
+
 def _load_fault_plan(args: argparse.Namespace):
     """Read and validate ``--faults``; returns ``(plan, exit_code)``."""
     from repro.faults import FaultPlan, validate_json
 
     if args.faults is None:
         return None, 0
-    if args.campaign not in _FAULTABLE_CAMPAIGNS:
-        print(f"error: --faults is not supported for {args.campaign} "
-              f"(faultable campaigns: {', '.join(_FAULTABLE_CAMPAIGNS)})",
-              file=sys.stderr)
-        return None, 2
+    if not CAMPAIGNS[args.campaign].faults:
+        return None, _unsupported(args, "--faults", "faults", "faultable")
     try:
         with open(args.faults, "r", encoding="ascii") as handle:
             text = handle.read()
@@ -319,26 +296,20 @@ def _cmd_run_inner(args: argparse.Namespace) -> int:
         if not args.quiet:
             print(render_event(event), file=sys.stderr, flush=True)
 
+    spec = CAMPAIGNS[args.campaign]
     faults, status = _load_fault_plan(args)
     if status:
         return status
-    if args.predict and args.campaign not in _PREDICT_CAMPAIGNS:
-        print(f"error: --predict is not supported for {args.campaign} "
-              f"(predictive campaigns: {', '.join(_PREDICT_CAMPAIGNS)})",
-              file=sys.stderr)
-        return 2
+    if args.predict and not spec.predict:
+        return _unsupported(args, "--predict", "predict", "predictive")
     if args.snapshot_every:
-        if args.campaign not in _SNAPSHOT_CAMPAIGNS:
-            print(f"error: --snapshot-every is not supported for "
-                  f"{args.campaign} (snapshot campaigns: "
-                  f"{', '.join(_SNAPSHOT_CAMPAIGNS)})",
-                  file=sys.stderr)
-            return 2
+        if not spec.snapshot:
+            return _unsupported(args, "--snapshot-every", "snapshot", "snapshot")
         if args.run_dir is None:
             print("error: --snapshot-every needs --run-dir (snapshots live "
                   "in the checkpoint directory)", file=sys.stderr)
             return 2
-    common = dict(
+    kwargs = dict(
         seed=args.seed,
         parallelism=args.parallel,
         run_dir=args.run_dir,
@@ -347,159 +318,18 @@ def _cmd_run_inner(args: argparse.Namespace) -> int:
         # pool path profiles per shard here.
         profile=args.profile if args.parallel > 1 else None,
     )
-    if args.campaign == "t2-uy":
-        from repro.core.scenarios import scenario_uy_ns
-
-        run = scenario_uy_ns(
-            probes=args.probes, duration=args.duration, shards=args.shards,
-            faults=faults, predict=args.predict,
-            snapshot_every=args.snapshot_every, **common
-        )
-        print(_centricity_report("T2: .uy-NS centricity campaign", run))
-        _write_metrics(args, run.metrics)
-    elif args.campaign == "t2-anicuy":
-        from repro.core.scenarios import scenario_anicuy_a
-
-        run = scenario_anicuy_a(
-            probes=args.probes, duration=args.duration, shards=args.shards,
-            faults=faults, predict=args.predict,
-            snapshot_every=args.snapshot_every, **common
-        )
-        print(_centricity_report("T2: a.nic.uy-A centricity campaign", run))
-        _write_metrics(args, run.metrics)
-    elif args.campaign == "t2-googleco":
-        from repro.core.scenarios import scenario_googleco_ns
-
-        run = scenario_googleco_ns(
-            probes=args.probes, duration=args.duration, shards=args.shards,
-            faults=faults, predict=args.predict,
-            snapshot_every=args.snapshot_every, **common
-        )
-        print(_centricity_report("T2: google.co-NS centricity campaign", run))
-        _write_metrics(args, run.metrics)
-    elif args.campaign == "ddos":
-        from repro.core.scenarios import scenario_ddos_resilience
-
-        run = scenario_ddos_resilience(
-            attack_seconds=args.duration, faults=faults, **common
-        )
-        table = Table(
-            ["TTL (s)", "availability", "serve-stale", "stale fraction"],
-            title=f"§6.1 resilience: {args.duration:.0f}s authoritative outage",
-        )
-        for ttl in sorted({tier.ttl for tier in run.tiers}):
-            plain = run.tier(ttl, serve_stale=False)
-            rescued = run.tier(ttl, serve_stale=True)
-            table.add_row(
-                ttl,
-                f"{plain.availability * 100:.0f}%",
-                f"{rescued.availability * 100:.0f}%",
-                f"{rescued.served_stale_fraction * 100:.0f}%",
-            )
-        print(table.render())
-        _write_metrics(args, run.metrics)
-    elif args.campaign == "prefetch":
-        from repro.core.scenarios import scenario_prefetch_tradeoff
-
-        run = scenario_prefetch_tradeoff(duration=args.duration, **common)
-        table = Table(
-            ["TTL (s)", "mode", "queries", "hit rate", "auth queries",
-             "p99 (ms)", "refreshes", "stale"],
-            title="Prefetch trade-off: client p99 and authoritative volume "
-                  "vs TTL",
-        )
-        for cell in run.cells:
-            table.add_row(
-                cell.ttl, cell.mode, cell.queries,
-                f"{cell.hit_rate * 100:.1f}%", cell.auth_queries,
-                f"{cell.p99_ms:.2f}", cell.refreshes, cell.stale_answered,
-            )
-        print(table.render())
-        _write_metrics(args, run.metrics)
-    elif args.campaign == "ecs":
-        from repro.core.scenarios import scenario_ecs_cdn
-
-        run = scenario_ecs_cdn(duration=args.duration, **common)
-        table = Table(
-            ["TTL (s)", "mode", "queries", "hit rate", "auth queries",
-             "p50 (ms)", "p95 (ms)", "local site", "scoped"],
-            title="ECS + CDN: client-to-content latency and hit rate vs TTL",
-        )
-        for cell in run.cells:
-            table.add_row(
-                cell.ttl, cell.mode, cell.queries,
-                f"{cell.hit_rate * 100:.1f}%", cell.auth_queries,
-                f"{cell.p50_ms:.2f}", f"{cell.p95_ms:.2f}",
-                f"{cell.local_site_rate * 100:.0f}%", cell.scoped_entries,
-            )
-        print(table.render())
-        _write_metrics(args, run.metrics)
-    elif args.campaign == "push":
-        from repro.core.scenarios import scenario_push_vs_poll
-
-        run = scenario_push_vs_poll(duration=args.duration, faults=faults,
-                                    **common)
-        table = Table(
-            ["plan", "TTL (s)", "mode", "answered", "stale", "staleness (s)",
-             "auth queries", "notifies", "resets"],
-            title="Push vs poll: staleness window and authoritative volume "
-                  "vs TTL",
-        )
-        for cell in run.cells:
-            table.add_row(
-                cell.plan, cell.ttl, cell.mode,
-                f"{cell.answered_rate * 100:.0f}%",
-                f"{cell.stale_rate * 100:.1f}%",
-                f"{cell.mean_staleness_s:.1f}",
-                cell.auth_queries, cell.notifications, cell.session_resets,
-            )
-        print(table.render())
-        _write_metrics(args, run.metrics)
-    elif args.campaign == "t10-controlled":
-        from repro.analysis.cdf import ECDF
-        from repro.core.scenarios import scenario_controlled_ttl
-        from repro.metrics import merge_snapshots
-
-        runs = scenario_controlled_ttl(
-            probes=args.probes, duration=args.duration, **common
-        )
-        table = Table(
-            ["experiment", "queries", "auth queries", "median RTT"],
-            title="Table 10: controlled TTL experiments",
-        )
-        for label, run in runs.items():
-            cdf = ECDF(run.rtts_ms())
-            table.add_row(
-                label, run.client_summary["queries"], run.auth_queries,
-                f"{cdf.median:.1f} ms",
-            )
-        print(table.render())
-        _write_metrics(
-            args,
-            merge_snapshots(
-                run.metrics for run in runs.values() if run.metrics is not None
-            ),
-        )
-    else:  # crawl
-        from repro.crawler.crawl import crawl_parallel
-        from repro.crawler.report import record_counts
-
-        result, queries, metrics = crawl_parallel(
-            scale=args.scale,
-            seed=args.seed,
-            parallelism=args.parallel,
-            shards=args.shards,
-            run_dir=args.run_dir,
-            progress=progress,
-            profile=args.profile if args.parallel > 1 else None,
-        )
-        counts = record_counts(result)
-        table = Table(["list", "domains", "responsive"],
-                      title=f"Sharded crawl ({queries} queries)")
-        for name in counts:
-            table.add_row(name, counts[name].domains, counts[name].responsive)
-        print(table.render())
-        _write_metrics(args, metrics)
+    kwargs.update(
+        (keyword, getattr(args, option)) for keyword, option in spec.cli_args.items()
+    )
+    if spec.faults:
+        kwargs["faults"] = faults
+    if spec.predict:
+        kwargs["predict"] = args.predict
+    if spec.snapshot:
+        kwargs["snapshot_every"] = args.snapshot_every
+    text, metrics = spec.load("render")(spec.load("scenario")(**kwargs))
+    print(text)
+    _write_metrics(args, metrics)
     return 0
 
 
@@ -853,7 +683,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser(
         "run", help="run a campaign sharded over N workers (repro.runner)"
     )
-    run.add_argument("campaign", choices=_RUN_CAMPAIGNS,
+    run.add_argument("campaign", choices=tuple(CAMPAIGNS),
                      help="which campaign to execute")
     run.add_argument("--parallel", type=int, default=1,
                      help="worker processes (1 = serial in-process fallback)")

@@ -8,12 +8,14 @@ that print these results; tests assert the calibration targets.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.analysis.cdf import ECDF
+from repro.analysis.tables import Table
 from repro.analysis.centricity import (
     CentricityBreakdown,
     classify_active_ttls,
@@ -24,6 +26,7 @@ from repro.analysis.centricity import (
 from repro.atlas.measurement import Measurement, MeasurementSpec
 from repro.atlas.population import AtlasConfig, AtlasPopulation
 from repro.atlas.results import ResultSet
+from repro.core.campaign import CAMPAIGNS, run_campaign, run_grid
 from repro.core.experiment import make_population
 from repro.core.worlds import (
     CachetestWorld,
@@ -48,74 +51,12 @@ from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.metrics.registry import MetricsRegistry
 from repro.metrics.snapshot import MetricsSnapshot, merge_snapshots
 
-# ------------------------------------------------- sharded campaign plumbing
-
-
-def _run_sharded_campaign(
-    campaign: str,
-    fingerprint: dict,
-    fn,
-    kwargs: dict,
-    total_units: int,
-    seed: int,
-    parallelism: int,
-    shards: Optional[int] = None,
-    run_dir: Optional[str] = None,
-    progress=None,
-    profile: Optional[str] = None,
-    initializer=None,
-    initargs: tuple = (),
-):
-    """Run a campaign through :mod:`repro.runner` and return the outcomes.
-
-    ``parallelism=1`` uses the executor's serial in-process fallback;
-    either way the shard plan depends only on ``(total_units, shards,
-    seed)``, so results are identical for every worker count — the
-    runner's determinism contract.  With ``shards`` unset the plan uses
-    the fixed :data:`repro.runner.shard.DEFAULT_SHARDS`, never the
-    worker count, so that contract holds for the defaults too.
-
-    ``profile`` dumps per-shard cProfile stats to
-    ``f"{profile}.shard-NNNN"``; ``initializer``/``initargs`` run once
-    per worker process (world-cache prewarm).
-
-    Returns ``(outcomes, metrics)``: the per-shard outcomes in shard
-    order — each ``outcome.value`` already decoded from its codec
-    envelope to ``{"results", "queries", "metrics"}`` — plus one merged
-    :class:`MetricsSnapshot`: the shards' sim-domain metrics folded
-    exactly, with the executor's host-domain telemetry (wall times,
-    retries, checkpoint hits) alongside.
-    """
-    from repro.runner.checkpoint import CheckpointStore
-    from repro.runner.codec import decode_shard_payload
-    from repro.runner.executor import ShardExecutor
-    from repro.runner.merge import merge_shard_metrics
-    from repro.runner.progress import ProgressTracker
-    from repro.runner.shard import DEFAULT_SHARDS, plan_shards
-
-    num_shards = shards if shards is not None else DEFAULT_SHARDS
-    plan = plan_shards(total_units, num_shards, seed)
-    checkpoint = (
-        CheckpointStore(run_dir, fingerprint) if run_dir is not None else None
-    )
-    tracker = ProgressTracker(campaign=campaign, callback=progress)
-    host_registry = MetricsRegistry()
-    executor = ShardExecutor(
-        parallelism=parallelism,
-        checkpoint=checkpoint,
-        tracker=tracker,
-        metrics=host_registry,
-        initializer=initializer,
-        initargs=initargs,
-        profile_path=profile,
-    )
-    outcomes = executor.run(fn, plan, kwargs)
-    for outcome in outcomes:
-        outcome.value = decode_shard_payload(outcome.value)
-    metrics = merge_shard_metrics(
-        [outcome.value for outcome in outcomes]
-    ).merge(host_registry.snapshot())
-    return outcomes, metrics
+# ------------------------------------------------------- campaign plumbing
+#
+# Every scenario that `repro run` can execute is declared in
+# :data:`repro.core.campaign.CAMPAIGNS` and runs through
+# :func:`repro.core.campaign.run_campaign`; this module holds what is
+# specific to each: worlds, cell runners, result types and reports.
 
 
 def _normalize_fault_plan(faults) -> Optional[dict]:
@@ -132,78 +73,9 @@ def _normalize_fault_plan(faults) -> Optional[dict]:
     return FaultPlan.from_payload(faults).to_payload()
 
 
-def _run_centricity_sharded(
-    campaign: str,
-    builder: str,
-    world_kwargs: dict,
-    spec_kwargs: dict,
-    qtype: RdataType,
-    seed: int,
-    probes: int,
-    parallelism: int,
-    shards: Optional[int] = None,
-    run_dir: Optional[str] = None,
-    progress=None,
-    fault_plan: Optional[dict] = None,
-    predict: bool = False,
-    profile: Optional[str] = None,
-    snapshot_every: int = 0,
-) -> tuple[ResultSet, MetricsSnapshot]:
-    """Shard an active centricity campaign over its probes and merge.
-
-    ``snapshot_every`` (with ``run_dir``) makes each shard checkpoint
-    its world-level state every that-many queries, so a killed run
-    resumes mid-shard.  Snapshot cadence is deliberately *not* part of
-    the fingerprint — it changes when state hits disk, never the
-    results.
-    """
-    from repro.runner.campaigns import campaign_fingerprint, centricity_shard
-    from repro.runner.merge import merge_result_sets
-    from repro.runner.shard import DEFAULT_SHARDS
-    from repro.runner.worldcache import prewarm
-
-    kwargs = {
-        "builder": builder,
-        "world_kwargs": world_kwargs,
-        "spec_kwargs": spec_kwargs,
-        "qtype_name": qtype.name,
-        "fault_plan": fault_plan,
-    }
-    if predict:
-        # Only present when armed, so run dirs checkpointed before the
-        # predict layer existed still fingerprint-match their campaigns.
-        kwargs["predict"] = True
-    fingerprint = campaign_fingerprint(
-        "centricity",
-        campaign=campaign,
-        seed=seed,
-        probes=probes,
-        shards=shards if shards is not None else DEFAULT_SHARDS,
-        **kwargs,
-    )
-    if run_dir is not None and snapshot_every > 0:
-        kwargs["snapshot"] = {
-            "run_dir": str(run_dir),
-            "fingerprint": fingerprint,
-            "every": int(snapshot_every),
-        }
-    outcomes, metrics = _run_sharded_campaign(
-        campaign,
-        fingerprint,
-        centricity_shard,
-        kwargs,
-        total_units=probes,
-        seed=seed,
-        parallelism=parallelism,
-        shards=shards,
-        run_dir=run_dir,
-        progress=progress,
-        profile=profile,
-        initializer=prewarm,
-        initargs=(builder, world_kwargs),
-    )
-    merged = merge_result_sets([outcome.value["results"] for outcome in outcomes])
-    return merged, metrics
+def _counter(snapshot: MetricsSnapshot, name: str) -> int:
+    """A counter's value; 0 when nothing ever created the instrument."""
+    return int(snapshot.value(name) or 0)
 
 
 # ------------------------------------------------------------------- Table 1
@@ -267,8 +139,8 @@ class CentricityRun:
     results: ResultSet
     breakdown: CentricityBreakdown
     summary: dict[str, int]
-    #: Merged campaign metrics (sharded runs only; None on the plain
-    #: serial path, which runs outside :mod:`repro.runner`).
+    #: Merged campaign metrics: the shards' sim-domain snapshots folded
+    #: exactly, plus the executor's host-domain telemetry.
     metrics: Optional[MetricsSnapshot] = None
 
     def ttl_cdf(self) -> ECDF:
@@ -277,6 +149,110 @@ class CentricityRun:
 
 def _expected_answer(result) -> bool:
     return result.ok
+
+
+#: Centricity campaign -> (world builder, qname, qtype, parent TTL,
+#: classifier of the observed TTLs).
+_CENTRICITY_TARGETS = {
+    "t2-uy": ("uy", "uy.", RdataType.NS, 172800, classify_active_ttls),
+    "t2-anicuy": ("uy", "a.nic.uy.", RdataType.A, 172800, classify_active_ttls),
+    "t2-googleco": (
+        "googleco", "google.co.", RdataType.NS, 900,
+        functools.partial(classify_capped_or_child, cap=21599),
+    ),
+}
+
+
+def _run_centricity(
+    campaign: str,
+    *,
+    name: str,
+    description: str,
+    world_kwargs: dict,
+    child_ttl: int,
+    interval: float,
+    duration: float,
+    seed: int,
+    probes: int,
+    parallelism: Optional[int],
+    shards: Optional[int],
+    run_dir: Optional[str],
+    progress,
+    faults,
+    predict: bool,
+    profile: Optional[str],
+    snapshot_every: int,
+) -> CentricityRun:
+    """Run registered centricity ``campaign`` over its probes and classify.
+
+    With ``parallelism`` set, probes are sharded deterministically and
+    the shards execute on that many workers (1 = the serial in-process
+    fallback); the merged :class:`ResultSet` is identical for every
+    worker count.  Unset, the campaign is one whole-population shard
+    seeded with ``seed`` itself — the plan the paper's figures are
+    recorded under.
+
+    ``snapshot_every`` (with ``run_dir``) makes each shard checkpoint
+    its world-level state every that-many queries, so a killed run
+    resumes mid-shard.  Snapshot cadence is deliberately *not* part of
+    the fingerprint — it changes when state hits disk, never the
+    results.
+    """
+    from repro.runner.campaigns import campaign_fingerprint
+    from repro.runner.merge import merge_result_sets
+    from repro.runner.shard import DEFAULT_SHARDS, Shard, plan_shards
+    from repro.runner.worldcache import prewarm
+
+    spec = CAMPAIGNS[campaign]
+    builder, qname, qtype, parent_ttl, classify = _CENTRICITY_TARGETS[campaign]
+    kwargs = {
+        "builder": builder,
+        "world_kwargs": world_kwargs,
+        "spec_kwargs": dict(
+            qname=qname, interval=interval, duration=duration, description=description
+        ),
+        "qtype_name": qtype.name,
+        "fault_plan": _normalize_fault_plan(faults),
+    }
+    if predict:
+        # Only present when armed, so run dirs checkpointed before the
+        # predict layer existed still fingerprint-match their campaigns.
+        kwargs["predict"] = True
+    if parallelism is None:
+        num_shards = None
+        plan = [Shard(index=0, seed=seed, start=0, count=probes)]
+    else:
+        num_shards = shards if shards is not None else DEFAULT_SHARDS
+        plan = plan_shards(probes, num_shards, seed)
+    fingerprint = campaign_fingerprint(
+        spec.kind,
+        campaign=spec.label,
+        seed=seed,
+        probes=probes,
+        shards=num_shards,
+        **kwargs,
+    )
+    if run_dir is not None and snapshot_every > 0:
+        kwargs["snapshot"] = {
+            "run_dir": str(run_dir),
+            "fingerprint": fingerprint,
+            "every": int(snapshot_every),
+        }
+    payloads, metrics = run_campaign(
+        spec, fingerprint, kwargs, plan, parallelism, run_dir, progress, profile,
+        initializer=prewarm, initargs=(builder, world_kwargs),
+    )
+    results = merge_result_sets([payload["results"] for payload in payloads])
+    valid = results.valid(_expected_answer)
+    return CentricityRun(
+        name=name,
+        parent_ttl=parent_ttl,
+        child_ttl=child_ttl,
+        results=valid,
+        breakdown=classify(valid.ttls(), parent_ttl=parent_ttl, child_ttl=child_ttl),
+        summary=results.summary(_expected_answer),
+        metrics=metrics,
+    )
 
 
 def scenario_uy_ns(
@@ -297,69 +273,25 @@ def scenario_uy_ns(
     """The .uy-NS campaign (Table 2 col 1; Figure 1): parent 172800 s,
     child 300 s, queries every 10 min for 2 h.
 
-    With ``parallelism`` set, the campaign runs through
-    :mod:`repro.runner`: probes are sharded deterministically, shards
-    execute on that many workers (1 = the serial in-process fallback),
-    and the merged :class:`ResultSet` is identical for every worker
-    count.  ``run_dir`` enables checkpoint/resume; ``snapshot_every``
-    additionally checkpoints world-level state mid-shard (see
-    docs/performance.md).  ``faults`` (a :class:`FaultPlan` or its
-    payload) schedules failures against the campaign's virtual clock —
-    see docs/resilience.md.  ``predict`` arms every resolver with the
-    default predictive policy (refresh-ahead + RFC 8767) — see
-    docs/prediction.md.  ``profile`` writes per-shard cProfile stats.
+    The campaign runs through :mod:`repro.runner` — see
+    :func:`_run_centricity` for ``parallelism``/``shards``.  ``run_dir``
+    enables checkpoint/resume; ``snapshot_every`` additionally
+    checkpoints world-level state mid-shard (see docs/performance.md).
+    ``faults`` (a :class:`FaultPlan` or its payload) schedules failures
+    against the campaign's virtual clock — see docs/resilience.md.
+    ``predict`` arms every resolver with the default predictive policy
+    (refresh-ahead + RFC 8767) — see docs/prediction.md.  ``profile``
+    writes per-shard cProfile stats.
     """
-    fault_plan = _normalize_fault_plan(faults)
-    spec_kwargs = dict(
-        qname="uy.",
-        interval=interval,
-        duration=duration,
-        description=f".uy-NS (child TTL {child_ns_ttl})",
-    )
-    metrics = None
-    if parallelism is not None:
-        results, metrics = _run_centricity_sharded(
-            campaign="uy-NS",
-            builder="uy",
-            world_kwargs={"child_ns_ttl": child_ns_ttl},
-            spec_kwargs=spec_kwargs,
-            qtype=RdataType.NS,
-            seed=seed,
-            probes=probes,
-            parallelism=parallelism,
-            shards=shards,
-            run_dir=run_dir,
-            progress=progress,
-            fault_plan=fault_plan,
-            predict=predict,
-            profile=profile,
-            snapshot_every=snapshot_every,
-        )
-    else:
-        uy = build_uy_world(seed, child_ns_ttl=child_ns_ttl)
-        if fault_plan is not None:
-            uy.world.network.attach_faults(
-                FaultInjector(FaultPlan.from_payload(fault_plan), seed=seed)
-            )
-        population = make_population(
-            uy.world, probes=probes, seed=seed, predict=predict
-        )
-        spec = MeasurementSpec(qtype=RdataType.NS, **spec_kwargs)
-        results = Measurement(
-            spec=spec, vantage_points=population.vantage_points(), seed=seed
-        ).run()
-    valid = results.valid(_expected_answer)
-    breakdown = classify_active_ttls(
-        valid.ttls(), parent_ttl=172800, child_ttl=child_ns_ttl
-    )
-    return CentricityRun(
+    return _run_centricity(
+        "t2-uy",
         name="uy-NS" if child_ns_ttl == 300 else "uy-NS-new",
-        parent_ttl=172800,
-        child_ttl=child_ns_ttl,
-        results=valid,
-        breakdown=breakdown,
-        summary=results.summary(_expected_answer),
-        metrics=metrics,
+        description=f".uy-NS (child TTL {child_ns_ttl})",
+        world_kwargs={"child_ns_ttl": child_ns_ttl},
+        child_ttl=child_ns_ttl, interval=interval, duration=duration,
+        seed=seed, probes=probes, parallelism=parallelism, shards=shards,
+        run_dir=run_dir, progress=progress, faults=faults, predict=predict,
+        profile=profile, snapshot_every=snapshot_every,
     )
 
 
@@ -378,55 +310,12 @@ def scenario_anicuy_a(
 ) -> CentricityRun:
     """The a.nic.uy-A campaign (Table 2 col 2; Figure 1): parent glue
     172800 s, child A 120 s, every 10 min for 3 h."""
-    fault_plan = _normalize_fault_plan(faults)
-    spec_kwargs = dict(
-        qname="a.nic.uy.",
-        interval=600.0,
-        duration=duration,
-        description="a.nic.uy-A",
-    )
-    metrics = None
-    if parallelism is not None:
-        results, metrics = _run_centricity_sharded(
-            campaign="a.nic.uy-A",
-            builder="uy",
-            world_kwargs={},
-            spec_kwargs=spec_kwargs,
-            qtype=RdataType.A,
-            seed=seed,
-            probes=probes,
-            parallelism=parallelism,
-            shards=shards,
-            run_dir=run_dir,
-            progress=progress,
-            fault_plan=fault_plan,
-            predict=predict,
-            profile=profile,
-            snapshot_every=snapshot_every,
-        )
-    else:
-        uy = build_uy_world(seed)
-        if fault_plan is not None:
-            uy.world.network.attach_faults(
-                FaultInjector(FaultPlan.from_payload(fault_plan), seed=seed)
-            )
-        population = make_population(
-            uy.world, probes=probes, seed=seed, predict=predict
-        )
-        spec = MeasurementSpec(qtype=RdataType.A, **spec_kwargs)
-        results = Measurement(
-            spec=spec, vantage_points=population.vantage_points(), seed=seed
-        ).run()
-    valid = results.valid(_expected_answer)
-    breakdown = classify_active_ttls(valid.ttls(), parent_ttl=172800, child_ttl=120)
-    return CentricityRun(
-        name="a.nic.uy-A",
-        parent_ttl=172800,
-        child_ttl=120,
-        results=valid,
-        breakdown=breakdown,
-        summary=results.summary(_expected_answer),
-        metrics=metrics,
+    return _run_centricity(
+        "t2-anicuy", name="a.nic.uy-A", description="a.nic.uy-A", world_kwargs={},
+        child_ttl=120, interval=600.0, duration=duration,
+        seed=seed, probes=probes, parallelism=parallelism, shards=shards,
+        run_dir=run_dir, progress=progress, faults=faults, predict=predict,
+        profile=profile, snapshot_every=snapshot_every,
     )
 
 
@@ -445,58 +334,33 @@ def scenario_googleco_ns(
 ) -> CentricityRun:
     """The google.co-NS campaign (Table 2 col 3; Figure 2): parent 900 s,
     child 345600 s, every 10 min for 1 h."""
-    fault_plan = _normalize_fault_plan(faults)
-    spec_kwargs = dict(
-        qname="google.co.",
-        interval=600.0,
-        duration=duration,
-        description="google.co-NS",
+    return _run_centricity(
+        "t2-googleco", name="google.co-NS", description="google.co-NS",
+        world_kwargs={}, child_ttl=345600, interval=600.0, duration=duration,
+        seed=seed, probes=probes, parallelism=parallelism, shards=shards,
+        run_dir=run_dir, progress=progress, faults=faults, predict=predict,
+        profile=profile, snapshot_every=snapshot_every,
     )
-    metrics = None
-    if parallelism is not None:
-        results, metrics = _run_centricity_sharded(
-            campaign="google.co-NS",
-            builder="googleco",
-            world_kwargs={},
-            spec_kwargs=spec_kwargs,
-            qtype=RdataType.NS,
-            seed=seed,
-            probes=probes,
-            parallelism=parallelism,
-            shards=shards,
-            run_dir=run_dir,
-            progress=progress,
-            fault_plan=fault_plan,
-            predict=predict,
-            profile=profile,
-            snapshot_every=snapshot_every,
-        )
-    else:
-        world = build_googleco_world(seed)
-        if fault_plan is not None:
-            world.network.attach_faults(
-                FaultInjector(FaultPlan.from_payload(fault_plan), seed=seed)
-            )
-        population = make_population(
-            world, probes=probes, seed=seed, predict=predict
-        )
-        spec = MeasurementSpec(qtype=RdataType.NS, **spec_kwargs)
-        results = Measurement(
-            spec=spec, vantage_points=population.vantage_points(), seed=seed
-        ).run()
-    valid = results.valid(_expected_answer)
-    breakdown = classify_capped_or_child(
-        valid.ttls(), parent_ttl=900, child_ttl=345600, cap=21599
-    )
-    return CentricityRun(
-        name="google.co-NS",
-        parent_ttl=900,
-        child_ttl=345600,
-        results=valid,
-        breakdown=breakdown,
-        summary=results.summary(_expected_answer),
-        metrics=metrics,
-    )
+
+
+def _report_centricity(title: str, run: CentricityRun):
+    table = Table(["metric", "value"], title=title)
+    for key in ("probes", "vps", "queries", "responses_valid",
+                "responses_discarded", "resolvers"):
+        table.add_row(key, run.summary[key])
+    b = run.breakdown
+    table.add_row("child-centric", f"{b.child_fraction * 100:.1f}%")
+    table.add_row("parent-centric", f"{b.parent_fraction * 100:.1f}%")
+    return table.render(), run.metrics
+
+
+report_uy_ns = functools.partial(_report_centricity, "T2: .uy-NS centricity campaign")
+report_anicuy_a = functools.partial(
+    _report_centricity, "T2: a.nic.uy-A centricity campaign"
+)
+report_googleco_ns = functools.partial(
+    _report_centricity, "T2: google.co-NS centricity campaign"
+)
 
 
 # ------------------------------------------------------------ §3.4 (F3, F4)
@@ -824,32 +688,45 @@ class ControlledRun:
     auth_queries: int
     auth_unique_ips: int
     client_summary: dict[str, int]
-    #: This run's metrics snapshot (sharded runs only; None otherwise).
+    #: This run's own sim-domain metrics snapshot.
     metrics: Optional[MetricsSnapshot] = None
 
     def rtts_ms(self) -> list[float]:
         return self.results.rtts_ms()
 
 
+#: The five §6.2 experiments, in seed-offset order:
+#: label -> (qname, zone, server).
+_CONTROLLED_RUNS: dict[str, tuple[str, str, str]] = {
+    "TTL60-u": ("PROBEID.ttl60.mapache-de-madrid.co.",
+                "zone_unicast_60", "unicast_server"),
+    "TTL86400-u": ("PROBEID.ttl86400.mapache-de-madrid.co.",
+                   "zone_unicast_86400", "unicast_server"),
+    "TTL60-s": ("1.ttl60.mapache-de-madrid.co.",
+                "zone_unicast_60", "unicast_server"),
+    "TTL86400-s": ("2.ttl86400.mapache-de-madrid.co.",
+                   "zone_unicast_86400", "unicast_server"),
+    "TTL60-anycast": ("4.anycast.mapache-de-madrid.co.",
+                      "zone_anycast", "anycast"),
+}
+
+
 def _run_controlled(
+    *,
     label: str,
     seed: int,
     probes: int,
-    qname: str,
-    zone_attr: str,
-    server_attr: str,
     duration: float,
-    interval: float = 600.0,
-    metrics: Optional[MetricsRegistry] = None,
+    metrics: MetricsRegistry,
 ) -> ControlledRun:
+    qname, zone_attr, server_attr = _CONTROLLED_RUNS[label]
     world = build_controlled_world(seed)
-    if metrics is not None:
-        world.world.network.attach_metrics(metrics)
+    world.world.network.attach_metrics(metrics)
     population = make_population(world.world, probes=probes, seed=seed)
     spec = MeasurementSpec(
         qname=qname,
         qtype=RdataType.AAAA,
-        interval=interval,
+        interval=600.0,
         duration=duration,
         description=label,
     )
@@ -868,22 +745,8 @@ def _run_controlled(
         auth_queries=len(relevant),
         auth_unique_ips=len(relevant.unique_clients()),
         client_summary=results.summary(_expected_answer),
+        metrics=metrics.snapshot(),
     )
-
-
-#: The five §6.2 experiments: label -> (seed offset, qname, zone, server).
-_CONTROLLED_RUNS: list[tuple[str, int, str, str, str]] = [
-    ("TTL60-u", 0, "PROBEID.ttl60.mapache-de-madrid.co.",
-     "zone_unicast_60", "unicast_server"),
-    ("TTL86400-u", 1, "PROBEID.ttl86400.mapache-de-madrid.co.",
-     "zone_unicast_86400", "unicast_server"),
-    ("TTL60-s", 2, "1.ttl60.mapache-de-madrid.co.",
-     "zone_unicast_60", "unicast_server"),
-    ("TTL86400-s", 3, "2.ttl86400.mapache-de-madrid.co.",
-     "zone_unicast_86400", "unicast_server"),
-    ("TTL60-anycast", 4, "4.anycast.mapache-de-madrid.co.",
-     "zone_anycast", "anycast"),
-]
 
 
 def scenario_controlled_ttl(
@@ -898,53 +761,31 @@ def scenario_controlled_ttl(
     """Table 10 / Figure 11: the five controlled experiments.
 
     Unique-QNAME runs use PROBEID names; shared runs a single name; the
-    anycast run uses the 45-site cluster.  Each runs in a fresh world —
-    so with ``parallelism`` set the five runs execute as one shard each
-    through :mod:`repro.runner`, and (unlike the probe-sharded
-    centricity campaigns) the parallel output is identical to this
-    function's serial output.
+    anycast run uses the 45-site cluster.  Each runs in a fresh world,
+    as one shard through :mod:`repro.runner` — so (unlike the
+    probe-sharded centricity campaigns) the output is identical for
+    every ``parallelism``, unset included.
     """
-    run_params = [
-        {
-            "label": label,
-            "seed": seed + offset,
-            "probes": probes,
-            "qname": qname,
-            "zone_attr": zone_attr,
-            "server_attr": server_attr,
-            "duration": duration,
-        }
-        for label, offset, qname, zone_attr, server_attr in _CONTROLLED_RUNS
-    ]
-    if parallelism is None:
-        return {
-            params["label"]: _run_controlled(**params) for params in run_params
-        }
-
-    from repro.runner.campaigns import campaign_fingerprint, controlled_shard
-
-    fingerprint = campaign_fingerprint(
-        "controlled-ttl", seed=seed, probes=probes, duration=duration
+    axes = {"label": tuple(_CONTROLLED_RUNS)}
+    shared = {"probes": probes, "duration": duration}
+    runs, _ = run_grid(
+        "t10-controlled", seed, axes, shared, parallelism, run_dir, progress, profile
     )
-    outcomes, _ = _run_sharded_campaign(
-        "controlled-ttl",
-        fingerprint,
-        controlled_shard,
-        {"runs": run_params},
-        total_units=len(run_params),
-        seed=seed,
-        parallelism=parallelism,
-        shards=len(run_params),
-        run_dir=run_dir,
-        progress=progress,
-        profile=profile,
+    return {run.label: run for run in runs}
+
+
+def report_controlled(runs: dict[str, ControlledRun]):
+    table = Table(
+        ["experiment", "queries", "auth queries", "median RTT"],
+        title="Table 10: controlled TTL experiments",
     )
-    runs: dict[str, ControlledRun] = {}
-    for outcome in outcomes:
-        run = outcome.value["results"]
-        run.metrics = MetricsSnapshot.from_payload(outcome.value["metrics"])
-        runs[run.label] = run
-    return runs
+    for label, run in runs.items():
+        cdf = ECDF(run.rtts_ms())
+        table.add_row(
+            label, run.client_summary["queries"], run.auth_queries,
+            f"{cdf.median:.1f} ms",
+        )
+    return table.render(), merge_snapshots(run.metrics for run in runs.values())
 
 
 # ------------------------------------------------------------------- §6.1
@@ -1016,7 +857,7 @@ def _run_ddos_tier(
     probe_interval: float,
     attack_start: float,
     fault_plan: Optional[dict] = None,
-    metrics: Optional[MetricsRegistry] = None,
+    metrics: MetricsRegistry,
 ) -> DdosTierResult:
     """Probe one warmed resolver through an authoritative outage.
 
@@ -1030,8 +871,7 @@ def _run_ddos_tier(
 
     outage = build_outage_world(ttl, seed)
     world = outage.world
-    if metrics is not None:
-        world.network.attach_metrics(metrics)
+    world.network.attach_metrics(metrics)
 
     specs = [
         FaultSpec(
@@ -1100,75 +940,46 @@ def scenario_ddos_resilience(
 ) -> DdosResilienceRun:
     """§6.1: availability across TTL tiers during a 1 h authoritative DDoS.
 
-    Runs a (TTL × serve-stale) matrix of independent tiers: each warms a
+    Runs a (serve-stale × TTL) matrix of independent tiers: each warms a
     child-centric resolver, takes the zone's only authoritative down via
-    a :class:`FaultPlan`, and probes every ``probe_interval``.  With
-    ``parallelism`` set the tiers run as one shard each through
-    :mod:`repro.runner` — byte-identical to the serial path for any
-    worker count.  ``faults`` schedules *additional* failures on top of
-    the attack in every tier.
+    a :class:`FaultPlan`, and probes every ``probe_interval``.  The tiers
+    run as one shard each through :mod:`repro.runner` — byte-identical
+    for any ``parallelism``.  ``faults`` schedules *additional* failures
+    on top of the attack in every tier.
     """
     if attack_start is None:
         # Half a slot before the first probe: every probe lands mid-attack.
         attack_start = probe_interval / 2
-    fault_plan = _normalize_fault_plan(faults)
-    tier_params = [
-        {
-            "ttl": ttl,
-            "serve_stale": serve_stale,
-            "seed": seed + index,
-            "attack_seconds": attack_seconds,
-            "probe_interval": probe_interval,
-            "attack_start": attack_start,
-            "fault_plan": fault_plan,
-        }
-        for index, (serve_stale, ttl) in enumerate(
-            (s, t) for s in (False, True) for t in ttls
-        )
-    ]
-
-    if parallelism is None:
-        tiers: list[DdosTierResult] = []
-        snapshots: list[MetricsSnapshot] = []
-        for params in tier_params:
-            registry = MetricsRegistry()
-            tiers.append(_run_ddos_tier(**params, metrics=registry))
-            snapshots.append(registry.snapshot())
-        metrics = merge_snapshots(snapshots)
-    else:
-        from repro.runner.campaigns import campaign_fingerprint, ddos_shard
-
-        fingerprint = campaign_fingerprint(
-            "ddos-resilience", seed=seed, tiers=tier_params
-        )
-        outcomes, metrics = _run_sharded_campaign(
-            "ddos-resilience",
-            fingerprint,
-            ddos_shard,
-            {"tiers": tier_params},
-            total_units=len(tier_params),
-            seed=seed,
-            parallelism=parallelism,
-            shards=len(tier_params),
-            run_dir=run_dir,
-            progress=progress,
-            profile=profile,
-        )
-        tiers = [outcome.value["results"] for outcome in outcomes]
-    return DdosResilienceRun(
-        attack_seconds=attack_seconds,
-        probe_interval=probe_interval,
-        attack_start=attack_start,
-        tiers=tiers,
-        metrics=metrics,
+    shared = {
+        "attack_seconds": attack_seconds,
+        "probe_interval": probe_interval,
+        "attack_start": attack_start,
+    }
+    fixed = {**shared, "fault_plan": _normalize_fault_plan(faults)}
+    tiers, metrics = run_grid(
+        "ddos", seed, {"ttl": ttls}, fixed, parallelism, run_dir, progress, profile
     )
+    return DdosResilienceRun(**shared, tiers=tiers, metrics=metrics)
+
+
+def report_ddos(run: DdosResilienceRun):
+    table = Table(
+        ["TTL (s)", "availability", "serve-stale", "stale fraction"],
+        title=f"§6.1 resilience: {run.attack_seconds:.0f}s authoritative outage",
+    )
+    for ttl in sorted({tier.ttl for tier in run.tiers}):
+        plain = run.tier(ttl, serve_stale=False)
+        rescued = run.tier(ttl, serve_stale=True)
+        table.add_row(
+            ttl,
+            f"{plain.availability * 100:.0f}%",
+            f"{rescued.availability * 100:.0f}%",
+            f"{rescued.served_stale_fraction * 100:.0f}%",
+        )
+    return table.render(), run.metrics
 
 
 # ----------------------------------------------- prefetch/refresh-ahead figure
-
-
-#: Resolver behaviour per prefetch-tradeoff mode.
-_PREFETCH_MODES = ("off", "onhit", "ahead")
 
 
 @dataclass(frozen=True)
@@ -1233,7 +1044,7 @@ def _run_prefetch_cell(
     names: int,
     rate_qps: float,
     duration: float,
-    metrics: Optional[MetricsRegistry] = None,
+    metrics: MetricsRegistry,
 ) -> PrefetchCell:
     """Drive one resolver through a Zipf workload against one TTL tier."""
     from repro.loadgen.arrivals import poisson_schedule
@@ -1244,8 +1055,7 @@ def _run_prefetch_cell(
 
     hotset = build_hotset_world(ttl, seed, names=names)
     world = hotset.world
-    if metrics is not None:
-        world.network.attach_metrics(metrics)
+    world.network.attach_metrics(metrics)
     policy = {
         "off": ResolverPolicy.child_centric,
         "onhit": ResolverPolicy.prefetching,
@@ -1269,17 +1079,7 @@ def _run_prefetch_cell(
         hits += out.cache_hit
         count += 1
     cdf = ECDF(latencies) if latencies else None
-    refreshes = stale = 0
-    if metrics is not None:
-        snapshot = metrics.snapshot()
-        present = set(snapshot.metrics)
-        refreshes = int(
-            (snapshot.value("predict.refreshes") if "predict.refreshes" in present else 0)
-            + (snapshot.value("predict.revalidations")
-               if "predict.revalidations" in present else 0)
-        )
-        if "predict.stale_answered" in present:
-            stale = int(snapshot.value("predict.stale_answered"))
+    snapshot = metrics.snapshot()
     return PrefetchCell(
         mode=mode,
         ttl=ttl,
@@ -1290,15 +1090,16 @@ def _run_prefetch_cell(
         p50_ms=cdf.median if cdf else 0.0,
         p95_ms=cdf.quantile(0.95) if cdf else 0.0,
         p99_ms=cdf.quantile(0.99) if cdf else 0.0,
-        refreshes=refreshes,
-        stale_answered=stale,
+        refreshes=_counter(snapshot, "predict.refreshes")
+        + _counter(snapshot, "predict.revalidations"),
+        stale_answered=_counter(snapshot, "predict.stale_answered"),
     )
 
 
 def scenario_prefetch_tradeoff(
     seed: int = 0,
     ttls: tuple = (60, 300, 3600, 86400),
-    modes: tuple = _PREFETCH_MODES,
+    modes: tuple = CAMPAIGNS["prefetch"].axes["mode"],
     names: int = 16,
     rate_qps: float = 2.0,
     duration: float = 1800.0,
@@ -1312,73 +1113,34 @@ def scenario_prefetch_tradeoff(
 
     Runs a (mode × TTL) matrix of independent cells, each a fresh
     :func:`build_hotset_world` plus one resolver under a seeded Zipf
-    workload.  With ``parallelism`` set the cells run as one shard each
-    through :mod:`repro.runner` — byte-identical to the serial path for
-    any worker count, predict machinery included.
+    workload.  The cells run as one shard each through
+    :mod:`repro.runner` — byte-identical for any ``parallelism``,
+    predict machinery included.
     """
-    for mode in modes:
-        if mode not in _PREFETCH_MODES:
-            raise ValueError(
-                f"unknown prefetch mode {mode!r} (have: {', '.join(_PREFETCH_MODES)})"
-            )
-    if not ttls or not modes:
-        raise ValueError("scenario_prefetch_tradeoff needs >= 1 TTL and mode")
-    cell_params = [
-        {
-            "mode": mode,
-            "ttl": ttl,
-            "seed": seed + index,
-            "names": names,
-            "rate_qps": rate_qps,
-            "duration": duration,
-        }
-        for index, (mode, ttl) in enumerate(
-            (m, t) for m in modes for t in ttls
-        )
-    ]
-
-    if parallelism is None:
-        cells: list[PrefetchCell] = []
-        snapshots: list[MetricsSnapshot] = []
-        for params in cell_params:
-            registry = MetricsRegistry()
-            cells.append(_run_prefetch_cell(**params, metrics=registry))
-            snapshots.append(registry.snapshot())
-        metrics = merge_snapshots(snapshots)
-    else:
-        from repro.runner.campaigns import campaign_fingerprint, prefetch_shard
-
-        fingerprint = campaign_fingerprint(
-            "prefetch-tradeoff", seed=seed, cells=cell_params
-        )
-        outcomes, metrics = _run_sharded_campaign(
-            "prefetch-tradeoff",
-            fingerprint,
-            prefetch_shard,
-            {"cells": cell_params},
-            total_units=len(cell_params),
-            seed=seed,
-            parallelism=parallelism,
-            shards=len(cell_params),
-            run_dir=run_dir,
-            progress=progress,
-            profile=profile,
-        )
-        cells = [outcome.value["results"] for outcome in outcomes]
-    return PrefetchTradeoffRun(
-        duration=duration,
-        rate_qps=rate_qps,
-        names=names,
-        cells=cells,
-        metrics=metrics,
+    axes = {"mode": modes, "ttl": ttls}
+    shared = {"names": names, "rate_qps": rate_qps, "duration": duration}
+    cells, metrics = run_grid(
+        "prefetch", seed, axes, shared, parallelism, run_dir, progress, profile
     )
+    return PrefetchTradeoffRun(**shared, cells=cells, metrics=metrics)
+
+
+def report_prefetch(run: PrefetchTradeoffRun):
+    table = Table(
+        ["TTL (s)", "mode", "queries", "hit rate", "auth queries",
+         "p99 (ms)", "refreshes", "stale"],
+        title="Prefetch trade-off: client p99 and authoritative volume vs TTL",
+    )
+    for cell in run.cells:
+        table.add_row(
+            cell.ttl, cell.mode, cell.queries,
+            f"{cell.hit_rate * 100:.1f}%", cell.auth_queries,
+            f"{cell.p99_ms:.2f}", cell.refreshes, cell.stale_answered,
+        )
+    return table.render(), run.metrics
 
 
 # ------------------------------------------------------ ECS + CDN interplay
-
-
-#: Resolution architectures compared by the ECS/CDN scenario.
-_ECS_MODES = ("isp", "public", "public-ecs")
 
 
 @dataclass(frozen=True)
@@ -1452,7 +1214,7 @@ def _run_ecs_cell(
     subnets: int,
     rate_qps: float,
     duration: float,
-    metrics: Optional[MetricsRegistry] = None,
+    metrics: MetricsRegistry,
 ) -> EcsCell:
     """Drive one resolution architecture through the CDN workload."""
     from repro.core.worlds import _ECS_SITE_OF_REGION
@@ -1462,9 +1224,8 @@ def _run_ecs_cell(
 
     testbed = build_ecs_cdn_world(ttl, seed, subnets=subnets)
     world = testbed.world
-    if metrics is not None:
-        world.network.attach_metrics(metrics)
-        testbed.cdn.attach_metrics(metrics)
+    world.network.attach_metrics(metrics)
+    testbed.cdn.attach_metrics(metrics)
 
     policy = ResolverPolicy.child_centric()
     if mode == "public-ecs":
@@ -1529,11 +1290,6 @@ def _run_ecs_cell(
         hits += out.cache_hit
         count += 1
     cdf = ECDF(latencies) if latencies else None
-    scope_merges = 0
-    if metrics is not None:
-        snapshot = metrics.snapshot()
-        if "ecs.scope_merges" in snapshot.metrics:
-            scope_merges = int(snapshot.value("ecs.scope_merges"))
     return EcsCell(
         mode=mode,
         ttl=ttl,
@@ -1549,14 +1305,14 @@ def _run_ecs_cell(
         scoped_entries=sum(
             resolver.cache.ecs_scoped_len() for resolver in resolvers.values()
         ),
-        scope_merges=scope_merges,
+        scope_merges=_counter(metrics.snapshot(), "ecs.scope_merges"),
     )
 
 
 def scenario_ecs_cdn(
     seed: int = 0,
     ttls: tuple = (60, 300, 3600),
-    modes: tuple = _ECS_MODES,
+    modes: tuple = CAMPAIGNS["ecs"].axes["mode"],
     subnets: int = 12,
     rate_qps: float = 2.0,
     duration: float = 1800.0,
@@ -1570,71 +1326,37 @@ def scenario_ecs_cdn(
 
     Runs a (mode × TTL) matrix of independent cells, each a fresh
     :func:`build_ecs_cdn_world` plus its resolver set under a seeded
-    workload.  With ``parallelism`` set the cells run as one shard each
-    through :mod:`repro.runner` — byte-identical to the serial path for
-    any worker count, scoped-cache metrics included.
+    workload.  The cells run as one shard each through
+    :mod:`repro.runner` — byte-identical for any ``parallelism``,
+    scoped-cache metrics included.
     """
-    for mode in modes:
-        if mode not in _ECS_MODES:
-            raise ValueError(
-                f"unknown ECS mode {mode!r} (have: {', '.join(_ECS_MODES)})"
-            )
-    if not ttls or not modes:
-        raise ValueError("scenario_ecs_cdn needs >= 1 TTL and mode")
-    cell_params = [
-        {
-            "mode": mode,
-            "ttl": ttl,
-            "seed": seed + index,
-            "subnets": subnets,
-            "rate_qps": rate_qps,
-            "duration": duration,
-        }
-        for index, (mode, ttl) in enumerate((m, t) for m in modes for t in ttls)
-    ]
-
-    if parallelism is None:
-        cells: list[EcsCell] = []
-        snapshots: list[MetricsSnapshot] = []
-        for params in cell_params:
-            registry = MetricsRegistry()
-            cells.append(_run_ecs_cell(**params, metrics=registry))
-            snapshots.append(registry.snapshot())
-        metrics = merge_snapshots(snapshots)
-    else:
-        from repro.runner.campaigns import campaign_fingerprint, ecs_shard
-
-        fingerprint = campaign_fingerprint("ecs-cdn", seed=seed, cells=cell_params)
-        outcomes, metrics = _run_sharded_campaign(
-            "ecs-cdn",
-            fingerprint,
-            ecs_shard,
-            {"cells": cell_params},
-            total_units=len(cell_params),
-            seed=seed,
-            parallelism=parallelism,
-            shards=len(cell_params),
-            run_dir=run_dir,
-            progress=progress,
-            profile=profile,
-        )
-        cells = [outcome.value["results"] for outcome in outcomes]
-    return EcsCdnRun(
-        duration=duration,
-        rate_qps=rate_qps,
-        subnets=subnets,
-        cells=cells,
-        metrics=metrics,
+    axes = {"mode": modes, "ttl": ttls}
+    shared = {"subnets": subnets, "rate_qps": rate_qps, "duration": duration}
+    cells, metrics = run_grid(
+        "ecs", seed, axes, shared, parallelism, run_dir, progress, profile
     )
+    return EcsCdnRun(**shared, cells=cells, metrics=metrics)
+
+
+def report_ecs(run: EcsCdnRun):
+    table = Table(
+        ["TTL (s)", "mode", "queries", "hit rate", "auth queries",
+         "p50 (ms)", "p95 (ms)", "local site", "scoped"],
+        title="ECS + CDN: client-to-content latency and hit rate vs TTL",
+    )
+    for cell in run.cells:
+        table.add_row(
+            cell.ttl, cell.mode, cell.queries,
+            f"{cell.hit_rate * 100:.1f}%", cell.auth_queries,
+            f"{cell.p50_ms:.2f}", f"{cell.p95_ms:.2f}",
+            f"{cell.local_site_rate * 100:.0f}%", cell.scoped_entries,
+        )
+    return table.render(), run.metrics
 
 
 # ------------------------------------------------------- push vs TTL polling
 
 
-#: Fault families the push/poll comparison runs under.
-_PUSH_PLANS = ("renumbering", "ddos")
-#: Update channels under comparison.
-_PUSH_MODES = ("poll", "push")
 #: Analytic population rungs for the 1k -> 1M projection.
 PUSH_POPULATIONS = (1_000, 10_000, 100_000, 1_000_000)
 
@@ -1778,7 +1500,7 @@ def _run_push_cell(
     probe_interval: float,
     duration: float,
     fault_plan: Optional[dict] = None,
-    metrics: Optional[MetricsRegistry] = None,
+    metrics: MetricsRegistry,
 ) -> PushCell:
     """Probe one update channel through one fault family at one TTL."""
     from repro.analysis.hitrate import analytic_hit_rate
@@ -1789,8 +1511,7 @@ def _run_push_cell(
 
     testbed = build_push_world(ttl, seed)
     world = testbed.world
-    if metrics is not None:
-        world.network.attach_metrics(metrics)
+    world.network.attach_metrics(metrics)
 
     change_times = [
         round(duration * (index + 1) / (changes + 1), 3)
@@ -1900,12 +1621,7 @@ def _run_push_cell(
     mean_lag = sum(lags) / len(lags) if lags else 0.0
     p95_lag = lags[min(len(lags) - 1, int(0.95 * len(lags)))] if lags else 0.0
 
-    counter = lambda name_: 0  # noqa: E731
-    if metrics is not None:
-        snapshot = metrics.snapshot()
-        counter = lambda name_: (  # noqa: E731
-            int(snapshot.value(name_)) if name_ in snapshot.metrics else 0
-        )
+    snapshot = metrics.snapshot()
     auth_queries = testbed.server.queries_received
     probe_rate = 1.0 / probe_interval
     return PushCell(
@@ -1918,10 +1634,10 @@ def _run_push_cell(
         answered=answered,
         stale_probes=stale,
         auth_queries=auth_queries,
-        notifications=counter("push.notifications"),
-        coalesced=counter("push.coalesced"),
-        session_resets=counter("push.session_resets"),
-        reconnects=counter("push.reconnects"),
+        notifications=_counter(snapshot, "push.notifications"),
+        coalesced=_counter(snapshot, "push.coalesced"),
+        session_resets=_counter(snapshot, "push.session_resets"),
+        reconnects=_counter(snapshot, "push.reconnects"),
         mean_staleness_s=mean_lag,
         p95_staleness_s=p95_lag,
         max_staleness_s=lags[-1] if lags else 0.0,
@@ -1938,8 +1654,8 @@ def _run_push_cell(
 def scenario_push_vs_poll(
     seed: int = 0,
     ttls: tuple = (60, 3600, 86400),
-    plans: tuple = _PUSH_PLANS,
-    modes: tuple = _PUSH_MODES,
+    plans: tuple = CAMPAIGNS["push"].axes["plan"],
+    modes: tuple = CAMPAIGNS["push"].axes["mode"],
     seats: int = 4,
     changes: int = 6,
     probe_interval: float = 60.0,
@@ -1957,74 +1673,37 @@ def scenario_push_vs_poll(
     :func:`build_push_world` whose ``record_change`` schedule renumbers
     the probed answer mid-run.  Both modes consume the *same* seeded
     schedule and the *same* probe cadence; only the update channel
-    differs.  With ``parallelism`` set the cells run as one shard each
-    through :mod:`repro.runner` — byte-identical to the serial path for
-    any worker count, push metrics included.  ``faults`` schedules extra
-    failures on top of every cell's own plan.
+    differs.  The cells run as one shard each through
+    :mod:`repro.runner` — byte-identical for any ``parallelism``, push
+    metrics included.  ``faults`` schedules extra failures on top of
+    every cell's own plan.
     """
-    for plan in plans:
-        if plan not in _PUSH_PLANS:
-            raise ValueError(
-                f"unknown push plan {plan!r} (have: {', '.join(_PUSH_PLANS)})"
-            )
-    for mode in modes:
-        if mode not in _PUSH_MODES:
-            raise ValueError(
-                f"unknown push mode {mode!r} (have: {', '.join(_PUSH_MODES)})"
-            )
-    if not ttls or not plans or not modes:
-        raise ValueError("scenario_push_vs_poll needs >= 1 TTL, plan and mode")
-    fault_plan = _normalize_fault_plan(faults)
-    cell_params = [
-        {
-            "plan": plan,
-            "mode": mode,
-            "ttl": ttl,
-            "seed": seed + index,
-            "seats": seats,
-            "changes": changes,
-            "probe_interval": probe_interval,
-            "duration": duration,
-            "fault_plan": fault_plan,
-        }
-        for index, (plan, mode, ttl) in enumerate(
-            (p, m, t) for p in plans for m in modes for t in ttls
-        )
-    ]
-
-    if parallelism is None:
-        cells: list[PushCell] = []
-        snapshots: list[MetricsSnapshot] = []
-        for params in cell_params:
-            registry = MetricsRegistry()
-            cells.append(_run_push_cell(**params, metrics=registry))
-            snapshots.append(registry.snapshot())
-        metrics = merge_snapshots(snapshots)
-    else:
-        from repro.runner.campaigns import campaign_fingerprint, push_shard
-
-        fingerprint = campaign_fingerprint(
-            "push-vs-poll", seed=seed, cells=cell_params
-        )
-        outcomes, metrics = _run_sharded_campaign(
-            "push-vs-poll",
-            fingerprint,
-            push_shard,
-            {"cells": cell_params},
-            total_units=len(cell_params),
-            seed=seed,
-            parallelism=parallelism,
-            shards=len(cell_params),
-            run_dir=run_dir,
-            progress=progress,
-            profile=profile,
-        )
-        cells = [outcome.value["results"] for outcome in outcomes]
-    return PushVsPollRun(
-        duration=duration,
-        probe_interval=probe_interval,
-        changes=changes,
-        seats=seats,
-        cells=cells,
-        metrics=metrics,
+    axes = {"plan": plans, "mode": modes, "ttl": ttls}
+    shared = {
+        "seats": seats,
+        "changes": changes,
+        "probe_interval": probe_interval,
+        "duration": duration,
+    }
+    fixed = {**shared, "fault_plan": _normalize_fault_plan(faults)}
+    cells, metrics = run_grid(
+        "push", seed, axes, fixed, parallelism, run_dir, progress, profile
     )
+    return PushVsPollRun(**shared, cells=cells, metrics=metrics)
+
+
+def report_push(run: PushVsPollRun):
+    table = Table(
+        ["plan", "TTL (s)", "mode", "answered", "stale", "staleness (s)",
+         "auth queries", "notifies", "resets"],
+        title="Push vs poll: staleness window and authoritative volume vs TTL",
+    )
+    for cell in run.cells:
+        table.add_row(
+            cell.plan, cell.ttl, cell.mode,
+            f"{cell.answered_rate * 100:.0f}%",
+            f"{cell.stale_rate * 100:.1f}%",
+            f"{cell.mean_staleness_s:.1f}",
+            cell.auth_queries, cell.notifications, cell.session_resets,
+        )
+    return table.render(), run.metrics

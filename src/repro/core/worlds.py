@@ -701,17 +701,24 @@ class OutageWorld:
         return self.server.endpoint.address
 
 
-def build_outage_world(ttl: int, seed: int = 0) -> OutageWorld:
-    """Build the DDoS-resilience world for one TTL tier.
+def _single_zone_world(
+    origin: str, ttl: int, seed: int, make_server=None
+) -> tuple[World, Zone, AuthoritativeServer]:
+    """A root server plus one child zone behind one authoritative.
 
-    The root delegation keeps its realistic 2-day TTL; the child zone —
-    NS, in-bailiwick glue, and the ``www`` answer — all carry ``ttl``, so
-    the record under attack expires exactly ``ttl`` seconds after the
-    cache was warmed.
+    The shape every TTL-sweep testbed shares: the root delegation keeps
+    its realistic 2-day TTL, while the child zone's SOA, NS and
+    in-bailiwick glue all carry ``ttl`` — so whatever the caller adds at
+    ``ttl`` expires exactly ``ttl`` seconds after it was cached.
+
+    ``make_server(topology, zone)`` builds the child authoritative
+    (default: a plain server on an EU endpoint named ``ns1.<origin>``).
+    It runs right after the root server is placed, so endpoints it
+    allocates keep their place in the address sequence.
     """
+    ns_name = f"ns1.{origin}"
     topology = Topology(seed=seed)
     network = Network(seed=seed)
-    clock = SimClock()
 
     root_zone = Zone("", default_ttl=172800)
     root_zone.add_soa("a.rootsrv.net.")
@@ -722,37 +729,46 @@ def build_outage_world(ttl: int, seed: int = 0) -> OutageWorld:
     network.register(root_server)
     root_zone.add("a.rootsrv.net.", RdataType.A, A(root_server.endpoint.address))
 
-    zone = Zone("shop.example.", default_ttl=ttl)
-    zone.add_soa("ns1.shop.example.")
-    zone.add("shop.example.", RdataType.NS, NS(Name("ns1.shop.example.")), ttl=ttl)
-    server = AuthoritativeServer(
-        topology.endpoint_in_region(Region.EU, "ns1.shop.example"), [zone]
-    )
+    zone = Zone(origin, default_ttl=ttl)
+    zone.add_soa(ns_name)
+    zone.add(origin, RdataType.NS, NS(Name(ns_name)), ttl=ttl)
+    if make_server is None:
+        server = AuthoritativeServer(
+            topology.endpoint_in_region(Region.EU, ns_name.rstrip(".")), [zone]
+        )
+    else:
+        server = make_server(topology, zone)
     network.register(server)
-    zone.add("ns1.shop.example.", RdataType.A, A(server.endpoint.address), ttl=ttl)
-    zone.add("www.shop.example.", RdataType.A, A("203.0.113.10"), ttl=ttl)
-    root_zone.add(
-        "shop.example.", RdataType.NS, NS(Name("ns1.shop.example.")), ttl=172800
-    )
-    root_zone.add(
-        "ns1.shop.example.", RdataType.A, A(server.endpoint.address), ttl=172800
-    )
-    hints = {Name("a.rootsrv.net."): root_server.endpoint.address}
+    zone.add(ns_name, RdataType.A, A(server.endpoint.address), ttl=ttl)
+    root_zone.add(origin, RdataType.NS, NS(Name(ns_name)), ttl=172800)
+    root_zone.add(ns_name, RdataType.A, A(server.endpoint.address), ttl=172800)
 
     world = World(
         seed=seed,
         topology=topology,
         network=network,
-        clock=clock,
+        clock=SimClock(),
         root_zone=root_zone,
-        hints=hints,
+        hints={Name("a.rootsrv.net."): root_server.endpoint.address},
     )
     world.add_zone(root_zone)
     world.add_zone(zone)
-    world.servers["a.rootsrv.net"] = root_server
-    world.servers["ns1.shop.example"] = server
-    world._server_addresses["a.rootsrv.net"] = root_server.endpoint.address
-    world._server_addresses["ns1.shop.example"] = server.endpoint.address
+    for name, placed in (("a.rootsrv.net", root_server), (ns_name.rstrip("."), server)):
+        world.servers[name] = placed
+        world._server_addresses[name] = placed.endpoint.address
+    return world, zone, server
+
+
+def build_outage_world(ttl: int, seed: int = 0) -> OutageWorld:
+    """Build the DDoS-resilience world for one TTL tier.
+
+    The root delegation keeps its realistic 2-day TTL; the child zone —
+    NS, in-bailiwick glue, and the ``www`` answer — all carry ``ttl``, so
+    the record under attack expires exactly ``ttl`` seconds after the
+    cache was warmed.
+    """
+    world, zone, server = _single_zone_world("shop.example.", ttl, seed)
+    zone.add("www.shop.example.", RdataType.A, A("203.0.113.10"), ttl=ttl)
     return OutageWorld(world=world, zone=zone, server=server)
 
 
@@ -782,32 +798,11 @@ class HotsetWorld:
 def build_hotset_world(ttl: int, seed: int = 0, names: int = 16) -> HotsetWorld:
     """Build the prefetch-tradeoff world for one TTL cell.
 
-    Mirrors :func:`build_outage_world`: a realistic 2-day root
-    delegation, and a child zone whose NS, glue, and all ``names`` leaf
-    answers carry ``ttl`` — so every record a client asks for expires
-    exactly ``ttl`` seconds after it was cached.
+    A realistic 2-day root delegation, and a child zone whose NS, glue,
+    and all ``names`` leaf answers carry ``ttl`` — so every record a
+    client asks for expires exactly ``ttl`` seconds after it was cached.
     """
-    topology = Topology(seed=seed)
-    network = Network(seed=seed)
-    clock = SimClock()
-
-    root_zone = Zone("", default_ttl=172800)
-    root_zone.add_soa("a.rootsrv.net.")
-    root_zone.add("", RdataType.NS, NS(Name("a.rootsrv.net.")), ttl=518400)
-    root_server = AuthoritativeServer(
-        topology.endpoint_in_region(Region.NA, "a.rootsrv.net"), [root_zone]
-    )
-    network.register(root_server)
-    root_zone.add("a.rootsrv.net.", RdataType.A, A(root_server.endpoint.address))
-
-    zone = Zone("hot.example.", default_ttl=ttl)
-    zone.add_soa("ns1.hot.example.")
-    zone.add("hot.example.", RdataType.NS, NS(Name("ns1.hot.example.")), ttl=ttl)
-    server = AuthoritativeServer(
-        topology.endpoint_in_region(Region.EU, "ns1.hot.example"), [zone]
-    )
-    network.register(server)
-    zone.add("ns1.hot.example.", RdataType.A, A(server.endpoint.address), ttl=ttl)
+    world, zone, server = _single_zone_world("hot.example.", ttl, seed)
     qnames = []
     for rank in range(names):
         qname = f"www{rank}.hot.example."
@@ -818,28 +813,6 @@ def build_hotset_world(ttl: int, seed: int = 0, names: int = 16) -> HotsetWorld:
             ttl=ttl,
         )
         qnames.append(qname)
-    root_zone.add(
-        "hot.example.", RdataType.NS, NS(Name("ns1.hot.example.")), ttl=172800
-    )
-    root_zone.add(
-        "ns1.hot.example.", RdataType.A, A(server.endpoint.address), ttl=172800
-    )
-    hints = {Name("a.rootsrv.net."): root_server.endpoint.address}
-
-    world = World(
-        seed=seed,
-        topology=topology,
-        network=network,
-        clock=clock,
-        root_zone=root_zone,
-        hints=hints,
-    )
-    world.add_zone(root_zone)
-    world.add_zone(zone)
-    world.servers["a.rootsrv.net"] = root_server
-    world.servers["ns1.hot.example"] = server
-    world._server_addresses["a.rootsrv.net"] = root_server.endpoint.address
-    world._server_addresses["ns1.hot.example"] = server.endpoint.address
     return HotsetWorld(world=world, zone=zone, server=server, qnames=qnames)
 
 
@@ -907,126 +880,88 @@ def _ecs_client_network(index: int) -> str:
 def build_ecs_cdn_world(ttl: int, seed: int = 0, subnets: int = 8) -> EcsCdnWorld:
     """Build the ECS + CDN world for one (ttl, subnets) cell.
 
-    Mirrors :func:`build_hotset_world`'s single-zone shape, but the child
-    authoritative is a :class:`~repro.server.cdn.CdnAuthoritativeServer`
-    answering ``www.cdn.example.`` with a per-region site address: by ECS
-    subnet when the query carries one, by the resolver's own address
-    otherwise.  Per-site TTLs all carry the cell's ``ttl`` so cache decay
-    is uniform across sites and the TTL sweep stays interpretable.
+    The usual single-zone shape, but the child authoritative is a
+    :class:`~repro.server.cdn.CdnAuthoritativeServer` answering
+    ``www.cdn.example.`` with a per-region site address: by ECS subnet
+    when the query carries one, by the resolver's own address otherwise.
+    Per-site TTLs all carry the cell's ``ttl`` so cache decay is uniform
+    across sites and the TTL sweep stays interpretable.
     """
     from repro.dns.ecs import ClientSubnet
     from repro.server.cdn import CdnAuthoritativeServer, CdnSite
 
     if subnets < 1:
         raise ValueError(f"need at least one client subnet, got {subnets}")
-    topology = Topology(seed=seed)
-    network = Network(seed=seed)
-    clock = SimClock()
-
-    root_zone = Zone("", default_ttl=172800)
-    root_zone.add_soa("a.rootsrv.net.")
-    root_zone.add("", RdataType.NS, NS(Name("a.rootsrv.net.")), ttl=518400)
-    root_server = AuthoritativeServer(
-        topology.endpoint_in_region(Region.NA, "a.rootsrv.net"), [root_zone]
-    )
-    network.register(root_server)
-    root_zone.add("a.rootsrv.net.", RdataType.A, A(root_server.endpoint.address))
-
-    # Content sites, one per region, in TEST-NET-3 address space.
-    site_specs = (
-        ("eu", Region.EU, "203.0.113.1"),
-        ("na", Region.NA, "203.0.113.2"),
-        ("as", Region.AS, "203.0.113.3"),
-    )
+    content_name = "www.cdn.example."
     sites: dict[str, CdnSite] = {}
     site_endpoints: dict[str, Endpoint] = {}
-    for site_name, region, address in site_specs:
-        allocated = topology.endpoint_in_region(region, name=f"cdn-site-{site_name}")
-        site_endpoints[site_name] = Endpoint(
-            address=address,
-            region=allocated.region,
-            asn=allocated.asn,
-            name=f"cdn-site-{site_name}",
-        )
-        sites[site_name] = CdnSite(
-            name=site_name, address=address, ttl=ttl, region=region
-        )
-
-    # Resolver seats are allocated here so the CDN map can route their
-    # addresses; the scenario builds RecursiveResolvers on these exact
-    # endpoints.
-    isp_endpoints = {
-        region: topology.endpoint_in_region(region, name=f"isp-res-{region.name.lower()}")
-        for region in _ECS_REGION_CYCLE
-    }
-    egress_endpoints = {
-        "eu": topology.endpoint_in_region(Region.EU, name="public-egress-eu"),
-        "na": topology.endpoint_in_region(Region.NA, name="public-egress-na"),
-    }
-
+    isp_endpoints: dict[Region, Endpoint] = {}
+    egress_endpoints: dict[str, Endpoint] = {}
     clients: list[EcsClient] = []
-    site_map: list[tuple[str, str]] = []
-    for index in range(subnets):
-        region = _ECS_REGION_CYCLE[index % len(_ECS_REGION_CYCLE)]
-        network_address = _ecs_client_network(index)
-        allocated = topology.endpoint_in_region(region, name=f"client-{index}")
-        endpoint = Endpoint(
-            address=network_address[:-1] + "10",
-            region=allocated.region,
-            asn=allocated.asn,
-            name=f"client-{index}",
-        )
-        clients.append(
-            EcsClient(
-                index=index,
-                endpoint=endpoint,
-                subnet=ClientSubnet.from_ip(network_address, 24),
-                region=region,
-                egress=_ECS_EGRESS_OF_REGION[region],
+
+    def make_cdn(topology: Topology, zone: Zone) -> CdnAuthoritativeServer:
+        # Content sites, one per region, in TEST-NET-3 address space.
+        for site_name, region, address in (
+            ("eu", Region.EU, "203.0.113.1"),
+            ("na", Region.NA, "203.0.113.2"),
+            ("as", Region.AS, "203.0.113.3"),
+        ):
+            allocated = topology.endpoint_in_region(region, name=f"cdn-site-{site_name}")
+            site_endpoints[site_name] = Endpoint(
+                address=address,
+                region=allocated.region,
+                asn=allocated.asn,
+                name=f"cdn-site-{site_name}",
             )
+            sites[site_name] = CdnSite(
+                name=site_name, address=address, ttl=ttl, region=region
+            )
+
+        # Resolver seats are allocated here so the CDN map can route their
+        # addresses; the scenario builds RecursiveResolvers on these exact
+        # endpoints.
+        for region in _ECS_REGION_CYCLE:
+            isp_endpoints[region] = topology.endpoint_in_region(
+                region, name=f"isp-res-{region.name.lower()}"
+            )
+        egress_endpoints["eu"] = topology.endpoint_in_region(Region.EU, name="public-egress-eu")
+        egress_endpoints["na"] = topology.endpoint_in_region(Region.NA, name="public-egress-na")
+
+        site_map: list[tuple[str, str]] = []
+        for index in range(subnets):
+            region = _ECS_REGION_CYCLE[index % len(_ECS_REGION_CYCLE)]
+            network_address = _ecs_client_network(index)
+            allocated = topology.endpoint_in_region(region, name=f"client-{index}")
+            endpoint = Endpoint(
+                address=network_address[:-1] + "10",
+                region=allocated.region,
+                asn=allocated.asn,
+                name=f"client-{index}",
+            )
+            clients.append(
+                EcsClient(
+                    index=index,
+                    endpoint=endpoint,
+                    subnet=ClientSubnet.from_ip(network_address, 24),
+                    region=region,
+                    egress=_ECS_EGRESS_OF_REGION[region],
+                )
+            )
+            site_map.append((f"{network_address}/24", _ECS_SITE_OF_REGION[region]))
+        for region, endpoint in isp_endpoints.items():
+            site_map.append((f"{endpoint.address}/32", _ECS_SITE_OF_REGION[region]))
+        site_map.append((f"{egress_endpoints['eu'].address}/32", "eu"))
+        site_map.append((f"{egress_endpoints['na'].address}/32", "na"))
+        return CdnAuthoritativeServer(
+            topology.endpoint_in_region(Region.EU, "ns1.cdn.example"),
+            [zone],
+            content_names=[content_name],
+            sites=sites.values(),
+            site_map=site_map,
+            default_site="eu",
         )
-        site_map.append((f"{network_address}/24", _ECS_SITE_OF_REGION[region]))
-    for region, endpoint in isp_endpoints.items():
-        site_map.append((f"{endpoint.address}/32", _ECS_SITE_OF_REGION[region]))
-    site_map.append((f"{egress_endpoints['eu'].address}/32", "eu"))
-    site_map.append((f"{egress_endpoints['na'].address}/32", "na"))
 
-    zone = Zone("cdn.example.", default_ttl=ttl)
-    zone.add_soa("ns1.cdn.example.")
-    zone.add("cdn.example.", RdataType.NS, NS(Name("ns1.cdn.example.")), ttl=ttl)
-    content_name = "www.cdn.example."
-    cdn = CdnAuthoritativeServer(
-        topology.endpoint_in_region(Region.EU, "ns1.cdn.example"),
-        [zone],
-        content_names=[content_name],
-        sites=sites.values(),
-        site_map=site_map,
-        default_site="eu",
-    )
-    network.register(cdn)
-    zone.add("ns1.cdn.example.", RdataType.A, A(cdn.endpoint.address), ttl=ttl)
-    root_zone.add(
-        "cdn.example.", RdataType.NS, NS(Name("ns1.cdn.example.")), ttl=172800
-    )
-    root_zone.add(
-        "ns1.cdn.example.", RdataType.A, A(cdn.endpoint.address), ttl=172800
-    )
-    hints = {Name("a.rootsrv.net."): root_server.endpoint.address}
-
-    world = World(
-        seed=seed,
-        topology=topology,
-        network=network,
-        clock=clock,
-        root_zone=root_zone,
-        hints=hints,
-    )
-    world.add_zone(root_zone)
-    world.add_zone(zone)
-    world.servers["a.rootsrv.net"] = root_server
-    world.servers["ns1.cdn.example"] = cdn
-    world._server_addresses["a.rootsrv.net"] = root_server.endpoint.address
-    world._server_addresses["ns1.cdn.example"] = cdn.endpoint.address
+    world, zone, cdn = _single_zone_world("cdn.example.", ttl, seed, make_cdn)
     return EcsCdnWorld(
         world=world,
         zone=zone,
@@ -1045,7 +980,7 @@ def build_ecs_cdn_world(ttl: int, seed: int = 0, subnets: int = 8) -> EcsCdnWorl
 class PushWorld:
     """The push-vs-poll testbed: one renumbering-prone record.
 
-    Mirrors :class:`OutageWorld` — a realistic root delegation plus one
+    The :class:`OutageWorld` shape — a realistic root delegation plus one
     child zone behind one authoritative — but the interesting record is
     the content answer itself, which the scenario renumbers on the fault
     plan's ``record_change`` schedule.  :meth:`apply_change` is the one
@@ -1084,55 +1019,12 @@ class PushWorld:
 def build_push_world(ttl: int, seed: int = 0) -> PushWorld:
     """Build the push-vs-poll world for one TTL cell.
 
-    Like :func:`build_outage_world`: the root delegation keeps its 2-day
-    TTL, the child zone — NS, glue, and the ``www`` content answer — all
-    carry ``ttl``, and the content record starts at change index 0's
-    predecessor (``203.0.113.10``).
+    The root delegation keeps its 2-day TTL, the child zone — NS, glue,
+    and the ``www`` content answer — all carry ``ttl``, and the content
+    record starts at change index 0's predecessor (``203.0.113.10``).
     """
-    topology = Topology(seed=seed)
-    network = Network(seed=seed)
-    clock = SimClock()
-
-    root_zone = Zone("", default_ttl=172800)
-    root_zone.add_soa("a.rootsrv.net.")
-    root_zone.add("", RdataType.NS, NS(Name("a.rootsrv.net.")), ttl=518400)
-    root_server = AuthoritativeServer(
-        topology.endpoint_in_region(Region.NA, "a.rootsrv.net"), [root_zone]
-    )
-    network.register(root_server)
-    root_zone.add("a.rootsrv.net.", RdataType.A, A(root_server.endpoint.address))
-
-    zone = Zone("pushed.example.", default_ttl=ttl)
-    zone.add_soa("ns1.pushed.example.")
-    zone.add("pushed.example.", RdataType.NS, NS(Name("ns1.pushed.example.")), ttl=ttl)
-    server = AuthoritativeServer(
-        topology.endpoint_in_region(Region.EU, "ns1.pushed.example"), [zone]
-    )
-    network.register(server)
-    zone.add("ns1.pushed.example.", RdataType.A, A(server.endpoint.address), ttl=ttl)
+    world, zone, server = _single_zone_world("pushed.example.", ttl, seed)
     zone.add("www.pushed.example.", RdataType.A, A("203.0.113.10"), ttl=ttl)
-    root_zone.add(
-        "pushed.example.", RdataType.NS, NS(Name("ns1.pushed.example.")), ttl=172800
-    )
-    root_zone.add(
-        "ns1.pushed.example.", RdataType.A, A(server.endpoint.address), ttl=172800
-    )
-    hints = {Name("a.rootsrv.net."): root_server.endpoint.address}
-
-    world = World(
-        seed=seed,
-        topology=topology,
-        network=network,
-        clock=clock,
-        root_zone=root_zone,
-        hints=hints,
-    )
-    world.add_zone(root_zone)
-    world.add_zone(zone)
-    world.servers["a.rootsrv.net"] = root_server
-    world.servers["ns1.pushed.example"] = server
-    world._server_addresses["a.rootsrv.net"] = root_server.endpoint.address
-    world._server_addresses["ns1.pushed.example"] = server.endpoint.address
     return PushWorld(
         world=world,
         zone=zone,

@@ -252,40 +252,43 @@ def crawl_parallel(
     ``(result, total_queries_sent, metrics)`` where ``metrics`` merges
     the shards' sim-domain snapshots with the executor's host telemetry.
     """
+    from repro.core.campaign import CAMPAIGNS, run_campaign
     from repro.crawler.toplists import planned_list_sizes
-    from repro.metrics.registry import MetricsRegistry
-    from repro.runner.campaigns import campaign_fingerprint, crawl_shard
-    from repro.runner.checkpoint import CheckpointStore
-    from repro.runner.codec import decode_shard_payload
-    from repro.runner.executor import ShardExecutor
-    from repro.runner.merge import merge_crawl_results, merge_shard_metrics
-    from repro.runner.progress import ProgressTracker
+    from repro.runner.campaigns import campaign_fingerprint
+    from repro.runner.merge import merge_crawl_results
     from repro.runner.shard import DEFAULT_SHARDS, plan_shards
 
+    spec = CAMPAIGNS["crawl"]
     total = sum(planned_list_sizes(scale, lists).values())
     num_shards = shards if shards is not None else DEFAULT_SHARDS
     kwargs = {"scale": scale, "seed": seed, "lists": lists, "timeout": timeout}
-    fingerprint = campaign_fingerprint("crawl", shards=num_shards, **kwargs)
-    checkpoint = (
-        CheckpointStore(run_dir, fingerprint) if run_dir is not None else None
+    payloads, metrics = run_campaign(
+        spec,
+        campaign_fingerprint(spec.kind, shards=num_shards, **kwargs),
+        kwargs,
+        plan_shards(total, num_shards, seed),
+        parallelism,
+        run_dir=run_dir,
+        progress=progress,
+        profile=profile,
     )
-    tracker = ProgressTracker(campaign="crawl", callback=progress)
-    host_registry = MetricsRegistry()
-    executor = ShardExecutor(
-        parallelism=parallelism,
-        checkpoint=checkpoint,
-        tracker=tracker,
-        metrics=host_registry,
-        profile_path=profile,
-    )
-    outcomes = executor.run(crawl_shard, plan_shards(total, num_shards, seed), kwargs)
-    for outcome in outcomes:
-        outcome.value = decode_shard_payload(outcome.value)
     result, total_queries = merge_crawl_results(
-        [outcome.value["results"] for outcome in outcomes],
-        queries=[outcome.value["queries"] for outcome in outcomes],
+        [payload["results"] for payload in payloads],
+        queries=[payload["queries"] for payload in payloads],
     )
-    metrics = merge_shard_metrics(
-        [outcome.value for outcome in outcomes]
-    ).merge(host_registry.snapshot())
     return result, total_queries, metrics
+
+
+def report_crawl(outcome: tuple[CrawlResult, int, "MetricsSnapshot"]):
+    """``repro run crawl``'s table and metrics from :func:`crawl_parallel`."""
+    from repro.analysis.tables import Table
+    from repro.crawler.report import record_counts
+
+    result, queries, metrics = outcome
+    counts = record_counts(result)
+    table = Table(
+        ["list", "domains", "responsive"], title=f"Sharded crawl ({queries} queries)"
+    )
+    for name in counts:
+        table.add_row(name, counts[name].domains, counts[name].responsive)
+    return table.render(), metrics

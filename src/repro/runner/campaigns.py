@@ -14,7 +14,8 @@ is exactly equivalent to a rebuild because world *structure* never
 depends on the seed (asserted by the worldcache tests).
 
 Shard return values are :func:`repro.runner.codec.encode_shard_payload`
-envelopes; the scenario layer decodes them after the executor returns.
+envelopes; :func:`repro.core.campaign.run_campaign` decodes them after
+the executor returns.
 """
 
 from __future__ import annotations
@@ -27,12 +28,8 @@ from repro.runner.shard import Shard
 
 __all__ = [
     "centricity_shard",
-    "controlled_shard",
     "crawl_shard",
-    "ddos_shard",
-    "ecs_shard",
-    "prefetch_shard",
-    "push_shard",
+    "cell_shard",
     "campaign_fingerprint",
     "SHARD_PAYLOAD_VERSION",
 ]
@@ -187,125 +184,30 @@ def centricity_shard(
     )
 
 
-# ------------------------------------------------------------- controlled TTL
+# ------------------------------------------------------------- grid cells
 
 
-def controlled_shard(
-    shard: Shard, *, runs: list[dict[str, Any]]
+def cell_shard(
+    shard: Shard, *, campaign: str, cells: list[dict[str, Any]]
 ) -> dict[str, Any]:
-    """Run one of the §6.2 controlled experiments (one shard per run).
+    """Run one cell of a grid campaign (one shard per cell).
 
-    ``runs[shard.index]`` carries exactly the arguments the serial
-    :func:`repro.core.scenarios._run_controlled` receives, so the
-    sharded campaign reproduces the serial scenario verbatim.
+    ``campaign`` names a :data:`repro.core.campaign.CAMPAIGNS` entry
+    (names, not callables, cross the process boundary); its cell runner
+    receives ``cells[shard.index]`` and a fresh metrics registry.  A
+    cell builds its own world from its own parameters — seed and fault
+    schedule included — so the shard seed plays no part and the
+    campaign is byte-identical for any worker count.
     """
-    from repro.core.scenarios import _run_controlled
+    from repro.core.campaign import CAMPAIGNS
     from repro.metrics.registry import MetricsRegistry
 
+    spec = CAMPAIGNS[campaign]
     registry = MetricsRegistry()
-    run = _run_controlled(**runs[shard.index], metrics=registry)
-    return encode_shard_payload(
-        results=run,
-        queries=run.client_summary["queries"],
-        metrics=registry.snapshot().to_payload(),
-    )
-
-
-# ------------------------------------------------------------- ddos resilience
-
-
-def ddos_shard(shard: Shard, *, tiers: list[dict[str, Any]]) -> dict[str, Any]:
-    """Run one TTL tier of the §6.1 resilience scenario (one shard per tier).
-
-    ``tiers[shard.index]`` carries exactly the arguments the serial
-    :func:`repro.core.scenarios._run_ddos_tier` receives, so the sharded
-    campaign reproduces the serial scenario verbatim — including the
-    fault schedule, which is part of the tier parameters.
-    """
-    from repro.core.scenarios import _run_ddos_tier
-    from repro.metrics.registry import MetricsRegistry
-
-    registry = MetricsRegistry()
-    result = _run_ddos_tier(**tiers[shard.index], metrics=registry)
+    result = spec.load("run_cell")(**cells[shard.index], metrics=registry)
     return encode_shard_payload(
         results=result,
-        queries=result.slots + 2,
-        metrics=registry.snapshot().to_payload(),
-    )
-
-
-# ------------------------------------------------------------- prefetch
-
-
-def prefetch_shard(
-    shard: Shard, *, cells: list[dict[str, Any]]
-) -> dict[str, Any]:
-    """Run one (mode, TTL) cell of the prefetch trade-off (one shard per cell).
-
-    ``cells[shard.index]`` carries exactly the arguments the serial
-    :func:`repro.core.scenarios._run_prefetch_cell` receives, so the
-    sharded campaign reproduces the serial scenario verbatim — the
-    predict machinery runs on the sim clock and stays byte-identical
-    for any worker count.
-    """
-    from repro.core.scenarios import _run_prefetch_cell
-    from repro.metrics.registry import MetricsRegistry
-
-    registry = MetricsRegistry()
-    result = _run_prefetch_cell(**cells[shard.index], metrics=registry)
-    return encode_shard_payload(
-        results=result,
-        queries=result.queries,
-        metrics=registry.snapshot().to_payload(),
-    )
-
-
-# ------------------------------------------------------------- ecs-cdn
-
-
-def ecs_shard(
-    shard: Shard, *, cells: list[dict[str, Any]]
-) -> dict[str, Any]:
-    """Run one (mode, TTL) cell of the ECS/CDN matrix (one shard per cell).
-
-    ``cells[shard.index]`` carries exactly the arguments the serial
-    :func:`repro.core.scenarios._run_ecs_cell` receives, so the sharded
-    campaign reproduces the serial scenario verbatim — subnet-scoped
-    cache metrics included.
-    """
-    from repro.core.scenarios import _run_ecs_cell
-    from repro.metrics.registry import MetricsRegistry
-
-    registry = MetricsRegistry()
-    result = _run_ecs_cell(**cells[shard.index], metrics=registry)
-    return encode_shard_payload(
-        results=result,
-        queries=result.queries,
-        metrics=registry.snapshot().to_payload(),
-    )
-
-
-# ------------------------------------------------------------- push-vs-poll
-
-
-def push_shard(
-    shard: Shard, *, cells: list[dict[str, Any]]
-) -> dict[str, Any]:
-    """Run one (plan, mode, TTL) cell of the push-vs-poll matrix.
-
-    ``cells[shard.index]`` carries exactly the arguments the serial
-    :func:`repro.core.scenarios._run_push_cell` receives, so the sharded
-    campaign reproduces the serial scenario verbatim — push session and
-    staleness metrics included.
-    """
-    from repro.core.scenarios import _run_push_cell
-    from repro.metrics.registry import MetricsRegistry
-
-    registry = MetricsRegistry()
-    result = _run_push_cell(**cells[shard.index], metrics=registry)
-    return encode_shard_payload(
-        results=result,
-        queries=result.probes,
+        queries=spec.queries_of(result),
         metrics=registry.snapshot().to_payload(),
     )
 

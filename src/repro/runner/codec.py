@@ -32,7 +32,7 @@ Two kinds exist:
 :func:`decode_shard_payload` returns the legacy
 ``{"results": ..., "queries": int, "metrics": payload}`` dict the
 scenario-layer mergers have always consumed, so everything downstream
-of :func:`repro.core.scenarios._run_sharded_campaign` is unchanged.
+of :func:`repro.core.campaign.run_campaign` is unchanged.
 
 Bumping :data:`PAYLOAD_VERSION` deliberately invalidates old run
 directories: the version is embedded in every campaign fingerprint, so

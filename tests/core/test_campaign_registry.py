@@ -1,0 +1,162 @@
+"""Every registered campaign, end to end through ``repro run``.
+
+The digests below were recorded from the hand-wired per-scenario
+plumbing the registry replaced (reduced-size arguments, seed 0).  They
+pin three things per campaign: the CLI table bytes, the ``--metrics``
+JSON bytes, and the run-directory manifest — i.e. the campaign
+fingerprint, so run directories written before the registry existed
+still resume.
+"""
+
+import hashlib
+import inspect
+
+import pytest
+
+from repro.cli import main
+from repro.core.campaign import CAMPAIGNS
+
+#: campaign -> (reduced-size args, sha256 of stdout / metrics JSON / manifest).
+ORACLE = {
+    "t2-uy": (
+        ["--probes", "16", "--duration", "1200"],
+        "ff9786ab702c3f9585d1e535e26fcdd5ab20166a4e65056efdb9f658d88fe050",
+        "1901b7adc40010b374c86de2b1e0ff1a27442f0bad89ec723c216d0270e2bab5",
+        "0b1da8064e37c5b2b345171c82e4db884f7e053114558a5564884d5c544e83b4",
+    ),
+    "t2-anicuy": (
+        ["--probes", "16", "--duration", "1200"],
+        "23ca513b63a1cc31d5e5bf919ec71e5256a22bdd59da9b4f840d9e306892ca02",
+        "0ba87d5f524860370340dd1fb7fb336ffb16b76d8cf9673270a61ca47bf84762",
+        "6777a6d9e90263da4197c20427417c02be6dbda333ecc43f9248f24f9a611c00",
+    ),
+    "t2-googleco": (
+        ["--probes", "16", "--duration", "1200"],
+        "8ef00f03ece15b0f206567ecfb2dbb0cf90fd8570772f8f126ed58a00af95351",
+        "67786f8908928e2097821f0776561c163e7892b21ff5102b6a86981864947272",
+        "dee281690c4e75526777f324824aacaff5d02b5203378d917814d8abc2fdd901",
+    ),
+    "t10-controlled": (
+        ["--probes", "8", "--duration", "1200"],
+        "6c6cc9ac69138680b654e6cb889cfd629bcceabe518045f644d9a8c366756f06",
+        "51e087defb3a7ff3d9932e91e2ff9357992eedb91338f315bfab758bf5e6b0e2",
+        "e4af600e57bacef186f0760a7a063db9831b33ff6ef9bd67b658ee9d7fad0f5b",
+    ),
+    "crawl": (
+        ["--scale", "0.0001"],
+        "06666b3202a647193ec03eff2c71c97d581befe0e420dcbcde0dfaa24b849d0d",
+        "45707c0a598ebc6cb81fa723b8a78dd88b08f8f90292f9697abd122e7d3dd86b",
+        "24b89dd7ac66be1df39002380e8aa92f6c397a2bad0d7fd59999526f260efec9",
+    ),
+    "ddos": (
+        ["--duration", "1200"],
+        "bca007683c741856ded691a479ab1cfb3147ddc04ef4ab17bccd81bfebfe351c",
+        "b53785e86e1036c8ab400ff8e7f4b442626ba294b1a8fd198669097e96c7b45a",
+        "b10601707676c5241503145430ddfb6a3f95ce39fbb1c5d4271e00d5e501bd39",
+    ),
+    "prefetch": (
+        ["--duration", "300"],
+        "371f9590af109f2a00b332ae53f49e89cfbdf1e4aeec3763e451a1520a4d276a",
+        "2c7fd405abcabab71e25ae0de044ec3059e58c1cf10c1815255963a084265410",
+        "b3a9133f07475cec36745e73fa90db8a1e2f48de6dabf2457648fbc58ee966db",
+    ),
+    "ecs": (
+        ["--duration", "300"],
+        "9d93e59772b9148770a06b7a7b2d52273d3a71bef41586c67a4ae28b24a2c114",
+        "92515c027287b03b9dc227b5edefa4f03f2d1a1271b128d0f44b2b3273c813d5",
+        "88b16948dcc856f8aa7183c005e80c23954905b2c66ca411699513ffdc85ae15",
+    ),
+    "push": (
+        ["--duration", "900"],
+        "ac6bce70356d86c28e89977db43d70d1d993548170671731035b5190afae961b",
+        "26dfaa77cd38a11635bfdb9fb4a70946e5092497562d5dd1fa551370a57c64a4",
+        "260b566e24f7e28ec381acbda83e799d444b510cfa48b1f6a4062f4b0de98b90",
+    ),
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _run(name, parallel, tmp_path, capsys):
+    """``repro run NAME`` at reduced size; (stdout, metrics, manifest) bytes."""
+    out = tmp_path / f"p{parallel}"
+    status = main([
+        "run", name, *ORACLE[name][0], "--parallel", str(parallel), "--quiet",
+        "--metrics", str(out / "metrics.json"), "--run-dir", str(out),
+    ])
+    assert status == 0
+    return (
+        capsys.readouterr().out.encode(),
+        (out / "metrics.json").read_bytes(),
+        (out / "manifest.json").read_bytes(),
+    )
+
+
+def test_every_registered_campaign_has_an_oracle():
+    assert sorted(CAMPAIGNS) == sorted(ORACLE)
+
+
+@pytest.mark.parametrize("name", sorted(CAMPAIGNS))
+def test_serial_and_parallel_match_the_recorded_bytes(name, tmp_path, capsys):
+    serial = _run(name, 1, tmp_path, capsys)
+    assert tuple(map(_sha, serial)) == ORACLE[name][1:]
+    # Results depend on the shard plan, never on the worker count.
+    assert _run(name, 4, tmp_path, capsys) == serial
+
+
+_CAPABILITY_FLAGS = {
+    "faults": ("--faults", ["plan.json"]),
+    "predict": ("--predict", []),
+    "snapshot": ("--snapshot-every", ["10"]),
+}
+
+
+@pytest.mark.parametrize(
+    "name,capability",
+    [
+        (name, capability)
+        for name, spec in CAMPAIGNS.items()
+        for capability in _CAPABILITY_FLAGS
+        if not getattr(spec, capability)
+    ],
+)
+def test_unsupported_capability_exits_2(name, capability, tmp_path, capsys):
+    flag, value = _CAPABILITY_FLAGS[capability]
+    status = main(["run", name, flag, *value, "--run-dir", str(tmp_path / "run")])
+    assert status == 2
+    err = capsys.readouterr().err
+    capable = [spec.name for spec in CAMPAIGNS.values() if getattr(spec, capability)]
+    assert f"error: {flag} is not supported for {name}" in err
+    assert f"campaigns: {', '.join(capable)})" in err
+
+
+@pytest.mark.parametrize(
+    "name", [name for name, spec in CAMPAIGNS.items() if spec.axes]
+)
+def test_grid_axes_are_checked_once_for_every_campaign(name):
+    spec = CAMPAIGNS[name]
+    scenario = spec.load("scenario")
+    parameters = inspect.signature(scenario).parameters
+    for axis, valid in spec.axes.items():
+        parameter = f"{axis}s"
+        if parameter not in parameters:
+            continue  # not user-settable (ddos serve_stale, controlled label)
+        with pytest.raises(ValueError, match=f"{name} needs >= 1 value on its {axis}"):
+            scenario(**{parameter: ()})
+        if valid is not None:
+            with pytest.raises(ValueError) as excinfo:
+                scenario(**{parameter: ("no-such-value",)})
+            assert f"unknown {name} {axis} 'no-such-value'" in str(excinfo.value)
+            assert f"(have: {', '.join(map(str, valid))})" in str(excinfo.value)
+
+
+def test_cells_do_not_depend_on_the_registry_default():
+    # The cell runners take the metrics registry as a required argument:
+    # counters read back from it (refreshes, scope merges, notifications)
+    # can no longer silently report 0 because nobody passed one.
+    for name, spec in CAMPAIGNS.items():
+        if spec.run_cell:
+            parameter = inspect.signature(spec.load("run_cell")).parameters["metrics"]
+            assert parameter.default is inspect.Parameter.empty, name

@@ -88,7 +88,7 @@ class TestDeterminism:
 
 class TestValidation:
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown ECS mode"):
+        with pytest.raises(ValueError, match="unknown ecs mode"):
             scenario_ecs_cdn(modes=("isp", "hybrid"))
 
     def test_empty_ttls_rejected(self):

@@ -205,3 +205,57 @@ class TestControlledWorld:
             RdataType.AAAA,
         )
         assert response.flags.aa and response.answer[0].ttl == 60
+
+
+def describe_world(built) -> str:
+    """Everything a single-zone builder decides, as canonical text:
+    endpoint allocation, server registration, hints, every zone's
+    records in insertion order, and the fabric's first latency draws."""
+    world = built.world
+    endpoints = world.topology.endpoints
+    lines = [f"{e.address} {e.region.name} {e.asn} {e.name}" for e in endpoints]
+    lines += [f"server {name} {addr}" for name, addr in world._server_addresses.items()]
+    lines += [f"registered {name} {s.endpoint.address}" for name, s in world.servers.items()]
+    lines += [f"hint {name} {addr}" for name, addr in world.hints.items()]
+    for origin, zone in world.zones.items():
+        lines.append(f"zone {origin} default_ttl={zone.default_ttl}")
+        lines += [rrset.to_text() for rrset in zone.rrsets()]
+    latency = world.network.latency
+    lines += [repr(latency.rtt(endpoints[0], endpoints[-1])) for _ in range(20)]
+    return "\n".join(lines)
+
+
+class TestSingleZoneWorldsFrozen:
+    """The four single-zone testbeds share one root/child construction
+    helper; these digests were captured from the hand-copied builders
+    it replaced, so endpoint allocation, record order and RNG draws are
+    pinned to what every recorded figure was produced with."""
+
+    EXPECTED = {
+        ("ecs_cdn", 60, 0): "90903e8317abf679bf26bc0fae6384ce3feeb04c75958a4c63573c44429e203c",
+        ("ecs_cdn", 60, 7): "45f13d612653d84ad839179a0a45a3439a1d14d76f86af08dd474a3920faa7bb",
+        ("ecs_cdn", 86400, 0): "0598662cf8116205005a6755f24be1a956d2e666d7ff1d0dc0f798e290bc65ef",
+        ("ecs_cdn", 86400, 7): "50983793e26920b2b4f720174b4e43c83997f86f1365a5647db4b48a38a944b0",
+        ("hotset", 60, 0): "f625b0a1b614130034532d28e395d5f3cf5332f3bc8d6875f8fb5af94792a6e6",
+        ("hotset", 60, 7): "67adefd2ac3c6a8fc593ff4c2b93a5f553aa3fa9adab425f24101d51db710675",
+        ("hotset", 86400, 0): "221f41617c319454252c504fd6bcdbc5bb8945f398066b751d362ec83fa8a8a3",
+        ("hotset", 86400, 7): "2d947e9a0201e6d33a021647b37a99957892949340c40aa01a424fbea15e72a8",
+        ("outage", 60, 0): "566490b24c24dfb87f1317953daf9c4b18e10af6c4db71b10b86fe49fc2d599c",
+        ("outage", 60, 7): "73462cc70b8572872043779bf9f6f46a554c4692645779cda1ebd97cfc15d2ff",
+        ("outage", 86400, 0): "9c1afecff08175433db9a8367598de6f43de8a5f922342ac35471ca177fd7f97",
+        ("outage", 86400, 7): "86e861e0c5cde5ac5ad56d34bb1ec612cb8fd840ad486da672a77373244b069c",
+        ("push", 60, 0): "3fc830bb4107f993b130cd915c6b83e310c6fccfad86e2831ebb7d1d8e95c3aa",
+        ("push", 60, 7): "5f781bb4eaee5f1656acc7fa5dddc2f3b4cfc2b4d49d6ba98a687498c10cd39c",
+        ("push", 86400, 0): "eedcf94cf0e79338420e3927c80b92cb603b75de6e574f86d24de971fe3d52e9",
+        ("push", 86400, 7): "d2498507de3e4d1efd5bc9cc91ceccc2349b39a594b4b696bfdc37c609e5a404",
+    }
+
+    @pytest.mark.parametrize("name,ttl,seed", sorted(EXPECTED))
+    def test_matches_frozen_description(self, name, ttl, seed):
+        import hashlib
+
+        from repro.core import worlds
+
+        built = getattr(worlds, f"build_{name}_world")(ttl, seed)
+        digest = hashlib.sha256(describe_world(built).encode()).hexdigest()
+        assert digest == self.EXPECTED[(name, ttl, seed)]
