@@ -11,7 +11,7 @@ from benchmarks.perf_records import record_perf
 from repro.dns.message import Message, Section
 from repro.dns.name import Name
 from repro.dns.rdtypes import A, NS, RdataType
-from repro.dns.record import ResourceRecord, RRset
+from repro.dns.record import RRset
 from repro.dns.zone import Zone
 from repro.resolver.cache import Cache, Credibility
 
@@ -37,15 +37,15 @@ def _sample_response() -> Message:
     response = query.make_response(authoritative=True)
     response.add(
         Section.ANSWER,
-        ResourceRecord(Name("www.example.com"), RdataType.A, 300, A("192.0.2.1")),
+        RRset(Name("www.example.com"), RdataType.A, 300, [A("192.0.2.1")]),
     )
     response.add(
         Section.AUTHORITY,
-        ResourceRecord(Name("example.com"), RdataType.NS, 3600, NS(Name("ns1.example.com"))),
+        RRset(Name("example.com"), RdataType.NS, 3600, [NS(Name("ns1.example.com"))]),
     )
     response.add(
         Section.ADDITIONAL,
-        ResourceRecord(Name("ns1.example.com"), RdataType.A, 7200, A("192.0.2.53")),
+        RRset(Name("ns1.example.com"), RdataType.A, 7200, [A("192.0.2.53")]),
     )
     return response
 

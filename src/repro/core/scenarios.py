@@ -108,7 +108,7 @@ def scenario_table1_cl(seed: int = 0) -> list[Table1Row]:
             (Section.AUTHORITY, "Auth."),
             (Section.ADDITIONAL, "Add."),
         ):
-            for record in response.section(section):
+            for record in response.records(section):
                 rows.append(
                     Table1Row(
                         query=label,

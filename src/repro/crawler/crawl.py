@@ -127,12 +127,12 @@ class Crawler:
         addresses: list[str] = []
         ns_targets: list[Name] = []
         if referral is not None:
-            for record in referral.section(Section.AUTHORITY):
+            for record in referral.records(Section.AUTHORITY):
                 if record.rdtype == RdataType.NS:
                     rdata = record.rdata
                     assert isinstance(rdata, NS)
                     ns_targets.append(rdata.target)
-            for record in referral.section(Section.ADDITIONAL):
+            for record in referral.records(Section.ADDITIONAL):
                 if record.rdtype == RdataType.A:
                     addresses.append(str(record.rdata))
         for target in ns_targets:
@@ -155,15 +155,15 @@ class Crawler:
             # Parent-side NS TTL: the delegation in the authority section
             # (or, for a TLD queried at the root, possibly an answer).
             for section in (Section.AUTHORITY, Section.ANSWER):
-                for rr in referral.section(section):
-                    if rr.rdtype == RdataType.NS:
-                        record.parent_ns_ttl = rr.ttl
+                for rrset in referral.section(section):
+                    if rrset.rdtype == RdataType.NS:
+                        record.parent_ns_ttl = rrset.ttl
                         break
                 if record.parent_ns_ttl is not None:
                     break
             record.parent_glue_ttls = [
                 rr.ttl
-                for rr in referral.section(Section.ADDITIONAL)
+                for rr in referral.records(Section.ADDITIONAL)
                 if rr.rdtype in (RdataType.A, RdataType.AAAA)
             ]
 
@@ -178,10 +178,9 @@ class Crawler:
             if response is None:
                 continue
             responded = True
-            answers = response.section(Section.ANSWER)
             if qtype == RdataType.NS:
                 record.ns_response = self._classify_ns_response(response)
-            for rr in answers:
+            for rr in response.records(Section.ANSWER):
                 entry = (rr.ttl, rr.rdata.to_text())
                 bucket = record.records.setdefault(rr.rdtype.name, [])
                 # A CNAME chain repeats in every query type's answer;

@@ -19,7 +19,7 @@ from typing import Iterable, Optional
 
 from repro.dns.name import Name
 from repro.dns.rdtypes import DNSKEY, RRSIG, RdataType
-from repro.dns.record import ResourceRecord, RRset
+from repro.dns.record import RRset
 from repro.dns.zone import Zone
 
 #: Fixed validity window for simulated signatures (content is unchecked).
@@ -75,17 +75,15 @@ def sign_zone(zone: Zone, key_tag: int = 12345) -> int:
     return signed
 
 
-def covering_rrsig(
-    records: Iterable[ResourceRecord], rrset: RRset
-) -> Optional[RRSIG]:
-    """The RRSIG among ``records`` covering ``rrset``, if any."""
-    for record in records:
-        if record.rdtype != RdataType.RRSIG or record.name != rrset.name:
+def covering_rrsig(rrsets: Iterable[RRset], rrset: RRset) -> Optional[RRSIG]:
+    """The RRSIG among ``rrsets`` (a message section) covering ``rrset``, if any."""
+    for candidate in rrsets:
+        if candidate.rdtype != RdataType.RRSIG or candidate.name != rrset.name:
             continue
-        rdata = record.rdata
-        assert isinstance(rdata, RRSIG)
-        if rdata.type_covered == rrset.rdtype:
-            return rdata
+        for rdata in candidate.rdatas:
+            assert isinstance(rdata, RRSIG)
+            if rdata.type_covered == rrset.rdtype:
+                return rdata
     return None
 
 

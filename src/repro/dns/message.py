@@ -6,11 +6,18 @@ sections.  The distinction between the three record sections is central to
 the paper (§3.1): a record's *section* determines how much a resolver
 trusts it, and parent-vs-child centricity is exactly the question of whether
 glue in a referral's additional section outranks an authoritative answer.
+
+A section is a list of :class:`~repro.dns.record.RRset` objects, at most
+one per (name, type, class): the zone's own sets go in by reference and
+the resolver caches those same objects.  Individual records exist on the
+wire (:meth:`Message.from_wire` decodes and groups them) and in the
+per-record view :meth:`Message.records`.
 """
 
 from __future__ import annotations
 
 import enum
+import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
@@ -42,6 +49,10 @@ class Rcode(enum.IntEnum):
     NXDOMAIN = 3
     NOTIMP = 4
     REFUSED = 5
+
+
+#: The fixed 12-octet header: ID, flag bits, four section counts.
+_HEADER = struct.Struct("!HHHHHH")
 
 
 class Section(enum.Enum):
@@ -130,6 +141,24 @@ class Flags:
         return flags, Opcode((bits >> 11) & 0xF), Rcode(bits & 0xF)
 
 
+#: Every header :meth:`Message.make_response` can produce, built once
+#: (``Flags`` is frozen); indexed ``[aa][rd][ra]``.
+_RESPONSE_FLAGS = tuple(
+    tuple(
+        tuple(Flags(qr=True, aa=aa, rd=rd, ra=ra) for ra in (False, True))
+        for rd in (False, True)
+    )
+    for aa in (False, True)
+)
+
+
+def response_flags(
+    authoritative: bool, recursion_desired: bool, recursion_available: bool = False
+) -> Flags:
+    """The shared response header for these three bits (QR set, TC clear)."""
+    return _RESPONSE_FLAGS[authoritative][recursion_desired][recursion_available]
+
+
 @dataclass(frozen=True)
 class Question:
     """A question-section entry."""
@@ -167,14 +196,11 @@ class Message:
     rcode: Rcode = Rcode.NOERROR
     flags: Flags = field(default_factory=Flags)
     question: Optional[Question] = None
-    answer: list[ResourceRecord] = field(default_factory=list)
-    authority: list[ResourceRecord] = field(default_factory=list)
-    additional: list[ResourceRecord] = field(default_factory=list)
+    answer: list[RRset] = field(default_factory=list)
+    authority: list[RRset] = field(default_factory=list)
+    additional: list[RRset] = field(default_factory=list)
     #: EDNS0 sidecar; ``None`` means the message carries no OPT record.
     edns: Optional[Edns] = None
-    #: Per-section RRset grouping memo, validated by record count (records
-    #: are only ever appended via :meth:`add`).
-    _rrset_memo: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
 
     # -- constructors -----------------------------------------------------------
     @classmethod
@@ -202,12 +228,7 @@ class Message:
         return Message(
             id=self.id,
             rcode=rcode,
-            flags=Flags(
-                qr=True,
-                aa=authoritative,
-                rd=self.flags.rd,
-                ra=recursion_available,
-            ),
+            flags=_RESPONSE_FLAGS[authoritative][self.flags.rd][recursion_available],
             question=self.question,
         )
 
@@ -234,33 +255,46 @@ class Message:
         return self.edns.effective_payload
 
     # -- section access ------------------------------------------------------------
-    def section(self, section: Section) -> list[ResourceRecord]:
+    def section(self, section: Section) -> list[RRset]:
         if section is Section.ANSWER:
             return self.answer
         if section is Section.AUTHORITY:
             return self.authority
         return self.additional
 
-    def add(self, section: Section, *records: ResourceRecord) -> None:
-        self.section(section).extend(records)
+    def add(self, section: Section, *rrsets: RRset) -> None:
+        """Append ``rrsets``, keeping one RRset per (name, type, class).
+
+        A set whose key the section already holds merges into the held one
+        (:meth:`RRset.merged`: rdatas appended, minimum TTL) at the held
+        one's position.
+        """
+        held = self.section(section)
+        for rrset in rrsets:
+            for index, existing in enumerate(held):
+                if (
+                    existing.rdtype == rrset.rdtype
+                    and existing.name == rrset.name
+                    and existing.rdclass == rrset.rdclass
+                ):
+                    held[index] = existing.merged(rrset)
+                    break
+            else:
+                held.append(rrset)
+
+    def rrsets(self, section: Section) -> list[RRset]:
+        """The section's RRsets: the section list itself, not a copy."""
+        return self.section(section)
+
+    def records(self, section: Section) -> Iterator[ResourceRecord]:
+        """The per-record view of one section (text output, record counts)."""
+        for rrset in self.section(section):
+            yield from rrset.records()
 
     def all_records(self) -> Iterator[tuple[Section, ResourceRecord]]:
         for section in Section:
-            for record in self.section(section):
+            for record in self.records(section):
                 yield section, record
-
-    def rrsets(self, section: Section) -> list[RRset]:
-        records = self.section(section)
-        memo = self._rrset_memo
-        if memo is None:
-            memo = {}
-            self._rrset_memo = memo
-        hit = memo.get(section)
-        if hit is not None and hit[0] == len(records):
-            return hit[1]
-        groups = group_rrsets(records)
-        memo[section] = (len(records), groups)
-        return groups
 
     def find_rrset(
         self,
@@ -270,14 +304,10 @@ class Message:
         rdclass: RdataClass = RdataClass.IN,
     ) -> Optional[RRset]:
         """The RRset for (name, type, class) in ``section``, or ``None``."""
-        matching = [
-            record
-            for record in self.section(section)
-            if record.name == name and record.rdtype == rdtype and record.rdclass == rdclass
-        ]
-        if not matching:
-            return None
-        return group_rrsets(matching)[0]
+        for rrset in self.section(section):
+            if rrset.rdtype == rdtype and rrset.name == name and rrset.rdclass == rdclass:
+                return rrset
+        return None
 
     # -- classification -----------------------------------------------------------
     @property
@@ -292,7 +322,10 @@ class Message:
         """
         if self.rcode != Rcode.NOERROR or self.answer:
             return False
-        return any(record.rdtype == RdataType.NS for record in self.authority)
+        for rrset in self.authority:
+            if rrset.rdtype == RdataType.NS:
+                return True
+        return False
 
     def answer_rrset(self) -> Optional[RRset]:
         """The answer RRset matching the question, if any (CNAMEs aside)."""
@@ -303,19 +336,17 @@ class Message:
         )
 
     def aged(self, seconds: int) -> "Message":
-        """A copy with every record's TTL aged by ``seconds``."""
-        copy = Message(
+        """A copy with every RRset's TTL aged by ``seconds``."""
+        return Message(
             id=self.id,
             opcode=self.opcode,
             rcode=self.rcode,
             flags=self.flags,
             question=self.question,
+            answer=[rrset.aged(seconds) for rrset in self.answer],
+            authority=[rrset.aged(seconds) for rrset in self.authority],
+            additional=[rrset.aged(seconds) for rrset in self.additional],
         )
-        for section in Section:
-            copy.section(section)[:] = [
-                record.aged(seconds) for record in self.section(section)
-            ]
-        return copy
 
     def to_text(self) -> str:
         lines = [
@@ -327,10 +358,10 @@ class Message:
             lines.append(";; QUESTION")
             lines.append(self.question.to_text())
         for section in Section:
-            records = self.section(section)
-            if records:
+            rrsets = self.section(section)
+            if rrsets:
                 lines.append(f";; {section.name}")
-                lines.extend(record.to_text() for record in records)
+                lines.extend(rrset.to_text() for rrset in rrsets)
         return "\n".join(lines)
 
     def __str__(self) -> str:
@@ -338,18 +369,25 @@ class Message:
 
     # -- wire -----------------------------------------------------------------------
     def to_wire(self) -> bytes:
+        sections = (self.answer, self.authority, self.additional)
+        counts = [0, 0, 1 if self.edns is not None else 0]
+        for index, rrsets in enumerate(sections):
+            for rrset in rrsets:
+                counts[index] += len(rrset.rdatas)
         writer = WireWriter()
-        writer.write_u16(self.id)
-        writer.write_u16(self.flags.to_wire_bits(self.opcode, self.rcode))
-        writer.write_u16(1 if self.question is not None else 0)
-        writer.write_u16(len(self.answer))
-        writer.write_u16(len(self.authority))
-        writer.write_u16(len(self.additional) + (1 if self.edns is not None else 0))
+        writer.write_bytes(
+            _HEADER.pack(
+                self.id,
+                self.flags.to_wire_bits(self.opcode, self.rcode),
+                1 if self.question is not None else 0,
+                *counts,
+            )
+        )
         if self.question is not None:
             self.question.to_wire(writer)
-        for section in Section:
-            for record in self.section(section):
-                record.to_wire(writer)
+        for rrsets in sections:
+            for rrset in rrsets:
+                rrset.to_wire(writer)
         if self.edns is not None:
             self._write_opt(writer, self.edns)
         return writer.getvalue()
@@ -401,11 +439,15 @@ class Message:
         message = cls(
             id=message_id, opcode=opcode, rcode=rcode, flags=flags, question=question
         )
+        # The one place records are decoded one by one (each validated by
+        # the ResourceRecord constructor) and grouped into the section's
+        # RRsets: first-seen order, minimum TTL within a set.
         for section, count in (
             (Section.ANSWER, ancount),
             (Section.AUTHORITY, nscount),
             (Section.ADDITIONAL, arcount),
         ):
+            records: list[ResourceRecord] = []
             for _ in range(count):
                 name = reader.read_name()
                 rdtype = RdataType(reader.read_u16())
@@ -416,9 +458,9 @@ class Message:
                         raise WireError("more than one OPT record")
                     message.edns = cls._read_opt(name, reader)
                     continue
-                message.section(section).append(
-                    ResourceRecord.from_wire_body(name, rdtype, reader)
-                )
+                records.append(ResourceRecord.from_wire_body(name, rdtype, reader))
+            if records:
+                message.section(section).extend(group_rrsets(records))
         if reader.remaining:
             raise WireError(f"{reader.remaining} trailing octets after message")
         return message

@@ -277,12 +277,11 @@ class Name:
 
         Every name is a subdomain of the root and of itself.
         """
-        if other.is_root:
+        suffix = other._labels
+        if not suffix:  # the root
             return True
-        offset = len(self._labels) - len(other._labels)
-        if offset < 0:
-            return False
-        return self._labels[offset:] == other._labels
+        # A shorter self yields a slice that cannot equal the suffix.
+        return self._labels[-len(suffix):] == suffix
 
     def is_proper_subdomain_of(self, other: "Name") -> bool:
         """True when ``self`` lies strictly beneath ``other``."""

@@ -5,11 +5,19 @@ A :class:`ResourceRecord` is one (name, type, class, TTL, rdata) tuple; an
 §5.2 requires all members of an RRset to carry the same TTL; :class:`RRset`
 enforces that on construction and exposes TTL arithmetic (aging records as
 they sit in a cache) used throughout the resolver.
+
+The RRset is the unit everything above the wire codec handles: zones store
+them, message sections hold them, caches keep them.  An RRset cannot be
+assigned to after construction, so one object is handed from zone to
+response to cache entry without a copy.  :class:`ResourceRecord` is what
+wire decode validates and what the per-record views (text output, the
+crawler's counts) iterate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import struct
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
 
 from repro.dns.name import Name
@@ -65,15 +73,7 @@ class ResourceRecord:
 
     # -- wire -----------------------------------------------------------------
     def to_wire(self, writer: WireWriter) -> None:
-        writer.write_name(self.name)
-        writer.write_u16(int(self.rdtype))
-        writer.write_u16(int(self.rdclass))
-        writer.write_u32(self.ttl)
-        rdlength_at = len(writer)
-        writer.write_u16(0)  # RDLENGTH placeholder
-        rdata_start = len(writer)
-        self.rdata.to_wire(writer)
-        writer.patch_u16(rdlength_at, len(writer) - rdata_start)
+        _write_record(writer, self.name, self.rdtype, self.rdclass, self.ttl, self.rdata)
 
     @classmethod
     def from_wire(cls, reader: WireReader) -> "ResourceRecord":
@@ -98,9 +98,15 @@ class ResourceRecord:
         return cls(name=name, rdtype=rdtype, ttl=ttl, rdata=rdata, rdclass=rdclass)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RRset:
     """All records sharing a (name, type, class), with one shared TTL.
+
+    Frozen: a zone answers with the very objects it stores and a cache
+    keeps the object it was handed, so "the zone was renumbered but the
+    cache still holds the old set" (§4.2 of the paper) is two distinct
+    objects, never one that changed under its holders.  Changing a field
+    means building a new set (:meth:`with_ttl`, :meth:`merged`).
 
     >>> from repro.dns.rdtypes import A
     >>> rrset = RRset(Name("example.com"), RdataType.A, 300, [A("192.0.2.1")])
@@ -111,14 +117,15 @@ class RRset:
     name: Name
     rdtype: RdataType
     ttl: int
-    rdatas: tuple[Rdata, ...] = field(default_factory=tuple)
+    rdatas: tuple[Rdata, ...] = ()
     rdclass: RdataClass = RdataClass.IN
 
     def __post_init__(self) -> None:
         if not isinstance(self.name, Name):
-            self.name = Name(self.name)
+            object.__setattr__(self, "name", Name(self.name))
         validate_ttl(self.ttl)
-        self.rdatas = tuple(self.rdatas)
+        if type(self.rdatas) is not tuple:
+            object.__setattr__(self, "rdatas", tuple(self.rdatas))
         for rdata in self.rdatas:
             if rdata.rdtype != self.rdtype:
                 raise ValueError(
@@ -153,7 +160,7 @@ class RRset:
         )
 
     def records(self) -> Iterator[ResourceRecord]:
-        """Explode back into individual records."""
+        """The per-record view: one validated record per rdata."""
         for rdata in self.rdatas:
             yield ResourceRecord(
                 name=self.name,
@@ -182,13 +189,16 @@ class RRset:
         rdclass: RdataClass,
     ) -> "RRset":
         """Trusted constructor: fields come from an already-validated RRset
-        (or record group), so ``__post_init__``'s re-checks are skipped."""
+        (or record group), so ``__post_init__``'s re-checks are skipped.
+
+        The fields go in through the instance dict in one call: the frozen
+        ``__init__`` costs a call per field, and the resolver's warm path
+        builds one aged set per answered query.
+        """
         rrset = object.__new__(cls)
-        rrset.name = name
-        rrset.rdtype = rdtype
-        rrset.ttl = ttl
-        rrset.rdatas = rdatas
-        rrset.rdclass = rdclass
+        rrset.__dict__.update(
+            name=name, rdtype=rdtype, ttl=ttl, rdatas=rdatas, rdclass=rdclass
+        )
         return rrset
 
     def with_ttl(self, ttl: int) -> "RRset":
@@ -200,8 +210,43 @@ class RRset:
             raise ValueError(f"cannot age by negative time {seconds}")
         return self.with_ttl(max(0, self.ttl - seconds))
 
+    def merged(self, other: "RRset") -> "RRset":
+        """This set followed by ``other``'s rdatas (same key), at the
+        smaller TTL — the :func:`group_rrsets` reading of RFC 2181 §5.2."""
+        return RRset._build(
+            self.name,
+            self.rdtype,
+            min(self.ttl, other.ttl),
+            self.rdatas + other.rdatas,
+            self.rdclass,
+        )
+
     def to_text(self) -> str:
         return "\n".join(record.to_text() for record in self.records())
+
+    def to_wire(self, writer: WireWriter) -> None:
+        """Write one wire record per rdata, straight from the set's fields."""
+        for rdata in self.rdatas:
+            _write_record(writer, self.name, self.rdtype, self.rdclass, self.ttl, rdata)
+
+
+#: TYPE, CLASS, TTL and the RDLENGTH placeholder of a wire record.
+_RR_FIXED = struct.Struct("!HHIH")
+
+
+def _write_record(
+    writer: WireWriter,
+    name: Name,
+    rdtype: RdataType,
+    rdclass: RdataClass,
+    ttl: int,
+    rdata: Rdata,
+) -> None:
+    writer.write_name(name)
+    writer.write_bytes(_RR_FIXED.pack(rdtype, rdclass, ttl, 0))
+    rdata_start = len(writer)
+    rdata.to_wire(writer)
+    writer.patch_u16(rdata_start - 2, len(writer) - rdata_start)
 
 
 def group_rrsets(records: Iterable[ResourceRecord]) -> list[RRset]:

@@ -9,19 +9,35 @@ The glue records a parent zone serves for a delegation are the "parent
 TTLs" of the paper: a parent-centric resolver caches them for the parent's
 TTL, while a child-centric resolver replaces them with the child's
 authoritative values (RFC 2181 §5.4.1 trust ranking).
+
+:meth:`Zone.respond` compiles the body of each answer once — the way NSD
+answers from precompiled packets — and every mutator drops the compiled
+table, so a changed zone answers with its new data on the next query.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
-from repro.dns.message import Message, Rcode, Section
+from repro.dns.message import (
+    Flags,
+    Message,
+    Question,
+    Rcode,
+    Section,
+    response_flags,
+)
 from repro.dns.name import Name
-from repro.dns.rdtypes import CNAME, NS, Rdata, RdataClass, RdataType, SOA
-from repro.dns.record import ResourceRecord, RRset
+from repro.dns.rdtypes import CNAME, NS, RRSIG, Rdata, RdataType, SOA
+from repro.dns.record import RRset
 from repro.dns.ttl import validate_ttl
+
+#: Bound on a zone's compiled-answer table.  A campaign asks a zone a
+#: handful of questions; a crawled TLD sees each delegation a few times.
+#: The table simply resets when full, like the name intern tables.
+_COMPILED_MAX = 1024
 
 
 class ZoneError(ValueError):
@@ -49,6 +65,33 @@ class LookupResult:
     rrsets: list[RRset] = field(default_factory=list)
     glue: list[RRset] = field(default_factory=list)
     soa: Optional[RRset] = None
+    #: The answer was synthesised from a wildcard for this very qname.
+    synthesized: bool = False
+
+
+class _Answer(NamedTuple):
+    """Everything of a response that does not depend on the query's ID and
+    RD bit: the RRsets are the zone's own, shared by every response."""
+
+    rcode: Rcode
+    #: Response header by the query's RD bit (echoed, RFC 1035 §4.1.1).
+    flags: tuple[Flags, Flags]
+    answer: tuple[RRset, ...]
+    authority: tuple[RRset, ...]
+    additional: tuple[RRset, ...]
+
+    @classmethod
+    def of(cls, body: Message, authoritative: bool) -> "_Answer":
+        return cls(
+            body.rcode,
+            (response_flags(authoritative, False), response_flags(authoritative, True)),
+            tuple(body.answer),
+            tuple(body.authority),
+            tuple(body.additional),
+        )
+
+
+_REFUSED = _Answer.of(Message(rcode=Rcode.REFUSED), authoritative=False)
 
 
 class Zone:
@@ -64,6 +107,9 @@ class Zone:
         # non-terminals above them).
         self._cuts: set[Name] = set()
         self._nodes: set[Name] = set()
+        # Compiled answers by (qname, qtype), filled by respond() and
+        # dropped whole by every writer of _rrsets.
+        self._compiled: dict[tuple[Name, RdataType], _Answer] = {}
 
     def __repr__(self) -> str:
         return f"Zone({str(self.origin)!r}, {len(self._rrsets)} rrsets)"
@@ -92,6 +138,7 @@ class Zone:
         else:
             rrset = RRset(owner, rdtype, effective_ttl, rdatas)
         self._rrsets[(owner, rdtype)] = rrset
+        self._compiled.clear()
         if rdtype == RdataType.NS and owner != self.origin:
             self._cuts.add(owner)
         node = owner
@@ -116,11 +163,13 @@ class Zone:
         """
         owner = self._require_in_zone(Name(name))
         self._rrsets.pop((owner, rdtype), None)
+        self._compiled.clear()  # here too: add() may refuse the new rdata
         return self.add(owner, rdtype, rdata, ttl)
 
     def remove(self, name: Name | str, rdtype: RdataType) -> None:
         owner = Name(name)
         self._rrsets.pop((owner, rdtype), None)
+        self._compiled.clear()
         if rdtype == RdataType.NS:
             self._cuts.discard(owner)
         # Node bookkeeping is append-only: a removed name may leave an
@@ -134,6 +183,7 @@ class Zone:
             raise ZoneError(f"no {rdtype.name} RRset at {owner}")
         rrset = existing.with_ttl(validate_ttl(ttl))
         self._rrsets[(owner, rdtype)] = rrset
+        self._compiled.clear()
         return rrset
 
     def _require_in_zone(self, name: Name) -> Name:
@@ -239,10 +289,12 @@ class Zone:
                 break
             wildcard = self._rrsets.get((ancestor.prepend("*"), qtype))
             if wildcard is not None:
-                synthesized = RRset(
+                synthesized = RRset._build(
                     name, qtype, wildcard.ttl, wildcard.rdatas, wildcard.rdclass
                 )
-                return LookupResult(status=LookupStatus.ANSWER, rrsets=[synthesized])
+                return LookupResult(
+                    status=LookupStatus.ANSWER, rrsets=[synthesized], synthesized=True
+                )
             if self.name_exists(ancestor):
                 break
         return LookupResult(status=LookupStatus.NXDOMAIN, soa=self.soa)
@@ -268,65 +320,90 @@ class Zone:
 
     # -- full responses --------------------------------------------------------
     def respond(self, query: Message) -> Message:
-        """Build the full response message an authoritative server sends."""
-        if query.question is None:
-            response = query.make_response(rcode=Rcode.FORMERR)
-            return response
+        """Build the full response message an authoritative server sends.
+
+        The body is compiled once per (qname, qtype) and reused until the
+        zone changes; each response gets its own section lists (receivers
+        may clear or extend them) holding the zone's shared RRsets.
+        """
         question = query.question
-        if not question.qname.is_subdomain_of(self.origin):
-            return query.make_response(rcode=Rcode.REFUSED)
+        if question is None:
+            return query.make_response(rcode=Rcode.FORMERR)
+        body = self._compiled.get((question.qname, question.qtype))
+        if body is None:
+            body = self._compile(question)
+        return Message(
+            id=query.id,
+            rcode=body.rcode,
+            flags=body.flags[query.flags.rd],
+            question=question,
+            answer=list(body.answer),
+            authority=list(body.authority),
+            additional=list(body.additional),
+        )
 
-        result = self.lookup(question.qname, question.qtype)
+    def _compile(self, question: Question) -> _Answer:
+        """Look the question up and assemble its response body.
 
+        Bodies for names the zone does not hold — NXDOMAIN, wildcard
+        matches, out-of-zone names — are built afresh each time: their
+        key space is whatever clients choose to ask.
+        """
+        qname, qtype = question.qname, question.qtype
+        if not qname.is_subdomain_of(self.origin):
+            return _REFUSED
+
+        result = self.lookup(qname, qtype)
+        # A scratch message: add() keeps one RRset per key in each section.
+        body = Message()
+        authoritative = True
         if result.status is LookupStatus.DELEGATION:
-            response = query.make_response(authoritative=False)
+            authoritative = False
+            body.add(Section.AUTHORITY, *result.rrsets)
+            body.add(Section.ADDITIONAL, *result.glue)
+        elif result.status in (LookupStatus.ANSWER, LookupStatus.CNAME):
             for rrset in result.rrsets:
-                response.add(Section.AUTHORITY, *rrset.records())
-            for rrset in result.glue:
-                response.add(Section.ADDITIONAL, *rrset.records())
-            return response
-
-        if result.status in (LookupStatus.ANSWER, LookupStatus.CNAME):
-            response = query.make_response(authoritative=True)
-            for rrset in result.rrsets:
-                response.add(Section.ANSWER, *rrset.records())
-                self._attach_rrsigs(response, rrset)
+                body.add(Section.ANSWER, rrset, *self._rrsigs_for(rrset))
             apex_ns = self._rrsets.get((self.origin, RdataType.NS))
-            if apex_ns is not None and question.qtype != RdataType.NS:
-                response.add(Section.AUTHORITY, *apex_ns.records())
-                for glue_rrset in self._glue_for(apex_ns):
-                    response.add(Section.ADDITIONAL, *glue_rrset.records())
-            return response
+            if apex_ns is not None and qtype != RdataType.NS:
+                body.add(Section.AUTHORITY, apex_ns)
+                body.add(Section.ADDITIONAL, *self._glue_for(apex_ns))
+        else:
+            if result.status is LookupStatus.NXDOMAIN:
+                body.rcode = Rcode.NXDOMAIN
+            if result.soa is not None:
+                body.add(Section.AUTHORITY, result.soa)
+        compiled = _Answer.of(body, authoritative)
+        if body.rcode is Rcode.NOERROR and not result.synthesized:
+            if len(self._compiled) >= _COMPILED_MAX:
+                self._compiled.clear()
+            self._compiled[(qname, qtype)] = compiled
+        return compiled
 
-        rcode = Rcode.NXDOMAIN if result.status is LookupStatus.NXDOMAIN else Rcode.NOERROR
-        response = query.make_response(rcode=rcode, authoritative=True)
-        if result.soa is not None:
-            response.add(Section.AUTHORITY, *result.soa.records())
-        return response
-
-    def _attach_rrsigs(self, response: Message, answered: RRset) -> None:
-        """Add the RRSIG(s) covering an answered RRset (signed zones only).
+    def _rrsigs_for(self, answered: RRset) -> list[RRset]:
+        """The RRSIG set covering an answered RRset (signed zones only).
 
         DNSSEC requires the signature — which encloses the child's TTL —
         to travel with the data (§2 of the paper); validating resolvers
         use it to clamp cached TTLs.
         """
-        from repro.dns.rdtypes import RRSIG as RRSIGData
-
         if answered.rdtype == RdataType.RRSIG:
-            return
+            return []
         sig_set = self._rrsets.get((answered.name, RdataType.RRSIG))
         if sig_set is None:
-            return
-        for rdata in sig_set.rdatas:
-            assert isinstance(rdata, RRSIGData)
-            if rdata.type_covered == answered.rdtype:
-                response.add(
-                    Section.ANSWER,
-                    *RRset(
-                        answered.name, RdataType.RRSIG, sig_set.ttl, [rdata]
-                    ).records(),
-                )
+            return []
+        covering = tuple(
+            rdata
+            for rdata in sig_set.rdatas
+            if isinstance(rdata, RRSIG) and rdata.type_covered == answered.rdtype
+        )
+        if not covering:
+            return []
+        return [
+            RRset._build(
+                answered.name, RdataType.RRSIG, sig_set.ttl, covering, sig_set.rdclass
+            )
+        ]
 
     # -- convenience -------------------------------------------------------------
     def add_soa(

@@ -106,7 +106,7 @@ def attach(network, recorder: TraceRecorder) -> None:
                     qtype=question.qtype,
                     rcode=response.rcode,
                     authoritative=response.flags.aa,
-                    answer_count=len(response.answer),
+                    answer_count=sum(len(rrset) for rrset in response.answer),
                     referral=response.is_referral(),
                     rtt=elapsed,
                 )

@@ -103,6 +103,11 @@ class BackoffPolicy:
         )
 
 
+#: The flat policy of ``exchange``'s default ``timeout``/``retries``
+#: arguments, validated once instead of on every exchange.
+_DEFAULT_POLICY = BackoffPolicy()
+
+
 class Server(Protocol):
     """Anything that can answer DNS queries on the fabric."""
 
@@ -296,7 +301,10 @@ class Network:
         """
         policy = backoff if backoff is not None else self.backoff
         if policy is None:
-            policy = BackoffPolicy(timeout=timeout, retries=retries)
+            if timeout == DEFAULT_TIMEOUT and retries == DEFAULT_RETRIES:
+                policy = _DEFAULT_POLICY
+            else:
+                policy = BackoffPolicy(timeout=timeout, retries=retries)
         elapsed = 0.0
         attempts = 1 + policy.retries
         budget = policy.budget

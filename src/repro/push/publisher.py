@@ -177,7 +177,7 @@ class PushPublisher:
         response = query.make_response(authoritative=True)
         rrset = self._current(key)
         if rrset is not None:
-            response.add(Section.ANSWER, *rrset.records())
+            response.add(Section.ANSWER, rrset)
         return response
 
     def _unsubscribe(self, key: PushKey, address: str) -> None:

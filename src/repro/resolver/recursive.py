@@ -885,7 +885,7 @@ class RecursiveResolver:
         self._m_upstream.inc()
         if not (response.flags.aa and response.answer):
             return
-        for rrset in response.rrsets(Section.ANSWER):
+        for rrset in response.answer:
             # The upgraded address is still an in-bailiwick server address:
             # keep it tied to the covering NS set so it expires with it
             # (§4.2), unless this resolver trusts addresses independently.
@@ -964,7 +964,7 @@ class RecursiveResolver:
             if echo is not None and echo.family == subnet.family:
                 scope = min(echo.scope_prefix, subnet.source_prefix)
 
-        for rrset in response.rrsets(Section.ANSWER):
+        for rrset in response.answer:
             credibility = (
                 Credibility.AUTH_ANSWER if authoritative else Credibility.NONAUTH_ANSWER
             )
@@ -985,7 +985,7 @@ class RecursiveResolver:
                     self._ecs_scope = 0
 
         ns_owner: Optional[Name] = None
-        for rrset in response.rrsets(Section.AUTHORITY):
+        for rrset in response.authority:
             if rrset.rdtype == RdataType.NS and ns_owner is None:
                 ns_owner = rrset.name
             credibility = (
@@ -993,7 +993,7 @@ class RecursiveResolver:
             )
             self.cache.put(rrset, credibility, now, pin=parent_side)
 
-        for rrset in response.rrsets(Section.ADDITIONAL):
+        for rrset in response.additional:
             if rrset.rdtype not in (RdataType.A, RdataType.AAAA):
                 continue
             linked: Optional[CacheKey] = None
@@ -1047,7 +1047,7 @@ class RecursiveResolver:
         return viewed
 
     def _soa_from(self, response: Message) -> Optional[RRset]:
-        for rrset in response.rrsets(Section.AUTHORITY):
+        for rrset in response.authority:
             if rrset.rdtype == RdataType.SOA:
                 return rrset
         return None

@@ -228,7 +228,7 @@ class DnsFrontend:
         question = query.question
         assert question is not None
         cache = self.resolver.cache
-        answers = response.rrsets(Section.ANSWER)
+        answers = response.answer
         if answers:
             valid_until = math.inf
             for rrset in answers:
@@ -301,8 +301,7 @@ class DnsFrontend:
         if result.cache_hit:
             self._m_cache_hits.inc()
         response = query.make_response(rcode=result.rcode, recursion_available=True)
-        for rrset in result.answers:
-            response.add(Section.ANSWER, *rrset.records())
+        response.add(Section.ANSWER, *result.answers)
         if subnet is not None:
             # Echo the subnet with the scope the resolution produced
             # (0 when the answer is global); _encode keeps the option.

@@ -26,7 +26,7 @@ from repro.dns.ecs import ClientSubnet, extract_client_subnet
 from repro.dns.message import Message, Rcode, Section
 from repro.dns.name import Name
 from repro.dns.rdtypes import A, RdataType
-from repro.dns.record import ResourceRecord
+from repro.dns.record import RRset
 from repro.dns.wire import WireError
 from repro.dns.zone import Zone
 from repro.net.topology import Endpoint, Region
@@ -174,7 +174,7 @@ class CdnAuthoritativeServer(AuthoritativeServer):
         response = query.make_response(authoritative=True)
         response.add(
             Section.ANSWER,
-            ResourceRecord(question.qname, RdataType.A, site.ttl, A(site.address)),
+            RRset(question.qname, RdataType.A, site.ttl, (A(site.address),)),
         )
         if subnet is not None:
             response.use_edns(options=subnet.with_scope(scope).to_wire())

@@ -28,19 +28,17 @@ def valid_response() -> bytes:
     from repro.dns.message import Message, Section
     from repro.dns.name import Name
     from repro.dns.rdtypes import A, NS, RdataType
-    from repro.dns.record import ResourceRecord
+    from repro.dns.record import RRset
 
     query = Message.make_query("www.example.com", RdataType.A, id=0x1234)
     response = query.make_response(authoritative=True)
     response.add(
         Section.ANSWER,
-        ResourceRecord(Name("www.example.com"), RdataType.A, 300, A("192.0.2.1")),
+        RRset(Name("www.example.com"), RdataType.A, 300, [A("192.0.2.1")]),
     )
     response.add(
         Section.AUTHORITY,
-        ResourceRecord(
-            Name("example.com"), RdataType.NS, 3600, NS(Name("ns1.example.com"))
-        ),
+        RRset(Name("example.com"), RdataType.NS, 3600, [NS(Name("ns1.example.com"))]),
     )
     return response.to_wire()
 
@@ -50,7 +48,7 @@ def valid_compressed() -> bytes:
     from repro.dns.message import Message, Section
     from repro.dns.name import Name
     from repro.dns.rdtypes import A, NS, RdataType
-    from repro.dns.record import ResourceRecord
+    from repro.dns.record import RRset
 
     query = Message.make_query("a.b.c.example.com", RdataType.NS, id=0x0042)
     response = query.make_response(authoritative=True)
@@ -59,15 +57,15 @@ def valid_compressed() -> bytes:
     ):
         response.add(
             Section.AUTHORITY,
-            ResourceRecord(
-                Name(owner), RdataType.NS, 3600, NS(Name(f"ns{index}.example.com"))
+            RRset(
+                Name(owner), RdataType.NS, 3600, [NS(Name(f"ns{index}.example.com"))]
             ),
         )
         response.add(
             Section.ADDITIONAL,
-            ResourceRecord(
+            RRset(
                 Name(f"ns{index}.example.com"), RdataType.A, 300,
-                A(f"192.0.2.{index + 1}"),
+                [A(f"192.0.2.{index + 1}")],
             ),
         )
     return response.to_wire()
@@ -90,17 +88,42 @@ def valid_ecs_v6_scoped() -> bytes:
     from repro.dns.message import Message, Section
     from repro.dns.name import Name
     from repro.dns.rdtypes import A, RdataType
-    from repro.dns.record import ResourceRecord
+    from repro.dns.record import RRset
 
     query = Message.make_query("www.cdn.example", RdataType.A, id=0x7872)
     response = query.make_response(authoritative=True)
     response.add(
         Section.ANSWER,
-        ResourceRecord(Name("www.cdn.example"), RdataType.A, 60, A("203.0.113.1")),
+        RRset(Name("www.cdn.example"), RdataType.A, 60, [A("203.0.113.1")]),
     )
     subnet = ClientSubnet.from_ip("2001:db8::", 56, scope=48)
     response.use_edns(options=subnet.to_wire())
     return response.to_wire()
+
+
+def valid_interleaved_rrset() -> bytes:
+    """An answer section no encoder of ours writes: two RRsets with their
+    records interleaved (A, AAAA, A, AAAA) and the A records carrying
+    different TTLs (300, 120).  Decode must group each key into one RRset,
+    first-seen order, at the set's minimum TTL."""
+    from repro.dns.name import Name
+    from repro.dns.rdtypes import AAAA, A, RdataType
+    from repro.dns.record import ResourceRecord
+    from repro.dns.wire import WireWriter
+
+    owner = Name("mixed.example.com")
+    writer = WireWriter()
+    writer.write_bytes(bytes.fromhex("2181" "8400" "0001" "0004" "0000" "0000"))
+    writer.write_name(owner)
+    writer.write_bytes(QTYPE_QCLASS)
+    for rdtype, ttl, rdata in (
+        (RdataType.A, 300, A("192.0.2.1")),
+        (RdataType.AAAA, 600, AAAA("2001:db8::1")),
+        (RdataType.A, 120, A("192.0.2.2")),
+        (RdataType.AAAA, 600, AAAA("2001:db8::2")),
+    ):
+        ResourceRecord(owner, rdtype, ttl, rdata).to_wire(writer)
+    return writer.getvalue()
 
 
 def reject_ecs_opt_overrun() -> bytes:
@@ -119,6 +142,7 @@ CORPUS = {
     "valid_compressed_names.bin": valid_compressed,
     "valid_ecs_query.bin": valid_ecs_query,
     "valid_ecs_v6_scoped.bin": valid_ecs_v6_scoped,
+    "valid_interleaved_rrset.bin": valid_interleaved_rrset,
     # OPT rdlength overruns the message: must fail at the message codec.
     "reject_ecs_opt_overrun.bin": reject_ecs_opt_overrun,
     # -- must be rejected (and must terminate) ------------------------------

@@ -62,9 +62,9 @@ class TestResponses:
     def test_answer_carries_covering_rrsig(self, zone):
         sign_zone(zone)
         response = zone.respond(Message.make_query("www.example.org.", RdataType.A))
-        sigs = [r for r in response.answer if r.rdtype == RdataType.RRSIG]
-        assert len(sigs) == 1
-        assert sigs[0].rdata.type_covered == RdataType.A
+        (sig_set,) = [r for r in response.answer if r.rdtype == RdataType.RRSIG]
+        (sig,) = sig_set.rdatas  # one signature, not the name's whole RRSIG set
+        assert sig.type_covered == RdataType.A
 
     def test_referral_carries_no_rrsig(self, zone):
         sign_zone(zone)
@@ -90,12 +90,8 @@ class TestValidationHelpers:
         wrong = make_rrsig(
             RRset(Name("x.example."), RdataType.AAAA, 300, []), Name("example.")
         )
-        record = next(
-            iter(
-                RRset(Name("x.example."), RdataType.RRSIG, 300, [wrong]).records()
-            )
-        )
-        assert covering_rrsig([record], rrset) is None
+        sig_set = RRset(Name("x.example."), RdataType.RRSIG, 300, [wrong])
+        assert covering_rrsig([sig_set], rrset) is None
 
     def test_clamp_reduces_inflated_ttl(self):
         rrset = RRset(Name("x."), RdataType.A, 999999, [A("192.0.2.1")])

@@ -19,7 +19,7 @@ from repro.dns.message import (
 )
 from repro.dns.name import Name
 from repro.dns.rdtypes import A, OpaqueRdata, RdataClass, RdataType
-from repro.dns.record import ResourceRecord
+from repro.dns.record import RRset
 from repro.dns.wire import WireError
 
 
@@ -114,20 +114,21 @@ def test_unknown_rdclass_becomes_pseudo_member():
 
 
 def test_unknown_rdtype_record_round_trips_opaquely():
-    record = ResourceRecord(
+    rrset = RRset(
         Name("blob.example.com."),
         RdataType(4096),
         ttl=60,
-        rdata=OpaqueRdata(RdataType(4096), b"\xde\xad\xbe\xef"),
+        rdatas=[OpaqueRdata(RdataType(4096), b"\xde\xad\xbe\xef")],
     )
     response = Message.make_query("blob.example.com.", RdataType(4096)).make_response()
-    response.add(Section.ANSWER, record)
+    response.add(Section.ANSWER, rrset)
     back = Message.from_wire(response.to_wire())
     decoded = back.answer[0]
     assert decoded.rdtype == 4096
-    assert isinstance(decoded.rdata, OpaqueRdata)
-    assert decoded.rdata.data == b"\xde\xad\xbe\xef"
-    assert decoded.rdata.to_text() == "\\# 4 deadbeef"
+    (rdata,) = decoded.rdatas
+    assert isinstance(rdata, OpaqueRdata)
+    assert rdata.data == b"\xde\xad\xbe\xef"
+    assert rdata.to_text() == "\\# 4 deadbeef"
 
 
 def test_opaque_rdata_text_for_empty_payload():
@@ -138,8 +139,9 @@ def test_known_types_still_decode_normally():
     response = Message.make_query("a.example.com.", RdataType.A).make_response()
     response.add(
         Section.ANSWER,
-        ResourceRecord(Name("a.example.com."), RdataType.A, 300, A("192.0.2.1")),
+        RRset(Name("a.example.com."), RdataType.A, 300, [A("192.0.2.1")]),
     )
     back = Message.from_wire(response.to_wire())
-    assert isinstance(back.answer[0].rdata, A)
-    assert back.answer[0].rdata.address == "192.0.2.1"
+    (rdata,) = back.answer[0].rdatas
+    assert isinstance(rdata, A)
+    assert rdata.address == "192.0.2.1"

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from repro.dns.message import Message, Section
 from repro.dns.name import Name
 from repro.dns.rdtypes import A, NS, RdataType
-from repro.dns.record import ResourceRecord
+from repro.dns.record import RRset
 from repro.dns.wire import WireError
 
 
@@ -21,11 +21,11 @@ def valid_message() -> Message:
     response = query.make_response(authoritative=True)
     response.add(
         Section.ANSWER,
-        ResourceRecord(Name("www.example.com"), RdataType.A, 300, A("192.0.2.1")),
+        RRset(Name("www.example.com"), RdataType.A, 300, [A("192.0.2.1")]),
     )
     response.add(
         Section.AUTHORITY,
-        ResourceRecord(Name("example.com"), RdataType.NS, 3600, NS(Name("ns1.example.com"))),
+        RRset(Name("example.com"), RdataType.NS, 3600, [NS(Name("ns1.example.com"))]),
     )
     return response
 

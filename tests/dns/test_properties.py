@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.dns.message import Flags, Message, Opcode, Question, Rcode, Section
 from repro.dns.name import Name
 from repro.dns.rdtypes import AAAA, A, CNAME, MX, NS, TXT, RdataType
-from repro.dns.record import ResourceRecord
+from repro.dns.record import ResourceRecord, RRset
 from repro.dns.ttl import TTL_MAX, format_ttl, parse_ttl
 from repro.dns.wire import WireReader, WireWriter
 
@@ -131,9 +131,15 @@ def test_message_wire_round_trip(
         flags=Flags(qr=True, aa=aa, rd=rd),
         question=Question(qname, RdataType.A),
     )
-    message.answer.extend(answer)
-    message.authority.extend(authority)
-    message.additional.extend(additional)
+    # One single-record RRset per drawn record: add() merges the ones that
+    # share a key, exactly as decode groups them.
+    for section, drawn in (
+        (Section.ANSWER, answer),
+        (Section.AUTHORITY, authority),
+        (Section.ADDITIONAL, additional),
+    ):
+        message.add(section, *(RRset.from_records([record]) for record in drawn))
+        assert len(list(message.records(section))) == len(drawn)
     decoded = Message.from_wire(message.to_wire())
     assert decoded.id == message.id
     assert decoded.rcode == message.rcode
@@ -141,6 +147,7 @@ def test_message_wire_round_trip(
     assert decoded.question == message.question
     for section in Section:
         assert decoded.section(section) == message.section(section)
+        assert list(decoded.records(section)) == list(message.records(section))
 
 
 @given(ttls)

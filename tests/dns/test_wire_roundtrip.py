@@ -63,6 +63,24 @@ def test_valid_blobs_round_trip(path):
         assert second.section(section) == first.section(section)
 
 
+def test_interleaved_records_decode_into_one_rrset_per_key():
+    """Sections hold RRsets, so decode is where wire order stops mattering:
+    A, AAAA, A, AAAA with A TTLs 300 and 120 becomes [A x2 @ 120, AAAA x2]."""
+    from repro.dns.rdtypes import AAAA, A, RdataType
+
+    decoded = Message.from_wire((DATA_DIR / "valid_interleaved_rrset.bin").read_bytes())
+    a_set, aaaa_set = decoded.answer
+    assert (a_set.rdtype, a_set.ttl) == (RdataType.A, 120)  # minimum of 300, 120
+    assert a_set.rdatas == (A("192.0.2.1"), A("192.0.2.2"))
+    assert (aaaa_set.rdtype, aaaa_set.ttl) == (RdataType.AAAA, 600)
+    assert aaaa_set.rdatas == (AAAA("2001:db8::1"), AAAA("2001:db8::2"))
+    assert a_set.name is aaaa_set.name == decoded.question.qname
+    # The per-record view still counts four records, now grouped.
+    assert [r.rdtype for r in decoded.records(Section.ANSWER)] == [
+        RdataType.A, RdataType.A, RdataType.AAAA, RdataType.AAAA,
+    ]
+
+
 @settings(max_examples=200)
 @given(
     st.sampled_from([p for p in CORPUS if p.name.startswith("reject_")]),

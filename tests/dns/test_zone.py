@@ -222,6 +222,137 @@ class TestRespond:
         assert not parent_view.flags.aa and child_view.flags.aa
 
 
+class TestCompiledAnswers:
+    """respond() compiles a body once per question and reuses it until the
+    zone changes (tests/dns/test_zone_properties.py holds the equivalence
+    property; these pin the table's own rules)."""
+
+    @staticmethod
+    def ask(zone, qname, qtype=RdataType.A, **kwargs):
+        return zone.respond(Message.make_query(qname, qtype, **kwargs))
+
+    def test_filled_on_first_query_never_at_build(self, zone):
+        assert zone._compiled == {}
+        self.ask(zone, "www.example.com.")
+        assert list(zone._compiled) == [(Name("www.example.com."), RdataType.A)]
+
+    def test_responses_carry_the_zones_own_rrsets(self, zone):
+        first = self.ask(zone, "www.example.com.", id=1)
+        again = self.ask(zone, "www.example.com.", id=2, recursion_desired=False)
+        assert first.answer[0] is zone.get("www.example.com.", RdataType.A)
+        assert first.authority[0] is zone.get("example.com.", RdataType.NS)
+        assert first.additional[0] is zone.get("ns1.example.com.", RdataType.A)
+        assert (first.id, first.flags.rd) == (1, True)
+        assert (again.id, again.flags.rd) == (2, False)
+        assert again.answer == first.answer and again.answer is not first.answer
+
+    def test_clearing_one_responses_sections_leaves_the_next_intact(self, zone):
+        first = self.ask(zone, "www.example.com.")
+        for section in Section:
+            first.section(section).clear()
+        again = self.ask(zone, "www.example.com.")
+        assert again.answer and again.authority and again.additional
+
+    def test_retains_only_bodies_for_names_the_zone_holds(self, zone):
+        zone.add("*.dyn.example.com.", RdataType.A, A("192.0.2.7"), ttl=60)
+        self.ask(zone, "www.example.com.")  # answer
+        self.ask(zone, "alias.example.com.")  # CNAME chain
+        self.ask(zone, "www.example.com.", RdataType.MX)  # NODATA
+        self.ask(zone, "x.sub.example.com.")  # referral
+        kept = set(zone._compiled)
+        assert len(kept) == 4
+        assert self.ask(zone, "p1.dyn.example.com.").answer[0].ttl == 60  # wildcard
+        assert self.ask(zone, "gone.example.com.").rcode == Rcode.NXDOMAIN
+        assert self.ask(zone, "other.org.").rcode == Rcode.REFUSED
+        assert set(zone._compiled) == kept
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda z: z.add("www.example.com.", RdataType.A, A("192.0.2.81")),
+            lambda z: z.replace("www.example.com.", RdataType.A, A("192.0.2.82")),
+            lambda z: z.remove("www.example.com.", RdataType.A),
+            lambda z: z.set_ttl("www.example.com.", RdataType.A, 5),
+        ],
+        ids=["add", "replace", "remove", "set_ttl"],
+    )
+    def test_every_mutator_drops_the_table(self, zone, mutate):
+        before = self.ask(zone, "www.example.com.")
+        assert zone._compiled
+        mutate(zone)
+        assert zone._compiled == {}
+        assert self.ask(zone, "www.example.com.") != before
+
+    def test_a_refused_replace_still_drops_the_table(self, zone):
+        """replace() removes the old set before add() validates the new
+        one; the answer compiled from the old set must go with it."""
+        assert self.ask(zone, "www.example.com.").answer
+        with pytest.raises(ValueError):
+            zone.replace("www.example.com.", RdataType.A, A("192.0.2.9"), ttl=-1)
+        assert zone.get("www.example.com.", RdataType.A) is None
+        assert not self.ask(zone, "www.example.com.").answer
+
+    def test_table_resets_when_full(self, zone, monkeypatch):
+        from repro.dns import zone as zone_module
+
+        monkeypatch.setattr(zone_module, "_COMPILED_MAX", 3)
+        for qtype in (RdataType.A, RdataType.AAAA, RdataType.MX, RdataType.NS):
+            self.ask(zone, "www.example.com.", qtype)
+            assert len(zone._compiled) <= 3
+        assert list(zone._compiled) == [(Name("www.example.com."), RdataType.NS)]
+
+
+class TestRenumbering:
+    """§4.2 end to end: a renumbered zone answers with its new record set
+    at once; a cache that took the old set keeps that very object until
+    its TTL runs out.  Immutable RRsets are what make sharing them safe."""
+
+    def test_zone_answers_new_at_once_cache_holds_old_until_expiry(self, mini_world):
+        from repro.resolver.cache import Credibility
+
+        ns_host = Name("ns1.example.tld.")
+        zone, server = mini_world.child_zone, mini_world.child_server
+        old = zone.get(ns_host, RdataType.A)
+        resolver = mini_world.make_resolver()
+        assert resolver.resolve(ns_host, RdataType.A, now=0.0).answers[0].rdatas == old.rdatas
+        entry = resolver.cache.peek(ns_host, RdataType.A)
+        assert entry.credibility is Credibility.AUTH_ANSWER
+        assert entry.rrset is old  # by reference: zone -> response -> cache
+
+        new = zone.replace(ns_host, RdataType.A, A("203.0.113.53"), ttl=old.ttl)
+        assert new is not old and old.rdatas == (A(server.endpoint.address),)
+        client = mini_world.topology.endpoint_in_region(
+            mini_world.child_server.endpoint.region
+        )
+        query = Message.make_query(ns_host, RdataType.A)
+        assert server.handle_query(query, client, now=1.0).answer[0] is new
+
+        held = resolver.resolve(ns_host, RdataType.A, now=old.ttl - 1.0)
+        assert held.cache_hit and held.answers[0].rdatas == old.rdatas
+        assert resolver.cache.peek(ns_host, RdataType.A).rrset is old
+        fresh = resolver.resolve(ns_host, RdataType.A, now=old.ttl + 1.0)
+        assert not fresh.cache_hit and fresh.answers[0].rdatas == new.rdatas
+        assert resolver.cache.peek(ns_host, RdataType.A).rrset is new
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("name", Name("x.")),
+            ("rdtype", RdataType.AAAA),
+            ("ttl", 1),
+            ("rdatas", ()),
+            ("rdclass", None),
+        ],
+    )
+    def test_assigning_to_an_rrset_field_raises(self, zone, field, value):
+        rrset = zone.get("www.example.com.", RdataType.A)
+        with pytest.raises(AttributeError):
+            setattr(rrset, field, value)
+        with pytest.raises(AttributeError):
+            delattr(rrset, field)
+        assert rrset.with_ttl(1) is not rrset and rrset.ttl == 300
+
+
 class TestToText:
     def test_renders_sorted(self, zone):
         text = zone.to_text()

@@ -116,7 +116,8 @@ def test_udp_truncation_then_tcp_retry():
     udp_response, tcp_response = asyncio.run(scenario())
     assert udp_response.flags.tc
     assert not tcp_response.flags.tc
-    assert len(tcp_response.answer) == 4  # the full .nl NS set
+    (ns_set,) = tcp_response.answer
+    assert len(ns_set) == 4  # the full .nl NS set
 
 
 def test_predict_refreshes_hot_name_in_background():

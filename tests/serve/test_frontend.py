@@ -123,6 +123,27 @@ def test_oversize_udp_response_truncates_with_tc(frontend_and_wall):
         frontend.max_udp_payload = original
 
 
+def test_truncated_and_full_answer_bytes_unchanged():
+    """The wire bytes of a truncated UDP answer and of its TCP retry, as
+    recorded at the last commit whose sections held individual records
+    (94f8531; the rest of that frozen set is tests/dns/test_message.py's
+    TestWireGolden): truncation clears RRset sections to the same octets."""
+    frontend, _ = build_frontend(
+        ServeConfig(world="nl", max_udp_payload=100), wall_clock=FakeWall()
+    )
+    query = Message.make_query("nl.", RdataType.NS, id=44).use_edns().to_wire()
+    udp = frontend.handle_wire(query, client="10.0.0.1")
+    tcp = frontend.handle_wire(query, client="10.0.0.1", via_tcp=True)
+    assert udp.wire.hex() == (
+        "002c83800001000000000001026e6c00000200010000290064000000000000"
+    )
+    assert tcp.wire.hex() == (
+        "002c81800001000400000001026e6c0000020001c00c0002000100000e10000a036e733103646e73"
+        "c00cc00c0002000100000e100006036e7332c024c00c0002000100000e100006036e7333c024c00c"
+        "0002000100000e10001006736e732d706203697363036f7267000000290064000000000000"
+    )
+
+
 def test_tcp_never_truncates(frontend_and_wall):
     frontend, _ = frontend_and_wall
     original = frontend.max_udp_payload
