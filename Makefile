@@ -27,8 +27,10 @@ bench-perf:
 # of the checked-in baseline_perf.json floors.  campaign_large also runs
 # the cpu-aware campaign gate (single-worker uplift vs the
 # campaign_throughput baseline; 4-worker speedup or bounded overhead).
+# message_encode/message_decode/serve_throughput_w1_slowpath hold the wire
+# codec: the slow path is the serving number no memo hit hides.
 perf-check:
-	PYTHONPATH=src python benchmarks/check_perf.py warm_resolution campaign_throughput campaign_large serve_throughput_w1 --max-regression 0.25
+	PYTHONPATH=src python benchmarks/check_perf.py warm_resolution campaign_throughput campaign_large serve_throughput_w1 message_encode message_decode serve_throughput_w1_slowpath --max-regression 0.25
 
 # Docs stay honest: every repro.* package documented in README + API.md,
 # every intra-repo markdown link resolves.  CI runs this as the docs job.

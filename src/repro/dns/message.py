@@ -17,13 +17,13 @@ per-record view :meth:`Message.records`.
 from __future__ import annotations
 
 import enum
-import struct
 from dataclasses import dataclass, field
+from struct import Struct
 from typing import Iterable, Iterator, Optional
 
 from repro.dns.name import Name
-from repro.dns.rdtypes import RdataClass, RdataType
-from repro.dns.record import ResourceRecord, RRset, group_rrsets
+from repro.dns.rdtypes import CLASSES, TYPES, MemberTable, RdataClass, RdataType
+from repro.dns.record import RR_FIXED, ResourceRecord, RRset, group_rrsets
 from repro.dns.wire import WireError, WireReader, WireWriter
 
 
@@ -51,8 +51,17 @@ class Rcode(enum.IntEnum):
     REFUSED = 5
 
 
+#: Header values outside the enums raise ``ValueError`` at decode.
+_OPCODES = MemberTable(Opcode)
+_RCODES = MemberTable(Rcode)
+
 #: The fixed 12-octet header: ID, flag bits, four section counts.
-_HEADER = struct.Struct("!HHHHHH")
+_HEADER = Struct("!HHHHHH")
+#: QTYPE, QCLASS after the question name.
+_QUESTION_FIXED = Struct("!HH")
+#: A whole OPT pseudo-record up to its options: root owner, TYPE, the
+#: payload size in CLASS, the flags in TTL, RDLENGTH.
+_OPT_FIXED = Struct("!BHHIH")
 
 
 class Section(enum.Enum):
@@ -62,6 +71,8 @@ class Section(enum.Enum):
     AUTHORITY = "authority"
     ADDITIONAL = "additional"
 
+
+_SECTIONS = tuple(Section)
 
 #: Messages without EDNS are limited to the classic RFC 1035 payload.
 CLASSIC_UDP_PAYLOAD = 512
@@ -114,10 +125,9 @@ class Flags:
     ra: bool = False  # recursion available
 
     def to_wire_bits(self, opcode: Opcode, rcode: Rcode) -> int:
-        bits = 0
+        bits = (opcode & 0xF) << 11 | rcode & 0xF
         if self.qr:
             bits |= 0x8000
-        bits |= (int(opcode) & 0xF) << 11
         if self.aa:
             bits |= 0x0400
         if self.tc:
@@ -126,29 +136,26 @@ class Flags:
             bits |= 0x0100
         if self.ra:
             bits |= 0x0080
-        bits |= int(rcode) & 0xF
         return bits
 
     @classmethod
     def from_wire_bits(cls, bits: int) -> tuple["Flags", Opcode, Rcode]:
-        flags = cls(
-            qr=bool(bits & 0x8000),
-            aa=bool(bits & 0x0400),
-            tc=bool(bits & 0x0200),
-            rd=bool(bits & 0x0100),
-            ra=bool(bits & 0x0080),
-        )
-        return flags, Opcode((bits >> 11) & 0xF), Rcode(bits & 0xF)
+        flags = _FLAGS[bits >> 11 & 0x10 | bits >> 7 & 0xF]
+        return flags, _OPCODES[bits >> 11 & 0xF], _RCODES[bits & 0xF]
 
 
-#: Every header :meth:`Message.make_response` can produce, built once
-#: (``Flags`` is frozen); indexed ``[aa][rd][ra]``.
-_RESPONSE_FLAGS = tuple(
-    tuple(
-        tuple(Flags(qr=True, aa=aa, rd=rd, ra=ra) for ra in (False, True))
-        for rd in (False, True)
+#: Every combination of the five flag bits, built once (``Flags`` is
+#: frozen); indexed by ``qr aa tc rd ra`` read as a 5-bit number — on the
+#: wire AA..RA are adjacent (bits 10..7) and QR is bit 15.
+_FLAGS = tuple(
+    Flags(
+        qr=bool(index & 16),
+        aa=bool(index & 8),
+        tc=bool(index & 4),
+        rd=bool(index & 2),
+        ra=bool(index & 1),
     )
-    for aa in (False, True)
+    for index in range(32)
 )
 
 
@@ -156,7 +163,9 @@ def response_flags(
     authoritative: bool, recursion_desired: bool, recursion_available: bool = False
 ) -> Flags:
     """The shared response header for these three bits (QR set, TC clear)."""
-    return _RESPONSE_FLAGS[authoritative][recursion_desired][recursion_available]
+    return _FLAGS[
+        16 | authoritative << 3 | recursion_desired << 1 | recursion_available
+    ]
 
 
 @dataclass(frozen=True)
@@ -176,15 +185,13 @@ class Question:
 
     def to_wire(self, writer: WireWriter) -> None:
         writer.write_name(self.qname)
-        writer.write_u16(int(self.qtype))
-        writer.write_u16(int(self.qclass))
+        writer.pack(_QUESTION_FIXED, self.qtype, self.qclass)
 
     @classmethod
     def from_wire(cls, reader: WireReader) -> "Question":
         qname = reader.read_name()
-        qtype = RdataType(reader.read_u16())
-        qclass = RdataClass(reader.read_u16())
-        return cls(qname, qtype, qclass)
+        qtype, qclass = reader.unpack(_QUESTION_FIXED)
+        return cls(qname, TYPES[qtype], CLASSES[qclass])
 
 
 @dataclass
@@ -228,7 +235,9 @@ class Message:
         return Message(
             id=self.id,
             rcode=rcode,
-            flags=_RESPONSE_FLAGS[authoritative][self.flags.rd][recursion_available],
+            flags=_FLAGS[
+                16 | authoritative << 3 | self.flags.rd << 1 | recursion_available
+            ],
             question=self.question,
         )
 
@@ -370,100 +379,84 @@ class Message:
     # -- wire -----------------------------------------------------------------------
     def to_wire(self) -> bytes:
         sections = (self.answer, self.authority, self.additional)
-        counts = [0, 0, 1 if self.edns is not None else 0]
+        edns = self.edns
+        counts = [0, 0, 1 if edns is not None else 0]
         for index, rrsets in enumerate(sections):
             for rrset in rrsets:
                 counts[index] += len(rrset.rdatas)
         writer = WireWriter()
-        writer.write_bytes(
-            _HEADER.pack(
-                self.id,
-                self.flags.to_wire_bits(self.opcode, self.rcode),
-                1 if self.question is not None else 0,
-                *counts,
-            )
+        writer.pack(
+            _HEADER,
+            self.id,
+            self.flags.to_wire_bits(self.opcode, self.rcode),
+            1 if self.question is not None else 0,
+            *counts,
         )
         if self.question is not None:
             self.question.to_wire(writer)
         for rrsets in sections:
             for rrset in rrsets:
                 rrset.to_wire(writer)
-        if self.edns is not None:
-            self._write_opt(writer, self.edns)
+        if edns is not None:
+            # The OPT pseudo-record goes last in the additional section.
+            ttl = (edns.ext_rcode & 0xFF) << 24 | (edns.version & 0xFF) << 16
+            if edns.dnssec_ok:
+                ttl |= 0x8000
+            writer.pack(
+                _OPT_FIXED, 0, RdataType.OPT, edns.udp_payload, ttl, len(edns.options)
+            )
+            if edns.options:
+                writer.write_bytes(edns.options)
         return writer.getvalue()
 
     @staticmethod
-    def _write_opt(writer: WireWriter, edns: Edns) -> None:
-        """Emit the OPT pseudo-record last in the additional section."""
-        writer.write_u8(0)  # owner: the root name, never compressed
-        writer.write_u16(int(RdataType.OPT))
-        writer.write_u16(edns.udp_payload)
-        ttl = (edns.ext_rcode & 0xFF) << 24 | (edns.version & 0xFF) << 16
-        if edns.dnssec_ok:
-            ttl |= 0x8000
-        writer.write_u32(ttl)
-        writer.write_u16(len(edns.options))
-        writer.write_bytes(edns.options)
-
-    @staticmethod
-    def _read_opt(name: Name, reader: WireReader) -> Edns:
+    def _read_opt(
+        name: Name, udp_payload: int, ttl: int, rdlength: int, reader: WireReader
+    ) -> Edns:
+        """The EDNS sidecar of an OPT whose :data:`RR_FIXED` block is read."""
         if not name.is_root:
             raise WireError(f"OPT record owned by {name}, not the root")
-        udp_payload = reader.read_u16()
-        ttl = reader.read_u32()
         version = (ttl >> 16) & 0xFF
         if version != 0:
             raise WireError(f"unsupported EDNS version {version}")
-        rdlength = reader.read_u16()
-        options = reader.read_bytes(rdlength)
         return Edns(
             udp_payload=udp_payload,
             ext_rcode=(ttl >> 24) & 0xFF,
             version=version,
             dnssec_ok=bool(ttl & 0x8000),
-            options=options,
+            options=reader.read_bytes(rdlength),
         )
 
     @classmethod
     def from_wire(cls, data: bytes) -> "Message":
         reader = WireReader(data)
-        message_id = reader.read_u16()
-        flags, opcode, rcode = Flags.from_wire_bits(reader.read_u16())
-        qdcount = reader.read_u16()
-        ancount = reader.read_u16()
-        nscount = reader.read_u16()
-        arcount = reader.read_u16()
+        message_id, bits, qdcount, *counts = reader.unpack(_HEADER)
+        flags, opcode, rcode = Flags.from_wire_bits(bits)
         if qdcount > 1:
             raise WireError(f"unsupported QDCOUNT {qdcount}")
         question = Question.from_wire(reader) if qdcount else None
-        message = cls(
-            id=message_id, opcode=opcode, rcode=rcode, flags=flags, question=question
-        )
         # The one place records are decoded one by one (each validated by
         # the ResourceRecord constructor) and grouped into the section's
         # RRsets: first-seen order, minimum TTL within a set.
-        for section, count in (
-            (Section.ANSWER, ancount),
-            (Section.AUTHORITY, nscount),
-            (Section.ADDITIONAL, arcount),
-        ):
+        sections: list[list[RRset]] = []
+        edns = None
+        for section, count in zip(_SECTIONS, counts):
             records: list[ResourceRecord] = []
             for _ in range(count):
                 name = reader.read_name()
-                rdtype = RdataType(reader.read_u16())
-                if rdtype == RdataType.OPT:
-                    if section is not Section.ADDITIONAL:
-                        raise WireError(f"OPT record in the {section.name} section")
-                    if message.edns is not None:
-                        raise WireError("more than one OPT record")
-                    message.edns = cls._read_opt(name, reader)
+                fixed = reader.unpack(RR_FIXED)
+                if fixed[0] != RdataType.OPT:
+                    records.append(ResourceRecord.from_wire_body(name, *fixed, reader))
                     continue
-                records.append(ResourceRecord.from_wire_body(name, rdtype, reader))
-            if records:
-                message.section(section).extend(group_rrsets(records))
+                if section is not Section.ADDITIONAL:
+                    raise WireError(f"OPT record in the {section.name} section")
+                if edns is not None:
+                    raise WireError("more than one OPT record")
+                edns = cls._read_opt(name, *fixed[1:], reader)
+            sections.append(group_rrsets(records) if records else [])
         if reader.remaining:
             raise WireError(f"{reader.remaining} trailing octets after message")
-        return message
+        return cls(message_id, opcode, rcode, flags, question, *sections, edns)
 
 
 def records_as_text(records: Iterable[ResourceRecord]) -> str:

@@ -91,11 +91,12 @@ class Name:
     True
     """
 
-    __slots__ = ("_labels", "_hash", "_key")
+    __slots__ = ("_labels", "_hash", "_key", "_wire")
 
     _labels: tuple[str, ...]
     _hash: int
     _key: tuple[str, ...] | None
+    _wire: tuple[tuple[tuple[str, ...], bytes], ...] | None
 
     def __new__(cls, text: str | Iterable[str] | "Name" = "") -> "Name":
         if type(text) is Name:
@@ -164,6 +165,20 @@ class Name:
     @property
     def is_root(self) -> bool:
         return not self._labels
+
+    def wire_labels(self) -> tuple[tuple[tuple[str, ...], bytes], ...]:
+        """Per label, what the wire writer needs: the label tuple from that
+        label to the root (the compression-table key) and the label's
+        length-prefixed octets.  Built on first use and kept."""
+        wire = self._wire
+        if wire is None:
+            labels = self._labels
+            wire = tuple(
+                (labels[index:], bytes((len(label),)) + label.encode("ascii"))
+                for index, label in enumerate(labels)
+            )
+            object.__setattr__(self, "_wire", wire)
+        return wire
 
     def __len__(self) -> int:
         """Number of labels (the root has zero)."""
@@ -320,6 +335,7 @@ def _intern(labels: tuple[str, ...]) -> Name:
     object.__setattr__(name, "_labels", labels)
     object.__setattr__(name, "_hash", hash(labels))
     object.__setattr__(name, "_key", None)
+    object.__setattr__(name, "_wire", None)
     if len(_INTERN) >= _INTERN_MAX:
         _INTERN.clear()
     _INTERN[labels] = name

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import enum
 import ipaddress
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from struct import Struct
 from typing import Callable, ClassVar
 
 from repro.dns.name import Name
@@ -87,6 +88,34 @@ class RdataClass(enum.IntEnum):
         return _pseudo_member(cls, value, "CLASS")
 
 
+class MemberTable(dict):
+    """``value -> member`` of an int enum, so wire decode indexes a table
+    instead of calling the enum once per field.
+
+    A value the table does not hold goes through the enum call — which
+    builds and caches the RFC 3597 pseudo-member, or raises ``ValueError``
+    for an enum that has none — and is kept.
+    """
+
+    def __init__(self, members: type[enum.IntEnum]) -> None:
+        super().__init__((member.value, member) for member in members)
+        self._members = members
+
+    def __missing__(self, value: int) -> enum.IntEnum:
+        member = self[value] = self._members(value)
+        return member
+
+
+TYPES = MemberTable(RdataType)
+CLASSES = MemberTable(RdataClass)
+
+#: The fixed-width part of each rdata that has one, as one block.
+_SOA_TIMERS = Struct("!IIIII")  # SERIAL REFRESH RETRY EXPIRE MINIMUM
+_DNSKEY_FIXED = Struct("!HBB")  # FLAGS PROTOCOL ALGORITHM
+#: TYPE-COVERED ALGORITHM LABELS ORIGINAL-TTL EXPIRATION INCEPTION KEY-TAG
+_RRSIG_FIXED = Struct("!HBBIIIH")
+
+
 class Rdata:
     """Base class for typed record data.
 
@@ -115,24 +144,28 @@ class A(Rdata):
     """An IPv4 host address (RFC 1035 §3.4.1)."""
 
     address: str
+    #: The address octets, kept from construction: encode never re-parses.
+    packed: bytes = field(init=False, repr=False, compare=False)
 
     rdtype: ClassVar[RdataType] = RdataType.A
 
     def __post_init__(self) -> None:
         # Normalize and validate; raises ValueError on garbage.
-        object.__setattr__(self, "address", str(ipaddress.IPv4Address(self.address)))
+        parsed = ipaddress.IPv4Address(self.address)
+        object.__setattr__(self, "address", str(parsed))
+        object.__setattr__(self, "packed", parsed.packed)
 
     def to_text(self) -> str:
         return self.address
 
     def to_wire(self, writer: WireWriter) -> None:
-        writer.write_bytes(ipaddress.IPv4Address(self.address).packed)
+        writer.write_bytes(self.packed)
 
     @classmethod
     def from_wire(cls, reader: WireReader, rdlength: int) -> "A":
         if rdlength != 4:
             raise WireError(f"A rdata must be 4 octets, got {rdlength}")
-        return cls(str(ipaddress.IPv4Address(reader.read_bytes(4))))
+        return cls(reader.read_bytes(4))
 
 
 @dataclass(frozen=True)
@@ -140,23 +173,26 @@ class AAAA(Rdata):
     """An IPv6 host address (RFC 3596)."""
 
     address: str
+    packed: bytes = field(init=False, repr=False, compare=False)
 
     rdtype: ClassVar[RdataType] = RdataType.AAAA
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "address", str(ipaddress.IPv6Address(self.address)))
+        parsed = ipaddress.IPv6Address(self.address)
+        object.__setattr__(self, "address", str(parsed))
+        object.__setattr__(self, "packed", parsed.packed)
 
     def to_text(self) -> str:
         return self.address
 
     def to_wire(self, writer: WireWriter) -> None:
-        writer.write_bytes(ipaddress.IPv6Address(self.address).packed)
+        writer.write_bytes(self.packed)
 
     @classmethod
     def from_wire(cls, reader: WireReader, rdlength: int) -> "AAAA":
         if rdlength != 16:
             raise WireError(f"AAAA rdata must be 16 octets, got {rdlength}")
-        return cls(str(ipaddress.IPv6Address(reader.read_bytes(16))))
+        return cls(reader.read_bytes(16))
 
 
 @dataclass(frozen=True)
@@ -262,15 +298,13 @@ class SOA(Rdata):
     def to_wire(self, writer: WireWriter) -> None:
         writer.write_name(self.mname)
         writer.write_name(self.rname)
-        for field in (self.serial, self.refresh, self.retry, self.expire, self.minimum):
-            writer.write_u32(field)
+        writer.pack(
+            _SOA_TIMERS, self.serial, self.refresh, self.retry, self.expire, self.minimum
+        )
 
     @classmethod
     def from_wire(cls, reader: WireReader, rdlength: int) -> "SOA":
-        mname = reader.read_name()
-        rname = reader.read_name()
-        serial, refresh, retry, expire, minimum = (reader.read_u32() for _ in range(5))
-        return cls(mname, rname, serial, refresh, retry, expire, minimum)
+        return cls(reader.read_name(), reader.read_name(), *reader.unpack(_SOA_TIMERS))
 
 
 @dataclass(frozen=True)
@@ -334,20 +368,14 @@ class DNSKEY(Rdata):
         ).decode("ascii")
 
     def to_wire(self, writer: WireWriter) -> None:
-        writer.write_u16(self.flags)
-        writer.write_u8(self.protocol)
-        writer.write_u8(self.algorithm)
+        writer.pack(_DNSKEY_FIXED, self.flags, self.protocol, self.algorithm)
         writer.write_bytes(self.key)
 
     @classmethod
     def from_wire(cls, reader: WireReader, rdlength: int) -> "DNSKEY":
         if rdlength < 4:
             raise WireError(f"DNSKEY rdata too short ({rdlength} octets)")
-        flags = reader.read_u16()
-        protocol = reader.read_u8()
-        algorithm = reader.read_u8()
-        key = reader.read_bytes(rdlength - 4)
-        return cls(flags, protocol, algorithm, key)
+        return cls(*reader.unpack(_DNSKEY_FIXED), reader.read_bytes(rdlength - 4))
 
 
 @dataclass(frozen=True)
@@ -382,13 +410,10 @@ class RRSIG(Rdata):
         )
 
     def to_wire(self, writer: WireWriter) -> None:
-        writer.write_u16(int(self.type_covered))
-        writer.write_u8(self.algorithm)
-        writer.write_u8(self.labels)
-        writer.write_u32(self.original_ttl)
-        writer.write_u32(self.expiration)
-        writer.write_u32(self.inception)
-        writer.write_u16(self.key_tag)
+        writer.pack(
+            _RRSIG_FIXED, self.type_covered, self.algorithm, self.labels,
+            self.original_ttl, self.expiration, self.inception, self.key_tag,
+        )
         # RFC 4034 §3.1.7: the signer's name is never compressed.
         writer.write_name(self.signer, compress=False)
         writer.write_bytes(self.signature)
@@ -396,26 +421,12 @@ class RRSIG(Rdata):
     @classmethod
     def from_wire(cls, reader: WireReader, rdlength: int) -> "RRSIG":
         end = reader.offset + rdlength
-        type_covered = RdataType(reader.read_u16())
-        algorithm = reader.read_u8()
-        labels = reader.read_u8()
-        original_ttl = reader.read_u32()
-        expiration = reader.read_u32()
-        inception = reader.read_u32()
-        key_tag = reader.read_u16()
+        type_covered, *fixed = reader.unpack(_RRSIG_FIXED)
         signer = reader.read_name()
+        if reader.offset > end:
+            raise WireError("RRSIG signer name runs past RDLENGTH")
         signature = reader.read_bytes(end - reader.offset)
-        return cls(
-            type_covered,
-            algorithm,
-            labels,
-            original_ttl,
-            expiration,
-            inception,
-            key_tag,
-            signer,
-            signature,
-        )
+        return cls(TYPES[type_covered], *fixed, signer, signature)
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,12 @@ crawler's counts) iterate.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, replace
+from struct import Struct
 from typing import Iterable, Iterator
 
 from repro.dns.name import Name
-from repro.dns.rdtypes import Rdata, RdataClass, RdataType, read_rdata
+from repro.dns.rdtypes import CLASSES, TYPES, Rdata, RdataClass, RdataType, read_rdata
 from repro.dns.ttl import validate_ttl
 from repro.dns.wire import WireReader, WireWriter
 
@@ -77,25 +77,30 @@ class ResourceRecord:
 
     @classmethod
     def from_wire(cls, reader: WireReader) -> "ResourceRecord":
-        name = reader.read_name()
-        rdtype = RdataType(reader.read_u16())
-        return cls.from_wire_body(name, rdtype, reader)
+        return cls.from_wire_body(reader.read_name(), *reader.unpack(RR_FIXED), reader)
 
     @classmethod
     def from_wire_body(
-        cls, name: Name, rdtype: RdataType, reader: WireReader
+        cls,
+        name: Name,
+        type_value: int,
+        class_value: int,
+        ttl: int,
+        rdlength: int,
+        reader: WireReader,
     ) -> "ResourceRecord":
-        """Finish decoding a record whose name and type are already read.
+        """Finish decoding a record whose name and :data:`RR_FIXED` block
+        are already read.
 
-        The message codec peeks at the type to divert OPT pseudo-records
+        The message codec looks at the type to divert OPT pseudo-records
         (EDNS, RFC 6891) before they reach the record constructor — an
         OPT's CLASS field is a UDP payload size, not a class.
         """
-        rdclass = RdataClass(reader.read_u16())
-        ttl = reader.read_u32()
-        rdlength = reader.read_u16()
+        rdtype = TYPES[type_value]
         rdata = read_rdata(rdtype, reader, rdlength)
-        return cls(name=name, rdtype=rdtype, ttl=ttl, rdata=rdata, rdclass=rdclass)
+        return cls(
+            name=name, rdtype=rdtype, ttl=ttl, rdata=rdata, rdclass=CLASSES[class_value]
+        )
 
 
 @dataclass(frozen=True)
@@ -230,8 +235,9 @@ class RRset:
             _write_record(writer, self.name, self.rdtype, self.rdclass, self.ttl, rdata)
 
 
-#: TYPE, CLASS, TTL and the RDLENGTH placeholder of a wire record.
-_RR_FIXED = struct.Struct("!HHIH")
+#: The fixed block between a wire record's owner name and its rdata:
+#: TYPE, CLASS, TTL, RDLENGTH.
+RR_FIXED = Struct("!HHIH")
 
 
 def _write_record(
@@ -243,10 +249,8 @@ def _write_record(
     rdata: Rdata,
 ) -> None:
     writer.write_name(name)
-    writer.write_bytes(_RR_FIXED.pack(rdtype, rdclass, ttl, 0))
-    rdata_start = len(writer)
-    rdata.to_wire(writer)
-    writer.patch_u16(rdata_start - 2, len(writer) - rdata_start)
+    writer.pack(RR_FIXED, rdtype, rdclass, ttl, 0)  # RDLENGTH: a placeholder
+    writer.write_sized(rdata.to_wire)
 
 
 def group_rrsets(records: Iterable[ResourceRecord]) -> list[RRset]:

@@ -1,16 +1,21 @@
 """RFC 1035 wire-format buffers with name compression.
 
 :class:`WireWriter` and :class:`WireReader` provide the primitive
-fixed-width integer and domain-name operations that the rdata, record and
-message codecs build on.  Compression pointers (RFC 1035 §4.1.4) are emitted
-for repeated names and are validated on read: successive pointer targets
-must strictly decrease and names may not exceed 255 octets, which together
-guarantee termination even on hostile input.
+fixed-layout and domain-name operations that the rdata, record and message
+codecs build on.  Adjacent fixed-width fields move as one block
+(:meth:`WireReader.unpack` / :meth:`WireWriter.pack` with a ``Struct``
+compiled once by the codec that owns the layout); the per-field
+``read_u8``/``write_u16``/... are the same call with a one-field layout.
+Compression pointers (RFC 1035 §4.1.4) are emitted for repeated names and
+are validated on read: successive pointer targets must strictly decrease
+and names may not exceed 255 octets, which together guarantee termination
+even on hostile input.
 """
 
 from __future__ import annotations
 
-import struct
+from struct import Struct
+from typing import Callable
 
 from repro.dns.name import Name
 
@@ -20,6 +25,12 @@ _POINTER_MASK = 0xC0
 _POINTER_MAX_OFFSET = 0x3FFF
 
 MAX_MESSAGE_SIZE = 65535
+
+#: Lone-field layouts.  A codec whose wire form has several adjacent fixed
+#: fields compiles its own ``Struct`` once and moves the block in one call.
+_U8 = Struct("!B")
+_U16 = Struct("!H")
+_U32 = Struct("!I")
 
 
 class WireError(ValueError):
@@ -42,41 +53,46 @@ class WireWriter:
             raise WireError(f"message too large ({len(self._chunks)} octets)")
         return bytes(self._chunks)
 
-    # -- integers ------------------------------------------------------------
+    # -- fixed layouts -------------------------------------------------------
+    def pack(self, layout: Struct, *values: int) -> None:
+        """Append one fixed-layout block: ``values`` packed by ``layout``."""
+        self._chunks += layout.pack(*values)
+
     def write_u8(self, value: int) -> None:
-        self._chunks += struct.pack("!B", value)
+        self.pack(_U8, value)
 
     def write_u16(self, value: int) -> None:
-        self._chunks += struct.pack("!H", value)
+        self.pack(_U16, value)
 
     def write_u32(self, value: int) -> None:
-        self._chunks += struct.pack("!I", value)
+        self.pack(_U32, value)
 
     def write_bytes(self, data: bytes) -> None:
         self._chunks += data
 
-    def patch_u16(self, offset: int, value: int) -> None:
-        """Overwrite a previously written 16-bit field (e.g. RDLENGTH)."""
-        self._chunks[offset : offset + 2] = struct.pack("!H", value)
+    def write_sized(self, write_body: Callable[["WireWriter"], None]) -> None:
+        """Append what ``write_body(self)`` writes and store its size in the
+        16-bit field just before it (RDLENGTH, written as a placeholder:
+        how long an rdata is depends on how its names compress)."""
+        chunks = self._chunks
+        start = len(chunks)
+        write_body(self)
+        _U16.pack_into(chunks, start - 2, len(chunks) - start)
 
     # -- names ----------------------------------------------------------------
     def write_name(self, name: Name, compress: bool = True) -> None:
         """Write ``name``, emitting a compression pointer when possible."""
-        labels = name.labels
-        for index in range(len(labels)):
-            suffix = labels[index:]
-            if compress and suffix in self._compression:
-                pointer = self._compression[suffix]
-                self.write_u16(_POINTER_MASK << 8 | pointer)
+        chunks = self._chunks
+        offsets = self._compression
+        for suffix, encoded in name.wire_labels():
+            if compress and suffix in offsets:
+                chunks += (_POINTER_MASK << 8 | offsets[suffix]).to_bytes(2, "big")
                 return
-            offset = len(self._chunks)
+            offset = len(chunks)
             if offset <= _POINTER_MAX_OFFSET:
-                self._compression[suffix] = offset
-            label = labels[index]
-            encoded = label.encode("ascii")
-            self.write_u8(len(encoded))
-            self.write_bytes(encoded)
-        self.write_u8(0)  # root label
+                offsets[suffix] = offset
+            chunks += encoded
+        chunks += b"\x00"  # root label
 
 
 class WireReader:
@@ -84,6 +100,7 @@ class WireReader:
 
     def __init__(self, data: bytes, offset: int = 0) -> None:
         self._data = data
+        self._size = len(data)
         self._offset = offset
 
     @property
@@ -92,32 +109,43 @@ class WireReader:
 
     @property
     def remaining(self) -> int:
-        return len(self._data) - self._offset
+        return self._size - self._offset
 
     def seek(self, offset: int) -> None:
-        if offset < 0 or offset > len(self._data):
-            raise WireError(f"seek to {offset} outside buffer of {len(self._data)}")
+        if offset < 0 or offset > self._size:
+            raise WireError(f"seek to {offset} outside buffer of {self._size}")
         self._offset = offset
 
-    def _take(self, count: int) -> bytes:
-        if self.remaining < count:
-            raise WireError(f"short read: wanted {count}, have {self.remaining}")
-        chunk = self._data[self._offset : self._offset + count]
-        self._offset += count
-        return chunk
+    # -- fixed layouts -------------------------------------------------------
+    def unpack(self, layout: Struct) -> tuple[int, ...]:
+        """Read one fixed-layout block: one bounds check, one
+        ``layout.unpack_from``, and the cursor moves past the block."""
+        start = self._offset
+        end = start + layout.size
+        if end > self._size:
+            raise WireError(
+                f"short read: wanted {layout.size}, have {self._size - start}"
+            )
+        self._offset = end
+        return layout.unpack_from(self._data, start)
 
-    # -- integers ------------------------------------------------------------
     def read_u8(self) -> int:
-        return self._take(1)[0]
+        return self.unpack(_U8)[0]
 
     def read_u16(self) -> int:
-        return struct.unpack("!H", self._take(2))[0]
+        return self.unpack(_U16)[0]
 
     def read_u32(self) -> int:
-        return struct.unpack("!I", self._take(4))[0]
+        return self.unpack(_U32)[0]
 
     def read_bytes(self, count: int) -> bytes:
-        return self._take(count)
+        start = self._offset
+        end = start + count
+        # A negative count would step the cursor backwards.
+        if count < 0 or end > self._size:
+            raise WireError(f"short read: wanted {count}, have {self._size - start}")
+        self._offset = end
+        return self._data[start:end]
 
     # -- names ----------------------------------------------------------------
     def read_name(self) -> Name:
@@ -136,20 +164,21 @@ class WireReader:
         octets per name is enforced while reading, bounding the work even
         for hostile input.
         """
+        data = self._data
+        size = self._size
         labels: list[str] = []
         cursor = self._offset
-        followed_pointer = False
         end_after: int | None = None
         last_target: int | None = None
         name_octets = 0
         while True:
-            if cursor >= len(self._data):
+            if cursor >= size:
                 raise WireError("name runs off the end of the message")
-            length = self._data[cursor]
+            length = data[cursor]
             if length & _POINTER_MASK == _POINTER_MASK:
-                if cursor + 1 >= len(self._data):
+                if cursor + 1 >= size:
                     raise WireError("truncated compression pointer")
-                pointer = ((length & ~_POINTER_MASK) << 8) | self._data[cursor + 1]
+                pointer = ((length & ~_POINTER_MASK) << 8) | data[cursor + 1]
                 if pointer >= cursor:
                     raise WireError(f"compression pointer {pointer} does not point backwards")
                 if last_target is not None and pointer >= last_target:
@@ -157,28 +186,27 @@ class WireReader:
                         f"compression pointer {pointer} does not precede "
                         f"the previous pointer's target {last_target}"
                     )
-                if not followed_pointer:
+                if end_after is None:
                     end_after = cursor + 2
-                    followed_pointer = True
                 last_target = pointer
                 cursor = pointer
                 continue
             if length & _POINTER_MASK:
                 raise WireError(f"reserved label type 0x{length & _POINTER_MASK:02x}")
+            cursor += 1
             if length == 0:
-                cursor += 1
                 break
             name_octets += 1 + length
             if name_octets > 254:  # 255 including the terminating root octet
                 raise WireError("name exceeds the 255-octet limit")
-            if cursor + 1 + length > len(self._data):
+            if cursor + length > size:
                 raise WireError("label runs off the end of the message")
-            raw = self._data[cursor + 1 : cursor + 1 + length]
+            raw = data[cursor : cursor + length]
             try:
                 labels.append(raw.decode("ascii").lower())
             except UnicodeDecodeError as exc:
                 raise WireError(f"non-ASCII label on the wire: {raw!r}") from exc
-            cursor += 1 + length
+            cursor += length
         self._offset = end_after if end_after is not None else cursor
         # Label and name lengths were enforced octet-by-octet above, and the
         # labels are lowercased: the trusted constructor applies, skipping a

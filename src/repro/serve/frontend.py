@@ -15,12 +15,14 @@ from __future__ import annotations
 import math
 import struct
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
-from repro.dns.message import Message, Opcode, Rcode, Section
+from repro.dns.message import Edns, Message, Opcode, Rcode, Section
+from repro.dns.name import Name
+from repro.dns.rdtypes import RdataType
 from repro.dns.wire import WireError
-from repro.metrics import HOST, MetricsRegistry, log_buckets
+from repro.metrics import HOST, Counter, MetricsRegistry, log_buckets
 from repro.resolver.recursive import RecursiveResolver
 from repro.serve.bridge import WallClockBridge
 from repro.serve.memo import ResponseMemo
@@ -32,6 +34,9 @@ LATENCY_BUCKETS_MS = log_buckets(0.01, 10_000.0, per_decade=4)
 
 #: Clients that advertise no EDNS get the classic RFC 1035 ceiling.
 _HEADER = struct.Struct(">HHHHHH")
+
+#: ``serve.rcode`` labels, looked up per answered query.
+_RCODE_LABELS = {rcode: rcode.name for rcode in Rcode}
 
 
 def servfail_wire(query_wire: bytes) -> Optional[bytes]:
@@ -110,38 +115,46 @@ class DnsFrontend:
         # before the frontend ever sees the datagram).
         self.shed_counter = registry.counter("serve.shed", domain=HOST)
 
+    @property
+    def max_udp_payload(self) -> int:
+        """The largest UDP response sent; also the size every OPT advertises."""
+        return self._plain_edns.udp_payload
+
+    @max_udp_payload.setter
+    def max_udp_payload(self, octets: int) -> None:
+        #: The sidecar of every EDNS response that carries no options:
+        #: frozen, so one instance serves them all.
+        self._plain_edns = Edns(udp_payload=octets)
+
     # -- entry point -------------------------------------------------------
     def handle_wire(
         self, data: bytes, client: str, via_tcp: bool = False
     ) -> ServeResult:
         """Process one query datagram; returns the response bytes, if any."""
         started = time.monotonic()
-        self._m_queries.inc()
-        self._m_worker_queries.inc(self.server_name)
-        if via_tcp:
-            self._m_tcp.inc()
         try:
             query = Message.from_wire(data)
         except (WireError, ValueError):
-            self._m_malformed.inc()
+            self._account(via_tcp, self._m_malformed)
             return ServeResult(self._formerr(data), "malformed")
-        if query.flags.qr or query.question is None:
+        question = query.question
+        if query.flags.qr or question is None:
             # A response (or an empty query) aimed at a server: never
             # answer, or two servers can be made to ping-pong forever.
-            self._m_dropped.inc()
+            self._account(via_tcp, self._m_dropped)
             return ServeResult(None, "dropped")
 
         sim_now = self.bridge.now()
+        asked = (started, sim_now, client, question.qname, question.qtype)
         if not via_tcp and self.rrl.rate > 0:
             verdict = self.rrl.check(client, self.bridge.wall_elapsed())
             if verdict is RrlVerdict.SLIP:
-                self._m_slipped.inc()
                 response = query.make_response(recursion_available=True)
-                response.flags = _with_tc(response.flags)
-                self._finish(query, client, sim_now, started, response.rcode)
+                response.flags = replace(response.flags, tc=True)
+                self._account(via_tcp, self._m_slipped, "NOERROR", *asked)
                 return ServeResult(response.to_wire(), "slipped")
             if verdict is RrlVerdict.DROP:
-                self._m_dropped.inc()
+                self._account(via_tcp, self._m_dropped)
                 return ServeResult(None, "dropped")
 
         if query.opcode != Opcode.QUERY:
@@ -149,14 +162,14 @@ class DnsFrontend:
                 rcode=Rcode.NOTIMP, recursion_available=True
             )
             wire = self._encode(query, response, via_tcp)
-            self._finish(query, client, sim_now, started, Rcode.NOTIMP)
+            self._account(via_tcp, None, "NOTIMP", *asked)
             return ServeResult(wire, "answered")
 
-        response = self._resolve(query, sim_now)
+        response, cache_hit = self._resolve(query, sim_now)
         wire = self._encode(query, response, via_tcp)
         if self.memo is not None and not via_tcp:
             self._maybe_memoize(data, query, response, wire, sim_now)
-        self._finish(query, client, sim_now, started, response.rcode)
+        self._account(via_tcp, None, _RCODE_LABELS[response.rcode], *asked, cache_hit)
         return ServeResult(wire, "answered")
 
     def fast_answer(self, data: bytes, client: str) -> Optional[bytes]:
@@ -181,24 +194,11 @@ class DnsFrontend:
         entry = memo.get(data[2:], sim_now)
         if entry is None:
             return None
-        self._m_queries.inc()
-        self._m_worker_queries.inc(self.server_name)
-        self._m_cache_hits.inc()
-        self._m_memo_hits.inc()
         self.resolver.note_memoized_answer(entry.qname, entry.qtype, sim_now)
-        self._m_rcodes.inc(entry.rcode_name)
-        self._m_latency.observe((time.monotonic() - started) * 1000.0)
-        if self.querylog is not None:
-            self.querylog.append(
-                QueryLogEntry(
-                    timestamp=sim_now,
-                    client_address=client,
-                    client_asn=0,
-                    qname=entry.qname,
-                    qtype=entry.qtype,
-                    server=self.server_name,
-                )
-            )
+        self._account(
+            False, None, entry.rcode_name, started, sim_now, client,
+            entry.qname, entry.qtype, cache_hit=True, memo_hit=True,
+        )
         return data[:2] + entry.wire[2:]
 
     def _maybe_memoize(
@@ -256,7 +256,7 @@ class DnsFrontend:
             valid_until,
             question.qname,
             question.qtype,
-            rcode.name,
+            _RCODE_LABELS[rcode],
             tuple(rrset.name for rrset in answers),
         )
 
@@ -271,7 +271,8 @@ class DnsFrontend:
         return self.resolver.pump(self.bridge.now())
 
     # -- pieces ------------------------------------------------------------
-    def _resolve(self, query: Message, sim_now: float) -> Message:
+    def _resolve(self, query: Message, sim_now: float) -> tuple[Message, bool]:
+        """The response for ``query`` and whether the cache answered it."""
         question = query.question
         assert question is not None
         subnet = None
@@ -284,9 +285,10 @@ class DnsFrontend:
             try:
                 subnet = extract_client_subnet(query.edns.options)
             except WireError:
-                return query.make_response(
+                formerr = query.make_response(
                     rcode=Rcode.FORMERR, recursion_available=True
                 )
+                return formerr, False
         try:
             result = self.resolver.resolve(
                 question.qname, question.qtype, now=sim_now,
@@ -295,11 +297,10 @@ class DnsFrontend:
         except Exception:
             # The sim stack raising through the live path must not kill
             # the event loop; a resolver bug becomes a SERVFAIL.
-            return query.make_response(
+            servfail = query.make_response(
                 rcode=Rcode.SERVFAIL, recursion_available=True
             )
-        if result.cache_hit:
-            self._m_cache_hits.inc()
+            return servfail, False
         response = query.make_response(rcode=result.rcode, recursion_available=True)
         response.add(Section.ANSWER, *result.answers)
         if subnet is not None:
@@ -308,18 +309,19 @@ class DnsFrontend:
             response.use_edns(
                 options=subnet.with_scope(result.ecs_scope or 0).to_wire()
             )
-        return response
+        return response, result.cache_hit
 
     def _encode(self, query: Message, response: Message, via_tcp: bool) -> bytes:
+        plain = self._plain_edns
         if query.edns is not None:
-            response.use_edns(
-                udp_payload=self.max_udp_payload,
-                options=response.edns.options if response.edns is not None else b"",
-            )
+            if response.edns is None:
+                response.edns = plain
+            else:  # keep the options _resolve attached (the ECS echo)
+                response.use_edns(plain.udp_payload, options=response.edns.options)
         wire = response.to_wire()
         if via_tcp:
             return wire
-        limit = min(query.udp_payload_limit, self.max_udp_payload)
+        limit = min(query.udp_payload_limit, plain.udp_payload)
         if len(wire) <= limit:
             return wire
         # Truncate section by section (additional, authority, answer)
@@ -330,7 +332,7 @@ class DnsFrontend:
             wire = response.to_wire()
             if len(wire) <= limit:
                 break
-        response.flags = _with_tc(response.flags)
+        response.flags = replace(response.flags, tc=True)
         return response.to_wire()
 
     def _formerr(self, data: bytes) -> Optional[bytes]:
@@ -342,24 +344,53 @@ class DnsFrontend:
             return None
         return _HEADER.pack(query_id, 0x8001 | (bits & 0x0100), 0, 0, 0, 0)
 
-    def _finish(
+    def _account(
         self,
-        query: Message,
-        client: str,
-        sim_now: float,
-        started: float,
-        rcode: Rcode,
+        via_tcp: bool,
+        event: Optional[Counter] = None,
+        rcode_label: Optional[str] = None,
+        started: float = 0.0,
+        sim_now: float = 0.0,
+        client: str = "",
+        qname: Optional[Name] = None,
+        qtype: Optional[RdataType] = None,
+        cache_hit: bool = False,
+        memo_hit: bool = False,
     ) -> None:
-        self._m_rcodes.inc(rcode.name)
+        """The one accounting step per datagram, fast path and slow alike.
+
+        Each ``serve.*`` instrument the datagram moves is written once,
+        straight into its storage: this runs per query on the memo-hit
+        path, where a method call per instrument was a quarter of the
+        work.  ``event`` is the datagram's own counter, if it has one
+        (malformed, dropped, slipped); ``rcode_label`` is ``None`` when
+        nothing was answered — then there is no rcode, latency or
+        querylog line either.
+        """
+        self._m_queries.value += 1
+        per_worker = self._m_worker_queries.values
+        per_worker[self.server_name] = per_worker.get(self.server_name, 0) + 1
+        if via_tcp:
+            self._m_tcp.value += 1
+        if event is not None:
+            event.value += 1
+        if rcode_label is None:
+            return
+        if cache_hit:
+            self._m_cache_hits.value += 1
+        if memo_hit:
+            self._m_memo_hits.value += 1
+        per_rcode = self._m_rcodes.values
+        per_rcode[rcode_label] = per_rcode.get(rcode_label, 0) + 1
         self._m_latency.observe((time.monotonic() - started) * 1000.0)
-        if self.querylog is not None and query.question is not None:
+        if self.querylog is not None:
             self.querylog.append(
                 QueryLogEntry(
                     timestamp=sim_now,
                     client_address=client,
                     client_asn=0,
-                    qname=query.question.qname,
-                    qtype=query.question.qtype,
+                    qname=qname,
+                    qtype=qtype,
                     server=self.server_name,
                 )
             )
@@ -367,9 +398,3 @@ class DnsFrontend:
     def close(self) -> None:
         if self.querylog is not None:
             self.querylog.close()
-
-
-def _with_tc(flags):
-    from dataclasses import replace
-
-    return replace(flags, tc=True)

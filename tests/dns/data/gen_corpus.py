@@ -126,6 +126,68 @@ def valid_interleaved_rrset() -> bytes:
     return writer.getvalue()
 
 
+def valid_every_rdata() -> bytes:
+    """One record of every rdata class (and one RFC 3597 opaque type), so
+    each codec's fixed block and each name-bearing rdata is on the corpus."""
+    from repro.dns.message import Message, Section
+    from repro.dns.name import Name
+    from repro.dns.rdtypes import (
+        AAAA, CNAME, DNSKEY, MX, RRSIG, SOA, TXT, OpaqueRdata, RdataType,
+    )
+    from repro.dns.record import RRset
+
+    zone = Name("example.org")
+    host = Name("host.example.org")
+    query = Message.make_query("alias.example.org", RdataType.AAAA, id=0x3597)
+    response = query.make_response(authoritative=True)
+    signature = RRSIG(
+        RdataType.AAAA, 13, 3, 60, 1571875200, 1569283200, 20326, zone,
+        b"\x01\x02\x03\x04",
+    )
+    soa = SOA(
+        Name("ns1.example.org"), Name("hostmaster.example.org"),
+        2019102101, 7200, 900, 1209600, 300,
+    )
+    exchanges = [MX(10, Name("mail.example.org")), MX(20, Name("mail.example.net"))]
+    https = RdataType(65)
+    response.add(
+        Section.ANSWER,
+        RRset(Name("alias.example.org"), RdataType.CNAME, 300, [CNAME(host)]),
+        RRset(host, RdataType.AAAA, 60, [AAAA("2001:db8::53")]),
+        RRset(host, RdataType.RRSIG, 60, [signature]),
+    )
+    response.add(Section.AUTHORITY, RRset(zone, RdataType.SOA, 3600, [soa]))
+    response.add(
+        Section.ADDITIONAL,
+        RRset(zone, RdataType.MX, 3600, exchanges),
+        RRset(zone, RdataType.TXT, 3600, [TXT(("v=spf1 -all", "second string"))]),
+        RRset(zone, RdataType.DNSKEY, 86400, [DNSKEY(257, 3, 13, bytes(range(16)))]),
+        RRset(zone, https, 300, [OpaqueRdata(https, b"\x00\x01\x00")]),
+    )
+    response.use_edns(udp_payload=1232, dnssec_ok=True)
+    return response.to_wire()
+
+
+def reject_rrsig_signer_overrun() -> bytes:
+    """An RRSIG whose RDLENGTH (18) ends right after the key tag, followed
+    by the signer name ``a.``: the signer overruns its rdata.  A reader
+    that then takes ``end - offset`` = -3 signature octets steps *back*
+    to ``end``, passes the consumed-octets check, and decodes the signer's
+    own bytes a second time as the owner of the next record."""
+    header = bytes.fromhex("4034" "8400" "0001" "0002" "0000" "0000")
+    question = b"\x01a\x00" + QTYPE_QCLASS
+    ttl = (60).to_bytes(4, "big")
+    rrsig_fixed = (
+        b"\x00\x01" + b"\x0d" + b"\x01"  # covers A, algorithm 13, 1 label
+        + ttl + (1571875200).to_bytes(4, "big")
+        + (1569283200).to_bytes(4, "big") + b"\x4f\x66"
+    )
+    rrsig = b"\xc0\x0c" + b"\x00\x2e\x00\x01" + ttl + b"\x00\x12"
+    # The signer, which a lax reader re-reads as the next record's owner.
+    tail = b"\x01a\x00" + QTYPE_QCLASS + ttl + b"\x00\x04\xc0\x00\x02\x01"
+    return header + question + rrsig + rrsig_fixed + tail
+
+
 def reject_ecs_opt_overrun() -> bytes:
     """OPT rdlength promises 12 octets of ECS data; the message ends at 5."""
     header = bytes.fromhex("787101000001000000000001")
@@ -143,8 +205,11 @@ CORPUS = {
     "valid_ecs_query.bin": valid_ecs_query,
     "valid_ecs_v6_scoped.bin": valid_ecs_v6_scoped,
     "valid_interleaved_rrset.bin": valid_interleaved_rrset,
+    "valid_every_rdata.bin": valid_every_rdata,
     # OPT rdlength overruns the message: must fail at the message codec.
     "reject_ecs_opt_overrun.bin": reject_ecs_opt_overrun,
+    # RRSIG signer name runs past the record's RDLENGTH.
+    "reject_rrsig_signer_overrun.bin": reject_rrsig_signer_overrun,
     # -- must be rejected (and must terminate) ------------------------------
     # The historical reproducer: question name at offset 12 points to
     # offset 14, where parsing runs into a pointer back to offset 12 — a

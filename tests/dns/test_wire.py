@@ -1,5 +1,7 @@
 """Tests for repro.dns.wire (buffers, compression, malformed input)."""
 
+from struct import Struct
+
 import pytest
 
 from repro.dns.name import Name
@@ -27,15 +29,42 @@ class TestIntegers:
         writer.write_u16(0x0102)
         assert writer.getvalue() == b"\x01\x02"
 
-    def test_patch_u16(self):
+    def test_write_sized_fills_the_length_before_the_body(self):
         writer = WireWriter()
         writer.write_u16(0)
-        writer.patch_u16(0, 42)
+        writer.write_sized(lambda body: body.write_bytes(b"x" * 42))
         assert WireReader(writer.getvalue()).read_u16() == 42
 
     def test_short_read_raises(self):
         with pytest.raises(WireError):
             WireReader(b"\x01").read_u16()
+
+
+class TestBlocks:
+    """A fixed layout moves as one block: one bounds check, one struct call."""
+
+    LAYOUT = Struct("!HBI")
+
+    def test_pack_unpack_round_trip(self):
+        writer = WireWriter()
+        writer.pack(self.LAYOUT, 0xBEEF, 7, 0xDEADBEEF)
+        assert writer.getvalue() == b"\xbe\xef\x07\xde\xad\xbe\xef"
+        reader = WireReader(writer.getvalue() + b"\x01")
+        assert reader.unpack(self.LAYOUT) == (0xBEEF, 7, 0xDEADBEEF)
+        assert (reader.offset, reader.remaining) == (7, 1)
+
+    def test_short_block_is_a_wire_error_and_reads_nothing(self):
+        reader = WireReader(b"\x00" * 6)
+        with pytest.raises(WireError):
+            reader.unpack(self.LAYOUT)
+        assert reader.offset == 0
+
+    def test_negative_byte_count_rejected(self):
+        """``read_bytes(-2)`` used to step the cursor two octets back."""
+        reader = WireReader(b"abcd", offset=3)
+        with pytest.raises(WireError):
+            reader.read_bytes(-2)
+        assert reader.offset == 3
 
 
 class TestNames:

@@ -81,6 +81,25 @@ def test_interleaved_records_decode_into_one_rrset_per_key():
     ]
 
 
+def test_rrsig_signer_overrunning_its_rdlength_is_rejected():
+    """RDLENGTH 18 ends the RRSIG right after its key tag, yet a signer
+    name follows.  The signature read used to take ``end - offset`` = -3
+    octets, which stepped the cursor back to ``end``; the consumed-octets
+    check passed and the signer's bytes were decoded again as the owner of
+    a second record."""
+    from repro.dns.rdtypes import RdataType, read_rdata
+    from repro.dns.wire import WireReader
+
+    blob = (DATA_DIR / "reject_rrsig_signer_overrun.bin").read_bytes()
+    with pytest.raises(WireError, match="RRSIG signer"):
+        Message.from_wire(blob)
+    rdata = blob[31:]  # past header, question, owner pointer and fixed block
+    with pytest.raises(WireError, match="RRSIG signer"):
+        read_rdata(RdataType.RRSIG, WireReader(rdata), 18)
+    # One more octet of RDLENGTH than the signer needs is a signature.
+    assert read_rdata(RdataType.RRSIG, WireReader(rdata), 22).signature == b"\x00"
+
+
 @settings(max_examples=200)
 @given(
     st.sampled_from([p for p in CORPUS if p.name.startswith("reject_")]),

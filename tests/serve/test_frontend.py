@@ -203,3 +203,87 @@ def test_servfail_wire_echoes_id():
 
 def test_servfail_wire_rejects_short_datagrams():
     assert servfail_wire(b"\x00\x01") is None
+
+
+def serve_counts(frontend) -> dict:
+    """Every ``serve.*`` instrument: counter value, label map, histogram count."""
+    counts = {}
+    for name, metric in frontend.registry.snapshot().to_payload()["metrics"].items():
+        if name.startswith("serve."):
+            kind = metric["kind"]
+            counts[name] = metric[
+                {"counter": "value", "labeled_counter": "values", "histogram": "count"}[kind]
+            ]
+    return counts
+
+
+def test_accounting_of_a_scripted_query_mix():
+    """The whole ``serve.*`` snapshot after one query of each accounting
+    shape, as recorded at f00e1de (one ``inc()`` per instrument): the
+    single per-query bump must leave every count where it was."""
+    frontend, _ = build_frontend(
+        ServeConfig(world="nl", max_udp_payload=100), wall_clock=FakeWall()
+    )
+    client = "10.0.0.1"
+    status = Message.make_query("www.domain1.nl.", RdataType.A, id=7)
+    status.opcode = Opcode.STATUS
+    script = [
+        # (wire, via_tcp, expected outcome)
+        (query_wire(id=1), False, "answered"),  # slow path, cache miss
+        (query_wire(id=2), False, "memo"),  # memo hit
+        (query_wire(id=3, edns=True), False, "answered"),  # slow path, cache hit
+        (query_wire(id=4), True, "answered"),  # TCP
+        (query_wire(qname="no-such-name.nl.", id=5), False, "answered"),  # NXDOMAIN
+        (query_wire(id=6)[:20], False, "malformed"),
+        (b"\x01\x02\x03", False, "malformed"),
+        (Message.make_query("nl.", RdataType.A, id=8).make_response().to_wire(),
+         False, "dropped"),
+        (status.to_wire(), False, "answered"),  # NOTIMP
+        (query_wire(qname="nl.", qtype=RdataType.NS, id=9, edns=True),
+         False, "answered"),  # truncated: four NS records over 100 octets
+    ]
+    for wire, via_tcp, expected in script:
+        fast = None if via_tcp else frontend.fast_answer(wire, client)
+        if fast is not None:
+            assert expected == "memo"
+            continue
+        assert frontend.handle_wire(wire, client, via_tcp=via_tcp).outcome == expected
+    assert serve_counts(frontend) == {
+        "serve.cache_hits": 3,  # memo hit, EDNS repeat, TCP repeat
+        "serve.dropped": 1,
+        "serve.latency_ms": 7,  # every query that got an rcode
+        "serve.malformed": 2,
+        "serve.memo_hits": 1,
+        "serve.queries": 10,
+        "serve.rcode": {"NOERROR": 5, "NOTIMP": 1, "NXDOMAIN": 1},
+        "serve.rrl_slipped": 0,
+        "serve.shed": 0,
+        "serve.tcp_queries": 1,
+        "serve.truncated": 1,
+        "serve.worker_queries": {"serve": 10},
+    }
+
+
+def test_accounting_of_rrl_slips_and_drops():
+    frontend, _ = build_frontend(
+        ServeConfig(world="nl", rrl_rate=2), wall_clock=FakeWall()
+    )
+    outcomes = [
+        frontend.handle_wire(query_wire(id=30 + i), client="10.1.1.1").outcome
+        for i in range(8)
+    ]
+    assert sorted(set(outcomes)) == ["answered", "dropped", "slipped"]
+    assert serve_counts(frontend) == {
+        "serve.cache_hits": 1,
+        "serve.dropped": 2,
+        "serve.latency_ms": 6,  # slips are answered; drops are not
+        "serve.malformed": 0,
+        "serve.memo_hits": 0,
+        "serve.queries": 8,
+        "serve.rcode": {"NOERROR": 6},
+        "serve.rrl_slipped": 4,
+        "serve.shed": 0,
+        "serve.tcp_queries": 0,
+        "serve.truncated": 0,
+        "serve.worker_queries": {"serve": 8},
+    }
