@@ -29,8 +29,10 @@ bench-perf:
 # campaign_throughput baseline; 4-worker speedup or bounded overhead).
 # message_encode/message_decode/serve_throughput_w1_slowpath hold the wire
 # codec: the slow path is the serving number no memo hit hides.
+# cache_put_get/ecs_cardinality_s1024 hold the cache's maintenance: a heap
+# that stops draining or a scoped lookup that scans again shows here first.
 perf-check:
-	PYTHONPATH=src python benchmarks/check_perf.py warm_resolution campaign_throughput campaign_large serve_throughput_w1 message_encode message_decode serve_throughput_w1_slowpath --max-regression 0.25
+	PYTHONPATH=src python benchmarks/check_perf.py warm_resolution campaign_throughput campaign_large serve_throughput_w1 message_encode message_decode serve_throughput_w1_slowpath cache_put_get ecs_cardinality_s1024 --max-regression 0.25
 
 # Docs stay honest: every repro.* package documented in README + API.md,
 # every intra-repo markdown link resolves.  CI runs this as the docs job.

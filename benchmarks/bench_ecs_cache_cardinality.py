@@ -1,15 +1,16 @@
-"""ECS cache-cardinality bench (informational, not gated).
+"""ECS cache-cardinality bench.
 
 RFC 7871 multiplies cache cardinality: one entry per (name, type)
 becomes up to one per *answer scope* per name.  This bench measures the
 scoped overlay (`Cache.put_scoped`/`get_scoped`) under an identical
-aggregate query stream split across 1, 64, and 1024 client /24s —
+aggregate query stream split across 1, 64, 1024 and 4096 client /24s —
 entries held, hit rate, overlay bytes, lookup throughput — and files
-the curve into ``BENCH_perf.json`` as ``ecs_cardinality_s{N}``.  Not
-gated by ``check_perf.py``: the cardinality cost is the *intended*
-behaviour being measured, and these numbers are the starting point for
-a sharded/tiered scoped-cache follow-on.  Model and scenario context:
-``docs/ecs.md``.
+the curve into ``BENCH_perf.json`` as ``ecs_cardinality_s{N}``.  Entries
+and bytes growing with the population is the *intended* behaviour being
+measured; the lookup rate is not supposed to follow them down (one dict
+probe per prefix length present, not a scan of the key's answers), so
+``ecs_cardinality_s1024`` is baselined and gated by ``check_perf.py``.
+Model and scenario context: ``docs/ecs.md``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from repro.dns.record import RRset
 from repro.resolver.cache import Cache
 
 NAME = Name("www.cdn.example.")
-SUBNET_COUNTS = (1, 64, 1024)
+SUBNET_COUNTS = (1, 64, 1024, 4096)
 QUERIES = 6000
 RATE_QPS = 2.0     # aggregate; each subnet sees RATE_QPS / N
 TTL = 300
@@ -38,13 +39,12 @@ def _client_subnet(index: int) -> ClientSubnet:
 
 
 def _overlay_bytes(cache: Cache) -> int:
-    """Deep-ish size of the scoped overlay: buckets, entries, rrsets."""
-    total = sys.getsizeof(cache._ecs)
-    for key, bucket in cache._ecs.items():
-        total += sys.getsizeof(key) + sys.getsizeof(bucket)
-        for entry in bucket:
-            total += sys.getsizeof(entry) + sys.getsizeof(entry.rrset)
-            total += sum(sys.getsizeof(rd) for rd in entry.rrset.rdatas)
+    """Deep-ish size of what the scoped overlay holds: entries, rrsets,
+    rdatas (the cache's own index structures are not counted)."""
+    total = 0
+    for entry in cache.scoped_entries():
+        total += sys.getsizeof(entry) + sys.getsizeof(entry.rrset)
+        total += sum(sys.getsizeof(rd) for rd in entry.rrset.rdatas)
     return total
 
 
@@ -55,8 +55,8 @@ def _drive(subnets: int) -> dict:
     at the source prefix, as the CDN world does), so the steady state is
     the Jung-model hit rate at per-subnet rate ``RATE_QPS / subnets``.
     The lookup loop is timed on its own, so each population size reports
-    its own ``ops_per_s`` — the curve the scoped overlay's per-bucket
-    scan bends.
+    its own ``ops_per_s`` — the curve a per-key scan of the scoped
+    answers used to bend.
     """
     cache = Cache()
     rng = random.Random(0x7871 ^ subnets)
@@ -81,9 +81,16 @@ def _drive(subnets: int) -> dict:
     }
 
 
+def _fastest_drive(subnets: int) -> dict:
+    """The fastest of three identical drives: the stream is deterministic,
+    so the rows differ only in ``ops_per_s``, and one ~50 ms timing is too
+    exposed to the host for a gated number."""
+    return max((_drive(subnets) for _ in range(3)), key=lambda row: row["ops_per_s"])
+
+
 def bench_ecs_cache_cardinality(benchmark):
     results = benchmark.pedantic(
-        lambda: [_drive(n) for n in SUBNET_COUNTS], rounds=1, iterations=1
+        lambda: [_fastest_drive(n) for n in SUBNET_COUNTS], rounds=1, iterations=1
     )
     by_subnets = {row["subnets"]: row for row in results}
     # The shape, not the exact values: cardinality grows with the subnet
@@ -92,10 +99,12 @@ def bench_ecs_cache_cardinality(benchmark):
     assert by_subnets[1]["entries"] == 1
     assert by_subnets[64]["entries"] > by_subnets[1]["entries"]
     assert by_subnets[1024]["entries"] > by_subnets[64]["entries"]
+    assert by_subnets[4096]["entries"] > by_subnets[1024]["entries"]
     assert (
         by_subnets[1]["hit_rate"]
         > by_subnets[64]["hit_rate"]
         > by_subnets[1024]["hit_rate"]
+        > by_subnets[4096]["hit_rate"]
     )
     for row in results:
         record_perf(

@@ -45,7 +45,7 @@ from repro.faults.plan import (
     FaultSpec,
     derive_fault_seed,
 )
-from repro.metrics.registry import NULL_COUNTER, NULL_HISTOGRAM, log_buckets
+from repro.metrics.registry import NULL_REGISTRY, log_buckets
 
 if TYPE_CHECKING:
     from repro.dns.message import Message
@@ -113,10 +113,7 @@ class FaultInjector:
         self._restarts = [s for s in states if s.spec.kind == "resolver_restart"]
         self._changes = [s for s in states if s.spec.kind == "record_change"]
         self._watchlist: list[_FaultState] = []
-        self._m_injected = NULL_COUNTER
-        self._m_suppressed = NULL_COUNTER
-        self._m_recovered = NULL_COUNTER
-        self._m_ttr = NULL_HISTOGRAM
+        self.attach_metrics(NULL_REGISTRY)
 
     def __repr__(self) -> str:
         return f"FaultInjector({self.plan.name or 'unnamed'}, {len(self.plan)} faults)"

@@ -44,6 +44,7 @@ __all__ = [
     "NULL_LABELED_COUNTER",
     "NULL_GAUGE",
     "NULL_HISTOGRAM",
+    "NULL_REGISTRY",
 ]
 
 #: Scale for histogram value sums: 1 unit = 1e-6 of the observed value.
@@ -250,6 +251,11 @@ class MetricsRegistry:
     def __len__(self) -> int:
         return len(self._metrics)
 
+    def __bool__(self) -> bool:
+        # A registry with nothing declared yet is still "metrics on":
+        # ``metrics or NULL_REGISTRY`` must not swap it for the null one.
+        return True
+
     def __iter__(self) -> Iterable[Metric]:
         return iter(self._metrics.values())
 
@@ -294,3 +300,21 @@ class MetricsRegistry:
         return MetricsSnapshot(
             {name: metric.payload() for name, metric in self._metrics.items()}
         )
+
+
+class _NullRegistry:
+    """Declares nothing: every instrument is the shared no-op metric.
+
+    Lets a component declare its instruments once, against
+    ``metrics or NULL_REGISTRY``, instead of forking on ``metrics is None``.
+    """
+
+    __slots__ = ()
+
+    def counter(self, *args, **kwargs) -> _NullMetric:
+        return NULL_COUNTER
+
+    labeled_counter = gauge = histogram = counter
+
+
+NULL_REGISTRY = _NullRegistry()

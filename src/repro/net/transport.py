@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Protocol
 
 from repro.dns.message import Message
-from repro.metrics.registry import NULL_COUNTER, NULL_HISTOGRAM, log_buckets
+from repro.metrics.registry import NULL_REGISTRY, log_buckets
 from repro.net.latency import LatencyModel
 from repro.net.topology import Endpoint
 
@@ -181,13 +181,7 @@ class Network:
         #: Fabric-wide default retry policy; ``None`` keeps the historical
         #: per-call ``timeout``/``retries`` behaviour.
         self.backoff: Optional[BackoffPolicy] = None
-        self._m_exchanges = NULL_COUNTER
-        self._m_timeouts = NULL_COUNTER
-        self._m_lost = NULL_COUNTER
-        self._m_retries = NULL_COUNTER
-        self._m_budget_exhausted = NULL_COUNTER
-        self._m_rtt = NULL_HISTOGRAM
-        self._m_server_queries = NULL_COUNTER
+        self._instrument(NULL_REGISTRY)
 
     def reset_runtime(self, seed: int) -> None:
         """Return the fabric to its just-built state under ``seed``.
@@ -208,13 +202,7 @@ class Network:
         self.metrics = None
         self.faults = None
         self.backoff = None
-        self._m_exchanges = NULL_COUNTER
-        self._m_timeouts = NULL_COUNTER
-        self._m_lost = NULL_COUNTER
-        self._m_retries = NULL_COUNTER
-        self._m_budget_exhausted = NULL_COUNTER
-        self._m_rtt = NULL_HISTOGRAM
-        self._m_server_queries = NULL_COUNTER
+        self._instrument(NULL_REGISTRY)
         seen: set[int] = set()
         for server in self._servers.values():
             if id(server) in seen:  # anycast registers sites + service addr
@@ -231,6 +219,14 @@ class Network:
         ``registry``.  Resolvers built afterwards pick the registry up via
         :attr:`metrics` and wire their caches into the same snapshot."""
         self.metrics = registry
+        self._instrument(registry)
+        if self.faults is not None:
+            self.faults.attach_metrics(registry)
+
+    def _instrument(self, registry) -> None:
+        """Declare the fabric's instruments in ``registry`` — the null
+        registry until :meth:`attach_metrics`, and again after
+        :meth:`reset_runtime`."""
         self._m_exchanges = registry.counter("net.exchanges")
         self._m_timeouts = registry.counter("net.timeouts")
         self._m_lost = registry.counter("net.lost_transmissions")
@@ -238,8 +234,6 @@ class Network:
         self._m_budget_exhausted = registry.counter("net.retry_budget_exhausted")
         self._m_rtt = registry.histogram("net.rtt_ms", RTT_BUCKETS_MS)
         self._m_server_queries = registry.labeled_counter("auth.queries")
-        if self.faults is not None:
-            self.faults.attach_metrics(registry)
 
     def attach_faults(self, injector: "FaultInjector") -> None:
         """Wire a fault injector into the fabric and every registered

@@ -29,11 +29,7 @@ from typing import Callable, Optional, TYPE_CHECKING
 
 from repro.dns.name import Name
 from repro.dns.rdtypes import RdataType
-from repro.metrics.registry import (
-    NULL_COUNTER,
-    NULL_HISTOGRAM,
-    log_buckets,
-)
+from repro.metrics.registry import NULL_REGISTRY, log_buckets
 
 if TYPE_CHECKING:
     from repro.metrics import MetricsRegistry
@@ -77,16 +73,12 @@ class RefreshScheduler:
         self._blocked_until: dict[JobKey, float] = {}
         self._tokens = float(refresh_burst)
         self._token_time: Optional[float] = None
-        if metrics is not None:
-            self._m_refreshes = metrics.counter("predict.refreshes")
-            self._m_revalidations = metrics.counter("predict.revalidations")
-            self._m_suppressed = metrics.counter("predict.refresh_suppressed")
-            self._m_failed = metrics.counter("predict.refresh_failures")
-            self._m_lead = metrics.histogram("predict.refresh_lead_s", LEAD_BUCKETS_S)
-        else:
-            self._m_refreshes = self._m_revalidations = NULL_COUNTER
-            self._m_suppressed = self._m_failed = NULL_COUNTER
-            self._m_lead = NULL_HISTOGRAM
+        registry = metrics or NULL_REGISTRY
+        self._m_refreshes = registry.counter("predict.refreshes")
+        self._m_revalidations = registry.counter("predict.revalidations")
+        self._m_suppressed = registry.counter("predict.refresh_suppressed")
+        self._m_failed = registry.counter("predict.refresh_failures")
+        self._m_lead = registry.histogram("predict.refresh_lead_s", LEAD_BUCKETS_S)
 
     def __len__(self) -> int:
         return len(self._pending)

@@ -33,11 +33,13 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.dns.message import Message, Opcode
 from repro.dns.name import Name
-from repro.dns.rdtypes import RdataType
-from repro.metrics.registry import log_buckets
+from repro.dns.rdtypes import RdataClass, RdataType
+from repro.dns.record import RRset
+from repro.metrics.registry import NULL_REGISTRY, log_buckets
 from repro.net.transport import NetworkTimeout, SessionBroken, TcpSession
 from repro.push.policy import PushPolicy
 from repro.push.publisher import PushKey, PushPublisher
+from repro.resolver.cache import Credibility
 
 if TYPE_CHECKING:
     from repro.net.topology import Endpoint
@@ -237,8 +239,32 @@ class PushClient:
         channel.next_keepalive = now + self.policy.keepalive_interval_s
         rrset = response.answer_rrset()
         if rrset is not None and self.policy.update_in_place:
-            self.cache.push_update(rrset, now + elapsed)
+            self._apply(key, rrset, now + elapsed)
         return True
+
+    def _apply(self, key: PushKey, rrset: Optional[RRset], now: float) -> None:
+        """Land one pushed change in the cache.
+
+        With an RRset in hand (and an update-in-place policy) the data is
+        the authoritative answer by construction, so it is written at
+        :attr:`Credibility.AUTH_ANSWER` and replaces any live unpinned
+        entry; the lifetime restarts at the pushed TTL, exactly as if the
+        resolver had refetched at the instant of the change.  Otherwise —
+        invalidate mode, or a removal — the cached entry is force-expired
+        so the next query refetches; serve-stale policies may still hand
+        the old value out, exactly as they would for a naturally-expired
+        record.  Both counters are declared by the first pushed change,
+        whichever way it lands.
+        """
+        registry = self.network.metrics or NULL_REGISTRY
+        updates = registry.counter("cache.push_updates")
+        invalidations = registry.counter("cache.push_invalidations")
+        if rrset is not None and self.policy.update_in_place:
+            if self.cache.put(rrset, Credibility.AUTH_ANSWER, now):
+                updates.inc()
+        elif self.cache.peek(*key) is not None:
+            self.cache.expire_now((*key, RdataClass.IN), now)
+            invalidations.inc()
 
     # -- the pump -------------------------------------------------------------
     def pump(self, now: float) -> int:
@@ -279,10 +305,7 @@ class PushClient:
             return 0
         applied = 0
         for frame in frames:
-            if frame.rrset is not None and self.policy.update_in_place:
-                self.cache.push_update(frame.rrset, now)
-            else:
-                self.cache.push_invalidate(frame.key[0], frame.key[1], now)
+            self._apply(frame.key, frame.rrset, now)
             self._observe_staleness(now - frame.changed_at)
             self.notifications_applied += 1
             applied += 1

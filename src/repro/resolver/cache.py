@@ -21,16 +21,22 @@ Stale entries are retained (not purged) so serve-stale policies
 (draft-ietf-dnsop-serve-stale) can hand them out when all servers are
 unreachable.
 
-Maintenance is O(log n) amortized, not O(n) scans: a lazy min-heap of
-``(expires_at, seq, key, generation)`` records surfaces time-expired
-entries, and a reverse dependency index surfaces link-dead ones.  Heap
-records are never removed in place — they are validated when popped
+Maintenance is O(log n) amortized, not O(n) scans: one lazy min-heap of
+``(expires_at, seq, key, generation)`` records surfaces everything that
+dies by time — negative entries ride it too, marked by a ``None``
+generation — and a reverse dependency index surfaces link-dead entries.
+Heap records are never removed in place — they are validated when popped
 (superseded generations and extended lifetimes are discarded or
-re-pushed), so every mutation stays cheap.  Dead entries found this way
-are *marked* (``_time_dead`` / ``_link_dead``), not dropped: serve-stale
-still needs them.  The marks make them the preferred eviction victims;
-marks are re-validated before use, because a sticky refresh can revive a
-marked entry.
+re-pushed), so every mutation stays cheap.  Every write drains whatever
+is due: expired negatives are dropped (nothing serves them stale), while
+dead positive entries are only *marked* (``_time_dead`` / ``_link_dead``),
+not dropped: serve-stale still needs them.  The marks make them the
+preferred eviction victims; marks are re-validated before use, because a
+sticky refresh can revive a marked entry.  Records that outlive what they
+describe (a 2-day referral superseded by a 60 s answer) are garbage until
+their own time comes; when garbage outweighs content the heap is rebuilt
+from what is cached, so it never holds more than
+``_HEAP_SLACK + 4 * (entries + negatives)`` records.
 """
 
 from __future__ import annotations
@@ -38,18 +44,23 @@ from __future__ import annotations
 import enum
 import heapq
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 from repro.dns.ecs import ClientSubnet
 from repro.dns.name import Name
-from repro.dns.rdtypes import RdataClass, RdataType
+from repro.dns.rdtypes import SOA, RdataClass, RdataType
 from repro.dns.record import RRset
-from repro.metrics.registry import NULL_COUNTER, NULL_GAUGE
+from repro.metrics.registry import NULL_REGISTRY
 
 if TYPE_CHECKING:
     from repro.metrics import MetricsRegistry
 
 CacheKey = tuple[Name, RdataType, RdataClass]
+NegativeKey = tuple[Name, RdataType]
+
+#: Heap records tolerated beyond four per cached item before the expiry
+#: heap is rebuilt; keeps small caches from rebuilding on every write.
+_HEAP_SLACK = 64
 
 
 class Credibility(enum.IntEnum):
@@ -80,6 +91,14 @@ class CacheEntry:
     pinned: bool = False
     #: The zone origin the data came from, for analysis/debugging.
     source_zone: Optional[Name] = None
+    #: ECS scope prefix length (RFC 7871 §7.3.1): 0 is the ordinary,
+    #: global case; a scoped answer is valid only for clients inside the
+    #: first ``scope`` bits of the network it was fetched for.
+    scope: int = 0
+    #: The client subnet (left-aligned integer) that fetched a scoped
+    #: answer, kept so hits from *other* covered subnets can be counted
+    #: as scope merges.
+    source_network: int = 0
     #: Memoized aged view, reused while the whole-second TTL is unchanged.
     _aged: Optional[RRset] = field(default=None, init=False, repr=False, compare=False)
 
@@ -110,46 +129,6 @@ class CacheEntry:
 
     def key(self) -> CacheKey:
         return (self.rrset.name, self.rrset.rdtype, self.rrset.rdclass)
-
-
-@dataclass
-class ScopedEntry:
-    """One subnet-scoped RRset in the ECS overlay (RFC 7871 §7.3.1).
-
-    ``network`` is the answer's covered network as a left-aligned integer
-    (the first ``scope`` bits are significant); ``source_network`` is the
-    client subnet that originally fetched the answer, kept so hits from
-    *other* covered subnets can be counted as scope merges.
-    """
-
-    rrset: RRset
-    family: int
-    scope: int
-    network: int
-    source_network: int
-    inserted_at: float
-    expires_at: float
-    _aged: Optional[RRset] = field(default=None, init=False, repr=False, compare=False)
-
-    def is_expired(self, now: float) -> bool:
-        return now >= self.expires_at
-
-    def remaining_ttl(self, now: float) -> int:
-        return max(0, int(self.expires_at - now))
-
-    def aged_rrset(self, now: float) -> RRset:
-        """The TTL-decremented view; shared per whole second, like
-        :meth:`CacheEntry.aged_rrset`."""
-        ttl = self.remaining_ttl(now)
-        rrset = self.rrset
-        if ttl == rrset.ttl:
-            return rrset
-        view = self._aged
-        if view is not None and view.ttl == ttl:
-            return view
-        view = rrset.with_ttl(ttl)
-        self._aged = view
-        return view
 
 
 @dataclass
@@ -210,12 +189,14 @@ class Cache:
             raise ValueError(f"max_entries must be positive, got {max_entries}")
         # dict preserves insertion order; get() re-inserts to track recency.
         self._entries: dict[CacheKey, CacheEntry] = {}
-        self._negatives: dict[tuple[Name, RdataType], NegativeEntry] = {}
-        self._generations: dict[CacheKey, int] = {}
-        #: Lazy expiry heap: (expires_at, seq, key, generation).  ``seq`` is a
-        #: monotonic push counter so ties never compare keys.
-        self._expiry_heap: list[tuple[float, int, CacheKey, int]] = []
-        self._neg_heap: list[tuple[float, int, tuple[Name, RdataType]]] = []
+        self._negatives: dict[NegativeKey, NegativeEntry] = {}
+        #: Lazy expiry heap: (expires_at, seq, key, generation); a negative
+        #: entry's record carries its :data:`NegativeKey` and generation
+        #: ``None``.  ``seq`` is unique per record, so ties never compare keys.
+        self._expiry_heap: list[tuple[float, int, tuple, Optional[int]]] = []
+        #: Cache-wide sequence number: numbers heap records and stamps
+        #: entry generations.  Never reused, so a key that is evicted and
+        #: re-created can never revive a link to its earlier incarnation.
         self._seq = 0
         #: Reverse link index: target key -> {dependent key: expected target
         #: generation}.  Consulted when a target is replaced or expires so
@@ -235,36 +216,29 @@ class Cache:
         #: for a whole-cache flush.  Downstream wire-level caches (the
         #: serve-path response memo) subscribe here; unset costs nothing.
         self.on_change: Optional[Callable[[Optional[Name]], None]] = None
-        #: ECS overlay (RFC 7871): per-key lists of subnet-scoped answers.
-        #: Scope-0 answers never land here — they go through :meth:`put`
-        #: unchanged — so a resolver that never sends ECS never touches
-        #: this dict and its metrics instruments are never created,
-        #: keeping non-ECS metrics output byte-identical.
-        self._ecs: dict[CacheKey, list[ScopedEntry]] = {}
-        self._metrics_registry = metrics
+        #: ECS overlay (RFC 7871): per key, the subnet-scoped answers as
+        #: ``{(scope, family): {network: entry}}`` — ``network`` being the
+        #: answer's covered network as a left-aligned integer — plus a
+        #: heap holding exactly one ``(expires_at, scope, family, network)``
+        #: record per entry.  Scope-0 answers never land here — they go
+        #: through :meth:`put` unchanged — so a resolver that never sends
+        #: ECS never touches this dict and its metrics instruments are
+        #: never created, keeping non-ECS metrics output byte-identical.
+        self._ecs: dict[CacheKey, tuple[dict, list]] = {}
+        self._ecs_count = 0
+        registry = self._metrics_registry = metrics or NULL_REGISTRY
         self._m_ecs_entries = None
         self._m_scope_merges = None
-        #: Push-invalidation instruments (repro.push): created on first
-        #: pushed update so non-push runs snapshot byte-identically.
-        self._m_push_updates = None
-        self._m_push_invalidations = None
-        if metrics is not None:
-            self._m_hits = metrics.counter("cache.hits")
-            self._m_misses = metrics.counter("cache.misses")
-            self._m_expired = metrics.counter("cache.expired")
-            self._m_stale = metrics.counter("cache.stale_served")
-            self._m_inserts = metrics.counter("cache.inserts")
-            self._m_refused = metrics.counter("cache.refused_downgrades")
-            self._m_evictions = metrics.counter("cache.evictions")
-            self._m_negative_hits = metrics.counter("cache.negative_hits")
-            self._m_negative_misses = metrics.counter("cache.negative_misses")
-            self._m_size_peak = metrics.gauge("cache.size_peak")
-        else:
-            self._m_hits = self._m_misses = self._m_expired = NULL_COUNTER
-            self._m_stale = self._m_inserts = self._m_refused = NULL_COUNTER
-            self._m_evictions = NULL_COUNTER
-            self._m_negative_hits = self._m_negative_misses = NULL_COUNTER
-            self._m_size_peak = NULL_GAUGE
+        self._m_hits = registry.counter("cache.hits")
+        self._m_misses = registry.counter("cache.misses")
+        self._m_expired = registry.counter("cache.expired")
+        self._m_stale = registry.counter("cache.stale_served")
+        self._m_inserts = registry.counter("cache.inserts")
+        self._m_refused = registry.counter("cache.refused_downgrades")
+        self._m_evictions = registry.counter("cache.evictions")
+        self._m_negative_hits = registry.counter("cache.negative_hits")
+        self._m_negative_misses = registry.counter("cache.negative_misses")
+        self._m_size_peak = registry.gauge("cache.size_peak")
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -272,9 +246,9 @@ class Cache:
     def clear(self) -> None:
         self._entries.clear()
         self._ecs.clear()
+        self._ecs_count = 0
         self._negatives.clear()
         self._expiry_heap.clear()
-        self._neg_heap.clear()
         self._dependents.clear()
         self._time_dead.clear()
         self._link_dead.clear()
@@ -301,11 +275,9 @@ class Cache:
                 return True
         return False
 
-    def _push(self, key: CacheKey, entry: CacheEntry) -> None:
+    def _push(self, expires_at: float, key: tuple, generation: Optional[int]) -> None:
         self._seq += 1
-        heapq.heappush(
-            self._expiry_heap, (entry.expires_at, self._seq, key, entry.generation)
-        )
+        heapq.heappush(self._expiry_heap, (expires_at, self._seq, key, generation))
 
     def put(
         self,
@@ -332,7 +304,8 @@ class Cache:
           cached NS set expires.
         """
         key: CacheKey = (rrset.name, rrset.rdtype, rrset.rdclass)
-        existing = self._entries.get(key)
+        entries = self._entries
+        existing = entries.get(key)
         if existing is not None and not self._is_dead(existing, now):
             refreshable = (
                 credibility > existing.credibility
@@ -345,8 +318,12 @@ class Cache:
                 self.stats.refused_downgrades += 1
                 self._m_refused.inc()
                 return False
-        generation = self._generations.get(key, 0) + 1
-        self._generations[key] = generation
+        # A fresh write invalidates any standing dead-mark for the key.
+        if key in self._time_dead:
+            del self._time_dead[key]
+        if key in self._link_dead:
+            del self._link_dead[key]
+        self._seq = generation = self._seq + 1
         # Replacing this key kills anything linked to its previous
         # generation: surface those dependents as eviction candidates.
         dependents = self._dependents.pop(key, None)
@@ -358,59 +335,85 @@ class Cache:
                     on_change(dep_key[0])
         link: Optional[tuple[CacheKey, int]] = None
         if linked_to is not None:
-            target = self._entries.get(linked_to)
+            target = entries.get(linked_to)
             if target is not None:
                 link = (linked_to, target.generation)
                 self._dependents.setdefault(linked_to, {})[key] = target.generation
-        ttl = self.effective_ttl(rrset.ttl)
+        ttl = rrset.ttl  # effective_ttl(), inlined: this is the hot write
+        if self.max_ttl is not None and ttl > self.max_ttl:
+            ttl = self.max_ttl
+        if ttl < self.min_ttl:
+            ttl = self.min_ttl
+        expires_at = now + ttl
         if existing is not None:
-            del self._entries[key]  # re-insert at the recent end
-        entry = CacheEntry(
+            del entries[key]  # re-insert at the recent end
+        entries[key] = CacheEntry(
             rrset=rrset,
             credibility=credibility,
             inserted_at=now,
-            expires_at=now + ttl,
+            expires_at=expires_at,
             generation=generation,
             linked_to=link,
             pinned=pin,
             source_zone=source_zone,
         )
-        self._entries[key] = entry
-        # A fresh write invalidates any standing dead-mark for the key.
-        self._time_dead.pop(key, None)
-        self._link_dead.pop(key, None)
-        self._push(key, entry)
+        heapq.heappush(self._expiry_heap, (expires_at, generation, key, generation))
         self.stats.inserts += 1
         self._m_inserts.inc()
-        self._m_size_peak.record(len(self._entries))
+        if existing is None:
+            self._m_size_peak.record(len(entries))
         if self.on_change is not None:
             self.on_change(key[0])
-        self._evict_if_full(now)
+        self._maintain(now)
         return True
 
+    def _maintain(self, now: float) -> None:
+        """The upkeep every write ends with, bounded cache or not: surface
+        what has expired by ``now``, evict down to ``max_entries``, and
+        rebuild the expiry heap once garbage outweighs content."""
+        heap = self._expiry_heap
+        if heap[0][0] <= now:
+            self._surface_expired(now)
+        if self.max_entries is not None:
+            self._evict_if_full(now)
+        if len(heap) > _HEAP_SLACK + 4 * (len(self._entries) + len(self._negatives)):
+            # One record per cached item; entries already marked dead are
+            # surfaced (and marked) again by the next write.
+            heap.clear()
+            for key, entry in self._entries.items():
+                heap.append((entry.expires_at, entry.generation, key, entry.generation))
+            for neg_key, negative in self._negatives.items():
+                self._seq += 1
+                heap.append((negative.expires_at, self._seq, neg_key, None))
+            heapq.heapify(heap)
+
     def _surface_expired(self, now: float) -> None:
-        """Pop every heap record whose entry is time-expired at ``now``.
+        """Pop every heap record whose time has come by ``now``.
 
         Expired entries are *marked* (``_time_dead``), not removed —
-        serve-stale retention is unchanged.  Records superseded by a newer
-        generation are discarded; records invalidated by an in-place
-        lifetime extension are re-pushed at the new expiry.  Dependents of
-        an expired link target are marked link-dead.
+        serve-stale retention is unchanged — while expired negative
+        entries, which nothing serves stale, are dropped.  Records
+        superseded by a newer generation are discarded; records
+        invalidated by an in-place lifetime extension are re-pushed at the
+        new expiry.  Dependents of an expired link target are marked
+        link-dead.
         """
         heap = self._expiry_heap
         entries = self._entries
-        while heap:
-            expires_at, _, key, generation = heap[0]
-            if expires_at > now:
-                return
-            heapq.heappop(heap)
+        while heap and heap[0][0] <= now:
+            _, _, key, generation = heapq.heappop(heap)
+            if generation is None:
+                negative = self._negatives.get(key)
+                if negative is not None and negative.expires_at <= now:
+                    del self._negatives[key]
+                continue  # else replaced by a fresher negative (its own record follows)
             entry = entries.get(key)
             if entry is None or entry.generation != generation:
                 continue  # superseded or gone: stale record
             if entry.expires_at > now:
                 # Lifetime extended in place (sticky refresh / parent pin):
                 # track the new expiry.
-                self._push(key, entry)
+                self._push(entry.expires_at, key, generation)
                 continue
             self._time_dead[key] = None
             dependents = self._dependents.get(key)
@@ -419,7 +422,7 @@ class Cache:
                 # must keep its dependents registered.  Marks are
                 # re-validated before use, so over-marking is safe.
                 for dep_key, expected in dependents.items():
-                    if expected == entry.generation:
+                    if expected == generation:
                         self._link_dead[dep_key] = None
 
     def _evict_one(self, key: CacheKey) -> None:
@@ -433,16 +436,12 @@ class Cache:
         """LRU eviction: drop dead entries first, then the least recently
         used live ones (pinned entries go last).
 
-        Dead victims come from the expiry heap and the link-death marks
-        (O(log n) amortized); only a cache full of live entries walks the
-        recency order, and that walk stops at the first unpinned entry.
+        Dead victims come from the marks :meth:`_surface_expired` and
+        link death left (O(log n) amortized); only a cache full of live
+        entries walks the recency order, and that walk stops at the first
+        unpinned entry.
         """
-        if self.max_entries is None:
-            return
         overflow = len(self._entries) - self.max_entries
-        if overflow <= 0:
-            return
-        self._surface_expired(now)
         while overflow > 0 and self._time_dead:
             key = next(iter(self._time_dead))
             del self._time_dead[key]
@@ -450,7 +449,8 @@ class Cache:
             if entry is None:
                 continue
             if not entry.is_expired(now):
-                self._push(key, entry)  # revived: restore its heap record
+                # Revived: restore its heap record.
+                self._push(entry.expires_at, key, entry.generation)
                 continue
             self._evict_one(key)
             overflow -= 1
@@ -482,43 +482,35 @@ class Cache:
         soa: Optional[RRset] = None,
     ) -> None:
         """Cache a negative answer for min(SOA TTL, SOA MINIMUM) seconds."""
-        from repro.dns.rdtypes import SOA as SOAData
-
         ttl = 300
         if soa is not None and soa.rdatas:
             soa_rdata = soa.rdatas[0]
-            assert isinstance(soa_rdata, SOAData)
+            assert isinstance(soa_rdata, SOA)
             ttl = min(soa.ttl, soa_rdata.minimum)
-        ttl = self.effective_ttl(ttl)
+        expires_at = now + self.effective_ttl(ttl)
         key = (qname, qtype)
         self._negatives[key] = NegativeEntry(
             qname=qname,
             qtype=qtype,
             nxdomain=nxdomain,
-            expires_at=now + ttl,
+            expires_at=expires_at,
             soa=soa,
         )
-        self._seq += 1
-        heapq.heappush(self._neg_heap, (now + ttl, self._seq, key))
+        self._push(expires_at, key, None)
         if self.on_change is not None:
             self.on_change(qname)
+        self._maintain(now)
 
     # -- ECS scoped overlay (RFC 7871) ---------------------------------------
-    def _ecs_instruments(self) -> None:
-        """Create the ECS metrics lazily, on the first scoped insert.
-
-        Non-ECS runs must produce byte-identical metrics snapshots to a
-        build without ECS at all, so these instruments must not exist
-        until a scoped answer actually enters the cache.
-        """
-        if self._m_ecs_entries is None:
-            registry = self._metrics_registry
-            if registry is not None:
-                self._m_ecs_entries = registry.gauge("cache.ecs_scoped_entries")
-                self._m_scope_merges = registry.counter("ecs.scope_merges")
-            else:
-                self._m_ecs_entries = NULL_GAUGE
-                self._m_scope_merges = NULL_COUNTER
+    def _prune_scoped(self, tables: dict, heap: list, now: float) -> None:
+        """Drop one key's scoped answers that have expired by ``now``."""
+        while heap and heap[0][0] <= now:
+            _, scope, family, network = heapq.heappop(heap)
+            table = tables[scope, family]
+            del table[network]
+            if not table:
+                del tables[scope, family]
+            self._ecs_count -= 1
 
     def put_scoped(
         self, rrset: RRset, subnet: ClientSubnet, scope: int, now: float
@@ -528,40 +520,52 @@ class Cache:
 
         An existing entry for the same (scope, network) is replaced; other
         scopes and networks coexist under the same key — this is where the
-        100–1000x cache-cardinality multiplier lives.
+        100–1000x cache-cardinality multiplier lives.  Expired answers
+        under the same key are dropped first; other keys keep theirs until
+        they are next touched.
         """
         if not 1 <= scope <= subnet.source_prefix:
             raise ValueError(
                 f"scope {scope} outside 1..{subnet.source_prefix}; "
                 "scope-0 answers belong in put() (global cache)"
             )
-        self._ecs_instruments()
-        bits = 32 if subnet.family == 1 else 128
-        network = subnet.network_bits() >> (bits - scope) << (bits - scope)
+        if self._m_ecs_entries is None:
+            # Created on the first scoped insert: non-ECS runs must
+            # produce byte-identical metrics snapshots to a build without
+            # ECS at all.
+            registry = self._metrics_registry
+            self._m_ecs_entries = registry.gauge("cache.ecs_scoped_entries")
+            self._m_scope_merges = registry.counter("ecs.scope_merges")
+        family = subnet.family
+        source_network = subnet.network_bits()
+        shift = (32 if family == 1 else 128) - scope
+        network = source_network >> shift << shift
         key: CacheKey = (rrset.name, rrset.rdtype, rrset.rdclass)
-        bucket = self._ecs.get(key)
-        if bucket is None:
-            bucket = self._ecs[key] = []
+        tables, heap = self._ecs.setdefault(key, ({}, []))
+        self._prune_scoped(tables, heap, now)
+        table = tables.setdefault((scope, family), {})
+        replaced = table.get(network)
+        if replaced is None:
+            self._ecs_count += 1
         else:
-            bucket[:] = [entry for entry in bucket if not entry.is_expired(now)]
-        entry = ScopedEntry(
+            # Overwriting a live answer (the resolver never does: it only
+            # writes after a miss) — take its record out so the heap keeps
+            # exactly one per entry.
+            heap.remove((replaced.expires_at, scope, family, network))
+            heapq.heapify(heap)
+        expires_at = now + self.effective_ttl(rrset.ttl)
+        table[network] = CacheEntry(
             rrset=rrset,
-            family=subnet.family,
-            scope=scope,
-            network=network,
-            source_network=subnet.network_bits(),
+            credibility=Credibility.AUTH_ANSWER,  # answer data; never contested
             inserted_at=now,
-            expires_at=now + self.effective_ttl(rrset.ttl),
+            expires_at=expires_at,
+            scope=scope,
+            source_network=source_network,
         )
-        for index, existing in enumerate(bucket):
-            if existing.family == entry.family and existing.scope == scope and existing.network == network:
-                bucket[index] = entry
-                break
-        else:
-            bucket.append(entry)
+        heapq.heappush(heap, (expires_at, scope, family, network))
         self.stats.inserts += 1
         self._m_inserts.inc()
-        self._m_ecs_entries.record(self.ecs_scoped_len())
+        self._m_ecs_entries.record(self._ecs_count)
         if self.on_change is not None:
             self.on_change(key[0])
 
@@ -572,44 +576,49 @@ class Cache:
         subnet: ClientSubnet,
         now: float,
         rdclass: RdataClass = RdataClass.IN,
-    ) -> Optional[ScopedEntry]:
-        """The live scoped answer covering ``subnet``, most specific first.
+    ) -> Optional[CacheEntry]:
+        """The live scoped answer covering ``subnet``, most specific first:
+        one dict probe per prefix length present under the key.
 
         A miss is *not* counted here: the caller falls through to the
         global cache, whose :meth:`get` does the accounting — so a query
         answered globally still counts exactly one hit or miss.
         """
-        bucket = self._ecs.get((name, rdtype, rdclass))
-        if not bucket:
+        overlay = self._ecs.get((name, rdtype, rdclass))
+        if overlay is None:
             return None
+        tables, heap = overlay
+        self._prune_scoped(tables, heap, now)
+        family = subnet.family
         query_bits = subnet.network_bits()
-        family_bits = 32 if subnet.family == 1 else 128
-        best: Optional[ScopedEntry] = None
-        alive = [entry for entry in bucket if not entry.is_expired(now)]
-        if len(alive) != len(bucket):
-            bucket[:] = alive
-        for entry in alive:
-            if entry.family != subnet.family or subnet.source_prefix < entry.scope:
+        family_bits = 32 if family == 1 else 128
+        for (scope, entry_family), table in sorted(tables.items(), reverse=True):
+            if entry_family != family or scope > subnet.source_prefix:
                 continue
-            if (entry.network ^ query_bits) >> (family_bits - entry.scope):
+            shift = family_bits - scope
+            entry = table.get(query_bits >> shift << shift)
+            if entry is None:
                 continue
-            if best is None or entry.scope > best.scope:
-                best = entry
-        if best is None:
-            return None
-        self.stats.hits += 1
-        self._m_hits.inc()
-        if best.source_network != query_bits:
-            # A different covered subnet fetched this answer: the scope
-            # declared by the authoritative merged two client subnets
-            # into one cache entry.
-            self._m_scope_merges.inc()
-        return best
+            self.stats.hits += 1
+            self._m_hits.inc()
+            if entry.source_network != query_bits:
+                # A different covered subnet fetched this answer: the scope
+                # declared by the authoritative merged two client subnets
+                # into one cache entry.
+                self._m_scope_merges.inc()
+            return entry
+        return None
+
+    def scoped_entries(self) -> Iterator[CacheEntry]:
+        """Every scoped answer held (dead ones included until their key is
+        next touched)."""
+        for tables, _ in self._ecs.values():
+            for table in tables.values():
+                yield from table.values()
 
     def ecs_scoped_len(self) -> int:
-        """Total scoped entries across all keys (dead ones included until
-        their bucket is next touched)."""
-        return sum(len(bucket) for bucket in self._ecs.values())
+        """How many entries :meth:`scoped_entries` would yield."""
+        return self._ecs_count
 
     # -- lookup ---------------------------------------------------------------
     def peek(
@@ -710,16 +719,19 @@ class Cache:
         heap = self._expiry_heap
         entries = self._entries
         due: list[tuple[CacheKey, float]] = []
-        keep: list[tuple[float, int, CacheKey, int]] = []
+        keep: list[tuple[float, int, tuple, Optional[int]]] = []
         while heap and heap[0][0] <= deadline:
             record = heapq.heappop(heap)
             expires_at, _, key, generation = record
+            if generation is None:
+                keep.append(record)  # a negative entry: not refreshable
+                continue
             entry = entries.get(key)
             if entry is None or entry.generation != generation:
                 continue  # superseded or gone: drop the stale record
             if entry.expires_at > expires_at:
                 # Lifetime extended in place: track the new expiry.
-                self._push(key, entry)
+                self._push(entry.expires_at, key, generation)
                 continue
             keep.append(record)
             if expires_at > now:
@@ -737,92 +749,17 @@ class Cache:
         lifetime = entry.expires_at - entry.inserted_at
         entry.inserted_at = now
         entry.expires_at = now + lifetime
-        self._push(key, entry)
+        self._push(entry.expires_at, key, entry.generation)
         if self.on_change is not None:
             self.on_change(key[0])
+        self._maintain(now)
 
     def expire_now(self, key: CacheKey, now: float) -> None:
         """Force-expire an entry (used by tests and cache-flush scenarios)."""
         entry = self._entries.get(key)
         if entry is not None:
             entry.expires_at = now
-            self._push(key, entry)
+            self._push(now, key, entry.generation)
             if self.on_change is not None:
                 self.on_change(key[0])
-
-    # -- push invalidation (repro.push) ---------------------------------------
-    def _push_instruments(self) -> None:
-        if self._m_push_updates is not None:
-            return
-        registry = self._metrics_registry
-        if registry is not None:
-            self._m_push_updates = registry.counter("cache.push_updates")
-            self._m_push_invalidations = registry.counter("cache.push_invalidations")
-        else:
-            self._m_push_updates = NULL_COUNTER
-            self._m_push_invalidations = NULL_COUNTER
-
-    def push_update(self, rrset: RRset, now: float) -> bool:
-        """Apply a pushed record update in place (repro.push NOTIFY).
-
-        Pushed data is the authoritative answer by construction, so it
-        lands at :attr:`Credibility.AUTH_ANSWER` and replaces any live
-        unpinned entry; the lifetime restarts at the pushed TTL, exactly
-        as if the resolver had refetched at the instant of the change.
-        Returns whether the cache changed (pinned entries survive).
-        """
-        self._push_instruments()
-        changed = self.put(rrset, Credibility.AUTH_ANSWER, now)
-        if changed:
-            self._m_push_updates.inc()
-        return changed
-
-    def push_invalidate(
-        self,
-        name: Name,
-        rdtype: RdataType,
-        now: float,
-        rdclass: RdataClass = RdataClass.IN,
-    ) -> bool:
-        """Invalidate on push (NOTIFY in invalidate mode, or a removal).
-
-        The cached entry is force-expired so the next query refetches;
-        serve-stale policies may still hand the old value out, exactly as
-        they would for a naturally-expired record.  Returns whether an
-        entry was present to invalidate.
-        """
-        self._push_instruments()
-        key: CacheKey = (name, rdtype, rdclass)
-        if self._entries.get(key) is None:
-            return False
-        self.expire_now(key, now)
-        self._m_push_invalidations.inc()
-        return True
-
-    def purge_expired(self, now: float) -> int:
-        """Drop time-expired entries (counted as evictions); returns how
-        many were removed, negative entries included."""
-        self._surface_expired(now)
-        removed = 0
-        for key in list(self._time_dead):
-            del self._time_dead[key]
-            entry = self._entries.get(key)
-            if entry is None:
-                continue
-            if not entry.is_expired(now):
-                self._push(key, entry)  # revived since it was marked
-                continue
-            self._evict_one(key)
-            removed += 1
-        neg_heap = self._neg_heap
-        while neg_heap and neg_heap[0][0] <= now:
-            _, _, neg_key = heapq.heappop(neg_heap)
-            entry = self._negatives.get(neg_key)
-            if entry is None or not entry.is_expired(now):
-                continue  # replaced by a fresher negative (its own record follows)
-            del self._negatives[neg_key]
-            removed += 1
-        return removed
-
-    def live_entries(self, now: float) -> list[CacheEntry]:
-        return [entry for entry in self._entries.values() if not entry.is_expired(now)]
+            self._maintain(now)

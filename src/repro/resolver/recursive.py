@@ -30,6 +30,7 @@ from repro.dns.wire import WireError
 from repro.dns.rdtypes import CNAME, NS, RdataClass, RdataType
 from repro.dns.record import RRset
 from repro.dns.zone import Zone
+from repro.metrics.registry import NULL_REGISTRY
 from repro.net.topology import Endpoint
 from repro.net.transport import Network, NetworkTimeout
 from repro.predict import PopularityTracker, RefreshScheduler
@@ -138,23 +139,16 @@ class RecursiveResolver:
         self.queries_sent = 0
         self.client_queries = 0
         self._last_iteration_steps = 0
-        if metrics is not None:
-            self._m_client_queries = metrics.counter("resolver.client_queries")
-            self._m_upstream = metrics.counter("resolver.upstream_queries")
-            self._m_servfail = metrics.counter("resolver.servfail")
-            self._m_served_stale = metrics.counter("resolver.served_stale")
-            self._m_failovers = metrics.counter("resolver.failovers")
-            self._m_restarts = metrics.counter("resolver.restarts")
-            self._m_referral_depth = metrics.histogram(
-                "resolver.referral_depth", _REFERRAL_DEPTH_BUCKETS
-            )
-        else:
-            from repro.metrics.registry import NULL_COUNTER, NULL_HISTOGRAM
-
-            self._m_client_queries = self._m_upstream = NULL_COUNTER
-            self._m_servfail = self._m_served_stale = NULL_COUNTER
-            self._m_failovers = self._m_restarts = NULL_COUNTER
-            self._m_referral_depth = NULL_HISTOGRAM
+        registry = metrics or NULL_REGISTRY
+        self._m_client_queries = registry.counter("resolver.client_queries")
+        self._m_upstream = registry.counter("resolver.upstream_queries")
+        self._m_servfail = registry.counter("resolver.servfail")
+        self._m_served_stale = registry.counter("resolver.served_stale")
+        self._m_failovers = registry.counter("resolver.failovers")
+        self._m_restarts = registry.counter("resolver.restarts")
+        self._m_referral_depth = registry.histogram(
+            "resolver.referral_depth", _REFERRAL_DEPTH_BUCKETS
+        )
 
         # Predictive caching (repro.predict).  The scheduler also backs
         # plain on-hit prefetch — unbudgeted, matching Unbound — so a
@@ -192,13 +186,10 @@ class RecursiveResolver:
             self._push = PushClient(
                 endpoint, network, self.cache, self.policy.push
             )
-        if self._scheduler is not None and metrics is not None:
-            self._m_refresh_hits = metrics.counter("predict.refresh_hits")
-            self._m_stale_answered = metrics.counter("predict.stale_answered")
-        else:
-            from repro.metrics.registry import NULL_COUNTER
-
-            self._m_refresh_hits = self._m_stale_answered = NULL_COUNTER
+        if self._scheduler is None:
+            registry = NULL_REGISTRY  # other runs snapshot without this pair
+        self._m_refresh_hits = registry.counter("predict.refresh_hits")
+        self._m_stale_answered = registry.counter("predict.stale_answered")
 
     def __repr__(self) -> str:
         return f"RecursiveResolver({self.endpoint.address}, {self.policy.describe()})"

@@ -33,7 +33,10 @@ __all__ = ["CheckpointMismatch", "CheckpointStore"]
 _MANIFEST = "manifest.json"
 _FORMAT_VERSION = 1
 #: Version of the world-snapshot record layout (mid-shard resume state).
-_WSNAP_VERSION = 1
+#: The record holds live object graphs, so a change to the attribute set
+#: of anything inside one is a layout change too: 2 = resolver caches
+#: with a single expiry heap and per-prefix-length ECS tables.
+_WSNAP_VERSION = 2
 
 
 class CheckpointMismatch(RuntimeError):

@@ -38,8 +38,7 @@ from typing import Any, Callable, Optional, Sequence
 
 from repro.metrics.registry import (
     HOST,
-    NULL_COUNTER,
-    NULL_HISTOGRAM,
+    NULL_REGISTRY,
     MetricsRegistry,
     log_buckets,
 )
@@ -137,22 +136,14 @@ class ShardExecutor:
     profile_path: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.metrics is not None:
-            self._m_wall = self.metrics.histogram(
-                "runner.shard_wall_seconds", SHARD_WALL_BUCKETS, domain=HOST
-            )
-            self._m_completed = self.metrics.counter(
-                "runner.shards_completed", domain=HOST
-            )
-            self._m_cached = self.metrics.counter(
-                "runner.shards_cached", domain=HOST
-            )
-            self._m_retries = self.metrics.counter("runner.retries", domain=HOST)
-            self._m_failures = self.metrics.counter("runner.failures", domain=HOST)
-        else:
-            self._m_wall = NULL_HISTOGRAM
-            self._m_completed = self._m_cached = NULL_COUNTER
-            self._m_retries = self._m_failures = NULL_COUNTER
+        registry = self.metrics or NULL_REGISTRY
+        self._m_wall = registry.histogram(
+            "runner.shard_wall_seconds", SHARD_WALL_BUCKETS, domain=HOST
+        )
+        self._m_completed = registry.counter("runner.shards_completed", domain=HOST)
+        self._m_cached = registry.counter("runner.shards_cached", domain=HOST)
+        self._m_retries = registry.counter("runner.retries", domain=HOST)
+        self._m_failures = registry.counter("runner.failures", domain=HOST)
 
     def run(
         self,

@@ -59,13 +59,6 @@ class TestBasicLifecycle:
         cache.clear()
         assert len(cache) == 0
 
-    def test_purge_expired(self):
-        cache = Cache()
-        cache.put(a_rrset(ttl=10), Credibility.AUTH_ANSWER, now=0.0)
-        cache.put(a_rrset(name="keep.example.com", ttl=1000), Credibility.AUTH_ANSWER, now=0.0)
-        assert cache.purge_expired(now=100.0) == 1
-        assert len(cache) == 1
-
 
 class TestClamping:
     def test_max_ttl_caps(self):

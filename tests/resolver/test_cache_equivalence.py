@@ -9,6 +9,12 @@ beyond a counter.  Hypothesis drives both implementations through the
 same operation sequences and every return value, statistic, and membership
 snapshot must agree.
 
+The ECS overlay gets the same treatment: the reference keeps each key's
+scoped answers in a plain list it filters and scans on every touch
+(the production code before it grew per-prefix-length tables), and the
+returned ``(rrset, scope)``, the entry count and the two ECS instruments
+must agree after every operation.
+
 Eviction under ``max_entries`` has intentionally unspecified victim
 *order* among equally-dead entries, so the bounded-cache test compares
 aggregates (size, eviction count, dead-before-live preference) rather
@@ -17,14 +23,17 @@ than exact membership; the unbounded tests compare everything.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dns.ecs import ClientSubnet
 from repro.dns.name import Name
 from repro.dns.rdtypes import A, RdataClass, RdataType
 from repro.dns.record import RRset
+from repro.metrics import MetricsRegistry
 from repro.resolver.cache import Cache, CacheEntry, CacheStats, Credibility
 
 # A small closed world keeps collisions (refreshes, link chains, downgrades)
@@ -33,11 +42,23 @@ NAMES = [Name(f"n{i}.example") for i in range(5)]
 QTYPE = RdataType.A
 
 
+@dataclass
+class ScannedScopedEntry:
+    """One scoped answer in the reference's per-key list."""
+
+    rrset: RRset
+    family: int
+    scope: int
+    network: int
+    source_network: int
+    expires_at: float
+
+
 class ScanReferenceCache:
     """The cache specification, implemented the obvious slow way.
 
-    Every lookup re-derives liveness by direct inspection and every purge
-    or eviction walks all entries.  No auxiliary structure exists that
+    Every lookup re-derives liveness by direct inspection and every
+    eviction walks all entries.  No auxiliary structure exists that
     could drift out of sync — which is exactly what makes it a trustworthy
     oracle for the heap-based implementation.
     """
@@ -45,7 +66,12 @@ class ScanReferenceCache:
     def __init__(self, max_ttl=None, min_ttl=0, max_entries=None):
         self._entries: dict[tuple, CacheEntry] = {}
         self._negatives: dict[tuple, object] = {}
-        self._generations: dict[tuple, int] = {}
+        self._generation = 0
+        self._ecs: dict[tuple, list[ScannedScopedEntry]] = {}
+        #: What the two lazily created ECS instruments should read:
+        #: ``None`` until the first scoped insert declares them.
+        self.scope_merges: Optional[int] = None
+        self.ecs_entries_peak: Optional[int] = None
         self.max_ttl = max_ttl
         self.min_ttl = min_ttl
         self.max_entries = max_entries
@@ -85,8 +111,7 @@ class ScanReferenceCache:
             if existing.pinned or not refreshable:
                 self.stats.refused_downgrades += 1
                 return False
-        generation = self._generations.get(key, 0) + 1
-        self._generations[key] = generation
+        self._generation = generation = self._generation + 1
         link = None
         if linked_to is not None:
             target = self._entries.get(linked_to)
@@ -184,21 +209,83 @@ class ScanReferenceCache:
         if entry is not None:
             entry.expires_at = now
 
-    def purge_expired(self, now: float) -> int:
-        removed = 0
-        for key in [k for k, e in self._entries.items() if e.is_expired(now)]:
-            del self._entries[key]
-            self.stats.evictions += 1
-            removed += 1
-        for key in [k for k, (_, dies) in self._negatives.items() if now >= dies]:
-            del self._negatives[key]
-            removed += 1
-        return removed
+    def put_scoped(self, rrset, subnet, scope, now) -> None:
+        bits = 32 if subnet.family == 1 else 128
+        network = subnet.network_bits() >> (bits - scope) << (bits - scope)
+        key = (rrset.name, rrset.rdtype, rrset.rdclass)
+        bucket = self._ecs.get(key)
+        if bucket is None:
+            bucket = self._ecs[key] = []
+        else:
+            bucket[:] = [entry for entry in bucket if now < entry.expires_at]
+        entry = ScannedScopedEntry(
+            rrset=rrset,
+            family=subnet.family,
+            scope=scope,
+            network=network,
+            source_network=subnet.network_bits(),
+            expires_at=now + self.effective_ttl(rrset.ttl),
+        )
+        for index, existing in enumerate(bucket):
+            if (
+                existing.family == entry.family
+                and existing.scope == scope
+                and existing.network == network
+            ):
+                bucket[index] = entry
+                break
+        else:
+            bucket.append(entry)
+        self.stats.inserts += 1
+        self.scope_merges = self.scope_merges or 0
+        self.ecs_entries_peak = max(self.ecs_entries_peak or 0, self.ecs_scoped_len())
+
+    def get_scoped(self, name, rdtype, subnet, now, rdclass=RdataClass.IN):
+        bucket = self._ecs.get((name, rdtype, rdclass))
+        if not bucket:
+            return None
+        query_bits = subnet.network_bits()
+        family_bits = 32 if subnet.family == 1 else 128
+        best = None
+        bucket[:] = [entry for entry in bucket if now < entry.expires_at]
+        for entry in bucket:
+            if entry.family != subnet.family or subnet.source_prefix < entry.scope:
+                continue
+            if (entry.network ^ query_bits) >> (family_bits - entry.scope):
+                continue
+            if best is None or entry.scope > best.scope:
+                best = entry
+        if best is None:
+            return None
+        self.stats.hits += 1
+        if best.source_network != query_bits:
+            self.scope_merges += 1
+        return best
+
+    def ecs_scoped_len(self) -> int:
+        return sum(len(bucket) for bucket in self._ecs.values())
 
 
 # -- operation language -------------------------------------------------------
 
+# Scoped answers: both families, a pool small enough that networks
+# collide at the wider scopes, one subnet per family whose source prefix
+# is shorter than some cached scopes (it must not match those).
+SUBNETS = [
+    ClientSubnet.from_ip("198.18.0.0", 24),
+    ClientSubnet.from_ip("198.18.1.0", 24),
+    ClientSubnet.from_ip("198.19.0.0", 24),
+    ClientSubnet.from_ip("10.0.0.0", 24),
+    ClientSubnet.from_ip("198.18.0.0", 16),
+    ClientSubnet.from_ip("2001:db8::", 56),
+    ClientSubnet.from_ip("2001:db8:0:100::", 56),
+    ClientSubnet.from_ip("2001:db9::", 56),
+    ClientSubnet.from_ip("2001:db8::", 24),
+]
+SCOPES = (8, 16, 24, 56)
+
 name_ix = st.integers(min_value=0, max_value=len(NAMES) - 1)
+subnet_ix = st.integers(min_value=0, max_value=len(SUBNETS) - 1)
 ttls = st.integers(min_value=0, max_value=500)
 credibilities = st.sampled_from(list(Credibility))
 deltas = st.floats(min_value=0.0, max_value=400.0, allow_nan=False)
@@ -215,7 +302,11 @@ operations = st.one_of(
     st.tuples(st.just("get_neg"), name_ix),
     st.tuples(st.just("refresh"), name_ix),
     st.tuples(st.just("expire"), name_ix),
-    st.tuples(st.just("purge"),),
+    # Draws a scope the subnet cannot carry too: clamped to its source
+    # prefix when driven.  TTLs share ``ttls`` with ``advance``'s deltas,
+    # so scoped answers expire mid-sequence.
+    st.tuples(st.just("put_scoped"), name_ix, subnet_ix, st.sampled_from(SCOPES), ttls),
+    st.tuples(st.just("get_scoped"), name_ix, subnet_ix),
     st.tuples(st.just("advance"), deltas),
 )
 
@@ -253,7 +344,14 @@ def _key(ix):
     return (NAMES[ix], QTYPE, RdataClass.IN)
 
 
+def _instrument(registry: MetricsRegistry, name: str):
+    metric = registry.get(name)
+    return None if metric is None else metric.value
+
+
 def _drive(real: Cache, reference: ScanReferenceCache, ops, *, compare_membership):
+    registry = real._metrics_registry
+    assert isinstance(registry, MetricsRegistry)
     now = 0.0
     octet = 0
     for op in ops:
@@ -301,10 +399,35 @@ def _drive(real: Cache, reference: ScanReferenceCache, ops, *, compare_membershi
         elif kind == "expire":
             real.expire_now(_key(op[1]), now=now)
             reference.expire_now(_key(op[1]), now=now)
-        elif kind == "purge":
-            assert real.purge_expired(now) == reference.purge_expired(now)
+        elif kind == "put_scoped":
+            _, ix, sub_ix, scope, ttl = op
+            octet += 1
+            subnet = SUBNETS[sub_ix]
+            scope = min(scope, subnet.source_prefix)
+            rrset = RRset(NAMES[ix], QTYPE, ttl, [A(f"203.0.113.{octet % 256}")])
+            real.put_scoped(rrset, subnet, scope, now=now)
+            reference.put_scoped(rrset, subnet, scope, now=now)
+        elif kind == "get_scoped":
+            got = real.get_scoped(NAMES[op[1]], QTYPE, SUBNETS[op[2]], now=now)
+            expected = reference.get_scoped(NAMES[op[1]], QTYPE, SUBNETS[op[2]], now=now)
+            assert (got is None) == (expected is None)
+            if got is not None:
+                assert got.rrset is expected.rrset
+                assert got.scope == expected.scope
+                assert got.aged_rrset(now).ttl == int(expected.expires_at - now)
         elif kind == "advance":
             now += op[1]
+        # The overlay is outside ``max_entries``, so it is compared in full
+        # even where global membership legally differs.
+        assert real.ecs_scoped_len() == reference.ecs_scoped_len()
+        assert real.ecs_scoped_len() == sum(1 for _ in real.scoped_entries())
+        assert _instrument(registry, "ecs.scope_merges") == reference.scope_merges
+        assert (
+            _instrument(registry, "cache.ecs_scoped_entries")
+            == reference.ecs_entries_peak
+        )
+        assert real.stats.hits == reference.stats.hits
+        assert real.stats.inserts == reference.stats.inserts
         if compare_membership:
             assert len(real) == len(reference)
             assert _stats_tuple(real.stats) == _stats_tuple(reference.stats)
@@ -316,7 +439,12 @@ def _drive(real: Cache, reference: ScanReferenceCache, ops, *, compare_membershi
 def test_unbounded_cache_matches_scan_reference(ops):
     """With no size bound, every observable — return values, membership,
     statistics — is identical between the heap cache and the eager scans."""
-    _drive(Cache(), ScanReferenceCache(), ops, compare_membership=True)
+    _drive(
+        Cache(metrics=MetricsRegistry()),
+        ScanReferenceCache(),
+        ops,
+        compare_membership=True,
+    )
 
 
 @settings(max_examples=100, deadline=None)
@@ -328,7 +456,7 @@ def test_unbounded_cache_matches_scan_reference(ops):
 def test_clamped_cache_matches_scan_reference(ops, max_ttl, min_ttl):
     """TTL clamping composes identically with every other rule."""
     _drive(
-        Cache(max_ttl=max_ttl, min_ttl=min_ttl),
+        Cache(max_ttl=max_ttl, min_ttl=min_ttl, metrics=MetricsRegistry()),
         ScanReferenceCache(max_ttl=max_ttl, min_ttl=min_ttl),
         ops,
         compare_membership=True,
@@ -342,7 +470,7 @@ def test_bounded_cache_matches_scan_reference_aggregates(ops, max_entries):
     unspecified, so membership may legally differ — but the size bound,
     the insert/eviction totals, and the dead-before-live preference must
     still agree with the reference."""
-    real = Cache(max_entries=max_entries)
+    real = Cache(max_entries=max_entries, metrics=MetricsRegistry())
     reference = ScanReferenceCache(max_entries=max_entries)
     now = _drive(real, reference, ops, compare_membership=False)
     assert len(real) <= max_entries and len(reference) <= max_entries
@@ -364,10 +492,9 @@ def test_bounded_cache_matches_scan_reference_aggregates(ops, max_entries):
 @given(st.lists(operations, max_size=40), st.integers(min_value=1, max_value=4))
 def test_bounded_cache_eviction_counts_match(ops, max_entries):
     """Both implementations evict exactly the overflow per put, so the
-    running eviction count (before any purge) is identical."""
+    running eviction count is identical."""
     real = Cache(max_entries=max_entries)
     reference = ScanReferenceCache(max_entries=max_entries)
-    purged = {"real": 0, "ref": 0}
     now = 0.0
     octet = 0
     for op in ops:
@@ -378,12 +505,7 @@ def test_bounded_cache_eviction_counts_match(ops, max_entries):
             linked = _key(link_ix) if link_ix is not None else None
             real.put(rrset, cred, now=now, linked_to=linked, pin=pin)
             reference.put(rrset, cred, now=now, linked_to=linked, pin=pin)
-            assert real.stats.evictions - purged["real"] == (
-                reference.stats.evictions - purged["ref"]
-            )
+            assert real.stats.evictions == reference.stats.evictions
             assert len(real) == len(reference)
         elif op[0] == "advance":
             now += op[1]
-        elif op[0] == "purge":
-            purged["real"] += real.purge_expired(now)
-            purged["ref"] += reference.purge_expired(now)

@@ -199,3 +199,116 @@ def test_lru_eviction_prefers_dead_entries(liveness, fresh_inserts):
         assert not (dead_remaining and live_evicted)
         assert len(cache) <= len(liveness)
     assert cache.stats.evictions == fresh_inserts
+
+
+# -- the expiry heap drains ----------------------------------------------------
+#
+# Every write surfaces what is due and rebuilds the heap once garbage
+# outweighs content, so neither the heap nor the negative table can grow
+# with the number of writes — only with what is actually cached.
+
+
+def heap_within_bound(cache: Cache) -> bool:
+    cached = len(cache) + len(cache._negatives)
+    return len(cache._expiry_heap) <= 64 + 4 * cached
+
+
+def test_superseded_long_ttl_records_do_not_pile_up():
+    """The referral pattern: a 2-day low-rank RRset is superseded a second
+    later by a 60 s answer, over and over.  Each superseded record would
+    sit in the heap for its full two days."""
+    cache = Cache()
+    keys = [Name(f"zone{index}.example") for index in range(4)]
+    for write in range(5_000):
+        name = keys[write % len(keys)]
+        now = write * 20.0  # each key comes round every 80 s: its answer has died
+        assert cache.put(rrset_for(name, 172_800, write), Credibility.AUTHORITY, now=now)
+        assert heap_within_bound(cache)
+        assert cache.put(rrset_for(name, 60, write), Credibility.AUTH_ANSWER, now=now + 1.0)
+        assert heap_within_bound(cache)
+    assert len(cache) == len(keys)
+
+
+def test_expired_negative_entries_are_dropped():
+    """A random-subdomain NXDOMAIN stream: every name is new, so nothing
+    ever overwrites an old negative entry — only expiry can remove it."""
+    from repro.dns.rdtypes import SOA
+
+    def soa(minimum):
+        rdata = SOA(Name("ns.example"), Name("h.example"), 1, 7200, 3600, 86400, minimum)
+        return RRset(Name("example"), RdataType.SOA, 3600, [rdata])
+
+    negative_ttls = [10 * step for step in range(1, 21)]  # 10 s .. 200 s
+    soas = [soa(ttl) for ttl in negative_ttls]
+    cache = Cache()
+    for second in range(10_000):  # one new name per second
+        cache.put_negative(
+            Name(f"r{second}.example"), RdataType.A, True, now=float(second),
+            soa=soas[second % len(soas)],
+        )
+        # At most the names of the last max-TTL window are still alive.
+        assert len(cache._negatives) <= max(negative_ttls) + 1
+        assert heap_within_bound(cache)
+    assert cache.get_negative(Name("r9999.example"), RdataType.A, now=9_999.5) is not None
+
+
+def test_campaign_caches_end_with_bounded_heaps(monkeypatch):
+    """End to end: the short-TTL .uy campaign, where every resolver cache
+    re-learns the 2-day referral and the 60 s child answer each minute."""
+    from repro.core.scenarios import scenario_uy_ns
+
+    caches = []
+    construct = Cache.__init__
+
+    def recording_init(self, *args, **kwargs):
+        construct(self, *args, **kwargs)
+        caches.append(self)
+
+    monkeypatch.setattr(Cache, "__init__", recording_init)
+    scenario_uy_ns(probes=50, child_ns_ttl=60, duration=7200, interval=60)
+    assert caches
+    entries = sum(len(cache) + len(cache._negatives) for cache in caches)
+    records = sum(len(cache._expiry_heap) for cache in caches)
+    assert entries > 0
+    assert records <= 64 * len(caches) + 4 * entries
+
+
+def test_clear_leaves_a_cache_that_works():
+    """clear() resets every piece of state the write paths maintain:
+    scoped, negative and bounded-global writes all behave as on a new
+    cache afterwards."""
+    from repro.dns.ecs import ClientSubnet
+
+    cache = Cache(max_entries=2)
+    subnet = ClientSubnet.from_ip("198.18.0.0", 24)
+    name = Name("www.example")
+
+    def fill(now):
+        cache.put_scoped(rrset_for(name, 60, 1), subnet, 24, now=now)
+        cache.put_negative(Name("gone.example"), RdataType.A, True, now=now)
+        for index in range(4):
+            cache.put(
+                rrset_for(Name(f"h{index}.example"), 60, index),
+                Credibility.AUTH_ANSWER,
+                now=now,
+            )
+
+    fill(0.0)
+    cache.clear()
+    assert len(cache) == 0
+    assert cache.ecs_scoped_len() == 0
+    assert not cache._expiry_heap and not cache._negatives
+    assert cache.get_scoped(name, RdataType.A, subnet, now=1.0) is None
+    assert cache.get_negative(Name("gone.example"), RdataType.A, now=1.0) is None
+    evictions = cache.stats.evictions
+    fill(1000.0)
+    assert len(cache) == 2
+    assert cache.stats.evictions == evictions + 2
+    assert cache.ecs_scoped_len() == 1
+    assert cache.get_scoped(name, RdataType.A, subnet, now=1001.0).scope == 24
+    assert cache.get_negative(Name("gone.example"), RdataType.A, now=1001.0) is not None
+    assert heap_within_bound(cache)
+    # Everything written before the clear is gone for good: nothing left
+    # in the heap or the overlay refers to it.
+    assert cache.get_scoped(name, RdataType.A, subnet, now=1061.0) is None
+    assert cache.ecs_scoped_len() == 0

@@ -133,7 +133,7 @@ class TestRevalidationReplacement:
         )
         fresh = cache.get(Name("w.example."), RdataType.A, now=100.0)
         assert fresh is not None
-        assert fresh.generation == old_generation + 1
+        assert fresh.generation > old_generation
         assert str(fresh.rrset.rdatas[0]) == "198.51.100.7"
         assert fresh.remaining_ttl(100.0) == 60
         # get_stale now sees only the fresh entry — no window where the
