@@ -170,7 +170,7 @@ def bench_perf_campaign_large(benchmark):
     start = time.perf_counter()
     serial = scenario_uy_ns(parallelism=1, **kwargs)
     serial_wall = time.perf_counter() - start
-    queries = len(serial.results.results)
+    queries = len(serial.results)
 
     # Two rounds, best-of: single-round pool timings are noisy on shared
     # boxes and the gate compares this number against a hard cap.
@@ -178,7 +178,7 @@ def bench_perf_campaign_large(benchmark):
         scenario_uy_ns, kwargs={"parallelism": 4, **kwargs}, rounds=2, iterations=1
     )
     parallel_wall = benchmark.stats.stats.min
-    assert parallel.results.results == serial.results.results
+    assert parallel.results == serial.results
 
     serial_qps = queries / serial_wall
     speedup = serial_wall / parallel_wall
@@ -226,7 +226,7 @@ def bench_perf_campaign_throughput(benchmark):
     scenario_uy_ns(seed=11, probes=8, duration=600.0, shards=1, parallelism=1)  # warm imports
 
     run = benchmark.pedantic(scenario_uy_ns, kwargs=kwargs, rounds=3, iterations=1)
-    queries = len(run.results.results)
+    queries = len(run.results)
     wall = benchmark.stats.stats.min
     qps = queries / wall
     benchmark.extra_info["queries"] = queries

@@ -10,8 +10,8 @@ paper applies (:mod:`repro.atlas.results`).
 
 from repro.atlas.probe import Probe, VantagePoint
 from repro.atlas.population import AtlasConfig, AtlasPopulation
-from repro.atlas.measurement import Measurement, MeasurementResult, MeasurementSpec
-from repro.atlas.results import ResultSet
+from repro.atlas.measurement import Measurement, MeasurementSpec
+from repro.atlas.results import MeasurementResult, ResultSet
 from repro.atlas.datasets import load_results, save_results
 
 __all__ = [

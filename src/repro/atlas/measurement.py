@@ -12,6 +12,7 @@ down) between queries in global time order.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -19,7 +20,9 @@ from repro.dns.message import Rcode
 from repro.dns.name import Name
 from repro.dns.rdtypes import RdataType
 from repro.atlas.probe import VantagePoint
-from repro.atlas.results import MeasurementResult, ResultSet
+from repro.atlas.results import (
+    CACHE_HIT, SERVED_STALE, TTL_NONE, Columns, ResultSet, VpRow,
+)
 
 
 @dataclass(frozen=True)
@@ -61,13 +64,14 @@ class MeasurementState:
     ``position``: the results so far and how many events have fired.
     The schedule itself is *recomputed* on resume — it is a pure
     function of (spec, vantage points, seed), which a pickled
-    :class:`Measurement` carries.  Checkpoint callbacks receive the live
-    results list (pickle it immediately, don't keep it).
+    :class:`Measurement` carries.  ``results`` is the live table the
+    kernel is filling, sized for the whole run: rows from ``position``
+    on are still zero (pickle it immediately, don't keep it).
     """
 
     position: int
     event_index: int
-    results: list[MeasurementResult]
+    results: ResultSet
 
 
 @dataclass
@@ -100,8 +104,8 @@ class Measurement:
         The hot loop is flattened: all per-probe state (qnames, bound
         stub queries, probe/VP columns) and the full time-sorted
         schedule are precomputed once per campaign, so each query costs
-        one stub call plus one result row.  The RNG draw order is
-        byte-identical to the historical per-probe loop.
+        one stub call plus five cells of a preallocated table.  The RNG
+        draw order is byte-identical to the historical per-probe loop.
 
         ``checkpoint`` (with ``checkpoint_every > 0``) is called with a
         :class:`MeasurementState` every that-many queries — the world
@@ -138,19 +142,15 @@ class Measurement:
                 pos += 1
         order = sorted(range(total), key=times.__getitem__)
 
-        # Per-VP columns, hoisted out of the hot loop.  Each probe asks
+        # Per-VP values, hoisted out of the hot loop.  Each probe asks
         # the same name every round: resolve the PROBEID substitution
         # once per probe and share it across all rounds.
-        probe_ids = [vp.probe.probe_id for vp in vps]
-        vp_ids = [vp.vp_id for vp in vps]
-        resolver_addrs = [vp.resolver_address for vp in vps]
-        regions = [vp.probe.region for vp in vps]
-        asns = [vp.probe.asn for vp in vps]
         query_fns = [vp.stub.query for vp in vps]
         qtype = spec.qtype
         qname_memo: dict[int, Name] = {}
         qnames: list[Name] = []
-        for probe_id in probe_ids:
+        for vp in vps:
+            probe_id = vp.probe.probe_id
             qname = qname_memo.get(probe_id)
             if qname is None:
                 qname = spec.qname_for(probe_id)
@@ -160,86 +160,89 @@ class Measurement:
         pending_events = sorted(self.events, key=lambda event: event.at)
         n_events = len(pending_events)
         if resume is not None:
-            results = list(resume.results)
+            results = resume.results
             event_index = resume.event_index
             first = resume.position
         else:
-            results = []
+            # The table for the whole run: the schedule fixes three
+            # columns now, the loop assigns the other five by index.
+            results = ResultSet.from_table(
+                [
+                    VpRow(vp.probe.probe_id, vp.vp_id, vp.resolver_address,
+                          vp.probe.region, vp.probe.asn, qname, qtype)
+                    for vp, qname in zip(vps, qnames)
+                ],
+                Columns.zeros(total)._replace(
+                    vp=array("i", [slot % n_vps for slot in order]),
+                    round_index=array("i", [slot // n_vps for slot in order]),
+                    timestamp=array("d", [times[slot] for slot in order]),
+                ),
+                [()],
+                spec,
+            )
             event_index = 0
             first = 0
+        vp_of, _, timestamps, rcodes, ttls, answer_of, rtts, flags = results.columns
 
         # Answer tuples repeat massively (cache hits return the same
-        # rrset), so memoize the rendered tuple per rdata tuple — rdatas
-        # are frozen dataclasses, hashable by value.
+        # rrset), so memoize the table index per rdata tuple — rdatas
+        # are frozen dataclasses, hashable by value.  Index 0 is ``()``,
+        # which a zeroed cell already names.
+        answer_tuples = results.answer_tuples
+        answer_index = {answers: index for index, answers in enumerate(answer_tuples)}
         answer_memo: dict = {}
         progress = self.progress
         progress_every = self.progress_every
-        append = results.append
         for i in range(first, total):
-            slot = order[i]
-            timestamp = times[slot]
-            v = slot % n_vps
+            timestamp = timestamps[i]
+            v = vp_of[i]
             while event_index < n_events and pending_events[event_index].at <= timestamp:
                 pending_events[event_index].action()
                 event_index += 1
-            qname = qnames[v]
-            answer = query_fns[v](qname, qtype, timestamp)
+            answer = query_fns[v](qnames[v], qtype, timestamp)
             rrsets = answer.answers
             if not rrsets:
-                answers: tuple[str, ...] = ()
-                ttl = None
-            elif len(rrsets) == 1:
-                rdatas = rrsets[0].rdatas
-                answers = answer_memo.get(rdatas)
-                if answers is None:
-                    answers = tuple(str(rdata) for rdata in rdatas)
-                    answer_memo[rdatas] = answers
-                ttl = rrsets[-1].ttl
+                ttls[i] = TTL_NONE
             else:
-                answers = tuple(
-                    str(rdata) for rrset in rrsets for rdata in rrset.rdatas
-                )
-                ttl = rrsets[-1].ttl
-            append(
-                MeasurementResult(
-                    probe_id=probe_ids[v],
-                    vp_id=vp_ids[v],
-                    resolver_address=resolver_addrs[v],
-                    region=regions[v],
-                    asn=asns[v],
-                    round_index=slot // n_vps,
-                    timestamp=timestamp,
-                    qname=qname,
-                    qtype=qtype,
-                    rcode=answer.rcode,
-                    ttl=ttl,
-                    answers=answers,
-                    rtt=answer.rtt,
-                    cache_hit=answer.cache_hit,
-                    served_stale=answer.served_stale,
-                )
-            )
-            done = len(results)
+                # Several rrsets (a CNAME chain) are rendered every time.
+                rdatas = rrsets[0].rdatas if len(rrsets) == 1 else None
+                index = answer_memo.get(rdatas)
+                if index is None:
+                    answers = tuple(
+                        str(rdata) for rrset in rrsets for rdata in rrset.rdatas
+                    )
+                    index = answer_index.get(answers)
+                    if index is None:
+                        index = answer_index[answers] = len(answer_tuples)
+                        answer_tuples.append(answers)
+                    if rdatas is not None:
+                        answer_memo[rdatas] = index
+                answer_of[i] = index
+                ttls[i] = rrsets[-1].ttl
+            rcodes[i] = answer.rcode
+            rtts[i] = answer.rtt
+            flags[i] = answer.cache_hit * CACHE_HIT | answer.served_stale * SERVED_STALE
+            done = i + 1
             if progress is not None and done % progress_every == 0:
                 progress(done, total)
             if (
                 checkpoint is not None
                 and checkpoint_every > 0
-                and (i + 1) % checkpoint_every == 0
-                and i + 1 < total
+                and done % checkpoint_every == 0
+                and done < total
             ):
                 checkpoint(
                     MeasurementState(
-                        position=i + 1, event_index=event_index, results=results
+                        position=done, event_index=event_index, results=results
                     )
                 )
         if progress is not None:
-            progress(len(results), total)
+            progress(total, total)
         # Fire any events scheduled after the last query (end-of-run state).
         while event_index < n_events:
             pending_events[event_index].action()
             event_index += 1
-        return ResultSet(results, spec=spec)
+        return results
 
 
 def run_once(

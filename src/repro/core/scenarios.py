@@ -147,10 +147,6 @@ class CentricityRun:
         return ECDF(self.results.ttls())
 
 
-def _expected_answer(result) -> bool:
-    return result.ok
-
-
 #: Centricity campaign -> (world builder, qname, qtype, parent TTL,
 #: classifier of the observed TTLs).
 _CENTRICITY_TARGETS = {
@@ -243,14 +239,14 @@ def _run_centricity(
         initializer=prewarm, initargs=(builder, world_kwargs),
     )
     results = merge_result_sets([payload["results"] for payload in payloads])
-    valid = results.valid(_expected_answer)
+    valid = results.valid()
     return CentricityRun(
         name=name,
         parent_ttl=parent_ttl,
         child_ttl=child_ttl,
         results=valid,
         breakdown=classify(valid.ttls(), parent_ttl=parent_ttl, child_ttl=child_ttl),
-        summary=results.summary(_expected_answer),
+        summary=results.summary(),
         metrics=metrics,
     )
 
@@ -497,7 +493,7 @@ def scenario_bailiwick(
     )
     measurement.schedule(renumber_at, ct.renumber, label="renumber")
     results = measurement.run()
-    valid = results.valid(_expected_answer)
+    valid = results.valid()
 
     per_vp: dict[str, list[tuple[float, tuple[str, ...]]]] = {}
     for result in valid:
@@ -517,7 +513,7 @@ def scenario_bailiwick(
     return BailiwickRun(
         world=ct,
         results=valid,
-        summary=results.summary(_expected_answer),
+        summary=results.summary(),
         timeseries=valid.answer_timeseries(bin_seconds=interval),
         sticky_vp_ids=sticky,
         switched_by_round=switched,
@@ -733,7 +729,7 @@ def _run_controlled(
     results = Measurement(
         spec=spec, vantage_points=population.vantage_points(), seed=seed
     ).run()
-    valid = results.valid(_expected_answer)
+    valid = results.valid()
     server = getattr(world, server_attr)
     log = server.query_log
     assert log is not None
@@ -744,7 +740,7 @@ def _run_controlled(
         results=valid,
         auth_queries=len(relevant),
         auth_unique_ips=len(relevant.unique_clients()),
-        client_summary=results.summary(_expected_answer),
+        client_summary=results.summary(),
         metrics=metrics.snapshot(),
     )
 

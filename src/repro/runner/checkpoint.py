@@ -35,8 +35,9 @@ _FORMAT_VERSION = 1
 #: Version of the world-snapshot record layout (mid-shard resume state).
 #: The record holds live object graphs, so a change to the attribute set
 #: of anything inside one is a layout change too: 2 = resolver caches
-#: with a single expiry heap and per-prefix-length ECS tables.
-_WSNAP_VERSION = 2
+#: with a single expiry heap and per-prefix-length ECS tables; 3 = the
+#: run state holds the ``ResultSet`` table being filled, not a row list.
+_WSNAP_VERSION = 3
 
 
 class CheckpointMismatch(RuntimeError):

@@ -15,14 +15,12 @@ A shard function returns :func:`encode_shard_payload`'s envelope::
 Two kinds exist:
 
 ``"resultset"``
-    A :class:`repro.atlas.results.ResultSet` stored *columnar*: one
-    deduplicated string table plus flat :mod:`array` columns (int64 /
-    int32 / float64) instead of 100k+ per-probe dataclass objects.  The
-    pickle for a 160k-query shard shrinks ~6x and, more importantly,
-    encode/decode avoids pickling a deep object graph through the pool
-    pipe.  Floats travel in IEEE-754 ``array('d')`` cells so decode is
-    bit-exact; decode rebuilds value-equal :class:`MeasurementResult`
-    rows (asserted by the codec round-trip tests).
+    A :class:`repro.atlas.results.ResultSet`, which is a table already:
+    its :mod:`array` columns and answer-tuple table travel as they are
+    (floats in IEEE-754 ``array('d')`` cells, so bit-exact), and only
+    the per-vantage-point rows are rendered to text and ints, so no
+    ``Name`` or enum object crosses the pool pipe.  Encode and decode
+    are O(vantage points), not O(queries).
 
 ``"pickle"``
     Anything else (controlled/ddos/prefetch/crawl result objects)
@@ -43,7 +41,6 @@ garbage.
 
 from __future__ import annotations
 
-from array import array
 from typing import Any, Optional
 
 __all__ = [
@@ -55,12 +52,11 @@ __all__ = [
     "metrics_payload",
 ]
 
-#: Version of the per-shard payload layout.  v3: versioned envelope with
-#: columnar ResultSet encoding (v2 was the bare ``{"results", "queries",
-#: "metrics"}`` dict of pickled object graphs).
-PAYLOAD_VERSION = 3
-
-_TTL_NONE = -1  # TTLs are non-negative; -1 marks ``ttl=None`` in the column.
+#: Version of the per-shard payload layout.  v4: the ResultSet's own
+#: columns plus a rendered vantage-point table (v3 re-encoded every row
+#: into a string table and fourteen columns; v2 was the bare
+#: ``{"results", "queries", "metrics"}`` dict of pickled object graphs).
+PAYLOAD_VERSION = 4
 
 
 class PayloadError(RuntimeError):
@@ -90,9 +86,9 @@ def decode_shard_payload(payload: Any) -> dict:
     """Decode an envelope back to ``{"results", "queries", "metrics"}``.
 
     Already-decoded dicts pass through unchanged, so callers may decode
-    defensively.  Anything else — including pre-v3 payloads — raises
-    :class:`PayloadError` (the fingerprint's payload version should have
-    ruled those out long before decode).
+    defensively.  Anything else — payloads of another version included —
+    raises :class:`PayloadError` (the fingerprint's payload version
+    should have ruled those out long before decode).
     """
     if not isinstance(payload, dict):
         raise PayloadError(f"shard payload is not a dict: {type(payload).__name__}")
@@ -140,139 +136,31 @@ def metrics_payload(payload: Any) -> Optional[dict]:
     return None
 
 
-# -- columnar ResultSet encoding ---------------------------------------------
+# -- ResultSet encoding ---------------------------------------------------------
 
 
 def _encode_result_set(result_set: Any) -> dict:
-    results = result_set.results
-    n = len(results)
-
-    strings: list[str] = []
-    intern_index: dict[str, int] = {}
-
-    def intern(text: str) -> int:
-        index = intern_index.get(text)
-        if index is None:
-            index = len(strings)
-            intern_index[text] = index
-            strings.append(text)
-        return index
-
-    probe_id = array("q", bytes(8 * n))
-    asn = array("q", bytes(8 * n))
-    ttl = array("q", bytes(8 * n))
-    vp_id = array("i", bytes(4 * n))
-    resolver = array("i", bytes(4 * n))
-    region = array("i", bytes(4 * n))
-    round_index = array("i", bytes(4 * n))
-    qname = array("i", bytes(4 * n))
-    qtype = array("i", bytes(4 * n))
-    rcode = array("i", bytes(4 * n))
-    timestamp = array("d", bytes(8 * n))
-    rtt = array("d", bytes(8 * n))
-    flags = bytearray(n)
-
-    # Answer tuples repeat massively (every cache hit on the same rrset
-    # yields the same tuple), so intern whole tuples in one table and
-    # store a single index per result.
-    answer_tuples: list[tuple[str, ...]] = []
-    answer_index: dict[tuple[str, ...], int] = {}
-    answers = array("i", bytes(4 * n))
-
-    for i, result in enumerate(results):
-        probe_id[i] = result.probe_id
-        asn[i] = result.asn
-        ttl[i] = _TTL_NONE if result.ttl is None else result.ttl
-        vp_id[i] = intern(result.vp_id)
-        resolver[i] = intern(result.resolver_address)
-        region[i] = intern(result.region.name)
-        round_index[i] = result.round_index
-        qname[i] = intern(str(result.qname))
-        qtype[i] = int(result.qtype)
-        rcode[i] = int(result.rcode)
-        timestamp[i] = result.timestamp
-        rtt[i] = result.rtt
-        flags[i] = (1 if result.cache_hit else 0) | (2 if result.served_stale else 0)
-        tup = result.answers
-        index = answer_index.get(tup)
-        if index is None:
-            index = len(answer_tuples)
-            answer_index[tup] = index
-            answer_tuples.append(tup)
-        answers[i] = index
-
     return {
-        "n": n,
         "spec": result_set.spec,
-        "strings": strings,
-        "answer_tuples": answer_tuples,
-        "probe_id": probe_id,
-        "asn": asn,
-        "ttl": ttl,
-        "vp_id": vp_id,
-        "resolver": resolver,
-        "region": region,
-        "round_index": round_index,
-        "qname": qname,
-        "qtype": qtype,
-        "rcode": rcode,
-        "timestamp": timestamp,
-        "rtt": rtt,
-        "flags": bytes(flags),
-        "answers": answers,
+        "vps": [
+            (probe_id, vp_id, resolver, region.name, asn, str(qname), int(qtype))
+            for probe_id, vp_id, resolver, region, asn, qname, qtype in result_set.vps
+        ],
+        "columns": result_set.columns._asdict(),
+        "answer_tuples": result_set.answer_tuples,
     }
 
 
 def _decode_result_set(data: dict) -> Any:
-    from repro.atlas.results import MeasurementResult, ResultSet
-    from repro.dns.message import Rcode
+    from repro.atlas.results import Columns, ResultSet, VpRow
     from repro.dns.name import Name
     from repro.dns.rdtypes import RdataType
     from repro.net.topology import Region
 
-    n = data["n"]
-    strings = data["strings"]
-    answer_tuples = data["answer_tuples"]
-    # Materialize each distinct value once; rows then share the decoded
-    # Name/enum objects exactly like the encoder's inputs did.
-    names = [Name(text) for text in strings]
-    regions = {index: Region[strings[index]] for index in set(data["region"])}
-    qtypes = {value: RdataType(value) for value in set(data["qtype"])}
-    rcodes = {value: Rcode(value) for value in set(data["rcode"])}
-
-    probe_id = data["probe_id"]
-    asn = data["asn"]
-    ttl = data["ttl"]
-    vp_id = data["vp_id"]
-    resolver = data["resolver"]
-    region = data["region"]
-    round_index = data["round_index"]
-    qname = data["qname"]
-    qtype = data["qtype"]
-    rcode = data["rcode"]
-    timestamp = data["timestamp"]
-    rtt = data["rtt"]
-    flags = data["flags"]
-    answers = data["answers"]
-
-    results = [
-        MeasurementResult(
-            probe_id=probe_id[i],
-            vp_id=strings[vp_id[i]],
-            resolver_address=strings[resolver[i]],
-            region=regions[region[i]],
-            asn=asn[i],
-            round_index=round_index[i],
-            timestamp=timestamp[i],
-            qname=names[qname[i]],
-            qtype=qtypes[qtype[i]],
-            rcode=rcodes[rcode[i]],
-            ttl=None if ttl[i] == _TTL_NONE else ttl[i],
-            answers=answer_tuples[answers[i]],
-            rtt=rtt[i],
-            cache_hit=bool(flags[i] & 1),
-            served_stale=bool(flags[i] & 2),
-        )
-        for i in range(n)
+    vps = [
+        VpRow(probe_id, vp_id, resolver, Region[region], asn, Name(qname), RdataType(qtype))
+        for probe_id, vp_id, resolver, region, asn, qname, qtype in data["vps"]
     ]
-    return ResultSet(results, spec=data["spec"])
+    return ResultSet.from_table(
+        vps, Columns(**data["columns"]), data["answer_tuples"], data["spec"]
+    )

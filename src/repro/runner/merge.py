@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from repro.atlas.results import MeasurementResult, ResultSet
+from repro.atlas.results import ResultSet
 from repro.crawler.crawl import CrawlRecord, CrawlResult
 from repro.metrics.snapshot import MetricsSnapshot, merge_snapshots
 from repro.runner.codec import metrics_payload
@@ -32,10 +32,6 @@ class MergeError(ValueError):
     """Shard outputs violate a merge invariant."""
 
 
-def _result_sort_key(result: MeasurementResult) -> tuple:
-    return (result.timestamp, result.probe_id, result.vp_id, result.round_index)
-
-
 def merge_result_sets(
     parts: Iterable[ResultSet], *, check: bool = True
 ) -> ResultSet:
@@ -47,6 +43,9 @@ def merge_result_sets(
     - no VP answers the same round twice;
     - virtual timestamps are monotone (non-decreasing) per VP within
       each part — a shard that time-travels was mis-scheduled.
+
+    The merged rows are ordered by (timestamp, probe id, VP id, round),
+    rows equal in all four staying in part order.
     """
     parts = list(parts)
     if not parts:
@@ -54,14 +53,26 @@ def merge_result_sets(
     if check:
         _check_disjoint_probes(parts)
         _check_monotone_timestamps(parts)
-    merged: list[MeasurementResult] = []
-    for part in parts:
-        merged.extend(part.results)
+    spec = next((part.spec for part in parts if part.spec is not None), None)
+    merged = ResultSet.concat(parts, spec)
     if check:
         _check_unique_rounds(merged)
-    merged.sort(key=_result_sort_key)
-    spec = next((part.spec for part in parts if part.spec is not None), None)
-    return ResultSet(merged, spec=spec)
+    # Sort a permutation, not rows: a VP's (probe id, VP id) pair is
+    # ranked once, so every key is three numbers read off the columns.
+    rank = _ranks([(vp.probe_id, vp.vp_id) for vp in merged.vps])
+    columns = merged.columns
+    keys = [
+        (timestamp, rank[v], round_index)
+        for timestamp, v, round_index
+        in zip(columns.timestamp, columns.vp, columns.round_index)
+    ]
+    return merged.take(sorted(range(len(keys)), key=keys.__getitem__))
+
+
+def _ranks(values: list) -> list[int]:
+    """Each value's position among the distinct values, sorted."""
+    rank = {value: index for index, value in enumerate(sorted(set(values)))}
+    return [rank[value] for value in values]
 
 
 def _check_disjoint_probes(parts: list[ResultSet]) -> None:
@@ -79,25 +90,33 @@ def _check_disjoint_probes(parts: list[ResultSet]) -> None:
 
 def _check_monotone_timestamps(parts: list[ResultSet]) -> None:
     for part_index, part in enumerate(parts):
-        last: dict[str, float] = {}
-        for result in part.results:
-            previous = last.get(result.vp_id)
-            if previous is not None and result.timestamp < previous:
+        vp_ids = [vp.vp_id for vp in part.vps]
+        # One cell per distinct VP id: vps rows may share one.
+        cell = _ranks(vp_ids)
+        last = [float("-inf")] * len(cell)
+        for v, timestamp in zip(part.columns.vp, part.columns.timestamp):
+            if timestamp < last[cell[v]]:
                 raise MergeError(
-                    f"shard output {part_index}: VP {result.vp_id} timestamps "
-                    f"go backwards ({previous} -> {result.timestamp})"
+                    f"shard output {part_index}: VP {vp_ids[v]} timestamps "
+                    f"go backwards ({last[cell[v]]} -> {timestamp})"
                 )
-            last[result.vp_id] = result.timestamp
+            last[cell[v]] = timestamp
 
 
-def _check_unique_rounds(merged: list[MeasurementResult]) -> None:
+def _check_unique_rounds(merged: ResultSet) -> None:
+    vp_ids = [vp.vp_id for vp in merged.vps]
+    keys = [
+        (vp_ids[v], round_index)
+        for v, round_index in zip(merged.columns.vp, merged.columns.round_index)
+    ]
+    if len(set(keys)) == len(keys):
+        return
     seen: set[tuple[str, int]] = set()
-    for result in merged:
-        key = (result.vp_id, result.round_index)
+    for key in keys:
         if key in seen:
             raise MergeError(
-                f"VP {result.vp_id} has two results for round "
-                f"{result.round_index}: duplicate shard output?"
+                f"VP {key[0]} has two results for round "
+                f"{key[1]}: duplicate shard output?"
             )
         seen.add(key)
 

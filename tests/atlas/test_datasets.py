@@ -47,6 +47,17 @@ class TestRoundTrip:
         assert loaded.summary() == results.summary()
         assert loaded.ttls() == results.ttls()
 
+    def test_campaign_set_round_trips_to_an_equal_set(self, tmp_path):
+        from repro.core.scenarios import scenario_uy_ns
+
+        run = scenario_uy_ns(seed=3, probes=12, duration=1200.0, parallelism=1, shards=2)
+        path = tmp_path / "campaign.jsonl"
+        assert save_results(run.results, path) == len(run.results) > 0
+        loaded = load_results(path)
+        # A file carries rows, not the spec they were measured under.
+        loaded.spec = run.results.spec
+        assert loaded == run.results
+
     def test_lines_are_json(self, results, tmp_path):
         path = tmp_path / "dataset.jsonl"
         save_results(results, path)

@@ -54,6 +54,26 @@ class TestValidity:
         results = ResultSet([result(answers=())])
         assert len(results.valid()) == 0
 
+    def test_discarded_tells_equal_rows_apart_by_position(self):
+        # Each row has an equal twin, and the rows handed out are views
+        # built on demand: neither equality nor identity can say which
+        # rows were kept.  Only their positions can.
+        good, bad = result(), result(rcode=Rcode.SERVFAIL, ttl=None, answers=())
+        results = ResultSet([good, bad, result(), good, bad])
+        assert results.valid().results == [good] * 3
+        assert results.discarded().results == [bad] * 2
+        only_first = iter([True, False, False])
+        assert results.discarded(lambda r: next(only_first)).results == [bad, good, good, bad]
+
+    def test_expectation_only_sees_answered_rows(self):
+        seen = []
+        results = ResultSet([
+            result(rcode=Rcode.SERVFAIL, ttl=None, answers=()), result(answers=()),
+            result(probe=2), result(rcode=Rcode.NXDOMAIN),
+        ])
+        assert len(results.valid(lambda r: seen.append(r) or True)) == 1
+        assert [r.probe_id for r in seen] == [2]
+
 
 class TestExtraction:
     def test_ttls_skips_none(self):

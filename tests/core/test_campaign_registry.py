@@ -6,6 +6,11 @@ pin three things per campaign: the CLI table bytes, the ``--metrics``
 JSON bytes, and the run-directory manifest — i.e. the campaign
 fingerprint, so run directories written before the registry existed
 still resume.
+
+The manifest digests were recorded again when the shard payload went to
+version 4: the fingerprint embeds that version so that a run directory
+holding older envelopes is refused, and nothing else in them moved.  The
+stdout and metrics digests are the first recording.
 """
 
 import hashlib
@@ -22,55 +27,55 @@ ORACLE = {
         ["--probes", "16", "--duration", "1200"],
         "ff9786ab702c3f9585d1e535e26fcdd5ab20166a4e65056efdb9f658d88fe050",
         "1901b7adc40010b374c86de2b1e0ff1a27442f0bad89ec723c216d0270e2bab5",
-        "0b1da8064e37c5b2b345171c82e4db884f7e053114558a5564884d5c544e83b4",
+        "7e5d42122e9bd519f07c73eca0d378b80fa3d15c9a32a4e00bf3805775058cd9",
     ),
     "t2-anicuy": (
         ["--probes", "16", "--duration", "1200"],
         "23ca513b63a1cc31d5e5bf919ec71e5256a22bdd59da9b4f840d9e306892ca02",
         "0ba87d5f524860370340dd1fb7fb336ffb16b76d8cf9673270a61ca47bf84762",
-        "6777a6d9e90263da4197c20427417c02be6dbda333ecc43f9248f24f9a611c00",
+        "9f735cfd806e8d2f7af813f18cff3e93cdbd260e8e27732fe66646ccf91e4de2",
     ),
     "t2-googleco": (
         ["--probes", "16", "--duration", "1200"],
         "8ef00f03ece15b0f206567ecfb2dbb0cf90fd8570772f8f126ed58a00af95351",
         "67786f8908928e2097821f0776561c163e7892b21ff5102b6a86981864947272",
-        "dee281690c4e75526777f324824aacaff5d02b5203378d917814d8abc2fdd901",
+        "1e0667b90a941e76aee227785e4ca69894a7948e44505b945340a4d55e2e61d2",
     ),
     "t10-controlled": (
         ["--probes", "8", "--duration", "1200"],
         "6c6cc9ac69138680b654e6cb889cfd629bcceabe518045f644d9a8c366756f06",
         "51e087defb3a7ff3d9932e91e2ff9357992eedb91338f315bfab758bf5e6b0e2",
-        "e4af600e57bacef186f0760a7a063db9831b33ff6ef9bd67b658ee9d7fad0f5b",
+        "31738c056ae5000299a97f0161cdd7167b08d3ae573fb30b89b642e8c36a7b43",
     ),
     "crawl": (
         ["--scale", "0.0001"],
         "06666b3202a647193ec03eff2c71c97d581befe0e420dcbcde0dfaa24b849d0d",
         "45707c0a598ebc6cb81fa723b8a78dd88b08f8f90292f9697abd122e7d3dd86b",
-        "24b89dd7ac66be1df39002380e8aa92f6c397a2bad0d7fd59999526f260efec9",
+        "d113ab0f01673c67d7fddb568efc6d77718c23083139fbfc33803a5e6bb02119",
     ),
     "ddos": (
         ["--duration", "1200"],
         "bca007683c741856ded691a479ab1cfb3147ddc04ef4ab17bccd81bfebfe351c",
         "b53785e86e1036c8ab400ff8e7f4b442626ba294b1a8fd198669097e96c7b45a",
-        "b10601707676c5241503145430ddfb6a3f95ce39fbb1c5d4271e00d5e501bd39",
+        "98a043635b2004d461efefd33dfd125c1bf55773d3a372b573f4e0c7a425cc09",
     ),
     "prefetch": (
         ["--duration", "300"],
         "371f9590af109f2a00b332ae53f49e89cfbdf1e4aeec3763e451a1520a4d276a",
         "2c7fd405abcabab71e25ae0de044ec3059e58c1cf10c1815255963a084265410",
-        "b3a9133f07475cec36745e73fa90db8a1e2f48de6dabf2457648fbc58ee966db",
+        "4dcefd6d4b4337347f0ff99303872157a890bbb7a9403e9a8ad3112028ed523b",
     ),
     "ecs": (
         ["--duration", "300"],
         "9d93e59772b9148770a06b7a7b2d52273d3a71bef41586c67a4ae28b24a2c114",
         "92515c027287b03b9dc227b5edefa4f03f2d1a1271b128d0f44b2b3273c813d5",
-        "88b16948dcc856f8aa7183c005e80c23954905b2c66ca411699513ffdc85ae15",
+        "21da6233916a04d152a128c43cb7845ab2f9c3a04812769199146e9a43455746",
     ),
     "push": (
         ["--duration", "900"],
         "ac6bce70356d86c28e89977db43d70d1d993548170671731035b5190afae961b",
         "26dfaa77cd38a11635bfdb9fb4a70946e5092497562d5dd1fa551370a57c64a4",
-        "260b566e24f7e28ec381acbda83e799d444b510cfa48b1f6a4062f4b0de98b90",
+        "5093e7e498d24977559aadd3fe241f5b5894843611e48160dd9bd0fc5cc0da0b",
     ),
 }
 

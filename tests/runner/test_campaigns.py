@@ -101,6 +101,27 @@ def test_t2_run_dir_rejects_other_campaign(tmp_path):
         )
 
 
+def test_t2_run_dir_checkpointed_with_payload_v3_is_rejected(tmp_path):
+    import json
+
+    from repro.runner.checkpoint import CheckpointMismatch
+
+    run_dir = tmp_path / "t2"
+    campaign = dict(
+        seed=SEED, probes=PROBES, duration=DURATION,
+        parallelism=1, shards=4, run_dir=str(run_dir),
+    )
+    scenario_uy_ns(**campaign)
+    # The same campaign as an older build recorded it: its shard spills
+    # hold row-by-row v3 envelopes, which must not be merged.
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert manifest["fingerprint"]["payload_version"] == 4
+    manifest["fingerprint"]["payload_version"] = 3
+    (run_dir / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(CheckpointMismatch, match="different campaign"):
+        scenario_uy_ns(**campaign)
+
+
 def test_controlled_ttl_parallel_equals_legacy_serial():
     # The five §6.2 runs shard one-per-run, so the parallel campaign
     # reproduces the legacy serial scenario verbatim.

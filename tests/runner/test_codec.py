@@ -58,7 +58,8 @@ def test_columnar_payload_is_smaller_than_object_pickle(result_set):
         encode_shard_payload(results=result_set, queries=1, metrics=None),
         protocol=pickle.HIGHEST_PROTOCOL,
     )
-    objects = pickle.dumps(result_set, protocol=pickle.HIGHEST_PROTOCOL)
+    # The set pickles as its table too, so the object graph is its row view.
+    objects = pickle.dumps(result_set.results, protocol=pickle.HIGHEST_PROTOCOL)
     assert len(columnar) < len(objects)
 
 
@@ -79,6 +80,16 @@ def test_unknown_version_raises():
     payload["v"] = PAYLOAD_VERSION + 1
     with pytest.raises(PayloadError):
         decode_shard_payload(payload)
+
+
+def test_row_by_row_layout_of_version_3_is_refused():
+    # What the codec wrote before the set was a table: a string table and
+    # fourteen re-encoded columns.  Nothing decodes it any more.
+    v3 = {"v": 3, "kind": "resultset", "queries": 0, "metrics": None,
+          "data": {"n": 0, "spec": None, "strings": [], "answer_tuples": []}}
+    assert PAYLOAD_VERSION == 4
+    with pytest.raises(PayloadError, match="version 3 unsupported"):
+        decode_shard_payload(v3)
 
 
 def test_unknown_kind_raises():
