@@ -91,12 +91,13 @@ class Name:
     True
     """
 
-    __slots__ = ("_labels", "_hash", "_key", "_wire")
+    __slots__ = ("_labels", "_hash", "_key", "_wire", "_lineage")
 
     _labels: tuple[str, ...]
     _hash: int
     _key: tuple[str, ...] | None
     _wire: tuple[tuple[tuple[str, ...], bytes], ...] | None
+    _lineage: tuple["Name", ...] | None
 
     def __new__(cls, text: str | Iterable[str] | "Name" = "") -> "Name":
         if type(text) is Name:
@@ -131,7 +132,7 @@ class Name:
     def from_labels(cls, labels: tuple[str, ...]) -> "Name":
         """Trusted constructor: ``labels`` are already validated and lowercase.
 
-        Used by :meth:`parent`/:meth:`ancestors`/:meth:`split` (slices of a
+        Used by :meth:`parent`/:meth:`lineage`/:meth:`split` (slices of a
         validated name) and by wire decode (which enforces the wire-format
         limits itself), skipping per-label re-validation.
         """
@@ -252,16 +253,32 @@ class Name:
             raise NameError_("the root has no parent")
         return Name.from_labels(self._labels[1:])
 
+    def lineage(self) -> tuple["Name", ...]:
+        """``(self, parent, ..., root)``: the name and every ancestor,
+        nearest first.  Built on first use and kept, so the walks that
+        look for the deepest enclosing zone or zone cut — one per referral
+        step, one per authoritative query — cost a tuple iteration, not a
+        slice, an intern probe and a new-name check per label.
+
+        >>> [str(a) for a in Name("a.b.c").lineage()]
+        ['a.b.c.', 'b.c.', 'c.', '.']
+        """
+        lineage = self._lineage
+        if lineage is None:
+            labels = self._labels
+            lineage = (self,) + tuple(
+                Name.from_labels(labels[index:]) for index in range(1, len(labels) + 1)
+            )
+            object.__setattr__(self, "_lineage", lineage)
+        return lineage
+
     def ancestors(self) -> Iterator["Name"]:
         """Yield every proper ancestor, nearest first, ending with the root.
 
         >>> [str(a) for a in Name("a.b.c").ancestors()]
         ['b.c.', 'c.', '.']
         """
-        name = self
-        while not name.is_root:
-            name = name.parent()
-            yield name
+        return iter(self.lineage()[1:])
 
     def split(self, depth: int) -> tuple["Name", "Name"]:
         """Split into (prefix, suffix) where the suffix keeps ``depth`` labels.
@@ -336,6 +353,7 @@ def _intern(labels: tuple[str, ...]) -> Name:
     object.__setattr__(name, "_hash", hash(labels))
     object.__setattr__(name, "_key", None)
     object.__setattr__(name, "_wire", None)
+    object.__setattr__(name, "_lineage", None)
     if len(_INTERN) >= _INTERN_MAX:
         _INTERN.clear()
     _INTERN[labels] = name

@@ -210,6 +210,16 @@ class RRset:
         validate_ttl(ttl)
         return RRset._build(self.name, self.rdtype, ttl, self.rdatas, self.rdclass)
 
+    def _aged_to(self, ttl: int) -> "RRset":
+        """:meth:`with_ttl` for a caller that has shown ``0 <= ttl <=
+        self.ttl``: inside a validated TTL there is nothing to validate,
+        so the view is this set's fields with one replaced."""
+        view = object.__new__(RRset)
+        fields = view.__dict__
+        fields.update(self.__dict__)
+        fields["ttl"] = ttl
+        return view
+
     def aged(self, seconds: int) -> "RRset":
         if seconds < 0:
             raise ValueError(f"cannot age by negative time {seconds}")

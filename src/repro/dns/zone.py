@@ -284,7 +284,7 @@ class Zone:
         # RFC 1034 §4.3.3 wildcard synthesis: look for *.<closest encloser>.
         # The paper's §4 experiments answer per-probe names
         # (PROBEID.sub.cachetest.net) from a wildcard AAAA record.
-        for ancestor in name.ancestors():
+        for ancestor in name.lineage()[1:]:
             if not ancestor.is_subdomain_of(self.origin):
                 break
             wildcard = self._rrsets.get((ancestor.prepend("*"), qtype))

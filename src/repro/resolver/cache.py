@@ -21,22 +21,27 @@ Stale entries are retained (not purged) so serve-stale policies
 (draft-ietf-dnsop-serve-stale) can hand them out when all servers are
 unreachable.
 
+A key has one :class:`CacheEntry` for as long as it stays cached: a write
+that replaces the key's data (a *renewal* — on a short-TTL workload nearly
+every write) rewrites that object in place under a new generation, so
+whoever holds an entry across a write sees the new data.
+
 Maintenance is O(log n) amortized, not O(n) scans: one lazy min-heap of
 ``(expires_at, seq, key, generation)`` records surfaces everything that
 dies by time — negative entries ride it too, marked by a ``None``
-generation — and a reverse dependency index surfaces link-dead entries.
-Heap records are never removed in place — they are validated when popped
-(superseded generations and extended lifetimes are discarded or
-re-pushed), so every mutation stays cheap.  Every write drains whatever
-is due: expired negatives are dropped (nothing serves them stale), while
-dead positive entries are only *marked* (``_time_dead`` / ``_link_dead``),
-not dropped: serve-stale still needs them.  The marks make them the
-preferred eviction victims; marks are re-validated before use, because a
-sticky refresh can revive a marked entry.  Records that outlive what they
-describe (a 2-day referral superseded by a 60 s answer) are garbage until
-their own time comes; when garbage outweighs content the heap is rebuilt
-from what is cached, so it never holds more than
-``_HEAP_SLACK + 4 * (entries + negatives)`` records.
+generation — and each entry lists the entries linked to it, which
+surfaces link-dead ones.  Heap records are never removed in place — they
+are validated when popped (superseded generations and extended lifetimes
+are discarded or re-pushed), so every mutation stays cheap.  A write
+drains whatever is due: expired negatives are dropped (nothing serves
+them stale), while dead positive entries are only *marked*
+(``_time_dead`` / ``_link_dead``), not dropped: serve-stale still needs
+them.  The marks make them the preferred eviction victims; marks are
+re-validated before use, because a sticky refresh can revive a marked
+entry.  Records that outlive what they describe (a 2-day referral
+superseded by a 60 s answer) are garbage until their own time comes; when
+garbage outweighs content the heap is rebuilt from what is cached, so it
+never holds more than ``_HEAP_SLACK + 4 * (entries + negatives)`` records.
 """
 
 from __future__ import annotations
@@ -101,6 +106,11 @@ class CacheEntry:
     source_network: int = 0
     #: Memoized aged view, reused while the whole-second TTL is unchanged.
     _aged: Optional[RRset] = field(default=None, init=False, repr=False, compare=False)
+    #: Keys of entries put with a link to this generation of this entry
+    #: (dict-as-ordered-set); they die when it is rewritten or expires.
+    _dependents: Optional[dict[CacheKey, None]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def is_expired(self, now: float) -> bool:
         return now >= self.expires_at
@@ -116,14 +126,18 @@ class CacheEntry:
         within the same whole second return the same RRset instead of
         rebuilding one per hit.
         """
-        ttl = self.remaining_ttl(now)
+        ttl = int(self.expires_at - now)  # remaining_ttl(), inlined
+        if ttl < 0:
+            ttl = 0
         rrset = self.rrset
         if ttl == rrset.ttl:
             return rrset
         view = self._aged
         if view is not None and view.ttl == ttl:
             return view
-        view = rrset.with_ttl(ttl)
+        # A floor, a pin or a sticky refresh can leave more life than the
+        # record's own TTL; only that case needs the validating constructor.
+        view = rrset._aged_to(ttl) if ttl < rrset.ttl else rrset.with_ttl(ttl)
         self._aged = view
         return view
 
@@ -198,10 +212,10 @@ class Cache:
         #: entry generations.  Never reused, so a key that is evicted and
         #: re-created can never revive a link to its earlier incarnation.
         self._seq = 0
-        #: Reverse link index: target key -> {dependent key: expected target
-        #: generation}.  Consulted when a target is replaced or expires so
-        #: link-dead dependents become preferred eviction victims.
-        self._dependents: dict[CacheKey, dict[CacheKey, int]] = {}
+        #: Heap records :meth:`put` may push before the heap can exceed its
+        #: bound: recounted by :meth:`_maintain`, and an underestimate in
+        #: between (outside it the cached count only grows).
+        self._heap_room = _HEAP_SLACK
         #: Ordered mark sets (dict-as-ordered-set) of entries believed dead;
         #: re-validated before every use, since refreshes can revive them.
         self._time_dead: dict[CacheKey, None] = {}
@@ -249,7 +263,7 @@ class Cache:
         self._ecs_count = 0
         self._negatives.clear()
         self._expiry_heap.clear()
-        self._dependents.clear()
+        self._heap_room = _HEAP_SLACK
         self._time_dead.clear()
         self._link_dead.clear()
         if self.on_change is not None:
@@ -305,78 +319,94 @@ class Cache:
         """
         key: CacheKey = (rrset.name, rrset.rdtype, rrset.rdclass)
         entries = self._entries
-        existing = entries.get(key)
-        if existing is not None and not self._is_dead(existing, now):
-            refreshable = (
-                credibility > existing.credibility
-                or (
-                    credibility == existing.credibility
-                    and credibility >= Credibility.AUTH_ANSWER
-                )
+        entry = entries.get(key)
+        if (
+            entry is not None
+            and now < entry.expires_at
+            and (entry.linked_to is None or not self._is_dead(entry, now))
+        ):
+            refreshable = credibility > entry.credibility or (
+                credibility == entry.credibility and credibility >= Credibility.AUTH_ANSWER
             )
-            if existing.pinned or not refreshable:
+            if entry.pinned or not refreshable:
                 self.stats.refused_downgrades += 1
                 self._m_refused.inc()
                 return False
-        # A fresh write invalidates any standing dead-mark for the key.
-        if key in self._time_dead:
-            del self._time_dead[key]
-        if key in self._link_dead:
-            del self._link_dead[key]
         self._seq = generation = self._seq + 1
-        # Replacing this key kills anything linked to its previous
-        # generation: surface those dependents as eviction candidates.
-        dependents = self._dependents.pop(key, None)
-        if dependents:
-            on_change = self.on_change
-            for dep_key in dependents:
-                self._link_dead[dep_key] = None
-                if on_change is not None:
-                    on_change(dep_key[0])
-        link: Optional[tuple[CacheKey, int]] = None
+        target: Optional[CacheEntry] = None
         if linked_to is not None:
+            # Read before the rewrite below: a key linked to itself is
+            # tied to the generation it is about to replace.
             target = entries.get(linked_to)
-            if target is not None:
-                link = (linked_to, target.generation)
-                self._dependents.setdefault(linked_to, {})[key] = target.generation
+        link = None if target is None else (linked_to, target.generation)
         ttl = rrset.ttl  # effective_ttl(), inlined: this is the hot write
         if self.max_ttl is not None and ttl > self.max_ttl:
             ttl = self.max_ttl
         if ttl < self.min_ttl:
             ttl = self.min_ttl
         expires_at = now + ttl
-        if existing is not None:
-            del entries[key]  # re-insert at the recent end
-        entries[key] = CacheEntry(
-            rrset=rrset,
-            credibility=credibility,
-            inserted_at=now,
-            expires_at=expires_at,
-            generation=generation,
-            linked_to=link,
-            pinned=pin,
-            source_zone=source_zone,
-        )
-        heapq.heappush(self._expiry_heap, (expires_at, generation, key, generation))
+        on_change = self.on_change
+        # A fresh write invalidates any standing dead-mark for the key.
+        if self._time_dead:
+            self._time_dead.pop(key, None)
+        if self._link_dead:
+            self._link_dead.pop(key, None)
+        if entry is None:
+            entry = entries[key] = CacheEntry(
+                rrset, credibility, now, expires_at, generation, link, pin, source_zone
+            )
+            self._m_size_peak.record(len(entries))
+        else:
+            # A renewal: the key keeps its entry object (and, unbounded,
+            # its place in the recency order).  Replacing it kills anything
+            # linked to its previous generation: surface those dependents
+            # as eviction candidates.
+            dependents = entry._dependents
+            if dependents:
+                entry._dependents = None
+                self._link_dead.update(dependents)
+                if on_change is not None:
+                    for dep_key in dependents:
+                        on_change(dep_key[0])
+            entry.rrset = rrset
+            entry.credibility = credibility
+            entry.inserted_at = now
+            entry.expires_at = expires_at
+            entry.generation = generation
+            entry.linked_to = link
+            entry.pinned = pin
+            entry.source_zone = source_zone
+            entry._aged = None
+            if self.max_entries is not None:
+                del entries[key]  # re-insert at the recent end
+                entries[key] = entry
+        if target is not None:
+            if target._dependents is None:
+                target._dependents = {}
+            target._dependents[key] = None
+        heap = self._expiry_heap
+        heapq.heappush(heap, (expires_at, generation, key, generation))
         self.stats.inserts += 1
         self._m_inserts.inc()
-        if existing is None:
-            self._m_size_peak.record(len(entries))
-        if self.on_change is not None:
-            self.on_change(key[0])
-        self._maintain(now)
+        if on_change is not None:
+            on_change(key[0])
+        self._heap_room = room = self._heap_room - 1
+        if room < 0 or heap[0][0] <= now or self.max_entries is not None:
+            self._maintain(now)
         return True
 
     def _maintain(self, now: float) -> None:
-        """The upkeep every write ends with, bounded cache or not: surface
-        what has expired by ``now``, evict down to ``max_entries``, and
-        rebuild the expiry heap once garbage outweighs content."""
+        """The upkeep a write ends with once something is due, the cache is
+        bounded or the heap may be over its bound: surface what has
+        expired by ``now``, evict down to ``max_entries``, and rebuild the
+        expiry heap once garbage outweighs content."""
         heap = self._expiry_heap
         if heap[0][0] <= now:
             self._surface_expired(now)
         if self.max_entries is not None:
             self._evict_if_full(now)
-        if len(heap) > _HEAP_SLACK + 4 * (len(self._entries) + len(self._negatives)):
+        bound = _HEAP_SLACK + 4 * (len(self._entries) + len(self._negatives))
+        if len(heap) > bound:
             # One record per cached item; entries already marked dead are
             # surfaced (and marked) again by the next write.
             heap.clear()
@@ -386,6 +416,7 @@ class Cache:
                 self._seq += 1
                 heap.append((negative.expires_at, self._seq, neg_key, None))
             heapq.heapify(heap)
+        self._heap_room = bound - len(heap)
 
     def _surface_expired(self, now: float) -> None:
         """Pop every heap record whose time has come by ``now``.
@@ -416,17 +447,16 @@ class Cache:
                 self._push(entry.expires_at, key, generation)
                 continue
             self._time_dead[key] = None
-            dependents = self._dependents.get(key)
-            if dependents:
-                # Do not pop the index: a revived target (same generation)
-                # must keep its dependents registered.  Marks are
-                # re-validated before use, so over-marking is safe.
-                for dep_key, expected in dependents.items():
-                    if expected == generation:
-                        self._link_dead[dep_key] = None
+            if entry._dependents:
+                # The list stays: a revived target (same generation) must
+                # keep its dependents registered.  Marks are re-validated
+                # before use, so over-marking is safe.
+                self._link_dead.update(entry._dependents)
 
     def _evict_one(self, key: CacheKey) -> None:
-        del self._entries[key]
+        dependents = self._entries.pop(key)._dependents
+        if dependents:
+            self._link_dead.update(dependents)  # their target is gone
         self.stats.evictions += 1
         self._m_evictions.inc()
         if self.on_change is not None:
@@ -640,7 +670,7 @@ class Cache:
 
         ``follow_links``: when set (the default) an entry whose link target
         is expired or missing counts as expired itself.  This is the tied
-        NS/A lifetime of §4.2.
+        NS/A lifetime of §4.2.  (:meth:`get_entry` for cold callers.)
         """
         return self.get_entry((name, rdtype, rdclass), now, min_credibility, follow_links)
 
@@ -651,31 +681,37 @@ class Cache:
         min_credibility: Credibility = Credibility.ADDITIONAL,
         follow_links: bool = True,
     ) -> Optional[CacheEntry]:
-        """:meth:`get` for callers that already hold a :data:`CacheKey`.
+        """The read: :meth:`get` for callers that hold a :data:`CacheKey`.
 
-        The warm path's form: one dict probe, no tuple rebuild.
+        One frame per probe — the resolver's form: the liveness and link
+        checks (:meth:`_is_dead`'s rule) are spelled out here.
         """
-        entry = self._entries.get(key)
-        if entry is None:
-            self.stats.misses += 1
-            self._m_misses.inc()
-            return None
-        dead = self._is_dead(entry, now) if follow_links else now >= entry.expires_at
-        if dead or entry.credibility < min_credibility:
-            self.stats.misses += 1
-            self._m_misses.inc()
-            if dead:
-                self._m_expired.inc()
-            return None
-        self.stats.hits += 1
-        self._m_hits.inc()
         entries = self._entries
-        if self.max_entries is not None and next(reversed(entries)) != key:
-            # Touch for LRU recency (only tracked when bounded, and only
-            # when the entry is not already the most recent).
-            del entries[key]
-            entries[key] = entry
-        return entry
+        entry = entries.get(key)
+        if entry is not None:
+            live = now < entry.expires_at
+            if live and follow_links and entry.linked_to is not None:
+                target_key, generation = entry.linked_to
+                target = entries.get(target_key)
+                live = (
+                    target is not None
+                    and target.generation == generation
+                    and now < target.expires_at
+                )
+            if live and entry.credibility >= min_credibility:
+                self.stats.hits += 1
+                self._m_hits.inc()
+                if self.max_entries is not None and next(reversed(entries)) != key:
+                    # Touch for LRU recency (only tracked when bounded, and
+                    # only when the entry is not already the most recent).
+                    del entries[key]
+                    entries[key] = entry
+                return entry
+            if not live:
+                self._m_expired.inc()
+        self.stats.misses += 1
+        self._m_misses.inc()
+        return None
 
     def get_stale(
         self, name: Name, rdtype: RdataType, rdclass: RdataClass = RdataClass.IN
@@ -694,14 +730,16 @@ class Cache:
     def get_negative(
         self, qname: Name, qtype: RdataType, now: float
     ) -> Optional[NegativeEntry]:
-        entry = self._negatives.get((qname, qtype))
-        if entry is None or entry.is_expired(now):
-            self.stats.negative_misses += 1
-            self._m_negative_misses.inc()
-            return None
-        self.stats.negative_hits += 1
-        self._m_negative_hits.inc()
-        return entry
+        negatives = self._negatives
+        if negatives:  # usually empty: no key to build, nothing to probe
+            entry = negatives.get((qname, qtype))
+            if entry is not None and now < entry.expires_at:
+                self.stats.negative_hits += 1
+                self._m_negative_hits.inc()
+                return entry
+        self.stats.negative_misses += 1
+        self._m_negative_misses.inc()
+        return None
 
     def due_expirations(self, now: float, horizon: float) -> list[tuple[CacheKey, float]]:
         """Live entries expiring within ``horizon`` seconds of ``now``.

@@ -20,21 +20,23 @@ the paper's measured behaviours emerge from the policy knobs:
 
 from __future__ import annotations
 
+import random
+import zlib
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.dns.ecs import ClientSubnet, extract_client_subnet
 from repro.dns.message import Message, Rcode, Section
 from repro.dns.name import Name, root
 from repro.dns.wire import WireError
-from repro.dns.rdtypes import CNAME, NS, RdataClass, RdataType
+from repro.dns.rdtypes import RdataClass, RdataType
 from repro.dns.record import RRset
 from repro.dns.zone import Zone
 from repro.metrics.registry import NULL_REGISTRY
 from repro.net.topology import Endpoint
 from repro.net.transport import Network, NetworkTimeout
 from repro.predict import PopularityTracker, RefreshScheduler
-from repro.resolver.cache import Cache, CacheKey, Credibility
+from repro.resolver.cache import Cache, CacheEntry, CacheKey, Credibility
 from repro.resolver.policy import Centricity, ResolverPolicy, ServerSelection
 
 #: Hard ceilings that bound any resolution, however broken the zone setup.
@@ -88,6 +90,16 @@ class ResolutionError(Exception):
         self.elapsed = elapsed
 
 
+#: One candidate server of a zone cut: (name, cached address or ``None``,
+#: whether that address is only glue).
+_Server = tuple[Name, Optional[str], bool]
+
+
+def _installed(*hooks: tuple[object, Callable]) -> tuple[Callable, ...]:
+    """The hooks of one resolve stage whose feature is armed, in order."""
+    return tuple(hook for armed, hook in hooks if armed)
+
+
 class RecursiveResolver:
     """One recursive resolver instance (a cache plus an iteration engine)."""
 
@@ -108,9 +120,14 @@ class RecursiveResolver:
         if not root_hints:
             raise ValueError("a resolver needs at least one root hint")
         self.endpoint = endpoint
+        #: The resolver's own address: what stubs report, what fault plans name.
+        self.address = endpoint.address
         self.network = network
-        self.policy = policy or ResolverPolicy.child_centric()
+        self.policy = policy = policy or ResolverPolicy.child_centric()
         self.root_hints = dict(root_hints)
+        self._hint_servers: list[_Server] = [
+            (name, address, False) for name, address in self.root_hints.items()
+        ]
         self.root_zone = root_zone
         self._root_mirror = None
         if self.policy.rfc7706_local_root and root_zone is not None:
@@ -129,6 +146,11 @@ class RecursiveResolver:
             metrics=metrics,
         )
         self._rotation: dict[Name, int] = {}
+        #: ``ServerSelection.RANDOM``'s stream, seeded from a digest of the
+        #: address that is the same in every process (``hash`` is not).
+        self._shuffle: Optional[random.Random] = None
+        if policy.server_selection is ServerSelection.RANDOM:
+            self._shuffle = random.Random(zlib.crc32(self.address.encode()))
         self._query_skeletons: dict[tuple[Name, RdataType], Message] = {}
         #: ECS context for the resolution in flight (single-threaded): the
         #: truncated client subnet attached to upstream queries, and the
@@ -138,7 +160,6 @@ class RecursiveResolver:
         self._ecs_scope: Optional[int] = None
         self.queries_sent = 0
         self.client_queries = 0
-        self._last_iteration_steps = 0
         registry = metrics or NULL_REGISTRY
         self._m_client_queries = registry.counter("resolver.client_queries")
         self._m_upstream = registry.counter("resolver.upstream_queries")
@@ -191,12 +212,48 @@ class RecursiveResolver:
         self._m_refresh_hits = registry.counter("predict.refresh_hits")
         self._m_stale_answered = registry.counter("predict.stale_answered")
 
-    def __repr__(self) -> str:
-        return f"RecursiveResolver({self.endpoint.address}, {self.policy.describe()})"
+        # The resolve plan: what the policy and the features it installs
+        # ask of :meth:`resolve`, decided here, once.  Every hook tuple is
+        # empty for the default child-centric resolver, so a feature that
+        # is not installed costs a query nothing.
+        #: How credible cached data must be to answer a client directly:
+        #: child-centric resolvers follow RFC 2181 and only answer from
+        #: answer-rank data; parent-centric ones also hand out referral glue.
+        self._min_cred = (
+            Credibility.ADDITIONAL
+            if policy.answer_from_referral
+            else Credibility.NONAUTH_ANSWER
+        )
+        #: The read for NS sets and server addresses: ``(key, now) -> entry``.
+        self._infrastructure = (
+            self._sticky_entry if policy.sticky else self.cache.get_entry
+        )
+        scheduled = self._scheduler is not None
+        #: ``hook(qname, qtype, now)`` on every client query, before any probe.
+        self._before = _installed(
+            (scheduled or self._push is not None, self._pump_before),
+            (self._tracker is not None, self._track),
+        )
+        #: ``hook(qname, qtype, now)`` after a query was answered from cache.
+        self._on_hit = _installed(
+            (scheduled, self._tally_refresh_hit),
+            (policy.prefetch, self._maybe_prefetch),
+            (predict is not None and not policy.prefetch, self._maybe_refresh_ahead),
+        )
+        #: ``hook(qname, qtype, now)`` may answer a cache miss before iteration.
+        self._on_miss = _installed(
+            (
+                predict is not None and predict.serve_stale_while_revalidate,
+                self._stale_while_revalidate,
+            )
+        )
+        #: ``hook(qname, qtype, now)`` may answer when iteration failed.
+        self._on_failure = _installed((policy.serve_stale, self._serve_stale))
+        #: ``hook(qname, qtype, now, result)`` after iteration answered.
+        self._on_answer = _installed((self._push is not None, self._subscribe_answer))
 
-    @property
-    def address(self) -> str:
-        return self.endpoint.address
+    def __repr__(self) -> str:
+        return f"RecursiveResolver({self.address}, {self.policy.describe()})"
 
     # ------------------------------------------------------------------ client API
     def resolve(
@@ -219,32 +276,17 @@ class RecursiveResolver:
         exact non-ECS path, so an all-global run is byte-identical to one
         that never heard of ECS.
         """
-        faults = getattr(self.network, "faults", None)
+        name = qname if type(qname) is Name else Name(qname)
+        faults = self.network.faults  # read per query: plans attach late
         if faults is not None and faults.take_restart(self.address, now):
             self.restart()
-        if self._scheduler is not None or self._push is not None:
-            # Run maintenance *before* answering: due refreshes execute
-            # back-dated to their due time, off this client's latency,
-            # and delivered NOTIFY frames land before the cache probe.
-            self.pump(now)
+        for hook in self._before:
+            hook(name, qtype, now)
         self.client_queries += 1
         self._m_client_queries.inc()
-        name = Name(qname)
-        if self._tracker is not None:
-            self._tracker.record((name, qtype), now)
-
-        subnet: Optional[ClientSubnet] = None
-        ecs_policy = self.policy.ecs
-        if (
-            ecs_policy is not None
-            and client_subnet is not None
-            and ecs_policy.allows(name)
-        ):
-            subnet = client_subnet.truncate(
-                ecs_policy.source_prefix(client_subnet.family)
-            )
-            if subnet.scope_prefix:
-                subnet = subnet.with_scope(0)
+        subnet = None
+        if client_subnet is not None:
+            subnet = self._upstream_subnet(name, client_subnet)
 
         negative = self.cache.get_negative(name, qtype, now)
         if negative is not None:
@@ -263,21 +305,12 @@ class RecursiveResolver:
 
         cached = self._answer_from_cache(name, qtype, now)
         if cached is not None:
-            if self._refreshed:
-                entry = self.cache.peek(name, qtype)
-                if (
-                    entry is not None
-                    and self._refreshed.get((name, qtype)) == entry.generation
-                ):
-                    self._m_refresh_hits.inc()
-            if self.policy.prefetch:
-                self._maybe_prefetch(name, qtype, now)
-            elif self._predict is not None:
-                self._maybe_refresh_ahead(name, qtype, now)
+            for hook in self._on_hit:
+                hook(name, qtype, now)
             return cached
 
-        if self._predict is not None and self._predict.serve_stale_while_revalidate:
-            stale = self._stale_while_revalidate(name, qtype, now)
+        for answer in self._on_miss:
+            stale = answer(name, qtype, now)
             if stale is not None:
                 return stale
 
@@ -286,42 +319,69 @@ class RecursiveResolver:
             self._ecs_scope = None
         try:
             result = self._resolve_with_cnames(name, qtype, now, depth=0)
-            if subnet is not None:
-                result.ecs_scope = self._ecs_scope
-            if (
-                self._push is not None
-                and result.rcode is Rcode.NOERROR
-                and result.answers
-                and result.servers_contacted
-            ):
-                # Subscribe at the server that actually answered, stamped
-                # at the moment the answer arrived.
-                self._push.note_answer(
-                    name, qtype, result.servers_contacted[-1],
-                    now + result.elapsed,
-                )
-            return result
         except ResolutionError as failure:
-            stale = self._serve_stale(name, qtype)
-            if stale is not None:
-                stale.elapsed = failure.elapsed
-                self._m_served_stale.inc()
-                return stale
+            for answer in self._on_failure:
+                stale = answer(name, qtype, now)
+                if stale is not None:
+                    stale.elapsed = failure.elapsed
+                    self._m_served_stale.inc()
+                    return stale
             self._m_servfail.inc()
             return ResolutionResult(rcode=Rcode.SERVFAIL, elapsed=failure.elapsed)
         finally:
             if subnet is not None:
                 self._ecs_subnet = None
+        if subnet is not None:
+            result.ecs_scope = self._ecs_scope
+        for hook in self._on_answer:
+            hook(name, qtype, now, result)
+        return result
+
+    # ------------------------------------------------------------ installed hooks
+    def _pump_before(self, qname: Name, qtype: RdataType, now: float) -> None:
+        """Maintenance runs *before* answering: due refreshes execute
+        back-dated to their due time, off this client's latency, and
+        delivered NOTIFY frames land before the cache probe."""
+        self.pump(now)
+
+    def _track(self, qname: Name, qtype: RdataType, now: float) -> None:
+        self._tracker.record((qname, qtype), now)
+
+    def _upstream_subnet(
+        self, qname: Name, client_subnet: ClientSubnet
+    ) -> Optional[ClientSubnet]:
+        """The truncated client subnet upstream queries for ``qname``
+        carry: ``None`` unless the policy arms ECS and whitelists the name."""
+        ecs_policy = self.policy.ecs
+        if ecs_policy is None or not ecs_policy.allows(qname):
+            return None
+        subnet = client_subnet.truncate(ecs_policy.source_prefix(client_subnet.family))
+        return subnet.with_scope(0) if subnet.scope_prefix else subnet
+
+    def _tally_refresh_hit(self, qname: Name, qtype: RdataType, now: float) -> None:
+        """Count a client hit on a generation a scheduler refresh wrote."""
+        entry = self.cache.peek(qname, qtype) if self._refreshed else None
+        if entry is not None and self._refreshed.get((qname, qtype)) == entry.generation:
+            self._m_refresh_hits.inc()
+
+    def _subscribe_answer(
+        self, qname: Name, qtype: RdataType, now: float, result: ResolutionResult
+    ) -> None:
+        """Push: subscribe at the server that actually answered, stamped
+        at the moment the answer arrived."""
+        if result.rcode is Rcode.NOERROR and result.answers and result.servers_contacted:
+            self._push.note_answer(
+                qname, qtype, result.servers_contacted[-1], now + result.elapsed
+            )
 
     def note_memoized_answer(self, qname: Name, qtype: RdataType, now: float) -> None:
         """Account for a client query answered from a wire-level memo.
 
         The serve fast path answers repeat queries without entering
         :meth:`resolve`; this keeps the per-client accounting and the
-        popularity tracker honest so hot-set statistics (and the
-        ``--predict`` refresh-ahead decisions built on them) see every
-        arrival, memoized or not.  Deliberately light — no pump, no cache
-        probe — so it stays off the fast path's critical cost.
+        popularity tracker honest, so the ``--predict`` refresh-ahead
+        decisions see every arrival, memoized or not.  Deliberately light —
+        no pump, no cache probe — to stay off the fast path's critical cost.
         """
         self.client_queries += 1
         self._m_client_queries.inc()
@@ -346,29 +406,12 @@ class RecursiveResolver:
         if scheduler is None:
             return pumped
         predict = self._predict
-        tracker = self._tracker
-        if predict is not None and tracker is not None:
-            for key, expires_at in self.cache.due_expirations(
+        if predict is not None:
+            for (name, rdtype, rdclass), _ in self.cache.due_expirations(
                 now, predict.feed_horizon_s
             ):
-                name, rdtype, rdclass = key
-                if rdclass is not RdataClass.IN:
-                    continue
-                if not tracker.is_hot((name, rdtype)):
-                    continue
-                entry = self.cache.peek(name, rdtype)
-                if entry is None:
-                    continue
-                lifetime = entry.expires_at - entry.inserted_at
-                if lifetime <= 0:
-                    continue
-                lead = max(predict.min_lead_s, predict.lead_fraction * lifetime)
-                scheduler.schedule(
-                    name,
-                    rdtype,
-                    due=max(now, entry.expires_at - lead),
-                    expires_at=entry.expires_at,
-                )
+                if rdclass is RdataClass.IN:
+                    self._maybe_refresh_ahead(name, rdtype, now)
         return pumped + scheduler.pump(now)
 
     def restart(self) -> None:
@@ -382,6 +425,8 @@ class RecursiveResolver:
         """
         self.cache.clear()
         self._rotation.clear()
+        if self._shuffle is not None:
+            self._shuffle.seed(zlib.crc32(self.address.encode()))
         if self._scheduler is not None:
             self._scheduler.clear()
         if self._tracker is not None:
@@ -410,15 +455,12 @@ class RecursiveResolver:
         remaining = entry.expires_at - now
         if remaining > self.policy.prefetch_window * lifetime:
             return
-        assert self._scheduler is not None
         self._scheduler.schedule(qname, qtype, due=now, expires_at=entry.expires_at)
 
     def _maybe_refresh_ahead(self, qname: Name, qtype: RdataType, now: float) -> None:
         """Schedule a refresh for a hot hit, ``lead`` seconds before expiry."""
         predict = self._predict
-        tracker = self._tracker
-        assert predict is not None and tracker is not None
-        if not tracker.is_hot((qname, qtype)):
+        if not self._tracker.is_hot((qname, qtype)):
             return
         entry = self.cache.peek(qname, qtype)
         if entry is None:
@@ -427,7 +469,6 @@ class RecursiveResolver:
         if lifetime <= 0:
             return
         lead = max(predict.min_lead_s, predict.lead_fraction * lifetime)
-        assert self._scheduler is not None
         self._scheduler.schedule(
             qname,
             qtype,
@@ -458,36 +499,23 @@ class RecursiveResolver:
         return True
 
     # -------------------------------------------------------------- cache answers
-    def _answer_min_credibility(self) -> Credibility:
-        """How credible cached data must be to answer a client directly.
-
-        Child-centric resolvers follow RFC 2181 and only answer from
-        answer-rank data; parent-centric ones also hand out referral glue.
-        """
-        if self.policy.answer_from_referral:
-            return Credibility.ADDITIONAL
-        return Credibility.NONAUTH_ANSWER
-
     def _answer_from_cache(
         self, qname: Name, qtype: RdataType, now: float
     ) -> Optional[ResolutionResult]:
-        minimum = self._answer_min_credibility()
+        get_entry = self.cache.get_entry
+        minimum = self._min_cred
         chain: list[RRset] = []
         current = qname
         for _ in range(MAX_CNAME_HOPS):
-            entry = self.cache.get(current, qtype, now, min_credibility=minimum)
+            entry = get_entry((current, qtype, RdataClass.IN), now, minimum)
             if entry is not None:
                 chain.append(entry.aged_rrset(now))
-                return ResolutionResult(
-                    rcode=Rcode.NOERROR, answers=chain, cache_hit=True
-                )
-            alias = self.cache.get(current, RdataType.CNAME, now, min_credibility=minimum)
+                return ResolutionResult(rcode=Rcode.NOERROR, answers=chain, cache_hit=True)
+            alias = get_entry((current, RdataType.CNAME, RdataClass.IN), now, minimum)
             if alias is None or qtype == RdataType.CNAME:
                 return None
             chain.append(alias.aged_rrset(now))
-            target = alias.rrset.rdatas[0]
-            assert isinstance(target, CNAME)
-            current = target.target
+            current = alias.rrset.rdatas[0].target
         return None
 
     def _stale_while_revalidate(
@@ -507,15 +535,13 @@ class RecursiveResolver:
         no stale CNAME chain reassembly.
         """
         predict = self._predict
-        assert predict is not None
         entry = self.cache.get_stale(qname, qtype)
-        if entry is None:
+        if (
+            entry is None
+            or entry.credibility < self._min_cred
+            or now - entry.expires_at > predict.max_stale_s
+        ):
             return None
-        if entry.credibility < self._answer_min_credibility():
-            return None
-        if now - entry.expires_at > predict.max_stale_s:
-            return None
-        assert self._scheduler is not None
         self._scheduler.schedule(qname, qtype, due=now, kind="revalidate")
         self._m_stale_answered.inc()
         self._m_served_stale.inc()
@@ -525,10 +551,10 @@ class RecursiveResolver:
             served_stale=True,
         )
 
-    def _serve_stale(self, qname: Name, qtype: RdataType) -> Optional[ResolutionResult]:
+    def _serve_stale(
+        self, qname: Name, qtype: RdataType, now: float
+    ) -> Optional[ResolutionResult]:
         """Serve-stale fallback: expired data beats SERVFAIL (§3.1)."""
-        if not self.policy.serve_stale:
-            return None
         entry = self.cache.get_stale(qname, qtype)
         if entry is None:
             return None
@@ -547,43 +573,27 @@ class RecursiveResolver:
         chain: list[RRset] = []
         current = qname
         for _ in range(MAX_CNAME_HOPS):
-            outcome = self._iterate(current, qtype, now + elapsed, depth, contacted)
-            elapsed += outcome.elapsed
-            if outcome.rcode != Rcode.NOERROR or outcome.answers is None:
-                return ResolutionResult(
-                    rcode=outcome.rcode,
-                    answers=chain if outcome.rcode == Rcode.NOERROR else [],
-                    elapsed=elapsed,
-                    servers_contacted=contacted,
-                )
-            chain.extend(outcome.answers)
-            if outcome.cname_target is None:
-                return ResolutionResult(
-                    rcode=Rcode.NOERROR,
-                    answers=chain,
-                    elapsed=elapsed,
-                    servers_contacted=contacted,
-                )
-            current = outcome.cname_target
+            rcode, spent, answers, current = self._iterate(
+                current, qtype, now + elapsed, depth, contacted
+            )
+            elapsed += spent
+            if rcode != Rcode.NOERROR:
+                chain = []
+                break
+            chain.extend(answers)
+            if current is None:
+                break
             # The alias target may already be cached (answer rank or, for
             # parent-centric policies, referral rank).
             cached = self._answer_from_cache(current, qtype, now + elapsed)
             if cached is not None:
                 chain.extend(cached.answers)
-                return ResolutionResult(
-                    rcode=Rcode.NOERROR,
-                    answers=chain,
-                    elapsed=elapsed,
-                    servers_contacted=contacted,
-                )
-        raise ResolutionError(f"CNAME chain too long for {qname}", elapsed)
-
-    @dataclass
-    class _IterationOutcome:
-        rcode: Rcode
-        elapsed: float
-        answers: Optional[list[RRset]] = None
-        cname_target: Optional[Name] = None
+                break
+        else:
+            raise ResolutionError(f"CNAME chain too long for {qname}", elapsed)
+        return ResolutionResult(
+            rcode=rcode, answers=chain, elapsed=elapsed, servers_contacted=contacted
+        )
 
     def _iterate(
         self,
@@ -592,103 +602,90 @@ class RecursiveResolver:
         now: float,
         depth: int,
         contacted: list[str],
-    ) -> "_IterationOutcome":
-        """Walk referrals for one owner name until an answer or failure."""
-        try:
-            return self._iterate_steps(qname, qtype, now, depth, contacted)
-        finally:
-            self._m_referral_depth.observe(self._last_iteration_steps)
-
-    def _iterate_steps(
-        self,
-        qname: Name,
-        qtype: RdataType,
-        now: float,
-        depth: int,
-        contacted: list[str],
-    ) -> "_IterationOutcome":
+    ) -> tuple[Rcode, float, list[RRset], Optional[Name]]:
+        """Walk referrals for one owner name until an answer or failure:
+        ``(rcode, elapsed, answers, pending CNAME target)``."""
         elapsed = 0.0
         previous_cut_depth = -1
-        self._last_iteration_steps = 0
-        for _ in range(MAX_REFERRAL_STEPS):
-            self._last_iteration_steps += 1
-            cut, servers = self._best_servers(qname, now + elapsed)
+        steps = 0
+        try:
+            for steps in range(1, MAX_REFERRAL_STEPS + 1):
+                cut, servers = self._best_servers(qname, now + elapsed)
 
-            if cut.is_root and self._root_mirror is not None:
-                response = self._local_root_response(qname, qtype, now + elapsed)
-            else:
-                response, query_time = self._query_servers(
-                    cut, servers, qname, qtype, now + elapsed, depth, contacted
-                )
-                elapsed += query_time
-
-            if response is None:
-                raise ResolutionError(f"no server for {qname} reachable", elapsed)
-
-            ns_owner = self._cache_response(response, now + elapsed)
-
-            if response.rcode == Rcode.NXDOMAIN:
-                soa = self._soa_from(response)
-                self.cache.put_negative(qname, qtype, True, now + elapsed, soa)
-                return self._IterationOutcome(Rcode.NXDOMAIN, elapsed)
-            if response.rcode != Rcode.NOERROR:
-                raise ResolutionError(
-                    f"{response.rcode.name} from upstream for {qname}", elapsed
-                )
-
-            if response.answer:
-                answers, target = self._extract_answers(response, qname, qtype)
-                if answers or target is not None:
-                    return self._IterationOutcome(
-                        Rcode.NOERROR,
-                        elapsed,
-                        answers=self._client_view(answers, now + elapsed),
-                        cname_target=target,
+                if self._root_mirror is not None and cut.is_root:
+                    # RFC 7706: answer from the local root copy, no network.
+                    # The copy is a zone-transfer snapshot refreshed on the
+                    # SOA schedule, so root changes arrive with transfer lag.
+                    response = self._root_mirror.zone(now + elapsed).respond(
+                        self._make_query(qname, qtype)
                     )
+                else:
+                    response, query_time = self._query_servers(
+                        cut, servers, qname, qtype, now + elapsed, depth, contacted
+                    )
+                    elapsed += query_time
 
-            if response.is_referral():
-                assert ns_owner is not None
-                # Parent-centric resolvers treat a referral for the very
-                # name and type being asked as the answer (§3.2: OpenDNS
-                # returns the root's 2-day TTL for ``NS .uy``).
-                if (
-                    self.policy.answer_from_referral
-                    and qtype == RdataType.NS
-                    and ns_owner == qname
-                ):
-                    referral_ns = response.find_rrset(
-                        Section.AUTHORITY, ns_owner, RdataType.NS
-                    )
-                    assert referral_ns is not None
-                    return self._IterationOutcome(
-                        Rcode.NOERROR,
-                        elapsed,
-                        answers=self._client_view([referral_ns], now + elapsed),
-                    )
-                if len(ns_owner) <= previous_cut_depth:
+                if response is None:
+                    raise ResolutionError(f"no server for {qname} reachable", elapsed)
+
+                ns_owner = self._cache_response(response, now + elapsed)
+
+                if response.rcode == Rcode.NXDOMAIN:
+                    soa = self._soa_from(response)
+                    self.cache.put_negative(qname, qtype, True, now + elapsed, soa)
+                    return Rcode.NXDOMAIN, elapsed, [], None
+                if response.rcode != Rcode.NOERROR:
                     raise ResolutionError(
-                        f"referral loop at {ns_owner} resolving {qname}", elapsed
+                        f"{response.rcode.name} from upstream for {qname}", elapsed
                     )
-                previous_cut_depth = len(ns_owner)
-                continue
 
-            # Authoritative NODATA: name exists, no records of this type.
-            if response.flags.aa:
-                soa = self._soa_from(response)
-                self.cache.put_negative(qname, qtype, False, now + elapsed, soa)
-                return self._IterationOutcome(Rcode.NOERROR, elapsed, answers=[])
+                if response.answer:
+                    answers, target = self._extract_answers(response, qname, qtype)
+                    if answers or target is not None:
+                        answers = self._client_view(answers, now + elapsed)
+                        return Rcode.NOERROR, elapsed, answers, target
 
-            raise ResolutionError(f"lame response for {qname}", elapsed)
-        raise ResolutionError(f"too many referrals for {qname}", elapsed)
+                if response.is_referral():
+                    assert ns_owner is not None
+                    # Parent-centric resolvers treat a referral for the very
+                    # name and type being asked as the answer (§3.2: OpenDNS
+                    # returns the root's 2-day TTL for ``NS .uy``).
+                    if (
+                        self.policy.answer_from_referral
+                        and qtype == RdataType.NS
+                        and ns_owner == qname
+                    ):
+                        referral_ns = response.find_rrset(
+                            Section.AUTHORITY, ns_owner, RdataType.NS
+                        )
+                        assert referral_ns is not None
+                        answers = self._client_view([referral_ns], now + elapsed)
+                        return Rcode.NOERROR, elapsed, answers, None
+                    cut_depth = len(ns_owner)
+                    if cut_depth <= previous_cut_depth:
+                        raise ResolutionError(
+                            f"referral loop at {ns_owner} resolving {qname}", elapsed
+                        )
+                    previous_cut_depth = cut_depth
+                    continue
+
+                # Authoritative NODATA: name exists, no records of this type.
+                if response.flags.aa:
+                    soa = self._soa_from(response)
+                    self.cache.put_negative(qname, qtype, False, now + elapsed, soa)
+                    return Rcode.NOERROR, elapsed, [], None
+
+                raise ResolutionError(f"lame response for {qname}", elapsed)
+            raise ResolutionError(f"too many referrals for {qname}", elapsed)
+        finally:
+            self._m_referral_depth.observe(steps)
 
     def _make_query(self, qname: Name, qtype: RdataType) -> Message:
         """A reusable non-RD query skeleton for (qname, qtype).
 
         Servers treat queries as read-only (``make_response`` copies the
-        fields it echoes), so one skeleton per name/type serves every
-        referral step and repeat resolution without rebuilding the
-        Question/Flags objects.  The memo is bounded; overflow falls back
-        to fresh construction.
+        fields it echoes), so one skeleton serves every referral step and
+        repeat resolution.  The memo is bounded; overflow builds afresh.
         """
         key = (qname, qtype)
         query = self._query_skeletons.get(key)
@@ -699,87 +696,81 @@ class RecursiveResolver:
         return query
 
     # ------------------------------------------------------------- server choice
-    def _best_servers(
-        self, qname: Name, now: float
-    ) -> tuple[Name, list[tuple[Name, Optional[str]]]]:
+    def _best_servers(self, qname: Name, now: float) -> tuple[Name, list[_Server]]:
         """The deepest known zone cut for ``qname`` and its servers.
 
-        Returns ``(cut, [(server_name, address_or_None), ...])``.  Falls
-        back to the root hints when nothing useful is cached.
+        Returns ``(cut, [(server_name, address_or_None, glue_only), ...])``.
+        Falls back to the root hints when nothing useful is cached.
         """
-        candidates = [qname, *qname.ancestors()]
-        for ancestor in candidates:
-            ns_entry = self.cache.get(ancestor, RdataType.NS, now)
-            if ns_entry is None and self.policy.sticky:
-                ns_entry = self._sticky_revive(ancestor, RdataType.NS, now)
+        infrastructure = self._infrastructure
+        for ancestor in qname.lineage():
+            ns_entry = infrastructure((ancestor, RdataType.NS, RdataClass.IN), now)
             if ns_entry is None:
                 continue
-            servers: list[tuple[Name, Optional[str]]] = []
-            for rdata in ns_entry.rrset.rdatas:
-                assert isinstance(rdata, NS)
-                servers.append((rdata.target, self._address_for(rdata.target, now)))
-            if not servers:
-                continue
+            servers: list[_Server] = []
             # Bootstrap guard: if no address is cached and every server
             # name lives *inside* this cut, the cut cannot resolve its own
             # servers — fall back to an ancestor (whose glue breaks the
             # circularity), as real resolvers do.
-            if all(address is None for _, address in servers) and all(
-                target.is_subdomain_of(ancestor) for target, _ in servers
-            ):
-                continue
-            return ancestor, servers
-        hints = [(name, address) for name, address in self.root_hints.items()]
-        return root, hints
+            reachable = False
+            for rdata in ns_entry.rrset.rdatas:
+                target = rdata.target
+                address, glue_only = self._address_for(target, now)
+                if address is not None or not target.is_subdomain_of(ancestor):
+                    reachable = True
+                servers.append((target, address, glue_only))
+            if reachable:
+                return ancestor, servers
+        return root, self._hint_servers
 
-    def _sticky_revive(self, name: Name, rdtype: RdataType, now: float):
+    def _sticky_entry(self, key: CacheKey, now: float) -> Optional[CacheEntry]:
         """Sticky resolvers refresh expired infrastructure records in place
         instead of re-fetching them (§4.2)."""
-        entry = self.cache.get_stale(name, rdtype)
+        entry = self.cache.get_entry(key, now)
         if entry is None:
-            return None
-        key: CacheKey = (name, rdtype, RdataClass.IN)
-        self.cache.refresh_expiry(key, now)
-        if entry.linked_to is not None:
-            self.cache.refresh_expiry(entry.linked_to[0], now)
+            entry = self.cache.get_stale(key[0], key[1])
+            if entry is not None:
+                self.cache.refresh_expiry(key, now)
+                if entry.linked_to is not None:
+                    self.cache.refresh_expiry(entry.linked_to[0], now)
         return entry
 
-    def _address_for(self, server_name: Name, now: float) -> Optional[str]:
+    def _address_for(self, server_name: Name, now: float) -> tuple[Optional[str], bool]:
+        """A cached address for ``server_name``, and whether it is only
+        glue (what :meth:`_target_fetch` upgrades)."""
         for rdtype in (RdataType.A, RdataType.AAAA):
-            entry = self.cache.get(server_name, rdtype, now)
-            if entry is None and self.policy.sticky:
-                entry = self._sticky_revive(server_name, rdtype, now)
+            entry = self._infrastructure((server_name, rdtype, RdataClass.IN), now)
             if entry is not None and entry.rrset.rdatas:
-                return str(entry.rrset.rdatas[0])
-        return None
+                glue_only = entry.credibility <= Credibility.ADDITIONAL
+                return entry.rrset.rdatas[0].address, glue_only
+        return None, False
 
-    def _order_servers(
-        self, cut: Name, servers: list[tuple[Name, Optional[str]]]
-    ) -> list[tuple[Name, Optional[str]]]:
+    def _order_servers(self, cut: Name, servers: list[_Server]) -> list[_Server]:
         """Apply the policy's server-selection strategy.
 
         Servers with known addresses are tried before those needing a
         sub-resolution, mirroring real resolvers' preference for glue.
         """
-        keyed = sorted(servers, key=lambda item: item[1] is None)
-        if self.policy.server_selection is ServerSelection.FIRST or len(keyed) == 1:
-            return keyed
-        if self.policy.server_selection is ServerSelection.RANDOM:
-            import random
-
-            shuffled = keyed[:]
-            random.Random(hash((self.endpoint.address, cut, len(shuffled)))).shuffle(
-                shuffled
-            )
+        for server in servers:
+            if server[1] is None:  # rare: a cut usually arrives with its glue
+                servers = sorted(servers, key=lambda item: item[1] is None)
+                break
+        selection = self.policy.server_selection
+        count = len(servers)
+        if selection is ServerSelection.FIRST or count == 1:
+            return servers
+        if selection is ServerSelection.RANDOM:
+            shuffled = servers[:]
+            self._shuffle.shuffle(shuffled)
             return shuffled
-        start = self._rotation.get(cut, 0) % len(keyed)
+        start = self._rotation.get(cut, 0) % count
         self._rotation[cut] = start + 1
-        return keyed[start:] + keyed[:start]
+        return servers[start:] + servers[:start]
 
     def _query_servers(
         self,
         cut: Name,
-        servers: list[tuple[Name, Optional[str]]],
+        servers: list[_Server],
         qname: Name,
         qtype: RdataType,
         now: float,
@@ -803,11 +794,12 @@ class RecursiveResolver:
             query = Message.make_query(qname, qtype, recursion_desired=False)
             query.use_edns(options=subnet.to_wire())
         else:
-            query = self._make_query(qname, qtype)
+            query = self._query_skeletons.get((qname, qtype)) or self._make_query(
+                qname, qtype
+            )
         ordered = self._order_servers(cut, servers)
         last = len(ordered) - 1
-        for index, (server_name, address) in enumerate(ordered):
-            glue_only = False
+        for index, (server_name, address, glue_only) in enumerate(ordered):
             if address is None:
                 address, lookup_time = self._resolve_server_address(
                     server_name, cut, now + elapsed, depth
@@ -815,13 +807,6 @@ class RecursiveResolver:
                 elapsed += lookup_time
                 if address is None:
                     continue
-            else:
-                entry = self.cache.peek(server_name, RdataType.A) or self.cache.peek(
-                    server_name, RdataType.AAAA
-                )
-                glue_only = (
-                    entry is not None and entry.credibility <= Credibility.ADDITIONAL
-                )
             try:
                 response, exchange_time = self.network.exchange(
                     self.endpoint, address, query, now + elapsed
@@ -847,7 +832,7 @@ class RecursiveResolver:
                 if index < last:
                     self._m_failovers.inc()
                 continue
-            if glue_only and depth == 0:
+            if glue_only and depth == 0 and self.policy.target_fetch:
                 self._target_fetch(cut, server_name, address, now + elapsed)
             return response, elapsed
         return None, elapsed
@@ -863,8 +848,6 @@ class RecursiveResolver:
         is unaffected, but the query lands in the authoritative's log —
         these are exactly the queries the paper's passive .nl study counts.
         """
-        if not self.policy.target_fetch:
-            return
         if not server_name.is_subdomain_of(cut):
             return
         fetch = self._make_query(server_name, RdataType.A)
@@ -912,35 +895,25 @@ class RecursiveResolver:
         We model that by pinning the learned address and stretching its
         life to the pinned NS entry's expiry.
         """
-        ns_entry = self.cache.peek(cut, RdataType.NS)
-        address_key: Optional[CacheKey] = None
-        for rdtype in (RdataType.A, RdataType.AAAA):
-            if self.cache.peek(server_name, rdtype) is not None:
-                address_key = (server_name, rdtype, RdataClass.IN)
-                break
-        if ns_entry is None or address_key is None:
+        peek = self.cache.peek
+        ns_entry = peek(cut, RdataType.NS)
+        entry = peek(server_name, RdataType.A) or peek(server_name, RdataType.AAAA)
+        if ns_entry is None or entry is None:
             return
-        entry = self.cache.peek(*address_key[:2])
-        assert entry is not None
         entry.pinned = True
         entry.expires_at = max(entry.expires_at, ns_entry.expires_at)
 
     # ------------------------------------------------------------ response intake
-    def _local_root_response(self, qname: Name, qtype: RdataType, now: float) -> Message:
-        """RFC 7706: answer from the local root copy, no network.
-
-        The copy is a zone-transfer snapshot refreshed on the SOA
-        schedule, so root-zone changes propagate with transfer lag rather
-        than instantly.
-        """
-        assert self._root_mirror is not None
-        query = self._make_query(qname, qtype)
-        return self._root_mirror.zone(now).respond(query)
-
     def _cache_response(self, response: Message, now: float) -> Optional[Name]:
         """Cache every section at its credibility; returns the NS owner seen."""
         authoritative = response.flags.aa
         parent_side = not authoritative and self.policy.centricity is Centricity.PARENT
+        if authoritative:
+            answer_rank = Credibility.AUTH_ANSWER
+            authority_rank = glue_rank = Credibility.AUTH_AUTHORITY
+        else:
+            answer_rank = Credibility.NONAUTH_ANSWER
+            authority_rank, glue_rank = Credibility.AUTHORITY, Credibility.ADDITIONAL
 
         # RFC 7871 §7.3.1: only ANSWER records are subnet-scoped; the
         # authority and additional sections below stay global.  A server
@@ -956,9 +929,6 @@ class RecursiveResolver:
                 scope = min(echo.scope_prefix, subnet.source_prefix)
 
         for rrset in response.answer:
-            credibility = (
-                Credibility.AUTH_ANSWER if authoritative else Credibility.NONAUTH_ANSWER
-            )
             if self.policy.validate_dnssec:
                 from repro.dns.dnssec import clamp_to_signed_ttl, covering_rrsig
 
@@ -971,7 +941,7 @@ class RecursiveResolver:
                 self.cache.put_scoped(rrset, subnet, scope, now)
                 self._ecs_scope = scope
             else:
-                self.cache.put(rrset, credibility, now)
+                self.cache.put(rrset, answer_rank, now)
                 if subnet is not None:
                     self._ecs_scope = 0
 
@@ -979,10 +949,7 @@ class RecursiveResolver:
         for rrset in response.authority:
             if rrset.rdtype == RdataType.NS and ns_owner is None:
                 ns_owner = rrset.name
-            credibility = (
-                Credibility.AUTH_AUTHORITY if authoritative else Credibility.AUTHORITY
-            )
-            self.cache.put(rrset, credibility, now, pin=parent_side)
+            self.cache.put(rrset, authority_rank, now, pin=parent_side)
 
         for rrset in response.additional:
             if rrset.rdtype not in (RdataType.A, RdataType.AAAA):
@@ -991,13 +958,10 @@ class RecursiveResolver:
             if (
                 self.policy.link_inbailiwick_glue
                 and ns_owner is not None
-                and rrset.name.in_bailiwick_of(ns_owner)
+                and rrset.name.is_subdomain_of(ns_owner)  # in bailiwick
             ):
                 linked = (ns_owner, RdataType.NS, RdataClass.IN)
-            credibility = (
-                Credibility.AUTH_AUTHORITY if authoritative else Credibility.ADDITIONAL
-            )
-            self.cache.put(rrset, credibility, now, linked_to=linked, pin=parent_side)
+            self.cache.put(rrset, glue_rank, now, linked_to=linked, pin=parent_side)
         return ns_owner
 
     def _extract_answers(
@@ -1015,9 +979,7 @@ class RecursiveResolver:
             if alias is None or qtype == RdataType.CNAME:
                 break
             answers.append(alias)
-            target = alias.rdatas[0]
-            assert isinstance(target, CNAME)
-            current = target.target
+            current = alias.rdatas[0].target
         if answers:
             return answers, current
         return [], None

@@ -55,11 +55,12 @@ class StubResolver:
     ) -> None:
         self.endpoint = endpoint
         self.resolver = resolver
+        self._resolver_address = resolver.address
         self._latency = latency
         self._rng = random.Random(seed ^ 0x57AB)
 
     def __repr__(self) -> str:
-        return f"StubResolver({self.endpoint.address} -> {self.resolver.address})"
+        return f"StubResolver({self.endpoint.address} -> {self._resolver_address})"
 
     def client_leg_rtt(self) -> float:
         """Client → recursive resolver round trip, in seconds."""
@@ -77,5 +78,5 @@ class StubResolver:
             rtt=leg + result.elapsed,
             cache_hit=result.cache_hit,
             served_stale=result.served_stale,
-            resolver_address=self.resolver.address,
+            resolver_address=self._resolver_address,
         )

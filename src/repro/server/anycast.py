@@ -119,14 +119,12 @@ class AnycastCluster:
         self._zones[zone.origin] = zone
 
     def best_zone_for(self, qname: Name) -> Optional[Zone]:
-        probe = qname
-        while True:
-            zone = self._zones.get(probe)
+        zones = self._zones
+        for probe in qname.lineage():
+            zone = zones.get(probe)
             if zone is not None:
                 return zone
-            if probe.is_root:
-                return None
-            probe = probe.parent()
+        return None
 
     # -- query handling ---------------------------------------------------------
     def handle_query(self, query: Message, client: Endpoint, now: float) -> Message:

@@ -84,14 +84,12 @@ class AuthoritativeServer:
 
     def best_zone_for(self, qname: Name) -> Optional[Zone]:
         """The deepest configured zone whose origin encloses ``qname``."""
-        probe = qname
-        while True:
-            zone = self._zones.get(probe)
+        zones = self._zones
+        for probe in qname.lineage():
+            zone = zones.get(probe)
             if zone is not None:
                 return zone
-            if probe.is_root:
-                return None
-            probe = probe.parent()
+        return None
 
     # -- query handling ---------------------------------------------------------
     def handle_query(self, query: Message, client: Endpoint, now: float) -> Message:

@@ -15,6 +15,14 @@ scoped answers in a plain list it filters and scans on every touch
 returned ``(rrset, scope)``, the entry count and the two ECS instruments
 must agree after every operation.
 
+The write path is driven hardest, because it is where the production
+cache is cleverest: a key's entry object is rewritten in place on renewal.
+The op language renews keys on purpose — after expiry, with the same
+rdatas and with new ones, at every credibility, pinned, linked, re-linked
+under a new NS generation, between ``refresh_expiry``/``expire_now`` —
+and after every operation the full membership, the ``on_change`` event
+sequence and the expiry heap's bound are compared.
+
 Eviction under ``max_entries`` has intentionally unspecified victim
 *order* among equally-dead entries, so the bounded-cache test compares
 aggregates (size, eviction count, dead-before-live preference) rather
@@ -67,6 +75,10 @@ class ScanReferenceCache:
         self._entries: dict[tuple, CacheEntry] = {}
         self._negatives: dict[tuple, object] = {}
         self._generation = 0
+        #: The change feed's specification: a write to a key also notifies
+        #: every key put with a link to it since its previous write.
+        self._linked_since_write: dict[tuple, dict[tuple, None]] = {}
+        self.on_change = None
         self._ecs: dict[tuple, list[ScannedScopedEntry]] = {}
         #: What the two lazily created ECS instruments should read:
         #: ``None`` until the first scoped insert declares them.
@@ -79,6 +91,10 @@ class ScanReferenceCache:
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    def _changed(self, name) -> None:
+        if self.on_change is not None:
+            self.on_change(name)
 
     def effective_ttl(self, ttl: int) -> int:
         effective = ttl
@@ -112,11 +128,14 @@ class ScanReferenceCache:
                 self.stats.refused_downgrades += 1
                 return False
         self._generation = generation = self._generation + 1
+        for dep_key in self._linked_since_write.pop(key, ()):
+            self._changed(dep_key[0])
         link = None
         if linked_to is not None:
             target = self._entries.get(linked_to)
             if target is not None:
                 link = (linked_to, target.generation)
+                self._linked_since_write.setdefault(linked_to, {})[key] = None
         ttl = self.effective_ttl(rrset.ttl)
         if existing is not None:
             del self._entries[key]
@@ -130,6 +149,7 @@ class ScanReferenceCache:
             pinned=pin,
         )
         self.stats.inserts += 1
+        self._changed(key[0])
         self._evict_if_full(now)
         return True
 
@@ -151,6 +171,7 @@ class ScanReferenceCache:
                 victim = next(iter(self._entries))  # all pinned
             del self._entries[victim]
             self.stats.evictions += 1
+            self._changed(victim[0])
 
     def peek(self, name, rdtype, rdclass=RdataClass.IN):
         return self._entries.get((name, rdtype, rdclass))
@@ -187,6 +208,7 @@ class ScanReferenceCache:
 
     def put_negative(self, qname, qtype, nxdomain, now, ttl=300) -> None:
         self._negatives[(qname, qtype)] = (nxdomain, now + self.effective_ttl(ttl))
+        self._changed(qname)
 
     def get_negative(self, qname, qtype, now):
         cached = self._negatives.get((qname, qtype))
@@ -203,11 +225,13 @@ class ScanReferenceCache:
         lifetime = entry.expires_at - entry.inserted_at
         entry.inserted_at = now
         entry.expires_at = now + lifetime
+        self._changed(key[0])
 
     def expire_now(self, key, now) -> None:
         entry = self._entries.get(key)
         if entry is not None:
             entry.expires_at = now
+            self._changed(key[0])
 
     def put_scoped(self, rrset, subnet, scope, now) -> None:
         bits = 32 if subnet.family == 1 else 128
@@ -237,6 +261,7 @@ class ScanReferenceCache:
         else:
             bucket.append(entry)
         self.stats.inserts += 1
+        self._changed(key[0])
         self.scope_merges = self.scope_merges or 0
         self.ecs_entries_peak = max(self.ecs_entries_peak or 0, self.ecs_scoped_len())
 
@@ -302,6 +327,15 @@ operations = st.one_of(
     st.tuples(st.just("get_neg"), name_ix),
     st.tuples(st.just("refresh"), name_ix),
     st.tuples(st.just("expire"), name_ix),
+    # A renewal on purpose: step past the key's expiry (or not), then write
+    # it again with the rdatas it holds or with new ones.
+    st.tuples(
+        st.just("renew"), name_ix, st.booleans(), st.booleans(), ttls, credibilities,
+        st.booleans(), st.one_of(st.none(), name_ix),
+    ),
+    # Glue re-put under a *new* generation of its NS set: write the target
+    # at top rank (always replaces), then the dependent linked to it.
+    st.tuples(st.just("relink"), name_ix, name_ix, ttls, credibilities),
     # Draws a scope the subnet cannot carry too: clamped to its source
     # prefix when driven.  TTLs share ``ttls`` with ``advance``'s deltas,
     # so scoped answers expire mid-sequence.
@@ -312,7 +346,8 @@ operations = st.one_of(
 
 
 def _snapshot(entry: Optional[CacheEntry]):
-    """The observable projection of an entry (internal bookkeeping omitted)."""
+    """The observable projection of an entry (internal bookkeeping omitted;
+    generations number differently, so a link shows its target key only)."""
     if entry is None:
         return None
     return (
@@ -324,7 +359,13 @@ def _snapshot(entry: Optional[CacheEntry]):
         entry.inserted_at,
         entry.expires_at,
         entry.pinned,
+        None if entry.linked_to is None else entry.linked_to[0],
     )
+
+
+def _heap_within_bound(cache: Cache) -> bool:
+    cached = len(cache._entries) + len(cache._negatives)
+    return len(cache._expiry_heap) <= 64 + 4 * cached
 
 
 def _stats_tuple(stats: CacheStats):
@@ -352,17 +393,48 @@ def _instrument(registry: MetricsRegistry, name: str):
 def _drive(real: Cache, reference: ScanReferenceCache, ops, *, compare_membership):
     registry = real._metrics_registry
     assert isinstance(registry, MetricsRegistry)
+    real_events: list = []
+    reference_events: list = []
+    real.on_change = real_events.append
+    reference.on_change = reference_events.append
     now = 0.0
     octet = 0
+
+    def put_both(rrset, cred, linked=None, pin=False):
+        assert real.put(rrset, cred, now=now, linked_to=linked, pin=pin) == \
+            reference.put(rrset, cred, now=now, linked_to=linked, pin=pin)
+
     for op in ops:
         kind = op[0]
         if kind == "put":
             _, ix, ttl, cred, pin, link_ix = op
             octet += 1
             rrset = RRset(NAMES[ix], QTYPE, ttl, [A(f"192.0.2.{octet % 256}")])
-            linked = _key(link_ix) if link_ix is not None else None
-            assert real.put(rrset, cred, now=now, linked_to=linked, pin=pin) == \
-                reference.put(rrset, cred, now=now, linked_to=linked, pin=pin)
+            put_both(rrset, cred, _key(link_ix) if link_ix is not None else None, pin)
+        elif kind == "renew":
+            _, ix, past_expiry, same_rdatas, ttl, cred, pin, link_ix = op
+            held = reference.peek(NAMES[ix], QTYPE)
+            octet += 1
+            rdatas = [A(f"192.0.2.{octet % 256}")]
+            if held is not None:
+                if past_expiry:
+                    now = max(now, held.expires_at)
+                if same_rdatas:
+                    rdatas = held.rrset.rdatas
+            rrset = RRset(NAMES[ix], QTYPE, ttl, rdatas)
+            put_both(rrset, cred, _key(link_ix) if link_ix is not None else None, pin)
+        elif kind == "relink":
+            _, glue_ix, ns_ix, ttl, cred = op
+            octet += 2
+            put_both(
+                RRset(NAMES[ns_ix], QTYPE, ttl, [A(f"192.0.2.{octet % 256}")]),
+                Credibility.AUTH_ANSWER,
+            )
+            put_both(
+                RRset(NAMES[glue_ix], QTYPE, ttl, [A(f"192.0.2.{(octet + 1) % 256}")]),
+                cred,
+                _key(ns_ix),
+            )
         elif kind == "get":
             _, ix, min_cred, follow = op
             assert _snapshot(
@@ -428,9 +500,15 @@ def _drive(real: Cache, reference: ScanReferenceCache, ops, *, compare_membershi
         )
         assert real.stats.hits == reference.stats.hits
         assert real.stats.inserts == reference.stats.inserts
+        assert _heap_within_bound(real)
         if compare_membership:
             assert len(real) == len(reference)
             assert _stats_tuple(real.stats) == _stats_tuple(reference.stats)
+            for name in NAMES:
+                assert _snapshot(real.peek(name, QTYPE)) == _snapshot(
+                    reference.peek(name, QTYPE)
+                )
+            assert real_events == reference_events
     return now
 
 
@@ -509,3 +587,35 @@ def test_bounded_cache_eviction_counts_match(ops, max_entries):
             assert len(real) == len(reference)
         elif op[0] == "advance":
             now += op[1]
+
+
+def test_entry_held_across_a_renewal_is_the_renewed_entry():
+    """A key keeps one entry object while it stays cached, so a reference
+    held across a rewrite shows the new generation, the new link state and
+    an aged view of the new data — never a mix of old and new."""
+    cache = Cache()
+    ns = RRset(NAMES[0], QTYPE, 300, [A("192.0.2.1")])
+    cache.put(ns, Credibility.AUTHORITY, now=0.0)
+    cache.put(
+        RRset(NAMES[1], QTYPE, 300, [A("192.0.2.2")]),
+        Credibility.ADDITIONAL, now=0.0, linked_to=_key(0), pin=True,
+    )
+    held = cache.peek(NAMES[1], QTYPE)
+    old_generation = held.generation
+    assert held.linked_to == (_key(0), cache.peek(NAMES[0], QTYPE).generation)
+    assert held.aged_rrset(250.0).ttl == 50  # memoizes a 50 s view of the old data
+
+    renewed = RRset(NAMES[1], QTYPE, 60, [A("192.0.2.99")])
+    assert cache.put(renewed, Credibility.AUTH_ANSWER, now=400.0)
+
+    assert cache.peek(NAMES[1], QTYPE) is held
+    assert held.generation > old_generation
+    assert held.rrset is renewed and held.credibility is Credibility.AUTH_ANSWER
+    assert (held.inserted_at, held.expires_at) == (400.0, 460.0)
+    assert held.linked_to is None and not held.pinned
+    aged = held.aged_rrset(410.0)
+    assert (aged.ttl, aged.rdatas) == (50, renewed.rdatas)
+    # The old generation's dependents list went with it: rewriting the NS
+    # set now must not touch the renewed (unlinked) entry's liveness.
+    cache.put(ns, Credibility.AUTH_ANSWER, now=410.0)
+    assert cache.get(NAMES[1], QTYPE, now=411.0) is held

@@ -63,6 +63,47 @@ class TestEvictionOrder:
         assert len(cache) == 2
 
 
+class TestFreshWriteClearsStandingMarks:
+    def test_mark_left_by_an_evicted_incarnation_does_not_outrank_older_dead(self):
+        """A key evicted while carrying a link-death mark and then
+        re-created starts clean: when its link dies again it queues behind
+        entries whose links died earlier, not at its old incarnation's
+        place."""
+        from repro.dns.rdtypes import NS, RdataClass
+
+        def ns(name: str, target: str) -> RRset:
+            return RRset(Name(name), RdataType.NS, 10000, [NS(Name(target))])
+
+        def glue(name: str, ttl: int) -> RRset:
+            return RRset(Name(name), RdataType.A, ttl, [A("192.0.2.53")])
+
+        one = (Name("one.example."), RdataType.NS, RdataClass.IN)
+        two = (Name("two.example."), RdataType.NS, RdataClass.IN)
+        cache = Cache(max_entries=5)
+        cache.put(ns("one.example.", "d.one.example."), Credibility.AUTHORITY, now=0.0)
+        cache.put(ns("two.example.", "e.two.example."), Credibility.AUTHORITY, now=0.0)
+        cache.put(glue("d.one.example.", 10), Credibility.ADDITIONAL, now=0.0, linked_to=one)
+        cache.put(glue("e.two.example.", 10000), Credibility.ADDITIONAL, now=0.0, linked_to=two)
+        # d's NS set is replaced (link-death mark), then d expires and is the
+        # dead victim of the next overflow — its link mark outlives it.
+        cache.put(ns("one.example.", "d.one.example."), Credibility.AUTH_ANSWER, now=5.0)
+        cache.put(rrset(1), Credibility.AUTH_ANSWER, now=20.0)
+        cache.put(rrset(2), Credibility.AUTH_ANSWER, now=21.0)
+        assert cache.peek(Name("d.one.example."), RdataType.A) is None
+        assert cache.stats.evictions == 1
+        # Room to re-create d without an eviction pass consuming the mark.
+        cache.max_entries = 7
+        cache.put(glue("d.one.example.", 10000), Credibility.ADDITIONAL, now=30.0, linked_to=one)
+        # e's link dies first, the new d's second.
+        cache.put(ns("two.example.", "e.two.example."), Credibility.AUTH_ANSWER, now=31.0)
+        cache.put(ns("one.example.", "d.one.example."), Credibility.AUTH_ANSWER, now=32.0)
+        cache.put(rrset(3), Credibility.AUTH_ANSWER, now=33.0)
+        cache.put(rrset(4), Credibility.AUTH_ANSWER, now=33.0)  # overflow by one
+        assert cache.stats.evictions == 2
+        assert cache.peek(Name("e.two.example."), RdataType.A) is None
+        assert cache.peek(Name("d.one.example."), RdataType.A) is not None
+
+
 class TestBoundedResolverStillWorks:
     def test_resolution_with_tiny_cache(self, mini_world):
         """A resolver with a pathologically small cache must still resolve
