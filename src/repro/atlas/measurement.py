@@ -102,17 +102,28 @@ class Measurement:
         """Execute every round; returns the collected results.
 
         The hot loop is flattened: all per-probe state (qnames, bound
-        stub queries, probe/VP columns) and the full time-sorted
-        schedule are precomputed once per campaign, so each query costs
-        one stub call plus five cells of a preallocated table.  The RNG
-        draw order is byte-identical to the historical per-probe loop.
+        stub calls, probe/VP columns) and the full time-sorted schedule
+        are precomputed once per campaign, and slots are evaluated
+        strictly in schedule order.  Every slot draws its client leg
+        from the VP's stub; a query whose answer a live cache entry
+        alone decides is then answered right here from a *hit lease*
+        (see :meth:`~repro.resolver.recursive.RecursiveResolver.hit_lease`):
+        five cells of the preallocated table and no resolver frame.  All
+        other slots go through :meth:`StubResolver.query`, after which
+        the VP's resolver is asked for the lease on what it just
+        answered.  The counters the leased hits would have bumped are
+        added up per resolver and handed over
+        (``count_leased_hits``) before any checkpoint, before any
+        scheduled event and at the end of the run; an event may change
+        anything, so firing one drops every lease.  Results, counters
+        and RNG draw order are those of the per-query loop.
 
         ``checkpoint`` (with ``checkpoint_every > 0``) is called with a
         :class:`MeasurementState` every that-many queries — the world
         snapshot hook.  ``resume`` continues a previous run from its
         cursor; the prelude (offsets, schedule) is deterministically
-        recomputed, so only the cursor and results need to have been
-        saved.
+        recomputed and leases are simply taken out again, so only the
+        cursor and results need to have been saved.
         """
         spec = self.spec
         vps = self.vantage_points
@@ -145,6 +156,7 @@ class Measurement:
         # Per-VP values, hoisted out of the hot loop.  Each probe asks
         # the same name every round: resolve the PROBEID substitution
         # once per probe and share it across all rounds.
+        leg_fns = [vp.stub.client_leg_rtt for vp in vps]
         query_fns = [vp.stub.query for vp in vps]
         qtype = spec.qtype
         qname_memo: dict[int, Name] = {}
@@ -157,8 +169,32 @@ class Measurement:
                 qname_memo[probe_id] = qname
             qnames.append(qname)
 
+        # Hit leases.  VPs that ask the same resolver the same name share
+        # one cell ``[entry, generation, answer index]``; ``entry`` is
+        # ``None`` while the cell holds no lease.  ``leased[r]`` counts
+        # the hits answered from leases on the resolver in slot ``r`` since
+        # its counters were last brought up to date.
+        lease_fns = [vp.stub.resolver.hit_lease for vp in vps]
+        resolver_slot: dict = {}
+        cell_memo: dict = {}
+        slot_of: list[int] = []
+        cells: list[list] = []
+        for vp, qname in zip(vps, qnames):
+            slot = resolver_slot.setdefault(vp.stub.resolver, len(resolver_slot))
+            slot_of.append(slot)
+            cells.append(cell_memo.setdefault((slot, qname), [None, 0, 0]))
+        leased = [0] * len(resolver_slot)
+
+        def settle_leased_hits() -> None:
+            for resolver, slot in resolver_slot.items():
+                if leased[slot]:
+                    resolver.count_leased_hits(leased[slot])
+                    leased[slot] = 0
+
         pending_events = sorted(self.events, key=lambda event: event.at)
         n_events = len(pending_events)
+        # With a sentinel, so "is the next event due" is one comparison.
+        event_times = [event.at for event in pending_events] + [float("inf")]
         if resume is not None:
             results = resume.results
             event_index = resume.event_index
@@ -191,51 +227,98 @@ class Measurement:
         answer_tuples = results.answer_tuples
         answer_index = {answers: index for index, answers in enumerate(answer_tuples)}
         answer_memo: dict = {}
+
+        # Ticks: a progress call every ``progress_every`` queries and a
+        # checkpoint every ``checkpoint_every`` — a step of 0 (or less)
+        # never comes due.  The loop tests one number: the next slot
+        # after which either does.
         progress = self.progress
-        progress_every = self.progress_every
+        progress_step = self.progress_every if progress is not None else 0
+        checkpoint_step = checkpoint_every if checkpoint is not None else 0
+
+        def stop_after(done: int) -> int:
+            """The slot whose query is the next one a tick follows."""
+            return min(
+                (done // step + 1) * step - 1 if step > 0 else total
+                for step in (progress_step, checkpoint_step)
+            )
+
+        next_stop = stop_after(first)
+        noerror = Rcode.NOERROR
         for i in range(first, total):
             timestamp = timestamps[i]
             v = vp_of[i]
-            while event_index < n_events and pending_events[event_index].at <= timestamp:
-                pending_events[event_index].action()
-                event_index += 1
-            answer = query_fns[v](qnames[v], qtype, timestamp)
-            rrsets = answer.answers
-            if not rrsets:
-                ttls[i] = TTL_NONE
-            else:
-                # Several rrsets (a CNAME chain) are rendered every time.
-                rdatas = rrsets[0].rdatas if len(rrsets) == 1 else None
-                index = answer_memo.get(rdatas)
-                if index is None:
-                    answers = tuple(
-                        str(rdata) for rrset in rrsets for rdata in rrset.rdatas
-                    )
-                    index = answer_index.get(answers)
-                    if index is None:
-                        index = answer_index[answers] = len(answer_tuples)
-                        answer_tuples.append(answers)
-                    if rdatas is not None:
-                        answer_memo[rdatas] = index
-                answer_of[i] = index
-                ttls[i] = rrsets[-1].ttl
-            rcodes[i] = answer.rcode
-            rtts[i] = answer.rtt
-            flags[i] = answer.cache_hit * CACHE_HIT | answer.served_stale * SERVED_STALE
-            done = i + 1
-            if progress is not None and done % progress_every == 0:
-                progress(done, total)
+            if event_times[event_index] <= timestamp:
+                settle_leased_hits()
+                while event_times[event_index] <= timestamp:
+                    pending_events[event_index].action()
+                    event_index += 1
+                for cell in cell_memo.values():
+                    cell[0] = None
+            leg = leg_fns[v]()
+            cell = cells[v]
+            entry = cell[0]
             if (
-                checkpoint is not None
-                and checkpoint_every > 0
-                and done % checkpoint_every == 0
-                and done < total
+                entry is not None
+                and entry.generation == cell[1]
+                # The instant the query reaches the resolver, as the stub
+                # computes it: the lease answers hits, never an expiry.
+                and (now := timestamp + leg / 2.0) < entry.expires_at
             ):
-                checkpoint(
-                    MeasurementState(
-                        position=done, event_index=event_index, results=results
+                ttls[i] = int(entry.expires_at - now)
+                answer_of[i] = cell[2]
+                rcodes[i] = noerror
+                rtts[i] = leg
+                flags[i] = CACHE_HIT
+                leased[slot_of[v]] += 1
+            else:
+                qname = qnames[v]
+                answer = query_fns[v](qname, qtype, timestamp, leg)
+                rrsets = answer.answers
+                if not rrsets:
+                    ttls[i] = TTL_NONE
+                else:
+                    # Several rrsets (a CNAME chain) are rendered every time.
+                    rdatas = rrsets[0].rdatas if len(rrsets) == 1 else None
+                    index = answer_memo.get(rdatas)
+                    if index is None:
+                        answers = tuple(
+                            str(rdata) for rrset in rrsets for rdata in rrset.rdatas
+                        )
+                        index = answer_index.get(answers)
+                        if index is None:
+                            index = answer_index[answers] = len(answer_tuples)
+                            answer_tuples.append(answers)
+                        if rdatas is not None:
+                            answer_memo[rdatas] = index
+                    answer_of[i] = index
+                    ttls[i] = rrsets[-1].ttl
+                    if rdatas is not None:
+                        # One record set answered: ask for the lease on it.
+                        # Taken only when the entry holds the very rdatas
+                        # just recorded (a refused write leaves other data
+                        # cached): ``index`` is then its answer index too.
+                        entry = lease_fns[v](qname, qtype)
+                        if entry is not None and entry.rrset.rdatas is rdatas:
+                            cell[0] = entry
+                            cell[1] = entry.generation
+                            cell[2] = index
+                rcodes[i] = answer.rcode
+                rtts[i] = answer.rtt
+                flags[i] = answer.cache_hit * CACHE_HIT | answer.served_stale * SERVED_STALE
+            if i == next_stop:
+                done = i + 1
+                if progress_step > 0 and done % progress_step == 0:
+                    progress(done, total)
+                if checkpoint_step > 0 and done % checkpoint_step == 0 and done < total:
+                    settle_leased_hits()
+                    checkpoint(
+                        MeasurementState(
+                            position=done, event_index=event_index, results=results
+                        )
                     )
-                )
+                next_stop = stop_after(done)
+        settle_leased_hits()
         if progress is not None:
             progress(total, total)
         # Fire any events scheduled after the last query (end-of-run state).

@@ -24,7 +24,10 @@ unreachable.
 A key has one :class:`CacheEntry` for as long as it stays cached: a write
 that replaces the key's data (a *renewal* — on a short-TTL workload nearly
 every write) rewrites that object in place under a new generation, so
-whoever holds an entry across a write sees the new data.
+whoever holds an entry across a write sees the new data.  That makes a
+reference to a live entry a *lease* on the key's hits, with ``generation``
+its validity stamp (:meth:`Cache.lease`): an entry object the cache lets
+go of is retired — stamped with a generation no write ever issues.
 
 Maintenance is O(log n) amortized, not O(n) scans: one lazy min-heap of
 ``(expires_at, seq, key, generation)`` records surfaces everything that
@@ -46,6 +49,7 @@ never holds more than ``_HEAP_SLACK + 4 * (entries + negatives)`` records.
 
 from __future__ import annotations
 
+import copy
 import enum
 import heapq
 from dataclasses import dataclass, field
@@ -66,6 +70,11 @@ NegativeKey = tuple[Name, RdataType]
 #: Heap records tolerated beyond four per cached item before the expiry
 #: heap is rebuilt; keeps small caches from rebuilding on every write.
 _HEAP_SLACK = 64
+
+#: The generation of an entry object the cache no longer holds (flushed,
+#: evicted, shadowed by a negative answer).  Writes stamp positive
+#: sequence numbers, so a lease on a retired entry never validates.
+_RETIRED = -1
 
 
 class Credibility(enum.IntEnum):
@@ -258,6 +267,8 @@ class Cache:
         return len(self._entries)
 
     def clear(self) -> None:
+        for entry in self._entries.values():
+            entry.generation = _RETIRED
         self._entries.clear()
         self._ecs.clear()
         self._ecs_count = 0
@@ -454,7 +465,9 @@ class Cache:
                 self._link_dead.update(entry._dependents)
 
     def _evict_one(self, key: CacheKey) -> None:
-        dependents = self._entries.pop(key)._dependents
+        entry = self._entries.pop(key)
+        entry.generation = _RETIRED
+        dependents = entry._dependents
         if dependents:
             self._link_dead.update(dependents)  # their target is gone
         self.stats.evictions += 1
@@ -518,6 +531,14 @@ class Cache:
             assert isinstance(soa_rdata, SOA)
             ttl = min(soa.ttl, soa_rdata.minimum)
         expires_at = now + self.effective_ttl(ttl)
+        positive_key = (qname, qtype, RdataClass.IN)
+        positive = self._entries.get(positive_key)
+        if positive is not None:
+            # The negative answer shadows this entry (dead now, but a
+            # sticky refresh can revive it): the table keeps an equal twin
+            # and the object a lease may hold is retired.
+            self._entries[positive_key] = copy.copy(positive)
+            positive.generation = _RETIRED
         key = (qname, qtype)
         self._negatives[key] = NegativeEntry(
             qname=qname,
@@ -712,6 +733,35 @@ class Cache:
         self.stats.misses += 1
         self._m_misses.inc()
         return None
+
+    def lease(
+        self, key: CacheKey, min_credibility: Credibility = Credibility.ADDITIONAL
+    ) -> Optional[CacheEntry]:
+        """The entry under ``key`` when it alone decides the key's hits.
+
+        Until the entry's ``generation`` moves, a :meth:`get_negative` +
+        :meth:`get_entry` pair at any ``now < entry.expires_at`` misses
+        the first, returns this entry from the second and changes nothing
+        but the counters :meth:`count_leased_hits` adds up — so the holder
+        may answer those hits from the reference.  Declined (``None``)
+        when a read does more than that: a bounded cache reorders on
+        every hit, a linked entry's life hangs on another key, and a
+        non-empty negative table may hold an answer that goes first.
+        """
+        if self.max_entries is not None or self._negatives:
+            return None
+        entry = self._entries.get(key)
+        if entry is None or entry.linked_to is not None or entry.credibility < min_credibility:
+            return None
+        return entry
+
+    def count_leased_hits(self, count: int) -> None:
+        """Account ``count`` hits answered from leases: what that many
+        :meth:`get_negative` misses and :meth:`get_entry` hits count."""
+        self.stats.negative_misses += count
+        self._m_negative_misses.inc(count)
+        self.stats.hits += count
+        self._m_hits.inc(count)
 
     def get_stale(
         self, name: Name, rdtype: RdataType, rdclass: RdataClass = RdataClass.IN

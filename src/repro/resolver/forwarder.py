@@ -19,10 +19,10 @@ from typing import Optional, Sequence, Union
 
 from repro.dns.message import Rcode
 from repro.dns.name import Name
-from repro.dns.rdtypes import RdataType
+from repro.dns.rdtypes import RdataClass, RdataType
 from repro.net.latency import LatencyModel
 from repro.net.topology import Endpoint
-from repro.resolver.cache import Cache, Credibility
+from repro.resolver.cache import Cache, CacheEntry, Credibility
 from repro.resolver.recursive import RecursiveResolver, ResolutionResult
 
 Upstream = Union[RecursiveResolver, "ForwardingResolver"]
@@ -71,14 +71,14 @@ class ForwardingResolver:
     def resolve(self, qname: Name | str, qtype: RdataType, now: float) -> ResolutionResult:
         """Answer from the local cache, else forward."""
         self.client_queries += 1
-        name = Name(qname)
+        name = qname if type(qname) is Name else Name(qname)
 
         negative = self.cache.get_negative(name, qtype, now)
         if negative is not None:
             rcode = Rcode.NXDOMAIN if negative.nxdomain else Rcode.NOERROR
             return ResolutionResult(rcode=rcode, cache_hit=True)
 
-        entry = self.cache.get(name, qtype, now)
+        entry = self.cache.get_entry((name, qtype, RdataClass.IN), now)
         if entry is not None:
             return ResolutionResult(
                 rcode=Rcode.NOERROR,
@@ -112,3 +112,14 @@ class ForwardingResolver:
             served_stale=result.served_stale,
             servers_contacted=[upstream.address, *result.servers_contacted],
         )
+
+    def hit_lease(self, qname: Name, qtype: RdataType) -> Optional[CacheEntry]:
+        """The local entry that alone decides the next answers for
+        ``(qname, qtype)`` — :meth:`RecursiveResolver.hit_lease`'s contract;
+        a forwarder has no hooks, so only the cache can decline."""
+        return self.cache.lease((qname, qtype, RdataClass.IN))
+
+    def count_leased_hits(self, count: int) -> None:
+        """Account ``count`` client queries answered from a hit lease."""
+        self.client_queries += count
+        self.cache.count_leased_hits(count)

@@ -337,6 +337,31 @@ class RecursiveResolver:
             hook(name, qtype, now, result)
         return result
 
+    def hit_lease(self, qname: Name, qtype: RdataType) -> Optional[CacheEntry]:
+        """The cache entry that alone decides this resolver's next answers
+        for ``(qname, qtype)``, or ``None`` when no entry does.
+
+        While the returned entry's ``generation`` stands and ``now <
+        entry.expires_at``, :meth:`resolve` ``(qname, qtype, now)`` would
+        be a clean hit on it — NOERROR, the entry's rdatas at TTL
+        ``int(expires_at - now)``, nothing elapsed — and would change
+        nothing but the counters :meth:`count_leased_hits` adds up, so
+        the holder may answer those queries itself.  Declined whenever a
+        hit does more than that: a per-query or per-hit hook is installed
+        (predict, prefetch, push), a fault plan is attached (it can
+        restart this resolver between two queries), or the cache says the
+        entry is not self-sufficient (:meth:`Cache.lease`).
+        """
+        if self._before or self._on_hit or self.network.faults is not None:
+            return None
+        return self.cache.lease((qname, qtype, RdataClass.IN), self._min_cred)
+
+    def count_leased_hits(self, count: int) -> None:
+        """Account ``count`` client queries answered from a hit lease."""
+        self.client_queries += count
+        self._m_client_queries.inc(count)
+        self.cache.count_leased_hits(count)
+
     # ------------------------------------------------------------ installed hooks
     def _pump_before(self, qname: Name, qtype: RdataType, now: float) -> None:
         """Maintenance runs *before* answering: due refreshes execute

@@ -68,9 +68,21 @@ class StubResolver:
             return self._latency.last_mile_rtt(self._rng)
         return self._latency.rtt(self.endpoint, self.resolver.endpoint, self._rng)
 
-    def query(self, qname: Name | str, qtype: RdataType, now: float) -> StubAnswer:
-        """Send one query and measure the full round trip."""
-        leg = self.client_leg_rtt()
+    def query(
+        self,
+        qname: Name | str,
+        qtype: RdataType,
+        now: float,
+        leg: Optional[float] = None,
+    ) -> StubAnswer:
+        """Send one query and measure the full round trip.
+
+        ``leg`` is this query's :meth:`client_leg_rtt` when the caller has
+        already drawn it (the probe loop draws before it knows whether a
+        hit lease answers the slot); a query draws exactly one.
+        """
+        if leg is None:
+            leg = self.client_leg_rtt()
         result = self.resolver.resolve(qname, qtype, now + leg / 2.0)
         return StubAnswer(
             rcode=result.rcode,

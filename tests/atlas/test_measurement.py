@@ -118,3 +118,45 @@ class TestRun:
         vantage = vps(mini_world)
         results = run_once(vantage, "www.example.tld.", RdataType.A)
         assert len(results) == len(vantage)
+
+
+class TestTicks:
+    SPEC = MeasurementSpec("www.example.tld.", RdataType.A, interval=600, duration=1800)
+
+    def ticks(self, world, run, progress_every, checkpoint_every):
+        """The run's progress and checkpoint calls, in the order they came."""
+        seen = []
+        measurement = Measurement(
+            spec=self.SPEC, vantage_points=vps(world, probes=9),
+            progress=lambda done, total: seen.append(("progress", done, total)),
+            progress_every=progress_every,
+        )
+        results = run(
+            measurement,
+            checkpoint_every=checkpoint_every,
+            checkpoint=lambda state: seen.append(("checkpoint", state.position)),
+        )
+        return seen, len(results)
+
+    def test_progress_every_zero_means_the_final_call_only(self, mini_world):
+        # `done % progress_every` used to divide by zero mid-run.
+        for never in (0, -5):
+            seen, total = self.ticks(mini_world, Measurement.run, never, 0)
+            assert seen == [("progress", total, total)]
+
+    def test_ticks_come_when_the_per_query_loop_sent_them(self, mini_world):
+        from tests.atlas.reference_measurement import reference_run
+        from tests.conftest import build_mini_world
+
+        # Steps that coincide (every 12th query), that divide the total
+        # (the last tick and the final call both report it) and that
+        # exceed it.
+        for progress_every, checkpoint_every in ((4, 6), (3, 0), (1, 1), (1000, 7)):
+            seen, total = self.ticks(
+                mini_world, Measurement.run, progress_every, checkpoint_every
+            )
+            expected, _ = self.ticks(
+                build_mini_world(), reference_run, progress_every, checkpoint_every
+            )
+            assert seen == expected
+            assert seen[-1] == ("progress", total, total)

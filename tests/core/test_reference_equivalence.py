@@ -7,28 +7,36 @@ attribute with its reference, and every registered campaign, run at the
 smoke size ``test_campaign_registry.py`` pins, must then produce the very
 bytes recorded there — stdout table, ``--metrics`` JSON and manifest.
 
-First entry: the branch-per-feature ``resolve()`` in place of the
-construction-time resolve plan.  Add a reference by adding a row.
+The branch-per-feature ``resolve()`` in place of the construction-time
+resolve plan, and the per-query probe loop in place of the one that
+answers a live entry's hits from a lease.  Add a reference by adding a row.
 """
 
 import pytest
 
+from repro.atlas.measurement import Measurement
 from repro.core.campaign import CAMPAIGNS
 from repro.resolver.recursive import RecursiveResolver
 
+from tests.atlas.reference_measurement import reference_run
 from tests.core.test_campaign_registry import ORACLE, _run, _sha
 from tests.resolver.reference_resolver import reference_resolve
 
-#: name -> (owner, attribute, the reference to put there).
+#: name -> (owner, attribute, the reference to put there, the campaigns
+#: that never get there: the crawler iterates by itself, without a
+#: resolver, and the grid cells drive their clients with loops of their own).
 REFERENCES = {
-    "branching-resolver": (RecursiveResolver, "resolve", reference_resolve),
+    "branching-resolver": (RecursiveResolver, "resolve", reference_resolve, {"crawl"}),
+    "per-query-kernel": (
+        Measurement, "run", reference_run, {"crawl", "ddos", "ecs", "prefetch", "push"},
+    ),
 }
 
 
 @pytest.mark.parametrize("reference", sorted(REFERENCES))
 @pytest.mark.parametrize("name", sorted(CAMPAIGNS))
 def test_campaign_bytes_survive_the_reference(name, reference, tmp_path, capsys, monkeypatch):
-    owner, attribute, slow = REFERENCES[reference]
+    owner, attribute, slow, bypassing = REFERENCES[reference]
     calls = []
 
     def counted(*args, **kwargs):
@@ -39,5 +47,4 @@ def test_campaign_bytes_survive_the_reference(name, reference, tmp_path, capsys,
     # Serial: the swap lives in this process, and results never depend on
     # the worker count anyway (the registry test holds that).
     assert tuple(map(_sha, _run(name, 1, tmp_path, capsys))) == ORACLE[name][1:]
-    if name != "crawl":  # the crawler iterates by itself, without a resolver
-        assert calls
+    assert bool(calls) == (name not in bypassing)

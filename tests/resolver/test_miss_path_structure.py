@@ -16,6 +16,9 @@ from repro.dns.record import ResourceRecord, RRset, group_rrsets
 from repro.dns.ttl import validate_ttl
 from repro.dns.zone import Zone
 from repro.resolver.cache import Cache, CacheEntry
+from repro.resolver.forwarder import ForwardingResolver
+from repro.resolver.recursive import RecursiveResolver
+from repro.resolver.stub import StubResolver
 
 
 def profiled_campaign(monkeypatch, child_ns_ttl: int, duration: float):
@@ -96,15 +99,25 @@ def test_short_ttl_campaign_builds_no_records_and_regroups_nothing(monkeypatch):
     assert calls_from(stats, "resolver/cache.py", Cache._is_dead) < calls(stats, Cache.put)
 
 
-def test_long_ttl_campaign_validates_no_ttl_per_hit(monkeypatch):
-    """The hit-path twin: an aged view inside an already-validated TTL is
-    built without the validating constructor."""
-    run, stats, _ = profiled_campaign(monkeypatch, child_ns_ttl=86400, duration=12000.0)
+def test_long_ttl_campaign_answers_its_hits_from_leases(monkeypatch):
+    """The hit-path twin: a live entry's hits are answered by the probe
+    loop from the lease on it, so what crosses into the stub, the resolver
+    and the entry is the misses and each renewal's first hit — and the
+    counters the leased hits owe arrive in one call per resolver."""
+    run, stats, caches = profiled_campaign(monkeypatch, child_ns_ttl=86400, duration=12000.0)
     queries = run.summary["queries"]
     hits = sum(1 for row in run.results.results if row.cache_hit)
     assert hits > 0.9 * queries > 400
-    assert calls(stats, CacheEntry.aged_rrset) >= hits
-    assert calls(stats, RRset._aged_to) > hits / 2
+    for crossing in (StubResolver.query, RecursiveResolver.resolve, CacheEntry.aged_rrset):
+        assert 0 < calls(stats, crossing) < 0.15 * queries, crossing
+    # Every resolver (forwarders too) owns one cache.  No checkpoint and no
+    # scheduled event in this campaign: the leased hits are settled once,
+    # at the end of each shard's run.
+    settled = calls(stats, RecursiveResolver.count_leased_hits) + calls(
+        stats, ForwardingResolver.count_leased_hits
+    )
+    assert 0 < settled <= len(caches)
+    assert sum(cache.stats.hits for cache in caches) > hits
     # What is left is zone building: a constant of the world, not of traffic.
     assert calls(stats, validate_ttl) < hits / 4
     assert calls(stats, RRset.with_ttl) < hits / 4

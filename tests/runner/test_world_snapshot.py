@@ -117,6 +117,41 @@ def test_soft_crash_resumes_from_snapshot(tmp_path):
     assert resumed["metrics"] == clean["metrics"]
 
 
+def test_soft_crash_with_leases_live_resumes_to_the_plain_run(tmp_path, monkeypatch):
+    """Long TTL: by the crash nearly every query is answered from a hit
+    lease, and the counters those hits owe sit in the probe loop, not in
+    the world.  The snapshot must hold them settled, and the resumed run
+    — which starts with no lease — must land on the plain run's bytes."""
+    from repro.resolver.stub import StubResolver
+
+    kwargs = {
+        **UY_KWARGS,
+        "world_kwargs": {"child_ns_ttl": 86400},
+        "spec_kwargs": dict(UY_KWARGS["spec_kwargs"], duration=6000.0),
+    }
+    shard = plan_shards(24, 3, 7)[1]
+    clean = decode_shard_payload(centricity_shard(shard, **kwargs))
+    queries = len(clean["results"])
+
+    walked = []
+    stub_query = StubResolver.query
+    monkeypatch.setattr(
+        StubResolver, "query",
+        lambda self, *args: walked.append(None) or stub_query(self, *args),
+    )
+    snap = _snapshot(tmp_path, every=10, crash_after=queries // 2)
+    worldcache.clear()
+    with pytest.raises(RuntimeError, match="injected crash"):
+        centricity_shard(shard, **kwargs, snapshot=snap)
+    # Leases were live when it crashed: most of that half never reached a stub.
+    assert 0 < len(walked) < queries // 4
+
+    resumed = decode_shard_payload(centricity_shard(shard, **kwargs, snapshot=snap))
+    assert len(walked) < queries // 2
+    assert resumed["results"].results == clean["results"].results
+    assert resumed["metrics"] == clean["metrics"]
+
+
 def test_serial_executor_retry_resumes_mid_shard(tmp_path):
     shards = plan_shards(24, 3, 7)
     baseline = [decode_shard_payload(centricity_shard(s, **UY_KWARGS)) for s in shards]
