@@ -24,9 +24,9 @@ def bench_ddos_resilience(benchmark):
         title=f"§6.1: availability through a {ATTACK / 3600:.0f}h "
               "authoritative DDoS (fault-injected)",
     )
-    for ttl in sorted({tier.ttl for tier in run.tiers}):
-        plain = run.tier(ttl, serve_stale=False)
-        rescued = run.tier(ttl, serve_stale=True)
+    for ttl in sorted({tier.ttl for tier in run.cells}):
+        plain = run.cell(False, ttl)
+        rescued = run.cell(True, ttl)
         table.add_row(
             ttl,
             f"{plain.availability * 100:.0f}%",
@@ -49,10 +49,10 @@ def bench_ddos_resilience(benchmark):
     )
     write_report("ddos_resilience", report)
 
-    plain = run.availability_profile(serve_stale=False)
+    plain = run.profile("availability", False)
     assert plain[60] == 0.0
     assert 0.0 < plain[300] < 0.2
     assert plain[1800] == 0.5
     assert plain[3600] == 1.0 and plain[86400] == 1.0
-    assert all(v == 1.0 for v in run.availability_profile(serve_stale=True).values())
+    assert all(v == 1.0 for v in run.profile("availability", True).values())
     assert recovered >= 1

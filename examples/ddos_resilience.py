@@ -33,8 +33,8 @@ def main() -> None:
         title="§6.1: answer availability during the attack",
     )
     for ttl in TTLS:
-        plain = run.tier(ttl, serve_stale=False)
-        rescued = run.tier(ttl, serve_stale=True)
+        plain = run.cell(False, ttl)
+        rescued = run.cell(True, ttl)
         table.add_row(
             f"{ttl}s",
             f"{plain.availability * 100:.0f}%",
@@ -52,12 +52,11 @@ def main() -> None:
     print("component of DNS resilience... TTLs must be longer than the attack').")
 
     # The headline §6.1 shape, asserted so this example doubles as a check.
-    profile = run.availability_profile(serve_stale=False)
+    profile = run.profile("availability", False)
     assert profile[60] == 0.0, profile
     assert profile[3600] == 1.0 and profile[86400] == 1.0, profile
     assert all(
-        value == 1.0
-        for value in run.availability_profile(serve_stale=True).values()
+        value == 1.0 for value in run.profile("availability", True).values()
     ), "serve-stale should rescue every tier"
 
 

@@ -494,7 +494,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         batch_size=args.batch,
         batching=not args.no_batch,
         memo=not args.no_memo,
-        uvloop=args.uvloop,
         prewarm=args.prewarm,
         querylog_path=args.querylog,
         metrics_path=args.metrics,
@@ -775,10 +774,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "instead of recvmmsg/sendmmsg")
     serve.add_argument("--no-memo", action="store_true",
                        help="disable the encode-once hot-response memo")
-    serve.add_argument("--uvloop", choices=["auto", "on", "off"],
-                       default="auto",
-                       help="event loop: auto uses uvloop when importable, "
-                            "on requires it, off sticks to stdlib asyncio")
     serve.add_argument("--prewarm", type=int, default=0, metavar="N",
                        help="resolve the top-N hot names into each worker's "
                             "cache before serving (rank 0 = most popular)")

@@ -4,9 +4,10 @@ The paper's method is one shape repeated — sweep an axis (usually the
 TTL), run independent units, tabulate.  A :class:`CampaignSpec` names
 the parts of that shape that differ between campaigns; everything else
 is shared: :func:`run_campaign` is the only route into
-:mod:`repro.runner`, :func:`run_grid` expands axes into seeded cells,
-and :func:`repro.runner.campaigns.cell_shard` runs any cell by looking
-its campaign up here.
+:mod:`repro.runner`, :func:`run_grid` expands axes into seeded cells
+and returns them as one :class:`GridRun`, and
+:func:`repro.runner.campaigns.cell_shard` runs any cell by looking its
+campaign up here.
 
 The registry is data: implementations are named as ``"module:attr"``
 and imported on first use, so building the CLI parser or listing
@@ -21,7 +22,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-__all__ = ["CAMPAIGNS", "CampaignSpec", "run_campaign", "run_grid"]
+__all__ = ["CAMPAIGNS", "CampaignSpec", "GridRun", "run_campaign", "run_grid"]
 
 
 @dataclass(frozen=True)
@@ -101,10 +102,10 @@ _SCENARIOS = "repro.core.scenarios:"
 _T2_ARGS = {"probes": "probes", "duration": "duration", "shards": "shards"}
 
 
-def _t2(name: str, label: str, scenario: str, render: str) -> CampaignSpec:
+def _t2(name: str, label: str, scenario: str) -> CampaignSpec:
     return CampaignSpec(
         name=name, kind="centricity", label=label, shard="centricity_shard",
-        scenario=_SCENARIOS + scenario, render=_SCENARIOS + render,
+        scenario=_SCENARIOS + scenario, render=_SCENARIOS + "report_centricity",
         cli_args=_T2_ARGS, faults=True, predict=True, snapshot=True,
     )
 
@@ -113,11 +114,9 @@ def _t2(name: str, label: str, scenario: str, render: str) -> CampaignSpec:
 CAMPAIGNS: dict[str, CampaignSpec] = {
     spec.name: spec
     for spec in (
-        _t2("t2-uy", "uy-NS", "scenario_uy_ns", "report_uy_ns"),
-        _t2("t2-anicuy", "a.nic.uy-A", "scenario_anicuy_a", "report_anicuy_a"),
-        _t2(
-            "t2-googleco", "google.co-NS", "scenario_googleco_ns", "report_googleco_ns"
-        ),
+        _t2("t2-uy", "uy-NS", "scenario_uy_ns"),
+        _t2("t2-anicuy", "a.nic.uy-A", "scenario_anicuy_a"),
+        _t2("t2-googleco", "google.co-NS", "scenario_googleco_ns"),
         CampaignSpec(
             name="t10-controlled", kind="controlled-ttl",
             scenario=_SCENARIOS + "scenario_controlled_ttl",
@@ -237,6 +236,62 @@ def run_campaign(
     return payloads, metrics
 
 
+@dataclass
+class GridRun:
+    """What every grid campaign returns: the cells and how to find one.
+
+    A cell result carries its own axis values as attributes (``cell.ttl``,
+    ``cell.mode``), so lookups need nothing but the spec's ``axes``.  The
+    parameters all cells shared read as attributes of the run
+    (``run.subnets``, ``run.attack_seconds``).
+    """
+
+    #: The ``repro run`` name, a key of :data:`CAMPAIGNS`.
+    campaign: str
+    #: Keyword arguments every cell ran under, beside its axis values.
+    params: dict[str, Any]
+    #: Cell results in grid order (the axes' product, outermost first).
+    cells: list
+    #: Merged campaign metrics: the cells' sim-domain snapshots folded
+    #: exactly, plus the executor's host-domain telemetry.
+    metrics: Any
+
+    def __getattr__(self, name: str) -> Any:
+        # Reached only when normal lookup fails: the shared parameters.
+        try:
+            return self.__dict__["params"][name]
+        except KeyError:
+            raise AttributeError(
+                f"{self.__dict__.get('campaign')} run has no parameter {name!r}"
+            ) from None
+
+    def _at(self, axes: tuple[str, ...], values: tuple) -> list:
+        return [
+            cell for cell in self.cells
+            if tuple(getattr(cell, axis) for axis in axes) == values
+        ]
+
+    def cell(self, *values: Any) -> Any:
+        """The cell at ``values`` — one per axis, in the spec's ``axes`` order."""
+        axes = tuple(CAMPAIGNS[self.campaign].axes)
+        found = self._at(axes, values)
+        if not found:
+            raise KeyError(
+                f"no {self.campaign} cell at {values!r} (axes: {', '.join(axes)})"
+            )
+        return found[0]
+
+    def profile(self, field: str, *outer: Any) -> dict:
+        """``{innermost-axis value: cell.field}`` across the cells at
+        ``outer`` (one value per remaining axis): the curve a figure plots,
+        e.g. TTL -> availability."""
+        *outer_axes, inner = CAMPAIGNS[self.campaign].axes
+        return {
+            getattr(cell, inner): getattr(cell, field)
+            for cell in self._at(tuple(outer_axes), outer)
+        }
+
+
 def run_grid(
     name: str,
     seed: int,
@@ -246,8 +301,8 @@ def run_grid(
     run_dir: Optional[str] = None,
     progress=None,
     profile: Optional[str] = None,
-):
-    """Run a grid campaign, one shard per cell; ``(cell results, metrics)``.
+) -> GridRun:
+    """Run a grid campaign, one shard per cell.
 
     Cells are independent worlds seeded from their own parameters, so
     the output is byte-identical for every worker count.
@@ -268,4 +323,4 @@ def run_grid(
         progress=progress,
         profile=profile,
     )
-    return [payload["results"] for payload in payloads], metrics
+    return GridRun(name, fixed, [payload["results"] for payload in payloads], metrics)

@@ -11,8 +11,8 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional
 
 from repro.analysis.cdf import ECDF
 from repro.analysis.tables import Table
@@ -24,25 +24,21 @@ from repro.analysis.centricity import (
     sticky_vps,
 )
 from repro.atlas.measurement import Measurement, MeasurementSpec
-from repro.atlas.population import AtlasConfig, AtlasPopulation
+from repro.atlas.population import AtlasPopulation
 from repro.atlas.results import ResultSet
-from repro.core.campaign import CAMPAIGNS, run_campaign, run_grid
+from repro.core.campaign import CAMPAIGNS, GridRun, run_campaign, run_grid
 from repro.core.experiment import make_population
 from repro.core.worlds import (
     CachetestWorld,
-    ControlledWorld,
     NlWorld,
-    UyWorld,
     build_cachetest_world,
     build_cl_world,
     build_controlled_world,
     build_ecs_cdn_world,
-    build_googleco_world,
     build_hotset_world,
     build_nl_world,
     build_outage_world,
     build_push_world,
-    build_uy_world,
 )
 from repro.dns.message import Message, Rcode, Section
 from repro.dns.name import Name
@@ -50,6 +46,8 @@ from repro.dns.rdtypes import RdataType
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.metrics.registry import MetricsRegistry
 from repro.metrics.snapshot import MetricsSnapshot, merge_snapshots
+from repro.net.topology import Region
+from repro.resolver.policy import EcsPolicy, ResolverPolicy
 
 # ------------------------------------------------------- campaign plumbing
 #
@@ -78,6 +76,38 @@ def _counter(snapshot: MetricsSnapshot, name: str) -> int:
     return int(snapshot.value(name) or 0)
 
 
+def _latency_percentiles(samples_ms: list[float]) -> dict[str, float]:
+    """A cell's ``p50_ms``/``p95_ms``/``p99_ms`` fields; zeros for an empty run."""
+    cdf = ECDF(samples_ms or [0.0])
+    return dict(
+        p50_ms=cdf.median, p95_ms=cdf.quantile(0.95), p99_ms=cdf.quantile(0.99)
+    )
+
+
+def _attach_faults(
+    world, own_specs, name: str, seed: int, fault_plan: Optional[dict]
+) -> FaultInjector:
+    """Arm ``world`` with a cell's own fault schedule plus the user's.
+
+    ``fault_plan`` (a :class:`FaultPlan` payload, or ``None``) rides
+    along after ``own_specs``; when present its seed — and its name, if
+    it has one — identify the combined plan.  The injector's own RNG is
+    always derived from the cell ``seed``.
+    """
+    specs = list(own_specs)
+    plan_seed = seed
+    if fault_plan is not None:
+        extra = FaultPlan.from_payload(fault_plan)
+        specs.extend(extra.faults)
+        name = extra.name or name
+        plan_seed = extra.seed
+    injector = FaultInjector(
+        FaultPlan(faults=tuple(specs), name=name, seed=plan_seed), seed=seed
+    )
+    world.network.attach_faults(injector)
+    return injector
+
+
 # ------------------------------------------------------------------- Table 1
 
 
@@ -93,8 +123,6 @@ class Table1Row:
 
 def scenario_table1_cl(seed: int = 0) -> list[Table1Row]:
     """Reproduce Table 1: the TTLs seen resolving a.nic.cl."""
-    from repro.net.topology import Region
-
     world = build_cl_world(seed)
     client = world.topology.endpoint_in_region(Region.EU, name="table1-client")
     rows: list[Table1Row] = []
@@ -134,6 +162,8 @@ class CentricityRun:
     """One active centricity measurement campaign."""
 
     name: str
+    #: ``repro run`` table title.
+    title: str
     parent_ttl: int
     child_ttl: int
     results: ResultSet
@@ -147,14 +177,39 @@ class CentricityRun:
         return ECDF(self.results.ttls())
 
 
-#: Centricity campaign -> (world builder, qname, qtype, parent TTL,
-#: classifier of the observed TTLs).
+class _CentricityTarget(NamedTuple):
+    """Everything one Table 2 campaign fixes.  Its display name is the
+    registry entry's ``label`` (the progress ticker shows it too)."""
+
+    #: World builder, by :func:`repro.runner.campaigns.centricity_shard` name.
+    builder: str
+    qname: str
+    qtype: RdataType
+    parent_ttl: int
+    child_ttl: int
+    #: Classifier of the observed TTLs.
+    classify: Callable[..., CentricityBreakdown]
+    #: ``MeasurementSpec.description``; may name ``{child_ttl}``.
+    description: str
+    #: ``repro run`` table title.
+    title: str
+    #: Seconds between a vantage point's queries.
+    interval: float = 600.0
+
+
 _CENTRICITY_TARGETS = {
-    "t2-uy": ("uy", "uy.", RdataType.NS, 172800, classify_active_ttls),
-    "t2-anicuy": ("uy", "a.nic.uy.", RdataType.A, 172800, classify_active_ttls),
-    "t2-googleco": (
-        "googleco", "google.co.", RdataType.NS, 900,
+    "t2-uy": _CentricityTarget(
+        "uy", "uy.", RdataType.NS, 172800, 300, classify_active_ttls,
+        ".uy-NS (child TTL {child_ttl})", "T2: .uy-NS centricity campaign",
+    ),
+    "t2-anicuy": _CentricityTarget(
+        "uy", "a.nic.uy.", RdataType.A, 172800, 120, classify_active_ttls,
+        "a.nic.uy-A", "T2: a.nic.uy-A centricity campaign",
+    ),
+    "t2-googleco": _CentricityTarget(
+        "googleco", "google.co.", RdataType.NS, 900, 345600,
         functools.partial(classify_capped_or_child, cap=21599),
+        "google.co-NS", "T2: google.co-NS centricity campaign",
     ),
 }
 
@@ -162,14 +217,9 @@ _CENTRICITY_TARGETS = {
 def _run_centricity(
     campaign: str,
     *,
-    name: str,
-    description: str,
-    world_kwargs: dict,
-    child_ttl: int,
-    interval: float,
-    duration: float,
     seed: int,
     probes: int,
+    duration: float,
     parallelism: Optional[int],
     shards: Optional[int],
     run_dir: Optional[str],
@@ -178,8 +228,13 @@ def _run_centricity(
     predict: bool,
     profile: Optional[str],
     snapshot_every: int,
+    child_ns_ttl: Optional[int] = None,
+    interval: Optional[float] = None,
 ) -> CentricityRun:
     """Run registered centricity ``campaign`` over its probes and classify.
+
+    The keywords are the public scenarios' own parameters: each is its
+    signature, its docstring and ``_run_centricity(name, **locals())``.
 
     With ``parallelism`` set, probes are sharded deterministically and
     the shards execute on that many workers (1 = the serial in-process
@@ -193,6 +248,10 @@ def _run_centricity(
     resumes mid-shard.  Snapshot cadence is deliberately *not* part of
     the fingerprint — it changes when state hits disk, never the
     results.
+
+    ``child_ns_ttl`` rebuilds the world with that child NS TTL (the
+    operator's change behind the paper's uy-NS-new column); ``interval``
+    overrides the target's probing interval.
     """
     from repro.runner.campaigns import campaign_fingerprint
     from repro.runner.merge import merge_result_sets
@@ -200,14 +259,19 @@ def _run_centricity(
     from repro.runner.worldcache import prewarm
 
     spec = CAMPAIGNS[campaign]
-    builder, qname, qtype, parent_ttl, classify = _CENTRICITY_TARGETS[campaign]
+    target = _CENTRICITY_TARGETS[campaign]
+    world_kwargs = {} if child_ns_ttl is None else {"child_ns_ttl": child_ns_ttl}
+    child_ttl = target.child_ttl if child_ns_ttl is None else child_ns_ttl
     kwargs = {
-        "builder": builder,
+        "builder": target.builder,
         "world_kwargs": world_kwargs,
         "spec_kwargs": dict(
-            qname=qname, interval=interval, duration=duration, description=description
+            qname=target.qname,
+            interval=target.interval if interval is None else interval,
+            duration=duration,
+            description=target.description.format(child_ttl=child_ttl),
         ),
-        "qtype_name": qtype.name,
+        "qtype_name": target.qtype.name,
         "fault_plan": _normalize_fault_plan(faults),
     }
     if predict:
@@ -236,16 +300,19 @@ def _run_centricity(
         }
     payloads, metrics = run_campaign(
         spec, fingerprint, kwargs, plan, parallelism, run_dir, progress, profile,
-        initializer=prewarm, initargs=(builder, world_kwargs),
+        initializer=prewarm, initargs=(target.builder, world_kwargs),
     )
     results = merge_result_sets([payload["results"] for payload in payloads])
     valid = results.valid()
     return CentricityRun(
-        name=name,
-        parent_ttl=parent_ttl,
+        name=spec.label if child_ttl == target.child_ttl else f"{spec.label}-new",
+        title=target.title,
+        parent_ttl=target.parent_ttl,
         child_ttl=child_ttl,
         results=valid,
-        breakdown=classify(valid.ttls(), parent_ttl=parent_ttl, child_ttl=child_ttl),
+        breakdown=target.classify(
+            valid.ttls(), parent_ttl=target.parent_ttl, child_ttl=child_ttl
+        ),
         summary=results.summary(),
         metrics=metrics,
     )
@@ -279,16 +346,7 @@ def scenario_uy_ns(
     (refresh-ahead + RFC 8767) — see docs/prediction.md.  ``profile``
     writes per-shard cProfile stats.
     """
-    return _run_centricity(
-        "t2-uy",
-        name="uy-NS" if child_ns_ttl == 300 else "uy-NS-new",
-        description=f".uy-NS (child TTL {child_ns_ttl})",
-        world_kwargs={"child_ns_ttl": child_ns_ttl},
-        child_ttl=child_ns_ttl, interval=interval, duration=duration,
-        seed=seed, probes=probes, parallelism=parallelism, shards=shards,
-        run_dir=run_dir, progress=progress, faults=faults, predict=predict,
-        profile=profile, snapshot_every=snapshot_every,
-    )
+    return _run_centricity("t2-uy", **locals())
 
 
 def scenario_anicuy_a(
@@ -306,13 +364,7 @@ def scenario_anicuy_a(
 ) -> CentricityRun:
     """The a.nic.uy-A campaign (Table 2 col 2; Figure 1): parent glue
     172800 s, child A 120 s, every 10 min for 3 h."""
-    return _run_centricity(
-        "t2-anicuy", name="a.nic.uy-A", description="a.nic.uy-A", world_kwargs={},
-        child_ttl=120, interval=600.0, duration=duration,
-        seed=seed, probes=probes, parallelism=parallelism, shards=shards,
-        run_dir=run_dir, progress=progress, faults=faults, predict=predict,
-        profile=profile, snapshot_every=snapshot_every,
-    )
+    return _run_centricity("t2-anicuy", **locals())
 
 
 def scenario_googleco_ns(
@@ -330,17 +382,11 @@ def scenario_googleco_ns(
 ) -> CentricityRun:
     """The google.co-NS campaign (Table 2 col 3; Figure 2): parent 900 s,
     child 345600 s, every 10 min for 1 h."""
-    return _run_centricity(
-        "t2-googleco", name="google.co-NS", description="google.co-NS",
-        world_kwargs={}, child_ttl=345600, interval=600.0, duration=duration,
-        seed=seed, probes=probes, parallelism=parallelism, shards=shards,
-        run_dir=run_dir, progress=progress, faults=faults, predict=predict,
-        profile=profile, snapshot_every=snapshot_every,
-    )
+    return _run_centricity("t2-googleco", **locals())
 
 
-def _report_centricity(title: str, run: CentricityRun):
-    table = Table(["metric", "value"], title=title)
+def report_centricity(run: CentricityRun):
+    table = Table(["metric", "value"], title=run.title)
     for key in ("probes", "vps", "queries", "responses_valid",
                 "responses_discarded", "resolvers"):
         table.add_row(key, run.summary[key])
@@ -348,15 +394,6 @@ def _report_centricity(title: str, run: CentricityRun):
     table.add_row("child-centric", f"{b.child_fraction * 100:.1f}%")
     table.add_row("parent-centric", f"{b.parent_fraction * 100:.1f}%")
     return table.render(), run.metrics
-
-
-report_uy_ns = functools.partial(_report_centricity, "T2: .uy-NS centricity campaign")
-report_anicuy_a = functools.partial(
-    _report_centricity, "T2: a.nic.uy-A centricity campaign"
-)
-report_googleco_ns = functools.partial(
-    _report_centricity, "T2: google.co-NS centricity campaign"
-)
 
 
 # ------------------------------------------------------------ §3.4 (F3, F4)
@@ -384,24 +421,17 @@ def scenario_nl_passive(
     """The passive .nl study (§3.4): a resolver fleet drives two days of
     client workload; the monitored authoritatives' logs are grouped by
     (resolver, NS-name) exactly as Figures 3 and 4 require."""
-    from repro.resolver.policy import ResolverPolicy
-    from repro.resolver.recursive import RecursiveResolver
-
     nl = build_nl_world(seed, domain_count=domain_count)
     world = nl.world
     rng = random.Random(seed ^ 0x9A55)
 
-    fleet: list[RecursiveResolver] = []
-    for index in range(resolvers):
-        endpoint = world.topology.create_endpoint(name=f"nl-res-{index}")
-        fleet.append(
-            RecursiveResolver(
-                endpoint=endpoint,
-                network=world.network,
-                root_hints=world.hints,
-                policy=ResolverPolicy.child_centric(),
-            )
+    fleet = [
+        world.resolver(
+            world.topology.create_endpoint(name=f"nl-res-{index}"),
+            ResolverPolicy.child_centric(),
         )
+        for index in range(resolvers)
+    ]
 
     # Heterogeneous client demand: a heavy-tailed lognormal over per-
     # resolver rates — most resolvers rarely need .nl (they produce the
@@ -460,10 +490,6 @@ class BailiwickRun:
     @property
     def old_label(self) -> str:
         return self.world.old_answer
-
-    @property
-    def new_label(self) -> str:
-        return self.world.new_answer
 
 
 def scenario_bailiwick(
@@ -566,17 +592,11 @@ def scenario_opendns_case_study(
     long past every child TTL — because the resolver trusted the .com
     zone's 2-day NS/glue and never asked the child for NS records.
     """
-    from repro.resolver.policy import ResolverPolicy
-    from repro.resolver.recursive import RecursiveResolver
-    from repro.net.topology import Region
-
     ct = build_cachetest_world(seed, in_bailiwick=False)
     world = ct.world
-    resolver = RecursiveResolver(
-        endpoint=world.topology.endpoint_in_region(Region.EU, "opendns-like"),
-        network=world.network,
-        root_hints=world.hints,
-        policy=ResolverPolicy.parent_centric(),
+    resolver = world.resolver(
+        world.topology.endpoint_in_region(Region.EU, "opendns-like"),
+        ResolverPolicy.parent_centric(),
     )
     # Warm the resolver, renumber at t=9min, then probe every 300 s.
     old = new = responses = 0
@@ -764,10 +784,10 @@ def scenario_controlled_ttl(
     """
     axes = {"label": tuple(_CONTROLLED_RUNS)}
     shared = {"probes": probes, "duration": duration}
-    runs, _ = run_grid(
+    grid = run_grid(
         "t10-controlled", seed, axes, shared, parallelism, run_dir, progress, profile
     )
-    return {run.label: run for run in runs}
+    return {run.label: run for run in grid.cells}
 
 
 def report_controlled(runs: dict[str, ControlledRun]):
@@ -812,38 +832,6 @@ class DdosTierResult:
         return self.stale_answers / self.slots if self.slots else 0.0
 
 
-@dataclass
-class DdosResilienceRun:
-    """§6.1: answer availability under an authoritative outage.
-
-    The paper's claim — "longer caching is more robust to DDoS attacks",
-    sharpened by Moura et al. to "TTLs must be longer than the attack" —
-    falls out of the tier matrix: availability climbs from 0 to 1 as the
-    TTL crosses the attack duration, and serve-stale rescues every tier.
-    """
-
-    attack_seconds: float
-    probe_interval: float
-    attack_start: float
-    tiers: list[DdosTierResult]
-    #: Merged campaign metrics (fault events, retries, recoveries).
-    metrics: Optional[MetricsSnapshot] = None
-
-    def tier(self, ttl: int, serve_stale: bool) -> DdosTierResult:
-        for result in self.tiers:
-            if result.ttl == ttl and result.serve_stale == serve_stale:
-                return result
-        raise KeyError((ttl, serve_stale))
-
-    def availability_profile(self, serve_stale: bool) -> dict[int, float]:
-        """TTL -> availability, the headline curve of the scenario."""
-        return {
-            result.ttl: result.availability
-            for result in self.tiers
-            if result.serve_stale == serve_stale
-        }
-
-
 def _run_ddos_tier(
     *,
     ttl: int,
@@ -861,37 +849,20 @@ def _run_ddos_tier(
     the loss model directly), so every fault event is observable in the
     metrics stream and extra faults can ride along via ``fault_plan``.
     """
-    from repro.net.topology import Region
-    from repro.resolver.policy import ResolverPolicy
-    from repro.resolver.recursive import RecursiveResolver
-
     outage = build_outage_world(ttl, seed)
     world = outage.world
     world.network.attach_metrics(metrics)
+    attack = FaultSpec(
+        kind="server_outage",
+        start=attack_start,
+        duration=attack_seconds,
+        target=outage.target_address,
+    )
+    _attach_faults(world, [attack], "ddos", seed, fault_plan)
 
-    specs = [
-        FaultSpec(
-            kind="server_outage",
-            start=attack_start,
-            duration=attack_seconds,
-            target=outage.target_address,
-        )
-    ]
-    plan_name, plan_seed = "ddos", seed
-    if fault_plan is not None:
-        extra = FaultPlan.from_payload(fault_plan)
-        specs.extend(extra.faults)
-        plan_name = extra.name or plan_name
-        plan_seed = extra.seed
-    plan = FaultPlan(faults=tuple(specs), name=plan_name, seed=plan_seed)
-    world.network.attach_faults(FaultInjector(plan, seed=seed))
-
-    policy = ResolverPolicy.child_centric().with_(serve_stale=serve_stale)
-    resolver = RecursiveResolver(
-        endpoint=world.topology.endpoint_in_region(Region.EU, "res"),
-        network=world.network,
-        root_hints=world.hints,
-        policy=policy,
+    resolver = world.resolver(
+        world.topology.endpoint_in_region(Region.EU, "res"),
+        ResolverPolicy.child_centric().with_(serve_stale=serve_stale),
     )
     # Warm the cache just before the attack begins.
     warm = resolver.resolve("www.shop.example.", RdataType.A, now=0.0)
@@ -933,7 +904,7 @@ def scenario_ddos_resilience(
     run_dir: Optional[str] = None,
     progress=None,
     profile: Optional[str] = None,
-) -> DdosResilienceRun:
+) -> GridRun:
     """§6.1: availability across TTL tiers during a 1 h authoritative DDoS.
 
     Runs a (serve-stale × TTL) matrix of independent tiers: each warms a
@@ -942,30 +913,35 @@ def scenario_ddos_resilience(
     run as one shard each through :mod:`repro.runner` — byte-identical
     for any ``parallelism``.  ``faults`` schedules *additional* failures
     on top of the attack in every tier.
+
+    The paper's claim — "longer caching is more robust to DDoS attacks",
+    sharpened by Moura et al. to "TTLs must be longer than the attack" —
+    falls out of the tier matrix (``run.profile("availability", False)``):
+    availability climbs from 0 to 1 as the TTL crosses the attack
+    duration, and serve-stale rescues every tier.
     """
     if attack_start is None:
         # Half a slot before the first probe: every probe lands mid-attack.
         attack_start = probe_interval / 2
-    shared = {
+    fixed = {
         "attack_seconds": attack_seconds,
         "probe_interval": probe_interval,
         "attack_start": attack_start,
+        "fault_plan": _normalize_fault_plan(faults),
     }
-    fixed = {**shared, "fault_plan": _normalize_fault_plan(faults)}
-    tiers, metrics = run_grid(
+    return run_grid(
         "ddos", seed, {"ttl": ttls}, fixed, parallelism, run_dir, progress, profile
     )
-    return DdosResilienceRun(**shared, tiers=tiers, metrics=metrics)
 
 
-def report_ddos(run: DdosResilienceRun):
+def report_ddos(run: GridRun):
     table = Table(
         ["TTL (s)", "availability", "serve-stale", "stale fraction"],
         title=f"§6.1 resilience: {run.attack_seconds:.0f}s authoritative outage",
     )
-    for ttl in sorted({tier.ttl for tier in run.tiers}):
-        plain = run.tier(ttl, serve_stale=False)
-        rescued = run.tier(ttl, serve_stale=True)
+    for ttl in sorted({tier.ttl for tier in run.cells}):
+        plain = run.cell(False, ttl)
+        rescued = run.cell(True, ttl)
         table.add_row(
             ttl,
             f"{plain.availability * 100:.0f}%",
@@ -1004,34 +980,6 @@ class PrefetchCell:
         return self.cache_hits / self.queries if self.queries else 0.0
 
 
-@dataclass
-class PrefetchTradeoffRun:
-    """The prefetch figure: client p99 and authoritative volume vs TTL.
-
-    Pappas et al.'s renewal idea, quantified: at short TTLs refresh-ahead
-    buys the client hit-latency p99 at the price of budgeted refresh
-    traffic; at day-long TTLs prediction buys (and costs) nothing.
-    """
-
-    duration: float
-    rate_qps: float
-    names: int
-    cells: list[PrefetchCell]
-    metrics: Optional[MetricsSnapshot] = None
-
-    def cell(self, mode: str, ttl: int) -> PrefetchCell:
-        for cell in self.cells:
-            if cell.mode == mode and cell.ttl == ttl:
-                return cell
-        raise KeyError((mode, ttl))
-
-    def p99_profile(self, mode: str) -> dict[int, float]:
-        return {c.ttl: c.p99_ms for c in self.cells if c.mode == mode}
-
-    def auth_profile(self, mode: str) -> dict[int, int]:
-        return {c.ttl: c.auth_queries for c in self.cells if c.mode == mode}
-
-
 def _run_prefetch_cell(
     *,
     mode: str,
@@ -1044,9 +992,6 @@ def _run_prefetch_cell(
 ) -> PrefetchCell:
     """Drive one resolver through a Zipf workload against one TTL tier."""
     from repro.loadgen.arrivals import poisson_schedule
-    from repro.net.topology import Region
-    from repro.resolver.policy import ResolverPolicy
-    from repro.resolver.recursive import RecursiveResolver
     from repro.workload import ZipfSampler
 
     hotset = build_hotset_world(ttl, seed, names=names)
@@ -1057,35 +1002,27 @@ def _run_prefetch_cell(
         "onhit": ResolverPolicy.prefetching,
         "ahead": ResolverPolicy.predictive,
     }[mode]()
-    resolver = RecursiveResolver(
-        endpoint=world.topology.endpoint_in_region(Region.EU, "prefetch-res"),
-        network=world.network,
-        root_hints=world.hints,
-        policy=policy,
+    resolver = world.resolver(
+        world.topology.endpoint_in_region(Region.EU, "prefetch-res"), policy
     )
     rng = random.Random(seed ^ 0x50F7)
     sampler = ZipfSampler(population=names, exponent=1.0)
     latencies: list[float] = []
     hits = 0
-    count = 0
     for at in poisson_schedule(rate_qps, duration, rng):
         qname = hotset.qnames[sampler.rank(rng)]
         out = resolver.resolve(qname, RdataType.A, now=at)
         latencies.append(out.elapsed * 1000.0)
         hits += out.cache_hit
-        count += 1
-    cdf = ECDF(latencies) if latencies else None
     snapshot = metrics.snapshot()
     return PrefetchCell(
         mode=mode,
         ttl=ttl,
         seed=seed,
-        queries=count,
+        queries=len(latencies),
         cache_hits=hits,
         auth_queries=hotset.auth_queries,
-        p50_ms=cdf.median if cdf else 0.0,
-        p95_ms=cdf.quantile(0.95) if cdf else 0.0,
-        p99_ms=cdf.quantile(0.99) if cdf else 0.0,
+        **_latency_percentiles(latencies),
         refreshes=_counter(snapshot, "predict.refreshes")
         + _counter(snapshot, "predict.revalidations"),
         stale_answered=_counter(snapshot, "predict.stale_answered"),
@@ -1103,7 +1040,7 @@ def scenario_prefetch_tradeoff(
     run_dir: Optional[str] = None,
     progress=None,
     profile: Optional[str] = None,
-) -> PrefetchTradeoffRun:
+) -> GridRun:
     """Authoritative volume and client p99 vs TTL, with prediction
     off / on-hit prefetch / refresh-ahead.
 
@@ -1112,16 +1049,19 @@ def scenario_prefetch_tradeoff(
     workload.  The cells run as one shard each through
     :mod:`repro.runner` — byte-identical for any ``parallelism``,
     predict machinery included.
+
+    Pappas et al.'s renewal idea, quantified: at short TTLs refresh-ahead
+    buys the client hit-latency p99 at the price of budgeted refresh
+    traffic; at day-long TTLs prediction buys (and costs) nothing.
     """
     axes = {"mode": modes, "ttl": ttls}
     shared = {"names": names, "rate_qps": rate_qps, "duration": duration}
-    cells, metrics = run_grid(
+    return run_grid(
         "prefetch", seed, axes, shared, parallelism, run_dir, progress, profile
     )
-    return PrefetchTradeoffRun(**shared, cells=cells, metrics=metrics)
 
 
-def report_prefetch(run: PrefetchTradeoffRun):
+def report_prefetch(run: GridRun):
     table = Table(
         ["TTL (s)", "mode", "queries", "hit rate", "auth queries",
          "p99 (ms)", "refreshes", "stale"],
@@ -1172,36 +1112,6 @@ class EcsCell:
         return self.cache_hits / self.queries if self.queries else 0.0
 
 
-@dataclass
-class EcsCdnRun:
-    """The ECS/CDN figure: end-to-end latency and hit rate vs TTL for
-    ISP resolvers, a public resolver without ECS, and one with it.
-
-    The expected shape: "isp" and "public-ecs" route clients to nearby
-    sites (low p50), "public" sends every catchment to the egress's site
-    (high tail for far clients); "public-ecs" pays for the repair with
-    subnet-scoped cache cardinality and a lower hit rate at equal TTL.
-    """
-
-    duration: float
-    rate_qps: float
-    subnets: int
-    cells: list[EcsCell]
-    metrics: Optional[MetricsSnapshot] = None
-
-    def cell(self, mode: str, ttl: int) -> EcsCell:
-        for cell in self.cells:
-            if cell.mode == mode and cell.ttl == ttl:
-                return cell
-        raise KeyError((mode, ttl))
-
-    def latency_profile(self, mode: str) -> dict[int, float]:
-        return {c.ttl: c.p50_ms for c in self.cells if c.mode == mode}
-
-    def hit_profile(self, mode: str) -> dict[int, float]:
-        return {c.ttl: c.hit_rate for c in self.cells if c.mode == mode}
-
-
 def _run_ecs_cell(
     *,
     mode: str,
@@ -1215,8 +1125,6 @@ def _run_ecs_cell(
     """Drive one resolution architecture through the CDN workload."""
     from repro.core.worlds import _ECS_SITE_OF_REGION
     from repro.loadgen.arrivals import poisson_schedule
-    from repro.resolver.policy import EcsPolicy, ResolverPolicy
-    from repro.resolver.recursive import RecursiveResolver
 
     testbed = build_ecs_cdn_world(ttl, seed, subnets=subnets)
     world = testbed.world
@@ -1228,23 +1136,13 @@ def _run_ecs_cell(
         policy = policy.with_(ecs=EcsPolicy())
     if mode == "isp":
         resolvers = {
-            region: RecursiveResolver(
-                endpoint=endpoint,
-                network=world.network,
-                root_hints=world.hints,
-                policy=policy,
-            )
+            region: world.resolver(endpoint, policy)
             for region, endpoint in testbed.isp_endpoints.items()
         }
         resolver_of = lambda client: resolvers[client.region]  # noqa: E731
     else:
         resolvers = {
-            egress: RecursiveResolver(
-                endpoint=endpoint,
-                network=world.network,
-                root_hints=world.hints,
-                policy=policy,
-            )
+            egress: world.resolver(endpoint, policy)
             for egress, endpoint in testbed.egress_endpoints.items()
         }
         resolver_of = lambda client: resolvers[client.egress]  # noqa: E731
@@ -1258,7 +1156,6 @@ def _run_ecs_cell(
     clients = testbed.clients
     latencies: list[float] = []
     hits = 0
-    count = 0
     local_answers = 0
     for at in poisson_schedule(rate_qps, duration, rng):
         client = clients[rng.randrange(len(clients))]
@@ -1284,19 +1181,15 @@ def _run_ecs_cell(
                     local_answers += 1
         latencies.append(total_ms)
         hits += out.cache_hit
-        count += 1
-    cdf = ECDF(latencies) if latencies else None
     return EcsCell(
         mode=mode,
         ttl=ttl,
         seed=seed,
-        queries=count,
+        queries=len(latencies),
         cache_hits=hits,
         auth_queries=testbed.auth_queries,
-        p50_ms=cdf.median if cdf else 0.0,
-        p95_ms=cdf.quantile(0.95) if cdf else 0.0,
-        p99_ms=cdf.quantile(0.99) if cdf else 0.0,
-        local_site_rate=local_answers / count if count else 0.0,
+        **_latency_percentiles(latencies),
+        local_site_rate=local_answers / len(latencies) if latencies else 0.0,
         site_counts=tuple(sorted(testbed.cdn.site_answers.items())),
         scoped_entries=sum(
             resolver.cache.ecs_scoped_len() for resolver in resolvers.values()
@@ -1316,7 +1209,7 @@ def scenario_ecs_cdn(
     run_dir: Optional[str] = None,
     progress=None,
     profile: Optional[str] = None,
-) -> EcsCdnRun:
+) -> GridRun:
     """Client-to-content latency and cache hit rate across TTLs for ISP
     resolvers vs a public resolver without and with ECS.
 
@@ -1325,16 +1218,18 @@ def scenario_ecs_cdn(
     workload.  The cells run as one shard each through
     :mod:`repro.runner` — byte-identical for any ``parallelism``,
     scoped-cache metrics included.
+
+    The expected shape: "isp" and "public-ecs" route clients to nearby
+    sites (low p50), "public" sends every catchment to the egress's site
+    (high tail for far clients); "public-ecs" pays for the repair with
+    subnet-scoped cache cardinality and a lower hit rate at equal TTL.
     """
     axes = {"mode": modes, "ttl": ttls}
     shared = {"subnets": subnets, "rate_qps": rate_qps, "duration": duration}
-    cells, metrics = run_grid(
-        "ecs", seed, axes, shared, parallelism, run_dir, progress, profile
-    )
-    return EcsCdnRun(**shared, cells=cells, metrics=metrics)
+    return run_grid("ecs", seed, axes, shared, parallelism, run_dir, progress, profile)
 
 
-def report_ecs(run: EcsCdnRun):
+def report_ecs(run: GridRun):
     table = Table(
         ["TTL (s)", "mode", "queries", "hit rate", "auth queries",
          "p50 (ms)", "p95 (ms)", "local site", "scoped"],
@@ -1411,48 +1306,6 @@ class PushCell:
         return self.stale_probes / self.answered if self.answered else 0.0
 
 
-@dataclass
-class PushVsPollRun:
-    """The push-vs-poll figure: staleness window and authoritative volume
-    across TTLs, for TTL polling vs pub/sub record updates, under a
-    renumbering plan and a DDoS plan.
-
-    The expected shape: polling trades the two axes against each other
-    (TTL 60 is fresh but loud, TTL 86400 quiet but stale for hours after
-    a renumbering), while push at a long TTL holds both — staleness
-    bounded by delivery latency, volume bounded by the change rate —
-    and under the DDoS plan keeps answering from the long-TTL cache
-    where short-TTL polling goes dark.
-    """
-
-    duration: float
-    probe_interval: float
-    changes: int
-    seats: int
-    cells: list[PushCell]
-    metrics: Optional[MetricsSnapshot] = None
-
-    def cell(self, plan: str, mode: str, ttl: int) -> PushCell:
-        for cell in self.cells:
-            if cell.plan == plan and cell.mode == mode and cell.ttl == ttl:
-                return cell
-        raise KeyError((plan, mode, ttl))
-
-    def staleness_profile(self, plan: str, mode: str) -> dict[int, float]:
-        return {
-            c.ttl: c.mean_staleness_s
-            for c in self.cells
-            if c.plan == plan and c.mode == mode
-        }
-
-    def volume_profile(self, plan: str, mode: str) -> dict[int, int]:
-        return {
-            c.ttl: c.auth_queries
-            for c in self.cells
-            if c.plan == plan and c.mode == mode
-        }
-
-
 def _push_staleness_lags(
     change_log: list[tuple[float, str]],
     observations: list[list[tuple[float, Optional[str]]]],
@@ -1500,10 +1353,7 @@ def _run_push_cell(
 ) -> PushCell:
     """Probe one update channel through one fault family at one TTL."""
     from repro.analysis.hitrate import analytic_hit_rate
-    from repro.net.topology import Region
     from repro.push import PushPolicy, attach_publisher
-    from repro.resolver.policy import ResolverPolicy
-    from repro.resolver.recursive import RecursiveResolver
 
     testbed = build_push_world(ttl, seed)
     world = testbed.world
@@ -1528,20 +1378,7 @@ def _run_push_cell(
                 target=testbed.target_address,
             )
         )
-    plan_name = f"push-{plan}"
-    plan_seed = seed
-    if fault_plan is not None:
-        extra = FaultPlan.from_payload(fault_plan)
-        specs.extend(extra.faults)
-        plan_name = extra.name or plan_name
-        plan_seed = extra.seed
-    world.network.attach_faults(
-        FaultInjector(
-            FaultPlan(faults=tuple(specs), name=plan_name, seed=plan_seed),
-            seed=seed,
-        )
-    )
-    injector = world.network.faults
+    injector = _attach_faults(world, specs, f"push-{plan}", seed, fault_plan)
 
     publisher = None
     policy = ResolverPolicy.child_centric()
@@ -1550,11 +1387,8 @@ def _run_push_cell(
         policy = ResolverPolicy.pushing(PushPolicy())
 
     resolvers = [
-        RecursiveResolver(
-            endpoint=world.topology.endpoint_in_region(Region.EU, f"res{index}"),
-            network=world.network,
-            root_hints=world.hints,
-            policy=policy,
+        world.resolver(
+            world.topology.endpoint_in_region(Region.EU, f"res{index}"), policy
         )
         for index in range(seats)
     ]
@@ -1661,7 +1495,7 @@ def scenario_push_vs_poll(
     run_dir: Optional[str] = None,
     progress=None,
     profile: Optional[str] = None,
-) -> PushVsPollRun:
+) -> GridRun:
     """Staleness window vs authoritative volume: pub/sub updates against
     TTL polling, under renumbering and DDoS fault plans.
 
@@ -1673,22 +1507,26 @@ def scenario_push_vs_poll(
     :mod:`repro.runner` — byte-identical for any ``parallelism``, push
     metrics included.  ``faults`` schedules extra failures on top of
     every cell's own plan.
+
+    The expected shape: polling trades the two axes against each other
+    (TTL 60 is fresh but loud, TTL 86400 quiet but stale for hours after
+    a renumbering), while push at a long TTL holds both — staleness
+    bounded by delivery latency, volume bounded by the change rate —
+    and under the DDoS plan keeps answering from the long-TTL cache
+    where short-TTL polling goes dark.
     """
     axes = {"plan": plans, "mode": modes, "ttl": ttls}
-    shared = {
+    fixed = {
         "seats": seats,
         "changes": changes,
         "probe_interval": probe_interval,
         "duration": duration,
+        "fault_plan": _normalize_fault_plan(faults),
     }
-    fixed = {**shared, "fault_plan": _normalize_fault_plan(faults)}
-    cells, metrics = run_grid(
-        "push", seed, axes, fixed, parallelism, run_dir, progress, profile
-    )
-    return PushVsPollRun(**shared, cells=cells, metrics=metrics)
+    return run_grid("push", seed, axes, fixed, parallelism, run_dir, progress, profile)
 
 
-def report_push(run: PushVsPollRun):
+def report_push(run: GridRun):
     table = Table(
         ["plan", "TTL (s)", "mode", "answered", "stale", "staleness (s)",
          "auth queries", "notifies", "resets"],

@@ -20,6 +20,8 @@ from repro.net.clock import SimClock
 from repro.net.latency import LatencyModel
 from repro.net.topology import Endpoint, Region, Topology, TopologyMark
 from repro.net.transport import LossModel, Network
+from repro.resolver.policy import ResolverPolicy
+from repro.resolver.recursive import RecursiveResolver
 from repro.server.anycast import AnycastCluster
 from repro.server.authoritative import AuthoritativeServer
 
@@ -127,6 +129,19 @@ class World:
         self.clusters[name] = cluster
         self._server_addresses[name] = service_address
         return cluster
+
+    def resolver(self, endpoint: Endpoint, policy: ResolverPolicy) -> RecursiveResolver:
+        """A recursive resolver at ``endpoint``, on this world's fabric
+        and root hints.
+
+        The caller allocates ``endpoint`` itself: address allocation is
+        order-dependent, so where in a scenario each endpoint is created
+        is part of its recorded bytes.
+        """
+        return RecursiveResolver(
+            endpoint=endpoint, network=self.network, root_hints=self.hints,
+            policy=policy,
+        )
 
     # -- zone plumbing ----------------------------------------------------------
     def add_zone(self, zone: Zone) -> Zone:

@@ -272,9 +272,6 @@ class CrawlUniverse:
     root_server_address: str = ""
     lists: dict[str, list[GeneratedDomain]] = field(default_factory=dict)
 
-    def domains_for(self, list_name: str) -> list[GeneratedDomain]:
-        return self.lists[list_name]
-
     # -- worldcache reuse ---------------------------------------------------
     def capture_baseline(self):
         """Topology mark for :meth:`restore_baseline` (crawl worldcache)."""

@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from struct import Struct
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from repro.dns.name import Name
 from repro.dns.rdtypes import CLASSES, TYPES, MemberTable, RdataClass, RdataType
@@ -457,8 +457,3 @@ class Message:
         if reader.remaining:
             raise WireError(f"{reader.remaining} trailing octets after message")
         return cls(message_id, opcode, rcode, flags, question, *sections, edns)
-
-
-def records_as_text(records: Iterable[ResourceRecord]) -> str:
-    """Multi-line presentation form for a record list."""
-    return "\n".join(record.to_text() for record in records)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import ipaddress
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 import random
 
@@ -199,6 +199,3 @@ class Topology:
         for endpoint in self._endpoints:
             grouped[endpoint.region].append(endpoint)
         return grouped
-
-    def iter_endpoints(self) -> Iterator[Endpoint]:
-        return iter(self._endpoints)

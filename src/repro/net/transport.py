@@ -434,33 +434,45 @@ class TcpSession:
         if registry is not None:
             registry.counter(name).inc()
 
-    # -- fate ----------------------------------------------------------------
-    def _fate(self, t: float) -> tuple[bool, float]:
-        """(doomed, extra_delay) for one framed transmission at ``t``."""
-        network = self.network
-        lost = (
-            network.server_at(self.dst_address) is None
-            or network.loss.is_down(self.dst_address)
-        )
-        extra = 0.0
-        if not lost and network.faults is not None:
-            lost, extra = network.faults.transmission_fate(
-                self.client.address, self.dst_address, t
-            )
-        return lost, extra
+    # -- one framed transmission ---------------------------------------------
+    def _transmit(
+        self, now: float, query: Optional[Message] = None
+    ) -> Optional[tuple[float, Optional[Message]]]:
+        """Send one frame at ``now``: ``(rtt, response)``, or ``None`` when
+        the destination is down or a fault window dooms the transmission.
 
-    def _deliver_site(self, t: float) -> Optional[Endpoint]:
-        """The concrete endpoint frames reach, after anycast rerouting."""
+        Fate, then the anycast site frames reach after rerouting, then the
+        RTT draw, then the delivery is noted — the order
+        :meth:`Network.exchange` uses, so the fabric RNG and the fault
+        recovery clock advance identically.  A ``query`` is handed to the
+        server at ``now + rtt/2``, *before* the delivery is noted: a
+        ``servfail`` window first injected by this frame can be closed by
+        this frame's own response, as for a datagram.
+        """
         network = self.network
-        server = network.server_at(self.dst_address)
-        if server is None:
+        faults = network.faults
+        src, dst = self.client.address, self.dst_address
+        server = network.server_at(dst)
+        if server is None or network.loss.is_down(dst):
             return None
+        extra = 0.0
+        if faults is not None:
+            lost, extra = faults.transmission_fate(src, dst, now)
+            if lost:
+                return None
         site = server.endpoint_for(self.client, network.latency)
-        if network.faults is not None:
-            site = network.faults.pick_site(
-                server, self.dst_address, self.client, network.latency, site, t
-            )
-        return site
+        if faults is not None:
+            site = faults.pick_site(server, dst, self.client, network.latency, site, now)
+            if site is None:
+                return None
+        rtt = network.latency.rtt(self.client, site, network._rng) + extra
+        response = None
+        if query is not None:
+            response = server.handle_query(query, self.client, now + rtt / 2.0)
+            network._m_server_queries.inc(str(site))
+        if faults is not None:
+            faults.note_delivery(src, dst, now + rtt)
+        return rtt, response
 
     def _mark_broken(self, t: float) -> None:
         if self.established:
@@ -475,22 +487,17 @@ class TcpSession:
         Raises :class:`NetworkTimeout` (carrying ``timeout`` as elapsed)
         when the handshake is doomed — the caller schedules the retry.
         """
-        lost, extra = self._fate(now)
-        site = None if lost else self._deliver_site(now)
-        if site is None:
+        sent = self._transmit(now)
+        if sent is None:
             self.established = False
             self.broken_at = now
             raise NetworkTimeout(f"connect to {self.dst_address} failed", timeout)
-        rtt = self.network.latency.rtt(self.client, site, self.network._rng) + extra
+        rtt, _ = sent
         self.established = True
         self.broken_at = None
         self.opened_at = now + rtt
         self.connects += 1
         self._count("net.tcp.opens")
-        if self.network.faults is not None:
-            self.network.faults.note_delivery(
-                self.client.address, self.dst_address, now + rtt
-            )
         return rtt
 
     def close(self, now: float) -> None:
@@ -513,25 +520,15 @@ class TcpSession:
         """
         if not self.established:
             raise SessionBroken(f"session to {self.dst_address} is not connected")
-        lost, extra = self._fate(now)
-        site = None if lost else self._deliver_site(now)
-        if site is None:
+        sent = self._transmit(now, query)
+        if sent is None:
             self._mark_broken(now)
             raise SessionBroken(
                 f"session to {self.dst_address} broke mid-exchange", timeout
             )
-        network = self.network
-        rtt = network.latency.rtt(self.client, site, network._rng) + extra
-        server = network.server_at(self.dst_address)
-        assert server is not None  # _fate checked
-        response = server.handle_query(query, self.client, now + rtt / 2.0)
+        rtt, response = sent
         self.exchanges += 1
         self._count("net.tcp.exchanges")
-        network._m_server_queries.inc(str(site))
-        if network.faults is not None:
-            network.faults.note_delivery(
-                self.client.address, self.dst_address, now + rtt
-            )
         return response, rtt
 
     def keepalive(self, now: float, timeout: float = DEFAULT_TIMEOUT) -> float:
@@ -544,18 +541,13 @@ class TcpSession:
         """
         if not self.established:
             raise SessionBroken(f"session to {self.dst_address} is not connected")
-        lost, extra = self._fate(now)
-        site = None if lost else self._deliver_site(now)
-        if site is None:
+        sent = self._transmit(now)
+        if sent is None:
             self._mark_broken(now)
             raise SessionBroken(
                 f"session to {self.dst_address} broke on keepalive", timeout
             )
-        rtt = self.network.latency.rtt(self.client, site, self.network._rng) + extra
+        rtt, _ = sent
         self.keepalives += 1
         self._count("net.tcp.keepalives")
-        if self.network.faults is not None:
-            self.network.faults.note_delivery(
-                self.client.address, self.dst_address, now + rtt
-            )
         return rtt

@@ -11,10 +11,11 @@ package models those choices explicitly:
 - :mod:`repro.resolver.policy` — the knobs observed in the wild: parent- vs
   child-centricity, TTL caps and floors, serve-stale, RFC 7706 local root,
   sticky server pinning,
-- :mod:`repro.resolver.recursive` — the iterative resolution engine,
-- :mod:`repro.resolver.stub` — the client-side API, and
-- :mod:`repro.resolver.population` — builders for resolver populations that
-  match the behaviour mix the paper measured.
+- :mod:`repro.resolver.recursive` — the iterative resolution engine, and
+- :mod:`repro.resolver.stub` — the client-side API.
+
+Resolver *populations* in the behaviour mix the paper measured are built
+by :mod:`repro.atlas.population`.
 """
 
 from repro.resolver.cache import Cache, CacheEntry, Credibility
@@ -22,7 +23,6 @@ from repro.resolver.forwarder import ForwardingResolver
 from repro.resolver.policy import Centricity, ResolverPolicy
 from repro.resolver.recursive import RecursiveResolver, ResolutionResult
 from repro.resolver.stub import StubResolver
-from repro.resolver.population import PopulationConfig, ResolverPopulation
 
 __all__ = [
     "Cache",
@@ -30,10 +30,8 @@ __all__ = [
     "Centricity",
     "Credibility",
     "ForwardingResolver",
-    "PopulationConfig",
     "RecursiveResolver",
     "ResolutionResult",
     "ResolverPolicy",
-    "ResolverPopulation",
     "StubResolver",
 ]

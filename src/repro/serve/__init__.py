@@ -21,7 +21,7 @@ from repro.serve.config import WORLD_BUILDERS, ServeConfig, build_frontend
 from repro.serve.frontend import DnsFrontend, ServeResult, servfail_wire
 from repro.serve.memo import DEFAULT_MEMO_CAPACITY, ResponseMemo
 from repro.serve.server import ServeServer, run_server
-from repro.serve.workers import install_event_loop, run_worker, run_workers
+from repro.serve.workers import run_worker, run_workers
 
 __all__ = [
     "DEFAULT_BATCH_SIZE",
@@ -36,7 +36,6 @@ __all__ = [
     "WORLD_BUILDERS",
     "WallClockBridge",
     "build_frontend",
-    "install_event_loop",
     "make_batcher",
     "mmsg_available",
     "run_server",

@@ -8,7 +8,7 @@ by a fresh world, resolver, and metrics registry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.core.worlds import (
@@ -28,7 +28,7 @@ from repro.resolver.recursive import RecursiveResolver
 from repro.serve.batchio import DEFAULT_BATCH_SIZE
 from repro.serve.bridge import WallClockBridge
 from repro.serve.frontend import DnsFrontend
-from repro.serve.memo import DEFAULT_MEMO_CAPACITY, ResponseMemo
+from repro.serve.memo import ResponseMemo
 from repro.server.querylog import QueryLogWriter
 from repro.server.rrl import ResponseRateLimiter
 
@@ -60,7 +60,6 @@ class ServeConfig:
     max_udp_payload: int = DEFAULT_EDNS_PAYLOAD
     #: Sim seconds per wall second (tests use >1 to age TTLs quickly).
     time_scale: float = 1.0
-    sim_start: float = 0.0
     #: Enable repro.predict: refresh-ahead for hot names plus RFC 8767
     #: stale-while-revalidate instead of SERVFAIL on dead upstreams.
     predict: bool = False
@@ -74,21 +73,13 @@ class ServeConfig:
     batching: bool = True
     #: False disables the encode-once response memo (--no-memo).
     memo: bool = True
-    memo_capacity: int = DEFAULT_MEMO_CAPACITY
-    #: Event-loop policy: "auto" uses uvloop when importable, "on"
-    #: requires it, "off" sticks to the stdlib loop.
-    uvloop: str = "auto"
     #: Resolve the top-N hot names into each worker's cache before it
     #: starts accepting traffic (SO_REUSEPORT workers have private
     #: caches, so without this every worker re-pays the cold start).
     prewarm: int = 0
-    #: Qname pattern for prewarm, rank 0 = most popular (matches the
-    #: loadgen default over the nl world).
-    prewarm_template: str = "www.domain{}.nl."
     querylog_path: Optional[str] = None
     metrics_path: Optional[str] = None
     server_name: str = "serve"
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.world not in WORLD_BUILDERS:
@@ -105,14 +96,6 @@ class ServeConfig:
             raise ValueError(f"in-flight budget must be positive, not {self.max_inflight}")
         if self.batch_size < 1:
             raise ValueError(f"batch size must be positive, not {self.batch_size}")
-        if self.memo_capacity < 1:
-            raise ValueError(
-                f"memo capacity must be positive, not {self.memo_capacity}"
-            )
-        if self.uvloop not in ("auto", "on", "off"):
-            raise ValueError(
-                f"uvloop must be auto, on, or off, not {self.uvloop!r}"
-            )
         if self.prewarm < 0:
             raise ValueError(f"prewarm count must be >= 0, not {self.prewarm}")
 
@@ -157,11 +140,7 @@ def build_frontend(
         querylog = QueryLogWriter(path)
     frontend = DnsFrontend(
         resolver=resolver,
-        bridge=WallClockBridge(
-            sim_start=config.sim_start,
-            time_scale=config.time_scale,
-            wall_clock=wall_clock,
-        ),
+        bridge=WallClockBridge(time_scale=config.time_scale, wall_clock=wall_clock),
         registry=registry,
         rrl=ResponseRateLimiter(rate=config.rrl_rate),
         querylog=querylog,
@@ -171,7 +150,7 @@ def build_frontend(
             if config.workers == 1
             else f"{config.server_name}:{worker_index}"
         ),
-        memo=ResponseMemo(config.memo_capacity) if config.memo else None,
+        memo=ResponseMemo() if config.memo else None,
     )
     if config.prewarm > 0:
         _prewarm(frontend, config)
@@ -181,15 +160,16 @@ def build_frontend(
 def _prewarm(frontend: DnsFrontend, config: ServeConfig) -> None:
     """Resolve the hot set into the worker's cache before it serves.
 
-    Rank 0 is the most popular name under the Zipf workloads, so warming
-    ranks ``0..prewarm-1`` front-loads exactly the names the memo will
-    live on.  Failures are ignored — a name the world cannot resolve
+    Rank 0 is the most popular name under the Zipf workloads (the
+    loadgen default over the nl world), so warming ranks
+    ``0..prewarm-1`` front-loads exactly the names the memo will live
+    on.  Failures are ignored — a name the world cannot resolve
     warms nothing but breaks nothing.
     """
     now = frontend.bridge.now()
     resolver = frontend.resolver
     for rank in range(config.prewarm):
         try:
-            resolver.resolve(config.prewarm_template.format(rank), RdataType.A, now=now)
+            resolver.resolve(f"www.domain{rank}.nl.", RdataType.A, now=now)
         except Exception:
             continue

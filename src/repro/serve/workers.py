@@ -27,31 +27,6 @@ def worker_metrics_path(metrics_path: str, worker_index: int) -> str:
     return f"{metrics_path}.worker{worker_index}"
 
 
-def install_event_loop(policy: str) -> str:
-    """Install the event loop ``policy`` ("auto" | "on" | "off").
-
-    Returns the name of the loop actually in effect ("uvloop" or
-    "asyncio").  "auto" quietly keeps the stdlib loop when uvloop is not
-    importable — the fast path must never *require* it — while "on"
-    raises so a misconfigured deployment fails loudly instead of
-    silently running slower.
-    """
-    import asyncio
-
-    if policy == "off":
-        return "asyncio"
-    try:
-        import uvloop
-    except ImportError:
-        if policy == "on":
-            raise RuntimeError(
-                "--uvloop on requested but uvloop is not installed"
-            ) from None
-        return "asyncio"
-    asyncio.set_event_loop_policy(uvloop.EventLoopPolicy())
-    return "uvloop"
-
-
 def run_worker(config: ServeConfig, worker_index: int = 0) -> None:
     """Run one serving worker until SIGINT/SIGTERM, then drain and export.
 
@@ -62,7 +37,6 @@ def run_worker(config: ServeConfig, worker_index: int = 0) -> None:
 
     from repro.serve.server import ServeServer
 
-    loop_name = install_event_loop(config.uvloop)
     frontend, registry = build_frontend(config, worker_index=worker_index)
     server = ServeServer(
         frontend,
@@ -94,7 +68,7 @@ def run_worker(config: ServeConfig, worker_index: int = 0) -> None:
             f"repro-serve: worker {worker_index} fast path: "
             f"io={batcher.kind if batcher is not None else 'none'}x{config.batch_size} "
             f"memo={'on' if frontend.memo is not None else 'off'} "
-            f"loop={loop_name} prewarm={config.prewarm}\n"
+            f"prewarm={config.prewarm}\n"
         )
         sys.stdout.flush()
         await stopping.wait()

@@ -69,8 +69,8 @@ class TestEcsCdn:
         assert all(count > 0 for count in sites.values())
 
     def test_profiles_cover_the_ttl_axis(self, run):
-        assert set(run.latency_profile("public")) == {60, 3600}
-        assert set(run.hit_profile("public-ecs")) == {60, 3600}
+        assert set(run.profile("p50_ms", "public")) == {60, 3600}
+        assert set(run.profile("hit_rate", "public-ecs")) == {60, 3600}
 
     def test_cell_lookup_raises_on_unknown(self, run):
         with pytest.raises(KeyError):

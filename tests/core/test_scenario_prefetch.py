@@ -43,8 +43,8 @@ class TestTradeoff:
         assert all(v > 0 for v in exported.value("auth.queries").values())
 
     def test_profiles_cover_the_ttl_axis(self, run):
-        assert set(run.p99_profile("ahead")) == {60, 86400}
-        assert set(run.auth_profile("off")) == {60, 86400}
+        assert set(run.profile("p99_ms", "ahead")) == {60, 86400}
+        assert set(run.profile("auth_queries", "off")) == {60, 86400}
 
     def test_cell_lookup_raises_on_unknown(self, run):
         with pytest.raises(KeyError):

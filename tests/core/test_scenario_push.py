@@ -90,8 +90,8 @@ class TestPushVsPoll:
         assert "push.staleness_s" in exported.metrics
 
     def test_profiles_cover_the_ttl_axis(self, run):
-        assert set(run.staleness_profile("renumbering", "push")) == {60, 86400}
-        assert set(run.volume_profile("ddos", "poll")) == {60, 86400}
+        assert set(run.profile("mean_staleness_s", "renumbering", "push")) == {60, 86400}
+        assert set(run.profile("auth_queries", "ddos", "poll")) == {60, 86400}
 
     def test_cell_lookup_raises_on_unknown(self, run):
         with pytest.raises(KeyError):

@@ -31,7 +31,7 @@ class TestScenarioIdentity:
     def test_ddos_serial_vs_parallel(self):
         serial = scenario_ddos_resilience(ttls=(300, 3600), parallelism=1)
         parallel = scenario_ddos_resilience(ttls=(300, 3600), parallelism=4)
-        assert serial.tiers == parallel.tiers
+        assert serial.cells == parallel.cells
         assert serial.metrics.to_json() == parallel.metrics.to_json()
 
     def test_uy_faulted_serial_vs_parallel(self):

@@ -1,0 +1,42 @@
+#!/usr/bin/env python3
+"""Line ceilings for the files ROADMAP.md watches (run by ``make docs-check``).
+
+Each ceiling is the size the file had when it was last deliberately
+changed.  A PR that grows a file past its ceiling has to raise the number
+here, in its own diff, where a reviewer sees it; a PR that shrinks one
+should lower it.  Exits 0 within every ceiling, 1 otherwise.
+"""
+
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+#: Path under ``src/repro`` ("" = every ``*.py`` below it) -> line ceiling.
+CEILINGS = {
+    "core/scenarios.py": 1543,
+    "resolver/recursive.py": 1031,
+    "core/worlds.py": 1049,
+    "resolver/cache.py": 853,
+    "": 21678,
+}
+
+
+def lines(path: Path) -> int:
+    files = [path] if path.is_file() else sorted(path.rglob("*.py"))
+    return sum(len(file.read_text(encoding="utf-8").splitlines()) for file in files)
+
+
+def main() -> int:
+    grown = 0
+    for rel, ceiling in CEILINGS.items():
+        size = lines(SRC / rel)
+        verdict = "ok" if size <= ceiling else "GROWN"
+        print(f"{verdict:>5} src/repro/{rel or '**/*.py'}: {size} lines "
+              f"(ceiling {ceiling}, headroom {ceiling - size})")
+        grown += size > ceiling
+    return 1 if grown else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
