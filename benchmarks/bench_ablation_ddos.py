@@ -9,22 +9,21 @@ with and without serve-stale.
 
 from benchmarks.conftest import write_report
 from repro.analysis.tables import Table
-from repro.core.sweeps import ddos_availability_sweep
+from repro.core.scenarios import scenario_ddos_resilience
 
 TTLS = (60, 300, 1800, 3600, 86400)
 ATTACK = 3600.0
 
 
 def bench_ablation_ddos(benchmark):
-    def run():
-        return (
-            ddos_availability_sweep(ttls=TTLS, attack_seconds=ATTACK, seed=1),
-            ddos_availability_sweep(
-                ttls=TTLS, attack_seconds=ATTACK, seed=1, serve_stale=True
-            ),
-        )
-
-    plain, stale = benchmark.pedantic(run, rounds=1, iterations=1)
+    run = benchmark.pedantic(
+        scenario_ddos_resilience,
+        kwargs={"seed": 1, "ttls": TTLS, "attack_seconds": ATTACK},
+        rounds=1,
+        iterations=1,
+    )
+    plain = [run.cell(False, ttl) for ttl in TTLS]
+    stale = [run.cell(True, ttl) for ttl in TTLS]
     table = Table(
         ["TTL", "availability", "availability (serve-stale)"],
         title=f"Ablation: availability during a {ATTACK / 3600:.0f}h authoritative outage",

@@ -1,8 +1,7 @@
-"""Shared experiment plumbing: worlds + Atlas populations + bookkeeping."""
+"""Shared experiment plumbing: Atlas populations on a world."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.atlas.population import AtlasConfig, AtlasPopulation
@@ -40,35 +39,3 @@ def make_population(
         root_zone=world.root_zone,
     )
 
-
-@dataclass
-class PaperComparison:
-    """One paper-vs-measured line for EXPERIMENTS.md and bench output."""
-
-    metric: str
-    paper: str
-    measured: str
-
-    def as_tuple(self) -> tuple[str, str, str]:
-        return (self.metric, self.paper, self.measured)
-
-
-@dataclass
-class ExperimentReport:
-    """A scenario's structured output."""
-
-    experiment_id: str
-    title: str
-    comparisons: list[PaperComparison] = field(default_factory=list)
-    extra: dict[str, object] = field(default_factory=dict)
-
-    def add(self, metric: str, paper: object, measured: object) -> None:
-        self.comparisons.append(PaperComparison(metric, str(paper), str(measured)))
-
-    def render(self) -> str:
-        from repro.analysis.tables import paper_vs_measured
-
-        return paper_vs_measured(
-            f"{self.experiment_id}: {self.title}",
-            [comparison.as_tuple() for comparison in self.comparisons],
-        )

@@ -1129,7 +1129,7 @@ def _run_ecs_cell(
     testbed = build_ecs_cdn_world(ttl, seed, subnets=subnets)
     world = testbed.world
     world.network.attach_metrics(metrics)
-    testbed.cdn.attach_metrics(metrics)
+    testbed.server.attach_metrics(metrics)
 
     policy = ResolverPolicy.child_centric()
     if mode == "public-ecs":
@@ -1190,7 +1190,7 @@ def _run_ecs_cell(
         auth_queries=testbed.auth_queries,
         **_latency_percentiles(latencies),
         local_site_rate=local_answers / len(latencies) if latencies else 0.0,
-        site_counts=tuple(sorted(testbed.cdn.site_answers.items())),
+        site_counts=tuple(sorted(testbed.server.site_answers.items())),
         scoped_entries=sum(
             resolver.cache.ecs_scoped_len() for resolver in resolvers.values()
         ),

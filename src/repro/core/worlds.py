@@ -17,9 +17,8 @@ from repro.dns.name import Name, root
 from repro.dns.rdtypes import AAAA, A, NS, RdataType
 from repro.dns.zone import Zone
 from repro.net.clock import SimClock
-from repro.net.latency import LatencyModel
 from repro.net.topology import Endpoint, Region, Topology, TopologyMark
-from repro.net.transport import LossModel, Network
+from repro.net.transport import Network
 from repro.resolver.policy import ResolverPolicy
 from repro.resolver.recursive import RecursiveResolver
 from repro.server.anycast import AnycastCluster
@@ -93,14 +92,9 @@ class World:
         name: str,
         region: Region,
         zones: Optional[list[Zone]] = None,
-        address: Optional[str] = None,
     ) -> AuthoritativeServer:
         """Create, register and remember an authoritative server."""
         endpoint = self.topology.endpoint_in_region(region, name=name)
-        if address is not None:
-            endpoint = Endpoint(
-                address=address, region=endpoint.region, asn=endpoint.asn, name=name
-            )
         server = AuthoritativeServer(endpoint, zones or [])
         self.network.register(server)
         self.servers[name] = server
@@ -177,37 +171,65 @@ class World:
                     ttl=glue_ttl,
                 )
 
+    def add_delegated_zone(
+        self,
+        origin: str,
+        servers: list[tuple[str, Region]],
+        ns_ttl: int,
+        a_ttl: Optional[int] = None,
+        parent: Optional[Zone] = None,
+        parent_ttl: int = ROOT_DELEGATION_TTL,
+    ) -> Zone:
+        """A child zone served by ``servers``, delegated from ``parent``.
 
-def build_base_world(seed: int = 0, loss_rate: float = 0.0) -> World:
-    """Root zone plus two root servers (a/b.root-servers.net)."""
-    topology = Topology(seed=seed)
-    network = Network(
-        latency=LatencyModel(seed=seed),
-        loss=LossModel(rate=loss_rate, seed=seed),
-        seed=seed,
-    )
-    clock = SimClock()
+        The zone's default TTL and apex NS carry ``ns_ttl`` and its SOA
+        names the first server.  Each ``(name, region)`` server is placed
+        in order; those named inside the zone get an A at ``a_ttl``
+        (default ``ns_ttl``).  ``parent`` (default: the root) gets the
+        NS and in-bailiwick glue at ``parent_ttl`` — the parent and child
+        TTLs are set independently, which is what the paper measures.
+        """
+        zone = self.add_zone(Zone(origin, default_ttl=ns_ttl))
+        zone.add_soa(f"{servers[0][0]}.")
+        for name, region in servers:
+            server = self.add_server(name, region, [zone])
+            zone.add(origin, RdataType.NS, NS(Name(name)), ttl=ns_ttl)
+            if Name(name).is_subdomain_of(zone.origin):
+                zone.add(
+                    f"{name}.", RdataType.A, A(server.endpoint.address),
+                    ttl=ns_ttl if a_ttl is None else a_ttl,
+                )
+        parent = self.root_zone if parent is None else parent
+        self.delegate(parent, origin, [f"{name}." for name, _ in servers], parent_ttl)
+        return zone
 
+
+def _root_world(seed: int) -> World:
+    """A fresh topology and fabric under ``seed``, with an empty root
+    zone; the caller adds the root's SOA and servers."""
     root_zone = Zone(root, default_ttl=ROOT_DELEGATION_TTL)
-    root_zone.add_soa("a.root-servers.net.", minimum=86400, ttl=86400)
-
     world = World(
         seed=seed,
-        topology=topology,
-        network=network,
-        clock=clock,
+        topology=Topology(seed=seed),
+        network=Network(seed=seed),
+        clock=SimClock(),
         root_zone=root_zone,
         hints={},
     )
     world.add_zone(root_zone)
+    return world
 
-    hints: dict[Name, str] = {}
-    for index, (letter, region) in enumerate((("a", Region.NA), ("b", Region.EU))):
+
+def build_base_world(seed: int = 0) -> World:
+    """Root zone plus two root servers (a/b.root-servers.net)."""
+    world = _root_world(seed)
+    root_zone = world.root_zone
+    root_zone.add_soa("a.root-servers.net.", minimum=86400, ttl=86400)
+    for letter, region in (("a", Region.NA), ("b", Region.EU)):
         name = f"{letter}.root-servers.net"
         server = world.add_server(name, region, [root_zone])
         root_zone.add(root, RdataType.NS, NS(Name(name)), ttl=518400)
-        hints[Name(name)] = server.endpoint.address
-    world.hints = hints
+        world.hints[Name(name)] = server.endpoint.address
     return world
 
 
@@ -215,13 +237,8 @@ def build_base_world(seed: int = 0, loss_rate: float = 0.0) -> World:
 def build_cl_world(seed: int = 0) -> World:
     """Chile's .cl as in Table 1: parent 172800 s; child NS 3600 s, A 43200 s."""
     world = build_base_world(seed)
-    cl = world.add_zone(Zone("cl.", default_ttl=3600))
-    cl.add_soa("a.nic.cl.")
-    server = world.add_server("a.nic.cl", Region.SA, [cl])
-    cl.add("cl.", RdataType.NS, NS(Name("a.nic.cl.")), ttl=3600)
-    cl.add("a.nic.cl.", RdataType.A, A(server.endpoint.address), ttl=43200)
+    cl = world.add_delegated_zone("cl.", [("a.nic.cl", Region.SA)], 3600, a_ttl=43200)
     cl.add("a.nic.cl.", RdataType.AAAA, AAAA("2001:db8:cc1e::10"), ttl=43200)
-    world.delegate(world.root_zone, "cl.", ["a.nic.cl."], ROOT_DELEGATION_TTL)
     world.root_zone.add(
         "a.nic.cl.", RdataType.AAAA, AAAA("2001:db8:cc1e::10"), ttl=ROOT_DELEGATION_TTL
     )
@@ -258,12 +275,9 @@ def build_uy_world(
 ) -> UyWorld:
     """Uruguay's .uy: parent NS/glue 172800 s, child NS 300 s, A 120 s."""
     world = build_base_world(seed)
-    uy = world.add_zone(Zone("uy.", default_ttl=child_ns_ttl))
-    uy.add_soa("a.nic.uy.")
-    server = world.add_server("a.nic.uy", Region.SA, [uy])
-    uy.add("uy.", RdataType.NS, NS(Name("a.nic.uy.")), ttl=child_ns_ttl)
-    uy.add("a.nic.uy.", RdataType.A, A(server.endpoint.address), ttl=child_a_ttl)
-    world.delegate(world.root_zone, "uy.", ["a.nic.uy."], ROOT_DELEGATION_TTL)
+    uy = world.add_delegated_zone(
+        "uy.", [("a.nic.uy", Region.SA)], child_ns_ttl, a_ttl=child_a_ttl
+    )
     return UyWorld(world=world, uy_zone=uy, child_ns_ttl=child_ns_ttl, child_a_ttl=child_a_ttl)
 
 
@@ -274,15 +288,13 @@ def build_googleco_world(seed: int = 0) -> World:
     world = build_base_world(seed)
 
     # .com, hosting google.com which hosts the server names.
-    com = world.add_zone(Zone("com.", default_ttl=ROOT_DELEGATION_TTL))
-    com.add_soa("a.gtld-servers.net.")
-    com_server = world.add_server("a.gtld-servers.net", Region.NA, [com])
-    com.add("com.", RdataType.NS, NS(Name("a.gtld-servers.net.")), ttl=172800)
-    world.delegate(world.root_zone, "com.", ["a.gtld-servers.net."], ROOT_DELEGATION_TTL)
+    com = world.add_delegated_zone(
+        "com.", [("a.gtld-servers.net", Region.NA)], ROOT_DELEGATION_TTL
+    )
     world.root_zone.add(
         "a.gtld-servers.net.",
         RdataType.A,
-        A(com_server.endpoint.address),
+        A(world.address_of("a.gtld-servers.net")),
         ttl=ROOT_DELEGATION_TTL,
     )
 
@@ -379,34 +391,16 @@ def build_cachetest_world(seed: int = 0, in_bailiwick: bool = True) -> Cachetest
     world = build_base_world(seed)
 
     # .net with cachetest.net delegated at the default 2-day TTLs.
-    net_zone = world.add_zone(Zone("net.", default_ttl=ROOT_DELEGATION_TTL))
-    net_zone.add_soa("a.gtld-servers.net.")
-    net_server = world.add_server("a.gtld-servers.net", Region.NA, [net_zone])
-    net_zone.add("net.", RdataType.NS, NS(Name("a.gtld-servers.net.")), ttl=172800)
-    net_zone.add(
-        "a.gtld-servers.net.", RdataType.A, A(net_server.endpoint.address), ttl=172800
+    net_zone = world.add_delegated_zone(
+        "net.", [("a.gtld-servers.net", Region.NA)], ROOT_DELEGATION_TTL
     )
-    world.delegate(world.root_zone, "net.", ["a.gtld-servers.net."], ROOT_DELEGATION_TTL)
 
     # cachetest.net, two in-bailiwick servers in EU (Frankfurt EC2 in the paper).
-    cachetest = world.add_zone(Zone("cachetest.net.", default_ttl=3600))
-    cachetest.add_soa("ns1.cachetest.net.")
-    for index in (1, 2):
-        server = world.add_server(f"ns{index}.cachetest.net", Region.EU, [cachetest])
-        cachetest.add(
-            "cachetest.net.", RdataType.NS, NS(Name(f"ns{index}.cachetest.net.")), ttl=3600
-        )
-        cachetest.add(
-            f"ns{index}.cachetest.net.",
-            RdataType.A,
-            A(server.endpoint.address),
-            ttl=3600,
-        )
-    world.delegate(
-        net_zone,
+    cachetest = world.add_delegated_zone(
         "cachetest.net.",
-        ["ns1.cachetest.net.", "ns2.cachetest.net."],
-        ROOT_DELEGATION_TTL,
+        [("ns1.cachetest.net", Region.EU), ("ns2.cachetest.net", Region.EU)],
+        3600,
+        parent=net_zone,
     )
 
     old_answer = "2001:db8:0:1::60"
@@ -447,15 +441,13 @@ def build_cachetest_world(seed: int = 0, in_bailiwick: bool = True) -> Cachetest
     else:
         # zurrundedu.com under .com, with its own (in-bailiwick) name server
         # hosting the A record of ns1.zurrundedu.com.
-        com = world.add_zone(Zone("com.", default_ttl=ROOT_DELEGATION_TTL))
-        com.add_soa("a.com-servers.net.")
-        com_server = world.add_server("a.com-servers.net", Region.NA, [com])
-        com.add("com.", RdataType.NS, NS(Name("a.com-servers.net.")), ttl=172800)
-        world.delegate(world.root_zone, "com.", ["a.com-servers.net."], ROOT_DELEGATION_TTL)
+        com = world.add_delegated_zone(
+            "com.", [("a.com-servers.net", Region.NA)], ROOT_DELEGATION_TTL
+        )
         world.root_zone.add(
             "a.com-servers.net.",
             RdataType.A,
-            A(com_server.endpoint.address),
+            A(world.address_of("a.com-servers.net")),
             ttl=ROOT_DELEGATION_TTL,
         )
 
@@ -516,82 +508,52 @@ def build_nl_world(seed: int = 0, domain_count: int = 500) -> NlWorld:
     client workload can drive resolutions (the passive §3.4 study).
     """
     world = build_base_world(seed)
-    nl = world.add_zone(Zone("nl.", default_ttl=3600))
-    nl.add_soa("ns1.dns.nl.")
-
     server_names = ["ns1.dns.nl", "ns2.dns.nl", "ns3.dns.nl", "sns-pb.isc.org"]
     regions = [Region.EU, Region.EU, Region.NA, Region.NA]
-    for name, region in zip(server_names, regions):
-        server = world.add_server(name, region, [nl])
-        nl.add("nl.", RdataType.NS, NS(Name(name)), ttl=3600)
-        if Name(name).is_subdomain_of(Name("nl.")):
-            nl.add(name, RdataType.A, A(server.endpoint.address), ttl=3600)
-
-    world.delegate(
-        world.root_zone,
-        "nl.",
-        [f"{name}." for name in server_names],
-        ROOT_DELEGATION_TTL,
-    )
+    nl = world.add_delegated_zone("nl.", list(zip(server_names, regions)), 3600)
 
     # sns-pb.isc.org needs the .org path to resolve.
-    org = world.add_zone(Zone("org.", default_ttl=ROOT_DELEGATION_TTL))
-    org.add_soa("a0.org-servers.net.")
-    org_server = world.add_server("a0.org-servers.net", Region.NA, [org])
-    org.add("org.", RdataType.NS, NS(Name("a0.org-servers.net.")), ttl=172800)
-    world.delegate(world.root_zone, "org.", ["a0.org-servers.net."], ROOT_DELEGATION_TTL)
+    org = world.add_delegated_zone(
+        "org.", [("a0.org-servers.net", Region.NA)], ROOT_DELEGATION_TTL
+    )
     world.root_zone.add(
         "a0.org-servers.net.",
         RdataType.A,
-        A(org_server.endpoint.address),
+        A(world.address_of("a0.org-servers.net")),
         ttl=ROOT_DELEGATION_TTL,
     )
-    isc = world.add_zone(Zone("isc.org.", default_ttl=7200))
-    isc.add_soa("ns.isc.org.")
-    isc_server = world.add_server("ns.isc.org", Region.NA, [isc])
-    isc.add("isc.org.", RdataType.NS, NS(Name("ns.isc.org.")), ttl=7200)
-    isc.add("ns.isc.org.", RdataType.A, A(isc_server.endpoint.address), ttl=7200)
+    isc = world.add_delegated_zone(
+        "isc.org.", [("ns.isc.org", Region.NA)], 7200, parent=org, parent_ttl=86400
+    )
     isc.add(
         "sns-pb.isc.org.",
         RdataType.A,
-        A(world.servers["sns-pb.isc.org"].endpoint.address),
+        A(world.address_of("sns-pb.isc.org")),
         ttl=7200,
     )
-    world.delegate(org, "isc.org.", ["ns.isc.org."], 86400)
 
     # Synthetic .nl content domains (shared hosting: a handful of hosters).
     hoster_count = max(1, domain_count // 50)
-    hosters = []
     for index in range(hoster_count):
-        hoster_zone = world.add_zone(Zone(f"hoster{index}.nl.", default_ttl=3600))
-        hoster_zone.add_soa(f"ns.hoster{index}.nl.")
-        hoster_server = world.add_server(f"ns.hoster{index}.nl", Region.EU, [hoster_zone])
-        hoster_zone.add(
+        world.add_delegated_zone(
             f"hoster{index}.nl.",
-            RdataType.NS,
-            NS(Name(f"ns.hoster{index}.nl.")),
-            ttl=3600,
+            [(f"ns.hoster{index}.nl", Region.EU)],
+            3600,
+            parent=nl,
+            parent_ttl=3600,
         )
-        hoster_zone.add(
-            f"ns.hoster{index}.nl.",
-            RdataType.A,
-            A(hoster_server.endpoint.address),
-            ttl=3600,
-        )
-        nl.add(f"hoster{index}.nl.", RdataType.NS, NS(Name(f"ns.hoster{index}.nl.")), ttl=3600)
-        nl.add(f"ns.hoster{index}.nl.", RdataType.A, A(hoster_server.endpoint.address), ttl=3600)
-        hosters.append((hoster_zone, hoster_server))
 
     for index in range(domain_count):
         domain = f"domain{index}.nl."
-        hoster_zone, hoster_server = hosters[index % hoster_count]
+        hoster = f"ns.hoster{index % hoster_count}.nl"
+        address = A(str(ipaddress.IPv4Address(0xC6336400 + index % 250)))
         zone = world.add_zone(Zone(domain, default_ttl=3600))
-        zone.add_soa(f"ns.hoster{index % hoster_count}.nl.")
-        zone.add(domain, RdataType.NS, NS(Name(f"ns.hoster{index % hoster_count}.nl.")), ttl=3600)
-        zone.add(domain, RdataType.A, A(str(ipaddress.IPv4Address(0xC6336400 + index % 250))), ttl=3600)
-        zone.add(f"www.{domain}", RdataType.A, A(str(ipaddress.IPv4Address(0xC6336400 + index % 250))), ttl=3600)
-        hoster_server.add_zone(zone)
-        nl.add(domain, RdataType.NS, NS(Name(f"ns.hoster{index % hoster_count}.nl.")), ttl=3600)
+        zone.add_soa(f"{hoster}.")
+        zone.add(domain, RdataType.NS, NS(Name(hoster)), ttl=3600)
+        zone.add(domain, RdataType.A, address, ttl=3600)
+        zone.add(f"www.{domain}", RdataType.A, address, ttl=3600)
+        world.servers[hoster].add_zone(zone)
+        nl.add(domain, RdataType.NS, NS(Name(hoster)), ttl=3600)
 
     return NlWorld(
         world=world,
@@ -621,13 +583,7 @@ def build_controlled_world(seed: int = 0, anycast_sites: int = 45) -> Controlled
     compares: TTL 60 s unicast, TTL 86400 s unicast, TTL 60 s anycast.
     """
     world = build_base_world(seed)
-
-    co = world.add_zone(Zone("co.", default_ttl=172800))
-    co.add_soa("ns.cctld.co.")
-    co_server = world.add_server("ns.cctld.co", Region.SA, [co])
-    co.add("co.", RdataType.NS, NS(Name("ns.cctld.co.")), ttl=172800)
-    co.add("ns.cctld.co.", RdataType.A, A(co_server.endpoint.address), ttl=172800)
-    world.delegate(world.root_zone, "co.", ["ns.cctld.co."], ROOT_DELEGATION_TTL)
+    co = world.add_delegated_zone("co.", [("ns.cctld.co", Region.SA)], 172800)
 
     def make_test_zone(origin: str, answer_ttl: int) -> Zone:
         zone = Zone(origin, default_ttl=3600)
@@ -636,56 +592,29 @@ def build_controlled_world(seed: int = 0, anycast_sites: int = 45) -> Controlled
         zone.add(f"*.{origin}", RdataType.AAAA, AAAA("2001:db8:60::1"), ttl=answer_ttl)
         return zone
 
+    def delegate_test_zone(zone: Zone, address: str) -> None:
+        # ns1.<zone> names the shared server's address, in the zone and
+        # as .co glue.
+        ns_name = f"ns1.{zone.origin}"
+        zone.replace(ns_name, RdataType.A, A(address), ttl=3600)
+        world.add_zone(zone)
+        co.add(zone.origin, RdataType.NS, NS(Name(ns_name)), ttl=172800)
+        co.add(ns_name, RdataType.A, A(address), ttl=172800)
+
     # Unicast: one Frankfurt-like EU server hosting both TTL variants.
     zone60 = make_test_zone("ttl60.mapache-de-madrid.co.", 60)
     zone86400 = make_test_zone("ttl86400.mapache-de-madrid.co.", 86400)
     unicast = world.add_server("ns1-unicast.mapache-de-madrid.co", Region.EU)
-    for zone, origin in ((zone60, "ttl60"), (zone86400, "ttl86400")):
-        zone.replace(
-            f"ns1.{origin}.mapache-de-madrid.co.",
-            RdataType.A,
-            A(unicast.endpoint.address),
-            ttl=3600,
-        )
+    for zone in (zone60, zone86400):
         unicast.add_zone(zone)
-        world.add_zone(zone)
-        co.add(
-            f"{origin}.mapache-de-madrid.co.",
-            RdataType.NS,
-            NS(Name(f"ns1.{origin}.mapache-de-madrid.co.")),
-            ttl=172800,
-        )
-        co.add(
-            f"ns1.{origin}.mapache-de-madrid.co.",
-            RdataType.A,
-            A(unicast.endpoint.address),
-            ttl=172800,
-        )
+        delegate_test_zone(zone, unicast.endpoint.address)
 
     # Anycast: Route53-like, 45 sites spread over all regions.
     zone_any = make_test_zone("anycast.mapache-de-madrid.co.", 60)
     region_cycle = [Region.NA, Region.EU, Region.AS, Region.SA, Region.OC, Region.AF]
     site_regions = [region_cycle[i % len(region_cycle)] for i in range(anycast_sites)]
     cluster = world.add_anycast("route53-like", site_regions, [zone_any])
-    zone_any.replace(
-        "ns1.anycast.mapache-de-madrid.co.",
-        RdataType.A,
-        A(cluster.service_address),
-        ttl=3600,
-    )
-    world.add_zone(zone_any)
-    co.add(
-        "anycast.mapache-de-madrid.co.",
-        RdataType.NS,
-        NS(Name("ns1.anycast.mapache-de-madrid.co.")),
-        ttl=172800,
-    )
-    co.add(
-        "ns1.anycast.mapache-de-madrid.co.",
-        RdataType.A,
-        A(cluster.service_address),
-        ttl=172800,
-    )
+    delegate_test_zone(zone_any, cluster.service_address)
 
     return ControlledWorld(
         world=world,
@@ -698,12 +627,14 @@ def build_controlled_world(seed: int = 0, anycast_sites: int = 45) -> Controlled
 
 
 @dataclass
-class OutageWorld:
-    """The §6.1 DDoS testbed: one small zone behind one authoritative.
+class SingleZoneWorld:
+    """One small zone behind one authoritative: the TTL-sweep testbed.
 
-    Everything the availability story needs and nothing more — a root
-    server, ``shop.example`` with every record at the tier's TTL, and the
-    single child server whose outage the fault plan schedules.
+    Everything a per-TTL cell needs and nothing more — a root server,
+    one child zone with every record at the cell's TTL, and the single
+    child server whose outage a fault plan schedules and whose query
+    counter is the "authoritative volume" axis.  The §6.1 DDoS tiers use
+    it as is; the prefetch, ECS/CDN and push testbeds extend it.
     """
 
     world: World
@@ -714,6 +645,11 @@ class OutageWorld:
     def target_address(self) -> str:
         """The address a ``server_outage`` fault should target."""
         return self.server.endpoint.address
+
+    @property
+    def auth_queries(self) -> int:
+        """Queries the child authoritative has answered so far."""
+        return self.server.queries_received
 
 
 def _single_zone_world(
@@ -731,50 +667,31 @@ def _single_zone_world(
     It runs right after the root server is placed, so endpoints it
     allocates keep their place in the address sequence.
     """
-    ns_name = f"ns1.{origin}"
-    topology = Topology(seed=seed)
-    network = Network(seed=seed)
-
-    root_zone = Zone("", default_ttl=172800)
+    host = f"ns1.{origin}".rstrip(".")
+    world = _root_world(seed)
+    root_zone = world.root_zone
     root_zone.add_soa("a.rootsrv.net.")
-    root_zone.add("", RdataType.NS, NS(Name("a.rootsrv.net.")), ttl=518400)
-    root_server = AuthoritativeServer(
-        topology.endpoint_in_region(Region.NA, "a.rootsrv.net"), [root_zone]
-    )
-    network.register(root_server)
+    root_zone.add(root, RdataType.NS, NS(Name("a.rootsrv.net.")), ttl=518400)
+    root_server = world.add_server("a.rootsrv.net", Region.NA, [root_zone])
     root_zone.add("a.rootsrv.net.", RdataType.A, A(root_server.endpoint.address))
+    world.hints[Name("a.rootsrv.net.")] = root_server.endpoint.address
 
-    zone = Zone(origin, default_ttl=ttl)
-    zone.add_soa(ns_name)
-    zone.add(origin, RdataType.NS, NS(Name(ns_name)), ttl=ttl)
     if make_server is None:
-        server = AuthoritativeServer(
-            topology.endpoint_in_region(Region.EU, ns_name.rstrip(".")), [zone]
-        )
-    else:
-        server = make_server(topology, zone)
-    network.register(server)
-    zone.add(ns_name, RdataType.A, A(server.endpoint.address), ttl=ttl)
-    root_zone.add(origin, RdataType.NS, NS(Name(ns_name)), ttl=172800)
-    root_zone.add(ns_name, RdataType.A, A(server.endpoint.address), ttl=172800)
-
-    world = World(
-        seed=seed,
-        topology=topology,
-        network=network,
-        clock=SimClock(),
-        root_zone=root_zone,
-        hints={Name("a.rootsrv.net."): root_server.endpoint.address},
-    )
-    world.add_zone(root_zone)
-    world.add_zone(zone)
-    for name, placed in (("a.rootsrv.net", root_server), (ns_name.rstrip("."), server)):
-        world.servers[name] = placed
-        world._server_addresses[name] = placed.endpoint.address
+        zone = world.add_delegated_zone(origin, [(host, Region.EU)], ttl)
+        return world, zone, world.servers[host]
+    zone = world.add_zone(Zone(origin, default_ttl=ttl))
+    zone.add_soa(f"{host}.")
+    zone.add(origin, RdataType.NS, NS(Name(host)), ttl=ttl)
+    server = make_server(world.topology, zone)
+    world.network.register(server)
+    world.servers[host] = server
+    world._server_addresses[host] = server.endpoint.address
+    zone.add(f"{host}.", RdataType.A, A(server.endpoint.address), ttl=ttl)
+    world.delegate(root_zone, origin, [f"{host}."], ROOT_DELEGATION_TTL)
     return world, zone, server
 
 
-def build_outage_world(ttl: int, seed: int = 0) -> OutageWorld:
+def build_outage_world(ttl: int, seed: int = 0) -> SingleZoneWorld:
     """Build the DDoS-resilience world for one TTL tier.
 
     The root delegation keeps its realistic 2-day TTL; the child zone —
@@ -784,12 +701,12 @@ def build_outage_world(ttl: int, seed: int = 0) -> OutageWorld:
     """
     world, zone, server = _single_zone_world("shop.example.", ttl, seed)
     zone.add("www.shop.example.", RdataType.A, A("203.0.113.10"), ttl=ttl)
-    return OutageWorld(world=world, zone=zone, server=server)
+    return SingleZoneWorld(world=world, zone=zone, server=server)
 
 
 # ---------------------------------------------------------- prefetch tradeoff
 @dataclass
-class HotsetWorld:
+class HotsetWorld(SingleZoneWorld):
     """A Zipf-skewed hot set behind one authoritative (prefetch study).
 
     One zone, ``names`` leaf A records all at the cell's TTL, one child
@@ -797,17 +714,9 @@ class HotsetWorld:
     prefetch/refresh-ahead trade-off figure.
     """
 
-    world: World
-    zone: Zone
-    server: AuthoritativeServer
     #: The resolvable leaf names, rank order (``qnames[0]`` is rank 0 —
     #: feed :class:`repro.workload.ZipfSampler` ranks straight in).
     qnames: list[str]
-
-    @property
-    def auth_queries(self) -> int:
-        """Queries the child authoritative has answered so far."""
-        return self.server.queries_received
 
 
 def build_hotset_world(ttl: int, seed: int = 0, names: int = 16) -> HotsetWorld:
@@ -847,19 +756,17 @@ class EcsClient:
 
 
 @dataclass
-class EcsCdnWorld:
+class EcsCdnWorld(SingleZoneWorld):
     """The ECS/CDN interplay testbed (RFC 7871 scenario family).
 
     One CDN zone whose content answer depends on where the query comes
     from: ``sites`` per region, a deterministic subnet→site map, client
     /24s spread over three regions, and public-resolver egress points
     whose anycast catchment sends AS clients to the EU egress — the
-    misdirection that ECS exists to repair.
+    misdirection that ECS exists to repair.  ``server`` is the
+    :class:`~repro.server.cdn.CdnAuthoritativeServer`.
     """
 
-    world: World
-    zone: Zone
-    cdn: "CdnAuthoritativeServer"
     content_name: str
     sites: dict[str, "CdnSite"]
     site_endpoints: dict[str, Endpoint]
@@ -868,11 +775,6 @@ class EcsCdnWorld:
     isp_endpoints: dict[Region, Endpoint]
     #: Public-resolver egress endpoints, keyed "eu"/"na".
     egress_endpoints: dict[str, Endpoint]
-
-    @property
-    def auth_queries(self) -> int:
-        """Queries the CDN authoritative has answered so far."""
-        return self.cdn.queries_received
 
 
 _ECS_REGION_CYCLE = (Region.EU, Region.NA, Region.AS)
@@ -980,7 +882,7 @@ def build_ecs_cdn_world(ttl: int, seed: int = 0, subnets: int = 8) -> EcsCdnWorl
     return EcsCdnWorld(
         world=world,
         zone=zone,
-        cdn=cdn,
+        server=cdn,
         content_name=content_name,
         sites=sites,
         site_endpoints=site_endpoints,
@@ -992,29 +894,21 @@ def build_ecs_cdn_world(ttl: int, seed: int = 0, subnets: int = 8) -> EcsCdnWorl
 
 # ------------------------------------------------------------- push vs poll
 @dataclass
-class PushWorld:
+class PushWorld(SingleZoneWorld):
     """The push-vs-poll testbed: one renumbering-prone record.
 
-    The :class:`OutageWorld` shape — a realistic root delegation plus one
-    child zone behind one authoritative — but the interesting record is
-    the content answer itself, which the scenario renumbers on the fault
-    plan's ``record_change`` schedule.  :meth:`apply_change` is the one
-    mutation primitive; the scenario publishes through the attached
+    The :class:`SingleZoneWorld` shape — a realistic root delegation plus
+    one child zone behind one authoritative — but the interesting record
+    is the content answer itself, which the scenario renumbers on the
+    fault plan's ``record_change`` schedule.  :meth:`apply_change` is the
+    one mutation primitive; the scenario publishes through the attached
     :class:`~repro.push.publisher.PushPublisher` (if any) right after.
     """
 
-    world: World
-    zone: Zone
-    server: AuthoritativeServer
     #: The record the scenario probes and renumbers.
     content_name: str
     #: TTL every child-zone record carries.
     ttl: int
-
-    @property
-    def target_address(self) -> str:
-        """The address outage/``record_change`` faults should target."""
-        return self.server.endpoint.address
 
     def content_address(self, change_index: int) -> str:
         """The content record's address after change ``change_index``.

@@ -346,6 +346,35 @@ class Network:
         raise NetworkTimeout(f"no response from {dst_address}", elapsed)
 
     # -- sessions -------------------------------------------------------------
+    def session_path(
+        self, client: Endpoint, dst_address: str, now: float
+    ) -> Optional[tuple[Server, Endpoint, float]]:
+        """The fate of one session frame from ``client`` to ``dst_address``.
+
+        Returns ``(server, site, extra_delay)``: the server registered at
+        the address, the anycast site the frame reaches after rerouting,
+        and a ``delay`` window's added RTT.  ``None`` when the destination
+        is unregistered or down, or a fault window dooms the frame.  The
+        checks run in :meth:`exchange`'s order — down, transmission fate,
+        site pick — so the fault injector's RNG advances identically; the
+        base loss rate is absorbed (TCP retransmits below this model).
+        """
+        server = self._servers.get(dst_address)
+        if server is None or self.loss.is_down(dst_address):
+            return None
+        faults = self.faults
+        extra = 0.0
+        if faults is not None:
+            lost, extra = faults.transmission_fate(client.address, dst_address, now)
+            if lost:
+                return None
+        site = server.endpoint_for(client, self.latency)
+        if faults is not None:
+            site = faults.pick_site(server, dst_address, client, self.latency, site, now)
+            if site is None:
+                return None
+        return server, site, extra
+
     def open_session(self, client: Endpoint, dst_address: str) -> "TcpSession":
         """A length-framed TCP session bound to this fabric.
 
@@ -441,37 +470,26 @@ class TcpSession:
         """Send one frame at ``now``: ``(rtt, response)``, or ``None`` when
         the destination is down or a fault window dooms the transmission.
 
-        Fate, then the anycast site frames reach after rerouting, then the
-        RTT draw, then the delivery is noted — the order
-        :meth:`Network.exchange` uses, so the fabric RNG and the fault
-        recovery clock advance identically.  A ``query`` is handed to the
-        server at ``now + rtt/2``, *before* the delivery is noted: a
-        ``servfail`` window first injected by this frame can be closed by
-        this frame's own response, as for a datagram.
+        The path's fate (:meth:`Network.session_path`), then the RTT draw,
+        then the delivery is noted — the order :meth:`Network.exchange`
+        uses, so the fabric RNG and the fault recovery clock advance
+        identically.  A ``query`` is handed to the server at
+        ``now + rtt/2``, *before* the delivery is noted: a ``servfail``
+        window first injected by this frame can be closed by this frame's
+        own response, as for a datagram.
         """
         network = self.network
-        faults = network.faults
-        src, dst = self.client.address, self.dst_address
-        server = network.server_at(dst)
-        if server is None or network.loss.is_down(dst):
+        path = network.session_path(self.client, self.dst_address, now)
+        if path is None:
             return None
-        extra = 0.0
-        if faults is not None:
-            lost, extra = faults.transmission_fate(src, dst, now)
-            if lost:
-                return None
-        site = server.endpoint_for(self.client, network.latency)
-        if faults is not None:
-            site = faults.pick_site(server, dst, self.client, network.latency, site, now)
-            if site is None:
-                return None
+        server, site, extra = path
         rtt = network.latency.rtt(self.client, site, network._rng) + extra
         response = None
         if query is not None:
             response = server.handle_query(query, self.client, now + rtt / 2.0)
             network._m_server_queries.inc(str(site))
-        if faults is not None:
-            faults.note_delivery(src, dst, now + rtt)
+        if network.faults is not None:
+            network.faults.note_delivery(self.client.address, self.dst_address, now + rtt)
         return rtt, response
 
     def _mark_broken(self, t: float) -> None:

@@ -87,9 +87,10 @@ class PushPublisher:
         max_subscribers: int = 4096,
         max_subscriptions_per_session: int = 1024,
     ) -> None:
-        """``server`` must expose ``best_zone_for`` and ``endpoint_for``
-        (both authoritative flavours do); ``network`` supplies latency,
-        faults and the metrics registry."""
+        """``server`` must expose ``best_zone_for`` (both authoritative
+        flavours do) and be registered on ``network`` at its service
+        address; ``network`` supplies the session path's fate, latency and
+        the metrics registry."""
         self.server = server
         self.network = network
         self.max_subscribers = max_subscribers
@@ -218,37 +219,20 @@ class PushPublisher:
             return 0
         rrset = self._current(key)
         network = self.network
-        faults = network.faults
         enqueued = 0
         for address in list(subscribers):
             state = self._subs[address]
             if state.broken_at is not None:
                 continue
-            lost = network.loss.is_down(self.service_address)
-            extra = 0.0
-            if not lost and faults is not None:
-                # The session path's fate, evaluated in the canonical
-                # client->server direction fault plans address.
-                lost, extra = faults.transmission_fate(
-                    address, self.service_address, now
-                )
-            site: Optional[Endpoint] = None
-            if not lost:
-                site = self.server.endpoint_for(  # type: ignore[attr-defined]
-                    state.endpoint, network.latency
-                )
-                if faults is not None:
-                    site = faults.pick_site(
-                        self.server, self.service_address, state.endpoint,
-                        network.latency, site, now,
-                    )
-                    lost = site is None
-            if lost:
+            # The session path's fate, evaluated in the canonical
+            # client->server direction fault plans address.
+            path = network.session_path(state.endpoint, self.service_address, now)
+            if path is None:
                 state.broken_at = now
                 state.queue.clear()
                 self._count("push.session_resets")
                 continue
-            assert site is not None
+            _, site, extra = path
             rtt = network.latency.rtt(state.endpoint, site, network._rng) + extra
             if key in state.queue:
                 self._count("push.coalesced")

@@ -1,6 +1,6 @@
 """Tests for repro.core.experiment plumbing."""
 
-from repro.core.experiment import ExperimentReport, PaperComparison, make_population
+from repro.core.experiment import make_population
 from repro.core.worlds import build_base_world
 
 
@@ -29,18 +29,3 @@ class TestMakePopulation:
             p.endpoint.address for p in pop_b.probes
         ]
 
-
-class TestExperimentReport:
-    def test_add_and_render(self):
-        report = ExperimentReport(experiment_id="T2", title="centricity")
-        report.add("child fraction", "90%", 0.894)
-        rendered = report.render()
-        assert "T2: centricity" in rendered
-        assert "90%" in rendered and "0.894" in rendered
-
-    def test_comparisons_are_strings(self):
-        report = ExperimentReport(experiment_id="X", title="t")
-        report.add("metric", 1, 2.0)
-        (comparison,) = report.comparisons
-        assert comparison == PaperComparison("metric", "1", "2.0")
-        assert comparison.as_tuple() == ("metric", "1", "2.0")

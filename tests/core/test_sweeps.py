@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.core.sweeps import (
-    AvailabilityPoint,
-    ddos_availability_sweep,
-    ttl_latency_sweep,
-)
+from repro.core.scenarios import DdosTierResult, scenario_ddos_resilience
+from repro.core.sweeps import ttl_latency_sweep
 
 
 class TestTtlLatencySweep:
@@ -30,11 +27,14 @@ class TestTtlLatencySweep:
 
 
 class TestDdosAvailabilitySweep:
+    """Availability vs TTL, read off the DDoS grid's plain tiers."""
+
+    TTLS = (60, 1800, 3600, 86400)
+
     @pytest.fixture(scope="class")
     def points(self):
-        return ddos_availability_sweep(
-            ttls=(60, 1800, 3600, 86400), attack_seconds=3600.0, seed=1
-        )
+        run = scenario_ddos_resilience(seed=1, ttls=self.TTLS, attack_seconds=3600.0)
+        return [run.cell(False, ttl) for ttl in self.TTLS]
 
     def test_availability_monotone_in_ttl(self, points):
         availability = [p.availability for p in points]
@@ -55,14 +55,12 @@ class TestDdosAvailabilitySweep:
         assert by_ttl[3600].availability > 0.9
 
     def test_serve_stale_rescues_short_ttls(self):
-        plain = ddos_availability_sweep(ttls=(60,), attack_seconds=1800.0, seed=1)
-        stale = ddos_availability_sweep(
-            ttls=(60,), attack_seconds=1800.0, seed=1, serve_stale=True
-        )
-        assert stale[0].availability > plain[0].availability
-        assert stale[0].availability == 1.0
-        assert stale[0].served_stale_fraction > 0.5
+        run = scenario_ddos_resilience(seed=1, ttls=(60,), attack_seconds=1800.0)
+        plain, stale = run.cell(False, 60), run.cell(True, 60)
+        assert stale.availability > plain.availability
+        assert stale.availability == 1.0
+        assert stale.served_stale_fraction > 0.5
 
     def test_point_shape(self, points):
-        assert all(isinstance(p, AvailabilityPoint) for p in points)
+        assert all(isinstance(p, DdosTierResult) for p in points)
         assert all(0.0 <= p.availability <= 1.0 for p in points)

@@ -36,6 +36,34 @@ class TestBaseWorld:
         assert len(world.hints) == 2
 
 
+class TestAddDelegatedZone:
+    def test_mixed_bailiwick_servers(self):
+        from repro.net.topology import Region
+
+        world = build_base_world()
+        servers = [("ns.hoster.net", Region.NA), ("ns1.example", Region.EU)]
+        child = world.add_delegated_zone("example.", servers, 300, a_ttl=600)
+        in_zone = world.address_of("ns1.example")
+
+        assert child.default_ttl == 300
+        assert str(child.soa.rdatas[0].mname) == "ns.hoster.net."
+        ns = child.get("example.", RdataType.NS)
+        assert [str(r.target) for r in ns.rdatas] == ["ns.hoster.net.", "ns1.example."]
+        assert ns.ttl == 300
+        glue = child.get("ns1.example.", RdataType.A)
+        assert [str(r) for r in glue.rdatas] == [in_zone] and glue.ttl == 600
+        assert child.get("ns.hoster.net.", RdataType.A) is None
+
+        parent = world.root_zone
+        delegation = parent.get("example.", RdataType.NS)
+        assert [str(r.target) for r in delegation.rdatas] == ["ns.hoster.net.", "ns1.example."]
+        assert delegation.ttl == ROOT_DELEGATION_TTL
+        assert [str(r) for r in parent.get("ns1.example.", RdataType.A).rdatas] == [in_zone]
+        assert parent.get("ns.hoster.net.", RdataType.A) is None
+        assert world.zone("example.") is child
+        assert list(world.servers)[-2:] == ["ns.hoster.net", "ns1.example"]
+
+
 class TestClWorld:
     def test_table1_parent_ttls(self):
         world = build_cl_world()
@@ -208,10 +236,10 @@ class TestControlledWorld:
 
 
 def describe_world(built) -> str:
-    """Everything a single-zone builder decides, as canonical text:
-    endpoint allocation, server registration, hints, every zone's
-    records in insertion order, and the fabric's first latency draws."""
-    world = built.world
+    """Everything a builder decides, as canonical text: endpoint
+    allocation, server registration, hints, every zone's records in
+    insertion order, and the fabric's first latency draws."""
+    world = getattr(built, "world", built)
     endpoints = world.topology.endpoints
     lines = [f"{e.address} {e.region.name} {e.asn} {e.name}" for e in endpoints]
     lines += [f"server {name} {addr}" for name, addr in world._server_addresses.items()]
@@ -226,10 +254,12 @@ def describe_world(built) -> str:
 
 
 class TestSingleZoneWorldsFrozen:
-    """The four single-zone testbeds share one root/child construction
-    helper; these digests were captured from the hand-copied builders
-    it replaced, so endpoint allocation, record order and RNG draws are
-    pinned to what every recorded figure was produced with."""
+    """Every builder's structure, frozen.  The single-zone testbeds share
+    one root/child construction helper and the paper worlds write their
+    delegations through ``World.add_delegated_zone``; these digests were
+    captured from the hand-written builders those helpers replaced, so
+    endpoint allocation, record order and RNG draws are pinned to what
+    every recorded figure was produced with."""
 
     EXPECTED = {
         ("ecs_cdn", 60, 0): "90903e8317abf679bf26bc0fae6384ce3feeb04c75958a4c63573c44429e203c",
@@ -259,3 +289,48 @@ class TestSingleZoneWorldsFrozen:
         built = getattr(worlds, f"build_{name}_world")(ttl, seed)
         digest = hashlib.sha256(describe_world(built).encode()).hexdigest()
         assert digest == self.EXPECTED[(name, ttl, seed)]
+
+    #: The paper worlds: label -> (builder name, keyword arguments).
+    PAPER_WORLDS = {
+        "base": ("base", {}),
+        "cl": ("cl", {}),
+        "googleco": ("googleco", {}),
+        "controlled": ("controlled", {}),
+        "uy-300": ("uy", {"child_ns_ttl": 300}),
+        "uy-86400": ("uy", {"child_ns_ttl": 86400}),
+        "cachetest-in": ("cachetest", {"in_bailiwick": True}),
+        "cachetest-out": ("cachetest", {"in_bailiwick": False}),
+        "nl-120": ("nl", {"domain_count": 120}),
+    }
+
+    PAPER_EXPECTED = {
+        ("base", 0): "33abcbd0b149c01fdb8b9683ec0c95fb25e5056551b6926c33e51e298811bb4e",
+        ("base", 7): "12852d5bc78eaea5d5d470dbe4ee268c6064a3930ab1239d9522c473c892165a",
+        ("cachetest-in", 0): "dde0bc61ff8cd8b7f68c0783a073c93e9c07b240acccd7bcfab73992be33fdc1",
+        ("cachetest-in", 7): "73c10e176d6dd792ca657ecfe8058c5d1786ee3111e4ad341ccb0d7d07c0b69e",
+        ("cachetest-out", 0): "88705036c69f74e8970d74cbc1a0b6f7f678946ed4b71e16d40a7d3f72b0c373",
+        ("cachetest-out", 7): "0e7d66208001caab5c1ef4d9f1076a89e382e0ce2622e0c0d9c4d05e7b99c4ac",
+        ("cl", 0): "78c2983f881e7ae342b8d4eb709bfbe50d2b186923bcfaf04fdb034fc38f5977",
+        ("cl", 7): "7a03741162150124ee643788f977127cf9b7f22299a5b3b3298a55bdf89ed1cf",
+        ("controlled", 0): "a53f197933e1bc3a8e6274155faa85f64e1f4a69e5b87bbd2f3516629424bd77",
+        ("controlled", 7): "0c54451f870a543442d6ef24da97ccedecc6a315dc3dfd9952717f4c44af050e",
+        ("googleco", 0): "cce25fa774d2300678d1811242e110a537d51e11ce978bcd91864ec3b03f1ef1",
+        ("googleco", 7): "100b908569a766bac906161dc1f3e64635ed2c2c0dd915078dd0f35481331e12",
+        ("nl-120", 0): "f8f26f707426cc692156efdc2e9ba48ca9963a009fa04456b127ac895ecead45",
+        ("nl-120", 7): "db2ae97ecea08f92969610a54dfd05a1703306aa0d136d30ea565ab2f94056f0",
+        ("uy-300", 0): "0a365e2fd82119f0e617d2d4edefcbf7f8dd180f20e64d7bc74106a450d302ae",
+        ("uy-300", 7): "2013ca85f347a4e16126ebe4a45f483aba562ce8bbf3a35ef6c51d87cf823e1a",
+        ("uy-86400", 0): "952f09bc352298fa6578c0ebe859eebb04828cbd3eece6f5279f8886f3db944f",
+        ("uy-86400", 7): "550a44761fac4101e50daf473031f3fbd17b7cfa781917e64a9aa17f0ed0dbe5",
+    }
+
+    @pytest.mark.parametrize("label,seed", sorted(PAPER_EXPECTED))
+    def test_paper_world_matches_frozen_description(self, label, seed):
+        import hashlib
+
+        from repro.core import worlds
+
+        name, kwargs = self.PAPER_WORLDS[label]
+        built = getattr(worlds, f"build_{name}_world")(seed=seed, **kwargs)
+        digest = hashlib.sha256(describe_world(built).encode()).hexdigest()
+        assert digest == self.PAPER_EXPECTED[(label, seed)]
