@@ -238,71 +238,3 @@ def bench_perf_campaign_throughput(benchmark):
         qps=round(qps, 1),
         ops_per_s=round(qps, 1),  # the gate compares q/s, not 1/mean
     )
-
-
-def bench_perf_metrics_overhead(benchmark):
-    """Resolution throughput with metrics on stays within 5% of metrics off.
-
-    The ISSUE 2 acceptance gate for the observability layer: disabled
-    paths hit null-object singletons, enabled paths do an attribute call
-    and an integer add — neither may tax the hot loop.  Timing rounds
-    interleave the two resolvers so clock drift and cache warmup hit both
-    sides equally, and best-of-rounds compares the clean floors.
-    """
-    import time
-
-    from tests.conftest import build_mini_world
-    from repro.metrics.registry import MetricsRegistry
-    from repro.net.topology import Region
-    from repro.resolver.recursive import RecursiveResolver
-
-    def make_resolver(with_metrics: bool) -> RecursiveResolver:
-        world = build_mini_world()
-        if with_metrics:
-            world.network.attach_metrics(MetricsRegistry())
-        resolver = RecursiveResolver(
-            endpoint=world.topology.endpoint_in_region(Region.EU),
-            network=world.network,
-            root_hints=world.hints,
-        )
-        resolver.resolve("www.example.tld.", RdataType.A, now=0.0)  # warm cache
-        return resolver
-
-    plain = make_resolver(with_metrics=False)
-    metered = make_resolver(with_metrics=True)
-    iterations = 2000
-
-    def loop(resolver: RecursiveResolver) -> None:
-        for _ in range(iterations):
-            resolver.resolve("www.example.tld.", RdataType.A, 1.0)
-
-    loop(plain)  # warm both code paths before any timing
-    loop(metered)
-    best = {"off": float("inf"), "on": float("inf")}
-    for _ in range(7):
-        for key, resolver in (("off", plain), ("on", metered)):
-            start = time.perf_counter()
-            loop(resolver)
-            best[key] = min(best[key], time.perf_counter() - start)
-    overhead = best["on"] / best["off"] - 1.0
-
-    off_qps = iterations / best["off"]
-    on_qps = iterations / best["on"]
-    print(
-        f"\n[metrics] warm resolution: off {off_qps:,.0f} q/s vs "
-        f"on {on_qps:,.0f} q/s -> overhead {overhead * 100:+.1f}%"
-    )
-    assert overhead <= 0.05, (
-        f"metrics overhead {overhead * 100:.1f}% exceeds the 5% budget "
-        f"({off_qps:,.0f} q/s off vs {on_qps:,.0f} q/s on)"
-    )
-
-    benchmark.pedantic(loop, args=(metered,), rounds=1, iterations=1)
-    benchmark.extra_info["overhead_pct"] = round(overhead * 100, 2)
-    _record(
-        benchmark, "metrics_overhead",
-        metrics_off_qps=round(off_qps, 1),
-        metrics_on_qps=round(on_qps, 1),
-        overhead_pct=round(overhead * 100, 2),
-        budget_pct=5.0,
-    )

@@ -37,6 +37,7 @@ Observability rides the sim metrics domain:
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from typing import TYPE_CHECKING, Optional
 
 from repro.faults.plan import (
@@ -45,7 +46,7 @@ from repro.faults.plan import (
     FaultSpec,
     derive_fault_seed,
 )
-from repro.metrics.registry import NULL_REGISTRY, log_buckets
+from repro.metrics.registry import HISTOGRAM, LABELED_COUNTER, Histogram, log_buckets
 
 if TYPE_CHECKING:
     from repro.dns.message import Message
@@ -90,6 +91,14 @@ class _FaultState:
         self.bucket_count = 0
 
 
+class FaultTally:
+    """Fault events by kind, counted for one registry (fresh per attach)."""
+
+    def __init__(self) -> None:
+        self.injected, self.suppressed, self.recovered = (defaultdict(int) for _ in range(3))
+        self.time_to_recovery = Histogram("faults.time_to_recovery_s", TTR_BUCKETS_S)
+
+
 def _endpoint_matches(endpoint: "Endpoint", ident: str) -> bool:
     """A site identifier may be the endpoint's address or its name."""
     return endpoint.address == ident or (endpoint.name or "") == ident
@@ -113,21 +122,24 @@ class FaultInjector:
         self._restarts = [s for s in states if s.spec.kind == "resolver_restart"]
         self._changes = [s for s in states if s.spec.kind == "record_change"]
         self._watchlist: list[_FaultState] = []
-        self.attach_metrics(NULL_REGISTRY)
+        self.tally = FaultTally()
 
     def __repr__(self) -> str:
         return f"FaultInjector({self.plan.name or 'unnamed'}, {len(self.plan)} faults)"
 
     def attach_metrics(self, registry: "MetricsRegistry") -> None:
-        """Count fault events in the registry's sim domain."""
-        self._m_injected = registry.labeled_counter("faults.injected")
-        self._m_suppressed = registry.labeled_counter("faults.suppressed")
-        self._m_recovered = registry.labeled_counter("faults.recovered")
-        self._m_ttr = registry.histogram("faults.time_to_recovery_s", TTR_BUCKETS_S)
+        """Count fault events into a fresh :class:`FaultTally` ``registry`` collects."""
+        self.tally = FaultTally()
+        registry.collect(self.tally, (
+            *((f"faults.{slot}", LABELED_COUNTER, slot) for slot in (
+                "injected", "suppressed", "recovered",
+            )),
+            ("faults.time_to_recovery_s", HISTOGRAM, "time_to_recovery"),
+        ))
 
     # ------------------------------------------------------------- accounting
     def _inject(self, state: _FaultState) -> None:
-        self._m_injected.inc(state.spec.kind)
+        self.tally.injected[state.spec.kind] += 1
         state.impacted = True
         if (
             not state.pending
@@ -138,7 +150,7 @@ class FaultInjector:
             self._watchlist.append(state)
 
     def _suppress(self, state: _FaultState) -> None:
-        self._m_suppressed.inc(state.spec.kind)
+        self.tally.suppressed[state.spec.kind] += 1
 
     # ---------------------------------------------------------- fabric hooks
     def transmission_fate(self, src: str, dst: str, t: float) -> tuple[bool, float]:
@@ -322,8 +334,8 @@ class FaultInjector:
             spec = state.spec
             if t >= spec.end and self._recovery_match(spec, src, dst):
                 state.pending = False
-                self._m_recovered.inc(spec.kind)
-                self._m_ttr.observe(t - spec.end)
+                self.tally.recovered[spec.kind] += 1
+                self.tally.time_to_recovery.observe(t - spec.end)
             else:
                 kept.append(state)
         self._watchlist = kept

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from functools import partial, reduce
+from operator import ge, is_not
 from typing import Iterable, Optional, Sequence, Union
 
 __all__ = [
@@ -40,11 +42,10 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "log_buckets",
-    "NULL_COUNTER",
-    "NULL_LABELED_COUNTER",
-    "NULL_GAUGE",
-    "NULL_HISTOGRAM",
-    "NULL_REGISTRY",
+    "COUNTER",
+    "LABELED_COUNTER",
+    "GAUGE",
+    "HISTOGRAM",
 ]
 
 #: Scale for histogram value sums: 1 unit = 1e-6 of the observed value.
@@ -95,9 +96,6 @@ class Counter:
             raise MetricError(f"counter {self.name}: negative increment {amount}")
         self.value += amount
 
-    def payload(self) -> dict:
-        return {"kind": self.kind, "domain": self.domain, "value": self.value}
-
 
 class LabeledCounter:
     """A family of counters keyed by a string label (e.g. per-server)."""
@@ -143,9 +141,6 @@ class Gauge:
         if self.value is None or value > self.value:
             self.value = value
 
-    def payload(self) -> dict:
-        return {"kind": self.kind, "domain": self.domain, "value": self.value}
-
 
 class Histogram:
     """Fixed-bucket histogram; bounds are upper edges, chosen at declaration.
@@ -164,10 +159,10 @@ class Histogram:
     def __init__(
         self, name: str, bounds: Sequence[float], domain: str = SIM
     ) -> None:
-        bounds = tuple(float(b) for b in bounds)
+        bounds = tuple(map(float, bounds))
         if not bounds:
             raise MetricError(f"histogram {name}: needs at least one bound")
-        if any(b >= a for b, a in zip(bounds, bounds[1:])):
+        if any(map(ge, bounds, bounds[1:])):
             raise MetricError(f"histogram {name}: bounds must strictly increase")
         self.name = name
         self.domain = domain
@@ -213,108 +208,108 @@ class Histogram:
         }
 
 
-class _NullMetric:
-    """No-op stand-in wired into hot paths when metrics are disabled."""
-
-    __slots__ = ()
-
-    def inc(self, *args, **kwargs) -> None:
-        pass
-
-    def record(self, *args, **kwargs) -> None:
-        pass
-
-    def observe(self, *args, **kwargs) -> None:
-        pass
-
-
-NULL_COUNTER = _NullMetric()
-NULL_LABELED_COUNTER = NULL_COUNTER
-NULL_GAUGE = NULL_COUNTER
-NULL_HISTOGRAM = NULL_COUNTER
-
 Metric = Union[Counter, LabeledCounter, Gauge, Histogram]
+
+#: Metric kinds, as a collector names them.
+COUNTER = Counter.kind
+LABELED_COUNTER = LabeledCounter.kind
+GAUGE = Gauge.kind
+HISTOGRAM = Histogram.kind
+
+_recorded = partial(is_not, None)
 
 
 class MetricsRegistry:
-    """Declares and holds the metrics of one process (or one shard).
+    """Collects the metrics of one process (or one shard).
 
-    Declaring an existing name returns the existing metric when the
-    declaration matches (same kind, domain, and bounds) — components that
-    share a registry share their counters — and raises
-    :class:`MetricError` on any mismatch.
+    Counts live as plain slots on the objects that own the facts; owners
+    register *collectors* (name, kind, domain, owner, attribute) when they
+    are built, and :meth:`snapshot` folds the collectors of each name:
+    counters and labeled counters by sum, gauges by the max of recorded
+    (non-``None``) values, histograms by the exact snapshot merge.
+    :meth:`counter` and friends build a standalone instrument that
+    collects itself (redeclaring returns it).  A kind, domain or bucket
+    mismatch on a name raises :class:`MetricError`.
     """
 
     def __init__(self) -> None:
-        self._metrics: dict[str, Metric] = {}
+        #: name -> (kind, domain, bounds, owners, attributes); a histogram
+        #: collector's owner is the :class:`Histogram` itself (no attribute).
+        self._families: dict[str, tuple[str, str, Optional[tuple], list, list]] = {}
+        self._declared: dict[str, Metric] = {}
+        #: ``collect(..., after=...)`` calls whose gate slot is still ``None``.
+        self._gated: list[tuple[object, Iterable, str, str]] = []
 
-    def __len__(self) -> int:
-        return len(self._metrics)
+    def _family(self, name: str, kind: str, domain: str, bounds: Optional[tuple]):
+        family = self._families.setdefault(name, (kind, domain, bounds, [], []))
+        if family[:3] != (kind, domain, bounds):
+            raise MetricError(f"metric {name!r} redeclared as {kind}/{domain} with "
+                              f"buckets {bounds}, was {family[0]}/{family[1]} {family[2]}")
+        return family[3], family[4]
 
-    def __bool__(self) -> bool:
-        # A registry with nothing declared yet is still "metrics on":
-        # ``metrics or NULL_REGISTRY`` must not swap it for the null one.
-        return True
+    def collect(
+        self, owner: object, slots: Iterable[tuple], domain: str = SIM, after: Optional[str] = None
+    ) -> None:
+        """Fold each ``(name, kind, attribute)`` slot's ``owner.attribute``
+        into metric ``name`` at every :meth:`snapshot` (a histogram slot's
+        :class:`Histogram` is bound here, once).  With ``after``, collection
+        starts at the first snapshot that finds ``owner.after`` set: a
+        feature's metrics appear only once it has been used."""
+        if after is not None:
+            self._gated.append((owner, slots, domain, after))
+            return
+        for name, kind, attr in slots:
+            if kind == HISTOGRAM:
+                histogram = getattr(owner, attr)
+                owners, _ = self._family(name, kind, domain, histogram.bounds)
+                owners.append(histogram)
+            else:
+                owners, attrs = self._family(name, kind, domain, None)
+                owners.append(owner)
+                attrs.append(attr)
 
-    def __iter__(self) -> Iterable[Metric]:
-        return iter(self._metrics.values())
-
-    def get(self, name: str) -> Optional[Metric]:
-        return self._metrics.get(name)
-
-    def _declare(self, metric: Metric) -> Metric:
-        existing = self._metrics.get(metric.name)
+    def _declare(self, metric: Metric, attr: Optional[str]) -> Metric:
+        bounds = getattr(metric, "bounds", None)
+        owners, attrs = self._family(metric.name, metric.kind, metric.domain, bounds)
+        existing = self._declared.get(metric.name)
         if existing is None:
-            self._metrics[metric.name] = metric
-            return metric
-        if existing.kind != metric.kind or existing.domain != metric.domain:
-            raise MetricError(
-                f"metric {metric.name!r} redeclared as {metric.kind}/"
-                f"{metric.domain}, was {existing.kind}/{existing.domain}"
-            )
-        if isinstance(metric, Histogram):
-            assert isinstance(existing, Histogram)
-            if existing.bounds != metric.bounds:
-                raise MetricError(
-                    f"histogram {metric.name!r} redeclared with different buckets"
-                )
+            owners.append(metric)
+            attrs.append(attr)
+            existing = self._declared[metric.name] = metric
         return existing
 
     def counter(self, name: str, domain: str = SIM) -> Counter:
-        return self._declare(Counter(name, domain))  # type: ignore[return-value]
+        return self._declare(Counter(name, domain), "value")  # type: ignore[return-value]
 
     def labeled_counter(self, name: str, domain: str = SIM) -> LabeledCounter:
-        return self._declare(LabeledCounter(name, domain))  # type: ignore[return-value]
+        return self._declare(LabeledCounter(name, domain), "values")  # type: ignore[return-value]
 
     def gauge(self, name: str, domain: str = SIM) -> Gauge:
-        return self._declare(Gauge(name, domain))  # type: ignore[return-value]
+        return self._declare(Gauge(name, domain), "value")  # type: ignore[return-value]
 
     def histogram(
         self, name: str, bounds: Sequence[float], domain: str = SIM
     ) -> Histogram:
-        return self._declare(Histogram(name, bounds, domain))  # type: ignore[return-value]
+        return self._declare(Histogram(name, bounds, domain), None)  # type: ignore[return-value]
 
     def snapshot(self) -> "MetricsSnapshot":
-        from repro.metrics.snapshot import MetricsSnapshot
+        from repro.metrics.snapshot import MetricsSnapshot, _merge_metric
 
-        return MetricsSnapshot(
-            {name: metric.payload() for name, metric in self._metrics.items()}
-        )
-
-
-class _NullRegistry:
-    """Declares nothing: every instrument is the shared no-op metric.
-
-    Lets a component declare its instruments once, against
-    ``metrics or NULL_REGISTRY``, instead of forking on ``metrics is None``.
-    """
-
-    __slots__ = ()
-
-    def counter(self, *args, **kwargs) -> _NullMetric:
-        return NULL_COUNTER
-
-    labeled_counter = gauge = histogram = counter
-
-
-NULL_REGISTRY = _NullRegistry()
+        gated, self._gated = self._gated, []
+        for owner, slots, domain, after in gated:
+            self.collect(owner, slots, domain, None if getattr(owner, after) is not None else after)
+        metrics = {}
+        for name, (kind, domain, _, owners, attrs) in self._families.items():
+            if kind == COUNTER:
+                payload = {"value": sum(map(getattr, owners, attrs))}
+            elif kind == GAUGE:
+                recorded = filter(_recorded, map(getattr, owners, attrs))
+                payload = {"value": max(recorded, default=None)}
+            else:  # families and histograms fold by the exact snapshot merge
+                parts = map(Histogram.payload, owners) if kind == HISTOGRAM else (
+                    {"kind": kind, "domain": domain, "values": dict(sorted(values.items()))}
+                    for values in map(getattr, owners, attrs)
+                )
+                payload = reduce(partial(_merge_metric, name), parts)
+            metrics[name] = {**payload, "kind": kind, "domain": domain}
+        return MetricsSnapshot(metrics)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import ipaddress
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import random
@@ -61,6 +62,11 @@ class Endpoint:
     name: str = ""
 
     def __str__(self) -> str:
+        return self.label
+
+    @cached_property
+    def label(self) -> str:
+        """How metrics and logs name the endpoint, computed once."""
         return self.name or self.address
 
 

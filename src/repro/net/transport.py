@@ -11,11 +11,12 @@ unreachable-child scenario, §4.4) are reproducible.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Protocol
 
 from repro.dns.message import Message
-from repro.metrics.registry import NULL_REGISTRY, log_buckets
+from repro.metrics.registry import COUNTER, HISTOGRAM, LABELED_COUNTER, Histogram, log_buckets
 from repro.net.latency import LatencyModel
 from repro.net.topology import Endpoint
 
@@ -159,6 +160,17 @@ class LossModel:
         self._down.clear()
 
 
+class FabricTally:
+    """The fabric's counts for one registry (see :meth:`Network.attach_metrics`)."""
+
+    def __init__(self) -> None:
+        self.exchanges = self.timeouts = self.lost_transmissions = self.retries = 0
+        self.retry_budget_exhausted = 0
+        self.rtt = Histogram("net.rtt_ms", RTT_BUCKETS_MS)
+        #: Queries answered per authoritative site, by :attr:`Endpoint.label`.
+        self.site_queries: defaultdict[str, int] = defaultdict(int)
+
+
 class Network:
     """The datagram fabric: address → server registry plus latency/loss."""
 
@@ -181,7 +193,7 @@ class Network:
         #: Fabric-wide default retry policy; ``None`` keeps the historical
         #: per-call ``timeout``/``retries`` behaviour.
         self.backoff: Optional[BackoffPolicy] = None
-        self._instrument(NULL_REGISTRY)
+        self.tally = FabricTally()
 
     def reset_runtime(self, seed: int) -> None:
         """Return the fabric to its just-built state under ``seed``.
@@ -202,7 +214,7 @@ class Network:
         self.metrics = None
         self.faults = None
         self.backoff = None
-        self._instrument(NULL_REGISTRY)
+        self.tally = FabricTally()
         seen: set[int] = set()
         for server in self._servers.values():
             if id(server) in seen:  # anycast registers sites + service addr
@@ -215,25 +227,27 @@ class Network:
                 self._wire_server_faults(server)  # at least drop fault hooks
 
     def attach_metrics(self, registry: "MetricsRegistry") -> None:
-        """Instrument the fabric (and per-server query tallies) into
-        ``registry``.  Resolvers built afterwards pick the registry up via
-        :attr:`metrics` and wire their caches into the same snapshot."""
+        """Count the fabric into a fresh :class:`FabricTally` that
+        ``registry`` collects, so a world reused by the next shard never
+        counts into this one's registry (an unattached fabric counts into a
+        tally nobody reads).  Resolvers built afterwards pick the registry
+        up via :attr:`metrics` and wire their caches into the same snapshot."""
         self.metrics = registry
-        self._instrument(registry)
+        self.tally = FabricTally()
+        registry.collect(self.tally, (
+            *((f"net.{slot}", COUNTER, slot) for slot in (
+                "exchanges", "timeouts", "lost_transmissions", "retries", "retry_budget_exhausted",
+            )),
+            ("net.rtt_ms", HISTOGRAM, "rtt"),
+            ("auth.queries", LABELED_COUNTER, "site_queries"),
+        ))
         if self.faults is not None:
             self.faults.attach_metrics(registry)
 
-    def _instrument(self, registry) -> None:
-        """Declare the fabric's instruments in ``registry`` — the null
-        registry until :meth:`attach_metrics`, and again after
-        :meth:`reset_runtime`."""
-        self._m_exchanges = registry.counter("net.exchanges")
-        self._m_timeouts = registry.counter("net.timeouts")
-        self._m_lost = registry.counter("net.lost_transmissions")
-        self._m_retries = registry.counter("net.retries")
-        self._m_budget_exhausted = registry.counter("net.retry_budget_exhausted")
-        self._m_rtt = registry.histogram("net.rtt_ms", RTT_BUCKETS_MS)
-        self._m_server_queries = registry.labeled_counter("auth.queries")
+    def count(self, name: str, amount: int = 1) -> None:
+        """Bump a counter declared on first use (session and push activity)."""
+        if self.metrics is not None:
+            self.metrics.counter(name).inc(amount)
 
     def attach_faults(self, injector: "FaultInjector") -> None:
         """Wire a fault injector into the fabric and every registered
@@ -304,13 +318,14 @@ class Network:
         budget = policy.budget
         server = self._servers.get(dst_address)
         faults = self.faults
+        tally = self.tally
         src = client.address
         for attempt in range(attempts):
             if budget is not None and attempt > 0 and elapsed >= budget:
-                self._m_budget_exhausted.inc()
+                tally.retry_budget_exhausted += 1
                 break
             if attempt > 0:
-                self._m_retries.inc()
+                tally.retries += 1
             t = now + elapsed
             lost = server is None or self.loss.lost(dst_address)
             extra_delay = 0.0
@@ -328,7 +343,7 @@ class Network:
                 wait = policy.attempt_wait(attempt, self._jitter_rng)
                 if budget is not None:
                     wait = min(wait, max(0.0, budget - elapsed))
-                self._m_lost.inc()
+                tally.lost_transmissions += 1
                 elapsed += wait
                 continue
             assert site is not None
@@ -336,13 +351,13 @@ class Network:
             arrival = t + rtt / 2.0
             response = server.handle_query(query, client, arrival)
             elapsed += rtt
-            self._m_exchanges.inc()
-            self._m_rtt.observe(rtt * 1000.0)
-            self._m_server_queries.inc(str(site))
+            tally.exchanges += 1
+            tally.rtt.observe(rtt * 1000.0)
+            tally.site_queries[site.label] += 1
             if faults is not None:
                 faults.note_delivery(src, dst_address, t + rtt)
             return response, elapsed
-        self._m_timeouts.inc()
+        tally.timeouts += 1
         raise NetworkTimeout(f"no response from {dst_address}", elapsed)
 
     # -- sessions -------------------------------------------------------------
@@ -457,12 +472,6 @@ class TcpSession:
     def alive(self) -> bool:
         return self.established
 
-    # -- metrics (lazy: declared on first session activity) -------------------
-    def _count(self, name: str) -> None:
-        registry = self.network.metrics
-        if registry is not None:
-            registry.counter(name).inc()
-
     # -- one framed transmission ---------------------------------------------
     def _transmit(
         self, now: float, query: Optional[Message] = None
@@ -487,7 +496,7 @@ class TcpSession:
         response = None
         if query is not None:
             response = server.handle_query(query, self.client, now + rtt / 2.0)
-            network._m_server_queries.inc(str(site))
+            network.tally.site_queries[site.label] += 1
         if network.faults is not None:
             network.faults.note_delivery(self.client.address, self.dst_address, now + rtt)
         return rtt, response
@@ -496,7 +505,7 @@ class TcpSession:
         if self.established:
             self.established = False
             self.broken_at = t
-            self._count("net.tcp.breaks")
+            self.network.count("net.tcp.breaks")
 
     # -- lifecycle ------------------------------------------------------------
     def connect(self, now: float, timeout: float = DEFAULT_TIMEOUT) -> float:
@@ -515,7 +524,7 @@ class TcpSession:
         self.broken_at = None
         self.opened_at = now + rtt
         self.connects += 1
-        self._count("net.tcp.opens")
+        self.network.count("net.tcp.opens")
         return rtt
 
     def close(self, now: float) -> None:
@@ -546,7 +555,7 @@ class TcpSession:
             )
         rtt, response = sent
         self.exchanges += 1
-        self._count("net.tcp.exchanges")
+        self.network.count("net.tcp.exchanges")
         return response, rtt
 
     def keepalive(self, now: float, timeout: float = DEFAULT_TIMEOUT) -> float:
@@ -567,5 +576,5 @@ class TcpSession:
             )
         rtt, _ = sent
         self.keepalives += 1
-        self._count("net.tcp.keepalives")
+        self.network.count("net.tcp.keepalives")
         return rtt

@@ -29,7 +29,7 @@ from typing import Callable, Optional, TYPE_CHECKING
 
 from repro.dns.name import Name
 from repro.dns.rdtypes import RdataType
-from repro.metrics.registry import NULL_REGISTRY, log_buckets
+from repro.metrics.registry import COUNTER, HISTOGRAM, Histogram, log_buckets
 
 if TYPE_CHECKING:
     from repro.metrics import MetricsRegistry
@@ -73,12 +73,17 @@ class RefreshScheduler:
         self._blocked_until: dict[JobKey, float] = {}
         self._tokens = float(refresh_burst)
         self._token_time: Optional[float] = None
-        registry = metrics or NULL_REGISTRY
-        self._m_refreshes = registry.counter("predict.refreshes")
-        self._m_revalidations = registry.counter("predict.revalidations")
-        self._m_suppressed = registry.counter("predict.refresh_suppressed")
-        self._m_failed = registry.counter("predict.refresh_failures")
-        self._m_lead = registry.histogram("predict.refresh_lead_s", LEAD_BUCKETS_S)
+        self.refreshes = self.revalidations = 0
+        self.refresh_suppressed = self.refresh_failures = 0
+        #: Seconds before expiry each refresh ran.
+        self.refresh_lead_s = Histogram("predict.refresh_lead_s", LEAD_BUCKETS_S)
+        if metrics is not None:
+            metrics.collect(self, (
+                *((f"predict.{slot}", COUNTER, slot) for slot in (
+                    "refreshes", "revalidations", "refresh_suppressed", "refresh_failures",
+                )),
+                ("predict.refresh_lead_s", HISTOGRAM, "refresh_lead_s"),
+            ))
 
     def __len__(self) -> int:
         return len(self._pending)
@@ -151,17 +156,17 @@ class RefreshScheduler:
             self._refill(due)
             if self.max_refresh_per_s is not None:
                 if self._tokens < 1.0:
-                    self._m_suppressed.inc()
+                    self.refresh_suppressed += 1
                     continue
                 self._tokens -= 1.0
             ok = self._refresh(key[0], key[1], due)
             executed += 1
             if kind == "revalidate":
-                self._m_revalidations.inc()
+                self.revalidations += 1
             else:
-                self._m_refreshes.inc()
+                self.refreshes += 1
             if expires_at is not None:
-                self._m_lead.observe(max(0.0, expires_at - due))
+                self.refresh_lead_s.observe(max(0.0, expires_at - due))
             if ok:
                 self._failures.pop(key, None)
                 self._blocked_until.pop(key, None)
@@ -173,7 +178,7 @@ class RefreshScheduler:
                     self.failure_backoff_cap_s,
                 )
                 self._blocked_until[key] = due + backoff
-                self._m_failed.inc()
+                self.refresh_failures += 1
         return executed
 
     def clear(self) -> None:

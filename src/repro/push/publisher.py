@@ -111,11 +111,6 @@ class PushPublisher:
         )
 
     # -- metrics (lazy) -------------------------------------------------------
-    def _count(self, name: str) -> None:
-        registry = self.network.metrics
-        if registry is not None:
-            registry.counter(name).inc()
-
     def _record_subscribers(self) -> None:
         registry = self.network.metrics
         if registry is not None:
@@ -158,7 +153,7 @@ class PushPublisher:
         state = self._subs.get(client.address)
         if state is None:
             if len(self._subs) >= self.max_subscribers:
-                self._count("push.refused_subscribers")
+                self.network.count("push.refused_subscribers")
                 return query.make_response(rcode=Rcode.REFUSED)
             state = _SubscriberState(client)
             self._subs[client.address] = state
@@ -170,11 +165,11 @@ class PushPublisher:
             state.queue.clear()
         if key not in state.keys:
             if len(state.keys) >= self.max_subscriptions_per_session:
-                self._count("push.refused_subscriptions")
+                self.network.count("push.refused_subscriptions")
                 return query.make_response(rcode=Rcode.REFUSED)
             state.keys[key] = None
             self._index.setdefault(key, {})[client.address] = None
-        self._count("push.subscribes")
+        self.network.count("push.subscribes")
         response = query.make_response(authoritative=True)
         rrset = self._current(key)
         if rrset is not None:
@@ -194,7 +189,7 @@ class PushPublisher:
                 del self._index[key]
         if not state.keys:
             del self._subs[address]
-        self._count("push.unsubscribes")
+        self.network.count("push.unsubscribes")
 
     def _current(self, key: PushKey) -> Optional[RRset]:
         zone = self.server.best_zone_for(key[0])  # type: ignore[attr-defined]
@@ -230,16 +225,16 @@ class PushPublisher:
             if path is None:
                 state.broken_at = now
                 state.queue.clear()
-                self._count("push.session_resets")
+                self.network.count("push.session_resets")
                 continue
             _, site, extra = path
             rtt = network.latency.rtt(state.endpoint, site, network._rng) + extra
             if key in state.queue:
-                self._count("push.coalesced")
+                self.network.count("push.coalesced")
             state.queue[key] = PendingNotify(
                 key=key, rrset=rrset, changed_at=now, deliver_at=now + rtt / 2.0
             )
-            self._count("push.notifications")
+            self.network.count("push.notifications")
             enqueued += 1
         return enqueued
 

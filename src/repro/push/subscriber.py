@@ -35,7 +35,7 @@ from repro.dns.message import Message, Opcode
 from repro.dns.name import Name
 from repro.dns.rdtypes import RdataClass, RdataType
 from repro.dns.record import RRset
-from repro.metrics.registry import NULL_REGISTRY, log_buckets
+from repro.metrics.registry import log_buckets
 from repro.net.transport import NetworkTimeout, SessionBroken, TcpSession
 from repro.push.policy import PushPolicy
 from repro.push.publisher import PushKey, PushPublisher
@@ -112,11 +112,6 @@ class PushClient:
         )
 
     # -- metrics (lazy) -------------------------------------------------------
-    def _count(self, name: str) -> None:
-        registry = self.network.metrics
-        if registry is not None:
-            registry.counter(name).inc()
-
     def _observe_staleness(self, seconds: float) -> None:
         registry = self.network.metrics
         if registry is not None:
@@ -127,10 +122,7 @@ class PushClient:
     def _record_sessions(self) -> None:
         registry = self.network.metrics
         if registry is not None:
-            alive = sum(
-                1 for channel in self._channels.values() if channel.session.alive
-            )
-            registry.gauge("push.sessions").record(alive)
+            registry.gauge("push.sessions").record(self.alive_session_count())
 
     # -- introspection --------------------------------------------------------
     def subscription_count(self) -> int:
@@ -211,7 +203,7 @@ class PushClient:
         channel.retry_at = now + wait
 
     def _on_break(self, channel: _Channel, now: float) -> None:
-        self._count("push.session_breaks")
+        self.network.count("push.session_breaks")
         self._record_sessions()
         self._schedule_retry(channel, now)
 
@@ -219,7 +211,7 @@ class PushClient:
         if not self._connect(channel, now):
             return
         self.reconnects += 1
-        self._count("push.reconnects")
+        self.network.count("push.reconnects")
         # Re-SUBSCRIBE everything: the responses reconcile the cache
         # (each carries the record's current RRset), which is what bounds
         # post-outage staleness to the reconnect backoff.
@@ -256,15 +248,14 @@ class PushClient:
         record.  Both counters are declared by the first pushed change,
         whichever way it lands.
         """
-        registry = self.network.metrics or NULL_REGISTRY
-        updates = registry.counter("cache.push_updates")
-        invalidations = registry.counter("cache.push_invalidations")
+        updated = invalidated = 0
         if rrset is not None and self.policy.update_in_place:
-            if self.cache.put(rrset, Credibility.AUTH_ANSWER, now):
-                updates.inc()
+            updated = int(self.cache.put(rrset, Credibility.AUTH_ANSWER, now))
         elif self.cache.peek(*key) is not None:
             self.cache.expire_now((*key, RdataClass.IN), now)
-            invalidations.inc()
+            invalidated = 1
+        self.network.count("cache.push_updates", updated)
+        self.network.count("cache.push_invalidations", invalidated)
 
     # -- the pump -------------------------------------------------------------
     def pump(self, now: float) -> int:
@@ -287,7 +278,7 @@ class PushClient:
                     channel.next_keepalive = (
                         now + self.policy.keepalive_interval_s
                     )
-                    self._count("push.keepalives")
+                    self.network.count("push.keepalives")
                 except SessionBroken:
                     self._on_break(channel, now)
         return applied
@@ -310,10 +301,5 @@ class PushClient:
             self.notifications_applied += 1
             applied += 1
         if applied:
-            self._count_n("push.applied", applied)
+            self.network.count("push.applied", applied)
         return applied
-
-    def _count_n(self, name: str, n: int) -> None:
-        registry = self.network.metrics
-        if registry is not None:
-            registry.counter(name).inc(n)

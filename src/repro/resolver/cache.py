@@ -59,7 +59,7 @@ from repro.dns.ecs import ClientSubnet
 from repro.dns.name import Name
 from repro.dns.rdtypes import SOA, RdataClass, RdataType
 from repro.dns.record import RRset
-from repro.metrics.registry import NULL_REGISTRY
+from repro.metrics.registry import COUNTER, GAUGE
 
 if TYPE_CHECKING:
     from repro.metrics import MetricsRegistry
@@ -170,14 +170,21 @@ class NegativeEntry:
 
 @dataclass
 class CacheStats:
+    """One cache's counts: the slots its ``cache.*`` metrics collect."""
+
     hits: int = 0
     misses: int = 0
+    expired: int = 0  # misses on a present but dead entry
     stale_hits: int = 0
     inserts: int = 0
     refused_downgrades: int = 0
     evictions: int = 0
     negative_hits: int = 0
     negative_misses: int = 0
+    #: Most global / ECS-scoped entries ever held (``None`` before the first).
+    size_peak: Optional[int] = None
+    ecs_scoped_peak: Optional[int] = None
+    scope_merges: int = 0  # scoped hits on an answer another subnet fetched
 
     @property
     def hit_rate(self) -> float:
@@ -204,9 +211,9 @@ class Cache:
         eviction, as production resolvers do; ``None`` means unbounded
         (the default — the paper's experiments never fill real caches).
 
-        ``metrics``: an optional shared registry; every cache attached to
-        it contributes to the world-wide ``cache.*`` counters (per-cache
-        counts stay available on :attr:`stats`).
+        ``metrics``: an optional shared registry; it collects every
+        attached cache's :attr:`stats` into the world-wide ``cache.*``
+        metrics.
         """
         if max_entries is not None and max_entries < 1:
             raise ValueError(f"max_entries must be positive, got {max_entries}")
@@ -245,23 +252,23 @@ class Cache:
         #: heap holding exactly one ``(expires_at, scope, family, network)``
         #: record per entry.  Scope-0 answers never land here — they go
         #: through :meth:`put` unchanged — so a resolver that never sends
-        #: ECS never touches this dict and its metrics instruments are
-        #: never created, keeping non-ECS metrics output byte-identical.
+        #: ECS never touches this dict and its metrics are never
+        #: collected, keeping non-ECS metrics output byte-identical.
         self._ecs: dict[CacheKey, tuple[dict, list]] = {}
         self._ecs_count = 0
-        registry = self._metrics_registry = metrics or NULL_REGISTRY
-        self._m_ecs_entries = None
-        self._m_scope_merges = None
-        self._m_hits = registry.counter("cache.hits")
-        self._m_misses = registry.counter("cache.misses")
-        self._m_expired = registry.counter("cache.expired")
-        self._m_stale = registry.counter("cache.stale_served")
-        self._m_inserts = registry.counter("cache.inserts")
-        self._m_refused = registry.counter("cache.refused_downgrades")
-        self._m_evictions = registry.counter("cache.evictions")
-        self._m_negative_hits = registry.counter("cache.negative_hits")
-        self._m_negative_misses = registry.counter("cache.negative_misses")
-        self._m_size_peak = registry.gauge("cache.size_peak")
+        if metrics is not None:
+            metrics.collect(self.stats, (
+                *((f"cache.{slot}", COUNTER, slot) for slot in (
+                    "hits", "misses", "expired", "inserts", "refused_downgrades",
+                    "evictions", "negative_hits", "negative_misses",
+                )),
+                ("cache.stale_served", COUNTER, "stale_hits"),
+                ("cache.size_peak", GAUGE, "size_peak"),
+            ))
+            metrics.collect(self.stats, (
+                ("cache.ecs_scoped_entries", GAUGE, "ecs_scoped_peak"),
+                ("ecs.scope_merges", COUNTER, "scope_merges"),
+            ), after="ecs_scoped_peak")
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -341,7 +348,6 @@ class Cache:
             )
             if entry.pinned or not refreshable:
                 self.stats.refused_downgrades += 1
-                self._m_refused.inc()
                 return False
         self._seq = generation = self._seq + 1
         target: Optional[CacheEntry] = None
@@ -366,7 +372,8 @@ class Cache:
             entry = entries[key] = CacheEntry(
                 rrset, credibility, now, expires_at, generation, link, pin, source_zone
             )
-            self._m_size_peak.record(len(entries))
+            if len(entries) > (self.stats.size_peak or 0):
+                self.stats.size_peak = len(entries)
         else:
             # A renewal: the key keeps its entry object (and, unbounded,
             # its place in the recency order).  Replacing it kills anything
@@ -398,7 +405,6 @@ class Cache:
         heap = self._expiry_heap
         heapq.heappush(heap, (expires_at, generation, key, generation))
         self.stats.inserts += 1
-        self._m_inserts.inc()
         if on_change is not None:
             on_change(key[0])
         self._heap_room = room = self._heap_room - 1
@@ -471,7 +477,6 @@ class Cache:
         if dependents:
             self._link_dead.update(dependents)  # their target is gone
         self.stats.evictions += 1
-        self._m_evictions.inc()
         if self.on_change is not None:
             self.on_change(key[0])
 
@@ -580,13 +585,6 @@ class Cache:
                 f"scope {scope} outside 1..{subnet.source_prefix}; "
                 "scope-0 answers belong in put() (global cache)"
             )
-        if self._m_ecs_entries is None:
-            # Created on the first scoped insert: non-ECS runs must
-            # produce byte-identical metrics snapshots to a build without
-            # ECS at all.
-            registry = self._metrics_registry
-            self._m_ecs_entries = registry.gauge("cache.ecs_scoped_entries")
-            self._m_scope_merges = registry.counter("ecs.scope_merges")
         family = subnet.family
         source_network = subnet.network_bits()
         shift = (32 if family == 1 else 128) - scope
@@ -614,9 +612,9 @@ class Cache:
             source_network=source_network,
         )
         heapq.heappush(heap, (expires_at, scope, family, network))
-        self.stats.inserts += 1
-        self._m_inserts.inc()
-        self._m_ecs_entries.record(self._ecs_count)
+        stats = self.stats
+        stats.inserts += 1
+        stats.ecs_scoped_peak = max(stats.ecs_scoped_peak or 0, self._ecs_count)
         if self.on_change is not None:
             self.on_change(key[0])
 
@@ -651,12 +649,11 @@ class Cache:
             if entry is None:
                 continue
             self.stats.hits += 1
-            self._m_hits.inc()
             if entry.source_network != query_bits:
                 # A different covered subnet fetched this answer: the scope
                 # declared by the authoritative merged two client subnets
                 # into one cache entry.
-                self._m_scope_merges.inc()
+                self.stats.scope_merges += 1
             return entry
         return None
 
@@ -721,7 +718,6 @@ class Cache:
                 )
             if live and entry.credibility >= min_credibility:
                 self.stats.hits += 1
-                self._m_hits.inc()
                 if self.max_entries is not None and next(reversed(entries)) != key:
                     # Touch for LRU recency (only tracked when bounded, and
                     # only when the entry is not already the most recent).
@@ -729,9 +725,8 @@ class Cache:
                     entries[key] = entry
                 return entry
             if not live:
-                self._m_expired.inc()
+                self.stats.expired += 1
         self.stats.misses += 1
-        self._m_misses.inc()
         return None
 
     def lease(
@@ -759,9 +754,7 @@ class Cache:
         """Account ``count`` hits answered from leases: what that many
         :meth:`get_negative` misses and :meth:`get_entry` hits count."""
         self.stats.negative_misses += count
-        self._m_negative_misses.inc(count)
         self.stats.hits += count
-        self._m_hits.inc(count)
 
     def get_stale(
         self, name: Name, rdtype: RdataType, rdclass: RdataClass = RdataClass.IN
@@ -770,7 +763,6 @@ class Cache:
         entry = self._entries.get((name, rdtype, rdclass))
         if entry is not None:
             self.stats.stale_hits += 1
-            self._m_stale.inc()
         return entry
 
     def peek_negative(self, qname: Name, qtype: RdataType) -> Optional[NegativeEntry]:
@@ -785,10 +777,8 @@ class Cache:
             entry = negatives.get((qname, qtype))
             if entry is not None and now < entry.expires_at:
                 self.stats.negative_hits += 1
-                self._m_negative_hits.inc()
                 return entry
         self.stats.negative_misses += 1
-        self._m_negative_misses.inc()
         return None
 
     def due_expirations(self, now: float, horizon: float) -> list[tuple[CacheKey, float]]:

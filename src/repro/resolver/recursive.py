@@ -32,7 +32,7 @@ from repro.dns.wire import WireError
 from repro.dns.rdtypes import RdataClass, RdataType
 from repro.dns.record import RRset
 from repro.dns.zone import Zone
-from repro.metrics.registry import NULL_REGISTRY
+from repro.metrics.registry import COUNTER, HISTOGRAM, Histogram
 from repro.net.topology import Endpoint
 from repro.net.transport import Network, NetworkTimeout
 from repro.predict import PopularityTracker, RefreshScheduler
@@ -137,8 +137,7 @@ class RecursiveResolver:
 
             self._root_mirror = LocalZoneMirror(root_zone)
         # The fabric's registry (attached via Network.attach_metrics before
-        # resolvers are built) aggregates resolver and cache metrics for
-        # the whole world; without one, null metrics keep hot paths cheap.
+        # resolvers are built) collects resolver and cache counts.
         metrics = getattr(network, "metrics", None)
         self.cache = Cache(
             max_ttl=self.policy.ttl_cap,
@@ -158,18 +157,19 @@ class RecursiveResolver:
         #: the policy leaves ECS off.
         self._ecs_subnet: Optional[ClientSubnet] = None
         self._ecs_scope: Optional[int] = None
-        self.queries_sent = 0
-        self.client_queries = 0
-        registry = metrics or NULL_REGISTRY
-        self._m_client_queries = registry.counter("resolver.client_queries")
-        self._m_upstream = registry.counter("resolver.upstream_queries")
-        self._m_servfail = registry.counter("resolver.servfail")
-        self._m_served_stale = registry.counter("resolver.served_stale")
-        self._m_failovers = registry.counter("resolver.failovers")
-        self._m_restarts = registry.counter("resolver.restarts")
-        self._m_referral_depth = registry.histogram(
-            "resolver.referral_depth", _REFERRAL_DEPTH_BUCKETS
-        )
+        self.queries_sent = self.client_queries = 0
+        self.servfail = self.served_stale = self.failovers = self.restarts = 0
+        #: Hits on a scheduler-refreshed generation; misses answered stale.
+        self.refresh_hits = self.stale_answered = 0
+        self.referral_depth = Histogram("resolver.referral_depth", _REFERRAL_DEPTH_BUCKETS)
+        if metrics is not None:
+            metrics.collect(self, (
+                *((f"resolver.{slot}", COUNTER, slot) for slot in (
+                    "client_queries", "servfail", "served_stale", "failovers", "restarts",
+                )),
+                ("resolver.upstream_queries", COUNTER, "queries_sent"),
+                ("resolver.referral_depth", HISTOGRAM, "referral_depth"),
+            ))
 
         # Predictive caching (repro.predict).  The scheduler also backs
         # plain on-hit prefetch — unbudgeted, matching Unbound — so a
@@ -207,10 +207,11 @@ class RecursiveResolver:
             self._push = PushClient(
                 endpoint, network, self.cache, self.policy.push
             )
-        if self._scheduler is None:
-            registry = NULL_REGISTRY  # other runs snapshot without this pair
-        self._m_refresh_hits = registry.counter("predict.refresh_hits")
-        self._m_stale_answered = registry.counter("predict.stale_answered")
+        if metrics is not None and self._scheduler is not None:
+            metrics.collect(self, (  # only runs with a scheduler snapshot this pair
+                ("predict.refresh_hits", COUNTER, "refresh_hits"),
+                ("predict.stale_answered", COUNTER, "stale_answered"),
+            ))
 
         # The resolve plan: what the policy and the features it installs
         # ask of :meth:`resolve`, decided here, once.  Every hook tuple is
@@ -283,7 +284,6 @@ class RecursiveResolver:
         for hook in self._before:
             hook(name, qtype, now)
         self.client_queries += 1
-        self._m_client_queries.inc()
         subnet = None
         if client_subnet is not None:
             subnet = self._upstream_subnet(name, client_subnet)
@@ -324,9 +324,9 @@ class RecursiveResolver:
                 stale = answer(name, qtype, now)
                 if stale is not None:
                     stale.elapsed = failure.elapsed
-                    self._m_served_stale.inc()
+                    self.served_stale += 1
                     return stale
-            self._m_servfail.inc()
+            self.servfail += 1
             return ResolutionResult(rcode=Rcode.SERVFAIL, elapsed=failure.elapsed)
         finally:
             if subnet is not None:
@@ -359,7 +359,6 @@ class RecursiveResolver:
     def count_leased_hits(self, count: int) -> None:
         """Account ``count`` client queries answered from a hit lease."""
         self.client_queries += count
-        self._m_client_queries.inc(count)
         self.cache.count_leased_hits(count)
 
     # ------------------------------------------------------------ installed hooks
@@ -387,7 +386,7 @@ class RecursiveResolver:
         """Count a client hit on a generation a scheduler refresh wrote."""
         entry = self.cache.peek(qname, qtype) if self._refreshed else None
         if entry is not None and self._refreshed.get((qname, qtype)) == entry.generation:
-            self._m_refresh_hits.inc()
+            self.refresh_hits += 1
 
     def _subscribe_answer(
         self, qname: Name, qtype: RdataType, now: float, result: ResolutionResult
@@ -409,7 +408,6 @@ class RecursiveResolver:
         no pump, no cache probe — to stay off the fast path's critical cost.
         """
         self.client_queries += 1
-        self._m_client_queries.inc()
         if self._tracker is not None:
             self._tracker.record((qname, qtype), now)
 
@@ -459,7 +457,7 @@ class RecursiveResolver:
         if self._push is not None:
             self._push.restart()
         self._refreshed.clear()
-        self._m_restarts.inc()
+        self.restarts += 1
 
     def _maybe_prefetch(self, qname: Name, qtype: RdataType, now: float) -> None:
         """Unbound-style prefetch: refresh a hit that is close to expiry.
@@ -568,8 +566,8 @@ class RecursiveResolver:
         ):
             return None
         self._scheduler.schedule(qname, qtype, due=now, kind="revalidate")
-        self._m_stale_answered.inc()
-        self._m_served_stale.inc()
+        self.stale_answered += 1
+        self.served_stale += 1
         return ResolutionResult(
             rcode=Rcode.NOERROR,
             answers=[entry.rrset.with_ttl(predict.stale_answer_ttl)],
@@ -703,7 +701,7 @@ class RecursiveResolver:
                 raise ResolutionError(f"lame response for {qname}", elapsed)
             raise ResolutionError(f"too many referrals for {qname}", elapsed)
         finally:
-            self._m_referral_depth.observe(steps)
+            self.referral_depth.observe(steps)
 
     def _make_query(self, qname: Name, qtype: RdataType) -> Message:
         """A reusable non-RD query skeleton for (qname, qtype).
@@ -839,23 +837,22 @@ class RecursiveResolver:
             except NetworkTimeout as timeout:
                 elapsed += timeout.elapsed
                 if index < last:
-                    self._m_failovers.inc()
+                    self.failovers += 1
                 continue
             elapsed += exchange_time
             contacted.append(address)
             self.queries_sent += 1
-            self._m_upstream.inc()
             if response.rcode in (Rcode.REFUSED, Rcode.NOTIMP, Rcode.FORMERR):
                 # A lame server (not actually serving the zone): try the
                 # next one, as real resolvers do.
                 if index < last:
-                    self._m_failovers.inc()
+                    self.failovers += 1
                 continue
             if response.flags.tc:
                 # Truncated (e.g. an RRL slip).  We model no TCP retry, so
                 # a TC answer is unusable — fail over to a sibling.
                 if index < last:
-                    self._m_failovers.inc()
+                    self.failovers += 1
                 continue
             if glue_only and depth == 0 and self.policy.target_fetch:
                 self._target_fetch(cut, server_name, address, now + elapsed)
@@ -881,7 +878,6 @@ class RecursiveResolver:
         except NetworkTimeout:
             return
         self.queries_sent += 1
-        self._m_upstream.inc()
         if not (response.flags.aa and response.answer):
             return
         for rrset in response.answer:

@@ -36,8 +36,10 @@ _FORMAT_VERSION = 1
 #: The record holds live object graphs, so a change to the attribute set
 #: of anything inside one is a layout change too: 2 = resolver caches
 #: with a single expiry heap and per-prefix-length ECS tables; 3 = the
-#: run state holds the ``ResultSet`` table being filled, not a row list.
-_WSNAP_VERSION = 3
+#: run state holds the ``ResultSet`` table being filled, not a row list;
+#: 4 = the registry holds collectors over owners' count slots, not
+#: instruments.
+_WSNAP_VERSION = 4
 
 
 class CheckpointMismatch(RuntimeError):

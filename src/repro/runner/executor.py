@@ -37,8 +37,10 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
 from repro.metrics.registry import (
+    COUNTER,
+    HISTOGRAM,
     HOST,
-    NULL_REGISTRY,
+    Histogram,
     MetricsRegistry,
     log_buckets,
 )
@@ -136,14 +138,15 @@ class ShardExecutor:
     profile_path: Optional[str] = None
 
     def __post_init__(self) -> None:
-        registry = self.metrics or NULL_REGISTRY
-        self._m_wall = registry.histogram(
-            "runner.shard_wall_seconds", SHARD_WALL_BUCKETS, domain=HOST
-        )
-        self._m_completed = registry.counter("runner.shards_completed", domain=HOST)
-        self._m_cached = registry.counter("runner.shards_cached", domain=HOST)
-        self._m_retries = registry.counter("runner.retries", domain=HOST)
-        self._m_failures = registry.counter("runner.failures", domain=HOST)
+        self.shards_completed = self.shards_cached = self.retries = self.failures = 0
+        self.shard_wall = Histogram("runner.shard_wall_seconds", SHARD_WALL_BUCKETS, HOST)
+        if self.metrics is not None:
+            self.metrics.collect(self, (
+                *((f"runner.{slot}", COUNTER, slot) for slot in (
+                    "shards_completed", "shards_cached", "retries", "failures",
+                )),
+                ("runner.shard_wall_seconds", HISTOGRAM, "shard_wall"),
+            ), HOST)
 
     def run(
         self,
@@ -185,7 +188,7 @@ class ShardExecutor:
                 cached.append(
                     ShardOutcome(shard=shard, value=value, attempts=0, cached=True)
                 )
-                self._m_cached.inc()
+                self.shards_cached += 1
                 if self.tracker is not None:
                     self.tracker.shard_done(
                         shard.index, queries=_query_count(value), cached=True
@@ -197,8 +200,8 @@ class ShardExecutor:
     def _record(self, shard: Shard, value: Any, attempts: int, wall: float) -> ShardOutcome:
         if self.checkpoint is not None:
             self.checkpoint.save(shard.index, value)
-        self._m_completed.inc()
-        self._m_wall.observe(wall)
+        self.shards_completed += 1
+        self.shard_wall.observe(wall)
         if self.tracker is not None:
             self.tracker.shard_done(shard.index, queries=_query_count(value))
         return ShardOutcome(
@@ -207,9 +210,9 @@ class ShardExecutor:
 
     def _note_failure(self, shard: Shard, attempt: int, final: bool) -> None:
         if final:
-            self._m_failures.inc()
+            self.failures += 1
         else:
-            self._m_retries.inc()
+            self.retries += 1
         if self.tracker is None:
             return
         if final:

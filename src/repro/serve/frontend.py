@@ -23,6 +23,7 @@ from repro.dns.name import Name
 from repro.dns.rdtypes import RdataType
 from repro.dns.wire import WireError
 from repro.metrics import HOST, Counter, MetricsRegistry, log_buckets
+from repro.metrics.registry import COUNTER
 from repro.resolver.recursive import RecursiveResolver
 from repro.serve.bridge import WallClockBridge
 from repro.serve.memo import ResponseMemo
@@ -100,7 +101,10 @@ class DnsFrontend:
         self._m_slipped = registry.counter("serve.rrl_slipped", domain=HOST)
         self._m_tcp = registry.counter("serve.tcp_queries", domain=HOST)
         self._m_cache_hits = registry.counter("serve.cache_hits", domain=HOST)
-        self._m_memo_hits = registry.counter("serve.memo_hits", domain=HOST)
+        if memo is None:
+            registry.counter("serve.memo_hits", domain=HOST)  # stays 0
+        else:
+            registry.collect(memo, (("serve.memo_hits", COUNTER, "hits"),), HOST)
         self._m_rcodes = registry.labeled_counter("serve.rcode", domain=HOST)
         #: Per-worker query counts, labeled by server name, so merged
         #: multi-worker snapshots keep the flow-steering balance visible.
@@ -197,7 +201,7 @@ class DnsFrontend:
         self.resolver.note_memoized_answer(entry.qname, entry.qtype, sim_now)
         self._account(
             False, None, entry.rcode_name, started, sim_now, client,
-            entry.qname, entry.qtype, cache_hit=True, memo_hit=True,
+            entry.qname, entry.qtype, cache_hit=True,
         )
         return data[:2] + entry.wire[2:]
 
@@ -355,7 +359,6 @@ class DnsFrontend:
         qname: Optional[Name] = None,
         qtype: Optional[RdataType] = None,
         cache_hit: bool = False,
-        memo_hit: bool = False,
     ) -> None:
         """The one accounting step per datagram, fast path and slow alike.
 
@@ -378,8 +381,6 @@ class DnsFrontend:
             return
         if cache_hit:
             self._m_cache_hits.value += 1
-        if memo_hit:
-            self._m_memo_hits.value += 1
         per_rcode = self._m_rcodes.values
         per_rcode[rcode_label] = per_rcode.get(rcode_label, 0) + 1
         self._m_latency.observe((time.monotonic() - started) * 1000.0)

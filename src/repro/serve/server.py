@@ -31,7 +31,7 @@ import socket
 import struct
 from typing import Optional
 
-from repro.metrics import HOST
+from repro.metrics.registry import GAUGE, HOST
 from repro.serve.batchio import DEFAULT_BATCH_SIZE, make_batcher
 from repro.serve.frontend import DnsFrontend, servfail_wire
 
@@ -129,8 +129,8 @@ class ServeServer:
             self._udp_sock.close()
             self._udp_sock = None
             self.batcher = None
-        gauge = self.frontend.registry.gauge("serve.inflight_peak", domain=HOST)
-        gauge.record(self._inflight_peak)
+        peak = (("serve.inflight_peak", GAUGE, "_inflight_peak"),)
+        self.frontend.registry.collect(self, peak, HOST)
         self.frontend.close()
 
     # -- UDP ---------------------------------------------------------------

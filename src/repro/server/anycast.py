@@ -147,7 +147,7 @@ class AnycastCluster:
                     client_asn=client.asn,
                     qname=query.question.qname,
                     qtype=query.question.qtype,
-                    server=str(site),
+                    server=site.label,
                 )
             )
         if query.question is None:

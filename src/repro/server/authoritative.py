@@ -102,7 +102,7 @@ class AuthoritativeServer:
                     client_asn=client.asn,
                     qname=query.question.qname,
                     qtype=query.question.qtype,
-                    server=str(self._endpoint),
+                    server=self._endpoint.label,
                 )
             )
         if query.question is None:

@@ -29,6 +29,7 @@ from repro.dns.rdtypes import A, RdataType
 from repro.dns.record import RRset
 from repro.dns.wire import WireError
 from repro.dns.zone import Zone
+from repro.metrics.registry import LABELED_COUNTER, LabeledCounter
 from repro.net.topology import Endpoint, Region
 from repro.server.authoritative import AuthoritativeServer
 from repro.server.querylog import QueryLogEntry
@@ -93,18 +94,16 @@ class CdnAuthoritativeServer(AuthoritativeServer):
                 (parsed.family, parsed.source_prefix, parsed.network_bits(), site_name)
             )
         self._map.sort(key=lambda item: -item[1])
-        #: Per-site answer tally (campaign cells read this directly).
-        self.site_answers: dict[str, int] = {}
-        self._m_site_answers = None
+        #: Answers per site since the last reset (campaign cells read this).
+        self.site_answers = LabeledCounter("cdn.site_answers")
 
     def attach_metrics(self, metrics: "MetricsRegistry") -> None:
-        """Register the per-site answer counter family on ``metrics``."""
-        self._m_site_answers = metrics.labeled_counter("cdn.site_answers")
+        """Have ``metrics`` collect the per-site answer tally."""
+        metrics.collect(self.site_answers, (("cdn.site_answers", LABELED_COUNTER, "values"),))
 
     def reset_runtime_state(self) -> None:
         super().reset_runtime_state()
-        self.site_answers = {}
-        self._m_site_answers = None
+        self.site_answers = LabeledCounter("cdn.site_answers")
 
     # -- mapping -------------------------------------------------------------
     def site_for(
@@ -154,7 +153,7 @@ class CdnAuthoritativeServer(AuthoritativeServer):
                     client_asn=client.asn,
                     qname=question.qname,
                     qtype=question.qtype,
-                    server=str(self._endpoint),
+                    server=self._endpoint.label,
                 )
             )
         if self.faults is not None:
@@ -168,9 +167,7 @@ class CdnAuthoritativeServer(AuthoritativeServer):
             except WireError:
                 return query.make_response(rcode=Rcode.FORMERR)
         site, scope = self.site_for(subnet, client)
-        self.site_answers[site.name] = self.site_answers.get(site.name, 0) + 1
-        if self._m_site_answers is not None:
-            self._m_site_answers.inc(site.name)
+        self.site_answers.inc(site.name)
         response = query.make_response(authoritative=True)
         response.add(
             Section.ANSWER,

@@ -1,0 +1,115 @@
+"""Conservation: every query is counted once, and both sides agree.
+
+The paper confirms its client-side measurements from the authoritative
+side (§4.6).  The simulator keeps each count in one place, so the same
+confirmation is an identity over a campaign's ``--metrics`` snapshot:
+
+- every upstream query a resolver sends is one exchange on the fabric;
+- every query an authoritative answers arrived as one datagram exchange
+  or one framed TCP exchange;
+- every lost transmission was either retried or ended in a timeout.
+
+Each registered campaign is checked at its ``ORACLE`` arguments, serial
+and sharded, plus one ``t2-uy`` run under a loss + outage plan.  The same
+snapshots (and a live frontend's) must name only metrics that
+``docs/observability.md`` documents.
+"""
+
+import asyncio
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+from repro.cli import main
+from repro.core.campaign import CAMPAIGNS
+from repro.core.worlds import build_uy_world
+from repro.dns.rdtypes import RdataType
+from repro.dns.message import Message
+from repro.faults import FaultPlan, FaultSpec
+from repro.serve.config import ServeConfig, build_frontend
+from repro.serve.server import ServeServer
+from tests.core.test_campaign_registry import ORACLE
+
+DOCUMENTED = set(
+    re.findall(
+        r"`([a-z_]+(?:\.[a-z_]+)+)`",
+        (Path(__file__).resolve().parents[2] / "docs" / "observability.md").read_text(),
+    )
+)
+
+
+def conservation_problems(metrics: dict) -> list[str]:
+    """The identities a snapshot breaks; empty when it conserves."""
+    count = {
+        name: sum(metric["values"].values()) if "values" in metric else metric["value"]
+        for name, metric in metrics.items()
+        if metric["kind"] in ("counter", "labeled_counter")
+    }
+    exchanges = count["net.exchanges"]
+    problems = []
+    if "resolver.upstream_queries" in count and count["resolver.upstream_queries"] != exchanges:
+        problems.append(f"resolver.upstream_queries {count['resolver.upstream_queries']} "
+                        f"!= net.exchanges {exchanges}")
+    framed = count.get("net.tcp.exchanges", 0)
+    if count["auth.queries"] != exchanges + framed:
+        problems.append(f"auth.queries {count['auth.queries']} != net.exchanges "
+                        f"{exchanges} + net.tcp.exchanges {framed}")
+    lost, retries, timeouts = (
+        count["net.lost_transmissions"], count["net.retries"], count["net.timeouts"]
+    )
+    if lost != retries + timeouts:
+        problems.append(f"net.lost_transmissions {lost} != net.retries {retries} "
+                        f"+ net.timeouts {timeouts}")
+    return problems
+
+
+def _metrics(tmp_path, name, *args) -> dict:
+    out = tmp_path / "metrics.json"
+    assert main(["run", name, *args, "--quiet", "--metrics", str(out)]) == 0
+    return json.loads(out.read_text())["metrics"]
+
+
+@pytest.mark.parametrize("parallel", [1, 4])
+@pytest.mark.parametrize("name", sorted(CAMPAIGNS))
+def test_every_campaign_conserves_queries(name, parallel, tmp_path, capsys):
+    metrics = _metrics(tmp_path, name, *ORACLE[name][0], "--parallel", str(parallel))
+    assert conservation_problems(metrics) == []
+    assert metrics["net.exchanges"]["value"] > 0
+    assert sorted(set(metrics) - DOCUMENTED) == []
+
+
+def test_a_faulted_campaign_accounts_for_every_drop(tmp_path, capsys):
+    target = build_uy_world().world.address_of("a.nic.uy")
+    plan = FaultPlan(
+        faults=(
+            FaultSpec(kind="loss", start=0.0, duration=1200.0, rate=0.3),
+            FaultSpec(kind="server_outage", start=300.0, duration=300.0, target=target),
+        ),
+        name="conservation",
+        seed=7,
+    )
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(plan.to_json(), encoding="ascii")
+    metrics = _metrics(
+        tmp_path, "t2-uy", *ORACLE["t2-uy"][0], "--faults", str(plan_file)
+    )
+    assert conservation_problems(metrics) == []
+    injected = metrics["faults.injected"]["values"]
+    assert injected["loss"] > 0 and injected["server_outage"] > 0
+    assert metrics["net.timeouts"]["value"] > 0 and metrics["net.retries"]["value"] > 0
+    assert sorted(set(metrics) - DOCUMENTED) == []
+
+
+def test_a_served_query_mix_names_only_documented_metrics():
+    frontend, registry = build_frontend(ServeConfig(world="nl"), wall_clock=lambda: 0.0)
+    query = Message.make_query("www.domain1.nl.", RdataType.A, id=1).to_wire()
+    for _ in range(2):  # a slow-path miss, then a memo hit
+        if frontend.fast_answer(query, "10.0.0.1") is None:
+            frontend.handle_wire(query, "10.0.0.1")
+    asyncio.run(ServeServer(frontend).stop())  # collects serve.inflight_peak
+    metrics = registry.snapshot().to_payload()["metrics"]
+    assert metrics["serve.memo_hits"]["value"] == 1
+    assert metrics["serve.inflight_peak"]["value"] == 0
+    assert sorted(set(metrics) - DOCUMENTED) == []

@@ -1,0 +1,105 @@
+"""Counting costs no calls: metered ≡ unmetered by construction.
+
+Every count is a plain slot on its owner, written with ``+=``; a
+registry only *reads* the slots when it snapshots.  These tests profile
+calls by code object (``sys.setprofile``; builtins by qualified name), so
+they are exact and independent of host speed:
+
+- a warm cache-hit ``resolve`` makes no call into ``repro.metrics``;
+- a miss-path resolution calls only :meth:`Histogram.observe` there;
+- a fabric exchange never formats an :class:`Endpoint` for its label;
+- a resolver whose network has a registry attached makes exactly the
+  calls of one without.
+"""
+
+import gc
+import sys
+from collections import Counter
+from pathlib import Path
+
+import repro.metrics
+from repro.dns.message import Message
+from repro.dns.rdtypes import RdataType
+from repro.metrics import Histogram, MetricsRegistry
+from repro.net.topology import Endpoint, Region
+from repro.resolver.recursive import RecursiveResolver
+from tests.conftest import build_mini_world
+
+METRICS_DIR = str(Path(repro.metrics.__file__).parent)
+QNAME = "www.example.tld."
+
+
+def calls(action) -> Counter:
+    """Every call ``action()`` makes: code objects, and builtins by name."""
+    seen: Counter = Counter()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            seen[frame.f_code] += 1
+        elif event == "c_call":
+            seen[getattr(arg, "__qualname__", repr(arg))] += 1
+
+    gc.collect()
+    gc.disable()  # a collection would profile other libraries' gc callbacks
+    sys.setprofile(hook)
+    try:
+        action()
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return seen
+
+
+def into_metrics(seen: Counter) -> set:
+    return {
+        code for code in seen
+        if not isinstance(code, str) and code.co_filename.startswith(METRICS_DIR)
+    }
+
+
+def resolver(metered: bool = True) -> RecursiveResolver:
+    world = build_mini_world()
+    if metered:
+        world.network.attach_metrics(MetricsRegistry())
+    return RecursiveResolver(
+        endpoint=world.topology.endpoint_in_region(Region.EU),
+        network=world.network,
+        root_hints=world.hints,
+    )
+
+
+def test_a_warm_hit_calls_nothing_in_metrics():
+    warm = resolver()
+    warm.resolve(QNAME, RdataType.A, 0.0)
+    answered = []
+    seen = calls(lambda: answered.append(warm.resolve(QNAME, RdataType.A, 1.0)))
+    assert answered[0].cache_hit
+    assert into_metrics(seen) == set()
+
+
+def test_a_miss_calls_only_histogram_observe():
+    cold = resolver()
+    seen = calls(lambda: cold.resolve(QNAME, RdataType.A, 0.0))
+    assert cold.queries_sent >= 3
+    assert into_metrics(seen) == {Histogram.observe.__code__}
+
+
+def test_an_exchange_never_formats_an_endpoint():
+    world = build_mini_world()
+    world.network.attach_metrics(MetricsRegistry())
+    client = world.topology.endpoint_in_region(Region.EU)
+    query = Message.make_query(QNAME, RdataType.A, recursion_desired=False)
+    address = world.hints[next(iter(world.hints))]
+    seen = calls(lambda: [world.network.exchange(client, address, query, 0.0) for _ in range(3)])
+    assert Endpoint.__str__.__code__ not in seen
+    assert world.network.tally.exchanges == 3
+
+
+def test_a_registry_adds_no_call_to_resolution():
+    def resolution_calls(metered: bool) -> Counter:
+        subject = resolver(metered)
+        return calls(
+            lambda: [subject.resolve(QNAME, RdataType.A, now) for now in (0.0, 1.0, 7200.0)]
+        )
+
+    assert resolution_calls(metered=True) == resolution_calls(metered=False)

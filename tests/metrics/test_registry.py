@@ -5,9 +5,6 @@ import pytest
 from repro.metrics.registry import (
     FIXED_POINT,
     HOST,
-    NULL_COUNTER,
-    NULL_GAUGE,
-    NULL_HISTOGRAM,
     SIM,
     Counter,
     Gauge,
@@ -101,14 +98,6 @@ class TestHistogram:
             Histogram("h", bounds=(1.0, 1.0))
         with pytest.raises(MetricError):
             Histogram("h", bounds=(2.0, 1.0))
-
-
-class TestNullMetrics:
-    def test_all_operations_are_noops(self):
-        NULL_COUNTER.inc()
-        NULL_COUNTER.inc(10)
-        NULL_GAUGE.record(5)
-        NULL_HISTOGRAM.observe(1.0)
 
 
 class TestRegistry:

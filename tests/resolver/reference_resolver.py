@@ -44,7 +44,6 @@ def reference_resolve(
     if self._scheduler is not None or self._push is not None:
         self.pump(now)
     self.client_queries += 1
-    self._m_client_queries.inc()
     name = Name(qname)
     if self._tracker is not None:
         self._tracker.record((name, qtype), now)
@@ -83,7 +82,7 @@ def reference_resolve(
                 entry is not None
                 and self._refreshed.get((name, qtype)) == entry.generation
             ):
-                self._m_refresh_hits.inc()
+                self.refresh_hits += 1
         if self.policy.prefetch:
             self._maybe_prefetch(name, qtype, now)
         elif self._predict is not None:
@@ -116,9 +115,9 @@ def reference_resolve(
         stale = self._serve_stale(name, qtype, now) if self.policy.serve_stale else None
         if stale is not None:
             stale.elapsed = failure.elapsed
-            self._m_served_stale.inc()
+            self.served_stale += 1
             return stale
-        self._m_servfail.inc()
+        self.servfail += 1
         return ResolutionResult(rcode=Rcode.SERVFAIL, elapsed=failure.elapsed)
     finally:
         if subnet is not None:

@@ -385,14 +385,7 @@ def _key(ix):
     return (NAMES[ix], QTYPE, RdataClass.IN)
 
 
-def _instrument(registry: MetricsRegistry, name: str):
-    metric = registry.get(name)
-    return None if metric is None else metric.value
-
-
-def _drive(real: Cache, reference: ScanReferenceCache, ops, *, compare_membership):
-    registry = real._metrics_registry
-    assert isinstance(registry, MetricsRegistry)
+def _drive(real: Cache, reference: ScanReferenceCache, ops, *, registry, compare_membership):
     real_events: list = []
     reference_events: list = []
     real.on_change = real_events.append
@@ -493,11 +486,9 @@ def _drive(real: Cache, reference: ScanReferenceCache, ops, *, compare_membershi
         # even where global membership legally differs.
         assert real.ecs_scoped_len() == reference.ecs_scoped_len()
         assert real.ecs_scoped_len() == sum(1 for _ in real.scoped_entries())
-        assert _instrument(registry, "ecs.scope_merges") == reference.scope_merges
-        assert (
-            _instrument(registry, "cache.ecs_scoped_entries")
-            == reference.ecs_entries_peak
-        )
+        collected = registry.snapshot()
+        assert collected.value("ecs.scope_merges") == reference.scope_merges
+        assert collected.value("cache.ecs_scoped_entries") == reference.ecs_entries_peak
         assert real.stats.hits == reference.stats.hits
         assert real.stats.inserts == reference.stats.inserts
         assert _heap_within_bound(real)
@@ -517,10 +508,12 @@ def _drive(real: Cache, reference: ScanReferenceCache, ops, *, compare_membershi
 def test_unbounded_cache_matches_scan_reference(ops):
     """With no size bound, every observable — return values, membership,
     statistics — is identical between the heap cache and the eager scans."""
+    registry = MetricsRegistry()
     _drive(
-        Cache(metrics=MetricsRegistry()),
+        Cache(metrics=registry),
         ScanReferenceCache(),
         ops,
+        registry=registry,
         compare_membership=True,
     )
 
@@ -533,10 +526,12 @@ def test_unbounded_cache_matches_scan_reference(ops):
 )
 def test_clamped_cache_matches_scan_reference(ops, max_ttl, min_ttl):
     """TTL clamping composes identically with every other rule."""
+    registry = MetricsRegistry()
     _drive(
-        Cache(max_ttl=max_ttl, min_ttl=min_ttl, metrics=MetricsRegistry()),
+        Cache(max_ttl=max_ttl, min_ttl=min_ttl, metrics=registry),
         ScanReferenceCache(max_ttl=max_ttl, min_ttl=min_ttl),
         ops,
+        registry=registry,
         compare_membership=True,
     )
 
@@ -548,9 +543,10 @@ def test_bounded_cache_matches_scan_reference_aggregates(ops, max_entries):
     unspecified, so membership may legally differ — but the size bound,
     the insert/eviction totals, and the dead-before-live preference must
     still agree with the reference."""
-    real = Cache(max_entries=max_entries, metrics=MetricsRegistry())
+    registry = MetricsRegistry()
+    real = Cache(max_entries=max_entries, metrics=registry)
     reference = ScanReferenceCache(max_entries=max_entries)
-    now = _drive(real, reference, ops, compare_membership=False)
+    now = _drive(real, reference, ops, registry=registry, compare_membership=False)
     assert len(real) <= max_entries and len(reference) <= max_entries
     assert len(real) == len(reference)
     assert real.stats.inserts == reference.stats.inserts

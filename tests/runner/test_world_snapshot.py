@@ -67,10 +67,11 @@ def test_store_rejects_foreign_snapshot_records(tmp_path):
     with pytest.raises(CheckpointMismatch):
         store.load_world_snapshot(2)
     # A future layout, the one written before resolver caches changed
-    # shape (version 1) and the one whose run state held a row list
-    # (version 2): resuming any would revive objects whose attributes no
-    # longer match the code.
-    for version in (99, 1, 2):
+    # shape (version 1), the one whose run state held a row list
+    # (version 2) and the one whose registry held instruments (version 3):
+    # resuming any would revive objects whose attributes no longer match
+    # the code.
+    for version in (99, 1, 2, 3):
         record["version"] = version
         (tmp_path / "wsnap-0001.pkl").write_bytes(pickle.dumps(record))
         with pytest.raises(
