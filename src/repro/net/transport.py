@@ -446,8 +446,7 @@ class TcpSession:
     """
 
     __slots__ = (
-        "network", "client", "dst_address", "established", "opened_at",
-        "broken_at", "exchanges", "keepalives", "connects",
+        "network", "client", "dst_address", "established", "opened_at", "broken_at",
     )
 
     def __init__(self, network: Network, client: Endpoint, dst_address: str) -> None:
@@ -457,16 +456,10 @@ class TcpSession:
         self.established = False
         self.opened_at: Optional[float] = None
         self.broken_at: Optional[float] = None
-        self.exchanges = 0
-        self.keepalives = 0
-        self.connects = 0
 
     def __repr__(self) -> str:
         state = "up" if self.alive else "down"
-        return (
-            f"TcpSession({self.client.address} -> {self.dst_address}, {state}, "
-            f"{self.exchanges} exchanges)"
-        )
+        return f"TcpSession({self.client.address} -> {self.dst_address}, {state})"
 
     @property
     def alive(self) -> bool:
@@ -523,7 +516,6 @@ class TcpSession:
         self.established = True
         self.broken_at = None
         self.opened_at = now + rtt
-        self.connects += 1
         self.network.count("net.tcp.opens")
         return rtt
 
@@ -554,7 +546,6 @@ class TcpSession:
                 f"session to {self.dst_address} broke mid-exchange", timeout
             )
         rtt, response = sent
-        self.exchanges += 1
         self.network.count("net.tcp.exchanges")
         return response, rtt
 
@@ -575,6 +566,5 @@ class TcpSession:
                 f"session to {self.dst_address} broke on keepalive", timeout
             )
         rtt, _ = sent
-        self.keepalives += 1
         self.network.count("net.tcp.keepalives")
         return rtt

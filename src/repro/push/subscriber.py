@@ -101,8 +101,6 @@ class PushClient:
         self._backoff = policy.backoff()
         self._rng = random.Random(derive_client_seed(endpoint.address))
         self._channels: dict[str, _Channel] = {}
-        self.notifications_applied = 0
-        self.reconnects = 0
 
     def __repr__(self) -> str:
         return (
@@ -210,7 +208,6 @@ class PushClient:
     def _reconnect(self, channel: _Channel, now: float) -> None:
         if not self._connect(channel, now):
             return
-        self.reconnects += 1
         self.network.count("push.reconnects")
         # Re-SUBSCRIBE everything: the responses reconcile the cache
         # (each carries the record's current RRset), which is what bounds
@@ -298,7 +295,6 @@ class PushClient:
         for frame in frames:
             self._apply(frame.key, frame.rrset, now)
             self._observe_staleness(now - frame.changed_at)
-            self.notifications_applied += 1
             applied += 1
         if applied:
             self.network.count("push.applied", applied)

@@ -27,7 +27,10 @@ every write) rewrites that object in place under a new generation, so
 whoever holds an entry across a write sees the new data.  That makes a
 reference to a live entry a *lease* on the key's hits, with ``generation``
 its validity stamp (:meth:`Cache.lease`): an entry object the cache lets
-go of is retired — stamped with a generation no write ever issues.
+go of is retired — stamped with a generation no write ever issues.  A
+negative entry carries the same stamp.  The cache has no subscribers:
+whoever derives data from an entry keeps the entry, its ``generation``
+and its ``expires_at``, and checks them before reuse.
 
 Maintenance is O(log n) amortized, not O(n) scans: one lazy min-heap of
 ``(expires_at, seq, key, generation)`` records surfaces everything that
@@ -53,7 +56,7 @@ import copy
 import enum
 import heapq
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro.dns.ecs import ClientSubnet
 from repro.dns.name import Name
@@ -72,8 +75,9 @@ NegativeKey = tuple[Name, RdataType]
 _HEAP_SLACK = 64
 
 #: The generation of an entry object the cache no longer holds (flushed,
-#: evicted, shadowed by a negative answer).  Writes stamp positive
-#: sequence numbers, so a lease on a retired entry never validates.
+#: evicted, shadowed by a negative answer, a negative replaced).  Writes
+#: stamp positive sequence numbers, so a lease on a retired entry never
+#: validates.
 _RETIRED = -1
 
 
@@ -163,6 +167,8 @@ class NegativeEntry:
     nxdomain: bool  # False → NODATA
     expires_at: float
     soa: Optional[RRset] = None
+    #: Generation stamp, as on :class:`CacheEntry`; retired on replacement.
+    generation: int = 0
 
     def is_expired(self, now: float) -> bool:
         return now >= self.expires_at
@@ -240,12 +246,6 @@ class Cache:
         self.min_ttl = min_ttl
         self.max_entries = max_entries
         self.stats = CacheStats()
-        #: Change-notification hook: called with the owner :class:`Name` of
-        #: any entry whose served bytes may have changed (write, eviction,
-        #: forced expiry, lifetime refresh, negative insert), or ``None``
-        #: for a whole-cache flush.  Downstream wire-level caches (the
-        #: serve-path response memo) subscribe here; unset costs nothing.
-        self.on_change: Optional[Callable[[Optional[Name]], None]] = None
         #: ECS overlay (RFC 7871): per key, the subnet-scoped answers as
         #: ``{(scope, family): {network: entry}}`` — ``network`` being the
         #: answer's covered network as a left-aligned integer — plus a
@@ -276,6 +276,8 @@ class Cache:
     def clear(self) -> None:
         for entry in self._entries.values():
             entry.generation = _RETIRED
+        for negative in self._negatives.values():
+            negative.generation = _RETIRED
         self._entries.clear()
         self._ecs.clear()
         self._ecs_count = 0
@@ -284,8 +286,6 @@ class Cache:
         self._heap_room = _HEAP_SLACK
         self._time_dead.clear()
         self._link_dead.clear()
-        if self.on_change is not None:
-            self.on_change(None)
 
     # -- insertion -----------------------------------------------------------
     def effective_ttl(self, ttl: int) -> int:
@@ -362,7 +362,6 @@ class Cache:
         if ttl < self.min_ttl:
             ttl = self.min_ttl
         expires_at = now + ttl
-        on_change = self.on_change
         # A fresh write invalidates any standing dead-mark for the key.
         if self._time_dead:
             self._time_dead.pop(key, None)
@@ -383,9 +382,6 @@ class Cache:
             if dependents:
                 entry._dependents = None
                 self._link_dead.update(dependents)
-                if on_change is not None:
-                    for dep_key in dependents:
-                        on_change(dep_key[0])
             entry.rrset = rrset
             entry.credibility = credibility
             entry.inserted_at = now
@@ -405,8 +401,6 @@ class Cache:
         heap = self._expiry_heap
         heapq.heappush(heap, (expires_at, generation, key, generation))
         self.stats.inserts += 1
-        if on_change is not None:
-            on_change(key[0])
         self._heap_room = room = self._heap_room - 1
         if room < 0 or heap[0][0] <= now or self.max_entries is not None:
             self._maintain(now)
@@ -477,8 +471,6 @@ class Cache:
         if dependents:
             self._link_dead.update(dependents)  # their target is gone
         self.stats.evictions += 1
-        if self.on_change is not None:
-            self.on_change(key[0])
 
     def _evict_if_full(self, now: float) -> None:
         """LRU eviction: drop dead entries first, then the least recently
@@ -545,16 +537,11 @@ class Cache:
             self._entries[positive_key] = copy.copy(positive)
             positive.generation = _RETIRED
         key = (qname, qtype)
-        self._negatives[key] = NegativeEntry(
-            qname=qname,
-            qtype=qtype,
-            nxdomain=nxdomain,
-            expires_at=expires_at,
-            soa=soa,
-        )
+        replaced = self._negatives.get(key)
+        if replaced is not None:
+            replaced.generation = _RETIRED
         self._push(expires_at, key, None)
-        if self.on_change is not None:
-            self.on_change(qname)
+        self._negatives[key] = NegativeEntry(qname, qtype, nxdomain, expires_at, soa, self._seq)
         self._maintain(now)
 
     # -- ECS scoped overlay (RFC 7871) ---------------------------------------
@@ -615,8 +602,6 @@ class Cache:
         stats = self.stats
         stats.inserts += 1
         stats.ecs_scoped_peak = max(stats.ecs_scoped_peak or 0, self._ecs_count)
-        if self.on_change is not None:
-            self.on_change(key[0])
 
     def get_scoped(
         self,
@@ -828,8 +813,6 @@ class Cache:
         entry.inserted_at = now
         entry.expires_at = now + lifetime
         self._push(entry.expires_at, key, entry.generation)
-        if self.on_change is not None:
-            self.on_change(key[0])
         self._maintain(now)
 
     def expire_now(self, key: CacheKey, now: float) -> None:
@@ -838,6 +821,4 @@ class Cache:
         if entry is not None:
             entry.expires_at = now
             self._push(now, key, entry.generation)
-            if self.on_change is not None:
-                self.on_change(key[0])
             self._maintain(now)

@@ -88,10 +88,6 @@ class DnsFrontend:
         self.max_udp_payload = max_udp_payload
         self.server_name = server_name
         self.memo = memo
-        if memo is not None:
-            # Any cache mutation that can change served bytes drops the
-            # affected memo entries — see repro.serve.memo for the contract.
-            resolver.cache.on_change = memo.invalidate_name
         registry = registry if registry is not None else MetricsRegistry()
         self.registry = registry
         self._m_queries = registry.counter("serve.queries", domain=HOST)
@@ -216,18 +212,22 @@ class DnsFrontend:
         """Memoize an answered UDP response when it is provably reusable.
 
         Only plain answered outcomes qualify — NOERROR/NXDOMAIN, not
-        truncated — and every answer RRset must be backed by a live,
-        link-free cache entry whose remaining TTL matches the encoded
-        one (rules out served-stale and records that never hit cache).
-        The validity bound is the instant before any encoded TTL ticks
-        down; see :mod:`repro.serve.memo` for the full contract.
+        truncated, no ECS option (a scoped answer cached later would
+        take precedence, and no stamp sees the scoped overlay) — and
+        every answer RRset must be of the question's type (not a CNAME
+        chain, whose lookup a later write to an alias owner can cut
+        short) and backed by a live, link-free cache entry whose
+        remaining TTL matches the encoded one (rules out served-stale
+        and records that never hit cache).  The validity bound is the
+        instant before any encoded TTL ticks down, and each backing
+        entry is stamped; see :mod:`repro.serve.memo` for the contract.
         """
         if wire is None or len(data) < 12:
             return
         rcode = response.rcode
         if rcode is not Rcode.NOERROR and rcode is not Rcode.NXDOMAIN:
             return
-        if response.flags.tc:
+        if response.flags.tc or (response.edns is not None and response.edns.options):
             return
         question = query.question
         assert question is not None
@@ -235,16 +235,19 @@ class DnsFrontend:
         answers = response.answer
         if answers:
             valid_until = math.inf
+            stamps: tuple = ()
             for rrset in answers:
                 entry = cache.peek(rrset.name, rrset.rdtype, rrset.rdclass)
                 if (
-                    entry is None
+                    rrset.rdtype != question.qtype
+                    or entry is None
                     or entry.linked_to is not None
                     or entry.expires_at <= sim_now
                     or entry.remaining_ttl(sim_now) != rrset.ttl
                 ):
                     return
                 valid_until = min(valid_until, entry.expires_at - rrset.ttl)
+                stamps += ((entry, entry.generation, entry.expires_at),)
         else:
             # Negative (NXDOMAIN/NODATA) answers carry no TTL bytes; they
             # are reusable while the negative entry lives.  Stop just
@@ -254,6 +257,7 @@ class DnsFrontend:
             if negative is None or negative.expires_at <= sim_now:
                 return
             valid_until = math.nextafter(negative.expires_at, -math.inf)
+            stamps = ((negative, negative.generation, negative.expires_at),)
         self.memo.put(
             bytes(data[2:]),
             wire,
@@ -261,7 +265,7 @@ class DnsFrontend:
             question.qname,
             question.qtype,
             _RCODE_LABELS[rcode],
-            tuple(rrset.name for rrset in answers),
+            stamps,
         )
 
     def pump(self) -> int:

@@ -22,13 +22,18 @@ exactly when an entry may be reused:
   tick down.  Past that bound the entry is dropped on sight, so a
   memoized answer can never overstate a TTL, and in particular can never
   outlive one;
-- **write invalidation**: any cache write, eviction, forced expiry, or
-  negative insert for a name invalidates every memo entry whose response
-  used that name (the qname and every answer-section owner, so CNAME
-  chains are covered).  The hook is
-  :attr:`repro.resolver.cache.Cache.on_change` — which is what makes a
-  ``--predict`` refresh or a stale-revalidation drop the memo the moment
-  it lands, even though neither changes the entry's old expiry feed.
+- **stamps**: an entry keeps one ``(holder, generation, expires_at)``
+  stamp per cache entry its bytes came from — each answer RRset's
+  :class:`~repro.resolver.cache.CacheEntry`, or the
+  :class:`~repro.resolver.cache.NegativeEntry` of an NXDOMAIN/NODATA
+  answer — and is dropped on sight once any holder's ``generation`` or
+  ``expires_at`` differs from its stamp.  A cache write rewrites the
+  generation, forced expiry and lifetime refreshes move the expiry, and
+  every object the cache lets go of (eviction, flush, a negative
+  shadowing a positive, a replaced negative) is retired to a generation
+  no stamp carries — so a ``--predict`` refresh or a stale-revalidation
+  kills the memoized bytes the moment it lands, with no feed from the
+  cache.
 
 The memo is bounded; at capacity the oldest entry is dropped (hot
 entries are re-memoized on their next slow pass, so FIFO here costs one
@@ -37,10 +42,16 @@ extra resolution, not correctness).
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Optional, Union
 
 from repro.dns.name import Name
 from repro.dns.rdtypes import RdataType
+
+if TYPE_CHECKING:
+    from repro.resolver.cache import CacheEntry, NegativeEntry
+
+    #: ``(holder, generation, expires_at)`` as read when the bytes were built.
+    Stamp = tuple[Union[CacheEntry, NegativeEntry], int, float]
 
 #: Default bound on memoized responses (distinct post-ID query forms).
 DEFAULT_MEMO_CAPACITY = 4096
@@ -49,7 +60,7 @@ DEFAULT_MEMO_CAPACITY = 4096
 class MemoEntry:
     """One memoized response plus what the bookkeeping paths need."""
 
-    __slots__ = ("wire", "valid_until", "qname", "qtype", "rcode_name", "names")
+    __slots__ = ("wire", "valid_until", "qname", "qtype", "rcode_name", "stamps")
 
     def __init__(
         self,
@@ -58,7 +69,7 @@ class MemoEntry:
         qname: Name,
         qtype: RdataType,
         rcode_name: str,
-        names: tuple[Name, ...],
+        stamps: tuple[Stamp, ...],
     ) -> None:
         self.wire = wire
         #: Last sim instant at which the encoded bytes are still exact.
@@ -66,8 +77,8 @@ class MemoEntry:
         self.qname = qname
         self.qtype = qtype
         self.rcode_name = rcode_name
-        #: Every owner name the response depends on (qname + answer owners).
-        self.names = names
+        #: The cache entries the bytes came from, as they were then.
+        self.stamps = stamps
 
 
 class ResponseMemo:
@@ -78,11 +89,8 @@ class ResponseMemo:
             raise ValueError(f"memo capacity must be positive, not {capacity}")
         self.capacity = capacity
         self._entries: dict[bytes, MemoEntry] = {}
-        #: Reverse index: owner name -> memo keys whose response used it.
-        self._by_name: dict[Name, set[bytes]] = {}
         self.hits = 0
         self.misses = 0
-        self.invalidations = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -91,19 +99,25 @@ class ResponseMemo:
     def get(self, key: bytes, sim_now: float) -> Optional[MemoEntry]:
         """The entry for ``key`` still exact at ``sim_now``, else ``None``.
 
-        An entry past its validity bound is dropped on sight: at least
-        one of its encoded TTLs has ticked down since it was built.
+        An entry past its validity bound, or with a stamp whose holder
+        has moved, is dropped on sight: its bytes may no longer be what
+        the slow path would encode.  The stamps are checked inline — a
+        hit makes no call beyond the dict probe.
         """
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
             return None
-        if sim_now > entry.valid_until:
-            self._drop(key, entry)
-            self.misses += 1
-            return None
-        self.hits += 1
-        return entry
+        if sim_now <= entry.valid_until:
+            for holder, generation, expires_at in entry.stamps:
+                if holder.generation != generation or holder.expires_at != expires_at:
+                    break
+            else:
+                self.hits += 1
+                return entry
+        del self._entries[key]
+        self.misses += 1
+        return None
 
     def put(
         self,
@@ -113,57 +127,9 @@ class ResponseMemo:
         qname: Name,
         qtype: RdataType,
         rcode_name: str,
-        answer_names: Iterable[Name] = (),
+        stamps: tuple[Stamp, ...] = (),
     ) -> None:
         entries = self._entries
-        old = entries.get(key)
-        if old is not None:
-            self._drop(key, old)
-        elif len(entries) >= self.capacity:
-            oldest_key = next(iter(entries))
-            self._drop(oldest_key, entries[oldest_key])
-        names = (qname,) + tuple(name for name in answer_names if name != qname)
-        entry = MemoEntry(wire, valid_until, qname, qtype, rcode_name, names)
-        entries[key] = entry
-        by_name = self._by_name
-        for name in names:
-            by_name.setdefault(name, set()).add(key)
-
-    # -- invalidation ------------------------------------------------------
-    def invalidate_name(self, name: Optional[Name]) -> int:
-        """Drop every entry whose response used ``name``; ``None`` → all.
-
-        This is the :attr:`Cache.on_change` callback target: writes,
-        evictions, forced expiry, and negative inserts all land here.
-        Returns the number of entries dropped.
-        """
-        if name is None:
-            dropped = len(self._entries)
-            self.invalidations += dropped
-            self._entries.clear()
-            self._by_name.clear()
-            return dropped
-        keys = self._by_name.get(name)
-        if not keys:
-            return 0
-        dropped = 0
-        for key in list(keys):
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._drop(key, entry)
-                dropped += 1
-        return dropped
-
-    def clear(self) -> None:
-        self.invalidate_name(None)
-
-    def _drop(self, key: bytes, entry: MemoEntry) -> None:
-        del self._entries[key]
-        self.invalidations += 1
-        by_name = self._by_name
-        for name in entry.names:
-            keys = by_name.get(name)
-            if keys is not None:
-                keys.discard(key)
-                if not keys:
-                    del by_name[name]
+        if entries.pop(key, None) is None and len(entries) >= self.capacity:
+            del entries[next(iter(entries))]
+        entries[key] = MemoEntry(wire, valid_until, qname, qtype, rcode_name, stamps)

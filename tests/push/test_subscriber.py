@@ -32,6 +32,13 @@ def cached_address(cache, now):
     return None if entry is None else str(entry.rrset.rdatas[0])
 
 
+def counted(testbed):
+    """The fabric's lazily declared counts, read from a registry it collects into."""
+    registry = MetricsRegistry()
+    testbed.world.network.attach_metrics(registry)
+    return lambda name: registry.snapshot().value(name) or 0
+
+
 class TestSeed:
     def test_is_a_pure_function_of_the_address(self):
         assert derive_client_seed("10.0.0.1") == derive_client_seed("10.0.0.1")
@@ -81,13 +88,14 @@ class TestNoteAnswer:
 class TestPump:
     def test_applies_a_delivered_notify(self):
         testbed, pub, client, cache = make_rig()
+        count = counted(testbed)
         client.note_answer(WWW, RdataType.A, testbed.target_address, 0.0)
         testbed.apply_change(0)
         pub.publish(WWW, RdataType.A, 100.0)
         assert client.pump(100.0) == 0  # frame still in flight
         assert client.pump(110.0) == 1
         assert cached_address(cache, 110.0) == testbed.content_address(0)
-        assert client.notifications_applied == 1
+        assert count("push.applied") == 1
 
     def test_invalidate_mode_expires_instead(self):
         testbed, pub, client, cache = make_rig(
@@ -109,14 +117,14 @@ class TestPump:
         testbed, _, client, _ = make_rig(
             policy=PushPolicy(keepalive_interval_s=30.0)
         )
+        count = counted(testbed)
         client.note_answer(WWW, RdataType.A, testbed.target_address, 0.0)
-        session = client._channels[testbed.target_address].session
         client.pump(10.0)
-        assert session.keepalives == 0
+        assert count("net.tcp.keepalives") == 0
         client.pump(30.0)
-        assert session.keepalives == 1
+        assert count("net.tcp.keepalives") == 1
         client.pump(31.0)  # interval restarts from the last probe
-        assert session.keepalives == 1
+        assert count("net.tcp.keepalives") == 1
 
 
 class TestOutageRecovery:
@@ -134,6 +142,7 @@ class TestOutageRecovery:
 
     def test_break_reconnect_resubscribe(self):
         testbed, pub, client, cache = self.outage_rig()
+        count = counted(testbed)
         client.note_answer(WWW, RdataType.A, testbed.target_address, 0.0)
         testbed.apply_change(0)
         pub.publish(WWW, RdataType.A, 110.0)  # doomed: resets the session
@@ -148,7 +157,7 @@ class TestOutageRecovery:
         # re-SUBSCRIBE reconciles the renumbered record into the cache.
         client.pump(250.0)
         assert client.alive_session_count() == 1
-        assert client.reconnects == 1
+        assert count("push.reconnects") == 1
         assert client.subscription_count() == 1
         assert cached_address(cache, 250.0) == testbed.content_address(0)
 

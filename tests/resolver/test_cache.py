@@ -238,3 +238,15 @@ class TestNegative:
         cache.put_negative(Name("gone.example"), RdataType.A, True, now=0.0)
         assert cache.get_negative(Name("gone.example"), RdataType.A, now=299.0)
         assert cache.get_negative(Name("gone.example"), RdataType.A, now=301.0) is None
+
+    def test_replaced_or_cleared_negative_is_retired(self):
+        cache = Cache()
+        cache.put_negative(Name("gone.example"), RdataType.A, True, now=0.0)
+        first = cache.peek_negative(Name("gone.example"), RdataType.A)
+        assert first.generation > 0
+        cache.put_negative(Name("gone.example"), RdataType.A, False, now=10.0)
+        second = cache.peek_negative(Name("gone.example"), RdataType.A)
+        assert second is not first and second.generation > 0
+        assert first.generation == -1
+        cache.clear()
+        assert second.generation == -1

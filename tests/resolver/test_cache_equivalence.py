@@ -20,8 +20,12 @@ cache is cleverest: a key's entry object is rewritten in place on renewal.
 The op language renews keys on purpose — after expiry, with the same
 rdatas and with new ones, at every credibility, pinned, linked, re-linked
 under a new NS generation, between ``refresh_expiry``/``expire_now`` —
-and after every operation the full membership, the ``on_change`` event
-sequence and the expiry heap's bound are compared.
+and after every operation the full membership and the expiry heap's bound
+are compared.  Every entry a ``get`` returns is also *stamped* — held with
+its ``generation`` and ``expires_at``, as the serve-path memo holds it —
+and after every later operation a stamp that still validates must be the
+key's entry in the cache and vouch for what the reference holds there:
+the same rdatas, credibility and expiry.
 
 Eviction under ``max_entries`` has intentionally unspecified victim
 *order* among equally-dead entries, so the bounded-cache test compares
@@ -75,10 +79,6 @@ class ScanReferenceCache:
         self._entries: dict[tuple, CacheEntry] = {}
         self._negatives: dict[tuple, object] = {}
         self._generation = 0
-        #: The change feed's specification: a write to a key also notifies
-        #: every key put with a link to it since its previous write.
-        self._linked_since_write: dict[tuple, dict[tuple, None]] = {}
-        self.on_change = None
         self._ecs: dict[tuple, list[ScannedScopedEntry]] = {}
         #: What the two lazily created ECS instruments should read:
         #: ``None`` until the first scoped insert declares them.
@@ -91,10 +91,6 @@ class ScanReferenceCache:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def _changed(self, name) -> None:
-        if self.on_change is not None:
-            self.on_change(name)
 
     def effective_ttl(self, ttl: int) -> int:
         effective = ttl
@@ -128,14 +124,11 @@ class ScanReferenceCache:
                 self.stats.refused_downgrades += 1
                 return False
         self._generation = generation = self._generation + 1
-        for dep_key in self._linked_since_write.pop(key, ()):
-            self._changed(dep_key[0])
         link = None
         if linked_to is not None:
             target = self._entries.get(linked_to)
             if target is not None:
                 link = (linked_to, target.generation)
-                self._linked_since_write.setdefault(linked_to, {})[key] = None
         ttl = self.effective_ttl(rrset.ttl)
         if existing is not None:
             del self._entries[key]
@@ -149,7 +142,6 @@ class ScanReferenceCache:
             pinned=pin,
         )
         self.stats.inserts += 1
-        self._changed(key[0])
         self._evict_if_full(now)
         return True
 
@@ -171,7 +163,6 @@ class ScanReferenceCache:
                 victim = next(iter(self._entries))  # all pinned
             del self._entries[victim]
             self.stats.evictions += 1
-            self._changed(victim[0])
 
     def peek(self, name, rdtype, rdclass=RdataClass.IN):
         return self._entries.get((name, rdtype, rdclass))
@@ -208,7 +199,6 @@ class ScanReferenceCache:
 
     def put_negative(self, qname, qtype, nxdomain, now, ttl=300) -> None:
         self._negatives[(qname, qtype)] = (nxdomain, now + self.effective_ttl(ttl))
-        self._changed(qname)
 
     def get_negative(self, qname, qtype, now):
         cached = self._negatives.get((qname, qtype))
@@ -225,13 +215,11 @@ class ScanReferenceCache:
         lifetime = entry.expires_at - entry.inserted_at
         entry.inserted_at = now
         entry.expires_at = now + lifetime
-        self._changed(key[0])
 
     def expire_now(self, key, now) -> None:
         entry = self._entries.get(key)
         if entry is not None:
             entry.expires_at = now
-            self._changed(key[0])
 
     def put_scoped(self, rrset, subnet, scope, now) -> None:
         bits = 32 if subnet.family == 1 else 128
@@ -261,7 +249,6 @@ class ScanReferenceCache:
         else:
             bucket.append(entry)
         self.stats.inserts += 1
-        self._changed(key[0])
         self.scope_merges = self.scope_merges or 0
         self.ecs_entries_peak = max(self.ecs_entries_peak or 0, self.ecs_scoped_len())
 
@@ -385,11 +372,24 @@ def _key(ix):
     return (NAMES[ix], QTYPE, RdataClass.IN)
 
 
+def _stamps_hold(real: Cache, reference: ScanReferenceCache, stamps, compare_membership):
+    """A stamp that still validates is the key's entry object and vouches
+    for what the reference holds there; a retired object never validates."""
+    for holder, generation, expires_at, rdatas, credibility in stamps:
+        if holder.generation != generation or holder.expires_at != expires_at:
+            continue
+        name, rdtype, _ = holder.key()
+        assert real.peek(name, rdtype) is holder
+        if compare_membership:
+            held = reference.peek(name, rdtype)
+            assert (tuple(held.rrset.rdatas), held.credibility, held.expires_at) == (
+                rdatas, credibility, expires_at,
+            )
+
+
 def _drive(real: Cache, reference: ScanReferenceCache, ops, *, registry, compare_membership):
-    real_events: list = []
-    reference_events: list = []
-    real.on_change = real_events.append
-    reference.on_change = reference_events.append
+    #: ``(entry, generation, expires_at, rdatas, credibility)`` per get hit.
+    stamps: list = []
     now = 0.0
     octet = 0
 
@@ -430,13 +430,15 @@ def _drive(real: Cache, reference: ScanReferenceCache, ops, *, registry, compare
             )
         elif kind == "get":
             _, ix, min_cred, follow = op
-            assert _snapshot(
-                real.get(NAMES[ix], QTYPE, now=now, min_credibility=min_cred,
-                         follow_links=follow)
-            ) == _snapshot(
+            got = real.get(NAMES[ix], QTYPE, now=now, min_credibility=min_cred,
+                           follow_links=follow)
+            assert _snapshot(got) == _snapshot(
                 reference.get(NAMES[ix], QTYPE, now=now, min_credibility=min_cred,
                               follow_links=follow)
             )
+            if got is not None:
+                stamps.append((got, got.generation, got.expires_at,
+                               tuple(got.rrset.rdatas), got.credibility))
         elif kind == "peek":
             if compare_membership:
                 assert _snapshot(real.peek(NAMES[op[1]], QTYPE)) == _snapshot(
@@ -492,6 +494,7 @@ def _drive(real: Cache, reference: ScanReferenceCache, ops, *, registry, compare
         assert real.stats.hits == reference.stats.hits
         assert real.stats.inserts == reference.stats.inserts
         assert _heap_within_bound(real)
+        _stamps_hold(real, reference, stamps, compare_membership)
         if compare_membership:
             assert len(real) == len(reference)
             assert _stats_tuple(real.stats) == _stats_tuple(reference.stats)
@@ -499,7 +502,6 @@ def _drive(real: Cache, reference: ScanReferenceCache, ops, *, registry, compare
                 assert _snapshot(real.peek(name, QTYPE)) == _snapshot(
                     reference.peek(name, QTYPE)
                 )
-            assert real_events == reference_events
     return now
 
 

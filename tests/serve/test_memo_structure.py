@@ -1,0 +1,72 @@
+"""The cache keeps no subscribers: the memo pulls validity, nobody pushes it.
+
+Calls are profiled by code object (``sys.setprofile``; builtins by
+qualified name), as in ``tests/metrics/test_count_once_structure.py``, so
+the checks are exact and independent of host speed:
+
+- a write to a memo-fronted resolver's cache — ``put``, ``expire_now``,
+  ``refresh_expiry``, ``put_negative``, ``clear`` — calls nothing in
+  :mod:`repro.serve`;
+- a memo hit calls no function inside :meth:`ResponseMemo.get` beyond
+  its dict probe: the stamps are checked inline.
+"""
+
+from collections import Counter
+from functools import partial
+from pathlib import Path
+
+import pytest
+
+import repro.serve
+from repro.dns.message import Message
+from repro.dns.name import Name
+from repro.dns.rdtypes import A, RdataClass, RdataType
+from repro.dns.record import RRset
+from repro.resolver.cache import Credibility
+from repro.serve import ServeConfig, build_frontend
+from repro.serve.memo import ResponseMemo
+from tests.metrics.test_count_once_structure import calls
+
+SERVE_DIR = str(Path(repro.serve.__file__).parent)
+QNAME = Name("www.domain1.nl.")
+KEY = (QNAME, RdataType.A, RdataClass.IN)
+
+
+def memoized_frontend():
+    """A frontend whose memo holds the answer to one repeat query."""
+    frontend, _ = build_frontend(ServeConfig(world="nl"), wall_clock=lambda: 5.0)
+    wire = Message.make_query(QNAME, RdataType.A, id=1).to_wire()
+    frontend.handle_wire(wire, "c")
+    frontend.handle_wire(wire, "c")
+    assert len(frontend.memo) == 1
+    return frontend, wire
+
+
+WRITES = {
+    "put": lambda cache, now: cache.put(
+        RRset(QNAME, RdataType.A, 60, [A("192.0.2.1")]), Credibility.AUTH_ANSWER, now
+    ),
+    "expire_now": lambda cache, now: cache.expire_now(KEY, now),
+    "refresh_expiry": lambda cache, now: cache.refresh_expiry(KEY, now),
+    "put_negative": lambda cache, now: cache.put_negative(QNAME, RdataType.A, True, now),
+    "clear": lambda cache, now: cache.clear(),
+}
+
+
+@pytest.mark.parametrize("write", sorted(WRITES))
+def test_a_cache_write_calls_nothing_in_serve(write):
+    frontend, _ = memoized_frontend()
+    seen = calls(partial(WRITES[write], frontend.resolver.cache, frontend.bridge.now()))
+    assert {
+        code for code in seen
+        if not isinstance(code, str) and code.co_filename.startswith(SERVE_DIR)
+    } == set()
+
+
+def test_a_memo_hit_calls_nothing_inside_get():
+    frontend, wire = memoized_frontend()
+    memo = frontend.memo
+    seen = calls(partial(memo.get, wire[2:], frontend.bridge.now()))
+    assert memo.hits == 1
+    del seen["setprofile"]  # the profiler switching itself off
+    assert seen == Counter({ResponseMemo.get.__code__: 1, "dict.get": 1})

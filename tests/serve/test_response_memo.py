@@ -1,13 +1,15 @@
-"""The response-memo contract: byte-identity, expiry, and invalidation.
+"""The response-memo contract: byte-identity, expiry, and stamps.
 
 The fast path is only admissible if a memo hit is *indistinguishable on
 the wire* from running the full pipeline at the same instant.  The
-property test here drives a memoized frontend and a memo-less twin over
-the same query sequence with arbitrary fractional time advances and
-requires byte equality on every response — which exercises exactly the
-hard part, the TTL tick boundary.  The directed tests pin the lifecycle:
-validity bounds, write invalidation through ``Cache.on_change`` (incl. a
-``--predict`` refresh), FIFO eviction, and re-memoization afterwards.
+property test here drives a memoized frontend over a query sequence with
+arbitrary fractional time advances and cache mutations interleaved, and
+requires every fast answer to equal the same-instant slow path — which
+exercises exactly the hard parts, the TTL tick boundary and a cache that
+changes under a memoized answer.  The directed tests pin the lifecycle:
+validity bounds, stamps that move on a cache write (incl. a
+``--predict`` refresh) and stand on a sibling-type write, FIFO eviction,
+the ECS and CNAME-chain declines, and re-memoization afterwards.
 """
 
 import math
@@ -15,9 +17,12 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dns.ecs import ClientSubnet
 from repro.dns.message import Message, Rcode, Section
 from repro.dns.name import Name
-from repro.dns.rdtypes import RdataType
+from repro.dns.rdtypes import AAAA, CNAME, A, RdataClass, RdataType
+from repro.dns.record import RRset
+from repro.resolver.cache import Cache, Credibility
 from repro.serve import ServeConfig, build_frontend
 from repro.serve.memo import ResponseMemo
 
@@ -60,35 +65,78 @@ def serve(frontend, wire: bytes, client: str = "127.0.0.1"):
 
 # -- the property: memoized == slow path, byte for byte --------------------
 
+def mutate(frontend, kind: str, name: Name) -> None:
+    """One cache mutation behind the memo's back, at the frontend's instant."""
+    cache = frontend.resolver.cache
+    now = frontend.bridge.at
+    key = (name, RdataType.A, RdataClass.IN)
+    if kind == "expire_now":
+        cache.expire_now(key, now)
+    elif kind == "refresh_expiry":
+        cache.refresh_expiry(key, now)
+    elif kind == "put_aaaa":
+        sibling = RRset(name, RdataType.AAAA, 300, [AAAA("2001:db8::1")])
+        cache.put(sibling, Credibility.AUTH_ANSWER, now)
+    elif kind == "put_negative":
+        cache.put_negative(name, RdataType.A, True, now)
+    elif kind == "clear":
+        cache.clear()
+    elif kind == "pump":
+        # The server's --predict loop, run once the clock reaches the
+        # name's refresh lead window (a no-op without predict).
+        entry = cache.peek(name, RdataType.A)
+        if entry is not None:
+            frontend.bridge.at = max(now, entry.expires_at - 60.0)
+        frontend.pump()
+
+
+ranks = st.integers(min_value=0, max_value=5)
+queries = st.tuples(
+    st.just("query"),
+    ranks,
+    st.integers(min_value=0, max_value=0xFFFF),  # DNS ID
+    st.booleans(),  # EDNS
+    st.floats(min_value=0.0, max_value=0.9),  # sim advance
+)
+mutations = st.tuples(
+    st.sampled_from(
+        ["expire_now", "refresh_expiry", "put_aaaa", "put_negative", "clear", "pump"]
+    ),
+    ranks,
+)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
-    steps=st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=5),  # qname rank
-            st.integers(min_value=0, max_value=0xFFFF),  # DNS ID
-            st.booleans(),  # EDNS
-            st.floats(min_value=0.0, max_value=0.9),  # sim advance
-        ),
-        min_size=2,
-        max_size=25,
-    )
+    steps=st.lists(st.one_of(queries, queries, mutations), min_size=2, max_size=25),
+    predict=st.booleans(),
 )
-def test_memoized_responses_byte_identical_to_slow_path(steps):
-    """Any query sequence, any fractional clock advances: whenever the
-    memo answers, its bytes equal what the full pipeline produces for
-    the same wire at the same instant.
+def test_memoized_responses_byte_identical_to_slow_path(steps, predict):
+    """Any query sequence, any fractional clock advances, any cache
+    mutations in between: whenever the memo answers, its bytes equal
+    what the full pipeline produces for the same wire at the same
+    instant.
 
     (The comparison is against the *same* frontend's slow path, not a
     twin server: a memo hit legitimately skips one simulated resolution,
     so a twin's stochastic resolution history — and with it the exact
     insert instants behind its TTL bytes — diverges from the hot
-    frontend's.  The contract is equivalence at the serving instant.)
+    frontend's.  The contract is equivalence at the serving instant.
+    A fast answer never runs ``--predict`` maintenance — the server's
+    background loop does — so an instant where maintenance is due,
+    which the slow path would run before answering, compares nothing.)
     """
-    frontend, _ = make_frontend(memo=True, at=1000.0)
-    for rank, message_id, edns, advance in steps:
+    frontend, _ = make_frontend(memo=True, at=1000.0, predict=predict)
+    for kind, rank, *query in steps:
+        if kind != "query":
+            mutate(frontend, kind, Name(f"www.domain{rank}.nl."))
+            continue
+        message_id, edns, advance = query
         frontend.bridge.at += advance
         wire = query_wire(f"www.domain{rank}.nl.", id=message_id, edns=edns)
         fast = frontend.fast_answer(wire, "127.0.0.1")
+        if frontend.pump():
+            fast = None
         slow = frontend.handle_wire(wire, "127.0.0.1").wire
         if fast is not None:
             assert fast == slow, f"rank={rank} at={frontend.bridge.at}"
@@ -102,7 +150,8 @@ def test_memoized_responses_byte_identical_to_slow_path(steps):
     frontend.handle_wire(wire, "127.0.0.1")
     fast = frontend.fast_answer(wire, "127.0.0.1")
     assert fast is not None
-    assert fast == frontend.handle_wire(wire, "127.0.0.1").wire
+    if not frontend.pump():
+        assert fast == frontend.handle_wire(wire, "127.0.0.1").wire
 
 
 @settings(max_examples=20, deadline=None)
@@ -171,36 +220,86 @@ def test_negative_answer_memoized_until_expiry():
     assert registry.snapshot().value("serve.memo_hits") == 1
 
 
-# -- invalidation ----------------------------------------------------------
+# -- stamps ----------------------------------------------------------------
+
+def memoized(frontend, *names: str) -> None:
+    """Resolve each name twice: the repeat, a cache hit, is memoized."""
+    for message_id, name in enumerate(names):
+        frontend.handle_wire(query_wire(name, id=message_id), "c")
+        frontend.handle_wire(query_wire(name, id=message_id), "c")
+
 
 def test_cache_write_invalidates_affected_entry_only():
     frontend, _ = make_frontend(at=5.0)
-    for message_id, name in enumerate(("www.domain1.nl.", "www.domain2.nl.")):
-        frontend.handle_wire(query_wire(name, id=message_id), "c")
-        frontend.handle_wire(query_wire(name, id=message_id), "c")  # memoize
+    memoized(frontend, "www.domain1.nl.", "www.domain2.nl.")
     memo = frontend.memo
     assert len(memo) == 2
 
-    # Any cache mutation for the name lands in the memo via on_change;
-    # forced expiry is the bluntest such write.
+    # Forced expiry moves the entry's expiry away from the stamp.
     cache = frontend.resolver.cache
     entry = cache.peek(Name("www.domain1.nl."), RdataType.A)
     cache.expire_now(entry.key(), now=frontend.bridge.at)
 
-    assert len(memo) == 1
     assert frontend.fast_answer(query_wire("www.domain1.nl.", id=3), "c") is None
+    assert len(memo) == 1  # dropped on sight
     assert frontend.fast_answer(query_wire("www.domain2.nl.", id=4), "c") is not None
+
+
+def test_sibling_type_write_keeps_the_hit():
+    """An AAAA write for the owner of a memoized A answer moves no stamp:
+    the A response's bytes are still what the slow path serves."""
+    frontend, _ = make_frontend(at=5.0)
+    memoized(frontend, "www.domain1.nl.")
+    sibling = RRset(Name("www.domain1.nl."), RdataType.AAAA, 300, [AAAA("2001:db8::1")])
+    frontend.resolver.cache.put(sibling, Credibility.AUTH_ANSWER, frontend.bridge.at)
+
+    wire = query_wire("www.domain1.nl.", id=9)
+    hit = frontend.fast_answer(wire, "c")
+    assert hit is not None
+    assert hit == frontend.handle_wire(wire, "c").wire
+
+
+def test_ecs_bearing_repeat_is_not_fast_answered():
+    """Stamps cannot see the scoped overlay, so a response that echoes
+    ECS is never memoized."""
+    frontend, _ = make_frontend(at=5.0, ecs=True)
+    query = Message.make_query("www.domain1.nl.", RdataType.A, id=1)
+    query.use_edns(options=ClientSubnet.from_ip("198.51.100.0", 24).to_wire())
+    wire = query.to_wire()
+    frontend.handle_wire(wire, "c")
+    assert frontend.handle_wire(wire, "c").wire is not None
+    assert frontend.fast_answer(wire, "c") is None
+
+
+def test_alias_write_cuts_a_cname_chain_short():
+    """A CNAME chain is not memoized: a write that lets the alias owner
+    answer directly moves none of the chain's entries, yet the slow path
+    now serves it."""
+    frontend, _ = make_frontend(at=5.0)
+    memoized(frontend, "www.domain2.nl.")
+    cache = frontend.resolver.cache
+    alias = Name("alias.domain1.nl.")
+    chain = RRset(alias, RdataType.CNAME, 3600, [CNAME(Name("www.domain2.nl."))])
+    cache.put(chain, Credibility.AUTH_ANSWER, 5.0)
+    wire = query_wire("alias.domain1.nl.", id=7)
+    chained, _ = serve(frontend, wire)
+    assert [rrset.rdtype for rrset in Message.from_wire(chained).rrsets(Section.ANSWER)] == [
+        RdataType.CNAME, RdataType.A,
+    ]
+
+    direct = RRset(alias, RdataType.A, 3600, [A("192.0.2.7")])
+    cache.put(direct, Credibility.AUTH_ANSWER, 5.0)
+    served, _ = serve(frontend, wire)
+    assert Message.from_wire(served).rrsets(Section.ANSWER) == [direct]
 
 
 def test_predict_refresh_invalidates_and_slow_path_rememoizes():
     """A ``--predict`` refresh rewrites the cache entry behind a hot
     name; the memoized bytes (older TTL feed) must die with it."""
     frontend, _ = make_frontend(at=0.0, predict=True)
-    memo = frontend.memo
     # Two arrivals make the name hot for the popularity tracker (the
     # second, a cache hit, is also the one guaranteed to memoize).
-    frontend.handle_wire(query_wire("www.domain4.nl.", id=1), "c")
-    frontend.handle_wire(query_wire("www.domain4.nl.", id=2), "c")
+    memoized(frontend, "www.domain4.nl.")
     hit = frontend.fast_answer(query_wire("www.domain4.nl.", id=3), "c")
     assert hit is not None
 
@@ -210,14 +309,12 @@ def test_predict_refresh_invalidates_and_slow_path_rememoizes():
     # Jump to just inside the refresh lead window and run the background
     # pump — exactly what the server's predict loop does.
     frontend.bridge.at = old_expiry - 60.0
-    invalidations_before = memo.invalidations
     assert frontend.pump() >= 1
 
     refreshed = cache.peek(Name("www.domain4.nl."), RdataType.A)
     assert refreshed.expires_at > old_expiry  # the refresh really landed
-    assert memo.invalidations > invalidations_before
-    # The old entry is gone; the next query pays one slow pass and then
-    # the memo is hot again with the *new* expiry feed.
+    # The refresh moved the stamp: the next query pays one slow pass and
+    # then the memo is hot again with the *new* expiry feed.
     served, was_fast = serve(frontend, query_wire("www.domain4.nl.", id=3))
     assert not was_fast
     rehit = frontend.fast_answer(query_wire("www.domain4.nl.", id=4), "c")
@@ -227,10 +324,10 @@ def test_predict_refresh_invalidates_and_slow_path_rememoizes():
 
 def test_cache_clear_empties_memo():
     frontend, _ = make_frontend(at=5.0)
-    for message_id in (1, 2):
-        frontend.handle_wire(query_wire("www.domain1.nl.", id=message_id), "c")
-    assert len(frontend.memo) > 0
+    memoized(frontend, "www.domain1.nl.")
+    assert len(frontend.memo) == 1
     frontend.resolver.cache.clear()
+    assert frontend.fast_answer(query_wire("www.domain1.nl.", id=2), "c") is None
     assert len(frontend.memo) == 0
 
 
@@ -258,20 +355,32 @@ def test_memo_counters_and_validity_window():
     assert memo.get(b"k", math.nextafter(10.0, math.inf)) is None  # dropped
     assert memo.get(b"k", 0.0) is None  # really gone
     assert (memo.hits, memo.misses) == (1, 2)
-    assert memo.invalidations == 1
 
 
 def test_invalidate_name_covers_answer_owners():
-    """A CNAME-style response depends on every answer owner, not just
-    the qname; invalidating either must drop it."""
-    memo = ResponseMemo()
+    """A response built from two cache entries (a CNAME and its target)
+    carries a stamp for each; moving either holder must drop it."""
+    cache = Cache()
     qname = Name("alias.example.")
     target = Name("canonical.example.")
-    memo.put(b"k", b"w", 100.0, qname, RdataType.A, "NOERROR",
-             answer_names=(qname, target))
-    assert memo.invalidate_name(target) == 1
+    cache.put(RRset(qname, RdataType.CNAME, 60, [CNAME(target)]), Credibility.AUTH_ANSWER, 0.0)
+    cache.put(RRset(target, RdataType.A, 60, [A("192.0.2.1")]), Credibility.AUTH_ANSWER, 0.0)
+
+    def memoize() -> ResponseMemo:
+        stamps = tuple(
+            (entry, entry.generation, entry.expires_at)
+            for entry in (cache.peek(qname, RdataType.CNAME), cache.peek(target, RdataType.A))
+        )
+        memo = ResponseMemo()
+        memo.put(b"k", b"w", 100.0, qname, RdataType.A, "NOERROR", stamps)
+        assert memo.get(b"k", 10.0) is not None
+        return memo
+
+    memo = memoize()
+    cache.put(RRset(target, RdataType.A, 60, [A("192.0.2.2")]), Credibility.AUTH_ANSWER, 10.0)
+    assert memo.get(b"k", 10.0) is None  # the target's generation moved
+    memo = memoize()
+    cache.expire_now((qname, RdataType.CNAME, RdataClass.IN), 10.0)
+    assert memo.get(b"k", 10.0) is None  # the alias's expiry moved
     assert len(memo) == 0
-    memo.put(b"k", b"w", 100.0, qname, RdataType.A, "NOERROR",
-             answer_names=(qname, target))
-    assert memo.invalidate_name(qname) == 1
-    assert memo.invalidate_name(Name("other.example.")) == 0
+
