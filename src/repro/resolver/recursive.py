@@ -398,16 +398,25 @@ class RecursiveResolver:
                 qname, qtype, result.servers_contacted[-1], now + result.elapsed
             )
 
-    def note_memoized_answer(self, qname: Name, qtype: RdataType, now: float) -> None:
+    def note_memoized_answer(
+        self, qname: Name, qtype: RdataType, now: float, negative: bool
+    ) -> None:
         """Account for a client query answered from a wire-level memo.
 
         The serve fast path answers repeat queries without entering
-        :meth:`resolve`; this keeps the per-client accounting and the
-        popularity tracker honest, so the ``--predict`` refresh-ahead
+        :meth:`resolve`; this keeps the per-client accounting, the cache
+        counters (what the slow path's hit, ``negative`` or not, counts)
+        and the popularity tracker honest, so the ``--predict`` refresh-ahead
         decisions see every arrival, memoized or not.  Deliberately light —
         no pump, no cache probe — to stay off the fast path's critical cost.
         """
         self.client_queries += 1
+        stats = self.cache.stats
+        if negative:
+            stats.negative_hits += 1
+        else:
+            stats.negative_misses += 1
+            stats.hits += 1
         if self._tracker is not None:
             self._tracker.record((qname, qtype), now)
 

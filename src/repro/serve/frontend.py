@@ -194,7 +194,9 @@ class DnsFrontend:
         entry = memo.get(data[2:], sim_now)
         if entry is None:
             return None
-        self.resolver.note_memoized_answer(entry.qname, entry.qtype, sim_now)
+        self.resolver.note_memoized_answer(
+            entry.qname, entry.qtype, sim_now, entry.negative
+        )
         self._account(
             False, None, entry.rcode_name, started, sim_now, client,
             entry.qname, entry.qtype, cache_hit=True,
@@ -220,7 +222,9 @@ class DnsFrontend:
         remaining TTL matches the encoded one (rules out served-stale
         and records that never hit cache).  The validity bound is the
         instant before any encoded TTL ticks down, and each backing
-        entry is stamped; see :mod:`repro.serve.memo` for the contract.
+        entry is stamped.  An answer whose one entry is the resolver's
+        hit lease is patchable: the memo ages its TTLs past that bound;
+        see :mod:`repro.serve.memo` for the contract.
         """
         if wire is None or len(data) < 12:
             return
@@ -258,6 +262,7 @@ class DnsFrontend:
                 return
             valid_until = math.nextafter(negative.expires_at, -math.inf)
             stamps = ((negative, negative.generation, negative.expires_at),)
+        lease = self.resolver.hit_lease(question.qname, question.qtype)
         self.memo.put(
             bytes(data[2:]),
             wire,
@@ -266,6 +271,8 @@ class DnsFrontend:
             question.qtype,
             _RCODE_LABELS[rcode],
             stamps,
+            negative=not answers,
+            patchable=len(stamps) == 1 and lease is stamps[0][0],
         )
 
     def pump(self) -> int:

@@ -14,26 +14,26 @@ Correctness contract — a memoized answer must be byte-identical to what
 a fresh encode would produce at the serving instant, which pins down
 exactly when an entry may be reused:
 
-- **TTL-tick validity**: a cached RRset's client-visible TTL is
-  ``int(expires_at - now)``, which decrements every time ``now`` crosses
-  ``expires_at - ttl``.  An entry encoded with TTLs ``T_i`` from cache
-  records expiring at ``E_i`` is therefore valid only while
-  ``now <= min(E_i - T_i)`` — the instant before any encoded TTL would
-  tick down.  Past that bound the entry is dropped on sight, so a
-  memoized answer can never overstate a TTL, and in particular can never
-  outlive one;
 - **stamps**: an entry keeps one ``(holder, generation, expires_at)``
   stamp per cache entry its bytes came from — each answer RRset's
   :class:`~repro.resolver.cache.CacheEntry`, or the
   :class:`~repro.resolver.cache.NegativeEntry` of an NXDOMAIN/NODATA
   answer — and is dropped on sight once any holder's ``generation`` or
-  ``expires_at`` differs from its stamp.  A cache write rewrites the
-  generation, forced expiry and lifetime refreshes move the expiry, and
-  every object the cache lets go of (eviction, flush, a negative
-  shadowing a positive, a replaced negative) is retired to a generation
-  no stamp carries — so a ``--predict`` refresh or a stale-revalidation
-  kills the memoized bytes the moment it lands, with no feed from the
-  cache.
+  ``expires_at`` differs from its stamp, or ``now`` reaches a stamped
+  expiry.  A cache write rewrites the generation, forced expiry and
+  lifetime refreshes move the expiry, and every object the cache lets go
+  of (eviction, flush, a negative shadowing a positive, a replaced
+  negative) is retired to a generation no stamp carries — so a
+  ``--predict`` refresh or a stale-revalidation kills the memoized bytes
+  the moment it lands, with no feed from the cache;
+- **TTL patch while the stamps hold**: a cached RRset's client-visible
+  TTL is ``int(expires_at - now)``, so bytes encoded with TTLs ``T_i``
+  from entries expiring at ``E_i`` are exact while ``now <= min(E_i -
+  T_i)``.  Past that bound an entry whose one stamp is the resolver's
+  hit lease (the slow path would be a clean hit on exactly that entry)
+  has its answer TTLs rewritten to ``int(E - now)`` — ``aged_rrset``'s
+  arithmetic — and lives as long as its cache entry; any other entry is
+  dropped, so a memoized answer can never overstate a TTL.
 
 The memo is bounded; at capacity the oldest entry is dropped (hot
 entries are re-memoized on their next slow pass, so FIFO here costs one
@@ -42,6 +42,7 @@ extra resolution, not correctness).
 
 from __future__ import annotations
 
+from struct import Struct
 from typing import TYPE_CHECKING, Optional, Union
 
 from repro.dns.name import Name
@@ -56,11 +57,32 @@ if TYPE_CHECKING:
 #: Default bound on memoized responses (distinct post-ID query forms).
 DEFAULT_MEMO_CAPACITY = 4096
 
+_TTL = Struct(">I")
+
+
+def _skip_name(wire: bytes, offset: int) -> int:
+    """The offset just past the (possibly compressed) name at ``offset``."""
+    while 0 < wire[offset] < 0xC0:
+        offset += wire[offset] + 1
+    return offset + (1 if wire[offset] == 0 else 2)
+
+
+def _ttl_offsets(wire: bytes) -> tuple[int, ...]:
+    """Where each answer RR's TTL sits in an encoded one-question response."""
+    offset = _skip_name(wire, 12) + 4  # the question: name, type, class
+    offsets = []
+    for _ in range(wire[6] << 8 | wire[7]):  # ANCOUNT
+        offset = _skip_name(wire, offset) + 4  # owner, type, class
+        offsets.append(offset)
+        offset += 6 + (wire[offset + 4] << 8 | wire[offset + 5])  # TTL, RDLENGTH, RDATA
+    return tuple(offsets)
+
 
 class MemoEntry:
     """One memoized response plus what the bookkeeping paths need."""
 
-    __slots__ = ("wire", "valid_until", "qname", "qtype", "rcode_name", "stamps")
+    __slots__ = ("wire", "valid_until", "qname", "qtype", "rcode_name", "stamps", "negative",
+                 "ttl_offsets")
 
     def __init__(
         self,
@@ -70,6 +92,8 @@ class MemoEntry:
         qtype: RdataType,
         rcode_name: str,
         stamps: tuple[Stamp, ...],
+        negative: bool,
+        ttl_offsets: tuple[int, ...],
     ) -> None:
         self.wire = wire
         #: Last sim instant at which the encoded bytes are still exact.
@@ -79,6 +103,10 @@ class MemoEntry:
         self.rcode_name = rcode_name
         #: The cache entries the bytes came from, as they were then.
         self.stamps = stamps
+        #: An NXDOMAIN/NODATA answer: the slow path's hit is a negative one.
+        self.negative = negative
+        #: Where the answer TTLs sit; empty unless the entry is patchable.
+        self.ttl_offsets = ttl_offsets
 
 
 class ResponseMemo:
@@ -97,22 +125,38 @@ class ResponseMemo:
 
     # -- the fast path -----------------------------------------------------
     def get(self, key: bytes, sim_now: float) -> Optional[MemoEntry]:
-        """The entry for ``key`` still exact at ``sim_now``, else ``None``.
+        """The entry for ``key`` exact at ``sim_now``, else ``None``.
 
-        An entry past its validity bound, or with a stamp whose holder
-        has moved, is dropped on sight: its bytes may no longer be what
-        the slow path would encode.  The stamps are checked inline — a
-        hit makes no call beyond the dict probe.
+        An entry with a stamp whose holder has moved or expired is
+        dropped on sight: its bytes may no longer be what the slow path
+        would encode.  Past its validity bound a patchable entry has its
+        TTLs rewritten to the ones the slow path would age to; any other
+        is dropped.  The stamps are checked inline — a hit on exact bytes
+        makes no call beyond the dict probe.
         """
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
             return None
-        if sim_now <= entry.valid_until:
-            for holder, generation, expires_at in entry.stamps:
-                if holder.generation != generation or holder.expires_at != expires_at:
-                    break
-            else:
+        for holder, generation, expires_at in entry.stamps:
+            if (
+                holder.generation != generation
+                or holder.expires_at != expires_at
+                or sim_now >= expires_at
+            ):
+                break
+        else:
+            if sim_now <= entry.valid_until:
+                self.hits += 1
+                return entry
+            if entry.ttl_offsets:
+                # One stamp, the leased entry: CacheEntry.aged_rrset's TTL.
+                ttl = int(expires_at - sim_now)
+                wire = bytearray(entry.wire)
+                for offset in entry.ttl_offsets:
+                    _TTL.pack_into(wire, offset, ttl)
+                entry.wire = bytes(wire)
+                entry.valid_until = expires_at - ttl
                 self.hits += 1
                 return entry
         del self._entries[key]
@@ -128,8 +172,14 @@ class ResponseMemo:
         qtype: RdataType,
         rcode_name: str,
         stamps: tuple[Stamp, ...] = (),
+        negative: bool = False,
+        patchable: bool = False,
     ) -> None:
+        """Memoize ``wire``; ``patchable`` when its one stamp is a hit lease."""
         entries = self._entries
         if entries.pop(key, None) is None and len(entries) >= self.capacity:
             del entries[next(iter(entries))]
-        entries[key] = MemoEntry(wire, valid_until, qname, qtype, rcode_name, stamps)
+        offsets = _ttl_offsets(wire) if patchable else ()
+        entries[key] = MemoEntry(
+            wire, valid_until, qname, qtype, rcode_name, stamps, negative, offsets
+        )

@@ -8,7 +8,9 @@ the checks are exact and independent of host speed:
   ``refresh_expiry``, ``put_negative``, ``clear`` — calls nothing in
   :mod:`repro.serve`;
 - a memo hit calls no function inside :meth:`ResponseMemo.get` beyond
-  its dict probe: the stamps are checked inline.
+  its dict probe: the stamps are checked inline;
+- a patched hit, a tick later, calls nothing in the codec
+  (:mod:`repro.dns`) or the cache (:mod:`repro.resolver.cache`).
 """
 
 from collections import Counter
@@ -17,6 +19,8 @@ from pathlib import Path
 
 import pytest
 
+import repro.dns
+import repro.resolver.cache
 import repro.serve
 from repro.dns.message import Message
 from repro.dns.name import Name
@@ -28,13 +32,15 @@ from repro.serve.memo import ResponseMemo
 from tests.metrics.test_count_once_structure import calls
 
 SERVE_DIR = str(Path(repro.serve.__file__).parent)
+DNS_DIR = str(Path(repro.dns.__file__).parent)
+CACHE_FILE = repro.resolver.cache.__file__
 QNAME = Name("www.domain1.nl.")
 KEY = (QNAME, RdataType.A, RdataClass.IN)
 
 
-def memoized_frontend():
+def memoized_frontend(wall_clock=lambda: 5.0):
     """A frontend whose memo holds the answer to one repeat query."""
-    frontend, _ = build_frontend(ServeConfig(world="nl"), wall_clock=lambda: 5.0)
+    frontend, _ = build_frontend(ServeConfig(world="nl"), wall_clock=wall_clock)
     wire = Message.make_query(QNAME, RdataType.A, id=1).to_wire()
     frontend.handle_wire(wire, "c")
     frontend.handle_wire(wire, "c")
@@ -70,3 +76,17 @@ def test_a_memo_hit_calls_nothing_inside_get():
     assert memo.hits == 1
     del seen["setprofile"]  # the profiler switching itself off
     assert seen == Counter({ResponseMemo.get.__code__: 1, "dict.get": 1})
+
+
+def test_a_patched_hit_calls_nothing_in_the_codec_or_cache():
+    wall = [5.0]
+    frontend, wire = memoized_frontend(lambda: wall[0])
+    wall[0] += 1.5  # past the encoded TTL's tick
+    answers = []
+    seen = calls(lambda: answers.append(frontend.fast_answer(wire, "c")))
+    assert answers[0] is not None and frontend.memo.hits == 1
+    assert {
+        code for code in seen
+        if not isinstance(code, str)
+        and (code.co_filename.startswith(DNS_DIR) or code.co_filename == CACHE_FILE)
+    } == set()

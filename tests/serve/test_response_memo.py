@@ -13,6 +13,7 @@ the ECS and CNAME-chain declines, and re-memoization afterwards.
 """
 
 import math
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -96,7 +97,11 @@ queries = st.tuples(
     ranks,
     st.integers(min_value=0, max_value=0xFFFF),  # DNS ID
     st.booleans(),  # EDNS
-    st.floats(min_value=0.0, max_value=0.9),  # sim advance
+    # Sim advance: within a tick, across many, or past every expiry.
+    st.one_of(
+        st.floats(min_value=0.0, max_value=0.9),
+        st.floats(min_value=0.0, max_value=4000.0),
+    ),
 )
 mutations = st.tuples(
     st.sampled_from(
@@ -112,10 +117,10 @@ mutations = st.tuples(
     predict=st.booleans(),
 )
 def test_memoized_responses_byte_identical_to_slow_path(steps, predict):
-    """Any query sequence, any fractional clock advances, any cache
-    mutations in between: whenever the memo answers, its bytes equal
-    what the full pipeline produces for the same wire at the same
-    instant.
+    """Any query sequence, any clock advances — within a tick, across
+    many, past expiry — any cache mutations in between: whenever the
+    memo answers, patched or not, its bytes equal what the full pipeline
+    produces for the same wire at the same instant.
 
     (The comparison is against the *same* frontend's slow path, not a
     twin server: a memo hit legitimately skips one simulated resolution,
@@ -152,6 +157,21 @@ def test_memoized_responses_byte_identical_to_slow_path(steps, predict):
     assert fast is not None
     if not frontend.pump():
         assert fast == frontend.handle_wire(wire, "127.0.0.1").wire
+    # A tick later a negative answer still holds until its expiry, and a
+    # positive one is patched exactly when the resolver would lease its
+    # cache entry (no --predict hook, no negative table); either way the
+    # bytes are still the slow path's.
+    frontend.bridge.at += 1.5
+    name = Name("www.domain0.nl.")
+    holder = frontend.resolver.cache.peek_negative(
+        name, RdataType.A
+    ) or frontend.resolver.hit_lease(name, RdataType.A)
+    patched = frontend.fast_answer(wire, "127.0.0.1")
+    assert (patched is not None) == (
+        holder is not None and frontend.bridge.at < holder.expires_at
+    )
+    if patched is not None:
+        assert patched == frontend.handle_wire(wire, "127.0.0.1").wire
 
 
 @settings(max_examples=20, deadline=None)
@@ -171,33 +191,50 @@ def test_memo_hit_differs_only_in_id(ids):
 
 # -- TTL ticks -------------------------------------------------------------
 
-def test_no_memoized_ttl_outlives_a_tick():
-    """The served TTL must read ``int(expires_at - now)`` at every probe
-    instant — the memo may never serve yesterday's TTL byte."""
+def test_a_ticked_ttl_is_patched():
+    """Past a tick the memo serves the TTL the slow path ages to —
+    ``int(expires_at - now)``, one lower per tick — right up to the cache
+    entry's expiry, where it declines."""
     frontend, _ = make_frontend(at=10.0)
-    wire = query_wire("www.domain3.nl.", id=1)
-    frontend.handle_wire(wire, "c")  # fresh resolution fills the cache
-    repeat = frontend.handle_wire(wire, "c").wire  # cache hit: memoized
+    name = "www.domain3.nl."
+    frontend.handle_wire(query_wire(name, id=1), "c")  # fresh resolution fills the cache
+    repeat = frontend.handle_wire(query_wire(name, id=1), "c").wire  # cache hit: memoized
     ttl = Message.from_wire(repeat).rrsets(Section.ANSWER)[0].ttl
-    entry = frontend.resolver.cache.peek(Name("www.domain3.nl."), RdataType.A)
+    entry = frontend.resolver.cache.peek(Name(name), RdataType.A)
     boundary = entry.expires_at - ttl  # the instant before the next tick
 
-    frontend.bridge.at = boundary
-    at_boundary = frontend.fast_answer(query_wire("www.domain3.nl.", id=2), "c")
-    assert at_boundary is not None  # still exact: TTL has not ticked
-    assert Message.from_wire(at_boundary).rrsets(Section.ANSWER)[0].ttl == ttl
+    def fast_ttl(at: float) -> int:
+        """The fast answer's TTL at ``at``, checked against the slow path."""
+        frontend.bridge.at = at
+        wire = query_wire(name, id=2)
+        fast = frontend.fast_answer(wire, "c")
+        assert fast is not None
+        assert fast == frontend.handle_wire(wire, "c").wire
+        return Message.from_wire(fast).rrsets(Section.ANSWER)[0].ttl
 
-    # One ulp past the bound the memo already declines (conservative),
-    # even while float rounding may keep int(expires - now) at the old
-    # value; a microsecond past it, the slow path's TTL has visibly
-    # ticked and the memo must not resurrect the old byte.
-    frontend.bridge.at = math.nextafter(boundary, math.inf)
-    _, was_fast = serve(frontend, query_wire("www.domain3.nl.", id=3))
-    assert not was_fast  # the stale entry was dropped on sight
-    frontend.bridge.at = boundary + 1e-6
-    after_tick, was_fast = serve(frontend, query_wire("www.domain3.nl.", id=4))
-    assert not was_fast
-    assert Message.from_wire(after_tick).rrsets(Section.ANSWER)[0].ttl == ttl - 1
+    assert fast_ttl(boundary) == ttl  # still exact: TTL has not ticked
+    # One ulp past the bound float rounding may keep int(expires - now)
+    # at the old value; the patch uses the slow path's arithmetic either way.
+    assert fast_ttl(math.nextafter(boundary, math.inf)) in (ttl, ttl - 1)
+    for tick in range(ttl):
+        assert fast_ttl(boundary + tick + 1e-6) == ttl - 1 - tick
+    frontend.bridge.at = entry.expires_at
+    assert frontend.fast_answer(query_wire(name, id=3), "c") is None
+
+
+def test_a_patch_spans_many_ticks():
+    """One entry patched again and again, with no slow pass in between."""
+    frontend, _ = make_frontend(at=10.0)
+    memoized(frontend, "www.domain3.nl.")
+    entry = frontend.resolver.cache.peek(Name("www.domain3.nl."), RdataType.A)
+    wire = query_wire("www.domain3.nl.", id=0)
+    for at in (11.5, 400.25, 3000.0, math.nextafter(entry.expires_at, -math.inf)):
+        frontend.bridge.at = at
+        fast = frontend.fast_answer(wire, "c")
+        assert fast is not None
+        ttl = Message.from_wire(fast).rrsets(Section.ANSWER)[0].ttl
+        assert ttl == int(entry.expires_at - at)
+    assert fast == frontend.handle_wire(wire, "c").wire
 
 
 def test_negative_answer_memoized_until_expiry():
@@ -210,14 +247,15 @@ def test_negative_answer_memoized_until_expiry():
     )
     assert negative is not None
 
-    frontend.bridge.at = math.nextafter(negative.expires_at, -math.inf)
-    hit = frontend.fast_answer(query_wire("www.doesnotexist.nl.", id=8), "c")
-    assert hit is not None  # reusable right up to the expiry instant
-    assert hit[2:] == first[2:]
+    for at in (1.5, math.nextafter(negative.expires_at, -math.inf)):
+        frontend.bridge.at = at
+        hit = frontend.fast_answer(query_wire("www.doesnotexist.nl.", id=8), "c")
+        assert hit is not None  # reusable across ticks, up to the expiry instant
+        assert hit[2:] == first[2:]
 
     frontend.bridge.at = negative.expires_at
     assert frontend.fast_answer(query_wire("www.doesnotexist.nl.", id=9), "c") is None
-    assert registry.snapshot().value("serve.memo_hits") == 1
+    assert registry.snapshot().value("serve.memo_hits") == 2
 
 
 # -- stamps ----------------------------------------------------------------
@@ -269,6 +307,8 @@ def test_ecs_bearing_repeat_is_not_fast_answered():
     frontend.handle_wire(wire, "c")
     assert frontend.handle_wire(wire, "c").wire is not None
     assert frontend.fast_answer(wire, "c") is None
+    frontend.bridge.at += 1.5  # nor after a tick: there is nothing to patch
+    assert frontend.fast_answer(wire, "c") is None
 
 
 def test_alias_write_cuts_a_cname_chain_short():
@@ -286,11 +326,24 @@ def test_alias_write_cuts_a_cname_chain_short():
     assert [rrset.rdtype for rrset in Message.from_wire(chained).rrsets(Section.ANSWER)] == [
         RdataType.CNAME, RdataType.A,
     ]
+    frontend.bridge.at += 1.5  # nor after a tick: there is nothing to patch
+    assert serve(frontend, wire)[1] is False
 
     direct = RRset(alias, RdataType.A, 3600, [A("192.0.2.7")])
-    cache.put(direct, Credibility.AUTH_ANSWER, 5.0)
+    cache.put(direct, Credibility.AUTH_ANSWER, frontend.bridge.at)
     served, _ = serve(frontend, wire)
     assert Message.from_wire(served).rrsets(Section.ANSWER) == [direct]
+
+
+def test_predict_hit_past_a_tick_is_not_fast_answered():
+    """With ``--predict`` the resolver grants no hit lease — its
+    refresh-ahead hook must see every hit — so a ticked entry is dropped,
+    not patched."""
+    frontend, _ = make_frontend(at=0.0, predict=True)
+    memoized(frontend, "www.domain4.nl.")
+    assert frontend.fast_answer(query_wire("www.domain4.nl.", id=3), "c") is not None
+    frontend.bridge.at = 1.5
+    assert frontend.fast_answer(query_wire("www.domain4.nl.", id=4), "c") is None
 
 
 def test_predict_refresh_invalidates_and_slow_path_rememoizes():
@@ -329,6 +382,35 @@ def test_cache_clear_empties_memo():
     frontend.resolver.cache.clear()
     assert frontend.fast_answer(query_wire("www.domain1.nl.", id=2), "c") is None
     assert len(frontend.memo) == 0
+
+
+# -- memo on == memo off ----------------------------------------------------
+
+def replay(memo: bool):
+    """A small ``serve_churn``: Zipf over 500 names, 2,000 queries 500 µs
+    apart at ``time_scale=3600``, so most repeats arrive ticks later."""
+    wall = [0.0]
+    frontend, registry = build_frontend(
+        ServeConfig(world="nl", time_scale=3600, memo=memo), wall_clock=lambda: wall[0]
+    )
+    rng = random.Random(1)
+    ranks = rng.choices(range(500), weights=[1.0 / (rank + 1) for rank in range(500)], k=2000)
+    responses = []
+    for index, rank in enumerate(ranks):
+        wall[0] = index * 500e-6
+        wire = query_wire(f"www.domain{rank}.nl.", id=rng.randrange(1 << 16), edns=True)
+        responses.append(serve(frontend, wire)[0])
+    return responses, registry.snapshot().without_host(), frontend.memo
+
+
+def test_memo_on_and_off_agree_under_a_ticking_clock():
+    """Patched hits are invisible: the same bytes and the same sim-domain
+    counters as running every query through the full pipeline."""
+    fast, fast_metrics, memo = replay(memo=True)
+    slow, slow_metrics, _ = replay(memo=False)
+    assert fast == slow
+    assert fast_metrics.metrics == slow_metrics.metrics
+    assert memo.hits / (memo.hits + memo.misses) >= 0.5
 
 
 # -- the memo object itself ------------------------------------------------

@@ -15,10 +15,14 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 #: Path under ``src/repro`` ("" = every ``*.py`` below it) -> line ceiling.
 CEILINGS = {
     "core/scenarios.py": 1543,
-    "resolver/recursive.py": 1027,
+    "resolver/recursive.py": 1036,
     "core/worlds.py": 943,
     "resolver/cache.py": 824,
-    "": 21401,
+    "serve/memo.py": 185,
+    "serve/frontend.py": 412,
+    # +66 over 21401: the memo's TTL patch (ttl_offsets, the patch branch,
+    # the lease test at put) and memo hits counting as cache hits.
+    "": 21467,
 }
 
 
