@@ -32,22 +32,20 @@ negative entry carries the same stamp.  The cache has no subscribers:
 whoever derives data from an entry keeps the entry, its ``generation``
 and its ``expires_at``, and checks them before reuse.
 
-Maintenance is O(log n) amortized, not O(n) scans: one lazy min-heap of
-``(expires_at, seq, key, generation)`` records surfaces everything that
-dies by time — negative entries ride it too, marked by a ``None``
-generation — and each entry lists the entries linked to it, which
-surfaces link-dead ones.  Heap records are never removed in place — they
-are validated when popped (superseded generations and extended lifetimes
-are discarded or re-pushed), so every mutation stays cheap.  A write
-drains whatever is due: expired negatives are dropped (nothing serves
-them stale), while dead positive entries are only *marked*
-(``_time_dead`` / ``_link_dead``), not dropped: serve-stale still needs
-them.  The marks make them the preferred eviction victims; marks are
-re-validated before use, because a sticky refresh can revive a marked
-entry.  Records that outlive what they describe (a 2-day referral
-superseded by a 60 s answer) are garbage until their own time comes; when
-garbage outweighs content the heap is rebuilt from what is cached, so it
-never holds more than ``_HEAP_SLACK + 4 * (entries + negatives)`` records.
+Whether an entry is dead is decided one way, when it is read
+(:meth:`Cache._is_dead`: expired, or its link target expired, rewritten
+or gone), and a bounded cache evicts by that rule: a scan of the recency
+order takes the first dead entry, else the least recently used unpinned
+one.  One lazy min-heap of ``(expires_at, seq, key, generation)`` records
+tracks expiry (a negative entry's generation is ``None``); a write drains
+what is due, dropping expired negatives — nothing serves them stale —
+while expired positives stay for serve-stale.  Records are validated
+when popped (superseded generations discarded, extended lifetimes
+re-pushed), never removed in place.  Records that outlive what they
+describe (a 2-day referral superseded by a 60 s answer) are garbage until
+their own time comes; when garbage outweighs content the heap is rebuilt
+from what is cached, so it never holds more than
+``_HEAP_SLACK + 4 * (entries + negatives)`` records.
 """
 
 from __future__ import annotations
@@ -107,8 +105,6 @@ class CacheEntry:
     linked_to: Optional[tuple[CacheKey, int]] = None
     #: Pinned entries are never overwritten while live (parent-centric hold).
     pinned: bool = False
-    #: The zone origin the data came from, for analysis/debugging.
-    source_zone: Optional[Name] = None
     #: ECS scope prefix length (RFC 7871 §7.3.1): 0 is the ordinary,
     #: global case; a scoped answer is valid only for clients inside the
     #: first ``scope`` bits of the network it was fetched for.
@@ -119,11 +115,6 @@ class CacheEntry:
     source_network: int = 0
     #: Memoized aged view, reused while the whole-second TTL is unchanged.
     _aged: Optional[RRset] = field(default=None, init=False, repr=False, compare=False)
-    #: Keys of entries put with a link to this generation of this entry
-    #: (dict-as-ordered-set); they die when it is rewritten or expires.
-    _dependents: Optional[dict[CacheKey, None]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def is_expired(self, now: float) -> bool:
         return now >= self.expires_at
@@ -214,8 +205,9 @@ class Cache:
         to Google Public DNS (§3.3); a ``min_ttl`` of tens of seconds
         reproduces the floor that limits CDN agility (§6.1).
         ``max_entries`` bounds the cache size with least-recently-used
-        eviction, as production resolvers do; ``None`` means unbounded
-        (the default — the paper's experiments never fill real caches).
+        eviction, dead entries first, enforced by a scan on every overflow;
+        no caller under ``src/`` sets one, and ``None`` (the default) means
+        unbounded — the paper's experiments never fill real caches.
 
         ``metrics``: an optional shared registry; it collects every
         attached cache's :attr:`stats` into the world-wide ``cache.*``
@@ -238,10 +230,6 @@ class Cache:
         #: bound: recounted by :meth:`_maintain`, and an underestimate in
         #: between (outside it the cached count only grows).
         self._heap_room = _HEAP_SLACK
-        #: Ordered mark sets (dict-as-ordered-set) of entries believed dead;
-        #: re-validated before every use, since refreshes can revive them.
-        self._time_dead: dict[CacheKey, None] = {}
-        self._link_dead: dict[CacheKey, None] = {}
         self.max_ttl = max_ttl
         self.min_ttl = min_ttl
         self.max_entries = max_entries
@@ -284,8 +272,6 @@ class Cache:
         self._negatives.clear()
         self._expiry_heap.clear()
         self._heap_room = _HEAP_SLACK
-        self._time_dead.clear()
-        self._link_dead.clear()
 
     # -- insertion -----------------------------------------------------------
     def effective_ttl(self, ttl: int) -> int:
@@ -318,7 +304,6 @@ class Cache:
         now: float,
         linked_to: Optional[CacheKey] = None,
         pin: bool = False,
-        source_zone: Optional[Name] = None,
     ) -> bool:
         """Insert ``rrset``; returns True if the cache changed.
 
@@ -350,38 +335,29 @@ class Cache:
                 self.stats.refused_downgrades += 1
                 return False
         self._seq = generation = self._seq + 1
-        target: Optional[CacheEntry] = None
+        link = None
         if linked_to is not None:
             # Read before the rewrite below: a key linked to itself is
             # tied to the generation it is about to replace.
             target = entries.get(linked_to)
-        link = None if target is None else (linked_to, target.generation)
+            if target is not None:
+                link = (linked_to, target.generation)
         ttl = rrset.ttl  # effective_ttl(), inlined: this is the hot write
         if self.max_ttl is not None and ttl > self.max_ttl:
             ttl = self.max_ttl
         if ttl < self.min_ttl:
             ttl = self.min_ttl
         expires_at = now + ttl
-        # A fresh write invalidates any standing dead-mark for the key.
-        if self._time_dead:
-            self._time_dead.pop(key, None)
-        if self._link_dead:
-            self._link_dead.pop(key, None)
         if entry is None:
             entry = entries[key] = CacheEntry(
-                rrset, credibility, now, expires_at, generation, link, pin, source_zone
+                rrset, credibility, now, expires_at, generation, link, pin
             )
             if len(entries) > (self.stats.size_peak or 0):
                 self.stats.size_peak = len(entries)
         else:
             # A renewal: the key keeps its entry object (and, unbounded,
-            # its place in the recency order).  Replacing it kills anything
-            # linked to its previous generation: surface those dependents
-            # as eviction candidates.
-            dependents = entry._dependents
-            if dependents:
-                entry._dependents = None
-                self._link_dead.update(dependents)
+            # its place in the recency order).  The new generation is what
+            # kills anything linked to the previous one.
             entry.rrset = rrset
             entry.credibility = credibility
             entry.inserted_at = now
@@ -389,15 +365,10 @@ class Cache:
             entry.generation = generation
             entry.linked_to = link
             entry.pinned = pin
-            entry.source_zone = source_zone
             entry._aged = None
             if self.max_entries is not None:
                 del entries[key]  # re-insert at the recent end
                 entries[key] = entry
-        if target is not None:
-            if target._dependents is None:
-                target._dependents = {}
-            target._dependents[key] = None
         heap = self._expiry_heap
         heapq.heappush(heap, (expires_at, generation, key, generation))
         self.stats.inserts += 1
@@ -418,8 +389,7 @@ class Cache:
             self._evict_if_full(now)
         bound = _HEAP_SLACK + 4 * (len(self._entries) + len(self._negatives))
         if len(heap) > bound:
-            # One record per cached item; entries already marked dead are
-            # surfaced (and marked) again by the next write.
+            # One record per cached item.
             heap.clear()
             for key, entry in self._entries.items():
                 heap.append((entry.expires_at, entry.generation, key, entry.generation))
@@ -432,13 +402,11 @@ class Cache:
     def _surface_expired(self, now: float) -> None:
         """Pop every heap record whose time has come by ``now``.
 
-        Expired entries are *marked* (``_time_dead``), not removed —
-        serve-stale retention is unchanged — while expired negative
-        entries, which nothing serves stale, are dropped.  Records
-        superseded by a newer generation are discarded; records
-        invalidated by an in-place lifetime extension are re-pushed at the
-        new expiry.  Dependents of an expired link target are marked
-        link-dead.
+        Expired negative entries, which nothing serves stale, are dropped;
+        an expired positive entry stays for serve-stale and only loses its
+        record.  Records superseded by a newer generation are discarded;
+        records invalidated by an in-place lifetime extension are
+        re-pushed at the new expiry.
         """
         heap = self._expiry_heap
         entries = self._entries
@@ -450,68 +418,26 @@ class Cache:
                     del self._negatives[key]
                 continue  # else replaced by a fresher negative (its own record follows)
             entry = entries.get(key)
-            if entry is None or entry.generation != generation:
-                continue  # superseded or gone: stale record
-            if entry.expires_at > now:
+            if entry is not None and entry.generation == generation and entry.expires_at > now:
                 # Lifetime extended in place (sticky refresh / parent pin):
                 # track the new expiry.
                 self._push(entry.expires_at, key, generation)
-                continue
-            self._time_dead[key] = None
-            if entry._dependents:
-                # The list stays: a revived target (same generation) must
-                # keep its dependents registered.  Marks are re-validated
-                # before use, so over-marking is safe.
-                self._link_dead.update(entry._dependents)
-
-    def _evict_one(self, key: CacheKey) -> None:
-        entry = self._entries.pop(key)
-        entry.generation = _RETIRED
-        dependents = entry._dependents
-        if dependents:
-            self._link_dead.update(dependents)  # their target is gone
-        self.stats.evictions += 1
 
     def _evict_if_full(self, now: float) -> None:
-        """LRU eviction: drop dead entries first, then the least recently
-        used live ones (pinned entries go last).
-
-        Dead victims come from the marks :meth:`_surface_expired` and
-        link death left (O(log n) amortized); only a cache full of live
-        entries walks the recency order, and that walk stops at the first
-        unpinned entry.
-        """
-        overflow = len(self._entries) - self.max_entries
-        while overflow > 0 and self._time_dead:
-            key = next(iter(self._time_dead))
-            del self._time_dead[key]
-            entry = self._entries.get(key)
-            if entry is None:
-                continue
-            if not entry.is_expired(now):
-                # Revived: restore its heap record.
-                self._push(entry.expires_at, key, entry.generation)
-                continue
-            self._evict_one(key)
-            overflow -= 1
-        while overflow > 0 and self._link_dead:
-            key = next(iter(self._link_dead))
-            del self._link_dead[key]
-            entry = self._entries.get(key)
-            if entry is None or not self._is_dead(entry, now):
-                continue  # stale mark (entry replaced or link revived)
-            self._evict_one(key)
-            overflow -= 1
-        while overflow > 0:
-            victim: Optional[CacheKey] = None
-            for key, entry in self._entries.items():
-                if not entry.pinned:
-                    victim = key
-                    break
+        """Evict down to ``max_entries``: the first dead entry in recency
+        order (:meth:`_is_dead`, its expiry test inlined), else the least
+        recently used unpinned one, else the least recently used one."""
+        entries = self._entries
+        is_dead = self._is_dead
+        while len(entries) > self.max_entries:
+            victim = next((
+                key for key, entry in entries.items()
+                if now >= entry.expires_at or (entry.linked_to and is_dead(entry, now))
+            ), None)
             if victim is None:
-                victim = next(iter(self._entries))  # all pinned: evict LRU
-            self._evict_one(victim)
-            overflow -= 1
+                victim = next((k for k, e in entries.items() if not e.pinned), next(iter(entries)))
+            entries.pop(victim).generation = _RETIRED
+            self.stats.evictions += 1
 
     def put_negative(
         self,
@@ -775,8 +701,8 @@ class Cache:
         discarded, extended lifetimes re-pushed), and every record that
         still describes its entry is pushed back so later maintenance
         sees the heap unchanged.  Already-expired entries are *not*
-        returned (stale-while-revalidate owns those) and not marked —
-        this method has no side effects on cache state.
+        returned (stale-while-revalidate owns those); this method has no
+        side effects on cache state.
         """
         deadline = now + horizon
         heap = self._expiry_heap

@@ -38,8 +38,9 @@ _FORMAT_VERSION = 1
 #: with a single expiry heap and per-prefix-length ECS tables; 3 = the
 #: run state holds the ``ResultSet`` table being filled, not a row list;
 #: 4 = the registry holds collectors over owners' count slots, not
-#: instruments.
-_WSNAP_VERSION = 4
+#: instruments; 5 = caches keep no dead-mark sets and entries no
+#: dependents list or source zone.
+_WSNAP_VERSION = 5
 
 
 class CheckpointMismatch(RuntimeError):

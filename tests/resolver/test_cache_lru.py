@@ -65,10 +65,9 @@ class TestEvictionOrder:
 
 class TestFreshWriteClearsStandingMarks:
     def test_mark_left_by_an_evicted_incarnation_does_not_outrank_older_dead(self):
-        """A key evicted while carrying a link-death mark and then
-        re-created starts clean: when its link dies again it queues behind
-        entries whose links died earlier, not at its old incarnation's
-        place."""
+        """A key evicted while link-dead and then re-created starts at the
+        recent end: when its link dies again, less recently used dead
+        entries go before it, whatever its old incarnation's place was."""
         from repro.dns.rdtypes import NS, RdataClass
 
         def ns(name: str, target: str) -> RRset:
@@ -84,17 +83,17 @@ class TestFreshWriteClearsStandingMarks:
         cache.put(ns("two.example.", "e.two.example."), Credibility.AUTHORITY, now=0.0)
         cache.put(glue("d.one.example.", 10), Credibility.ADDITIONAL, now=0.0, linked_to=one)
         cache.put(glue("e.two.example.", 10000), Credibility.ADDITIONAL, now=0.0, linked_to=two)
-        # d's NS set is replaced (link-death mark), then d expires and is the
-        # dead victim of the next overflow — its link mark outlives it.
+        # d's NS set is replaced (d is link-dead), then d expires and is the
+        # dead victim of the next overflow.
         cache.put(ns("one.example.", "d.one.example."), Credibility.AUTH_ANSWER, now=5.0)
         cache.put(rrset(1), Credibility.AUTH_ANSWER, now=20.0)
         cache.put(rrset(2), Credibility.AUTH_ANSWER, now=21.0)
         assert cache.peek(Name("d.one.example."), RdataType.A) is None
         assert cache.stats.evictions == 1
-        # Room to re-create d without an eviction pass consuming the mark.
+        # Room to re-create d without an eviction pass.
         cache.max_entries = 7
         cache.put(glue("d.one.example.", 10000), Credibility.ADDITIONAL, now=30.0, linked_to=one)
-        # e's link dies first, the new d's second.
+        # e's link dies first, the new d's second; e is less recently used.
         cache.put(ns("two.example.", "e.two.example."), Credibility.AUTH_ANSWER, now=31.0)
         cache.put(ns("one.example.", "d.one.example."), Credibility.AUTH_ANSWER, now=32.0)
         cache.put(rrset(3), Credibility.AUTH_ANSWER, now=33.0)

@@ -2,10 +2,10 @@
 
 RFC 8767 only works if expired entries actually survive in the cache
 until something needs them.  These tests pin the contract between the
-dead-first LRU eviction machinery and ``get_stale``: eviction removes
-exactly as many dead entries as the overflow requires (not all of
-them), link-death *marks* alone never remove anything, and a stale
-entry consumed by a revalidation is replaced atomically.
+dead-first LRU eviction and ``get_stale``: eviction removes exactly as
+many dead entries as the overflow requires (not all of them), link death
+alone never removes anything, and a stale entry consumed by a
+revalidation is replaced atomically.
 """
 
 from repro.dns.name import Name
@@ -31,7 +31,7 @@ class TestDeadFirstEvictionRetention:
         cache.put(a_rrset("b.example.", ttl=10), Credibility.AUTH_ANSWER, now=0.0)
         cache.put(a_rrset("c.example.", ttl=1000), Credibility.AUTH_ANSWER, now=0.0)
         # t=20: a and b are both expired.  Inserting d overflows by one;
-        # dead-first eviction takes exactly one victim (a, oldest mark).
+        # dead-first eviction takes exactly one victim (a, least recent).
         cache.put(a_rrset("d.example.", ttl=1000), Credibility.AUTH_ANSWER, now=20.0)
         assert len(cache) == 3
         assert cache.get_stale(Name("a.example."), RdataType.A) is None
@@ -63,8 +63,8 @@ class TestDeadFirstEvictionRetention:
 
 class TestLinkDeathRetention:
     def test_link_dead_entry_still_stale_servable(self):
-        """A link-death *mark* is an eviction preference, not a removal:
-        glue whose NS set was replaced must remain stale-servable."""
+        """Link death is an eviction preference, not a removal: glue whose
+        NS set was replaced must remain stale-servable."""
         cache = Cache(max_entries=8)
         cache.put(ns_rrset("example.com."), Credibility.AUTHORITY, now=0.0)
         ns_key = (Name("example.com."), RdataType.NS, RdataClass.IN)
@@ -74,7 +74,7 @@ class TestLinkDeathRetention:
             now=0.0,
             linked_to=ns_key,
         )
-        # Replacing the NS set breaks the glue's link (marks it dead)...
+        # Replacing the NS set breaks the glue's link (kills it)...
         cache.put(
             ns_rrset("example.com.", target="other.example.net."),
             Credibility.AUTH_ANSWER,

@@ -68,10 +68,10 @@ def test_store_rejects_foreign_snapshot_records(tmp_path):
         store.load_world_snapshot(2)
     # A future layout, the one written before resolver caches changed
     # shape (version 1), the one whose run state held a row list
-    # (version 2) and the one whose registry held instruments (version 3):
-    # resuming any would revive objects whose attributes no longer match
-    # the code.
-    for version in (99, 1, 2, 3):
+    # (version 2), the one whose registry held instruments (version 3) and
+    # the one whose caches kept dead-mark sets (version 4): resuming any
+    # would revive objects whose attributes no longer match the code.
+    for version in (99, 1, 2, 3, 4):
         record["version"] = version
         (tmp_path / "wsnap-0001.pkl").write_bytes(pickle.dumps(record))
         with pytest.raises(
