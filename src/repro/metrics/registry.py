@@ -152,7 +152,7 @@ class Histogram:
 
     __slots__ = (
         "name", "domain", "bounds", "counts", "overflow",
-        "count", "sum_fp", "min", "max",
+        "count", "sum_fp", "min", "max", "_overflow_index",
     )
     kind = "histogram"
 
@@ -168,6 +168,7 @@ class Histogram:
         self.domain = domain
         self.bounds = bounds
         self.counts = [0] * len(bounds)
+        self._overflow_index = len(bounds)  # bisect's index past the last bound
         self.overflow = 0
         self.count = 0
         self.sum_fp = 0
@@ -177,7 +178,7 @@ class Histogram:
     def observe(self, value: Number) -> None:
         value = float(value)
         index = bisect_left(self.bounds, value)
-        if index == len(self.bounds):
+        if index == self._overflow_index:
             self.overflow += 1
         else:
             self.counts[index] += 1

@@ -128,6 +128,8 @@ class LossModel:
 
     ``down`` addresses drop everything — used to take the child
     authoritative servers offline (zurrundedu-offline scenario).
+    ``lossless`` is true while :meth:`lost` cannot return true (rate 0,
+    nothing down), so callers may skip asking; no draw is skipped.
     """
 
     rate: float = 0.0
@@ -138,12 +140,15 @@ class LossModel:
             raise ValueError(f"loss rate {self.rate} outside [0, 1)")
         self._rng = random.Random(self.seed ^ 0x10552)
         self._down: set[str] = set()
+        self.lossless = self.rate == 0
 
     def take_down(self, address: str) -> None:
         self._down.add(address)
+        self.lossless = False
 
     def bring_up(self, address: str) -> None:
         self._down.discard(address)
+        self.lossless = self.rate == 0 and not self._down
 
     def is_down(self, address: str) -> bool:
         return address in self._down
@@ -158,6 +163,7 @@ class LossModel:
         self.seed = seed
         self._rng = random.Random(seed ^ 0x10552)
         self._down.clear()
+        self.lossless = self.rate == 0
 
 
 class FabricTally:
@@ -319,6 +325,7 @@ class Network:
         server = self._servers.get(dst_address)
         faults = self.faults
         tally = self.tally
+        loss = self.loss
         src = client.address
         for attempt in range(attempts):
             if budget is not None and attempt > 0 and elapsed >= budget:
@@ -327,7 +334,7 @@ class Network:
             if attempt > 0:
                 tally.retries += 1
             t = now + elapsed
-            lost = server is None or self.loss.lost(dst_address)
+            lost = server is None or (not loss.lossless and loss.lost(dst_address))
             extra_delay = 0.0
             if not lost and faults is not None:
                 lost, extra_delay = faults.transmission_fate(src, dst_address, t)

@@ -42,6 +42,7 @@ from repro.net.topology import Endpoint
 
 if TYPE_CHECKING:
     from repro.net.transport import Network
+    from repro.server.authoritative import AuthoritativeServer
 
 #: A subscription key: one record the subscriber wants pushed.
 PushKey = tuple[Name, RdataType]
@@ -82,23 +83,19 @@ class PushPublisher:
 
     def __init__(
         self,
-        server: object,
+        server: "AuthoritativeServer",
         network: "Network",
         max_subscribers: int = 4096,
         max_subscriptions_per_session: int = 1024,
     ) -> None:
-        """``server`` must expose ``best_zone_for`` (both authoritative
-        flavours do) and be registered on ``network`` at its service
-        address; ``network`` supplies the session path's fate, latency and
-        the metrics registry."""
+        """``server`` (unicast or anycast) must be registered on
+        ``network`` at its service address; ``network`` supplies the
+        session path's fate, latency and the metrics registry."""
         self.server = server
         self.network = network
         self.max_subscribers = max_subscribers
         self.max_subscriptions_per_session = max_subscriptions_per_session
-        self.service_address: str = (
-            getattr(server, "service_address", None)
-            or server.endpoint.address  # type: ignore[attr-defined]
-        )
+        self.service_address = server.service_address
         self._subs: dict[str, _SubscriberState] = {}
         #: Reverse index: key -> ordered set of subscriber addresses.
         self._index: dict[PushKey, dict[str, None]] = {}
@@ -192,7 +189,7 @@ class PushPublisher:
         self.network.count("push.unsubscribes")
 
     def _current(self, key: PushKey) -> Optional[RRset]:
-        zone = self.server.best_zone_for(key[0])  # type: ignore[attr-defined]
+        zone = self.server.best_zone_for(key[0])
         if zone is None:
             return None
         return zone.get(key[0], key[1])
@@ -266,7 +263,7 @@ class PushPublisher:
 
 
 def attach_publisher(
-    server: object,
+    server: "AuthoritativeServer",
     network: "Network",
     max_subscribers: int = 4096,
     max_subscriptions_per_session: int = 1024,
@@ -282,5 +279,5 @@ def attach_publisher(
         max_subscribers=max_subscribers,
         max_subscriptions_per_session=max_subscriptions_per_session,
     )
-    server.push = publisher  # type: ignore[attr-defined]
+    server.push = publisher
     return publisher

@@ -9,21 +9,22 @@ helps the tail.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import Iterable, Optional
 
-from repro.dns.message import Message, Opcode, Rcode
-from repro.dns.name import Name
+from repro.dns.message import Message
 from repro.dns.zone import Zone
 from repro.net.latency import LatencyModel
 from repro.net.topology import Endpoint
-from repro.server.querylog import QueryLog, QueryLogEntry
-
-if TYPE_CHECKING:
-    from repro.faults import FaultInjector
+from repro.server.authoritative import AuthoritativeServer
 
 
-class AnycastCluster:
-    """Many sites sharing one service address and one zone set."""
+class AnycastCluster(AuthoritativeServer):
+    """Many sites sharing one service address and one zone set.
+
+    Zone routing and the query path are :class:`AuthoritativeServer`'s;
+    the cluster only decides which site a client's query lands on (and
+    so which site the query log names).
+    """
 
     def __init__(
         self,
@@ -36,21 +37,11 @@ class AnycastCluster:
         self._sites = list(sites)
         if not self._sites:
             raise ValueError("an anycast cluster needs at least one site")
-        self._latency = latency
-        self._zones: dict[Name, Zone] = {}
-        for zone in zones or ():
-            self.add_zone(zone)
+        # The nominal endpoint (first site) is used only as a fallback.
+        super().__init__(self._sites[0], zones, log_queries)
         self.service_address = service_address
-        self._log_queries = log_queries
-        self.query_log: Optional[QueryLog] = QueryLog() if log_queries else None
-        #: Total queries handled, counted even when the per-entry log is off.
-        self.queries_received = 0
+        self._latency = latency
         self._catchment_cache: dict[str, Endpoint] = {}
-        #: Set by ``Network.attach_faults``; consulted per query.
-        self.faults: Optional["FaultInjector"] = None
-        #: Set by ``repro.push.attach_publisher``; SUBSCRIBE/UNSUBSCRIBE
-        #: frames dispatch to it (NOTIMP when absent).
-        self.push: Optional[object] = None
 
     def reset_runtime_state(self) -> None:
         """Forget everything query traffic produced (worldcache reuse).
@@ -58,19 +49,11 @@ class AnycastCluster:
         The catchment cache goes too: catchment follows the latency
         model's per-path offsets, which are seed-dependent.
         """
-        self.query_log = QueryLog() if self._log_queries else None
-        self.queries_received = 0
+        super().reset_runtime_state()
         self._catchment_cache.clear()
-        self.faults = None
-        self.push = None
 
     def __repr__(self) -> str:
         return f"AnycastCluster({self.service_address}, {len(self._sites)} sites)"
-
-    @property
-    def endpoint(self) -> Endpoint:
-        """The nominal endpoint (first site) — used only as a fallback."""
-        return self._sites[0]
 
     @property
     def sites(self) -> list[Endpoint]:
@@ -114,21 +97,8 @@ class AnycastCluster:
             return None
         return latency.nearest(client, survivors)
 
-    # -- zone management -----------------------------------------------------
-    def add_zone(self, zone: Zone) -> None:
-        self._zones[zone.origin] = zone
-
-    def best_zone_for(self, qname: Name) -> Optional[Zone]:
-        zones = self._zones
-        for probe in qname.lineage():
-            zone = zones.get(probe)
-            if zone is not None:
-                return zone
-        return None
-
     # -- query handling ---------------------------------------------------------
     def handle_query(self, query: Message, client: Endpoint, now: float) -> Message:
-        self.queries_received += 1
         site = self.endpoint_for(client, self._latency)
         if self.faults is not None:
             # Log the site that actually answered: during a site outage
@@ -139,30 +109,4 @@ class AnycastCluster:
                 for ident in down
             ):
                 site = self.failover_site(client, self._latency, down) or site
-        if query.question is not None and self.query_log is not None:
-            self.query_log.append(
-                QueryLogEntry(
-                    timestamp=now,
-                    client_address=client.address,
-                    client_asn=client.asn,
-                    qname=query.question.qname,
-                    qtype=query.question.qtype,
-                    server=site.label,
-                )
-            )
-        if query.question is None:
-            return query.make_response(rcode=Rcode.FORMERR)
-        if self.faults is not None:
-            override = self.faults.intercept_server(
-                self.service_address, query, now
-            )
-            if override is not None:
-                return override
-        if query.opcode in (Opcode.SUBSCRIBE, Opcode.UNSUBSCRIBE):
-            if self.push is None:
-                return query.make_response(rcode=Rcode.NOTIMP)
-            return self.push.handle_session_message(query, client, now)  # type: ignore[attr-defined]
-        zone = self.best_zone_for(query.question.qname)
-        if zone is None:
-            return query.make_response(rcode=Rcode.REFUSED)
-        return zone.respond(query)
+        return super().handle_query(query, client, now, site)

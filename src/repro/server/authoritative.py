@@ -1,4 +1,9 @@
-"""A unicast authoritative name server."""
+"""Authoritative name servers: zone routing and the query path.
+
+:class:`AuthoritativeServer` answers from one endpoint;
+:class:`~repro.server.anycast.AnycastCluster` extends it with many sites
+behind one service address, and only picks the site that logs the query.
+"""
 
 from __future__ import annotations
 
@@ -13,6 +18,33 @@ from repro.server.querylog import QueryLog, QueryLogEntry
 
 if TYPE_CHECKING:
     from repro.faults import FaultInjector
+
+#: Bound on a server's route table.  Qnames arriving through the live
+#: frontend are chosen by clients; the table simply resets when full, like
+#: a zone's compiled answers.
+_ROUTES_MAX = 1024
+
+
+class _Routes(dict):
+    """qname -> the deepest zone whose origin encloses it, or ``None``.
+
+    The answer depends only on the qname and the set of origins, so the
+    owner clears the table when that set changes; zone *contents* (pushes,
+    renumbering, edits) never touch it.  A miss walks the lineage once.
+    """
+
+    __slots__ = ("zones",)
+
+    def __init__(self, zones: dict[Name, Zone]) -> None:
+        self.zones = zones
+
+    def __missing__(self, qname: Name) -> Optional[Zone]:
+        zones = self.zones
+        route = next((zones[p] for p in qname.lineage() if p in zones), None)
+        if len(self) >= _ROUTES_MAX:
+            self.clear()
+        self[qname] = route
+        return route
 
 
 class AuthoritativeServer:
@@ -32,7 +64,10 @@ class AuthoritativeServer:
         log_queries: bool = True,
     ) -> None:
         self._endpoint = endpoint
+        #: The address clients send to, which fault windows name.
+        self.service_address = endpoint.address
         self._zones: dict[Name, Zone] = {}
+        self._routes = _Routes(self._zones)
         for zone in zones or ():
             self.add_zone(zone)
         self._log_queries = log_queries
@@ -72,9 +107,11 @@ class AuthoritativeServer:
     # -- zone management -----------------------------------------------------
     def add_zone(self, zone: Zone) -> None:
         self._zones[zone.origin] = zone
+        self._routes.clear()
 
     def remove_zone(self, origin: Name | str) -> None:
         self._zones.pop(Name(origin), None)
+        self._routes.clear()
 
     def zone(self, origin: Name | str) -> Optional[Zone]:
         return self._zones.get(Name(origin))
@@ -84,43 +121,41 @@ class AuthoritativeServer:
 
     def best_zone_for(self, qname: Name) -> Optional[Zone]:
         """The deepest configured zone whose origin encloses ``qname``."""
-        zones = self._zones
-        for probe in qname.lineage():
-            zone = zones.get(probe)
-            if zone is not None:
-                return zone
-        return None
+        return self._routes[qname]
 
     # -- query handling ---------------------------------------------------------
-    def handle_query(self, query: Message, client: Endpoint, now: float) -> Message:
+    def handle_query(
+        self, query: Message, client: Endpoint, now: float, site: Optional[Endpoint] = None
+    ) -> Message:
+        """Answer ``query``; ``site`` is the anycast site that received it
+        (logged in place of this server's endpoint)."""
         self.queries_received += 1
-        if query.question is not None and self.query_log is not None:
-            self.query_log.append(
+        question = query.question
+        if question is None:
+            return query.make_response(rcode=Rcode.FORMERR)
+        if self.query_log is not None:
+            self.query_log.entries.append(
                 QueryLogEntry(
                     timestamp=now,
                     client_address=client.address,
                     client_asn=client.asn,
-                    qname=query.question.qname,
-                    qtype=query.question.qtype,
-                    server=self._endpoint.label,
+                    qname=question.qname,
+                    qtype=question.qtype,
+                    server=(site or self._endpoint).label,
                 )
             )
-        if query.question is None:
-            return query.make_response(rcode=Rcode.FORMERR)
         if self.faults is not None:
             # The query reached the server and is logged above — exactly
             # like a real SERVFAIL/RRL incident, where the victim's logs
             # fill up while clients see errors.
-            override = self.faults.intercept_server(
-                self._endpoint.address, query, now
-            )
+            override = self.faults.intercept_server(self.service_address, query, now)
             if override is not None:
                 return override
         if query.opcode in (Opcode.SUBSCRIBE, Opcode.UNSUBSCRIBE):
             if self.push is None:
                 return query.make_response(rcode=Rcode.NOTIMP)
             return self.push.handle_session_message(query, client, now)  # type: ignore[attr-defined]
-        zone = self.best_zone_for(query.question.qname)
+        zone = self._routes[question.qname]
         if zone is None:
             return query.make_response(rcode=Rcode.REFUSED)
         return zone.respond(query)

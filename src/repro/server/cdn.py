@@ -146,7 +146,7 @@ class CdnAuthoritativeServer(AuthoritativeServer):
             return super().handle_query(query, client, now)
         self.queries_received += 1
         if self.query_log is not None:
-            self.query_log.append(
+            self.query_log.entries.append(
                 QueryLogEntry(
                     timestamp=now,
                     client_address=client.address,

@@ -1,0 +1,87 @@
+"""One exchange does only what differs per datagram.
+
+What is fixed per path (the base RTT) or per server and qname (the zone
+route) is one dict probe; the jitter is one ``normalvariate`` frame.  These
+tests profile calls by code object (``sys.setprofile``; builtins by
+qualified name), so they are exact and independent of host speed.
+"""
+
+import enum
+import random
+
+from repro.dns.message import Message
+from repro.dns.name import Name
+from repro.dns.rdtypes import RdataType
+from repro.net.latency import LatencyModel
+from repro.net.topology import Region
+from repro.net.transport import LossModel, NetworkTimeout
+from repro.server.querylog import QueryLog
+from tests.conftest import build_mini_world
+from tests.metrics.test_count_once_structure import calls
+
+QNAME = "www.example.tld."
+
+#: Every call of one warm unicast exchange, 40 before the per-path and
+#: per-qname memos: exchange, endpoint_for, rtt, normalvariate (2 random,
+#: log), exp, handle_query, the log entry's __init__ and list.append,
+#: Zone.respond and its Message, the RTT histogram (observe, bisect_left,
+#: round), three dict.get and two Name.__hash__.
+EXCHANGE_CALLS = 21
+
+NEVER_CALLED = {
+    LatencyModel.base_rtt_ms.__code__: "base RTT is memoized per endpoint pair",
+    random.Random.lognormvariate.__code__: "exp(normalvariate) is the same draw",
+    Name.lineage.__code__: "the zone route is memoized per qname",
+    enum.Enum.__hash__.__code__: "no dict is keyed by a Region",
+    QueryLog.append.__code__: "servers append to the entry list",
+    LossModel.lost.__code__: "a lossless model is not asked",
+}
+
+
+def warm_exchange() -> tuple:
+    world = build_mini_world()
+    client = world.topology.endpoint_in_region(Region.EU)
+    query = Message.make_query(QNAME, RdataType.A, recursion_desired=False)
+    address = world.hints[next(iter(world.hints))]
+    world.network.exchange(client, address, query, 0.0)
+    answered = {}
+
+    def exchange():
+        answered["exchange"] = world.network.exchange(client, address, query, 1.0)
+
+    seen = calls(exchange)
+    del seen[exchange.__code__], seen["setprofile"]  # the harness's own frames
+    return seen, answered["exchange"]
+
+
+def test_a_warm_exchange_rederives_nothing_fixed():
+    seen, (response, elapsed) = warm_exchange()
+    assert response.authority and elapsed > 0  # the root's referral
+    assert {NEVER_CALLED[code] for code in seen if code in NEVER_CALLED} == set()
+
+
+def test_a_warm_exchange_makes_a_pinned_number_of_calls():
+    seen, _ = warm_exchange()
+    assert sum(seen.values()) <= EXCHANGE_CALLS, seen
+
+
+def test_a_down_address_is_still_asked_and_dropped():
+    world = build_mini_world()
+    client = world.topology.endpoint_in_region(Region.EU)
+    address = world.hints[next(iter(world.hints))]
+    world.network.loss.take_down(address)
+    assert not world.network.loss.lossless
+    query = Message.make_query(QNAME, RdataType.A, recursion_desired=False)
+    timeouts = []
+
+    def exchange():
+        try:
+            world.network.exchange(client, address, query, 0.0)
+        except NetworkTimeout as timeout:
+            timeouts.append(timeout)
+
+    seen = calls(exchange)
+    assert len(timeouts) == 1
+    assert seen[LossModel.lost.__code__] == 3  # one per transmission
+    world.network.loss.bring_up(address)
+    assert world.network.loss.lossless

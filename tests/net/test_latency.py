@@ -37,6 +37,17 @@ class TestBaseRtt:
         a, _ = endpoints(Region.EU, Region.EU)
         assert model.base_rtt_ms(a, a) < 1.0
 
+    def test_a_memoized_address_pair_does_not_leak_across_regions(self):
+        # Two topologies hand out the same addresses (10.0.0.1, 10.0.0.2)
+        # in different regions; the base RTT depends on the regions too.
+        model = LatencyModel()
+        a, b = endpoints(Region.EU, Region.EU)
+        c, d = endpoints(Region.EU, Region.OC, seed=1)
+        assert (a.address, b.address) == (c.address, d.address)
+        model.base_rtt_ms(a, b)
+        assert model.base_rtt_ms(c, d) == LatencyModel().base_rtt_ms(c, d)
+        assert model.rtt(c, d, random.Random(5)) == LatencyModel().rtt(c, d, random.Random(5))
+
     def test_pairs_differ(self):
         # Hosts in the same regions are not equidistant.
         topology = Topology()
@@ -64,6 +75,37 @@ class TestSampledRtt:
     def test_last_mile_is_fast(self):
         model = LatencyModel()
         assert model.last_mile_rtt(random.Random(0)) < 0.05
+
+
+class TestRttStream:
+    """Figures 10/11 and the campaign digests rest on this exact stream:
+    one ``lognormvariate(0, σ)`` draw per RTT, scaling the base."""
+
+    SIGMA = 0.25
+
+    def pairs(self):
+        topology = Topology()
+        eu, eu2, oc = (topology.endpoint_in_region(r) for r in (Region.EU, Region.EU, Region.OC))
+        return [(eu, eu), (eu, eu2), (eu2, eu), (eu, oc), (oc, eu2)]
+
+    def test_rtt_is_base_times_one_lognormal_draw(self):
+        model = LatencyModel(seed=7, jitter_sigma=self.SIGMA)
+        for seed in range(100):
+            for src, dst in self.pairs():
+                drawn, reference = random.Random(seed), random.Random(seed)
+                expected = model.base_rtt_ms(src, dst) * reference.lognormvariate(
+                    0.0, self.SIGMA
+                ) / 1000.0
+                assert model.rtt(src, dst, drawn) == expected
+                assert drawn.getstate() == reference.getstate()
+
+    def test_last_mile_is_last_mile_ms_times_one_lognormal_draw(self):
+        model = LatencyModel(seed=7, jitter_sigma=self.SIGMA, last_mile_ms=3.0)
+        for seed in range(100):
+            drawn, reference = random.Random(seed), random.Random(seed)
+            expected = 3.0 * reference.lognormvariate(0.0, self.SIGMA) / 1000.0
+            assert model.last_mile_rtt(drawn) == expected
+            assert drawn.getstate() == reference.getstate()
 
 
 class TestNearest:

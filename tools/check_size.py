@@ -20,7 +20,11 @@ CEILINGS = {
     "resolver/cache.py": 750,
     "serve/memo.py": 185,
     "serve/frontend.py": 412,
-    "": 21394,
+    "net/latency.py": 148,
+    "net/transport.py": 577,
+    "server/authoritative.py": 161,
+    "server/anycast.py": 112,
+    "": 21383,
 }
 
 
