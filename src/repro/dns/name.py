@@ -1,8 +1,8 @@
 """Domain names.
 
-Names are immutable sequences of labels stored in lowercase (the DNS is
-case-insensitive for matching, RFC 1035 §2.3.3).  The empty label sequence is
-the root.  A :class:`Name` is always absolute: ``Name("www.example.com")`` and
+A name is a tuple of its labels, stored in lowercase (the DNS is
+case-insensitive for matching, RFC 1035 §2.3.3).  The empty tuple is the
+root.  A :class:`Name` is always absolute: ``Name("www.example.com")`` and
 ``Name("www.example.com.")`` denote the same fully-qualified name.
 
 The class implements the relationships the paper's analysis needs:
@@ -25,7 +25,6 @@ canonical instance for its labels, which only costs the identity fast path.
 
 from __future__ import annotations
 
-from functools import total_ordering
 from typing import Iterable, Iterator
 
 MAX_LABEL_LENGTH = 63
@@ -80,9 +79,13 @@ def _interned_name(labels: tuple[str, ...]) -> "Name":
     return Name.from_labels(labels)
 
 
-@total_ordering
-class Name:
-    """An absolute domain name.
+class Name(tuple):
+    """An absolute domain name: the tuple of its lowercase labels, most
+    significant last (``('www', 'example', 'com')``).
+
+    Hashing, ``len``, iteration, indexing and ``in`` are tuple's own C
+    slots, so a dict probe keyed on a name runs no Python code.  Ordering
+    is canonical (RFC 4034 §6.1), not tuple order.
 
     >>> n = Name("WWW.Example.COM.")
     >>> str(n)
@@ -91,13 +94,12 @@ class Name:
     True
     """
 
-    __slots__ = ("_labels", "_hash", "_key", "_wire", "_lineage")
-
-    _labels: tuple[str, ...]
-    _hash: int
-    _key: tuple[str, ...] | None
-    _wire: tuple[tuple[tuple[str, ...], bytes], ...] | None
-    _lineage: tuple["Name", ...] | None
+    # Lazily built per-instance caches.  A tuple subclass cannot have
+    # non-empty ``__slots__``; an instance ``__dict__`` only comes into
+    # being on the first write, so names never walked or encoded pay
+    # nothing for them.
+    _wire: tuple[tuple[tuple[str, ...], bytes], ...] | None = None
+    _lineage: tuple["Name", ...] | None = None
 
     def __new__(cls, text: str | Iterable[str] | "Name" = "") -> "Name":
         if type(text) is Name:
@@ -117,16 +119,9 @@ class Name:
                 _TEXT_INTERN.clear()
             _TEXT_INTERN[text] = name
             return name
-        if isinstance(text, Name):  # a subclass instance: canonicalize
-            return _intern(text._labels)
         labels = tuple(_validate_label(lab) for lab in text)
         _check_wire_length(labels)
         return _intern(labels)
-
-    def __init__(self, text: str | Iterable[str] | "Name" = "") -> None:
-        # All construction work happens in __new__ (which may return an
-        # existing interned instance that must not be re-initialized).
-        pass
 
     @classmethod
     def from_labels(cls, labels: tuple[str, ...]) -> "Name":
@@ -146,26 +141,19 @@ class Name:
         raise AttributeError("Name is immutable")
 
     def __reduce__(self) -> tuple:
-        # The default slot-state pickle path calls __setattr__ on load,
-        # which the immutability guard rejects; rebuild through the intern
-        # table instead so unpickled names are canonical instances.
-        return (_interned_name, (self._labels,))
-
-    def __copy__(self) -> "Name":
-        return self
-
-    def __deepcopy__(self, memo: dict) -> "Name":
-        return self
+        # Rebuild through the intern table, so unpickled and copied names
+        # are canonical instances.
+        return (_interned_name, (tuple(self),))
 
     # -- accessors -----------------------------------------------------------
     @property
     def labels(self) -> tuple[str, ...]:
-        """The labels, most significant last (``('www', 'example', 'com')``)."""
-        return self._labels
+        """The labels as a plain tuple (``('www', 'example', 'com')``)."""
+        return tuple(self)
 
     @property
     def is_root(self) -> bool:
-        return not self._labels
+        return not self
 
     def wire_labels(self) -> tuple[tuple[tuple[str, ...], bytes], ...]:
         """Per label, what the wire writer needs: the label tuple from that
@@ -173,25 +161,17 @@ class Name:
         length-prefixed octets.  Built on first use and kept."""
         wire = self._wire
         if wire is None:
-            labels = self._labels
             wire = tuple(
-                (labels[index:], bytes((len(label),)) + label.encode("ascii"))
-                for index, label in enumerate(labels)
+                (self[index:], bytes((len(label),)) + label.encode("ascii"))
+                for index, label in enumerate(self)
             )
             object.__setattr__(self, "_wire", wire)
         return wire
 
-    def __len__(self) -> int:
-        """Number of labels (the root has zero)."""
-        return len(self._labels)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._labels)
-
     def __str__(self) -> str:
-        if not self._labels:
+        if not self:
             return "."
-        return ".".join(self._labels) + "."
+        return ".".join(self) + "."
 
     def to_text(self) -> str:
         """The absolute presentation form, always with the trailing dot."""
@@ -201,45 +181,57 @@ class Name:
         return f"Name({str(self)!r})"
 
     # -- equality and ordering ------------------------------------------------
+    # Equality is label equality: a name equals its presentation text and,
+    # through tuple's own ``__eq__``, a plain tuple of the same labels (which
+    # also hashes alike).  Ordering against a name or a label tuple is
+    # canonical: labels compared right to left, absence of a label sorting
+    # before any label value.  All four comparisons are defined here, since
+    # tuple's left-to-right ones would otherwise be inherited.
+    __hash__ = tuple.__hash__
+
     def __eq__(self, other: object) -> bool:
         if self is other:  # interning makes this the common case
             return True
-        if isinstance(other, Name):
-            return self._labels == other._labels
         if isinstance(other, str):
             try:
-                return self._labels == Name(other)._labels
+                other = Name(other)
             except NameError_:
                 return False
+        return tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    def __lt__(self, other: tuple) -> bool:
+        if isinstance(other, tuple):
+            return self[::-1] < other[::-1]
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __le__(self, other: tuple) -> bool:
+        if isinstance(other, tuple):
+            return self[::-1] <= other[::-1]
+        return NotImplemented
 
-    def __lt__(self, other: "Name") -> bool:
-        if not isinstance(other, Name):
-            return NotImplemented
-        # Canonical DNS ordering (RFC 4034 §6.1): compare labels right to
-        # left; absence of a label sorts before any label value.
-        return self._canonical_key() < other._canonical_key()
+    def __gt__(self, other: tuple) -> bool:
+        if isinstance(other, tuple):
+            return self[::-1] > other[::-1]
+        return NotImplemented
 
-    def _canonical_key(self) -> tuple[str, ...]:
-        key = self._key
-        if key is None:
-            key = tuple(reversed(self._labels))
-            object.__setattr__(self, "_key", key)
-        return key
+    def __ge__(self, other: tuple) -> bool:
+        if isinstance(other, tuple):
+            return self[::-1] >= other[::-1]
+        return NotImplemented
 
     # -- construction helpers --------------------------------------------------
     def concatenate(self, suffix: "Name") -> "Name":
         """Return ``self`` + ``suffix``, e.g. ``ns1`` under ``example.com``."""
-        labels = self._labels + suffix._labels
+        labels = self + suffix
         _check_wire_length(labels)
         return Name.from_labels(labels)
 
     def prepend(self, label: str) -> "Name":
         """Return a new name with ``label`` added at the left."""
-        labels = (_validate_label(label),) + self._labels
+        labels = (_validate_label(label),) + self
         _check_wire_length(labels)
         return Name.from_labels(labels)
 
@@ -249,9 +241,9 @@ class Name:
         >>> Name("www.example.com").parent()
         Name('example.com.')
         """
-        if not self._labels:
+        if not self:
             raise NameError_("the root has no parent")
-        return Name.from_labels(self._labels[1:])
+        return Name.from_labels(self[1:])
 
     def lineage(self) -> tuple["Name", ...]:
         """``(self, parent, ..., root)``: the name and every ancestor,
@@ -265,9 +257,8 @@ class Name:
         """
         lineage = self._lineage
         if lineage is None:
-            labels = self._labels
             lineage = (self,) + tuple(
-                Name.from_labels(labels[index:]) for index in range(1, len(labels) + 1)
+                Name.from_labels(self[index:]) for index in range(1, len(self) + 1)
             )
             object.__setattr__(self, "_lineage", lineage)
         return lineage
@@ -286,10 +277,10 @@ class Name:
         >>> Name("www.example.com").split(2)
         (Name('www.'), Name('example.com.'))
         """
-        if depth < 0 or depth > len(self._labels):
+        if depth < 0 or depth > len(self):
             raise NameError_(f"cannot keep {depth} labels of {self}")
-        cut = len(self._labels) - depth
-        return Name.from_labels(self._labels[:cut]), Name.from_labels(self._labels[cut:])
+        cut = len(self) - depth
+        return Name.from_labels(self[:cut]), Name.from_labels(self[cut:])
 
     def relativize(self, origin: "Name") -> tuple[str, ...]:
         """Labels of ``self`` below ``origin`` (empty if equal).
@@ -299,9 +290,7 @@ class Name:
         """
         if not self.is_subdomain_of(origin):
             raise NameError_(f"{self} is not under {origin}")
-        if origin.is_root:
-            return self._labels
-        return self._labels[: len(self._labels) - len(origin._labels)]
+        return self[: len(self) - len(origin)]
 
     # -- relationships ----------------------------------------------------------
     def is_subdomain_of(self, other: "Name") -> bool:
@@ -309,11 +298,11 @@ class Name:
 
         Every name is a subdomain of the root and of itself.
         """
-        suffix = other._labels
-        if not suffix:  # the root
+        if not other:  # the root
             return True
-        # A shorter self yields a slice that cannot equal the suffix.
-        return self._labels[-len(suffix):] == suffix
+        # A shorter self yields a slice that cannot equal the suffix.  Both
+        # sides are plain tuples, so the comparison stays in C.
+        return self[-len(other):] == other[:]
 
     def is_proper_subdomain_of(self, other: "Name") -> bool:
         """True when ``self`` lies strictly beneath ``other``."""
@@ -336,7 +325,7 @@ class Name:
     def common_ancestor(self, other: "Name") -> "Name":
         """The deepest name that is an ancestor-or-self of both names."""
         shared: list[str] = []
-        for mine, theirs in zip(reversed(self._labels), reversed(other._labels)):
+        for mine, theirs in zip(reversed(self), reversed(other)):
             if mine != theirs:
                 break
             shared.append(mine)
@@ -348,12 +337,7 @@ def _intern(labels: tuple[str, ...]) -> Name:
     cached = _INTERN.get(labels)
     if cached is not None:
         return cached
-    name = object.__new__(Name)
-    object.__setattr__(name, "_labels", labels)
-    object.__setattr__(name, "_hash", hash(labels))
-    object.__setattr__(name, "_key", None)
-    object.__setattr__(name, "_wire", None)
-    object.__setattr__(name, "_lineage", None)
+    name = tuple.__new__(Name, labels)
     if len(_INTERN) >= _INTERN_MAX:
         _INTERN.clear()
     _INTERN[labels] = name

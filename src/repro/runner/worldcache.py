@@ -32,6 +32,8 @@ import json
 from collections import OrderedDict
 from typing import Any, Callable, Optional
 
+from repro.dns.name import Name
+
 __all__ = ["cache_key", "lease", "prewarm", "clear", "stats"]
 
 #: Distinct worlds kept per process.  A campaign uses one world; mixed
@@ -43,7 +45,15 @@ _stats = {"builds": 0, "reuses": 0}
 
 
 def cache_key(builder: str, kwargs: dict[str, Any]) -> str:
-    """Canonical cache key for a (builder, kwargs) world identity."""
+    """Canonical cache key for a (builder, kwargs) world identity.
+
+    A :class:`~repro.dns.name.Name` argument keys by its presentation
+    text: being a tuple, it would otherwise serialize as a label list.
+    """
+    kwargs = {
+        key: str(value) if isinstance(value, Name) else value
+        for key, value in kwargs.items()
+    }
     return json.dumps(
         {"builder": builder, "kwargs": kwargs}, sort_keys=True, default=str
     )

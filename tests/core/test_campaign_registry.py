@@ -20,6 +20,9 @@ import pytest
 
 from repro.cli import main
 from repro.core.campaign import CAMPAIGNS
+from repro.dns import name as name_module
+from repro.runner import worldcache
+from repro.runner.executor import ShardExecutor
 
 #: campaign -> (reduced-size args, sha256 of stdout / metrics JSON / manifest).
 ORACLE = {
@@ -108,6 +111,37 @@ def test_serial_and_parallel_match_the_recorded_bytes(name, tmp_path, capsys):
     serial = _run(name, 1, tmp_path, capsys)
     assert tuple(map(_sha, serial)) == ORACLE[name][1:]
     # Results depend on the shard plan, never on the worker count.
+    assert _run(name, 4, tmp_path, capsys) == serial
+
+
+@pytest.fixture
+def starved_intern_tables(monkeypatch):
+    """Fresh name intern tables of one entry each, so almost no two equal
+    names are the same object and every name-keyed probe takes the
+    non-identity ``__eq__`` and hash paths.  Pool workers fork from this
+    process and inherit the bound; cached worlds are dropped so each is
+    built under it, and again afterwards so none outlives the test."""
+    monkeypatch.setattr(name_module, "_INTERN_MAX", 1)
+    monkeypatch.setattr(name_module, "_INTERN", {})
+    monkeypatch.setattr(name_module, "_TEXT_INTERN", {})
+    worldcache.clear()
+    yield
+    worldcache.clear()
+
+
+def _intern_bound() -> int:
+    return name_module._INTERN_MAX
+
+
+def test_pool_workers_inherit_starved_intern_tables(starved_intern_tables):
+    with ShardExecutor(parallelism=2)._new_pool() as pool:
+        assert pool.submit(_intern_bound).result() == 1
+
+
+@pytest.mark.parametrize("name", sorted(CAMPAIGNS))
+def test_starved_intern_tables_move_no_byte(name, starved_intern_tables, tmp_path, capsys):
+    serial = _run(name, 1, tmp_path, capsys)
+    assert tuple(map(_sha, serial)) == ORACLE[name][1:]
     assert _run(name, 4, tmp_path, capsys) == serial
 
 

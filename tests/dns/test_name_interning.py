@@ -130,7 +130,7 @@ def test_validation_still_enforced():
     with pytest.raises(NameError_):
         Name(".".join("y" * 63 for _ in range(5)))  # > 255 wire octets
     with pytest.raises(AttributeError):
-        Name("example.com")._labels = ("mutated",)
+        Name("example.com")._lineage = (root,)
 
 
 # -- pickling: across both the in-process and cross-process boundary ---------
@@ -185,6 +185,11 @@ def test_interning_preserves_ordering(parts_a, parts_b):
     a, b = Name.from_labels(parts_a), Name.from_labels(parts_b)
     # Ordering must match the canonical right-to-left label comparison,
     # independently of interning.
-    expected = tuple(reversed(parts_a)) < tuple(reversed(parts_b))
-    assert (a < b) == expected
+    key_a, key_b = tuple(reversed(parts_a)), tuple(reversed(parts_b))
+    assert (a < b) == (key_a < key_b)
+    assert (a <= b) == (key_a <= key_b)
+    assert (a > b) == (key_a > key_b)
+    assert (a >= b) == (key_a >= key_b)
+    low, high = sorted((a, b), key=lambda name: tuple(reversed(name)))
+    assert min(a, b) == low and max(a, b) == high
     assert (a == b) == (parts_a == parts_b)

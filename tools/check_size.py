@@ -24,7 +24,8 @@ CEILINGS = {
     "net/transport.py": 577,
     "server/authoritative.py": 161,
     "server/anycast.py": 112,
-    "": 21383,
+    "dns/name.py": 348,
+    "": 21377,
 }
 
 
