@@ -558,7 +558,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         registry = MetricsRegistry()
         report.to_metrics(registry)
         with open(args.metrics, "w", encoding="utf-8") as stream:
-            stream.write(registry.snapshot().to_json(include_host=True) + "\n")
+            stream.write(registry.snapshot().to_json(include_host=True))
     # A run that lost every query (or parsed nothing) is a failure.
     return 0 if report.received > 0 else 1
 

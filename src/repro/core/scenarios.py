@@ -1190,7 +1190,7 @@ def _run_ecs_cell(
         auth_queries=testbed.auth_queries,
         **_latency_percentiles(latencies),
         local_site_rate=local_answers / len(latencies) if latencies else 0.0,
-        site_counts=tuple(sorted(testbed.server.site_answers.values.items())),
+        site_counts=tuple(sorted(testbed.server.site_answers.items())),
         scoped_entries=sum(
             resolver.cache.ecs_scoped_len() for resolver in resolvers.values()
         ),

@@ -13,7 +13,8 @@ from typing import Optional
 
 from repro.analysis.latencystats import LatencySummary, latency_summary
 from repro.dns.message import Rcode
-from repro.metrics import HOST, MetricsRegistry, log_buckets
+from repro.metrics import HOST, Histogram, MetricsRegistry, log_buckets
+from repro.metrics.registry import COUNTER, GAUGE, HISTOGRAM, LABELED_COUNTER
 
 #: Same spacing as the server's serve.latency_ms so the two line up.
 LOADGEN_LATENCY_BUCKETS_MS = log_buckets(0.01, 10_000.0, per_decade=4)
@@ -69,22 +70,26 @@ class LoadReport:
     def loss_rate(self) -> float:
         return self.lost / self.sent if self.sent else 0.0
 
-    def to_metrics(self, registry: MetricsRegistry) -> None:
-        """Record this run into ``registry`` (HOST domain)."""
-        registry.counter("loadgen.sent", domain=HOST).inc(self.sent)
-        registry.counter("loadgen.received", domain=HOST).inc(self.received)
-        registry.counter("loadgen.lost", domain=HOST).inc(self.lost)
-        registry.counter("loadgen.attempts", domain=HOST).inc(self.attempts)
-        registry.counter("loadgen.parse_errors", domain=HOST).inc(self.parse_errors)
-        registry.gauge("loadgen.achieved_qps", domain=HOST).record(self.achieved_qps)
-        rcode_counter = registry.labeled_counter("loadgen.rcode", domain=HOST)
-        for rcode, count in sorted(self.rcodes.items()):
-            rcode_counter.inc(_rcode_name(rcode), count)
-        histogram = registry.histogram(
-            "loadgen.latency_ms", LOADGEN_LATENCY_BUCKETS_MS, domain=HOST
-        )
+    @property
+    def rcode_names(self) -> dict[str, int]:
+        return {_rcode_name(rcode): count for rcode, count in self.rcodes.items()}
+
+    @property
+    def latency_histogram(self) -> Histogram:
+        histogram = Histogram("loadgen.latency_ms", LOADGEN_LATENCY_BUCKETS_MS, HOST)
         for value in self.latencies_ms:
             histogram.observe(value)
+        return histogram
+
+    def to_metrics(self, registry: MetricsRegistry) -> None:
+        """Have ``registry`` collect this run (HOST domain)."""
+        registry.collect(self, (
+            *((f"loadgen.{field}", COUNTER, field)
+              for field in ("sent", "received", "lost", "attempts", "parse_errors")),
+            ("loadgen.achieved_qps", GAUGE, "achieved_qps"),
+            ("loadgen.rcode", LABELED_COUNTER, "rcode_names"),
+            ("loadgen.latency_ms", HISTOGRAM, "latency_histogram"),
+        ), HOST)
 
     def render(self) -> str:
         """Human-readable summary for the CLI."""

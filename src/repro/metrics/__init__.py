@@ -7,10 +7,7 @@ from repro.metrics.registry import (
     FIXED_POINT,
     HOST,
     SIM,
-    Counter,
-    Gauge,
     Histogram,
-    LabeledCounter,
     MetricError,
     MetricsRegistry,
     log_buckets,
@@ -24,10 +21,7 @@ __all__ = [
     "HOST",
     "SIM",
     "SCHEMA_ID",
-    "Counter",
-    "Gauge",
     "Histogram",
-    "LabeledCounter",
     "MetricError",
     "MetricsRegistry",
     "MetricsSnapshot",

@@ -36,9 +36,6 @@ __all__ = [
     "SIM",
     "HOST",
     "MetricError",
-    "Counter",
-    "LabeledCounter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "log_buckets",
@@ -78,68 +75,6 @@ def log_buckets(low: float, high: float, per_decade: int = 4) -> tuple[float, ..
     first = math.floor(math.log10(low) * per_decade)
     last = math.ceil(math.log10(high) * per_decade)
     return tuple(10.0 ** (i / per_decade) for i in range(first, last + 1))
-
-
-class Counter:
-    """A monotonically increasing integer count."""
-
-    __slots__ = ("name", "domain", "value")
-    kind = "counter"
-
-    def __init__(self, name: str, domain: str = SIM) -> None:
-        self.name = name
-        self.domain = domain
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise MetricError(f"counter {self.name}: negative increment {amount}")
-        self.value += amount
-
-
-class LabeledCounter:
-    """A family of counters keyed by a string label (e.g. per-server)."""
-
-    __slots__ = ("name", "domain", "values")
-    kind = "labeled_counter"
-
-    def __init__(self, name: str, domain: str = SIM) -> None:
-        self.name = name
-        self.domain = domain
-        self.values: dict[str, int] = {}
-
-    def inc(self, label: str, amount: int = 1) -> None:
-        if amount < 0:
-            raise MetricError(f"counter {self.name}: negative increment {amount}")
-        self.values[label] = self.values.get(label, 0) + amount
-
-    def payload(self) -> dict:
-        return {
-            "kind": self.kind,
-            "domain": self.domain,
-            "values": dict(sorted(self.values.items())),
-        }
-
-
-class Gauge:
-    """A high-watermark gauge: records the maximum value ever seen.
-
-    A "current value" gauge cannot merge commutatively across shards, so
-    this registry only offers watermarks (cache size peaks, deepest
-    recursion, ...).  ``value`` is ``None`` until the first record.
-    """
-
-    __slots__ = ("name", "domain", "value")
-    kind = "gauge"
-
-    def __init__(self, name: str, domain: str = SIM) -> None:
-        self.name = name
-        self.domain = domain
-        self.value: Optional[Number] = None
-
-    def record(self, value: Number) -> None:
-        if self.value is None or value > self.value:
-            self.value = value
 
 
 class Histogram:
@@ -209,12 +144,10 @@ class Histogram:
         }
 
 
-Metric = Union[Counter, LabeledCounter, Gauge, Histogram]
-
 #: Metric kinds, as a collector names them.
-COUNTER = Counter.kind
-LABELED_COUNTER = LabeledCounter.kind
-GAUGE = Gauge.kind
+COUNTER = "counter"
+LABELED_COUNTER = "labeled_counter"
+GAUGE = "gauge"
 HISTOGRAM = Histogram.kind
 
 _recorded = partial(is_not, None)
@@ -224,20 +157,20 @@ class MetricsRegistry:
     """Collects the metrics of one process (or one shard).
 
     Counts live as plain slots on the objects that own the facts; owners
-    register *collectors* (name, kind, domain, owner, attribute) when they
-    are built, and :meth:`snapshot` folds the collectors of each name:
-    counters and labeled counters by sum, gauges by the max of recorded
-    (non-``None``) values, histograms by the exact snapshot merge.
-    :meth:`counter` and friends build a standalone instrument that
-    collects itself (redeclaring returns it).  A kind, domain or bucket
-    mismatch on a name raises :class:`MetricError`.
+    register *collectors* (name, kind, domain, owner, attribute) with
+    :meth:`collect`, its only input, and :meth:`snapshot` folds the
+    collectors of each name: counters and labeled counters by sum, gauges
+    by the max of recorded (non-``None``) values, histograms by the exact
+    snapshot merge.  A kind, domain or bucket mismatch on a name raises
+    :class:`MetricError`.
     """
 
     def __init__(self) -> None:
         #: name -> (kind, domain, bounds, owners, attributes); a histogram
         #: collector's owner is the :class:`Histogram` itself (no attribute).
         self._families: dict[str, tuple[str, str, Optional[tuple], list, list]] = {}
-        self._declared: dict[str, Metric] = {}
+        #: (owner, attribute, domain) of each ``name -> count`` dict slot.
+        self._tallies: list[tuple[object, str, str]] = []
         #: ``collect(..., after=...)`` calls whose gate slot is still ``None``.
         self._gated: list[tuple[object, Iterable, str, str]] = []
 
@@ -253,14 +186,19 @@ class MetricsRegistry:
     ) -> None:
         """Fold each ``(name, kind, attribute)`` slot's ``owner.attribute``
         into metric ``name`` at every :meth:`snapshot` (a histogram slot's
-        :class:`Histogram` is bound here, once).  With ``after``, collection
-        starts at the first snapshot that finds ``owner.after`` set: a
-        feature's metrics appear only once it has been used."""
+        :class:`Histogram` is bound here, once).  A ``(None, COUNTER,
+        attribute)`` slot is a dict of counts keyed by metric name, each
+        key folded as its own counter from its first count on.  With
+        ``after``, collection starts at the first snapshot that finds
+        ``owner.after`` set: a feature's metrics appear only once it has
+        been used."""
         if after is not None:
             self._gated.append((owner, slots, domain, after))
             return
         for name, kind, attr in slots:
-            if kind == HISTOGRAM:
+            if name is None:
+                self._tallies.append((owner, attr, domain))
+            elif kind == HISTOGRAM:
                 histogram = getattr(owner, attr)
                 owners, _ = self._family(name, kind, domain, histogram.bounds)
                 owners.append(histogram)
@@ -268,30 +206,6 @@ class MetricsRegistry:
                 owners, attrs = self._family(name, kind, domain, None)
                 owners.append(owner)
                 attrs.append(attr)
-
-    def _declare(self, metric: Metric, attr: Optional[str]) -> Metric:
-        bounds = getattr(metric, "bounds", None)
-        owners, attrs = self._family(metric.name, metric.kind, metric.domain, bounds)
-        existing = self._declared.get(metric.name)
-        if existing is None:
-            owners.append(metric)
-            attrs.append(attr)
-            existing = self._declared[metric.name] = metric
-        return existing
-
-    def counter(self, name: str, domain: str = SIM) -> Counter:
-        return self._declare(Counter(name, domain), "value")  # type: ignore[return-value]
-
-    def labeled_counter(self, name: str, domain: str = SIM) -> LabeledCounter:
-        return self._declare(LabeledCounter(name, domain), "values")  # type: ignore[return-value]
-
-    def gauge(self, name: str, domain: str = SIM) -> Gauge:
-        return self._declare(Gauge(name, domain), "value")  # type: ignore[return-value]
-
-    def histogram(
-        self, name: str, bounds: Sequence[float], domain: str = SIM
-    ) -> Histogram:
-        return self._declare(Histogram(name, bounds, domain), None)  # type: ignore[return-value]
 
     def snapshot(self) -> "MetricsSnapshot":
         from repro.metrics.snapshot import MetricsSnapshot, _merge_metric
@@ -313,4 +227,10 @@ class MetricsRegistry:
                 )
                 payload = reduce(partial(_merge_metric, name), parts)
             metrics[name] = {**payload, "kind": kind, "domain": domain}
+        for owner, attr, domain in self._tallies:
+            for name, value in getattr(owner, attr).items():
+                payload = {"value": value, "kind": COUNTER, "domain": domain}
+                if name in metrics:
+                    payload = _merge_metric(name, metrics[name], payload)
+                metrics[name] = payload
         return MetricsSnapshot(metrics)

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Protocol
 
 from repro.dns.message import Message
-from repro.metrics.registry import COUNTER, HISTOGRAM, LABELED_COUNTER, Histogram, log_buckets
+from repro.metrics.registry import COUNTER, GAUGE, HISTOGRAM, LABELED_COUNTER
+from repro.metrics.registry import Histogram, log_buckets
 from repro.net.latency import LatencyModel
 from repro.net.topology import Endpoint
 
@@ -175,6 +176,11 @@ class FabricTally:
         self.rtt = Histogram("net.rtt_ms", RTT_BUCKETS_MS)
         #: Queries answered per authoritative site, by :attr:`Endpoint.label`.
         self.site_queries: defaultdict[str, int] = defaultdict(int)
+        #: ``net.tcp.*``, ``push.*`` and ``cache.push_*`` counts by metric
+        #: name: a name enters snapshots with its first count, even of 0.
+        self.counts: defaultdict[str, int] = defaultdict(int)
+        #: Push high-water marks and staleness windows, ``None`` until first recorded.
+        self.push_subscribers = self.push_sessions = self.push_staleness_s = None
 
 
 class Network:
@@ -246,14 +252,14 @@ class Network:
             )),
             ("net.rtt_ms", HISTOGRAM, "rtt"),
             ("auth.queries", LABELED_COUNTER, "site_queries"),
+            (None, COUNTER, "counts"),
         ))
+        for slot, kind in (
+            ("push_subscribers", GAUGE), ("push_sessions", GAUGE), ("push_staleness_s", HISTOGRAM),
+        ):
+            registry.collect(self.tally, [(slot.replace("_", ".", 1), kind, slot)], after=slot)
         if self.faults is not None:
             self.faults.attach_metrics(registry)
-
-    def count(self, name: str, amount: int = 1) -> None:
-        """Bump a counter declared on first use (session and push activity)."""
-        if self.metrics is not None:
-            self.metrics.counter(name).inc(amount)
 
     def attach_faults(self, injector: "FaultInjector") -> None:
         """Wire a fault injector into the fabric and every registered
@@ -447,9 +453,9 @@ class TcpSession:
       :meth:`connect` succeeds again; reconnect pacing is the owner's
       job (seeded :class:`BackoffPolicy`, see ``repro.push``).
 
-    Session activity lands in lazily-declared ``net.tcp.*`` instruments,
-    so runs that never open a session snapshot byte-identically to
-    pre-session builds.
+    Session activity lands in the fabric tally's ``net.tcp.*`` counts,
+    which enter a snapshot with their first count, so runs that never open
+    a session snapshot byte-identically to pre-session builds.
     """
 
     __slots__ = (
@@ -505,7 +511,7 @@ class TcpSession:
         if self.established:
             self.established = False
             self.broken_at = t
-            self.network.count("net.tcp.breaks")
+            self.network.tally.counts["net.tcp.breaks"] += 1
 
     # -- lifecycle ------------------------------------------------------------
     def connect(self, now: float, timeout: float = DEFAULT_TIMEOUT) -> float:
@@ -523,7 +529,7 @@ class TcpSession:
         self.established = True
         self.broken_at = None
         self.opened_at = now + rtt
-        self.network.count("net.tcp.opens")
+        self.network.tally.counts["net.tcp.opens"] += 1
         return rtt
 
     def close(self, now: float) -> None:
@@ -553,7 +559,7 @@ class TcpSession:
                 f"session to {self.dst_address} broke mid-exchange", timeout
             )
         rtt, response = sent
-        self.network.count("net.tcp.exchanges")
+        self.network.tally.counts["net.tcp.exchanges"] += 1
         return response, rtt
 
     def keepalive(self, now: float, timeout: float = DEFAULT_TIMEOUT) -> float:
@@ -573,5 +579,5 @@ class TcpSession:
                 f"session to {self.dst_address} broke on keepalive", timeout
             )
         rtt, _ = sent
-        self.network.count("net.tcp.keepalives")
+        self.network.tally.counts["net.tcp.keepalives"] += 1
         return rtt

@@ -24,8 +24,9 @@ out to subscribed resolvers:
   next poll or keepalive and re-subscribes through its seeded backoff.
 
 Determinism: subscriber tables and queues are insertion-ordered dicts,
-every RTT draw comes from the fabric's seeded RNG, and all instruments
-are declared lazily on first use — a world that never attaches a
+every RTT draw comes from the fabric's seeded RNG, and every count lands
+in the fabric's tally (:class:`~repro.net.transport.FabricTally`), where
+a name appears only with its first count — a world that never attaches a
 publisher snapshots byte-identically to a pre-push build.
 """
 
@@ -107,11 +108,10 @@ class PushPublisher:
             f"{len(self._subs)} subscribers)"
         )
 
-    # -- metrics (lazy) -------------------------------------------------------
+    # -- metrics (first use) --------------------------------------------------
     def _record_subscribers(self) -> None:
-        registry = self.network.metrics
-        if registry is not None:
-            registry.gauge("push.subscribers").record(len(self._subs))
+        tally = self.network.tally
+        tally.push_subscribers = max(tally.push_subscribers or 0, len(self._subs))
 
     # -- introspection --------------------------------------------------------
     def subscriber_count(self) -> int:
@@ -150,7 +150,7 @@ class PushPublisher:
         state = self._subs.get(client.address)
         if state is None:
             if len(self._subs) >= self.max_subscribers:
-                self.network.count("push.refused_subscribers")
+                self.network.tally.counts["push.refused_subscribers"] += 1
                 return query.make_response(rcode=Rcode.REFUSED)
             state = _SubscriberState(client)
             self._subs[client.address] = state
@@ -162,11 +162,11 @@ class PushPublisher:
             state.queue.clear()
         if key not in state.keys:
             if len(state.keys) >= self.max_subscriptions_per_session:
-                self.network.count("push.refused_subscriptions")
+                self.network.tally.counts["push.refused_subscriptions"] += 1
                 return query.make_response(rcode=Rcode.REFUSED)
             state.keys[key] = None
             self._index.setdefault(key, {})[client.address] = None
-        self.network.count("push.subscribes")
+        self.network.tally.counts["push.subscribes"] += 1
         response = query.make_response(authoritative=True)
         rrset = self._current(key)
         if rrset is not None:
@@ -186,7 +186,7 @@ class PushPublisher:
                 del self._index[key]
         if not state.keys:
             del self._subs[address]
-        self.network.count("push.unsubscribes")
+        self.network.tally.counts["push.unsubscribes"] += 1
 
     def _current(self, key: PushKey) -> Optional[RRset]:
         zone = self.server.best_zone_for(key[0])
@@ -222,16 +222,16 @@ class PushPublisher:
             if path is None:
                 state.broken_at = now
                 state.queue.clear()
-                self.network.count("push.session_resets")
+                self.network.tally.counts["push.session_resets"] += 1
                 continue
             _, site, extra = path
             rtt = network.latency.rtt(state.endpoint, site, network._rng) + extra
             if key in state.queue:
-                self.network.count("push.coalesced")
+                self.network.tally.counts["push.coalesced"] += 1
             state.queue[key] = PendingNotify(
                 key=key, rrset=rrset, changed_at=now, deliver_at=now + rtt / 2.0
             )
-            self.network.count("push.notifications")
+            self.network.tally.counts["push.notifications"] += 1
             enqueued += 1
         return enqueued
 

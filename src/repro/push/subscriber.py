@@ -21,8 +21,9 @@ policy carries a :class:`~repro.push.policy.PushPolicy`):
 - a reconnect re-SUBSCRIBEs every key, restoring freshness after the
   outage that broke the session (the DDoS recovery path).
 
-All instruments are declared lazily on first use, so resolvers without
-push snapshot byte-identically to pre-push builds.
+Every count lands in the fabric's tally, where a name appears only with
+its first count, so resolvers without push snapshot byte-identically to
+pre-push builds.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from repro.dns.message import Message, Opcode
 from repro.dns.name import Name
 from repro.dns.rdtypes import RdataClass, RdataType
 from repro.dns.record import RRset
-from repro.metrics.registry import log_buckets
+from repro.metrics.registry import Histogram, log_buckets
 from repro.net.transport import NetworkTimeout, SessionBroken, TcpSession
 from repro.push.policy import PushPolicy
 from repro.push.publisher import PushKey, PushPublisher
@@ -109,18 +110,16 @@ class PushClient:
             f"{self.subscription_count()} subscriptions)"
         )
 
-    # -- metrics (lazy) -------------------------------------------------------
+    # -- metrics (first use) --------------------------------------------------
     def _observe_staleness(self, seconds: float) -> None:
-        registry = self.network.metrics
-        if registry is not None:
-            registry.histogram("push.staleness_s", STALENESS_BUCKETS_S).observe(
-                seconds
-            )
+        tally = self.network.tally
+        if tally.push_staleness_s is None:
+            tally.push_staleness_s = Histogram("push.staleness_s", STALENESS_BUCKETS_S)
+        tally.push_staleness_s.observe(seconds)
 
     def _record_sessions(self) -> None:
-        registry = self.network.metrics
-        if registry is not None:
-            registry.gauge("push.sessions").record(self.alive_session_count())
+        tally = self.network.tally
+        tally.push_sessions = max(tally.push_sessions or 0, self.alive_session_count())
 
     # -- introspection --------------------------------------------------------
     def subscription_count(self) -> int:
@@ -201,14 +200,14 @@ class PushClient:
         channel.retry_at = now + wait
 
     def _on_break(self, channel: _Channel, now: float) -> None:
-        self.network.count("push.session_breaks")
+        self.network.tally.counts["push.session_breaks"] += 1
         self._record_sessions()
         self._schedule_retry(channel, now)
 
     def _reconnect(self, channel: _Channel, now: float) -> None:
         if not self._connect(channel, now):
             return
-        self.network.count("push.reconnects")
+        self.network.tally.counts["push.reconnects"] += 1
         # Re-SUBSCRIBE everything: the responses reconcile the cache
         # (each carries the record's current RRset), which is what bounds
         # post-outage staleness to the reconnect backoff.
@@ -242,7 +241,7 @@ class PushClient:
         invalidate mode, or a removal — the cached entry is force-expired
         so the next query refetches; serve-stale policies may still hand
         the old value out, exactly as they would for a naturally-expired
-        record.  Both counters are declared by the first pushed change,
+        record.  Both counters appear with the first pushed change,
         whichever way it lands.
         """
         updated = invalidated = 0
@@ -251,8 +250,8 @@ class PushClient:
         elif self.cache.peek(*key) is not None:
             self.cache.expire_now((*key, RdataClass.IN), now)
             invalidated = 1
-        self.network.count("cache.push_updates", updated)
-        self.network.count("cache.push_invalidations", invalidated)
+        self.network.tally.counts["cache.push_updates"] += updated
+        self.network.tally.counts["cache.push_invalidations"] += invalidated
 
     # -- the pump -------------------------------------------------------------
     def pump(self, now: float) -> int:
@@ -275,7 +274,7 @@ class PushClient:
                     channel.next_keepalive = (
                         now + self.policy.keepalive_interval_s
                     )
-                    self.network.count("push.keepalives")
+                    self.network.tally.counts["push.keepalives"] += 1
                 except SessionBroken:
                     self._on_break(channel, now)
         return applied
@@ -297,5 +296,5 @@ class PushClient:
             self._observe_staleness(now - frame.changed_at)
             applied += 1
         if applied:
-            self.network.count("push.applied", applied)
+            self.network.tally.counts["push.applied"] += applied
         return applied

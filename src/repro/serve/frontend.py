@@ -22,8 +22,8 @@ from repro.dns.message import Edns, Message, Opcode, Rcode, Section
 from repro.dns.name import Name
 from repro.dns.rdtypes import RdataType
 from repro.dns.wire import WireError
-from repro.metrics import HOST, Counter, MetricsRegistry, log_buckets
-from repro.metrics.registry import COUNTER
+from repro.metrics import HOST, Histogram, MetricsRegistry, log_buckets
+from repro.metrics.registry import COUNTER, HISTOGRAM, LABELED_COUNTER
 from repro.resolver.recursive import RecursiveResolver
 from repro.serve.bridge import WallClockBridge
 from repro.serve.memo import ResponseMemo
@@ -44,14 +44,17 @@ def servfail_wire(query_wire: bytes) -> Optional[bytes]:
     """A bare SERVFAIL echoing only the 12-octet header.
 
     Used on the shed path, where we refuse to spend decode work: the ID
-    comes straight from the first two octets, nothing else is trusted.
-    Returns ``None`` for datagrams too short to carry a header.
+    and the RD bit come straight from the first four octets, nothing else
+    is trusted.  Returns ``None`` for datagrams too short to carry a
+    header and for responses (QR set), which are never answered.
     """
     if len(query_wire) < 12:
         return None
-    (query_id,) = struct.unpack_from(">H", query_wire)
-    # qr + rd + ra + SERVFAIL; question is not echoed (we never parsed it).
-    return _HEADER.pack(query_id, 0x8182, 0, 0, 0, 0)
+    query_id, bits = struct.unpack_from(">HH", query_wire)
+    if bits & 0x8000:
+        return None
+    # qr + ra + SERVFAIL, RD copied; question is not echoed (never parsed).
+    return _HEADER.pack(query_id, 0x8082 | (bits & 0x0100), 0, 0, 0, 0)
 
 
 @dataclass
@@ -88,32 +91,29 @@ class DnsFrontend:
         self.max_udp_payload = max_udp_payload
         self.server_name = server_name
         self.memo = memo
-        registry = registry if registry is not None else MetricsRegistry()
-        self.registry = registry
-        self._m_queries = registry.counter("serve.queries", domain=HOST)
-        self._m_malformed = registry.counter("serve.malformed", domain=HOST)
-        self._m_dropped = registry.counter("serve.dropped", domain=HOST)
-        self._m_truncated = registry.counter("serve.truncated", domain=HOST)
-        self._m_slipped = registry.counter("serve.rrl_slipped", domain=HOST)
-        self._m_tcp = registry.counter("serve.tcp_queries", domain=HOST)
-        self._m_cache_hits = registry.counter("serve.cache_hits", domain=HOST)
-        if memo is None:
-            registry.counter("serve.memo_hits", domain=HOST)  # stays 0
-        else:
-            registry.collect(memo, (("serve.memo_hits", COUNTER, "hits"),), HOST)
-        self._m_rcodes = registry.labeled_counter("serve.rcode", domain=HOST)
+        self.registry = registry = registry if registry is not None else MetricsRegistry()
+        # The *server* counts ``shed`` (sheds happen before the frontend
+        # sees the datagram), here so one registry tells the whole story.
+        self.queries = self.malformed = self.dropped = self.truncated = self.shed = 0
+        self.rrl_slipped = self.tcp_queries = self.cache_hits = 0
+        self.rcode: dict[str, int] = {}
         #: Per-worker query counts, labeled by server name, so merged
         #: multi-worker snapshots keep the flow-steering balance visible.
-        self._m_worker_queries = registry.labeled_counter(
-            "serve.worker_queries", domain=HOST
-        )
-        self._m_latency = registry.histogram(
-            "serve.latency_ms", LATENCY_BUCKETS_MS, domain=HOST
-        )
-        # serve.shed lives here too so one registry carries the whole
-        # serving story, but the *server* increments it (sheds happen
-        # before the frontend ever sees the datagram).
-        self.shed_counter = registry.counter("serve.shed", domain=HOST)
+        self.worker_queries: dict[str, int] = {}
+        self.latency_ms = Histogram("serve.latency_ms", LATENCY_BUCKETS_MS, HOST)
+        registry.collect(self, (
+            *((f"serve.{slot}", COUNTER, slot) for slot in (
+                "queries", "malformed", "dropped", "truncated", "rrl_slipped",
+                "tcp_queries", "cache_hits", "memo_hits", "shed",
+            )),
+            ("serve.rcode", LABELED_COUNTER, "rcode"),
+            ("serve.worker_queries", LABELED_COUNTER, "worker_queries"),
+            ("serve.latency_ms", HISTOGRAM, "latency_ms"),
+        ), HOST)
+
+    @property
+    def memo_hits(self) -> int:
+        return 0 if self.memo is None else self.memo.hits
 
     @property
     def max_udp_payload(self) -> int:
@@ -135,13 +135,15 @@ class DnsFrontend:
         try:
             query = Message.from_wire(data)
         except (WireError, ValueError):
-            self._account(via_tcp, self._m_malformed)
+            self.malformed += 1
+            self._account(via_tcp)
             return ServeResult(self._formerr(data), "malformed")
         question = query.question
         if query.flags.qr or question is None:
             # A response (or an empty query) aimed at a server: never
             # answer, or two servers can be made to ping-pong forever.
-            self._account(via_tcp, self._m_dropped)
+            self.dropped += 1
+            self._account(via_tcp)
             return ServeResult(None, "dropped")
 
         sim_now = self.bridge.now()
@@ -151,10 +153,12 @@ class DnsFrontend:
             if verdict is RrlVerdict.SLIP:
                 response = query.make_response(recursion_available=True)
                 response.flags = replace(response.flags, tc=True)
-                self._account(via_tcp, self._m_slipped, "NOERROR", *asked)
+                self.rrl_slipped += 1
+                self._account(via_tcp, "NOERROR", *asked)
                 return ServeResult(response.to_wire(), "slipped")
             if verdict is RrlVerdict.DROP:
-                self._account(via_tcp, self._m_dropped)
+                self.dropped += 1
+                self._account(via_tcp)
                 return ServeResult(None, "dropped")
 
         if query.opcode != Opcode.QUERY:
@@ -162,14 +166,14 @@ class DnsFrontend:
                 rcode=Rcode.NOTIMP, recursion_available=True
             )
             wire = self._encode(query, response, via_tcp)
-            self._account(via_tcp, None, "NOTIMP", *asked)
+            self._account(via_tcp, "NOTIMP", *asked)
             return ServeResult(wire, "answered")
 
         response, cache_hit = self._resolve(query, sim_now)
         wire = self._encode(query, response, via_tcp)
         if self.memo is not None and not via_tcp:
             self._maybe_memoize(data, query, response, wire, sim_now)
-        self._account(via_tcp, None, _RCODE_LABELS[response.rcode], *asked, cache_hit)
+        self._account(via_tcp, _RCODE_LABELS[response.rcode], *asked, cache_hit)
         return ServeResult(wire, "answered")
 
     def fast_answer(self, data: bytes, client: str) -> Optional[bytes]:
@@ -198,7 +202,7 @@ class DnsFrontend:
             entry.qname, entry.qtype, sim_now, entry.negative
         )
         self._account(
-            False, None, entry.rcode_name, started, sim_now, client,
+            False, entry.rcode_name, started, sim_now, client,
             entry.qname, entry.qtype, cache_hit=True,
         )
         return data[:2] + entry.wire[2:]
@@ -341,7 +345,7 @@ class DnsFrontend:
             return wire
         # Truncate section by section (additional, authority, answer)
         # until the response fits, then flag TC so the client retries TCP.
-        self._m_truncated.inc()
+        self.truncated += 1
         for section in (Section.ADDITIONAL, Section.AUTHORITY, Section.ANSWER):
             response.section(section).clear()
             wire = response.to_wire()
@@ -362,7 +366,6 @@ class DnsFrontend:
     def _account(
         self,
         via_tcp: bool,
-        event: Optional[Counter] = None,
         rcode_label: Optional[str] = None,
         started: float = 0.0,
         sim_now: float = 0.0,
@@ -373,28 +376,25 @@ class DnsFrontend:
     ) -> None:
         """The one accounting step per datagram, fast path and slow alike.
 
-        Each ``serve.*`` instrument the datagram moves is written once,
-        straight into its storage: this runs per query on the memo-hit
-        path, where a method call per instrument was a quarter of the
-        work.  ``event`` is the datagram's own counter, if it has one
-        (malformed, dropped, slipped); ``rcode_label`` is ``None`` when
-        nothing was answered — then there is no rcode, latency or
-        querylog line either.
+        Each ``serve.*`` slot the datagram moves is written once: this
+        runs per query on the memo-hit path, where a method call per
+        metric was a quarter of the work.  The caller counts the
+        datagram's own event, if it has one (malformed, dropped,
+        slipped); ``rcode_label`` is ``None`` when nothing was answered —
+        then there is no rcode, latency or querylog line either.
         """
-        self._m_queries.value += 1
-        per_worker = self._m_worker_queries.values
+        self.queries += 1
+        per_worker = self.worker_queries
         per_worker[self.server_name] = per_worker.get(self.server_name, 0) + 1
         if via_tcp:
-            self._m_tcp.value += 1
-        if event is not None:
-            event.value += 1
+            self.tcp_queries += 1
         if rcode_label is None:
             return
         if cache_hit:
-            self._m_cache_hits.value += 1
-        per_rcode = self._m_rcodes.values
+            self.cache_hits += 1
+        per_rcode = self.rcode
         per_rcode[rcode_label] = per_rcode.get(rcode_label, 0) + 1
-        self._m_latency.observe((time.monotonic() - started) * 1000.0)
+        self.latency_ms.observe((time.monotonic() - started) * 1000.0)
         if self.querylog is not None:
             self.querylog.append(
                 QueryLogEntry(

@@ -171,7 +171,7 @@ class ServeServer:
                     if depth > self._inflight_peak:
                         self._inflight_peak = depth
                 except asyncio.QueueFull:
-                    frontend.shed_counter.inc()
+                    frontend.shed += 1
                     shed = servfail_wire(data)
                     if shed is not None:
                         out.append((shed, addr))

@@ -80,9 +80,8 @@ def run_worker(config: ServeConfig, worker_index: int = 0) -> None:
         path = config.metrics_path
         if config.workers > 1:
             path = worker_metrics_path(config.metrics_path, worker_index)
-        payload = registry.snapshot().to_json(include_host=True)
         with open(path, "w", encoding="utf-8") as stream:
-            stream.write(payload + "\n")
+            stream.write(registry.snapshot().to_json(include_host=True))
 
 
 def _worker_entry(config: ServeConfig, worker_index: int) -> None:
@@ -152,5 +151,5 @@ def merge_worker_metrics(config: ServeConfig) -> Optional[MetricsSnapshot]:
         return None
     merged = merge_snapshots(parts)
     with open(config.metrics_path, "w", encoding="utf-8") as stream:
-        stream.write(merged.to_json(include_host=True) + "\n")
+        stream.write(merged.to_json(include_host=True))
     return merged

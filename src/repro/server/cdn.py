@@ -29,7 +29,7 @@ from repro.dns.rdtypes import A, RdataType
 from repro.dns.record import RRset
 from repro.dns.wire import WireError
 from repro.dns.zone import Zone
-from repro.metrics.registry import LABELED_COUNTER, LabeledCounter
+from repro.metrics.registry import LABELED_COUNTER
 from repro.net.topology import Endpoint, Region
 from repro.server.authoritative import AuthoritativeServer
 from repro.server.querylog import QueryLogEntry
@@ -95,15 +95,15 @@ class CdnAuthoritativeServer(AuthoritativeServer):
             )
         self._map.sort(key=lambda item: -item[1])
         #: Answers per site since the last reset (campaign cells read this).
-        self.site_answers = LabeledCounter("cdn.site_answers")
+        self.site_answers: dict[str, int] = {}
 
     def attach_metrics(self, metrics: "MetricsRegistry") -> None:
         """Have ``metrics`` collect the per-site answer tally."""
-        metrics.collect(self.site_answers, (("cdn.site_answers", LABELED_COUNTER, "values"),))
+        metrics.collect(self, (("cdn.site_answers", LABELED_COUNTER, "site_answers"),))
 
     def reset_runtime_state(self) -> None:
         super().reset_runtime_state()
-        self.site_answers = LabeledCounter("cdn.site_answers")
+        self.site_answers = {}
 
     # -- mapping -------------------------------------------------------------
     def site_for(
@@ -167,7 +167,7 @@ class CdnAuthoritativeServer(AuthoritativeServer):
             except WireError:
                 return query.make_response(rcode=Rcode.FORMERR)
         site, scope = self.site_for(subnet, client)
-        self.site_answers.inc(site.name)
+        self.site_answers[site.name] = self.site_answers.get(site.name, 0) + 1
         response = query.make_response(authoritative=True)
         response.add(
             Section.ANSWER,

@@ -2,8 +2,9 @@
 
 A registry folds every collector of a name the way the runner folds
 shard snapshots, so N owners each counting their share must snapshot
-exactly like one declared instrument fed every event — for each kind,
-including a gauge nobody recorded (``None``) and histograms that merge.
+exactly like one owner fed every event — for each kind, including a
+gauge nobody recorded (``None``), histograms that merge, and counts
+keyed by metric name that appear with their first count.
 And because a re-attached fabric gets a fresh tally, a registry never
 sees traffic from after its world was reset and reused.
 """
@@ -38,6 +39,7 @@ class Owner:
         ("l", LABELED_COUNTER, "by_label"),
         ("g", GAUGE, "peak"),
         ("h", HISTOGRAM, "latency"),
+        (None, COUNTER, "named"),
     )
 
     def __init__(self) -> None:
@@ -45,6 +47,20 @@ class Owner:
         self.by_label: dict[str, int] = {}
         self.peak = None
         self.latency = Histogram("h", BOUNDS)
+        self.named: dict[str, int] = {}
+
+    def feed(self, kind: str, label: str, value) -> None:
+        if kind == "counter":
+            self.count += value
+        elif kind == "labeled":
+            self.by_label[label] = self.by_label.get(label, 0) + value
+        elif kind == "named":
+            self.named[label] = self.named.get(label, 0) + value
+        elif kind == "gauge":
+            if self.peak is None or value > self.peak:
+                self.peak = value
+        else:
+            self.latency.observe(value)
 
 
 events = st.lists(
@@ -53,6 +69,7 @@ events = st.lists(
         st.one_of(
             st.tuples(st.just("counter"), st.just(""), st.integers(0, 10**6)),
             st.tuples(st.just("labeled"), st.sampled_from("abc"), st.integers(0, 10**6)),
+            st.tuples(st.just("named"), st.sampled_from(["n.x", "n.y"]), st.integers(0, 10**6)),
             st.tuples(st.just("gauge"), st.just(""), st.integers(-(10**6), 10**6)),
             st.tuples(
                 st.just("histogram"), st.just(""),
@@ -67,46 +84,33 @@ events = st.lists(
 @settings(max_examples=200)
 @given(st.integers(min_value=1, max_value=4), events)
 def test_collected_slots_snapshot_like_one_instrument(owners, stream):
-    collected, declared = MetricsRegistry(), MetricsRegistry()
+    collected, reference = MetricsRegistry(), MetricsRegistry()
     tallies = [Owner() for _ in range(owners)]
     for owner in tallies:
         collected.collect(owner, Owner.SLOTS)
-    counter = declared.counter("c")
-    family = declared.labeled_counter("l")
-    gauge = declared.gauge("g")
-    histogram = declared.histogram("h", BOUNDS)
-    for index, (kind, label, value) in stream:
-        owner = tallies[index % owners]
-        if kind == "counter":
-            owner.count += value
-            counter.inc(value)
-        elif kind == "labeled":
-            owner.by_label[label] = owner.by_label.get(label, 0) + value
-            family.inc(label, value)
-        elif kind == "gauge":
-            if owner.peak is None or value > owner.peak:
-                owner.peak = value
-            gauge.record(value)
-        else:
-            owner.latency.observe(value)
-            histogram.observe(value)
-    assert collected.snapshot() == declared.snapshot()
-    assert collected.snapshot().to_json() == declared.snapshot().to_json()
+    everything = Owner()
+    reference.collect(everything, Owner.SLOTS)
+    for index, event in stream:
+        tallies[index % owners].feed(*event)
+        everything.feed(*event)
+    assert collected.snapshot() == reference.snapshot()
+    assert collected.snapshot().to_json() == reference.snapshot().to_json()
 
 
 def test_collectors_obey_the_declaration_rules():
     registry = MetricsRegistry()
     owner = Owner()
     registry.collect(owner, Owner.SLOTS)
-    assert registry.counter("c") is registry.counter("c")
     with pytest.raises(MetricError):
         registry.collect(owner, [("c", GAUGE, "peak")])
     with pytest.raises(MetricError):
         registry.collect(owner, [("c", COUNTER, "count")], domain="host")
+    other = Owner()
+    other.latency = Histogram("h", (1.0, 2.0))
     with pytest.raises(MetricError):
-        registry.histogram("h", (1.0, 2.0))
-    registry.counter("c").inc(2)
-    owner.count = 3
+        registry.collect(other, [("h", HISTOGRAM, "latency")])
+    registry.collect(other, [("c", COUNTER, "count")])
+    other.count, owner.count = 2, 3
     assert registry.snapshot().value("c") == 5
 
 

@@ -9,7 +9,11 @@ they are exact and independent of host speed:
 - a miss-path resolution calls only :meth:`Histogram.observe` there;
 - a fabric exchange never formats an :class:`Endpoint` for its label;
 - a resolver whose network has a registry attached makes exactly the
-  calls of one without.
+  calls of one without;
+- a TCP session and a push NOTIFY drain count into the fabric's tally,
+  calling nothing in ``repro.metrics`` but :meth:`Histogram.observe`;
+- the registry has one input, :meth:`MetricsRegistry.collect`: no
+  factory builds a standalone instrument.
 """
 
 import gc
@@ -18,10 +22,14 @@ from collections import Counter
 from pathlib import Path
 
 import repro.metrics
+from repro.core.worlds import build_push_world
 from repro.dns.message import Message
+from repro.dns.name import Name
 from repro.dns.rdtypes import RdataType
 from repro.metrics import Histogram, MetricsRegistry
 from repro.net.topology import Endpoint, Region
+from repro.push import PushClient, PushPolicy, attach_publisher
+from repro.resolver.cache import Cache
 from repro.resolver.recursive import RecursiveResolver
 from tests.conftest import build_mini_world
 
@@ -103,3 +111,45 @@ def test_a_registry_adds_no_call_to_resolution():
         )
 
     assert resolution_calls(metered=True) == resolution_calls(metered=False)
+
+
+def test_a_tcp_session_counts_into_the_tally_alone():
+    world = build_mini_world()
+    world.network.attach_metrics(MetricsRegistry())
+    client = world.topology.endpoint_in_region(Region.EU)
+    session = world.network.open_session(client, world.hints[next(iter(world.hints))])
+    query = Message.make_query(QNAME, RdataType.A, recursion_desired=False)
+    seen = calls(
+        lambda: [session.connect(0.0), session.exchange(query, 1.0), session.keepalive(2.0)]
+    )
+    assert into_metrics(seen) <= {Histogram.observe.__code__}
+    assert dict(world.network.tally.counts) == {
+        "net.tcp.opens": 1, "net.tcp.exchanges": 1, "net.tcp.keepalives": 1,
+    }
+
+
+def test_a_notify_drain_calls_only_histogram_observe():
+    testbed = build_push_world(ttl=300)
+    network = testbed.world.network
+    network.attach_metrics(MetricsRegistry())
+    publisher = attach_publisher(testbed.server, network)
+    client = PushClient(
+        testbed.world.topology.endpoint_in_region(Region.EU, "sub"), network, Cache(), PushPolicy()
+    )
+    www = Name("www.pushed.example.")
+    client.note_answer(www, RdataType.A, testbed.target_address, 0.0)
+    for change, now in ((0, 100.0), (1, 200.0)):  # the first drain builds the histogram
+        testbed.apply_change(change)
+        publisher.publish(www, RdataType.A, now)
+        applied = []
+        seen = calls(lambda: applied.append(client.pump(now + 10.0)))
+        assert applied == [1]
+    assert into_metrics(seen) == {Histogram.observe.__code__}
+    assert network.tally.counts["push.applied"] == 2
+    assert network.tally.push_staleness_s.count == 2
+
+
+def test_collect_is_the_registrys_only_input():
+    for factory in ("counter", "labeled_counter", "gauge", "histogram"):
+        assert not hasattr(MetricsRegistry, factory)
+    assert not hasattr(repro.metrics, "Counter")

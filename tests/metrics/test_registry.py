@@ -3,18 +3,37 @@
 import pytest
 
 from repro.metrics.registry import (
+    COUNTER,
     FIXED_POINT,
+    GAUGE,
+    HISTOGRAM,
     HOST,
+    LABELED_COUNTER,
     SIM,
-    Counter,
-    Gauge,
     Histogram,
-    LabeledCounter,
     MetricError,
     MetricsRegistry,
     log_buckets,
 )
 from repro.metrics.schema import validate_payload
+
+
+class Owner:
+    """Plain slots, as the objects that own facts keep them."""
+
+    def __init__(self, count=0, by_label=None, peak=None, bounds=(1.0, 10.0)) -> None:
+        self.count = count
+        self.by_label = dict(by_label or {})
+        self.peak = peak
+        self.latency = Histogram("h", bounds)
+        self.named: dict[str, int] = {}
+
+
+def collected(*slots, domain=SIM, owners=None) -> MetricsRegistry:
+    registry = MetricsRegistry()
+    for owner in owners or [Owner()]:
+        registry.collect(owner, slots, domain)
+    return registry
 
 
 class TestLogBuckets:
@@ -38,35 +57,50 @@ class TestLogBuckets:
 
 class TestCounter:
     def test_accumulates(self):
-        counter = Counter("c")
-        counter.inc()
-        counter.inc(5)
-        assert counter.value == 6
-
-    def test_rejects_negative(self):
-        with pytest.raises(MetricError):
-            Counter("c").inc(-1)
+        owner = Owner()
+        registry = collected(("c", COUNTER, "count"), owners=[owner])
+        owner.count += 1
+        owner.count += 5
+        assert registry.snapshot().value("c") == 6
 
     def test_labeled_family(self):
-        family = LabeledCounter("f")
-        family.inc("a")
-        family.inc("b", 3)
-        family.inc("a")
-        assert family.values == {"a": 2, "b": 3}
-        assert list(family.payload()["values"]) == ["a", "b"]  # sorted
+        owners = [Owner(by_label={"b": 3, "a": 1}), Owner(by_label={"a": 1})]
+        registry = collected(("f", LABELED_COUNTER, "by_label"), owners=owners)
+        values = registry.snapshot().value("f")
+        assert values == {"a": 2, "b": 3}
+        assert list(values) == ["a", "b"]  # sorted
+
+    def test_named_counts_appear_with_their_first_count(self):
+        first, second = Owner(), Owner()
+        registry = collected((None, COUNTER, "named"), owners=[first, second])
+        assert len(registry.snapshot()) == 0
+        first.named["x"] = 0
+        second.named.update(x=2, y=1)
+        snapshot = registry.snapshot()
+        assert snapshot.to_payload()["metrics"] == {
+            "x": {"kind": "counter", "domain": SIM, "value": 2},
+            "y": {"kind": "counter", "domain": SIM, "value": 1},
+        }
+
+    def test_named_counts_fold_with_a_counter_slot_of_their_name(self):
+        owner = Owner(count=4)
+        registry = collected(("x", COUNTER, "count"), (None, COUNTER, "named"), owners=[owner])
+        owner.named["x"] = 3
+        assert registry.snapshot().value("x") == 7
+        registry.collect(owner, [("y", GAUGE, "peak")])
+        owner.named["y"] = 1
         with pytest.raises(MetricError):
-            family.inc("a", -2)
+            registry.snapshot()
 
 
 class TestGauge:
     def test_high_watermark(self):
-        gauge = Gauge("g")
-        assert gauge.value is None
-        gauge.record(5)
-        gauge.record(2)  # lower value never lowers the watermark
-        assert gauge.value == 5
-        gauge.record(9)
-        assert gauge.value == 9
+        owners = [Owner(peak=5), Owner(peak=2), Owner()]
+        registry = collected(("g", GAUGE, "peak"), owners=owners)
+        assert registry.snapshot().value("g") == 5  # unrecorded (None) owners add nothing
+        owners[2].peak = 9
+        assert registry.snapshot().value("g") == 9
+        assert collected(("g", GAUGE, "peak")).snapshot().value("g") is None
 
 
 class TestHistogram:
@@ -101,39 +135,39 @@ class TestHistogram:
 
 
 class TestRegistry:
-    def test_redeclaration_returns_same_object(self):
-        registry = MetricsRegistry()
-        first = registry.counter("c")
-        second = registry.counter("c")
-        assert first is second
-        hist = registry.histogram("h", bounds=(1.0, 2.0))
-        assert registry.histogram("h", bounds=(1.0, 2.0)) is hist
+    def test_recollection_folds_both_owners(self):
+        registry = collected(
+            ("c", COUNTER, "count"), ("h", HISTOGRAM, "latency"),
+            owners=[Owner(count=1), Owner(count=2)],
+        )
+        registry.collect(Owner(count=3), [("c", COUNTER, "count")])
+        snapshot = registry.snapshot()
+        assert snapshot.value("c") == 6
+        assert snapshot.metrics["h"]["bounds"] == [1.0, 10.0]
 
     def test_kind_conflict_raises(self):
-        registry = MetricsRegistry()
-        registry.counter("x")
+        registry = collected(("x", COUNTER, "count"))
         with pytest.raises(MetricError):
-            registry.gauge("x")
+            registry.collect(Owner(), [("x", GAUGE, "peak")])
 
     def test_domain_conflict_raises(self):
-        registry = MetricsRegistry()
-        registry.counter("x", domain=SIM)
+        registry = collected(("x", COUNTER, "count"), domain=SIM)
         with pytest.raises(MetricError):
-            registry.counter("x", domain=HOST)
+            registry.collect(Owner(), [("x", COUNTER, "count")], HOST)
 
     def test_histogram_bounds_conflict_raises(self):
-        registry = MetricsRegistry()
-        registry.histogram("h", bounds=(1.0, 2.0))
+        registry = collected(("h", HISTOGRAM, "latency"))
         with pytest.raises(MetricError):
-            registry.histogram("h", bounds=(1.0, 3.0))
+            registry.collect(Owner(bounds=(1.0, 3.0)), [("h", HISTOGRAM, "latency")])
 
     def test_snapshot_covers_every_metric_and_validates(self):
-        registry = MetricsRegistry()
-        registry.counter("c").inc(3)
-        registry.labeled_counter("f").inc("srv", 2)
-        registry.gauge("g").record(7)
-        registry.histogram("h", bounds=(1.0, 10.0)).observe(2.0)
-        registry.counter("wall", domain=HOST).inc()
+        owner = Owner(count=3, by_label={"srv": 2}, peak=7)
+        owner.latency.observe(2.0)
+        registry = collected(
+            ("c", COUNTER, "count"), ("f", LABELED_COUNTER, "by_label"),
+            ("g", GAUGE, "peak"), ("h", HISTOGRAM, "latency"), owners=[owner],
+        )
+        registry.collect(Owner(count=1), [("wall", COUNTER, "count")], HOST)
         snapshot = registry.snapshot()
         assert len(snapshot) == 5
         assert snapshot.value("c") == 3
@@ -146,9 +180,9 @@ class TestRegistry:
 
 class TestSchemaRejectsCorruption:
     def _payload(self):
-        registry = MetricsRegistry()
-        registry.counter("c").inc(2)
-        registry.histogram("h", bounds=(1.0, 10.0)).observe(3.0)
+        owner = Owner(count=2)
+        owner.latency.observe(3.0)
+        registry = collected(("c", COUNTER, "count"), ("h", HISTOGRAM, "latency"), owners=[owner])
         return registry.snapshot().to_payload()
 
     def test_valid_baseline(self):

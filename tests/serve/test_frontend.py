@@ -201,6 +201,22 @@ def test_servfail_wire_echoes_id():
     assert response.flags.qr
 
 
+def test_servfail_wire_never_answers_a_response():
+    # A shed SERVFAIL to a datagram with QR set would let two overloaded
+    # servers ping-pong, as handle_wire and _formerr already refuse to.
+    response = struct.pack(">HHHHHH", 0x0102, 0x8180, 1, 1, 0, 0)
+    assert servfail_wire(response) is None
+
+
+def test_servfail_wire_copies_rd():
+    # RFC 1035 §4.1.1: RD is copied from the query into the response.
+    for rd in (False, True):
+        query = Message.make_query("www.domain1.nl.", RdataType.A, id=3, recursion_desired=rd)
+        response = Message.from_wire(servfail_wire(query.to_wire()))
+        assert response.flags.rd is rd
+        assert response.flags.ra and response.rcode == Rcode.SERVFAIL
+
+
 def test_servfail_wire_rejects_short_datagrams():
     assert servfail_wire(b"\x00\x01") is None
 

@@ -166,12 +166,22 @@ class TestSimulationCommands:
 
 class TestMetricsCommand:
     def _snapshot_file(self, tmp_path):
-        from repro.metrics import MetricsRegistry, log_buckets
+        from types import SimpleNamespace
 
+        from repro.metrics import Histogram, MetricsRegistry, log_buckets
+        from repro.metrics.registry import COUNTER, HISTOGRAM, LABELED_COUNTER
+
+        owner = SimpleNamespace(
+            hits=42, queries={"ns1.example": 7},
+            rtt=Histogram("net.rtt_ms", log_buckets(1.0, 1000.0)),
+        )
+        owner.rtt.observe(35.0)
         registry = MetricsRegistry()
-        registry.counter("cache.hits").inc(42)
-        registry.labeled_counter("auth.queries").inc("ns1.example", 7)
-        registry.histogram("net.rtt_ms", bounds=log_buckets(1.0, 1000.0)).observe(35.0)
+        registry.collect(owner, [
+            ("cache.hits", COUNTER, "hits"),
+            ("auth.queries", LABELED_COUNTER, "queries"),
+            ("net.rtt_ms", HISTOGRAM, "rtt"),
+        ])
         path = tmp_path / "metrics.json"
         path.write_text(registry.snapshot().to_json(include_host=True))
         return path
@@ -265,6 +275,36 @@ class TestServeLoadgen:
 
         with pytest.raises(SystemExit):
             main(["loadgen"])
+
+    def test_loadgen_metrics_file_is_the_canonical_json(self, tmp_path, monkeypatch, capsys):
+        from repro.loadgen import client
+        from repro.metrics import MetricsRegistry
+        from tests.loadgen.test_report import report
+
+        monkeypatch.setattr(client, "run_loadgen", lambda config: report())
+        path = tmp_path / "loadgen.json"
+        assert main(["loadgen", "--port", "53", "--metrics", str(path)]) == 0
+        capsys.readouterr()
+        registry = MetricsRegistry()
+        report().to_metrics(registry)
+        assert path.read_text() == registry.snapshot().to_json(include_host=True)
+
+    def test_merged_worker_metrics_file_is_the_canonical_json(self, tmp_path):
+        from repro.metrics import MetricsRegistry
+        from repro.serve.config import ServeConfig
+        from repro.serve.workers import merge_worker_metrics, worker_metrics_path
+        from tests.loadgen.test_report import report
+
+        config = ServeConfig(workers=2, port=5300, metrics_path=str(tmp_path / "m.json"))
+        for index in range(2):
+            registry = MetricsRegistry()
+            report().to_metrics(registry)
+            with open(worker_metrics_path(config.metrics_path, index), "w") as stream:
+                stream.write(registry.snapshot().to_json(include_host=True))
+        merged = merge_worker_metrics(config)
+        assert merged.value("loadgen.sent") == 10
+        with open(config.metrics_path) as stream:
+            assert stream.read() == merged.to_json(include_host=True)
 
     def test_serve_rejects_unknown_world(self):
         import pytest

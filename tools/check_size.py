@@ -21,11 +21,12 @@ CEILINGS = {
     "serve/memo.py": 185,
     "serve/frontend.py": 412,
     "net/latency.py": 148,
-    "net/transport.py": 577,
+    "net/transport.py": 583,
     "server/authoritative.py": 161,
     "server/anycast.py": 112,
     "dns/name.py": 348,
-    "": 21377,
+    "metrics/registry.py": 236,
+    "": 21300,
 }
 
 
