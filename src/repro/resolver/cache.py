@@ -8,6 +8,10 @@ equal or higher rank — this single rule is what makes most resolvers
 child-centric, because the child zone's authoritative answer (top rank)
 overwrites the parent's glue (bottom rank) but not vice versa.
 
+A negative answer (RFC 2308) is the key's entry too: the empty RRset at
+one of two ranks below glue, ``NXDOMAIN`` or ``NODATA``, which no positive
+read accepts and any data replaces.
+
 Two extensions model behaviours the paper measures:
 
 - **linked expiry** — an entry may be linked to another key (in-bailiwick
@@ -27,30 +31,28 @@ every write) rewrites that object in place under a new generation, so
 whoever holds an entry across a write sees the new data.  That makes a
 reference to a live entry a *lease* on the key's hits, with ``generation``
 its validity stamp (:meth:`Cache.lease`): an entry object the cache lets
-go of is retired — stamped with a generation no write ever issues.  A
-negative entry carries the same stamp.  The cache has no subscribers:
-whoever derives data from an entry keeps the entry, its ``generation``
-and its ``expires_at``, and checks them before reuse.
+go of is retired — stamped with a generation no write ever issues.  The
+cache has no subscribers: whoever derives data from an entry keeps the
+entry, its ``generation`` and its ``expires_at``, and checks them before
+reuse.
 
 Whether an entry is dead is decided one way, when it is read
 (:meth:`Cache._is_dead`: expired, or its link target expired, rewritten
 or gone), and a bounded cache evicts by that rule: a scan of the recency
 order takes the first dead entry, else the least recently used unpinned
 one.  One lazy min-heap of ``(expires_at, seq, key, generation)`` records
-tracks expiry (a negative entry's generation is ``None``); a write drains
-what is due, dropping expired negatives — nothing serves them stale —
-while expired positives stay for serve-stale.  Records are validated
-when popped (superseded generations discarded, extended lifetimes
-re-pushed), never removed in place.  Records that outlive what they
-describe (a 2-day referral superseded by a 60 s answer) are garbage until
-their own time comes; when garbage outweighs content the heap is rebuilt
-from what is cached, so it never holds more than
-``_HEAP_SLACK + 4 * (entries + negatives)`` records.
+tracks expiry; a write drains what is due, dropping expired negatives —
+nothing serves them stale — while expired positives stay for serve-stale.
+Records are validated when popped (superseded generations discarded,
+extended lifetimes re-pushed), never removed in place.  Records that
+outlive what they describe (a 2-day referral superseded by a 60 s answer)
+are garbage until their own time comes; when garbage outweighs content
+the heap is rebuilt from what is cached, so it never holds more than
+``_HEAP_SLACK + 4 * len(entries)`` records.
 """
 
 from __future__ import annotations
 
-import copy
 import enum
 import heapq
 from dataclasses import dataclass, field
@@ -66,22 +68,24 @@ if TYPE_CHECKING:
     from repro.metrics import MetricsRegistry
 
 CacheKey = tuple[Name, RdataType, RdataClass]
-NegativeKey = tuple[Name, RdataType]
 
 #: Heap records tolerated beyond four per cached item before the expiry
 #: heap is rebuilt; keeps small caches from rebuilding on every write.
 _HEAP_SLACK = 64
 
 #: The generation of an entry object the cache no longer holds (flushed,
-#: evicted, shadowed by a negative answer, a negative replaced).  Writes
+#: evicted, expired as a negative, replaced by a negative).  Writes
 #: stamp positive sequence numbers, so a lease on a retired entry never
 #: validates.
 _RETIRED = -1
 
 
 class Credibility(enum.IntEnum):
-    """RFC 2181 §5.4.1 trust ranking, low to high."""
+    """RFC 2181 §5.4.1 trust ranking, low to high, below which two ranks
+    mark a cached negative answer (RFC 2308)."""
 
+    NXDOMAIN = -1  # the name does not exist
+    NODATA = 0  # the name exists, with no records of this type
     ADDITIONAL = 1  # glue in the additional section of a referral
     AUTHORITY = 2  # NS in the authority section of a referral (no AA)
     NONAUTH_ANSWER = 3  # answer section, AA clear
@@ -91,7 +95,7 @@ class Credibility(enum.IntEnum):
 
 @dataclass
 class CacheEntry:
-    """One cached RRset."""
+    """One cached RRset: a negative answer's is empty, at a rank below glue."""
 
     rrset: RRset
     credibility: Credibility
@@ -150,22 +154,6 @@ class CacheEntry:
 
 
 @dataclass
-class NegativeEntry:
-    """A cached negative answer (RFC 2308)."""
-
-    qname: Name
-    qtype: RdataType
-    nxdomain: bool  # False → NODATA
-    expires_at: float
-    soa: Optional[RRset] = None
-    #: Generation stamp, as on :class:`CacheEntry`; retired on replacement.
-    generation: int = 0
-
-    def is_expired(self, now: float) -> bool:
-        return now >= self.expires_at
-
-
-@dataclass
 class CacheStats:
     """One cache's counts: the slots its ``cache.*`` metrics collect."""
 
@@ -217,11 +205,9 @@ class Cache:
             raise ValueError(f"max_entries must be positive, got {max_entries}")
         # dict preserves insertion order; get() re-inserts to track recency.
         self._entries: dict[CacheKey, CacheEntry] = {}
-        self._negatives: dict[NegativeKey, NegativeEntry] = {}
-        #: Lazy expiry heap: (expires_at, seq, key, generation); a negative
-        #: entry's record carries its :data:`NegativeKey` and generation
-        #: ``None``.  ``seq`` is unique per record, so ties never compare keys.
-        self._expiry_heap: list[tuple[float, int, tuple, Optional[int]]] = []
+        #: Lazy expiry heap: (expires_at, seq, key, generation).  ``seq`` is
+        #: unique per record, so ties never compare keys.
+        self._expiry_heap: list[tuple[float, int, CacheKey, int]] = []
         #: Cache-wide sequence number: numbers heap records and stamps
         #: entry generations.  Never reused, so a key that is evicted and
         #: re-created can never revive a link to its earlier incarnation.
@@ -264,12 +250,9 @@ class Cache:
     def clear(self) -> None:
         for entry in self._entries.values():
             entry.generation = _RETIRED
-        for negative in self._negatives.values():
-            negative.generation = _RETIRED
         self._entries.clear()
         self._ecs.clear()
         self._ecs_count = 0
-        self._negatives.clear()
         self._expiry_heap.clear()
         self._heap_room = _HEAP_SLACK
 
@@ -293,7 +276,7 @@ class Cache:
                 return True
         return False
 
-    def _push(self, expires_at: float, key: tuple, generation: Optional[int]) -> None:
+    def _push(self, expires_at: float, key: CacheKey, generation: int) -> None:
         self._seq += 1
         heapq.heappush(self._expiry_heap, (expires_at, self._seq, key, generation))
 
@@ -387,41 +370,38 @@ class Cache:
             self._surface_expired(now)
         if self.max_entries is not None:
             self._evict_if_full(now)
-        bound = _HEAP_SLACK + 4 * (len(self._entries) + len(self._negatives))
+        bound = _HEAP_SLACK + 4 * len(self._entries)
         if len(heap) > bound:
-            # One record per cached item.
+            # One record per cached entry.
             heap.clear()
             for key, entry in self._entries.items():
                 heap.append((entry.expires_at, entry.generation, key, entry.generation))
-            for neg_key, negative in self._negatives.items():
-                self._seq += 1
-                heap.append((negative.expires_at, self._seq, neg_key, None))
             heapq.heapify(heap)
         self._heap_room = bound - len(heap)
 
     def _surface_expired(self, now: float) -> None:
         """Pop every heap record whose time has come by ``now``.
 
-        Expired negative entries, which nothing serves stale, are dropped;
-        an expired positive entry stays for serve-stale and only loses its
-        record.  Records superseded by a newer generation are discarded;
-        records invalidated by an in-place lifetime extension are
-        re-pushed at the new expiry.
+        An expired negative entry, which nothing serves stale, is dropped
+        and retired; an expired positive entry stays for serve-stale and
+        only loses its record.  Records superseded by a newer generation
+        are discarded; records invalidated by an in-place lifetime
+        extension are re-pushed at the new expiry.
         """
         heap = self._expiry_heap
         entries = self._entries
         while heap and heap[0][0] <= now:
             _, _, key, generation = heapq.heappop(heap)
-            if generation is None:
-                negative = self._negatives.get(key)
-                if negative is not None and negative.expires_at <= now:
-                    del self._negatives[key]
-                continue  # else replaced by a fresher negative (its own record follows)
             entry = entries.get(key)
-            if entry is not None and entry.generation == generation and entry.expires_at > now:
+            if entry is None or entry.generation != generation:
+                continue
+            if entry.expires_at > now:
                 # Lifetime extended in place (sticky refresh / parent pin):
                 # track the new expiry.
                 self._push(entry.expires_at, key, generation)
+            elif entry.credibility <= Credibility.NODATA:
+                del entries[key]
+                entry.generation = _RETIRED
 
     def _evict_if_full(self, now: float) -> None:
         """Evict down to ``max_entries``: the first dead entry in recency
@@ -447,27 +427,25 @@ class Cache:
         now: float,
         soa: Optional[RRset] = None,
     ) -> None:
-        """Cache a negative answer for min(SOA TTL, SOA MINIMUM) seconds."""
+        """Cache a negative answer for min(SOA TTL, SOA MINIMUM) seconds in
+        the key's slot, whatever held it; the entry it replaces is retired."""
         ttl = 300
         if soa is not None and soa.rdatas:
             soa_rdata = soa.rdatas[0]
             assert isinstance(soa_rdata, SOA)
             ttl = min(soa.ttl, soa_rdata.minimum)
-        expires_at = now + self.effective_ttl(ttl)
-        positive_key = (qname, qtype, RdataClass.IN)
-        positive = self._entries.get(positive_key)
-        if positive is not None:
-            # The negative answer shadows this entry (dead now, but a
-            # sticky refresh can revive it): the table keeps an equal twin
-            # and the object a lease may hold is retired.
-            self._entries[positive_key] = copy.copy(positive)
-            positive.generation = _RETIRED
-        key = (qname, qtype)
-        replaced = self._negatives.get(key)
+        key: CacheKey = (qname, qtype, RdataClass.IN)
+        entries = self._entries
+        replaced = entries.pop(key, None)
         if replaced is not None:
             replaced.generation = _RETIRED
-        self._push(expires_at, key, None)
-        self._negatives[key] = NegativeEntry(qname, qtype, nxdomain, expires_at, soa, self._seq)
+        self._seq = generation = self._seq + 1
+        expires_at = now + self.effective_ttl(ttl)
+        rank = Credibility.NXDOMAIN if nxdomain else Credibility.NODATA
+        entries[key] = CacheEntry(RRset(qname, qtype, ttl), rank, now, expires_at, generation)
+        heapq.heappush(self._expiry_heap, (expires_at, generation, key, generation))
+        if len(entries) > (self.stats.size_peak or 0):
+            self.stats.size_peak = len(entries)
         self._maintain(now)
 
     # -- ECS scoped overlay (RFC 7871) ---------------------------------------
@@ -651,10 +629,10 @@ class Cache:
         but the counters :meth:`count_leased_hits` adds up — so the holder
         may answer those hits from the reference.  Declined (``None``)
         when a read does more than that: a bounded cache reorders on
-        every hit, a linked entry's life hangs on another key, and a
-        non-empty negative table may hold an answer that goes first.
+        every hit, and a linked entry's life hangs on another key.  A
+        negative entry ranks below every ``min_credibility``.
         """
-        if self.max_entries is not None or self._negatives:
+        if self.max_entries is not None:
             return None
         entry = self._entries.get(key)
         if entry is None or entry.linked_to is not None or entry.credibility < min_credibility:
@@ -670,24 +648,26 @@ class Cache:
     def get_stale(
         self, name: Name, rdtype: RdataType, rdclass: RdataClass = RdataClass.IN
     ) -> Optional[CacheEntry]:
-        """Any entry, live or expired — the serve-stale fallback."""
+        """Any positive entry, live or expired — the serve-stale fallback."""
         entry = self._entries.get((name, rdtype, rdclass))
-        if entry is not None:
-            self.stats.stale_hits += 1
+        if entry is None or entry.credibility <= Credibility.NODATA:
+            return None
+        self.stats.stale_hits += 1
         return entry
-
-    def peek_negative(self, qname: Name, qtype: RdataType) -> Optional[NegativeEntry]:
-        """The raw negative entry regardless of expiry; no stats."""
-        return self._negatives.get((qname, qtype))
 
     def get_negative(
         self, qname: Name, qtype: RdataType, now: float
-    ) -> Optional[NegativeEntry]:
-        negatives = self._negatives
-        if negatives:  # usually empty: no key to build, nothing to probe
-            entry = negatives.get((qname, qtype))
-            if entry is not None and now < entry.expires_at:
+    ) -> Optional[CacheEntry]:
+        """The live negative entry for ``(qname, qtype)``, else ``None``."""
+        key = (qname, qtype, RdataClass.IN)
+        entries = self._entries
+        if key in entries:  # a probe that makes no call: most keys hold data
+            entry = entries[key]
+            if entry.credibility <= Credibility.NODATA and now < entry.expires_at:
                 self.stats.negative_hits += 1
+                if self.max_entries is not None:  # a hit is a use, as in get_entry
+                    del entries[key]
+                    entries[key] = entry
                 return entry
         self.stats.negative_misses += 1
         return None
@@ -700,21 +680,18 @@ class Cache:
         exactly as :meth:`_surface_expired` would (superseded records
         discarded, extended lifetimes re-pushed), and every record that
         still describes its entry is pushed back so later maintenance
-        sees the heap unchanged.  Already-expired entries are *not*
-        returned (stale-while-revalidate owns those); this method has no
-        side effects on cache state.
+        sees the heap unchanged.  Expired and negative entries are *not*
+        returned (stale-while-revalidate owns the first, nothing refreshes
+        the second); this method has no side effects on cache state.
         """
         deadline = now + horizon
         heap = self._expiry_heap
         entries = self._entries
         due: list[tuple[CacheKey, float]] = []
-        keep: list[tuple[float, int, tuple, Optional[int]]] = []
+        keep: list[tuple[float, int, CacheKey, int]] = []
         while heap and heap[0][0] <= deadline:
             record = heapq.heappop(heap)
             expires_at, _, key, generation = record
-            if generation is None:
-                keep.append(record)  # a negative entry: not refreshable
-                continue
             entry = entries.get(key)
             if entry is None or entry.generation != generation:
                 continue  # superseded or gone: drop the stale record
@@ -723,7 +700,7 @@ class Cache:
                 self._push(entry.expires_at, key, generation)
                 continue
             keep.append(record)
-            if expires_at > now:
+            if expires_at > now and entry.credibility > Credibility.NODATA:
                 due.append((key, expires_at))
         for record in keep:
             heapq.heappush(heap, record)

@@ -75,7 +75,7 @@ class ForwardingResolver:
 
         negative = self.cache.get_negative(name, qtype, now)
         if negative is not None:
-            rcode = Rcode.NXDOMAIN if negative.nxdomain else Rcode.NOERROR
+            rcode = Rcode.NXDOMAIN if negative.credibility is Credibility.NXDOMAIN else Rcode.NOERROR
             return ResolutionResult(rcode=rcode, cache_hit=True)
 
         entry = self.cache.get_entry((name, qtype, RdataClass.IN), now)

@@ -290,7 +290,7 @@ class RecursiveResolver:
 
         negative = self.cache.get_negative(name, qtype, now)
         if negative is not None:
-            rcode = Rcode.NXDOMAIN if negative.nxdomain else Rcode.NOERROR
+            rcode = Rcode.NXDOMAIN if negative.credibility is Credibility.NXDOMAIN else Rcode.NOERROR
             return ResolutionResult(rcode=rcode, cache_hit=True)
 
         if subnet is not None:
@@ -449,7 +449,7 @@ class RecursiveResolver:
     def restart(self) -> None:
         """Simulate a resolver process restart (crash, deploy, reboot).
 
-        All runtime state — the cache, negative cache, rotation cursors —
+        All runtime state — the cache and the rotation cursors —
         is lost; the next query walks the tree from the root hints again.
         This is the cold-cache cliff the paper's §6.1 guidance (long TTLs
         as a resilience budget) cannot help with, which is why the fault

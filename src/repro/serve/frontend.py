@@ -24,7 +24,7 @@ from repro.dns.rdtypes import RdataType
 from repro.dns.wire import WireError
 from repro.metrics import HOST, Histogram, MetricsRegistry, log_buckets
 from repro.metrics.registry import COUNTER, HISTOGRAM, LABELED_COUNTER
-from repro.resolver.recursive import RecursiveResolver
+from repro.resolver import Credibility, RecursiveResolver
 from repro.serve.bridge import WallClockBridge
 from repro.serve.memo import ResponseMemo
 from repro.server.querylog import QueryLogEntry, QueryLogWriter
@@ -257,12 +257,12 @@ class DnsFrontend:
                 valid_until = min(valid_until, entry.expires_at - rrset.ttl)
                 stamps += ((entry, entry.generation, entry.expires_at),)
         else:
-            # Negative (NXDOMAIN/NODATA) answers carry no TTL bytes; they
-            # are reusable while the negative entry lives.  Stop just
-            # short of the expiry instant, where the slow path would
-            # re-resolve (and re-query the authoritative).
-            negative = cache.peek_negative(question.qname, question.qtype)
-            if negative is None or negative.expires_at <= sim_now:
+            # A negative answer carries no TTL bytes: reusable while its
+            # entry lives, up to just short of the expiry instant, where the
+            # slow path would re-resolve (and re-query the authoritative).
+            negative = cache.peek(question.qname, question.qtype)
+            live = negative is not None and sim_now < negative.expires_at
+            if not live or negative.credibility > Credibility.NODATA:
                 return
             valid_until = math.nextafter(negative.expires_at, -math.inf)
             stamps = ((negative, negative.generation, negative.expires_at),)

@@ -15,17 +15,16 @@ a fresh encode would produce at the serving instant, which pins down
 exactly when an entry may be reused:
 
 - **stamps**: an entry keeps one ``(holder, generation, expires_at)``
-  stamp per cache entry its bytes came from — each answer RRset's
-  :class:`~repro.resolver.cache.CacheEntry`, or the
-  :class:`~repro.resolver.cache.NegativeEntry` of an NXDOMAIN/NODATA
+  stamp per :class:`~repro.resolver.cache.CacheEntry` its bytes came
+  from — each answer RRset's, or the negative entry of an NXDOMAIN/NODATA
   answer — and is dropped on sight once any holder's ``generation`` or
   ``expires_at`` differs from its stamp, or ``now`` reaches a stamped
   expiry.  A cache write rewrites the generation, forced expiry and
   lifetime refreshes move the expiry, and every object the cache lets go
-  of (eviction, flush, a negative shadowing a positive, a replaced
-  negative) is retired to a generation no stamp carries — so a
-  ``--predict`` refresh or a stale-revalidation kills the memoized bytes
-  the moment it lands, with no feed from the cache;
+  of (eviction, flush, an expired negative, an entry a negative replaces)
+  is retired to a generation no stamp carries — so a ``--predict``
+  refresh or a stale-revalidation kills the memoized bytes the moment it
+  lands, with no feed from the cache;
 - **TTL patch while the stamps hold**: a cached RRset's client-visible
   TTL is ``int(expires_at - now)``, so bytes encoded with TTLs ``T_i``
   from entries expiring at ``E_i`` are exact while ``now <= min(E_i -
@@ -43,16 +42,16 @@ extra resolution, not correctness).
 from __future__ import annotations
 
 from struct import Struct
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Optional
 
 from repro.dns.name import Name
 from repro.dns.rdtypes import RdataType
 
 if TYPE_CHECKING:
-    from repro.resolver.cache import CacheEntry, NegativeEntry
+    from repro.resolver.cache import CacheEntry
 
     #: ``(holder, generation, expires_at)`` as read when the bytes were built.
-    Stamp = tuple[Union[CacheEntry, NegativeEntry], int, float]
+    Stamp = tuple[CacheEntry, int, float]
 
 #: Default bound on memoized responses (distinct post-ID query forms).
 DEFAULT_MEMO_CAPACITY = 4096

@@ -414,12 +414,12 @@ def test_entries_the_cache_lets_go_of_are_retired():
     assert bounded.peek(Name("a.example."), RdataType.A) is None
     assert first.generation != generation
 
-    shadowed = Cache()
-    entry = _cached(shadowed, "a.example.")
+    replaced = Cache()
+    entry = _cached(replaced, "a.example.")
     generation = entry.generation
-    shadowed.put_negative(Name("a.example."), RdataType.A, True, 70.0)
-    twin = shadowed.peek(Name("a.example."), RdataType.A)
-    assert twin is not entry and twin == dataclasses.replace(entry, generation=generation)
+    replaced.put_negative(Name("a.example."), RdataType.A, True, 70.0)
+    negative = replaced.peek(Name("a.example."), RdataType.A)
+    assert negative is not entry and negative.credibility is Credibility.NXDOMAIN
     assert entry.generation != generation
 
 
@@ -438,7 +438,8 @@ def test_a_cache_declines_what_an_entry_cannot_vouch_for():
     assert cache.lease((low.name, RdataType.A, RdataClass.IN), Credibility.NONAUTH_ANSWER) is None
 
     cache.put_negative(Name("nope.example."), RdataType.A, True, 0.0)
-    assert cache.lease(key) is None  # a negative answer might go first
+    assert cache.lease(key) is entry  # a negative elsewhere cannot go first
+    assert cache.lease((Name("nope.example."), RdataType.A, RdataClass.IN)) is None
     bounded = Cache(max_entries=8)
     assert bounded.lease(_cached(bounded, "a.example.").key()) is None  # hits reorder
 
@@ -456,6 +457,19 @@ def test_a_resolver_declines_when_a_hit_does_more_than_read(mini_world):
 
     mini_world.network.attach_faults(FaultInjector(FaultPlan(), seed=0))
     assert plain.hit_lease(qname, RdataType.A) is None
+
+
+def test_a_negative_answer_elsewhere_leaves_a_lease_granted(mini_world):
+    """A cached NXDOMAIN is its own key's entry: it cannot go first for
+    any other key, so the live positive entry is still leased."""
+    qname = Name("www.example.tld.")
+    resolver = mini_world.make_resolver()
+    resolver.resolve(qname, RdataType.A, 0.0)
+    nope = Name("nope.example.tld.")
+    assert resolver.resolve(nope, RdataType.A, 1.0).rcode is Rcode.NXDOMAIN
+    assert resolver.cache.get_negative(nope, RdataType.A, 2.0) is not None
+    assert resolver.hit_lease(qname, RdataType.A) is resolver.cache.peek(qname, RdataType.A)
+    assert resolver.hit_lease(nope, RdataType.A) is None
 
 
 def test_leased_hits_count_what_walked_hits_count(mini_world):

@@ -217,3 +217,33 @@ class TestResolverIntegration:
         assert out.cache_hit
         assert str(out.answers[0].rdatas[0]) == testbed.content_address(0)
         assert resolver.queries_sent == sent_before
+
+    def test_a_pushed_re_add_replaces_a_cached_nodata(self):
+        """The record is removed and the removal pushed (the next resolution
+        caches NODATA for the SOA's hour), then added back and pushed: the
+        pushed data takes the key's one entry and is served from cache at
+        once, not after the NODATA expires."""
+        testbed = build_push_world(ttl=86400)
+        pub = attach_publisher(testbed.server, testbed.world.network)
+        world = testbed.world
+        resolver = RecursiveResolver(
+            endpoint=world.topology.endpoint_in_region(Region.EU, "res"),
+            network=world.network,
+            root_hints=world.hints,
+            policy=ResolverPolicy.pushing(),
+        )
+        assert resolver.resolve(WWW, RdataType.A, now=0.0).answers
+        testbed.zone.remove(WWW, RdataType.A)
+        pub.publish(WWW, RdataType.A, 600.0)
+        nodata = resolver.resolve(WWW, RdataType.A, now=650.0)
+        assert not nodata.answers and not nodata.cache_hit
+        negative = resolver.cache.get_negative(WWW, RdataType.A, 650.0)
+        assert negative is not None and negative.expires_at > 2000.0
+        testbed.apply_change(0)
+        pub.publish(WWW, RdataType.A, 700.0)
+        sent_before = resolver.queries_sent
+        for now in (750.0, 2000.0):
+            out = resolver.resolve(WWW, RdataType.A, now=now)
+            assert out.cache_hit and out.answers, f"NODATA served at {now}"
+            assert [str(rdata) for rdata in out.answers[0].rdatas] == ["203.0.113.11"]
+        assert resolver.queries_sent == sent_before

@@ -23,6 +23,7 @@ from repro.dns.ecs import ClientSubnet
 from repro.dns.message import Rcode
 from repro.dns.name import Name
 from repro.dns.rdtypes import RdataType
+from repro.resolver.cache import Credibility
 from repro.resolver.recursive import (
     RecursiveResolver,
     ResolutionError,
@@ -61,7 +62,7 @@ def reference_resolve(
 
     negative = self.cache.get_negative(name, qtype, now)
     if negative is not None:
-        rcode = Rcode.NXDOMAIN if negative.nxdomain else Rcode.NOERROR
+        rcode = Rcode.NXDOMAIN if negative.credibility is Credibility.NXDOMAIN else Rcode.NOERROR
         return ResolutionResult(rcode=rcode, cache_hit=True)
 
     if subnet is not None:

@@ -224,7 +224,8 @@ class TestNegative:
         cache.put_negative(Name("gone.example"), RdataType.A, True, now=0.0,
                            soa=soa_rrset(minimum=900))
         entry = cache.get_negative(Name("gone.example"), RdataType.A, now=100.0)
-        assert entry is not None and entry.nxdomain
+        assert entry is not None and entry.credibility is Credibility.NXDOMAIN
+        assert entry.rrset.rdatas == () and len(cache) == 1
 
     def test_negative_ttl_is_min_of_soa_ttl_and_minimum(self):
         cache = Cache()
@@ -242,11 +243,37 @@ class TestNegative:
     def test_replaced_or_cleared_negative_is_retired(self):
         cache = Cache()
         cache.put_negative(Name("gone.example"), RdataType.A, True, now=0.0)
-        first = cache.peek_negative(Name("gone.example"), RdataType.A)
+        first = cache.peek(Name("gone.example"), RdataType.A)
         assert first.generation > 0
         cache.put_negative(Name("gone.example"), RdataType.A, False, now=10.0)
-        second = cache.peek_negative(Name("gone.example"), RdataType.A)
+        second = cache.peek(Name("gone.example"), RdataType.A)
         assert second is not first and second.generation > 0
         assert first.generation == -1
         cache.clear()
         assert second.generation == -1
+
+    def test_negative_is_the_keys_one_entry(self):
+        """A negative answer takes the key's slot; data written over it is
+        served at once, and nothing brings the old data back."""
+        cache = Cache()
+        cache.put(a_rrset(ttl=1000), Credibility.AUTH_ANSWER, now=0.0)
+        positive = cache.peek(Name("srv.example.com"), RdataType.A)
+        cache.put_negative(Name("srv.example.com"), RdataType.A, False, now=10.0)
+        assert positive.generation == -1 and len(cache) == 1
+        assert cache.get(Name("srv.example.com"), RdataType.A, now=20.0) is None
+        assert cache.get_stale(Name("srv.example.com"), RdataType.A) is None
+        assert cache.get_negative(Name("srv.example.com"), RdataType.A, now=20.0)
+        # Glue outranks a negative: any data replaces it while it lives.
+        assert cache.put(a_rrset(ttl=60), Credibility.ADDITIONAL, now=30.0)
+        assert cache.get_negative(Name("srv.example.com"), RdataType.A, now=31.0) is None
+        assert cache.get(Name("srv.example.com"), RdataType.A, now=31.0) is not None
+
+    def test_expired_negative_is_dropped_by_the_next_write(self):
+        cache = Cache()
+        cache.put_negative(Name("gone.example"), RdataType.A, True, now=0.0)
+        negative = cache.peek(Name("gone.example"), RdataType.A)
+        assert cache.due_expirations(now=0.0, horizon=1000.0) == []
+        assert cache.get_stale(Name("gone.example"), RdataType.A) is None
+        cache.put(a_rrset(), Credibility.AUTH_ANSWER, now=300.0)
+        assert cache.peek(Name("gone.example"), RdataType.A) is None
+        assert negative.generation == -1 and len(cache) == 1

@@ -21,11 +21,17 @@ The op language renews keys on purpose — after expiry, with the same
 rdatas and with new ones, at every credibility, pinned, linked, re-linked
 under a new NS generation, between ``refresh_expiry``/``expire_now`` —
 and after every operation the full membership and the expiry heap's bound
-are compared.  Every entry a ``get`` returns is also *stamped* — held with
-its ``generation`` and ``expires_at``, as the serve-path memo holds it —
-and after every later operation a stamp that still validates must be the
-key's entry in the cache and vouch for what the reference holds there:
-the same rdatas, credibility and expiry.
+are compared.  Every entry a ``get`` or ``get_negative`` returns is also
+*stamped* — held with its ``generation`` and ``expires_at``, as the
+serve-path memo holds it — and after every later operation a stamp that
+still validates must be the key's entry in the cache and vouch for what
+the reference holds there: the same rdatas, credibility and expiry.
+
+A negative answer (RFC 2308) is the key's one entry, the empty RRset at
+rank ``NXDOMAIN`` or ``NODATA`` below glue: it takes the key's slot
+whatever held it, any data replaces it, it counts toward ``max_entries``,
+nothing serves it stale, and every write ends by dropping the expired
+ones before it evicts.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from hypothesis import strategies as st
 
 from repro.dns.ecs import ClientSubnet
 from repro.dns.name import Name
-from repro.dns.rdtypes import A, RdataClass, RdataType
+from repro.dns.rdtypes import SOA, A, RdataClass, RdataType
 from repro.dns.record import RRset
 from repro.metrics import MetricsRegistry
 from repro.resolver.cache import Cache, CacheEntry, CacheStats, Credibility
@@ -72,7 +78,6 @@ class ScanReferenceCache:
 
     def __init__(self, max_ttl=None, min_ttl=0, max_entries=None):
         self._entries: dict[tuple, CacheEntry] = {}
-        self._negatives: dict[tuple, object] = {}
         self._generation = 0
         self._ecs: dict[tuple, list[ScannedScopedEntry]] = {}
         #: What the two lazily created ECS instruments should read:
@@ -137,10 +142,16 @@ class ScanReferenceCache:
             pinned=pin,
         )
         self.stats.inserts += 1
-        self._evict_if_full(now)
+        self._end_write(now)
         return True
 
-    def _evict_if_full(self, now: float) -> None:
+    def _end_write(self, now: float) -> None:
+        """How every write ends: note the size peak, drop the expired
+        negatives, then evict down to ``max_entries``."""
+        self.stats.size_peak = max(self.stats.size_peak or 0, len(self._entries))
+        for key, entry in list(self._entries.items()):
+            if entry.credibility <= Credibility.NODATA and now >= entry.expires_at:
+                del self._entries[key]
         if self.max_entries is None:
             return
         while len(self._entries) > self.max_entries:
@@ -188,20 +199,35 @@ class ScanReferenceCache:
 
     def get_stale(self, name, rdtype, rdclass=RdataClass.IN):
         entry = self._entries.get((name, rdtype, rdclass))
-        if entry is not None:
-            self.stats.stale_hits += 1
+        if entry is None or entry.credibility <= Credibility.NODATA:
+            return None
+        self.stats.stale_hits += 1
         return entry
 
     def put_negative(self, qname, qtype, nxdomain, now, ttl=300) -> None:
-        self._negatives[(qname, qtype)] = (nxdomain, now + self.effective_ttl(ttl))
+        key = (qname, qtype, RdataClass.IN)
+        self._entries.pop(key, None)
+        self._generation += 1
+        self._entries[key] = CacheEntry(
+            rrset=RRset(qname, qtype, ttl),
+            credibility=Credibility.NXDOMAIN if nxdomain else Credibility.NODATA,
+            inserted_at=now,
+            expires_at=now + self.effective_ttl(ttl),
+            generation=self._generation,
+        )
+        self._end_write(now)
 
     def get_negative(self, qname, qtype, now):
-        cached = self._negatives.get((qname, qtype))
-        if cached is None or now >= cached[1]:
+        key = (qname, qtype, RdataClass.IN)
+        entry = self._entries.get(key)
+        if entry is None or entry.credibility > Credibility.NODATA or now >= entry.expires_at:
             self.stats.negative_misses += 1
             return None
         self.stats.negative_hits += 1
-        return cached
+        if self.max_entries is not None:  # a hit is a use, negative or not
+            del self._entries[key]
+            self._entries[key] = entry
+        return entry
 
     def refresh_expiry(self, key, now) -> None:
         entry = self._entries.get(key)
@@ -210,11 +236,13 @@ class ScanReferenceCache:
         lifetime = entry.expires_at - entry.inserted_at
         entry.inserted_at = now
         entry.expires_at = now + lifetime
+        self._end_write(now)
 
     def expire_now(self, key, now) -> None:
         entry = self._entries.get(key)
         if entry is not None:
             entry.expires_at = now
+            self._end_write(now)
 
     def put_scoped(self, rrset, subnet, scope, now) -> None:
         bits = 32 if subnet.family == 1 else 128
@@ -294,7 +322,8 @@ SCOPES = (8, 16, 24, 56)
 name_ix = st.integers(min_value=0, max_value=len(NAMES) - 1)
 subnet_ix = st.integers(min_value=0, max_value=len(SUBNETS) - 1)
 ttls = st.integers(min_value=0, max_value=500)
-credibilities = st.sampled_from(list(Credibility))
+#: Data ranks only: the ranks below glue are written by ``put_negative``.
+credibilities = st.sampled_from([c for c in Credibility if c >= Credibility.ADDITIONAL])
 deltas = st.floats(min_value=0.0, max_value=400.0, allow_nan=False)
 
 operations = st.one_of(
@@ -346,8 +375,10 @@ def _snapshot(entry: Optional[CacheEntry]):
 
 
 def _heap_within_bound(cache: Cache) -> bool:
-    cached = len(cache._entries) + len(cache._negatives)
-    return len(cache._expiry_heap) <= 64 + 4 * cached
+    """One record shape, ``(expires_at, seq, key, generation)`` with an
+    ``int`` generation, and at most four records per cached entry."""
+    heap = cache._expiry_heap
+    return len(heap) <= 64 + 4 * len(cache) and all(type(r[3]) is int for r in heap)
 
 
 def _stats_tuple(stats: CacheStats):
@@ -360,6 +391,7 @@ def _stats_tuple(stats: CacheStats):
         stats.evictions,
         stats.negative_hits,
         stats.negative_misses,
+        stats.size_peak,
     )
 
 
@@ -383,7 +415,7 @@ def _stamps_hold(real: Cache, reference: ScanReferenceCache, stamps, compare_mem
 
 
 def _drive(real: Cache, reference: ScanReferenceCache, ops, *, registry, compare_membership):
-    #: ``(entry, generation, expires_at, rdatas, credibility)`` per get hit.
+    #: ``(entry, generation, expires_at, rdatas, credibility)`` per hit.
     stamps: list = []
     now = 0.0
     octet = 0
@@ -407,7 +439,7 @@ def _drive(real: Cache, reference: ScanReferenceCache, ops, *, registry, compare
             if held is not None:
                 if past_expiry:
                     now = max(now, held.expires_at)
-                if same_rdatas:
+                if same_rdatas and held.rrset.rdatas:  # a negative holds none
                     rdatas = held.rrset.rdatas
             rrset = RRset(NAMES[ix], QTYPE, ttl, rdatas)
             put_both(rrset, cred, _key(link_ix) if link_ix is not None else None, pin)
@@ -446,15 +478,18 @@ def _drive(real: Cache, reference: ScanReferenceCache, ops, *, registry, compare
                 )
         elif kind == "put_neg":
             _, ix, nxdomain, ttl = op
-            soa = None  # default 300 s negative TTL path
+            # min(SOA TTL, SOA MINIMUM) is the negative TTL: both are ``ttl``.
+            rdata = SOA(Name("ns.example"), Name("h.example"), 1, 7200, 3600, 86400, ttl)
+            soa = RRset(Name("example"), RdataType.SOA, ttl, [rdata])
             real.put_negative(NAMES[ix], QTYPE, nxdomain, now=now, soa=soa)
-            reference.put_negative(NAMES[ix], QTYPE, nxdomain, now=now)
+            reference.put_negative(NAMES[ix], QTYPE, nxdomain, now=now, ttl=ttl)
         elif kind == "get_neg":
             got = real.get_negative(NAMES[op[1]], QTYPE, now=now)
-            expected = reference.get_negative(NAMES[op[1]], QTYPE, now=now)
-            assert (got is None) == (expected is None)
+            assert _snapshot(got) == _snapshot(
+                reference.get_negative(NAMES[op[1]], QTYPE, now=now)
+            )
             if got is not None:
-                assert (got.nxdomain, got.expires_at) == expected
+                stamps.append((got, got.generation, got.expires_at, (), got.credibility))
         elif kind == "refresh":
             real.refresh_expiry(_key(op[1]), now=now)
             reference.refresh_expiry(_key(op[1]), now=now)
@@ -547,6 +582,17 @@ def test_clamped_cache_matches_scan_reference(ops, max_ttl, min_ttl):
         ("put", 0, 1, Credibility.ADDITIONAL, False, 2),
     ],
     max_entries=3,
+)
+@example(
+    # A negative entry counts toward the bound, and a hit on it is a use:
+    # n2's write evicts n1, not the negative n0 read after it.
+    ops=[
+        ("put_neg", 0, True, 100),
+        ("put", 1, 100, Credibility.ADDITIONAL, False, None),
+        ("get_neg", 0),
+        ("put", 2, 100, Credibility.ADDITIONAL, False, None),
+    ],
+    max_entries=2,
 )
 def test_bounded_cache_matches_scan_reference_aggregates(ops, max_entries):
     """Under LRU pressure both evict by one rule — the first dead entry in

@@ -203,14 +203,14 @@ def test_lru_eviction_prefers_dead_entries(liveness, fresh_inserts):
 
 # -- the expiry heap drains ----------------------------------------------------
 #
-# Every write surfaces what is due and rebuilds the heap once garbage
-# outweighs content, so neither the heap nor the negative table can grow
-# with the number of writes — only with what is actually cached.
+# Every write surfaces what is due — dropping expired negative entries —
+# and rebuilds the heap once garbage outweighs content, so neither the heap
+# nor the cache can grow with the number of writes — only with what is
+# actually live.
 
 
 def heap_within_bound(cache: Cache) -> bool:
-    cached = len(cache) + len(cache._negatives)
-    return len(cache._expiry_heap) <= 64 + 4 * cached
+    return len(cache._expiry_heap) <= 64 + 4 * len(cache)
 
 
 def test_superseded_long_ttl_records_do_not_pile_up():
@@ -247,7 +247,7 @@ def test_expired_negative_entries_are_dropped():
             soa=soas[second % len(soas)],
         )
         # At most the names of the last max-TTL window are still alive.
-        assert len(cache._negatives) <= max(negative_ttls) + 1
+        assert len(cache) <= max(negative_ttls) + 1
         assert heap_within_bound(cache)
     assert cache.get_negative(Name("r9999.example"), RdataType.A, now=9_999.5) is not None
 
@@ -267,7 +267,7 @@ def test_campaign_caches_end_with_bounded_heaps(monkeypatch):
     monkeypatch.setattr(Cache, "__init__", recording_init)
     scenario_uy_ns(probes=50, child_ns_ttl=60, duration=7200, interval=60)
     assert caches
-    entries = sum(len(cache) + len(cache._negatives) for cache in caches)
+    entries = sum(len(cache) for cache in caches)
     records = sum(len(cache._expiry_heap) for cache in caches)
     assert entries > 0
     assert records <= 64 * len(caches) + 4 * entries
@@ -276,7 +276,8 @@ def test_campaign_caches_end_with_bounded_heaps(monkeypatch):
 def test_clear_leaves_a_cache_that_works():
     """clear() resets every piece of state the write paths maintain:
     scoped, negative and bounded-global writes all behave as on a new
-    cache afterwards."""
+    cache afterwards.  The negative entry counts toward ``max_entries``:
+    the least recently written, it is the first of three evicted."""
     from repro.dns.ecs import ClientSubnet
 
     cache = Cache(max_entries=2)
@@ -297,16 +298,16 @@ def test_clear_leaves_a_cache_that_works():
     cache.clear()
     assert len(cache) == 0
     assert cache.ecs_scoped_len() == 0
-    assert not cache._expiry_heap and not cache._negatives
+    assert not cache._expiry_heap
     assert cache.get_scoped(name, RdataType.A, subnet, now=1.0) is None
     assert cache.get_negative(Name("gone.example"), RdataType.A, now=1.0) is None
     evictions = cache.stats.evictions
     fill(1000.0)
     assert len(cache) == 2
-    assert cache.stats.evictions == evictions + 2
+    assert cache.stats.evictions == evictions + 3
     assert cache.ecs_scoped_len() == 1
     assert cache.get_scoped(name, RdataType.A, subnet, now=1001.0).scope == 24
-    assert cache.get_negative(Name("gone.example"), RdataType.A, now=1001.0) is not None
+    assert cache.get_negative(Name("gone.example"), RdataType.A, now=1001.0) is None
     assert heap_within_bound(cache)
     # Everything written before the clear is gone for good: nothing left
     # in the heap or the overlay refers to it.

@@ -159,12 +159,12 @@ def test_memoized_responses_byte_identical_to_slow_path(steps, predict):
         assert fast == frontend.handle_wire(wire, "127.0.0.1").wire
     # A tick later a negative answer still holds until its expiry, and a
     # positive one is patched exactly when the resolver would lease its
-    # cache entry (no --predict hook, no negative table); either way the
-    # bytes are still the slow path's.
+    # cache entry (no --predict hook); either way the bytes are still the
+    # slow path's.
     frontend.bridge.at += 1.5
     name = Name("www.domain0.nl.")
-    holder = frontend.resolver.cache.peek_negative(
-        name, RdataType.A
+    holder = frontend.resolver.cache.get_negative(
+        name, RdataType.A, frontend.bridge.at
     ) or frontend.resolver.hit_lease(name, RdataType.A)
     patched = frontend.fast_answer(wire, "127.0.0.1")
     assert (patched is not None) == (
@@ -242,10 +242,8 @@ def test_negative_answer_memoized_until_expiry():
     wire = query_wire("www.doesnotexist.nl.", id=7)
     first = frontend.handle_wire(wire, "c").wire
     assert Message.from_wire(first).rcode == Rcode.NXDOMAIN
-    negative = frontend.resolver.cache.peek_negative(
-        Name("www.doesnotexist.nl."), RdataType.A
-    )
-    assert negative is not None
+    negative = frontend.resolver.cache.peek(Name("www.doesnotexist.nl."), RdataType.A)
+    assert negative.credibility is Credibility.NXDOMAIN
 
     for at in (1.5, math.nextafter(negative.expires_at, -math.inf)):
         frontend.bridge.at = at
@@ -256,6 +254,32 @@ def test_negative_answer_memoized_until_expiry():
     frontend.bridge.at = negative.expires_at
     assert frontend.fast_answer(query_wire("www.doesnotexist.nl.", id=9), "c") is None
     assert registry.snapshot().value("serve.memo_hits") == 2
+
+
+def test_a_cached_nxdomain_leaves_ttl_patching_on():
+    """A Zipf round across many TTL ticks patches memoized TTLs exactly as
+    often, with exactly the same bytes, whether or not another name's
+    NXDOMAIN is cached: a negative answer decides only its own key."""
+
+    def hot_round(nxdomain: bool):
+        frontend, _ = make_frontend(at=0.0)
+        if nxdomain:
+            frontend.resolver.cache.put_negative(
+                Name("www.doesnotexist.nl."), RdataType.A, True, 0.0
+            )
+        rng = random.Random(1)
+        ranks = rng.choices(range(20), weights=[1.0 / (rank + 1) for rank in range(20)], k=2000)
+        answers = []
+        for index, rank in enumerate(ranks):
+            frontend.bridge.at = index * 0.01  # 20 s: every answer ticks
+            wire = query_wire(f"www.domain{rank}.nl.", id=index)
+            fast = frontend.fast_answer(wire, "c")
+            answers.append(fast or frontend.handle_wire(wire, "c").wire)
+        return answers, frontend.memo.hits, frontend.memo.misses
+
+    plain = hot_round(False)
+    assert plain[1] > 1900  # the misses are the first sight of each name
+    assert hot_round(True) == plain
 
 
 # -- stamps ----------------------------------------------------------------
