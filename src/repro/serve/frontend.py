@@ -24,9 +24,9 @@ from repro.dns.rdtypes import RdataType
 from repro.dns.wire import WireError
 from repro.metrics import HOST, Histogram, MetricsRegistry, log_buckets
 from repro.metrics.registry import COUNTER, HISTOGRAM, LABELED_COUNTER
-from repro.resolver import Credibility, RecursiveResolver
+from repro.resolver import Credibility, RecursiveResolver, ResolutionResult
 from repro.serve.bridge import WallClockBridge
-from repro.serve.memo import ResponseMemo
+from repro.serve.memo import MemoEntry, ResponseMemo
 from repro.server.querylog import QueryLogEntry, QueryLogWriter
 from repro.server.rrl import ResponseRateLimiter, RrlVerdict
 
@@ -97,9 +97,6 @@ class DnsFrontend:
         self.queries = self.malformed = self.dropped = self.truncated = self.shed = 0
         self.rrl_slipped = self.tcp_queries = self.cache_hits = 0
         self.rcode: dict[str, int] = {}
-        #: Per-worker query counts, labeled by server name, so merged
-        #: multi-worker snapshots keep the flow-steering balance visible.
-        self.worker_queries: dict[str, int] = {}
         self.latency_ms = Histogram("serve.latency_ms", LATENCY_BUCKETS_MS, HOST)
         registry.collect(self, (
             *((f"serve.{slot}", COUNTER, slot) for slot in (
@@ -116,6 +113,12 @@ class DnsFrontend:
         return 0 if self.memo is None else self.memo.hits
 
     @property
+    def worker_queries(self) -> dict[str, int]:
+        """Queries labeled by server name, so merged multi-worker
+        snapshots keep the flow-steering balance visible."""
+        return {self.server_name: self.queries} if self.queries else {}
+
+    @property
     def max_udp_payload(self) -> int:
         """The largest UDP response sent; also the size every OPT advertises."""
         return self._plain_edns.udp_payload
@@ -130,8 +133,32 @@ class DnsFrontend:
     def handle_wire(
         self, data: bytes, client: str, via_tcp: bool = False
     ) -> ServeResult:
-        """Process one query datagram; returns the response bytes, if any."""
+        """Process one query datagram; returns the response bytes, if any.
+
+        A UDP form whose memo image has lapsed is resolved again straight
+        from the image's question, and answered from its bytes when the
+        answer kept its shape (:meth:`MemoEntry.reprint`); otherwise the
+        query is decoded and answered from that same resolution.
+        """
         started = time.monotonic()
+        memo = self.memo
+        image = result = None
+        if memo is not None and not via_tcp and self.rrl.rate <= 0:
+            image = memo.take(data[2:])
+        if image is not None:
+            # As _resolve does, with no subnet: a memoized form never echoed ECS.
+            sim_now = self.bridge.now()
+            try:
+                result = self.resolver.resolve(image.qname, image.qtype, now=sim_now)
+            except Exception:
+                result = ResolutionResult(Rcode.SERVFAIL)
+            wire = image.reprint(data, _RCODE_LABELS[result.rcode], result.answers)
+            if wire is not None:
+                self._memoize(data, wire, image.qname, image.qtype, result.rcode,
+                              result.answers, sim_now, image)
+                self._account(False, image.rcode_name, started, sim_now, client,
+                              image.qname, image.qtype, result.cache_hit)
+                return ServeResult(wire, "answered")
         try:
             query = Message.from_wire(data)
         except (WireError, ValueError):
@@ -146,7 +173,8 @@ class DnsFrontend:
             self._account(via_tcp)
             return ServeResult(None, "dropped")
 
-        sim_now = self.bridge.now()
+        if image is None:
+            sim_now = self.bridge.now()
         asked = (started, sim_now, client, question.qname, question.qtype)
         if not via_tcp and self.rrl.rate > 0:
             verdict = self.rrl.check(client, self.bridge.wall_elapsed())
@@ -169,10 +197,13 @@ class DnsFrontend:
             self._account(via_tcp, "NOTIMP", *asked)
             return ServeResult(wire, "answered")
 
-        response, cache_hit = self._resolve(query, sim_now)
+        response, cache_hit = self._resolve(query, sim_now, result)
         wire = self._encode(query, response, via_tcp)
-        if self.memo is not None and not via_tcp:
-            self._maybe_memoize(data, query, response, wire, sim_now)
+        if memo is not None and not via_tcp and not response.flags.tc and (
+            response.edns is None or not response.edns.options  # no ECS echo
+        ):
+            self._memoize(data, wire, question.qname, question.qtype, response.rcode,
+                          response.answer, sim_now)
         self._account(via_tcp, _RCODE_LABELS[response.rcode], *asked, cache_hit)
         return ServeResult(wire, "answered")
 
@@ -199,7 +230,7 @@ class DnsFrontend:
         if entry is None:
             return None
         self.resolver.note_memoized_answer(
-            entry.qname, entry.qtype, sim_now, entry.negative
+            entry.qname, entry.qtype, sim_now, not entry.shape
         )
         self._account(
             False, entry.rcode_name, started, sim_now, client,
@@ -207,19 +238,14 @@ class DnsFrontend:
         )
         return data[:2] + entry.wire[2:]
 
-    def _maybe_memoize(
-        self,
-        data: bytes,
-        query: Message,
-        response: Message,
-        wire: Optional[bytes],
-        sim_now: float,
-    ) -> None:
-        """Memoize an answered UDP response when it is provably reusable.
+    def _memoize(self, data: bytes, wire: bytes, qname: Name, qtype: RdataType, rcode: Rcode,
+                 answers: list, sim_now: float, image: Optional[MemoEntry] = None) -> None:
+        """Memoize an answered UDP response when it is provably reusable;
+        ``image`` is the taken image it was reprinted from, if any.
 
-        Only plain answered outcomes qualify — NOERROR/NXDOMAIN, not
-        truncated, no ECS option (a scoped answer cached later would
-        take precedence, and no stamp sees the scoped overlay) — and
+        Callers pass only untruncated responses with no ECS option (a
+        scoped answer cached later would take precedence, and no stamp
+        sees the scoped overlay).  Only NOERROR/NXDOMAIN qualify, and
         every answer RRset must be of the question's type (not a CNAME
         chain, whose lookup a later write to an alias owner can cut
         short) and backed by a live, link-free cache entry whose
@@ -230,24 +256,16 @@ class DnsFrontend:
         hit lease is patchable: the memo ages its TTLs past that bound;
         see :mod:`repro.serve.memo` for the contract.
         """
-        if wire is None or len(data) < 12:
-            return
-        rcode = response.rcode
         if rcode is not Rcode.NOERROR and rcode is not Rcode.NXDOMAIN:
             return
-        if response.flags.tc or (response.edns is not None and response.edns.options):
-            return
-        question = query.question
-        assert question is not None
         cache = self.resolver.cache
-        answers = response.answer
         if answers:
             valid_until = math.inf
             stamps: tuple = ()
             for rrset in answers:
                 entry = cache.peek(rrset.name, rrset.rdtype, rrset.rdclass)
                 if (
-                    rrset.rdtype != question.qtype
+                    rrset.rdtype != qtype
                     or entry is None
                     or entry.linked_to is not None
                     or entry.expires_at <= sim_now
@@ -260,24 +278,16 @@ class DnsFrontend:
             # A negative answer carries no TTL bytes: reusable while its
             # entry lives, up to just short of the expiry instant, where the
             # slow path would re-resolve (and re-query the authoritative).
-            negative = cache.peek(question.qname, question.qtype)
+            negative = cache.peek(qname, qtype)
             live = negative is not None and sim_now < negative.expires_at
             if not live or negative.credibility > Credibility.NODATA:
                 return
             valid_until = math.nextafter(negative.expires_at, -math.inf)
             stamps = ((negative, negative.generation, negative.expires_at),)
-        lease = self.resolver.hit_lease(question.qname, question.qtype)
-        self.memo.put(
-            bytes(data[2:]),
-            wire,
-            valid_until,
-            question.qname,
-            question.qtype,
-            _RCODE_LABELS[rcode],
-            stamps,
-            negative=not answers,
-            patchable=len(stamps) == 1 and lease is stamps[0][0],
-        )
+        lease = self.resolver.hit_lease(qname, qtype)
+        self.memo.put(bytes(data[2:]), wire, valid_until, qname, qtype, _RCODE_LABELS[rcode],
+                      stamps, answers, patchable=len(stamps) == 1 and lease is stamps[0][0],
+                      image=image)
 
     def pump(self) -> int:
         """Run due predictive refreshes against the bridge's current time.
@@ -290,12 +300,15 @@ class DnsFrontend:
         return self.resolver.pump(self.bridge.now())
 
     # -- pieces ------------------------------------------------------------
-    def _resolve(self, query: Message, sim_now: float) -> tuple[Message, bool]:
-        """The response for ``query`` and whether the cache answered it."""
+    def _resolve(
+        self, query: Message, sim_now: float, result: Optional[ResolutionResult] = None
+    ) -> tuple[Message, bool]:
+        """The response for ``query`` and whether the cache answered it;
+        ``result`` is the resolution when the caller has already run it."""
         question = query.question
         assert question is not None
         subnet = None
-        if self.resolver.policy.ecs is not None and query.edns is not None:
+        if result is None and self.resolver.policy.ecs is not None and query.edns is not None:
             # RFC 7871 §7.1: a resolver accepts ECS from its clients the
             # same way it would derive a subnet from their address.  The
             # gate on policy.ecs keeps ECS-off serving byte-identical.
@@ -308,18 +321,19 @@ class DnsFrontend:
                     rcode=Rcode.FORMERR, recursion_available=True
                 )
                 return formerr, False
-        try:
-            result = self.resolver.resolve(
-                question.qname, question.qtype, now=sim_now,
-                client_subnet=subnet,
-            )
-        except Exception:
-            # The sim stack raising through the live path must not kill
-            # the event loop; a resolver bug becomes a SERVFAIL.
-            servfail = query.make_response(
-                rcode=Rcode.SERVFAIL, recursion_available=True
-            )
-            return servfail, False
+        if result is None:
+            try:
+                result = self.resolver.resolve(
+                    question.qname, question.qtype, now=sim_now,
+                    client_subnet=subnet,
+                )
+            except Exception:
+                # The sim stack raising through the live path must not kill
+                # the event loop; a resolver bug becomes a SERVFAIL.
+                servfail = query.make_response(
+                    rcode=Rcode.SERVFAIL, recursion_available=True
+                )
+                return servfail, False
         response = query.make_response(rcode=result.rcode, recursion_available=True)
         response.add(Section.ANSWER, *result.answers)
         if subnet is not None:
@@ -384,8 +398,6 @@ class DnsFrontend:
         then there is no rcode, latency or querylog line either.
         """
         self.queries += 1
-        per_worker = self.worker_queries
-        per_worker[self.server_name] = per_worker.get(self.server_name, 0) + 1
         if via_tcp:
             self.tcp_queries += 1
         if rcode_label is None:

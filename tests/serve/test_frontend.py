@@ -240,6 +240,7 @@ def test_accounting_of_a_scripted_query_mix():
     frontend, _ = build_frontend(
         ServeConfig(world="nl", max_udp_payload=100), wall_clock=FakeWall()
     )
+    assert serve_counts(frontend)["serve.worker_queries"] == {}  # before any datagram
     client = "10.0.0.1"
     status = Message.make_query("www.domain1.nl.", RdataType.A, id=7)
     status.opcode = Opcode.STATUS

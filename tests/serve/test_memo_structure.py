@@ -10,7 +10,12 @@ the checks are exact and independent of host speed:
 - a memo hit calls no function inside :meth:`ResponseMemo.get` beyond
   its dict probe: the stamps are checked inline;
 - a patched hit, a tick later, calls nothing in the codec
-  (:mod:`repro.dns`) or the cache (:mod:`repro.resolver.cache`).
+  (:mod:`repro.dns`) or the cache (:mod:`repro.resolver.cache`);
+- a fast-path miss on a lapsed image calls nothing in
+  :mod:`repro.resolver`: the slow pass does all the resolving;
+- that slow pass, when the answer kept its shape, calls nothing in
+  :mod:`repro.dns.wire` and neither decodes nor encodes a message; a
+  changed shape decodes and encodes exactly once.
 """
 
 from collections import Counter
@@ -20,6 +25,8 @@ from pathlib import Path
 import pytest
 
 import repro.dns
+import repro.dns.wire
+import repro.resolver
 import repro.resolver.cache
 import repro.serve
 from repro.dns.message import Message
@@ -34,6 +41,9 @@ from tests.metrics.test_count_once_structure import calls
 SERVE_DIR = str(Path(repro.serve.__file__).parent)
 DNS_DIR = str(Path(repro.dns.__file__).parent)
 CACHE_FILE = repro.resolver.cache.__file__
+RESOLVER_DIR = str(Path(repro.resolver.__file__).parent)
+WIRE_FILE = repro.dns.wire.__file__
+CODEC = (Message.from_wire.__func__.__code__, Message.to_wire.__code__)
 QNAME = Name("www.domain1.nl.")
 KEY = (QNAME, RdataType.A, RdataClass.IN)
 
@@ -90,3 +100,42 @@ def test_a_patched_hit_calls_nothing_in_the_codec_or_cache():
         if not isinstance(code, str)
         and (code.co_filename.startswith(DNS_DIR) or code.co_filename == CACHE_FILE)
     } == set()
+
+
+def lapsed_frontend(renumbered: bool):
+    """A memoized frontend whose image lapsed when the cache entry behind
+    it was rewritten — with its own rdatas, or ``renumbered`` — and the
+    calls of the fast-path miss that saw it."""
+    frontend, wire = memoized_frontend()
+    cache = frontend.resolver.cache
+    entry = cache.peek(QNAME, RdataType.A)
+    rdatas = [A("192.0.2.1")] if renumbered else entry.rrset.rdatas
+    rrset = RRset(QNAME, RdataType.A, entry.rrset.ttl, rdatas)
+    cache.put(rrset, Credibility.AUTH_ANSWER, frontend.bridge.now())
+    answers = []
+    seen = calls(lambda: answers.append(frontend.fast_answer(wire, "c")))
+    assert answers == [None] and len(frontend.memo) == 1  # held, not served
+    return frontend, wire, seen
+
+
+def test_a_lapsed_fast_miss_calls_nothing_in_the_resolver():
+    _, _, seen = lapsed_frontend(renumbered=False)
+    assert {
+        code for code in seen
+        if not isinstance(code, str) and code.co_filename.startswith(RESOLVER_DIR)
+    } == set()
+
+
+@pytest.mark.parametrize("renumbered", [False, True])
+def test_a_lapsed_slow_pass_runs_the_codec_only_on_a_shape_change(renumbered):
+    frontend, wire, _ = lapsed_frontend(renumbered)
+    results = []
+    seen = calls(lambda: results.append(frontend.handle_wire(wire, "c")))
+    assert [seen[code] for code in CODEC] == ([1, 1] if renumbered else [0, 0])
+    if not renumbered:
+        assert {
+            code for code in seen
+            if not isinstance(code, str) and code.co_filename == WIRE_FILE
+        } == set()
+    # Either way the slow pass re-stamped the image: the next repeat hits.
+    assert frontend.fast_answer(wire, "c") == results[0].wire

@@ -14,7 +14,10 @@ the ECS and CNAME-chain declines, and re-memoization afterwards.
 
 import math
 import random
+from typing import Optional
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +28,8 @@ from repro.dns.rdtypes import AAAA, CNAME, A, RdataClass, RdataType
 from repro.dns.record import RRset
 from repro.resolver.cache import Cache, Credibility
 from repro.serve import ServeConfig, build_frontend
-from repro.serve.memo import ResponseMemo
+from repro.serve.config import WORLD_BUILDERS
+from repro.serve.memo import DEFAULT_MEMO_CAPACITY, ResponseMemo
 
 
 class SimBridge:
@@ -62,6 +66,17 @@ def serve(frontend, wire: bytes, client: str = "127.0.0.1"):
     if fast is not None:
         return fast, True
     return frontend.handle_wire(wire, client).wire, False
+
+
+def full_pipeline(frontend, wire: bytes) -> bytes:
+    """The slow path with the memo detached, so the reference stays
+    decode → resolve → encode: with the memo on, a lapsed form is answered
+    from its image, and any slow pass may memoize."""
+    memo, frontend.memo = frontend.memo, None
+    try:
+        return frontend.handle_wire(wire, "127.0.0.1").wire
+    finally:
+        frontend.memo = memo
 
 
 # -- the property: memoized == slow path, byte for byte --------------------
@@ -142,8 +157,10 @@ def test_memoized_responses_byte_identical_to_slow_path(steps, predict):
         fast = frontend.fast_answer(wire, "127.0.0.1")
         if frontend.pump():
             fast = None
-        slow = frontend.handle_wire(wire, "127.0.0.1").wire
-        if fast is not None:
+        if fast is None:
+            frontend.handle_wire(wire, "127.0.0.1")
+        else:
+            slow = full_pipeline(frontend, wire)
             assert fast == slow, f"rank={rank} at={frontend.bridge.at}"
     # Same-instant repeats at the end: the memo must actually engage (and
     # still match) or this property is testing nothing.  Two slow passes
@@ -156,7 +173,7 @@ def test_memoized_responses_byte_identical_to_slow_path(steps, predict):
     fast = frontend.fast_answer(wire, "127.0.0.1")
     assert fast is not None
     if not frontend.pump():
-        assert fast == frontend.handle_wire(wire, "127.0.0.1").wire
+        assert fast == full_pipeline(frontend, wire)
     # A tick later a negative answer still holds until its expiry, and a
     # positive one is patched exactly when the resolver would lease its
     # cache entry (no --predict hook); either way the bytes are still the
@@ -171,7 +188,7 @@ def test_memoized_responses_byte_identical_to_slow_path(steps, predict):
         holder is not None and frontend.bridge.at < holder.expires_at
     )
     if patched is not None:
-        assert patched == frontend.handle_wire(wire, "127.0.0.1").wire
+        assert patched == full_pipeline(frontend, wire)
 
 
 @settings(max_examples=20, deadline=None)
@@ -303,7 +320,7 @@ def test_cache_write_invalidates_affected_entry_only():
     cache.expire_now(entry.key(), now=frontend.bridge.at)
 
     assert frontend.fast_answer(query_wire("www.domain1.nl.", id=3), "c") is None
-    assert len(memo) == 1  # dropped on sight
+    assert len(memo) == 2  # lapsed: held for its slow pass, never served
     assert frontend.fast_answer(query_wire("www.domain2.nl.", id=4), "c") is not None
 
 
@@ -405,36 +422,112 @@ def test_cache_clear_empties_memo():
     assert len(frontend.memo) == 1
     frontend.resolver.cache.clear()
     assert frontend.fast_answer(query_wire("www.domain1.nl.", id=2), "c") is None
-    assert len(frontend.memo) == 0
+    assert len(frontend.memo) == 1  # lapsed: held for its slow pass, never served
 
 
 # -- memo on == memo off ----------------------------------------------------
 
-def replay(memo: bool):
+def replay(
+    memo: bool,
+    *,
+    step: float = 500e-6,
+    capacity: int = DEFAULT_MEMO_CAPACITY,
+    qnames: str = "www.domain{}.nl.",
+    renumber_at: Optional[int] = None,
+):
     """A small ``serve_churn``: Zipf over 500 names, 2,000 queries 500 µs
-    apart at ``time_scale=3600``, so most repeats arrive ticks later."""
+    apart at ``time_scale=3600``, so most repeats arrive ticks later.
+
+    ``step`` spaces the queries further, so cache entries expire and
+    lapsed images are re-resolved; ``capacity`` bounds the memo;
+    ``qnames`` names the stream (the nl world has no ``www.nosuch*``);
+    ``renumber_at`` is the query at which ``www.domain0.nl.``'s A rdata
+    changes in its zone.  Also returns how many times the query decoder
+    ran, how many slow passes took no lapsed image, and how many took one
+    the renumbering had outdated.
+    """
     wall = [0.0]
-    frontend, registry = build_frontend(
-        ServeConfig(world="nl", time_scale=3600, memo=memo), wall_clock=lambda: wall[0]
-    )
+    worlds = []
+    build = WORLD_BUILDERS["nl"]
+    with mock.patch.dict(WORLD_BUILDERS, nl=lambda seed: worlds.append(build(seed)) or worlds[0]):
+        frontend, registry = build_frontend(
+            ServeConfig(world="nl", time_scale=3600, memo=memo), wall_clock=lambda: wall[0]
+        )
+    if memo:
+        frontend.memo = ResponseMemo(capacity)
+    decodes = [0]
+    decode = Message.from_wire.__func__
+    taken = []
+    take = ResponseMemo.take
+
+    def counted(cls, data, *args, **kwargs):
+        decodes[0] += 1
+        return decode(cls, data, *args, **kwargs)
+
+    def recorded(memo, key):
+        taken.append(take(memo, key))
+        return taken[-1]
+
     rng = random.Random(1)
     ranks = rng.choices(range(500), weights=[1.0 / (rank + 1) for rank in range(500)], k=2000)
     responses = []
-    for index, rank in enumerate(ranks):
-        wall[0] = index * 500e-6
-        wire = query_wire(f"www.domain{rank}.nl.", id=rng.randrange(1 << 16), edns=True)
-        responses.append(serve(frontend, wire)[0])
-    return responses, registry.snapshot().without_host(), frontend.memo
+    missing = reshaped = 0
+    with mock.patch.object(Message, "from_wire", classmethod(counted)), \
+            mock.patch.object(ResponseMemo, "take", recorded):
+        for index, rank in enumerate(ranks):
+            wall[0] = index * step
+            if index == renumber_at:
+                worlds[0].zone("domain0.nl.").replace("www.domain0.nl.", RdataType.A, RENUMBERED)
+            wire = query_wire(qnames.format(rank), id=rng.randrange(1 << 16), edns=True)
+            fast = frontend.fast_answer(wire, "127.0.0.1")
+            if fast is None:
+                taken.clear()
+                fast = frontend.handle_wire(wire, "127.0.0.1").wire
+                image = taken[0] if taken else None
+                missing += image is None
+                reshaped += image is not None and NEW_ADDRESS in fast and NEW_ADDRESS not in image.wire
+            responses.append(fast)
+    snapshot = registry.snapshot().without_host()
+    return responses, snapshot, frontend.memo, (decodes[0], missing, reshaped)
+
+
+RENUMBERED = A("192.0.2.200")
+NEW_ADDRESS = bytes([192, 0, 2, 200])
 
 
 def test_memo_on_and_off_agree_under_a_ticking_clock():
     """Patched hits are invisible: the same bytes and the same sim-domain
     counters as running every query through the full pipeline."""
-    fast, fast_metrics, memo = replay(memo=True)
-    slow, slow_metrics, _ = replay(memo=False)
+    fast, fast_metrics, memo, _ = replay(memo=True)
+    slow, slow_metrics, _, _ = replay(memo=False)
     assert fast == slow
     assert fast_metrics.metrics == slow_metrics.metrics
     assert memo.hits / (memo.hits + memo.misses) >= 0.5
+
+
+#: Four TTLs long: every hot name's cache entry expires and is refetched.
+LAPSING = {
+    "starved": dict(step=2e-3, capacity=1),
+    "renumbered": dict(step=2e-3, renumber_at=600),
+    "nxdomain": dict(step=2e-3, qnames="www.nosuch{}.nl."),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LAPSING))
+def test_memo_on_and_off_agree_when_images_lapse(case):
+    """Re-resolved lapsed images are invisible too — with the memo starved
+    to one image, with a zone edit changing an answer's shape mid-replay,
+    and on a stream of NXDOMAIN answers — and the decoder runs only where
+    no image can stand in: a slow pass that finds none (a first sight, or
+    a form whose last slow pass was not admitted), or a changed shape."""
+    fast, fast_metrics, _, (decodes, missing, reshaped) = replay(memo=True, **LAPSING[case])
+    slow, slow_metrics, _, (full_decodes, _, _) = replay(memo=False, **LAPSING[case])
+    assert fast == slow
+    assert fast_metrics.metrics == slow_metrics.metrics
+    assert decodes == missing + reshaped
+    assert reshaped == (case == "renumbered")
+    if case != "starved":
+        assert decodes < full_decodes / 2  # most slow passes re-resolve
 
 
 # -- the memo object itself ------------------------------------------------
@@ -460,6 +553,7 @@ def test_memo_counters_and_validity_window():
     assert memo.get(b"k", 10.0) is not None  # inclusive bound
     assert memo.get(b"k", math.nextafter(10.0, math.inf)) is None  # dropped
     assert memo.get(b"k", 0.0) is None  # really gone
+    assert len(memo) == 1  # lapsed: held for a slow pass, never served
     assert (memo.hits, memo.misses) == (1, 2)
 
 
@@ -488,5 +582,5 @@ def test_invalidate_name_covers_answer_owners():
     memo = memoize()
     cache.expire_now((qname, RdataType.CNAME, RdataClass.IN), 10.0)
     assert memo.get(b"k", 10.0) is None  # the alias's expiry moved
-    assert len(memo) == 0
+    assert len(memo) == 1  # lapsed: held for a slow pass, never served
 
