@@ -15,9 +15,18 @@ Moura, Heidemann, Schmidt and Hardaker depends on:
 - :mod:`repro.crawler` — a parent/child TTL crawler plus synthetic top-list
   and DMap content-classification generators,
 - :mod:`repro.analysis` — CDF/quantile, centricity, interarrival, and latency
-  analysis used by the experiment harness, and
+  analysis used by the experiment harness,
 - :mod:`repro.core` — the paper's experiments themselves: effective-TTL
-  computation, canonical simulated worlds, and one scenario per section.
+  computation, canonical simulated worlds, and one scenario per section,
+- :mod:`repro.runner` — sharded parallel campaigns with checkpoint/resume,
+- :mod:`repro.metrics` — deterministic, mergeable observability,
+- :mod:`repro.faults` — schedule-driven fault injection,
+- :mod:`repro.predict` — predictive caching: popularity tracking and
+  budgeted refresh-ahead,
+- :mod:`repro.push` — push-based record updates (pub/sub vs. TTL polling),
+- :mod:`repro.serve` — a live asyncio DNS frontend over the simulated stack,
+- :mod:`repro.loadgen` — an open-loop wire-level DNS load generator, and
+- :mod:`repro.workload` — the Zipf workload shape the last two share.
 
 See ``DESIGN.md`` for the full inventory and ``EXPERIMENTS.md`` for the
 paper-vs-measured record of every table and figure.

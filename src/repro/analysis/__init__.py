@@ -1,41 +1,13 @@
 """Analysis pipeline: CDFs, centricity classification, interarrivals,
 latency statistics, and text renderers for tables and figures."""
 
-from repro.analysis.cdf import ECDF
-from repro.analysis.centricity import (
-    CentricityBreakdown,
-    classify_active_ttls,
-    classify_passive_groups,
-)
-from repro.analysis.hitrate import analytic_hit_rate, simulate_hit_rate
-from repro.analysis.interarrival import (
-    interarrivals,
-    min_interarrival_per_group,
-    queries_per_group,
-)
-from repro.analysis.latencystats import LatencySummary, latency_summary, regional_summaries
-from repro.analysis.tables import (
-    Table,
-    render_cdf,
-    render_cdf_plot,
-    render_timeseries,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "CentricityBreakdown",
-    "ECDF",
-    "analytic_hit_rate",
-    "simulate_hit_rate",
-    "LatencySummary",
-    "Table",
-    "classify_active_ttls",
-    "classify_passive_groups",
-    "interarrivals",
-    "latency_summary",
-    "min_interarrival_per_group",
-    "queries_per_group",
-    "regional_summaries",
-    "render_cdf",
-    "render_cdf_plot",
-    "render_timeseries",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "cdf": ("ECDF",),
+    "centricity": ("CentricityBreakdown", "classify_active_ttls", "classify_passive_groups"),
+    "hitrate": ("analytic_hit_rate", "simulate_hit_rate"),
+    "interarrival": ("interarrivals", "min_interarrival_per_group", "queries_per_group"),
+    "latencystats": ("LatencySummary", "latency_summary", "regional_summaries"),
+    "tables": ("Table", "render_cdf", "render_cdf_plot", "render_timeseries"),
+})

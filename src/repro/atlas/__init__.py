@@ -8,21 +8,12 @@ and collects results into datasets with the same validity filtering the
 paper applies (:mod:`repro.atlas.results`).
 """
 
-from repro.atlas.probe import Probe, VantagePoint
-from repro.atlas.population import AtlasConfig, AtlasPopulation
-from repro.atlas.measurement import Measurement, MeasurementSpec
-from repro.atlas.results import MeasurementResult, ResultSet
-from repro.atlas.datasets import load_results, save_results
+from repro._exports import lazy_exports
 
-__all__ = [
-    "AtlasConfig",
-    "AtlasPopulation",
-    "Measurement",
-    "MeasurementResult",
-    "MeasurementSpec",
-    "Probe",
-    "ResultSet",
-    "VantagePoint",
-    "load_results",
-    "save_results",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "probe": ("Probe", "VantagePoint"),
+    "population": ("AtlasConfig", "AtlasPopulation"),
+    "measurement": ("Measurement", "MeasurementSpec"),
+    "results": ("MeasurementResult", "ResultSet"),
+    "datasets": ("load_results", "save_results"),
+})

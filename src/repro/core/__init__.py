@@ -9,26 +9,12 @@
 - :mod:`repro.core.recommendations` — the §6 operator guidance engine.
 """
 
-from repro.core.effective_ttl import (
-    DelegationConfig,
-    EffectiveTTL,
-    effective_record_ttl,
-    effective_switch_time,
-)
-from repro.core.worlds import World, build_base_world
-from repro.core.recommendations import Recommendation, recommend
-from repro.core.audit import Finding, audit_zone, render_report
+from repro._exports import lazy_exports
 
-__all__ = [
-    "DelegationConfig",
-    "EffectiveTTL",
-    "Finding",
-    "Recommendation",
-    "World",
-    "audit_zone",
-    "build_base_world",
-    "effective_record_ttl",
-    "effective_switch_time",
-    "recommend",
-    "render_report",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "effective_ttl": ("DelegationConfig", "EffectiveTTL", "effective_record_ttl",
+                      "effective_switch_time"),
+    "worlds": ("World", "build_base_world"),
+    "recommendations": ("Recommendation", "recommend"),
+    "audit": ("Finding", "audit_zone", "render_report"),
+})

@@ -11,35 +11,11 @@
 - :mod:`repro.crawler.report` — the Table 5/8/9 and Figure 9 aggregations.
 """
 
-from repro.crawler.toplists import (
-    LIST_PROFILES,
-    CrawlUniverse,
-    ListProfile,
-    build_crawl_universe,
-)
-from repro.crawler.crawl import CrawlRecord, Crawler, CrawlResult, crawl_parallel
-from repro.crawler.dmap import ContentCategory, DMapReport, dmap_classify
-from repro.crawler.report import (
-    bailiwick_census,
-    record_counts,
-    ttl_cdf_by_type,
-    ttl_zero_census,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "CrawlRecord",
-    "CrawlResult",
-    "CrawlUniverse",
-    "Crawler",
-    "ContentCategory",
-    "DMapReport",
-    "LIST_PROFILES",
-    "ListProfile",
-    "bailiwick_census",
-    "build_crawl_universe",
-    "crawl_parallel",
-    "dmap_classify",
-    "record_counts",
-    "ttl_cdf_by_type",
-    "ttl_zero_census",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "toplists": ("LIST_PROFILES", "CrawlUniverse", "ListProfile", "build_crawl_universe"),
+    "crawl": ("CrawlRecord", "Crawler", "CrawlResult", "crawl_parallel"),
+    "dmap": ("ContentCategory", "DMapReport", "dmap_classify"),
+    "report": ("bailiwick_census", "record_counts", "ttl_cdf_by_type", "ttl_zero_census"),
+})

@@ -7,84 +7,17 @@ and header flags, a wire-format codec with name compression, and zones with
 delegations and glue.
 """
 
-from repro.dns.ecs import (
-    OPTION_CLIENT_SUBNET,
-    ClientSubnet,
-    extract_client_subnet,
-    replace_client_subnet,
-)
-from repro.dns.name import Name, NameError_, root
-from repro.dns.rdtypes import (
-    A,
-    AAAA,
-    CNAME,
-    DNSKEY,
-    MX,
-    NS,
-    OPT,
-    RRSIG,
-    SOA,
-    TXT,
-    OpaqueRdata,
-    Rdata,
-    RdataClass,
-    RdataType,
-)
-from repro.dns.record import ResourceRecord, RRset
-from repro.dns.message import (
-    CLASSIC_UDP_PAYLOAD,
-    DEFAULT_EDNS_PAYLOAD,
-    Edns,
-    Flags,
-    Message,
-    Opcode,
-    Question,
-    Rcode,
-    Section,
-)
-from repro.dns.zone import LookupResult, LookupStatus, Zone, ZoneError
-from repro.dns.ttl import TTL_MAX, clamp_ttl, format_ttl, parse_ttl, validate_ttl
+from repro._exports import lazy_exports
 
-__all__ = [
-    "A",
-    "AAAA",
-    "CLASSIC_UDP_PAYLOAD",
-    "CNAME",
-    "ClientSubnet",
-    "DEFAULT_EDNS_PAYLOAD",
-    "DNSKEY",
-    "Edns",
-    "Flags",
-    "LookupResult",
-    "LookupStatus",
-    "MX",
-    "Message",
-    "NS",
-    "Name",
-    "NameError_",
-    "OPT",
-    "OPTION_CLIENT_SUBNET",
-    "OpaqueRdata",
-    "Opcode",
-    "Question",
-    "RRSIG",
-    "RRset",
-    "Rcode",
-    "Rdata",
-    "RdataClass",
-    "RdataType",
-    "ResourceRecord",
-    "SOA",
-    "Section",
-    "TTL_MAX",
-    "TXT",
-    "Zone",
-    "ZoneError",
-    "clamp_ttl",
-    "extract_client_subnet",
-    "format_ttl",
-    "parse_ttl",
-    "replace_client_subnet",
-    "root",
-    "validate_ttl",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "ecs": ("OPTION_CLIENT_SUBNET", "ClientSubnet", "extract_client_subnet",
+            "replace_client_subnet"),
+    "name": ("Name", "NameError_", "root"),
+    "rdtypes": ("A", "AAAA", "CNAME", "DNSKEY", "MX", "NS", "OPT", "RRSIG", "SOA", "TXT",
+                "OpaqueRdata", "Rdata", "RdataClass", "RdataType"),
+    "record": ("ResourceRecord", "RRset"),
+    "message": ("CLASSIC_UDP_PAYLOAD", "DEFAULT_EDNS_PAYLOAD", "Edns", "Flags", "Message",
+                "Opcode", "Question", "Rcode", "Section"),
+    "zone": ("LookupResult", "LookupStatus", "Zone", "ZoneError"),
+    "ttl": ("TTL_MAX", "clamp_ttl", "format_ttl", "parse_ttl", "validate_ttl"),
+})

@@ -13,27 +13,10 @@ campaign run serially, with ``--parallel N``, or resumed from a
 checkpoint produces byte-identical sim-domain metrics.
 """
 
-from repro.faults.injector import FaultInjector, TTR_BUCKETS_S
-from repro.faults.plan import (
-    KINDS,
-    SCHEMA_ID,
-    FaultPlan,
-    FaultPlanError,
-    FaultSpec,
-    derive_fault_seed,
-    validate_json,
-    validate_payload,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "FaultInjector",
-    "FaultPlan",
-    "FaultPlanError",
-    "FaultSpec",
-    "KINDS",
-    "SCHEMA_ID",
-    "TTR_BUCKETS_S",
-    "derive_fault_seed",
-    "validate_json",
-    "validate_payload",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "injector": ("FaultInjector", "TTR_BUCKETS_S"),
+    "plan": ("KINDS", "SCHEMA_ID", "FaultPlan", "FaultPlanError", "FaultSpec",
+             "derive_fault_seed", "validate_json", "validate_payload"),
+})

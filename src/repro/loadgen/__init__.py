@@ -7,22 +7,10 @@ reports achieved qps, loss, and latency percentiles.  See
 ``docs/serving.md``.
 """
 
-from repro.loadgen.arrivals import (
-    ZipfSampler,
-    fixed_schedule,
-    poisson_schedule,
-    qnames_for_ranks,
-)
-from repro.loadgen.client import LoadGenerator, LoadgenConfig, run_loadgen
-from repro.loadgen.report import LoadReport
+from repro._exports import lazy_exports
 
-__all__ = [
-    "LoadGenerator",
-    "LoadReport",
-    "LoadgenConfig",
-    "ZipfSampler",
-    "fixed_schedule",
-    "poisson_schedule",
-    "qnames_for_ranks",
-    "run_loadgen",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "arrivals": ("ZipfSampler", "fixed_schedule", "poisson_schedule", "qnames_for_ranks"),
+    "client": ("LoadGenerator", "LoadgenConfig", "run_loadgen"),
+    "report": ("LoadReport",),
+})

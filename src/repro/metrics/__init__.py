@@ -3,31 +3,12 @@
 See ``docs/observability.md`` for the design and the JSON schema.
 """
 
-from repro.metrics.registry import (
-    FIXED_POINT,
-    HOST,
-    SIM,
-    Histogram,
-    MetricError,
-    MetricsRegistry,
-    log_buckets,
-)
-from repro.metrics.render import render_snapshot
-from repro.metrics.schema import validate_json, validate_payload
-from repro.metrics.snapshot import SCHEMA_ID, MetricsSnapshot, merge_snapshots
+from repro._exports import lazy_exports
 
-__all__ = [
-    "FIXED_POINT",
-    "HOST",
-    "SIM",
-    "SCHEMA_ID",
-    "Histogram",
-    "MetricError",
-    "MetricsRegistry",
-    "MetricsSnapshot",
-    "log_buckets",
-    "merge_snapshots",
-    "render_snapshot",
-    "validate_json",
-    "validate_payload",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "registry": ("FIXED_POINT", "HOST", "SIM", "Histogram", "MetricError", "MetricsRegistry",
+                 "log_buckets"),
+    "render": ("render_snapshot",),
+    "schema": ("validate_json", "validate_payload"),
+    "snapshot": ("SCHEMA_ID", "MetricsSnapshot", "merge_snapshots"),
+})

@@ -16,36 +16,12 @@ Everything is seeded; two runs with the same seed produce identical
 datasets.
 """
 
-from repro.net.clock import SimClock
-from repro.net.latency import LatencyModel
-from repro.net.topology import (
-    AddressAllocator,
-    AutonomousSystem,
-    Endpoint,
-    Region,
-    Topology,
-)
-from repro.net.transport import (
-    LossModel,
-    Network,
-    NetworkTimeout,
-    Server,
-    SessionBroken,
-    TcpSession,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "AddressAllocator",
-    "AutonomousSystem",
-    "Endpoint",
-    "LatencyModel",
-    "LossModel",
-    "Network",
-    "NetworkTimeout",
-    "Region",
-    "Server",
-    "SessionBroken",
-    "SimClock",
-    "TcpSession",
-    "Topology",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "clock": ("SimClock",),
+    "latency": ("LatencyModel",),
+    "topology": ("AddressAllocator", "AutonomousSystem", "Endpoint", "Region", "Topology"),
+    "transport": ("LossModel", "Network", "NetworkTimeout", "Server", "SessionBroken",
+                  "TcpSession"),
+})

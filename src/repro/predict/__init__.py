@@ -19,13 +19,10 @@ campaigns see byte-identical refresh traffic; :mod:`repro.serve` drives
 the same machinery live through its :class:`WallClockBridge`.
 """
 
-from repro.predict.policy import PredictPolicy
-from repro.predict.popularity import PopularityTracker
-from repro.predict.scheduler import LEAD_BUCKETS_S, RefreshScheduler
+from repro._exports import lazy_exports
 
-__all__ = [
-    "PredictPolicy",
-    "PopularityTracker",
-    "RefreshScheduler",
-    "LEAD_BUCKETS_S",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "policy": ("PredictPolicy",),
+    "popularity": ("PopularityTracker",),
+    "scheduler": ("LEAD_BUCKETS_S", "RefreshScheduler"),
+})

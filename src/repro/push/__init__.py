@@ -18,26 +18,10 @@ update-in-place or invalidate, per policy.
 models head to head under renumbering and DDoS fault plans.
 """
 
-from repro.push.policy import PushPolicy
-from repro.push.publisher import (
-    PendingNotify,
-    PushKey,
-    PushPublisher,
-    attach_publisher,
-)
-from repro.push.subscriber import (
-    STALENESS_BUCKETS_S,
-    PushClient,
-    derive_client_seed,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "PushPolicy",
-    "PushKey",
-    "PendingNotify",
-    "PushPublisher",
-    "attach_publisher",
-    "PushClient",
-    "derive_client_seed",
-    "STALENESS_BUCKETS_S",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "policy": ("PushPolicy",),
+    "publisher": ("PendingNotify", "PushKey", "PushPublisher", "attach_publisher"),
+    "subscriber": ("STALENESS_BUCKETS_S", "PushClient", "derive_client_seed"),
+})

@@ -18,20 +18,12 @@ Resolver *populations* in the behaviour mix the paper measured are built
 by :mod:`repro.atlas.population`.
 """
 
-from repro.resolver.cache import Cache, CacheEntry, Credibility
-from repro.resolver.forwarder import ForwardingResolver
-from repro.resolver.policy import Centricity, ResolverPolicy
-from repro.resolver.recursive import RecursiveResolver, ResolutionResult
-from repro.resolver.stub import StubResolver
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Cache",
-    "CacheEntry",
-    "Centricity",
-    "Credibility",
-    "ForwardingResolver",
-    "RecursiveResolver",
-    "ResolutionResult",
-    "ResolverPolicy",
-    "StubResolver",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "cache": ("Cache", "CacheEntry", "Credibility"),
+    "forwarder": ("ForwardingResolver",),
+    "policy": ("Centricity", "ResolverPolicy"),
+    "recursive": ("RecursiveResolver", "ResolutionResult"),
+    "stub": ("StubResolver",),
+})

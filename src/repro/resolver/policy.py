@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.predict.policy import PredictPolicy
-from repro.push.policy import PushPolicy
+if TYPE_CHECKING:
+    from repro.predict.policy import PredictPolicy
+    from repro.push.policy import PushPolicy
 
 
 @dataclass(frozen=True)
@@ -244,6 +245,8 @@ class ResolverPolicy:
     def predictive(cls, predict: Optional[PredictPolicy] = None) -> "ResolverPolicy":
         """Child-centric with the full repro.predict stack: popularity
         tracking, budgeted refresh-ahead, and RFC 8767 serve-stale."""
+        from repro.predict.policy import PredictPolicy
+
         return cls(predict=predict if predict is not None else PredictPolicy())
 
     @classmethod
@@ -251,4 +254,6 @@ class ResolverPolicy:
         """Child-centric with push subscriptions (repro.push): records
         resolved at push-capable authoritatives are subscribed to and
         updated in place on NOTIFY instead of re-polled on TTL expiry."""
+        from repro.push.policy import PushPolicy
+
         return cls(push=push if push is not None else PushPolicy())

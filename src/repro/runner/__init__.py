@@ -16,32 +16,12 @@ shard plan, and a run killed mid-campaign resumes from its run
 directory without recomputing completed shards.
 """
 
-from repro.runner.checkpoint import CheckpointMismatch, CheckpointStore
-from repro.runner.executor import RetryPolicy, ShardError, ShardExecutor, ShardOutcome
-from repro.runner.merge import (
-    MergeError,
-    merge_counts,
-    merge_crawl_results,
-    merge_result_sets,
-)
-from repro.runner.progress import ProgressEvent, ProgressTracker, render_event
-from repro.runner.shard import Shard, derive_seed, plan_shards
+from repro._exports import lazy_exports
 
-__all__ = [
-    "CheckpointMismatch",
-    "CheckpointStore",
-    "MergeError",
-    "ProgressEvent",
-    "ProgressTracker",
-    "RetryPolicy",
-    "Shard",
-    "ShardError",
-    "ShardExecutor",
-    "ShardOutcome",
-    "derive_seed",
-    "merge_counts",
-    "merge_crawl_results",
-    "merge_result_sets",
-    "plan_shards",
-    "render_event",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "checkpoint": ("CheckpointMismatch", "CheckpointStore"),
+    "executor": ("RetryPolicy", "ShardError", "ShardExecutor", "ShardOutcome"),
+    "merge": ("MergeError", "merge_counts", "merge_crawl_results", "merge_result_sets"),
+    "progress": ("ProgressEvent", "ProgressTracker", "render_event"),
+    "shard": ("Shard", "derive_seed", "plan_shards"),
+})

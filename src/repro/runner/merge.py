@@ -12,12 +12,14 @@ an identical object (asserted property-based in the tests).
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.atlas.results import ResultSet
-from repro.crawler.crawl import CrawlRecord, CrawlResult
 from repro.metrics.snapshot import MetricsSnapshot, merge_snapshots
 from repro.runner.codec import metrics_payload
+
+if TYPE_CHECKING:
+    from repro.crawler.crawl import CrawlRecord, CrawlResult
 
 __all__ = [
     "MergeError",
@@ -133,6 +135,8 @@ def merge_crawl_results(
     concatenation in shard order reproduces the serial crawl's record
     order.  Returns ``(result, total_queries)``.
     """
+    from repro.crawler.crawl import CrawlResult
+
     records: list[CrawlRecord] = []
     for part in parts:
         records.extend(part.records)

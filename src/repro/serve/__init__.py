@@ -9,37 +9,15 @@ via :mod:`repro.serve.batchio`) and memoizes encoded responses for
 repeat queries (:mod:`repro.serve.memo`).  See ``docs/serving.md``.
 """
 
-from repro.serve.batchio import (
-    DEFAULT_BATCH_SIZE,
-    FallbackBatcher,
-    MmsgBatcher,
-    make_batcher,
-    mmsg_available,
-)
-from repro.serve.bridge import WallClockBridge
-from repro.serve.config import WORLD_BUILDERS, ServeConfig, build_frontend
-from repro.serve.frontend import DnsFrontend, ServeResult, servfail_wire
-from repro.serve.memo import DEFAULT_MEMO_CAPACITY, ResponseMemo
-from repro.serve.server import ServeServer, run_server
-from repro.serve.workers import run_worker, run_workers
+from repro._exports import lazy_exports
 
-__all__ = [
-    "DEFAULT_BATCH_SIZE",
-    "DEFAULT_MEMO_CAPACITY",
-    "DnsFrontend",
-    "FallbackBatcher",
-    "MmsgBatcher",
-    "ResponseMemo",
-    "ServeConfig",
-    "ServeResult",
-    "ServeServer",
-    "WORLD_BUILDERS",
-    "WallClockBridge",
-    "build_frontend",
-    "make_batcher",
-    "mmsg_available",
-    "run_server",
-    "run_worker",
-    "run_workers",
-    "servfail_wire",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "batchio": ("DEFAULT_BATCH_SIZE", "FallbackBatcher", "MmsgBatcher", "make_batcher",
+                "mmsg_available"),
+    "bridge": ("WallClockBridge",),
+    "config": ("WORLD_BUILDERS", "ServeConfig", "build_frontend"),
+    "frontend": ("DnsFrontend", "ServeResult", "servfail_wire"),
+    "memo": ("DEFAULT_MEMO_CAPACITY", "ResponseMemo"),
+    "server": ("ServeServer", "run_server"),
+    "workers": ("run_worker", "run_workers"),
+})

@@ -7,28 +7,13 @@ behind one address, with per-client catchment by lowest RTT (how Route53's
 query into an ENTRADA-style :class:`QueryLog` for the passive analyses.
 """
 
-from repro.server.authoritative import AuthoritativeServer
-from repro.server.anycast import AnycastCluster
-from repro.server.cdn import CdnAuthoritativeServer, CdnSite
-from repro.server.querylog import (
-    QueryLog,
-    QueryLogEntry,
-    QueryLogWriter,
-    entry_from_dict,
-    entry_to_dict,
-)
-from repro.server.rrl import ResponseRateLimiter, RrlVerdict
+from repro._exports import lazy_exports
 
-__all__ = [
-    "AnycastCluster",
-    "AuthoritativeServer",
-    "CdnAuthoritativeServer",
-    "CdnSite",
-    "QueryLog",
-    "QueryLogEntry",
-    "QueryLogWriter",
-    "ResponseRateLimiter",
-    "RrlVerdict",
-    "entry_from_dict",
-    "entry_to_dict",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "authoritative": ("AuthoritativeServer",),
+    "anycast": ("AnycastCluster",),
+    "cdn": ("CdnAuthoritativeServer", "CdnSite"),
+    "querylog": ("QueryLog", "QueryLogEntry", "QueryLogWriter", "entry_from_dict",
+                 "entry_to_dict"),
+    "rrl": ("ResponseRateLimiter", "RrlVerdict"),
+})

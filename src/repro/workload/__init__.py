@@ -7,6 +7,8 @@ popularity tracker in :mod:`repro.predict` ranks observed names against
 the same shape.  One implementation lives here so the two cannot drift.
 """
 
-from repro.workload.zipf import ZipfSampler, qnames_for_ranks
+from repro._exports import lazy_exports
 
-__all__ = ["ZipfSampler", "qnames_for_ranks"]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "zipf": ("ZipfSampler", "qnames_for_ranks"),
+})

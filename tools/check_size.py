@@ -26,7 +26,7 @@ CEILINGS = {
     "server/anycast.py": 112,
     "dns/name.py": 348,
     "metrics/registry.py": 236,
-    "": 21320,
+    "": 21078,
 }
 
 
