@@ -37,10 +37,13 @@ perf-check:
 # Docs stay honest: every repro.* package documented in README + API.md,
 # every intra-repo markdown link resolves — and the ROADMAP's size gates
 # hold: a file that regrows has to raise its ceiling in tools/check_size.py.
+# Every definition and module under src/repro is reached from non-test code
+# or listed, with a reason, in tools/check_reach_allowlist.txt.
 # CI runs this as the docs job.
 docs-check:
 	python tools/check_docs.py
 	python tools/check_size.py
+	python tools/check_reach.py
 
 # The full deliverable run: logs captured alongside the repo.
 reports:

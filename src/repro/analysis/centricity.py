@@ -12,8 +12,8 @@ the parent TTL must be honouring the (shorter) child TTL.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 
 @dataclass
@@ -41,20 +41,6 @@ class CentricityBreakdown:
     @property
     def capped_fraction(self) -> float:
         return self.fraction(self.capped)
-
-    @property
-    def full_parent_fraction(self) -> float:
-        return self.fraction(self.full_parent_ttl)
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "total": self.total,
-            "child": self.child_fraction,
-            "parent": self.parent_fraction,
-            "capped": self.capped_fraction,
-            "other": self.fraction(self.other),
-            "full_parent_ttl": self.full_parent_fraction,
-        }
 
 
 def classify_active_ttls(

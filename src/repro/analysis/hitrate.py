@@ -19,7 +19,6 @@ miss plus the hits), so::
 from __future__ import annotations
 
 import random
-from typing import Iterable, Sequence
 
 
 def analytic_hit_rate(arrival_rate: float, ttl: float) -> float:
@@ -57,13 +56,6 @@ def simulate_hit_rate(
         else:
             cache_expires = now + ttl
     return hits / queries if queries else 0.0
-
-
-def hit_rate_curve(
-    ttls: Sequence[float], arrival_rate: float
-) -> list[tuple[float, float]]:
-    """(TTL, analytic hit rate) pairs for a sweep — the ablation bench."""
-    return [(ttl, analytic_hit_rate(arrival_rate, ttl)) for ttl in ttls]
 
 
 def diminishing_returns_ttl(

@@ -24,17 +24,6 @@ class LatencySummary:
     p99: float
     mean: float
 
-    def as_row(self) -> list[str]:
-        return [
-            str(self.n),
-            f"{self.median:.1f}",
-            f"{self.p25:.1f}",
-            f"{self.p75:.1f}",
-            f"{self.p95:.1f}",
-            f"{self.p99:.1f}",
-            f"{self.mean:.1f}",
-        ]
-
 
 def latency_summary(rtts_ms: Iterable[float]) -> Optional[LatencySummary]:
     """Summarize a latency sample (ms); None on an empty sample."""

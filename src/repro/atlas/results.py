@@ -304,11 +304,9 @@ class ResultSet:
         return series
 
     # -- summaries -------------------------------------------------------------
-    def summary(
-        self, expect: Optional[Callable[[MeasurementResult], bool]] = None
-    ) -> dict[str, int]:
+    def summary(self) -> dict[str, int]:
         """The Table 2/Table 3 bookkeeping for this dataset."""
-        valid = self.valid(expect)
+        valid = self.valid()
         probes, probes_valid = len(self.probe_ids()), len(valid.probe_ids())
         queries, responses_valid = len(self), len(valid)
         timeouts = self.columns.rcode.count(Rcode.SERVFAIL)

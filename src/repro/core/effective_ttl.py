@@ -59,33 +59,12 @@ def effective_record_ttl(
     config: DelegationConfig, policy: ResolverPolicy
 ) -> EffectiveTTL:
     """The TTLs a resolver with ``policy`` will honour for a delegation."""
-    if policy.centricity is Centricity.PARENT:
-        ns_ttl = config.parent_ns_ttl
-        controller = "parent"
-        if config.in_bailiwick:
-            address_ttl = config.parent_glue_ttl
-        else:
-            address_ttl = config.child_address_ttl
-    else:
-        ns_ttl = config.child_ns_ttl
-        controller = "child"
-        address_ttl = config.child_address_ttl
-        if address_ttl is None and config.in_bailiwick:
-            address_ttl = config.parent_glue_ttl
-
-    if policy.ttl_cap is not None:
-        ns_ttl = min(ns_ttl, policy.ttl_cap)
-        if address_ttl is not None:
-            address_ttl = min(address_ttl, policy.ttl_cap)
-    ns_ttl = max(ns_ttl, policy.ttl_floor)
-    if address_ttl is not None:
-        address_ttl = max(address_ttl, policy.ttl_floor)
-
+    ns_ttl, address_ttl = effective_record_ttl_values(config, policy)
     return EffectiveTTL(
         ns_ttl=ns_ttl,
         address_ttl=address_ttl,
         switch_time=effective_switch_time(config, policy),
-        controller=controller,
+        controller="parent" if policy.centricity is Centricity.PARENT else "child",
     )
 
 
@@ -108,8 +87,7 @@ def effective_switch_time(
     """
     if policy.sticky:
         return None
-    effective = effective_record_ttl_values(config, policy)
-    ns_ttl, address_ttl = effective
+    ns_ttl, address_ttl = effective_record_ttl_values(config, policy)
     if address_ttl is None:
         return ns_ttl
     if policy.centricity is Centricity.PARENT:
@@ -141,30 +119,3 @@ def effective_record_ttl_values(
     if address_ttl is not None:
         address_ttl = max(address_ttl, policy.ttl_floor)
     return ns_ttl, address_ttl
-
-
-def population_effective_ttls(
-    config: DelegationConfig,
-    shares: dict[ResolverPolicy, float],
-) -> dict[str, float]:
-    """Population-weighted view: what fraction of resolvers is controlled
-    by the parent vs the child for this delegation.
-
-    This is the paper's §3 takeaway quantified: "one must set TTLs the same
-    in both parent and child to accommodate this sizable minority."
-    """
-    total = sum(shares.values())
-    if total <= 0:
-        raise ValueError("shares must sum to a positive value")
-    child_share = 0.0
-    parent_share = 0.0
-    for policy, share in shares.items():
-        effective = effective_record_ttl(config, policy)
-        if effective.controller == "child":
-            child_share += share
-        else:
-            parent_share += share
-    return {
-        "child_controlled": child_share / total,
-        "parent_controlled": parent_share / total,
-    }

@@ -264,11 +264,6 @@ class UyWorld:
     child_ns_ttl: int
     child_a_ttl: int
 
-    def raise_ns_ttl(self, new_ttl: int = 86400) -> None:
-        """The 2019-03-04 change: child NS TTL 300 s → 1 day (§5.3)."""
-        self.uy_zone.set_ttl("uy.", RdataType.NS, new_ttl)
-        self.child_ns_ttl = new_ttl
-
 
 def build_uy_world(
     seed: int = 0, child_ns_ttl: int = 300, child_a_ttl: int = 120

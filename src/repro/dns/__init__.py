@@ -19,5 +19,5 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "message": ("CLASSIC_UDP_PAYLOAD", "DEFAULT_EDNS_PAYLOAD", "Edns", "Flags", "Message",
                 "Opcode", "Question", "Rcode", "Section"),
     "zone": ("LookupResult", "LookupStatus", "Zone", "ZoneError"),
-    "ttl": ("TTL_MAX", "clamp_ttl", "format_ttl", "parse_ttl", "validate_ttl"),
+    "ttl": ("TTL_MAX", "format_ttl", "parse_ttl", "validate_ttl"),
 })

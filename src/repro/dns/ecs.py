@@ -147,13 +147,6 @@ class ClientSubnet:
         bits = FAMILY_BITS[self.family]
         return (self.network_bits() ^ other.network_bits()) >> (bits - scope) == 0
 
-    def address_text(self) -> str:
-        """Presentation form, e.g. ``198.18.3.0/24``."""
-        bits = FAMILY_BITS[self.family]
-        padded = self.address + b"\x00" * (bits // 8 - len(self.address))
-        ip = ipaddress.ip_address(padded)
-        return f"{ip}/{self.source_prefix}"
-
     # -- wire -----------------------------------------------------------------
     def to_option_data(self) -> bytes:
         """The option payload (everything after code/length)."""

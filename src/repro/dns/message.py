@@ -319,10 +319,6 @@ class Message:
         return None
 
     # -- classification -----------------------------------------------------------
-    @property
-    def is_response(self) -> bool:
-        return self.flags.qr
-
     def is_referral(self) -> bool:
         """A delegation response: no answer, NS records in authority, not AA.
 

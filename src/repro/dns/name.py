@@ -282,16 +282,6 @@ class Name(tuple):
         cut = len(self) - depth
         return Name.from_labels(self[:cut]), Name.from_labels(self[cut:])
 
-    def relativize(self, origin: "Name") -> tuple[str, ...]:
-        """Labels of ``self`` below ``origin`` (empty if equal).
-
-        Raises :class:`NameError_` when ``self`` is not subordinate to
-        ``origin``.
-        """
-        if not self.is_subdomain_of(origin):
-            raise NameError_(f"{self} is not under {origin}")
-        return self[: len(self) - len(origin)]
-
     # -- relationships ----------------------------------------------------------
     def is_subdomain_of(self, other: "Name") -> bool:
         """True when ``self`` equals ``other`` or lies beneath it.
@@ -308,9 +298,6 @@ class Name(tuple):
         """True when ``self`` lies strictly beneath ``other``."""
         return self != other and self.is_subdomain_of(other)
 
-    def is_superdomain_of(self, other: "Name") -> bool:
-        return other.is_subdomain_of(self)
-
     def in_bailiwick_of(self, zone_origin: "Name") -> bool:
         """RFC 8499 bailiwick test: is this name at/under ``zone_origin``?
 
@@ -321,15 +308,6 @@ class Name(tuple):
         independently).
         """
         return self.is_subdomain_of(zone_origin)
-
-    def common_ancestor(self, other: "Name") -> "Name":
-        """The deepest name that is an ancestor-or-self of both names."""
-        shared: list[str] = []
-        for mine, theirs in zip(reversed(self), reversed(other)):
-            if mine != theirs:
-                break
-            shared.append(mine)
-        return Name.from_labels(tuple(reversed(shared)))
 
 
 def _intern(labels: tuple[str, ...]) -> Name:

@@ -489,14 +489,6 @@ _RDATA_CLASSES: dict[RdataType, type[Rdata]] = {
 }
 
 
-def rdata_class_for(rdtype: RdataType) -> type[Rdata]:
-    """The rdata class implementing ``rdtype``; raises for unknown types."""
-    try:
-        return _RDATA_CLASSES[rdtype]
-    except KeyError as exc:
-        raise ValueError(f"no rdata implementation for type {rdtype}") from exc
-
-
 def read_rdata(rdtype: RdataType, reader: WireReader, rdlength: int) -> Rdata:
     """Decode one rdata of ``rdtype`` spanning ``rdlength`` octets.
 

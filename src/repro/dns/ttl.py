@@ -37,20 +37,6 @@ def validate_ttl(ttl: int) -> int:
     return ttl
 
 
-def clamp_ttl(ttl: int, minimum: int = 0, maximum: int = TTL_MAX) -> int:
-    """Clamp ``ttl`` into ``[minimum, maximum]``.
-
-    This is the primitive behind resolver TTL *capping* (paper §3.3 observes
-    Google Public DNS capping TTLs at 21599 s) and minimum-TTL floors
-    ("many recursive resolvers have minimum caching times of tens of
-    seconds", §6.1).
-    """
-    validate_ttl(maximum)
-    if minimum < 0 or minimum > maximum:
-        raise TTLError(f"invalid clamp range [{minimum}, {maximum}]")
-    return max(minimum, min(validate_ttl(ttl), maximum))
-
-
 def parse_ttl(text: str | int) -> int:
     """Parse a TTL from seconds or a BIND-style duration string.
 

@@ -29,11 +29,5 @@ class SimClock:
         self._now += seconds
         return self._now
 
-    def advance_to(self, timestamp: float) -> float:
-        """Move time forward to ``timestamp`` (no-op if already past it)."""
-        if timestamp > self._now:
-            self._now = float(timestamp)
-        return self._now
-
     def __repr__(self) -> str:
         return f"SimClock(t={self._now:.3f})"

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import ipaddress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -87,9 +87,6 @@ class AddressAllocator:
         address = str(ipaddress.IPv4Address(self._next))
         self._next += 1
         return address
-
-    def allocate_many(self, count: int) -> list[str]:
-        return [self.allocate() for _ in range(count)]
 
     def mark(self) -> int:
         """The allocator's position, for :meth:`reset_to`."""
@@ -199,9 +196,3 @@ class Topology:
 
     def endpoint_in_region(self, region: Region, name: str = "") -> Endpoint:
         return self.create_endpoint(self.create_as(region), name=name)
-
-    def endpoints_by_region(self) -> dict[Region, list[Endpoint]]:
-        grouped: dict[Region, list[Endpoint]] = {region: [] for region in Region}
-        for endpoint in self._endpoints:
-            grouped[endpoint.region].append(endpoint)
-        return grouped

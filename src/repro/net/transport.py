@@ -283,9 +283,6 @@ class Network:
         if self.faults is not None:
             self._wire_server_faults(server)
 
-    def deregister(self, address: str) -> None:
-        self._servers.pop(address, None)
-
     def server_at(self, address: str) -> Optional[Server]:
         return self._servers.get(address)
 

@@ -29,7 +29,7 @@ just shrank, which the lazy invariant cannot absorb incrementally).
 from __future__ import annotations
 
 import heapq
-from typing import Hashable, Iterator, Optional
+from typing import Hashable, Optional
 
 #: Heap compaction threshold, in multiples of capacity.
 _HEAP_SLACK = 8
@@ -177,12 +177,6 @@ class PopularityTracker:
             return 0.0
         first = self._first_seen[key]
         return guaranteed / max(now - first, 1.0)
-
-    def hot_keys(self) -> Iterator[Hashable]:
-        """Tracked keys that pass the hotness test, admission order."""
-        for key in self._counts:
-            if self.is_hot(key):
-                yield key
 
     # -- snapshot / merge ----------------------------------------------------
     def snapshot(self) -> list[tuple[Hashable, int, int, float]]:

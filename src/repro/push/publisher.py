@@ -100,7 +100,6 @@ class PushPublisher:
         self._subs: dict[str, _SubscriberState] = {}
         #: Reverse index: key -> ordered set of subscriber addresses.
         self._index: dict[PushKey, dict[str, None]] = {}
-        self._last_change: dict[PushKey, float] = {}
 
     def __repr__(self) -> str:
         return (
@@ -120,14 +119,10 @@ class PushPublisher:
     def subscription_count(self) -> int:
         return sum(len(state.keys) for state in self._subs.values())
 
-    def last_change(self, name: Name, rdtype: RdataType) -> Optional[float]:
-        return self._last_change.get((name, rdtype))
-
     def reset(self) -> None:
         """Forget all session state (worldcache/baseline reuse)."""
         self._subs.clear()
         self._index.clear()
-        self._last_change.clear()
 
     # -- session frames -------------------------------------------------------
     def handle_session_message(
@@ -205,7 +200,6 @@ class PushPublisher:
         subscriber's session instead (TCP died under the fault window).
         """
         key: PushKey = (Name(name), rdtype)
-        self._last_change[key] = now
         subscribers = self._index.get(key)
         if not subscribers:
             return 0

@@ -120,9 +120,6 @@ class CacheEntry:
     #: Memoized aged view, reused while the whole-second TTL is unchanged.
     _aged: Optional[RRset] = field(default=None, init=False, repr=False, compare=False)
 
-    def is_expired(self, now: float) -> bool:
-        return now >= self.expires_at
-
     def remaining_ttl(self, now: float) -> int:
         """Whole seconds of life left, floored at zero."""
         return max(0, int(self.expires_at - now))
@@ -571,22 +568,20 @@ class Cache:
         now: float,
         rdclass: RdataClass = RdataClass.IN,
         min_credibility: Credibility = Credibility.ADDITIONAL,
-        follow_links: bool = True,
     ) -> Optional[CacheEntry]:
         """A live entry of at least ``min_credibility``, else ``None``.
 
-        ``follow_links``: when set (the default) an entry whose link target
-        is expired or missing counts as expired itself.  This is the tied
-        NS/A lifetime of §4.2.  (:meth:`get_entry` for cold callers.)
+        An entry whose link target is expired or missing counts as expired
+        itself: the tied NS/A lifetime of §4.2.  (:meth:`get_entry` for
+        callers that hold a key.)
         """
-        return self.get_entry((name, rdtype, rdclass), now, min_credibility, follow_links)
+        return self.get_entry((name, rdtype, rdclass), now, min_credibility)
 
     def get_entry(
         self,
         key: CacheKey,
         now: float,
         min_credibility: Credibility = Credibility.ADDITIONAL,
-        follow_links: bool = True,
     ) -> Optional[CacheEntry]:
         """The read: :meth:`get` for callers that hold a :data:`CacheKey`.
 
@@ -597,7 +592,7 @@ class Cache:
         entry = entries.get(key)
         if entry is not None:
             live = now < entry.expires_at
-            if live and follow_links and entry.linked_to is not None:
+            if live and entry.linked_to is not None:
                 target_key, generation = entry.linked_to
                 target = entries.get(target_key)
                 live = (

@@ -76,11 +76,6 @@ class ResolutionResult:
     def answer_rrset(self) -> Optional[RRset]:
         return self.answers[-1] if self.answers else None
 
-    def first_ttl(self) -> Optional[int]:
-        """TTL of the final answer RRset — what a measurement VP records."""
-        rrset = self.answer_rrset
-        return rrset.ttl if rrset is not None else None
-
 
 class ResolutionError(Exception):
     """Internal signal that iteration failed; converted to SERVFAIL."""

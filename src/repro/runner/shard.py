@@ -25,19 +25,16 @@ __all__ = ["DEFAULT_SHARDS", "Shard", "derive_seed", "plan_shards"]
 #: vary with the machine the campaign happened to run on.
 DEFAULT_SHARDS = 4
 
-#: Domain-separation tag so shard seeds never collide with other uses of
-#: the campaign seed (population seeds, jitter seeds, ...).
-_SEED_SALT = "repro.runner.shard"
 
-
-def derive_seed(campaign_seed: int, shard_index: int, salt: str = _SEED_SALT) -> int:
+def derive_seed(campaign_seed: int, shard_index: int) -> int:
     """A stable 63-bit seed for one shard of one campaign.
 
     Hash-based (not ``campaign_seed + shard_index``) so that campaigns
     with nearby seeds never share shard seeds, and independent of
-    Python's per-process hash randomization.
+    Python's per-process hash randomization.  The tag keeps shard seeds
+    apart from other uses of the campaign seed (population, jitter, ...).
     """
-    material = f"{salt}:{campaign_seed}:{shard_index}".encode("ascii")
+    material = f"repro.runner.shard:{campaign_seed}:{shard_index}".encode("ascii")
     digest = hashlib.blake2b(material, digest_size=8).digest()
     return int.from_bytes(digest, "big") >> 1
 

@@ -18,6 +18,6 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "config": ("WORLD_BUILDERS", "ServeConfig", "build_frontend"),
     "frontend": ("DnsFrontend", "ServeResult", "servfail_wire"),
     "memo": ("DEFAULT_MEMO_CAPACITY", "ResponseMemo"),
-    "server": ("ServeServer", "run_server"),
+    "server": ("ServeServer",),
     "workers": ("run_worker", "run_workers"),
 })

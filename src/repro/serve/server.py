@@ -246,18 +246,3 @@ class ServeServer:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
-
-
-async def run_server(
-    server: ServeServer, ready: Optional[asyncio.Event] = None
-) -> None:
-    """Start ``server`` and serve until cancelled, then drain gracefully."""
-    await server.start()
-    if ready is not None:
-        ready.set()
-    try:
-        await asyncio.Event().wait()  # sleep until cancelled
-    except asyncio.CancelledError:
-        pass
-    finally:
-        await server.stop()

@@ -55,12 +55,6 @@ class QueryLog:
         """Entries with start <= timestamp < end."""
         return self.filtered(lambda e: start <= e.timestamp < end)
 
-    def for_qname(self, qname: Name) -> "QueryLog":
-        return self.filtered(lambda e: e.qname == qname)
-
-    def for_qtype(self, qtype: RdataType) -> "QueryLog":
-        return self.filtered(lambda e: e.qtype == qtype)
-
     # -- aggregations ----------------------------------------------------------
     def unique_clients(self) -> set[str]:
         return {entry.client_address for entry in self.entries}

@@ -33,10 +33,6 @@ class TestActiveClassification:
         with pytest.raises(ValueError):
             classify_active_ttls([1], parent_ttl=300, child_ttl=900)
 
-    def test_as_dict(self):
-        d = classify_active_ttls([300], 172800, 300).as_dict()
-        assert d["total"] == 1 and d["child"] == 1.0
-
 
 class TestGoogleCoClassification:
     def test_fig2_shape(self):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.analysis.hitrate import (
     analytic_hit_rate,
     diminishing_returns_ttl,
-    hit_rate_curve,
     latency_model,
     simulate_hit_rate,
 )
@@ -54,11 +53,6 @@ class TestSimulation:
 
 
 class TestDerived:
-    def test_curve_shape(self):
-        curve = hit_rate_curve([60, 600, 3600], 0.01)
-        assert [ttl for ttl, _ in curve] == [60, 600, 3600]
-        assert curve[0][1] < curve[-1][1]
-
     def test_diminishing_returns_jung_observation(self):
         # Jung et al.: TTLs beyond ~1000 s reap little extra benefit, at
         # the query rates their traces show (tens per hour per name).

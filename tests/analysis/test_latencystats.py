@@ -20,11 +20,6 @@ class TestSummary:
     def test_empty_returns_none(self):
         assert latency_summary([]) is None
 
-    def test_as_row_formats(self):
-        row = latency_summary([10.0, 20.0, 30.0]).as_row()
-        assert row[0] == "3"
-        assert all(isinstance(cell, str) for cell in row)
-
 
 class TestRegional:
     def test_per_region(self):

@@ -117,11 +117,9 @@ class ResultSet:
         return series
 
     # -- summaries -------------------------------------------------------------
-    def summary(
-        self, expect: Optional[Callable[[MeasurementResult], bool]] = None
-    ) -> dict[str, int]:
+    def summary(self) -> dict[str, int]:
         """The Table 2/Table 3 bookkeeping for this dataset."""
-        valid = self.valid(expect)
+        valid = self.valid()
         timeouts = sum(1 for r in self.results if r.rcode == Rcode.SERVFAIL)
         return {
             "probes": len(self.probe_ids()),

@@ -112,7 +112,6 @@ def test_every_method_agrees_with_the_row_list(rows, bin_seconds):
             ref_subset.answer_timeseries(bin_seconds)
         )
         assert ordered(subset.summary()) == ordered(ref_subset.summary())
-        assert ordered(subset.summary(hijacked)) == ordered(ref_subset.summary(hijacked))
 
 
 def _outcome(merge, parts, check):

@@ -8,7 +8,6 @@ from repro.core.effective_ttl import (
     DelegationConfig,
     effective_record_ttl,
     effective_switch_time,
-    population_effective_ttls,
 )
 from repro.resolver.policy import ResolverPolicy
 
@@ -108,21 +107,6 @@ class TestSwitchTime:
     def test_switch_time_included_in_effective(self):
         effective = effective_record_ttl(PAPER_CONFIG_IN, ResolverPolicy.child_centric())
         assert effective.switch_time == 3600
-
-
-class TestPopulation:
-    def test_population_split(self):
-        shares = {
-            ResolverPolicy.child_centric(): 0.9,
-            ResolverPolicy.parent_centric(): 0.1,
-        }
-        split = population_effective_ttls(UY_CONFIG, shares)
-        assert split["child_controlled"] == pytest.approx(0.9)
-        assert split["parent_controlled"] == pytest.approx(0.1)
-
-    def test_empty_shares_rejected(self):
-        with pytest.raises(ValueError):
-            population_effective_ttls(UY_CONFIG, {})
 
 
 ttl_values = st.integers(min_value=1, max_value=604800)

@@ -40,7 +40,8 @@ class TestUyCentricity:
 
     def test_some_full_parent_ttl(self, uy_run):
         # §3.2: ~2.9 % show the full 172800 s.
-        assert uy_run.breakdown.full_parent_fraction < 0.1
+        breakdown = uy_run.breakdown
+        assert breakdown.fraction(breakdown.full_parent_ttl) < 0.1
 
     def test_summary_bookkeeping(self, uy_run):
         summary = uy_run.summary

@@ -89,15 +89,13 @@ class TestUyWorld:
         assert response.answer[0].ttl == 300
 
     def test_natural_experiment_change(self):
-        uy = build_uy_world()
-        uy.raise_ns_ttl(86400)
+        uy = build_uy_world(child_ns_ttl=86400)
         response = direct_query(uy.world, "a.nic.uy", "uy.", RdataType.NS)
         assert response.answer[0].ttl == 86400
         assert uy.child_ns_ttl == 86400
 
     def test_parent_unchanged_by_child_change(self):
-        uy = build_uy_world()
-        uy.raise_ns_ttl()
+        uy = build_uy_world(child_ns_ttl=86400)
         response = direct_query(uy.world, "a.root-servers.net", "uy.", RdataType.NS)
         assert response.authority[0].ttl == ROOT_DELEGATION_TTL
 

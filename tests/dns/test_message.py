@@ -173,7 +173,7 @@ class TestWire:
         query = Message.make_query("example.com", RdataType.NS, id=1)
         decoded = Message.from_wire(query.to_wire())
         assert decoded.question == query.question
-        assert not decoded.is_response
+        assert not decoded.flags.qr
 
     def test_trailing_bytes_rejected(self):
         from repro.dns.wire import WireError

@@ -128,16 +128,6 @@ class TestStructure:
         with pytest.raises(NameError_):
             Name("a.b").split(5)
 
-    def test_relativize(self):
-        assert Name("www.example.com").relativize(Name("com")) == ("www", "example")
-
-    def test_relativize_of_self_is_empty(self):
-        assert Name("a.b").relativize(Name("a.b")) == ()
-
-    def test_relativize_unrelated_raises(self):
-        with pytest.raises(NameError_):
-            Name("a.org").relativize(Name("com"))
-
 
 class TestRelationships:
     def test_subdomain_of_self(self):
@@ -160,20 +150,9 @@ class TestRelationships:
         assert not Name("a.b").is_proper_subdomain_of(Name("a.b"))
         assert Name("x.a.b").is_proper_subdomain_of(Name("a.b"))
 
-    def test_superdomain(self):
-        assert Name("com").is_superdomain_of(Name("example.com"))
-
     def test_bailiwick_paper_example(self):
         # RFC 8499 / paper §2: ns.example.org is in bailiwick of
         # example.org; ns.example.com is not.
         zone = Name("example.org")
         assert Name("ns.example.org").in_bailiwick_of(zone)
         assert not Name("ns.example.com").in_bailiwick_of(zone)
-
-    def test_common_ancestor(self):
-        a = Name("x.sub.example.com")
-        b = Name("y.example.com")
-        assert a.common_ancestor(b) == Name("example.com")
-
-    def test_common_ancestor_disjoint_is_root(self):
-        assert Name("a.com").common_ancestor(Name("b.org")) == root

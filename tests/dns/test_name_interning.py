@@ -67,9 +67,6 @@ def test_root_is_interned():
 def test_derived_names_are_interned():
     parent = Name("www.derived.interning.example").parent()
     assert parent is Name("derived.interning.example")
-    assert Name("a.derived.interning.example").common_ancestor(
-        Name("b.derived.interning.example")
-    ) is Name("derived.interning.example")
     prefix, suffix = Name("www.derived.interning.example").split(3)
     assert prefix is Name.from_labels(("www",))
     assert suffix is Name("derived.interning.example")

@@ -83,13 +83,6 @@ def test_subdomain_antisymmetry(a, b):
         assert not b.is_subdomain_of(a)
 
 
-@given(names, names)
-def test_common_ancestor_is_shared_suffix(a, b):
-    ancestor = a.common_ancestor(b)
-    assert a.is_subdomain_of(ancestor)
-    assert b.is_subdomain_of(ancestor)
-
-
 @given(names)
 def test_ancestors_chain_is_strictly_shorter(name):
     previous = len(name)

@@ -15,7 +15,7 @@ from repro.dns.rdtypes import (
     SOA,
     TXT,
     RdataType,
-    rdata_class_for,
+    _RDATA_CLASSES,
     read_rdata,
 )
 from repro.dns.wire import WireReader, WireWriter
@@ -50,7 +50,7 @@ class TestRdataType:
 
     def test_registry_covers_all(self):
         for rdtype in RdataType:
-            assert rdata_class_for(rdtype).rdtype == rdtype
+            assert _RDATA_CLASSES[rdtype].rdtype == rdtype
 
 
 class TestA:

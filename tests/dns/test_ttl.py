@@ -5,7 +5,6 @@ import pytest
 from repro.dns.ttl import (
     TTL_MAX,
     TTLError,
-    clamp_ttl,
     format_ttl,
     parse_ttl,
     validate_ttl,
@@ -34,22 +33,6 @@ class TestValidate:
     def test_float_rejected(self):
         with pytest.raises(TTLError):
             validate_ttl(3.5)
-
-
-class TestClamp:
-    def test_noop_within_range(self):
-        assert clamp_ttl(300, 0, 3600) == 300
-
-    def test_google_style_cap(self):
-        # §3.3: Google Public DNS caps at 21599 s.
-        assert clamp_ttl(345600, maximum=21599) == 21599
-
-    def test_floor(self):
-        assert clamp_ttl(5, minimum=30) == 30
-
-    def test_invalid_range(self):
-        with pytest.raises(TTLError):
-            clamp_ttl(10, minimum=100, maximum=50)
 
 
 class TestParse:

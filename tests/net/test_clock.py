@@ -25,15 +25,5 @@ class TestSimClock:
         with pytest.raises(ValueError):
             SimClock().advance(-0.1)
 
-    def test_advance_to(self):
-        clock = SimClock()
-        clock.advance_to(100.0)
-        assert clock.now == 100.0
-
-    def test_advance_to_past_is_noop(self):
-        clock = SimClock(50.0)
-        clock.advance_to(10.0)
-        assert clock.now == 50.0
-
     def test_repr(self):
         assert "12.000" in repr(SimClock(12.0))

@@ -61,12 +61,6 @@ class TestExchange:
             network.exchange(client, "203.0.113.99", query(), 0.0, timeout=1.5, retries=2)
         assert exc.value.elapsed == pytest.approx(4.5)
 
-    def test_deregister(self, rig):
-        network, server, client = rig
-        network.deregister(server.endpoint.address)
-        with pytest.raises(NetworkTimeout):
-            network.exchange(client, server.endpoint.address, query(), 0.0, retries=0)
-
     def test_server_at(self, rig):
         network, server, _ = rig
         assert network.server_at(server.endpoint.address) is server

@@ -51,12 +51,6 @@ class TestHotness:
         tracker.record("a", 2.0)
         assert tracker.is_hot("a")
 
-    def test_hot_keys_admission_order(self):
-        tracker = PopularityTracker(capacity=4, min_hits=2)
-        for key in ("b", "a", "b", "a", "c"):
-            tracker.record(key, 0.0)
-        assert list(tracker.hot_keys()) == ["b", "a"]
-
     def test_rate_is_guaranteed_arrivals_per_second(self):
         tracker = PopularityTracker(capacity=4)
         for at in range(10):

@@ -95,7 +95,6 @@ class TestPublish:
     def test_no_subscribers_enqueues_nothing(self, rig):
         testbed, publisher, client = rig
         assert publisher.publish(WWW, RdataType.A, 10.0) == 0
-        assert publisher.last_change(WWW, RdataType.A) == 10.0
 
     def test_notify_delivers_after_one_way_delay(self, rig):
         testbed, publisher, client = rig

@@ -165,13 +165,6 @@ class TestLinkedExpiry:
         self.setup_linked(cache)
         assert cache.get(Name("srv.example.com"), RdataType.A, now=3600.5) is None
 
-    def test_follow_links_false_sees_own_ttl(self):
-        cache = Cache()
-        self.setup_linked(cache)
-        assert cache.get(
-            Name("srv.example.com"), RdataType.A, now=3600.5, follow_links=False
-        ) is not None
-
     def test_replaced_target_breaks_link(self):
         # New NS generation must not resurrect old glue.
         cache = Cache()

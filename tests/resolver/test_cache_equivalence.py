@@ -180,15 +180,13 @@ class ScanReferenceCache:
         now,
         rdclass=RdataClass.IN,
         min_credibility=Credibility.ADDITIONAL,
-        follow_links=True,
     ):
         key = (name, rdtype, rdclass)
         entry = self._entries.get(key)
         if entry is None:
             self.stats.misses += 1
             return None
-        dead = self._is_dead(entry, now) if follow_links else now >= entry.expires_at
-        if dead or entry.credibility < min_credibility:
+        if self._is_dead(entry, now) or entry.credibility < min_credibility:
             self.stats.misses += 1
             return None
         self.stats.hits += 1
@@ -331,7 +329,7 @@ operations = st.one_of(
         st.just("put"), name_ix, ttls, credibilities, st.booleans(),
         st.one_of(st.none(), name_ix),  # linked_to target
     ),
-    st.tuples(st.just("get"), name_ix, credibilities, st.booleans()),
+    st.tuples(st.just("get"), name_ix, credibilities),
     st.tuples(st.just("peek"), name_ix),
     st.tuples(st.just("stale"), name_ix),
     st.tuples(st.just("put_neg"), name_ix, st.booleans(), ttls),
@@ -456,12 +454,10 @@ def _drive(real: Cache, reference: ScanReferenceCache, ops, *, registry, compare
                 _key(ns_ix),
             )
         elif kind == "get":
-            _, ix, min_cred, follow = op
-            got = real.get(NAMES[ix], QTYPE, now=now, min_credibility=min_cred,
-                           follow_links=follow)
+            _, ix, min_cred = op
+            got = real.get(NAMES[ix], QTYPE, now=now, min_credibility=min_cred)
             assert _snapshot(got) == _snapshot(
-                reference.get(NAMES[ix], QTYPE, now=now, min_credibility=min_cred,
-                              follow_links=follow)
+                reference.get(NAMES[ix], QTYPE, now=now, min_credibility=min_cred)
             )
             if got is not None:
                 stamps.append((got, got.generation, got.expires_at,

@@ -48,7 +48,7 @@ class TestStaleWhileRevalidate:
         resolver.resolve(WWW, RdataType.A, now=0.0)
         out = resolver.resolve(WWW, RdataType.A, now=100.0)
         assert out.served_stale
-        assert out.first_ttl() == 17
+        assert out.answers[0].ttl == 17
 
     def test_revalidation_repopulates_cache(self, mini_world):
         resolver = make_resolver(mini_world, ResolverPolicy.predictive())
@@ -58,7 +58,7 @@ class TestStaleWhileRevalidate:
         out = resolver.resolve(WWW, RdataType.A, now=101.0)  # pump runs it
         assert out.cache_hit
         assert not out.served_stale
-        assert out.first_ttl() == 59  # refreshed at t=100, aged 1 s
+        assert out.answers[0].ttl == 59  # refreshed at t=100, aged 1 s
 
     def test_stale_beyond_max_stale_is_not_served(self, mini_world):
         policy = ResolverPolicy.predictive(PredictPolicy(max_stale_s=30.0))

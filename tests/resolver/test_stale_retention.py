@@ -37,7 +37,7 @@ class TestDeadFirstEvictionRetention:
         assert cache.get_stale(Name("a.example."), RdataType.A) is None
         survivor = cache.get_stale(Name("b.example."), RdataType.A)
         assert survivor is not None
-        assert survivor.is_expired(20.0)  # stale, and still servable
+        assert 20.0 >= survivor.expires_at  # stale, and still servable
 
     def test_expired_entry_survives_until_pressure_arrives(self):
         cache = Cache(max_entries=8)
@@ -122,7 +122,7 @@ class TestRevalidationReplacement:
             now=0.0,
         )
         old = cache.get_stale(Name("w.example."), RdataType.A)
-        assert old is not None and old.is_expired(100.0)
+        assert old is not None and 100.0 >= old.expires_at
         old_generation = old.generation
         # The revalidation lands (dead entries always lose to fresh data,
         # even at equal credibility).

@@ -44,14 +44,6 @@ class TestFilters:
         log = make_log([entry(ts=t) for t in (0.0, 5.0, 10.0)])
         assert [e.timestamp for e in log.between(1.0, 10.0)] == [5.0]
 
-    def test_for_qname(self):
-        log = make_log([entry(qname="a.nl."), entry(qname="b.nl.")])
-        assert len(log.for_qname(Name("a.nl."))) == 1
-
-    def test_for_qtype(self):
-        log = make_log([entry(qtype=RdataType.A), entry(qtype=RdataType.NS)])
-        assert len(log.for_qtype(RdataType.NS)) == 1
-
 
 class TestAggregation:
     def test_unique_clients(self):
