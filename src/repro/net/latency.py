@@ -13,13 +13,19 @@ away.  This model preserves that contrast:
 
 Client-to-local-resolver paths use a dedicated short "last mile" latency,
 since most probes use a resolver in their own network (§4.4).
+
+Each sampled RTT scales its base by one jitter factor under the contract of
+the stdlib's ``Random.lognormvariate(0, σ)``: the same draws, in the same
+order, and the same float (Figures 10/11 and every campaign digest rest on
+it), drawn inline so that an RTT is one Python frame.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from math import exp
+from math import exp, log
+from random import NV_MAGICCONST
 from typing import Optional
 
 from repro.net.topology import Endpoint, Region
@@ -117,17 +123,21 @@ class LatencyModel:
         return base_ms
 
     # -- sampled RTTs ----------------------------------------------------------
-    # ``exp(normalvariate(0, σ))`` is the stdlib's ``lognormvariate(0, σ)``
-    # with one frame fewer: the same draws and the same float.
+    # Both run ``Random.normalvariate``'s Kinderman–Monahan loop inline (two
+    # ``random`` and a ``log`` per try); with μ = 0, ``μ + z·σ`` is ``z·σ``.
     def rtt(self, src: Endpoint, dst: Endpoint, rng: Optional[random.Random] = None) -> float:
         """One sampled round trip time between endpoints, in **seconds**."""
-        sampler = rng or self._rng
+        uniform = (rng or self._rng).random
         path = self._paths.get((src.address, dst.address))
         if path is not None and path[0] is src.region and path[1] is dst.region:
             base_ms = path[2]
         else:
             base_ms = self.base_rtt_ms(src, dst)
-        return base_ms * exp(sampler.normalvariate(0.0, self._jitter_sigma)) / 1000.0
+        while True:
+            u1, u2 = uniform(), 1.0 - uniform()
+            z = NV_MAGICCONST * (u1 - 0.5) / u2
+            if z * z / 4.0 <= -log(u2):
+                return base_ms * exp(z * self._jitter_sigma) / 1000.0
 
     def last_mile_rtt(self, rng: Optional[random.Random] = None) -> float:
         """Client to its own on-network recursive resolver, in seconds.
@@ -135,8 +145,12 @@ class LatencyModel:
         This is the "1 ms cache hit" path of the paper's introduction; we
         use a few milliseconds with jitter.
         """
-        sampler = rng or self._rng
-        return self.last_mile_ms * exp(sampler.normalvariate(0.0, self._jitter_sigma)) / 1000.0
+        uniform = (rng or self._rng).random
+        while True:
+            u1, u2 = uniform(), 1.0 - uniform()
+            z = NV_MAGICCONST * (u1 - 0.5) / u2
+            if z * z / 4.0 <= -log(u2):
+                return self.last_mile_ms * exp(z * self._jitter_sigma) / 1000.0
 
     def nearest(self, src: Endpoint, candidates: list[Endpoint]) -> Endpoint:
         """The candidate with the lowest deterministic RTT from ``src``.

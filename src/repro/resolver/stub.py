@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 from repro.dns.message import Rcode
@@ -56,17 +57,18 @@ class StubResolver:
         self.endpoint = endpoint
         self.resolver = resolver
         self._resolver_address = resolver.address
-        self._latency = latency
         self._rng = random.Random(seed ^ 0x57AB)
+        #: Client → recursive resolver round trip, in seconds, one draw per
+        #: call: the last mile to an on-network resolver (same AS), else a
+        #: network path.  Bound once, so a call is one frame: the sampler's.
+        self.client_leg_rtt = (
+            partial(latency.last_mile_rtt, self._rng)
+            if endpoint.asn == resolver.endpoint.asn
+            else partial(latency.rtt, endpoint, resolver.endpoint, self._rng)
+        )
 
     def __repr__(self) -> str:
         return f"StubResolver({self.endpoint.address} -> {self._resolver_address})"
-
-    def client_leg_rtt(self) -> float:
-        """Client → recursive resolver round trip, in seconds."""
-        if self.endpoint.asn == self.resolver.endpoint.asn:
-            return self._latency.last_mile_rtt(self._rng)
-        return self._latency.rtt(self.endpoint, self.resolver.endpoint, self._rng)
 
     def query(
         self,
@@ -77,7 +79,7 @@ class StubResolver:
     ) -> StubAnswer:
         """Send one query and measure the full round trip.
 
-        ``leg`` is this query's :meth:`client_leg_rtt` when the caller has
+        ``leg`` is this query's :attr:`client_leg_rtt` when the caller has
         already drawn it (the probe loop draws before it knows whether a
         hit lease answers the slot); a query draws exactly one.
         """

@@ -39,8 +39,9 @@ _FORMAT_VERSION = 1
 #: run state holds the ``ResultSet`` table being filled, not a row list;
 #: 4 = the registry holds collectors over owners' count slots, not
 #: instruments; 5 = caches keep no dead-mark sets and entries no
-#: dependents list or source zone.
-_WSNAP_VERSION = 5
+#: dependents list or source zone; 6 = stubs hold their bound client leg,
+#: not the latency model, and servers a public ``log_queries`` flag.
+_WSNAP_VERSION = 6
 
 
 class CheckpointMismatch(RuntimeError):

@@ -70,7 +70,7 @@ class AuthoritativeServer:
         self._routes = _Routes(self._zones)
         for zone in zones or ():
             self.add_zone(zone)
-        self._log_queries = log_queries
+        self.log_queries = log_queries
         self.query_log: Optional[QueryLog] = QueryLog() if log_queries else None
         #: Total queries handled, counted even when the per-entry log is off.
         self.queries_received = 0
@@ -87,7 +87,7 @@ class AuthoritativeServer:
         tally, fault hook, and push publisher return to their
         just-constructed state.
         """
-        self.query_log = QueryLog() if self._log_queries else None
+        self.query_log = QueryLog() if self.log_queries else None
         self.queries_received = 0
         self.faults = None
         self.push = None

@@ -8,28 +8,71 @@ smoke size ``test_campaign_registry.py`` pins, must then produce the very
 bytes recorded there — stdout table, ``--metrics`` JSON and manifest.
 
 The branch-per-feature ``resolve()`` in place of the construction-time
-resolve plan, and the per-query probe loop in place of the one that
-answers a live entry's hits from a lease.  Add a reference by adding a row.
+resolve plan, the per-query probe loop in place of the one that answers a
+live entry's hits from a lease, the stdlib's ``lognormvariate`` in place of
+the jitter draw the latency model runs inline, and a zone that compiles
+every response afresh in place of its compiled-answer memo.  Add a
+reference by adding a row.
 """
 
 import pytest
 
 from repro.atlas.measurement import Measurement
 from repro.core.campaign import CAMPAIGNS
+from repro.dns.message import Message, Rcode
+from repro.dns.zone import Zone
+from repro.net.latency import LatencyModel
 from repro.resolver.recursive import RecursiveResolver
 
 from tests.atlas.reference_measurement import reference_run
 from tests.core.test_campaign_registry import ORACLE, _run, _sha
 from tests.resolver.reference_resolver import reference_resolve
 
+
+def stdlib_rtt(model, src, dst, rng=None):
+    """``LatencyModel.rtt`` with the stdlib drawing the jitter."""
+    sampler = rng or model._rng
+    return model.base_rtt_ms(src, dst) * sampler.lognormvariate(0.0, model._jitter_sigma) / 1000.0
+
+
+def stdlib_last_mile_rtt(model, rng=None):
+    """``LatencyModel.last_mile_rtt`` with the stdlib drawing the jitter."""
+    sampler = rng or model._rng
+    return model.last_mile_ms * sampler.lognormvariate(0.0, model._jitter_sigma) / 1000.0
+
+
+def cold_respond(zone, query):
+    """``Zone.respond`` compiling every body afresh: ``_compiled`` is never
+    read, so no response can come from a stale memo."""
+    question = query.question
+    if question is None:
+        return query.make_response(rcode=Rcode.FORMERR)
+    body = zone._compile(question)
+    return Message(
+        id=query.id,
+        rcode=body.rcode,
+        flags=body.flags[query.flags.rd],
+        question=question,
+        answer=list(body.answer),
+        authority=list(body.authority),
+        additional=list(body.additional),
+    )
+
+
+#: The campaigns whose clients are no Atlas population: the crawler
+#: iterates by itself, without a resolver, and the grid cells drive their
+#: clients with loops of their own.
+GRID = {"crawl", "ddos", "ecs", "prefetch", "push"}
+
 #: name -> (owner, attribute, the reference to put there, the campaigns
-#: that never get there: the crawler iterates by itself, without a
-#: resolver, and the grid cells drive their clients with loops of their own).
+#: that never get there).  The swap happens before any population is
+#: built, so every stub binds the latency references as its client leg.
 REFERENCES = {
     "branching-resolver": (RecursiveResolver, "resolve", reference_resolve, {"crawl"}),
-    "per-query-kernel": (
-        Measurement, "run", reference_run, {"crawl", "ddos", "ecs", "prefetch", "push"},
-    ),
+    "per-query-kernel": (Measurement, "run", reference_run, GRID),
+    "stdlib-rtt": (LatencyModel, "rtt", stdlib_rtt, set()),
+    "stdlib-last-mile": (LatencyModel, "last_mile_rtt", stdlib_last_mile_rtt, GRID),
+    "cold-zone": (Zone, "respond", cold_respond, set()),
 }
 
 

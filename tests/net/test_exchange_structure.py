@@ -1,7 +1,7 @@
 """One exchange does only what differs per datagram.
 
 What is fixed per path (the base RTT) or per server and qname (the zone
-route) is one dict probe; the jitter is one ``normalvariate`` frame.  These
+route) is one dict probe; the jitter is drawn in ``rtt``'s own frame.  These
 tests profile calls by code object (``sys.setprofile``; builtins by
 qualified name), so they are exact and independent of host speed.
 """
@@ -22,16 +22,17 @@ from tests.metrics.test_count_once_structure import calls
 QNAME = "www.example.tld."
 
 #: Every call of one warm unicast exchange, 40 before the per-path and
-#: per-qname memos: exchange, endpoint_for, rtt, normalvariate (2 random,
-#: log), exp, handle_query, the log entry's __init__ and list.append,
-#: Zone.respond and its Message, the RTT histogram (observe, bisect_left,
-#: round) and three dict.get.  Hashing the name keys of those dict probes
-#: is tuple's C slot, not a call.
-EXCHANGE_CALLS = 19
+#: per-qname memos: exchange, endpoint_for, rtt and its jitter draw (2
+#: random, log, exp), handle_query, the log entry's __init__ and
+#: list.append, Zone.respond and its Message, the RTT histogram (observe,
+#: bisect_left, round) and three dict.get.  Hashing the name keys of those
+#: dict probes is tuple's C slot, not a call.
+EXCHANGE_CALLS = 18
 
 NEVER_CALLED = {
     LatencyModel.base_rtt_ms.__code__: "base RTT is memoized per endpoint pair",
-    random.Random.lognormvariate.__code__: "exp(normalvariate) is the same draw",
+    random.Random.lognormvariate.__code__: "rtt draws the same jitter itself",
+    random.Random.normalvariate.__code__: "rtt runs the same rejection loop itself",
     Name.lineage.__code__: "the zone route is memoized per qname",
     enum.Enum.__hash__.__code__: "no dict is keyed by a Region",
     QueryLog.append.__code__: "servers append to the entry list",

@@ -77,11 +77,25 @@ class TestSampledRtt:
         assert model.last_mile_rtt(random.Random(0)) < 0.05
 
 
+class Draws(random.Random):
+    """A ``Random`` that counts its uniform draws."""
+
+    count = 0
+
+    def random(self):
+        self.count += 1
+        return super().random()
+
+
 class TestRttStream:
     """Figures 10/11 and the campaign digests rest on this exact stream:
-    one ``lognormvariate(0, σ)`` draw per RTT, scaling the base."""
+    one ``lognormvariate(0, σ)`` draw per RTT, scaling the base — the same
+    uniform draws, in the same order, and the same float.  σ = 0 is no
+    jitter at all and σ = 3 a heavy tail; over 1,000 seeds the rejection
+    loop takes up to several tries, whatever σ is."""
 
-    SIGMA = 0.25
+    SIGMAS = (0.0, 0.25, 1.0, 3.0)
+    SEEDS = range(1000)
 
     def pairs(self):
         topology = Topology()
@@ -89,23 +103,41 @@ class TestRttStream:
         return [(eu, eu), (eu, eu2), (eu2, eu), (eu, oc), (oc, eu2)]
 
     def test_rtt_is_base_times_one_lognormal_draw(self):
-        model = LatencyModel(seed=7, jitter_sigma=self.SIGMA)
-        for seed in range(100):
-            for src, dst in self.pairs():
-                drawn, reference = random.Random(seed), random.Random(seed)
+        pairs = self.pairs()
+        tries = set()
+        for sigma in self.SIGMAS:
+            model = LatencyModel(seed=7, jitter_sigma=sigma)
+            for seed in self.SEEDS:
+                src, dst = pairs[seed % len(pairs)]
+                drawn, reference = Draws(seed), random.Random(seed)
                 expected = model.base_rtt_ms(src, dst) * reference.lognormvariate(
-                    0.0, self.SIGMA
+                    0.0, sigma
                 ) / 1000.0
                 assert model.rtt(src, dst, drawn) == expected
                 assert drawn.getstate() == reference.getstate()
+                tries.add(drawn.count // 2)
+        assert {1, 2, 3} <= tries
 
     def test_last_mile_is_last_mile_ms_times_one_lognormal_draw(self):
-        model = LatencyModel(seed=7, jitter_sigma=self.SIGMA, last_mile_ms=3.0)
-        for seed in range(100):
-            drawn, reference = random.Random(seed), random.Random(seed)
-            expected = 3.0 * reference.lognormvariate(0.0, self.SIGMA) / 1000.0
-            assert model.last_mile_rtt(drawn) == expected
-            assert drawn.getstate() == reference.getstate()
+        tries = set()
+        for sigma in self.SIGMAS:
+            model = LatencyModel(seed=7, jitter_sigma=sigma, last_mile_ms=3.0)
+            for seed in self.SEEDS:
+                drawn, reference = Draws(seed), random.Random(seed)
+                expected = 3.0 * reference.lognormvariate(0.0, sigma) / 1000.0
+                assert model.last_mile_rtt(drawn) == expected
+                assert drawn.getstate() == reference.getstate()
+                tries.add(drawn.count // 2)
+        assert {1, 2, 3} <= tries
+
+    def test_the_model_stream_is_used_without_an_rng(self):
+        model, reference = LatencyModel(seed=7, jitter_sigma=1.0), random.Random(7 ^ 0x5A17)
+        src, dst = self.pairs()[3]
+        for _ in range(100):
+            assert model.rtt(src, dst) == model.base_rtt_ms(src, dst) * reference.lognormvariate(
+                0.0, 1.0
+            ) / 1000.0
+            assert model.last_mile_rtt() == 4.0 * reference.lognormvariate(0.0, 1.0) / 1000.0
 
 
 class TestNearest:

@@ -47,3 +47,32 @@ def test_default_config_has_no_predict_policy():
     frontend, _ = build_frontend(ServeConfig(world="nl"))
     assert frontend.resolver.policy.predict is None
     assert frontend.pump() == 0  # pump is a safe no-op without predict
+
+
+def test_a_serve_world_keeps_no_authoritative_query_log():
+    """Nothing in serve reads the authoritative query logs, so a worker
+    keeps none, not even after a runtime reset; ``auth.queries`` still
+    counts every upstream query."""
+    import random
+
+    from repro.serve.config import build_frontend
+    from tests.serve.test_response_memo import query_wire
+
+    wall = [0.0]
+    frontend, registry = build_frontend(
+        ServeConfig(world="nl", time_scale=3600), wall_clock=lambda: wall[0]
+    )
+    rng = random.Random(1)
+    ranks = rng.choices(range(500), weights=[1.0 / (rank + 1) for rank in range(500)], k=2000)
+    for index, rank in enumerate(ranks):
+        wall[0] = index * 500e-6
+        wire = query_wire(f"www.domain{rank}.nl.", id=rng.randrange(1 << 16), edns=True)
+        if frontend.fast_answer(wire, "127.0.0.1") is None:
+            frontend.handle_wire(wire, "127.0.0.1")
+    network = frontend.resolver.network
+    servers = set(network._servers.values())
+    assert [server for server in servers if server.query_log is not None] == []
+    counted = registry.snapshot().metrics["auth.queries"]["values"]
+    assert sum(counted.values()) == sum(server.queries_received for server in servers) > 500
+    network.reset_runtime(0)
+    assert [server for server in servers if server.query_log is not None] == []

@@ -20,13 +20,13 @@ CEILINGS = {
     "resolver/cache.py": 722,
     "serve/memo.py": 216,
     "serve/frontend.py": 424,
-    "net/latency.py": 148,
+    "net/latency.py": 162,
     "net/transport.py": 580,
     "server/authoritative.py": 161,
     "server/anycast.py": 112,
     "dns/name.py": 326,
     "metrics/registry.py": 236,
-    "": 20745,
+    "": 20767,
 }
 
 
