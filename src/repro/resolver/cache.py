@@ -152,7 +152,10 @@ class CacheEntry:
 
 @dataclass
 class CacheStats:
-    """One cache's counts: the slots its ``cache.*`` metrics collect."""
+    """One cache's counts: the slots its ``cache.*`` metrics collect.
+
+    A response-memo hit is added into ``cache.*`` at registry snapshot,
+    not here: the snapshot is the one reader of the totals."""
 
     hits: int = 0
     misses: int = 0

@@ -230,6 +230,14 @@ class RecursiveResolver:
             (scheduled or self._push is not None, self._pump_before),
             (self._tracker is not None, self._track),
         )
+        #: ``hook(qname, qtype, now)`` for a client query answered without
+        #: :meth:`resolve` (a response-memo hit): the popularity tracker's
+        #: record, so ``--predict`` sees every arrival; ``None`` without a
+        #: tracker.  The answerer counts such a query itself and a registry
+        #: snapshot adds it into ``resolver.client_queries`` and ``cache.*``:
+        #: :attr:`client_queries` and ``cache.stats`` leave it out, and the
+        #: snapshot is the one reader of the totals.
+        self.track_arrival = self._track if self._tracker is not None else None
         #: ``hook(qname, qtype, now)`` after a query was answered from cache.
         self._on_hit = _installed(
             (scheduled, self._tally_refresh_hit),
@@ -392,28 +400,6 @@ class RecursiveResolver:
             self._push.note_answer(
                 qname, qtype, result.servers_contacted[-1], now + result.elapsed
             )
-
-    def note_memoized_answer(
-        self, qname: Name, qtype: RdataType, now: float, negative: bool
-    ) -> None:
-        """Account for a client query answered from a wire-level memo.
-
-        The serve fast path answers repeat queries without entering
-        :meth:`resolve`; this keeps the per-client accounting, the cache
-        counters (what the slow path's hit, ``negative`` or not, counts)
-        and the popularity tracker honest, so the ``--predict`` refresh-ahead
-        decisions see every arrival, memoized or not.  Deliberately light —
-        no pump, no cache probe — to stay off the fast path's critical cost.
-        """
-        self.client_queries += 1
-        stats = self.cache.stats
-        if negative:
-            stats.negative_hits += 1
-        else:
-            stats.negative_misses += 1
-            stats.hits += 1
-        if self._tracker is not None:
-            self._tracker.record((qname, qtype), now)
 
     def pump(self, now: float) -> int:
         """Run due background maintenance; returns refreshes plus

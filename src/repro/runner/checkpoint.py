@@ -40,8 +40,9 @@ _FORMAT_VERSION = 1
 #: 4 = the registry holds collectors over owners' count slots, not
 #: instruments; 5 = caches keep no dead-mark sets and entries no
 #: dependents list or source zone; 6 = stubs hold their bound client leg,
-#: not the latency model, and servers a public ``log_queries`` flag.
-_WSNAP_VERSION = 6
+#: not the latency model, and servers a public ``log_queries`` flag;
+#: 7 = resolvers hold a public ``track_arrival`` hook.
+_WSNAP_VERSION = 7
 
 
 class CheckpointMismatch(RuntimeError):

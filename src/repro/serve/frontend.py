@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import struct
 import time
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -96,7 +97,7 @@ class DnsFrontend:
         # sees the datagram), here so one registry tells the whole story.
         self.queries = self.malformed = self.dropped = self.truncated = self.shed = 0
         self.rrl_slipped = self.tcp_queries = self.cache_hits = 0
-        self.rcode: dict[str, int] = {}
+        self.rcode: defaultdict[str, int] = defaultdict(int)
         self.latency_ms = Histogram("serve.latency_ms", LATENCY_BUCKETS_MS, HOST)
         registry.collect(self, (
             *((f"serve.{slot}", COUNTER, slot) for slot in (
@@ -107,10 +108,26 @@ class DnsFrontend:
             ("serve.worker_queries", LABELED_COUNTER, "worker_queries"),
             ("serve.latency_ms", HISTOGRAM, "latency_ms"),
         ), HOST)
+        # A memo hit counts where the slow path's cache hit would.
+        registry.collect(self, (
+            ("resolver.client_queries", COUNTER, "memo_hits"),
+            ("cache.hits", COUNTER, "memo_positive_hits"),
+            ("cache.negative_misses", COUNTER, "memo_positive_hits"),
+            ("cache.negative_hits", COUNTER, "memo_negative_hits"),
+        ))
 
+    # The memo's counts, read from the current memo (tests swap it in).
     @property
     def memo_hits(self) -> int:
         return 0 if self.memo is None else self.memo.hits
+
+    @property
+    def memo_negative_hits(self) -> int:
+        return 0 if self.memo is None else self.memo.negative_hits
+
+    @property
+    def memo_positive_hits(self) -> int:
+        return self.memo_hits - self.memo_negative_hits
 
     @property
     def worker_queries(self) -> dict[str, int]:
@@ -212,26 +229,29 @@ class DnsFrontend:
 
         The serving loop tries this before queueing a datagram for the
         full pipeline.  A hit costs one dict probe plus a 2-byte ID
-        splice — no decode, no resolver — and is byte-identical to what
-        the slow path would have produced at this instant (the memo's
-        validity contract).  Full accounting still happens: query
-        counters, rcode, latency, popularity tracking, and the querylog
-        line, so fast-path answers are indistinguishable downstream.
+        splice — no decode, no call into the resolver — and is
+        byte-identical to what the slow path would have produced at this
+        instant (the memo's validity contract).  Full accounting still
+        happens: query counters, rcode, latency, the querylog line, the
+        ``--predict`` popularity hook, and the memo's hit counts, which a
+        snapshot adds into ``resolver.*`` and ``cache.*`` — so fast-path
+        answers are indistinguishable downstream.  A datagram shorter
+        than a header is a memo miss: every key is a decoded query's.
 
         Never used when RRL is armed (the limiter must see every client)
         and never for TCP (framing differs; TCP repeats are rare).
         """
         memo = self.memo
-        if memo is None or self.rrl.rate > 0 or len(data) < 12:
+        if memo is None or self.rrl.rate > 0:
             return None
         started = time.monotonic()
         sim_now = self.bridge.now()
         entry = memo.get(data[2:], sim_now)
         if entry is None:
             return None
-        self.resolver.note_memoized_answer(
-            entry.qname, entry.qtype, sim_now, not entry.shape
-        )
+        track = self.resolver.track_arrival
+        if track is not None:
+            track(entry.qname, entry.qtype, sim_now)
         self._account(
             False, entry.rcode_name, started, sim_now, client,
             entry.qname, entry.qtype, cache_hit=True,
@@ -395,7 +415,8 @@ class DnsFrontend:
         metric was a quarter of the work.  The caller counts the
         datagram's own event, if it has one (malformed, dropped,
         slipped); ``rcode_label`` is ``None`` when nothing was answered —
-        then there is no rcode, latency or querylog line either.
+        then there is no rcode, latency or querylog line either.  A memo
+        hit's sim-domain counts are the memo's (see :meth:`fast_answer`).
         """
         self.queries += 1
         if via_tcp:
@@ -404,8 +425,7 @@ class DnsFrontend:
             return
         if cache_hit:
             self.cache_hits += 1
-        per_rcode = self.rcode
-        per_rcode[rcode_label] = per_rcode.get(rcode_label, 0) + 1
+        self.rcode[rcode_label] += 1
         self.latency_ms.observe((time.monotonic() - started) * 1000.0)
         if self.querylog is not None:
             self.querylog.append(

@@ -140,8 +140,7 @@ class ResponseMemo:
             raise ValueError(f"memo capacity must be positive, not {capacity}")
         self.capacity = capacity
         self._entries: dict[bytes, MemoEntry] = {}
-        self.hits = 0
-        self.misses = 0
+        self.hits = self.misses = self.negative_hits = 0  # negative: NXDOMAIN/NODATA
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -156,7 +155,8 @@ class ResponseMemo:
         validity bound a patchable entry has its TTLs rewritten to the
         ones the slow path would age to; any other lapses.  The stamps are
         checked inline — a hit on exact bytes makes no call beyond the
-        dict probe.
+        dict probe, and counts itself in :attr:`hits` (and in
+        :attr:`negative_hits` when it carries no answer RRset).
         """
         entry = self._entries.get(key)
         if entry is not None and entry.stamps is not None:
@@ -170,9 +170,11 @@ class ResponseMemo:
             else:
                 if sim_now <= entry.valid_until:
                     self.hits += 1
+                    if not entry.shape:
+                        self.negative_hits += 1
                     return entry
                 if entry.patchable:
-                    # One stamp, the leased entry: CacheEntry.aged_rrset's TTL.
+                    # One stamp, the leased (positive) entry: CacheEntry.aged_rrset's TTL.
                     ttl = int(expires_at - sim_now)
                     wire = bytearray(entry.wire)
                     for offsets in entry.ttl_offsets:

@@ -7,12 +7,16 @@ confirmation is an identity over a campaign's ``--metrics`` snapshot:
 - every upstream query a resolver sends is one exchange on the fabric;
 - every query an authoritative answers arrived as one datagram exchange
   or one framed TCP exchange;
-- every lost transmission was either retried or ended in a timeout.
+- every lost transmission was either retried or ended in a timeout;
+- every client query a resolver answers probes its negative cache once
+  (a response-memo hit stands in for the probe of the cache hit it
+  replaces).
 
 Each registered campaign is checked at its ``ORACLE`` arguments, serial
-and sharded, plus one ``t2-uy`` run under a loss + outage plan.  The same
-snapshots (and a live frontend's) must name only metrics that
-``docs/observability.md`` documents.
+and sharded, plus one ``t2-uy`` run under a loss + outage plan; the memo
+tests in ``tests/serve/test_response_memo.py`` check live frontends'
+snapshots.  The same snapshots (and a live frontend's) must name only
+metrics that ``docs/observability.md`` documents.
 """
 
 import asyncio
@@ -62,6 +66,11 @@ def conservation_problems(metrics: dict) -> list[str]:
     if lost != retries + timeouts:
         problems.append(f"net.lost_transmissions {lost} != net.retries {retries} "
                         f"+ net.timeouts {timeouts}")
+    if "resolver.client_queries" in count:
+        probes = count["cache.negative_hits"] + count["cache.negative_misses"]
+        if probes != count["resolver.client_queries"]:
+            problems.append(f"cache.negative_hits + cache.negative_misses {probes} "
+                            f"!= resolver.client_queries {count['resolver.client_queries']}")
     return problems
 
 
@@ -112,4 +121,5 @@ def test_a_served_query_mix_names_only_documented_metrics():
     metrics = registry.snapshot().to_payload()["metrics"]
     assert metrics["serve.memo_hits"]["value"] == 1
     assert metrics["serve.inflight_peak"]["value"] == 0
+    assert conservation_problems(metrics) == []
     assert sorted(set(metrics) - DOCUMENTED) == []

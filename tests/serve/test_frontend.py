@@ -233,10 +233,8 @@ def serve_counts(frontend) -> dict:
     return counts
 
 
-def test_accounting_of_a_scripted_query_mix():
-    """The whole ``serve.*`` snapshot after one query of each accounting
-    shape, as recorded at f00e1de (one ``inc()`` per instrument): the
-    single per-query bump must leave every count where it was."""
+def scripted_query_mix():
+    """A frontend that has served one query of each accounting shape."""
     frontend, _ = build_frontend(
         ServeConfig(world="nl", max_udp_payload=100), wall_clock=FakeWall()
     )
@@ -265,7 +263,14 @@ def test_accounting_of_a_scripted_query_mix():
             assert expected == "memo"
             continue
         assert frontend.handle_wire(wire, client, via_tcp=via_tcp).outcome == expected
-    assert serve_counts(frontend) == {
+    return frontend
+
+
+def test_accounting_of_a_scripted_query_mix():
+    """The whole ``serve.*`` snapshot after one query of each accounting
+    shape, as recorded at f00e1de (one ``inc()`` per instrument): the
+    single per-query bump must leave every count where it was."""
+    assert serve_counts(scripted_query_mix()) == {
         "serve.cache_hits": 3,  # memo hit, EDNS repeat, TCP repeat
         "serve.dropped": 1,
         "serve.latency_ms": 7,  # every query that got an rcode

@@ -9,6 +9,11 @@ the checks are exact and independent of host speed:
   :mod:`repro.serve`;
 - a memo hit calls no function inside :meth:`ResponseMemo.get` beyond
   its dict probe: the stamps are checked inline;
+- a memo hit makes exactly the calls of its accounting, none of them
+  into :mod:`repro.resolver` but the popularity tracker's hook under
+  ``--predict`` (the memo counts the hit, and a registry snapshot adds it
+  into the resolver's and cache's counts), and ``serve.rcode`` serializes
+  as it did when a plain dict tallied it;
 - a patched hit, a tick later, calls nothing in the codec
   (:mod:`repro.dns`) or the cache (:mod:`repro.resolver.cache`);
 - a fast-path miss on a lapsed image calls nothing in
@@ -33,10 +38,15 @@ from repro.dns.message import Message
 from repro.dns.name import Name
 from repro.dns.rdtypes import A, RdataClass, RdataType
 from repro.dns.record import RRset
+from repro.metrics import Histogram
+from repro.resolver import RecursiveResolver
 from repro.resolver.cache import Credibility
 from repro.serve import ServeConfig, build_frontend
+from repro.serve.bridge import WallClockBridge
+from repro.serve.frontend import DnsFrontend
 from repro.serve.memo import ResponseMemo
 from tests.metrics.test_count_once_structure import calls
+from tests.serve.test_frontend import scripted_query_mix
 
 SERVE_DIR = str(Path(repro.serve.__file__).parent)
 DNS_DIR = str(Path(repro.dns.__file__).parent)
@@ -48,14 +58,22 @@ QNAME = Name("www.domain1.nl.")
 KEY = (QNAME, RdataType.A, RdataClass.IN)
 
 
-def memoized_frontend(wall_clock=lambda: 5.0):
+def memoized_frontend(wall_clock=lambda: 5.0, **config):
     """A frontend whose memo holds the answer to one repeat query."""
-    frontend, _ = build_frontend(ServeConfig(world="nl"), wall_clock=wall_clock)
+    frontend, _ = build_frontend(ServeConfig(world="nl", **config), wall_clock=wall_clock)
     wire = Message.make_query(QNAME, RdataType.A, id=1).to_wire()
     frontend.handle_wire(wire, "c")
     frontend.handle_wire(wire, "c")
     assert len(frontend.memo) == 1
     return frontend, wire
+
+
+def inside(seen, path: str) -> set:
+    """The code objects in ``seen`` defined under ``path``."""
+    return {
+        code for code in seen
+        if not isinstance(code, str) and code.co_filename.startswith(path)
+    }
 
 
 WRITES = {
@@ -73,10 +91,7 @@ WRITES = {
 def test_a_cache_write_calls_nothing_in_serve(write):
     frontend, _ = memoized_frontend()
     seen = calls(partial(WRITES[write], frontend.resolver.cache, frontend.bridge.now()))
-    assert {
-        code for code in seen
-        if not isinstance(code, str) and code.co_filename.startswith(SERVE_DIR)
-    } == set()
+    assert inside(seen, SERVE_DIR) == set()
 
 
 def test_a_memo_hit_calls_nothing_inside_get():
@@ -88,6 +103,58 @@ def test_a_memo_hit_calls_nothing_inside_get():
     assert seen == Counter({ResponseMemo.get.__code__: 1, "dict.get": 1})
 
 
+def wall_clock() -> float:
+    return 5.0
+
+
+def test_a_memo_hit_makes_only_its_accounting_calls():
+    frontend, wire = memoized_frontend(wall_clock)
+    seen = calls(partial(frontend.fast_answer, wire, "c"))
+    assert frontend.memo.hits == 1
+    del seen["setprofile"]
+    assert seen == Counter({
+        DnsFrontend.fast_answer.__code__: 1,
+        "monotonic": 2,  # started, then the latency
+        WallClockBridge.now.__code__: 1,
+        wall_clock.__code__: 1,
+        ResponseMemo.get.__code__: 1,
+        "dict.get": 1,
+        DnsFrontend._account.__code__: 1,
+        Histogram.observe.__code__: 1,
+        "bisect_left": 1,
+        "round": 1,
+    })
+
+
+@pytest.mark.parametrize("predict", [False, True])
+def test_a_memo_hit_calls_into_the_resolver_only_to_track(predict):
+    frontend, wire = memoized_frontend(predict=predict)
+    seen = calls(partial(frontend.fast_answer, wire, "c"))
+    assert frontend.memo.hits == 1
+    tracked = {RecursiveResolver._track.__code__} if predict else set()
+    assert inside(seen, RESOLVER_DIR) == tracked
+
+
+#: ``serve.rcode`` after the scripted query mix, as serialized when the
+#: frontend tallied rcodes in a plain dict.
+RCODE_JSON = """\
+    "serve.rcode": {
+      "domain": "host",
+      "kind": "labeled_counter",
+      "values": {
+        "NOERROR": 5,
+        "NOTIMP": 1,
+        "NXDOMAIN": 1
+      }
+    }"""
+
+
+def test_rcode_tallies_serialize_as_before():
+    text = scripted_query_mix().registry.snapshot().to_json(include_host=True)
+    start = text.index('    "serve.rcode": ')
+    assert text[start:text.index("\n    }", start) + 6] == RCODE_JSON
+
+
 def test_a_patched_hit_calls_nothing_in_the_codec_or_cache():
     wall = [5.0]
     frontend, wire = memoized_frontend(lambda: wall[0])
@@ -95,11 +162,7 @@ def test_a_patched_hit_calls_nothing_in_the_codec_or_cache():
     answers = []
     seen = calls(lambda: answers.append(frontend.fast_answer(wire, "c")))
     assert answers[0] is not None and frontend.memo.hits == 1
-    assert {
-        code for code in seen
-        if not isinstance(code, str)
-        and (code.co_filename.startswith(DNS_DIR) or code.co_filename == CACHE_FILE)
-    } == set()
+    assert inside(seen, DNS_DIR) | inside(seen, CACHE_FILE) == set()
 
 
 def lapsed_frontend(renumbered: bool):
@@ -120,10 +183,7 @@ def lapsed_frontend(renumbered: bool):
 
 def test_a_lapsed_fast_miss_calls_nothing_in_the_resolver():
     _, _, seen = lapsed_frontend(renumbered=False)
-    assert {
-        code for code in seen
-        if not isinstance(code, str) and code.co_filename.startswith(RESOLVER_DIR)
-    } == set()
+    assert inside(seen, RESOLVER_DIR) == set()
 
 
 @pytest.mark.parametrize("renumbered", [False, True])
@@ -133,9 +193,6 @@ def test_a_lapsed_slow_pass_runs_the_codec_only_on_a_shape_change(renumbered):
     seen = calls(lambda: results.append(frontend.handle_wire(wire, "c")))
     assert [seen[code] for code in CODEC] == ([1, 1] if renumbered else [0, 0])
     if not renumbered:
-        assert {
-            code for code in seen
-            if not isinstance(code, str) and code.co_filename == WIRE_FILE
-        } == set()
+        assert inside(seen, WIRE_FILE) == set()
     # Either way the slow pass re-stamped the image: the next repeat hits.
     assert frontend.fast_answer(wire, "c") == results[0].wire

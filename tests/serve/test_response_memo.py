@@ -29,7 +29,9 @@ from repro.dns.record import RRset
 from repro.resolver.cache import Cache, Credibility
 from repro.serve import ServeConfig, build_frontend
 from repro.serve.config import WORLD_BUILDERS
+from repro.serve.frontend import ServeResult
 from repro.serve.memo import DEFAULT_MEMO_CAPACITY, ResponseMemo
+from tests.core.test_conservation import conservation_problems
 
 
 class SimBridge:
@@ -107,9 +109,11 @@ def mutate(frontend, kind: str, name: Name) -> None:
 
 
 ranks = st.integers(min_value=0, max_value=5)
+# A name of the nl world, or one under it that does not exist (NXDOMAIN).
+qnames = st.builds(str.format, st.sampled_from(["www.domain{}.nl.", "www.nosuch{}.nl."]), ranks)
 queries = st.tuples(
-    st.just("query"),
-    ranks,
+    st.sampled_from(["udp", "udp", "udp", "tcp"]),
+    qnames,
     st.integers(min_value=0, max_value=0xFFFF),  # DNS ID
     st.booleans(),  # EDNS
     # Sim advance: within a tick, across many, or past every expiry.
@@ -122,20 +126,29 @@ mutations = st.tuples(
     st.sampled_from(
         ["expire_now", "refresh_expiry", "put_aaaa", "put_negative", "clear", "pump"]
     ),
-    ranks,
+    qnames,
 )
+
+
+def memo_state(memo: ResponseMemo) -> tuple:
+    return memo.hits, memo.misses, memo.negative_hits, dict(memo._entries)
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     steps=st.lists(st.one_of(queries, queries, mutations), min_size=2, max_size=25),
     predict=st.booleans(),
+    capacity=st.sampled_from([DEFAULT_MEMO_CAPACITY, 1]),
 )
-def test_memoized_responses_byte_identical_to_slow_path(steps, predict):
-    """Any query sequence, any clock advances — within a tick, across
-    many, past expiry — any cache mutations in between: whenever the
-    memo answers, patched or not, its bytes equal what the full pipeline
-    produces for the same wire at the same instant.
+def test_memoized_responses_byte_identical_to_slow_path(steps, predict, capacity):
+    """Any query sequence — names that exist and names that do not, over
+    UDP and TCP — any clock advances — within a tick, across many, past
+    expiry — any cache mutations in between, with a memo of any capacity:
+    whenever the memo answers, patched or not, its bytes equal what the
+    full pipeline produces for the same wire at the same instant.  A TCP
+    query leaves the memo as it was.  After every step the sim snapshot
+    conserves, a memo hit standing in for the negative-cache probe of the
+    cache hit it replaces.
 
     (The comparison is against the *same* frontend's slow path, not a
     twin server: a memo hit legitimately skips one simulated resolution,
@@ -146,34 +159,48 @@ def test_memoized_responses_byte_identical_to_slow_path(steps, predict):
     background loop does — so an instant where maintenance is due,
     which the slow path would run before answering, compares nothing.)
     """
-    frontend, _ = make_frontend(memo=True, at=1000.0, predict=predict)
-    for kind, rank, *query in steps:
-        if kind != "query":
-            mutate(frontend, kind, Name(f"www.domain{rank}.nl."))
-            continue
-        message_id, edns, advance = query
-        frontend.bridge.at += advance
-        wire = query_wire(f"www.domain{rank}.nl.", id=message_id, edns=edns)
-        fast = frontend.fast_answer(wire, "127.0.0.1")
-        if frontend.pump():
-            fast = None
-        if fast is None:
-            frontend.handle_wire(wire, "127.0.0.1")
+    frontend, registry = make_frontend(memo=True, at=1000.0, predict=predict)
+    frontend.memo = memo = ResponseMemo(capacity)
+    for kind, name, *query in steps:
+        if kind in ("udp", "tcp"):
+            message_id, edns, advance = query
+            frontend.bridge.at += advance
+            wire = query_wire(name, id=message_id, edns=edns)
+        if kind == "tcp":
+            before = memo_state(memo)
+            assert frontend.handle_wire(wire, "127.0.0.1", via_tcp=True).wire is not None
+            assert memo_state(memo) == before
+        elif kind == "udp":
+            fast = frontend.fast_answer(wire, "127.0.0.1")
+            if frontend.pump():
+                fast = None
+            if fast is None:
+                frontend.handle_wire(wire, "127.0.0.1")
+            else:
+                slow = full_pipeline(frontend, wire)
+                assert fast == slow, f"{name} at={frontend.bridge.at}"
         else:
-            slow = full_pipeline(frontend, wire)
-            assert fast == slow, f"rank={rank} at={frontend.bridge.at}"
+            mutate(frontend, kind, Name(name))
+        assert conservation_problems(registry.snapshot().metrics) == []
     # Same-instant repeats at the end: the memo must actually engage (and
-    # still match) or this property is testing nothing.  Two slow passes
-    # first — a *fresh* resolution's answer is aged by the simulated
-    # resolution latency, so only the repeat (a cache hit, aged at the
-    # serving instant) is guaranteed to memoize.
-    wire = query_wire("www.domain0.nl.", id=0xBEEF)
-    frontend.handle_wire(wire, "127.0.0.1")
-    frontend.handle_wire(wire, "127.0.0.1")
-    fast = frontend.fast_answer(wire, "127.0.0.1")
-    assert fast is not None
-    if not frontend.pump():
-        assert fast == full_pipeline(frontend, wire)
+    # still match) or this property is testing nothing.  An NXDOMAIN is
+    # memoized by its first slow pass, and its repeat is a negative hit.
+    # A positive answer takes two slow passes — a *fresh* resolution's
+    # answer is aged by the simulated resolution latency, so only the
+    # repeat (a cache hit, aged at the serving instant) is guaranteed to
+    # memoize.
+    for name, passes in (("www.nosuch0.nl.", 1), ("www.domain0.nl.", 2)):
+        wire = query_wire(name, id=0xBEEF)
+        for _ in range(passes):
+            frontend.handle_wire(wire, "127.0.0.1")
+        negative_hits = memo.negative_hits
+        fast = frontend.fast_answer(wire, "127.0.0.1")
+        assert fast is not None
+        if passes == 1:
+            assert memo.negative_hits == negative_hits + 1
+        if not frontend.pump():
+            assert fast == full_pipeline(frontend, wire)
+        assert conservation_problems(registry.snapshot().metrics) == []
     # A tick later a negative answer still holds until its expiry, and a
     # positive one is patched exactly when the resolver would lease its
     # cache entry (no --predict hook); either way the bytes are still the
@@ -425,6 +452,26 @@ def test_cache_clear_empties_memo():
     assert len(frontend.memo) == 1  # lapsed: held for its slow pass, never served
 
 
+def test_short_datagrams_miss_the_memo_and_are_malformed():
+    """Every 0–11-octet prefix of a memoized query, and of the same query
+    with QR set, in the serving loop's order.  No memo key is that short
+    (each is a decoded query's post-ID bytes), so each is a memo miss; the
+    full pipeline counts it malformed and sends nothing."""
+    frontend, registry = make_frontend(at=5.0)
+    memoized(frontend, "www.domain1.nl.")
+    wire = query_wire("www.domain1.nl.", id=1)
+    assert frontend.fast_answer(wire, "c") is not None
+    response = wire[:2] + bytes([wire[2] | 0x80]) + wire[3:]
+    memo = frontend.memo
+    hits, misses = memo.hits, memo.misses
+    for form in (wire, response):
+        for length in range(12):
+            assert frontend.fast_answer(form[:length], "c") is None
+            assert frontend.handle_wire(form[:length], "c") == ServeResult(None, "malformed")
+    assert (memo.hits, memo.misses) == (hits, misses + 24)
+    assert registry.snapshot().value("serve.malformed") == 24
+
+
 # -- memo on == memo off ----------------------------------------------------
 
 def replay(
@@ -488,6 +535,7 @@ def replay(
                 reshaped += image is not None and NEW_ADDRESS in fast and NEW_ADDRESS not in image.wire
             responses.append(fast)
     snapshot = registry.snapshot().without_host()
+    assert conservation_problems(snapshot.metrics) == []
     return responses, snapshot, frontend.memo, (decodes[0], missing, reshaped)
 
 
@@ -557,7 +605,7 @@ def test_memo_counters_and_validity_window():
     assert (memo.hits, memo.misses) == (1, 2)
 
 
-def test_invalidate_name_covers_answer_owners():
+def test_moving_either_answer_owner_lapses_the_image():
     """A response built from two cache entries (a CNAME and its target)
     carries a stamp for each; moving either holder must drop it."""
     cache = Cache()
