@@ -41,13 +41,15 @@ Whether an entry is dead is decided one way, when it is read
 or gone), and a bounded cache evicts by that rule: a scan of the recency
 order takes the first dead entry, else the least recently used unpinned
 one.  One lazy min-heap of ``(expires_at, seq, key, generation)`` records
-tracks expiry; a write drains what is due, dropping expired negatives —
-nothing serves them stale — while expired positives stay for serve-stale.
-Records are validated when popped (superseded generations discarded,
-extended lifetimes re-pushed), never removed in place.  Records that
-outlive what they describe (a 2-day referral superseded by a 60 s answer)
-are garbage until their own time comes; when garbage outweighs content
-the heap is rebuilt from what is cached, so it never holds more than
+indexes the expiries the cache acts on: a negative entry's (a write drops
+it once due; nothing serves it stale) and, once a refresh-ahead reader
+has asked (:meth:`Cache.due_expirations`), a positive entry's; until
+then a positive write pushes nothing.  Records are validated when popped
+(superseded generations discarded, extended lifetimes re-pushed), never
+removed in place.  Records that outlive what they describe (a 2-day
+referral superseded by a 60 s answer) are garbage until their own time
+comes; when garbage outweighs content the heap is rebuilt from what is
+cached, so it never holds more than
 ``_HEAP_SLACK + 4 * len(entries)`` records.
 """
 
@@ -216,6 +218,9 @@ class Cache:
         #: bound: recounted by :meth:`_maintain`, and an underestimate in
         #: between (outside it the cached count only grows).
         self._heap_room = _HEAP_SLACK
+        #: Whether positive expiries are indexed too: set by the first
+        #: :meth:`due_expirations`, the one reader of their records.
+        self._index_positives = False
         self.max_ttl = max_ttl
         self.min_ttl = min_ttl
         self.max_entries = max_entries
@@ -276,9 +281,10 @@ class Cache:
                 return True
         return False
 
-    def _push(self, expires_at: float, key: CacheKey, generation: int) -> None:
-        self._seq += 1
-        heapq.heappush(self._expiry_heap, (expires_at, self._seq, key, generation))
+    def _push(self, key: CacheKey, entry: CacheEntry) -> None:
+        if self._index_positives or entry.credibility <= Credibility.NODATA:
+            self._seq = seq = self._seq + 1
+            heapq.heappush(self._expiry_heap, (entry.expires_at, seq, key, entry.generation))
 
     def put(
         self,
@@ -353,10 +359,11 @@ class Cache:
                 del entries[key]  # re-insert at the recent end
                 entries[key] = entry
         heap = self._expiry_heap
-        heapq.heappush(heap, (expires_at, generation, key, generation))
+        if self._index_positives:
+            heapq.heappush(heap, (expires_at, generation, key, generation))
+            self._heap_room -= 1
         self.stats.inserts += 1
-        self._heap_room = room = self._heap_room - 1
-        if room < 0 or heap[0][0] <= now or self.max_entries is not None:
+        if heap and heap[0][0] <= now or self._heap_room < 0 or self.max_entries is not None:
             self._maintain(now)
         return True
 
@@ -366,18 +373,26 @@ class Cache:
         expired by ``now``, evict down to ``max_entries``, and rebuild the
         expiry heap once garbage outweighs content."""
         heap = self._expiry_heap
-        if heap[0][0] <= now:
+        if heap and heap[0][0] <= now:
             self._surface_expired(now)
         if self.max_entries is not None:
             self._evict_if_full(now)
-        bound = _HEAP_SLACK + 4 * len(self._entries)
-        if len(heap) > bound:
-            # One record per cached entry.
-            heap.clear()
-            for key, entry in self._entries.items():
-                heap.append((entry.expires_at, entry.generation, key, entry.generation))
-            heapq.heapify(heap)
-        self._heap_room = bound - len(heap)
+        self._heap_room = _HEAP_SLACK + 4 * len(self._entries) - len(heap)
+        if self._heap_room < 0:
+            self._reindex()
+
+    def _reindex(self) -> None:
+        """Rebuild the expiry heap from what is cached: one record per
+        entry :meth:`_push` indexes."""
+        every = self._index_positives
+        heap = self._expiry_heap
+        heap[:] = [
+            (entry.expires_at, entry.generation, key, entry.generation)
+            for key, entry in self._entries.items()
+            if every or entry.credibility <= Credibility.NODATA
+        ]
+        heapq.heapify(heap)
+        self._heap_room = _HEAP_SLACK + 4 * len(self._entries) - len(heap)
 
     def _surface_expired(self, now: float) -> None:
         """Pop every heap record whose time has come by ``now``.
@@ -398,7 +413,7 @@ class Cache:
             if entry.expires_at > now:
                 # Lifetime extended in place (sticky refresh / parent pin):
                 # track the new expiry.
-                self._push(entry.expires_at, key, generation)
+                self._push(key, entry)
             elif entry.credibility <= Credibility.NODATA:
                 del entries[key]
                 entry.generation = _RETIRED
@@ -673,8 +688,9 @@ class Cache:
     def due_expirations(self, now: float, horizon: float) -> list[tuple[CacheKey, float]]:
         """Live entries expiring within ``horizon`` seconds of ``now``.
 
-        The refresh-ahead expiry feed: a read-only pass over the lazy
-        expiry heap.  Records inside the window are popped, validated
+        The refresh-ahead expiry feed: a pass over the lazy expiry heap,
+        whose first call turns positive indexing on (cached entries
+        included).  Records inside the window are popped, validated
         exactly as :meth:`_surface_expired` would (superseded records
         discarded, extended lifetimes re-pushed), and every record that
         still describes its entry is pushed back so later maintenance
@@ -682,10 +698,13 @@ class Cache:
         returned (stale-while-revalidate owns the first, nothing refreshes
         the second); this method has no side effects on cache state.
         """
+        if not self._index_positives:
+            self._index_positives = True
+            self._reindex()
         deadline = now + horizon
         heap = self._expiry_heap
         entries = self._entries
-        due: list[tuple[CacheKey, float]] = []
+        due: dict[CacheKey, float] = {}  # a refresh can leave a key two records
         keep: list[tuple[float, int, CacheKey, int]] = []
         while heap and heap[0][0] <= deadline:
             record = heapq.heappop(heap)
@@ -695,14 +714,14 @@ class Cache:
                 continue  # superseded or gone: drop the stale record
             if entry.expires_at > expires_at:
                 # Lifetime extended in place: track the new expiry.
-                self._push(entry.expires_at, key, generation)
+                self._push(key, entry)
                 continue
             keep.append(record)
-            if expires_at > now and entry.credibility > Credibility.NODATA:
-                due.append((key, expires_at))
+            if now < expires_at == entry.expires_at and entry.credibility > Credibility.NODATA:
+                due[key] = expires_at  # not a record expire_now cut short
         for record in keep:
             heapq.heappush(heap, record)
-        return due
+        return list(due.items())
 
     # -- maintenance -------------------------------------------------------------
     def refresh_expiry(self, key: CacheKey, now: float) -> None:
@@ -713,7 +732,7 @@ class Cache:
         lifetime = entry.expires_at - entry.inserted_at
         entry.inserted_at = now
         entry.expires_at = now + lifetime
-        self._push(entry.expires_at, key, entry.generation)
+        self._push(key, entry)
         self._maintain(now)
 
     def expire_now(self, key: CacheKey, now: float) -> None:
@@ -721,5 +740,5 @@ class Cache:
         entry = self._entries.get(key)
         if entry is not None:
             entry.expires_at = now
-            self._push(now, key, entry.generation)
+            self._push(key, entry)
             self._maintain(now)

@@ -10,9 +10,10 @@ bytes recorded there — stdout table, ``--metrics`` JSON and manifest.
 The branch-per-feature ``resolve()`` in place of the construction-time
 resolve plan, the per-query probe loop in place of the one that answers a
 live entry's hits from a lease, the stdlib's ``lognormvariate`` in place of
-the jitter draw the latency model runs inline, and a zone that compiles
-every response afresh in place of its compiled-answer memo.  Add a
-reference by adding a row.
+the jitter draw the latency model runs inline, a zone that compiles
+every response afresh in place of its compiled-answer memo, and a
+resolver cache with no expiry heap (every scan spelled out, every lease
+declined) in place of the heap cache.  Add a reference by adding a row.
 """
 
 import pytest
@@ -22,10 +23,12 @@ from repro.core.campaign import CAMPAIGNS
 from repro.dns.message import Message, Rcode
 from repro.dns.zone import Zone
 from repro.net.latency import LatencyModel
+from repro.resolver import recursive
 from repro.resolver.recursive import RecursiveResolver
 
 from tests.atlas.reference_measurement import reference_run
 from tests.core.test_campaign_registry import ORACLE, _run, _sha
+from tests.resolver.reference_cache import ScanReferenceCache
 from tests.resolver.reference_resolver import reference_resolve
 
 
@@ -73,6 +76,7 @@ REFERENCES = {
     "stdlib-rtt": (LatencyModel, "rtt", stdlib_rtt, set()),
     "stdlib-last-mile": (LatencyModel, "last_mile_rtt", stdlib_last_mile_rtt, GRID),
     "cold-zone": (Zone, "respond", cold_respond, set()),
+    "scan-cache": (recursive, "Cache", ScanReferenceCache, {"crawl"}),
 }
 
 

@@ -3,11 +3,12 @@
 The production :class:`~repro.resolver.cache.Cache` keeps its maintenance
 O(log n) with a lazy expiry heap and rewrites entries in place.  That
 machinery is an optimisation only: observable behaviour must match the
-specification, which this module states in its simplest possible form —
-an eager O(n)-scan reference model with no heap and no generation index
-beyond a counter.  Hypothesis drives both implementations through the
-same operation sequences and every return value, statistic, and membership
-snapshot must agree, with or without a size bound.
+specification, which :mod:`tests.resolver.reference_cache` states in its
+simplest possible form — an eager O(n)-scan reference model with no heap
+and no generation index beyond a counter.  Hypothesis drives both
+implementations through the same operation sequences and every return
+value, statistic, membership snapshot and collected metric must agree,
+with or without a size bound.
 
 The ECS overlay gets the same treatment: the reference keeps each key's
 scoped answers in a plain list it filters and scans on every touch
@@ -27,6 +28,12 @@ serve-path memo holds it — and after every later operation a stamp that
 still validates must be the key's entry in the cache and vouch for what
 the reference holds there: the same rdatas, credibility and expiry.
 
+The heap indexes a positive entry's expiry only once a refresh-ahead
+reader has asked, so the op language lets that reader arrive at any
+point — before the first write or after positives, refreshes and
+negatives already exist — and its ``(key, expires_at)`` pairs must be the
+reference's scan, in non-decreasing expiry order.
+
 A negative answer (RFC 2308) is the key's one entry, the empty RRset at
 rank ``NXDOMAIN`` or ``NODATA`` below glue: it takes the key's slot
 whatever held it, any data replaces it, it counts toward ``max_entries``,
@@ -36,7 +43,7 @@ ones before it evicts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
 from typing import Optional
 
 from hypothesis import example, given, settings
@@ -49,254 +56,12 @@ from repro.dns.record import RRset
 from repro.metrics import MetricsRegistry
 from repro.resolver.cache import Cache, CacheEntry, CacheStats, Credibility
 
+from tests.resolver.reference_cache import ScanReferenceCache
+
 # A small closed world keeps collisions (refreshes, link chains, downgrades)
 # frequent enough for hypothesis to exercise every replacement rule.
 NAMES = [Name(f"n{i}.example") for i in range(5)]
 QTYPE = RdataType.A
-
-
-@dataclass
-class ScannedScopedEntry:
-    """One scoped answer in the reference's per-key list."""
-
-    rrset: RRset
-    family: int
-    scope: int
-    network: int
-    source_network: int
-    expires_at: float
-
-
-class ScanReferenceCache:
-    """The cache specification, implemented the obvious slow way.
-
-    Every lookup re-derives liveness by direct inspection and every
-    eviction walks all entries.  No auxiliary structure exists that
-    could drift out of sync — which is exactly what makes it a trustworthy
-    oracle for the heap-based implementation.
-    """
-
-    def __init__(self, max_ttl=None, min_ttl=0, max_entries=None):
-        self._entries: dict[tuple, CacheEntry] = {}
-        self._generation = 0
-        self._ecs: dict[tuple, list[ScannedScopedEntry]] = {}
-        #: What the two lazily created ECS instruments should read:
-        #: ``None`` until the first scoped insert declares them.
-        self.scope_merges: Optional[int] = None
-        self.ecs_entries_peak: Optional[int] = None
-        self.max_ttl = max_ttl
-        self.min_ttl = min_ttl
-        self.max_entries = max_entries
-        self.stats = CacheStats()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def effective_ttl(self, ttl: int) -> int:
-        effective = ttl
-        if self.max_ttl is not None:
-            effective = min(effective, self.max_ttl)
-        return max(effective, self.min_ttl)
-
-    def _is_dead(self, entry: CacheEntry, now: float) -> bool:
-        if now >= entry.expires_at:
-            return True
-        if entry.linked_to is not None:
-            target_key, generation = entry.linked_to
-            target = self._entries.get(target_key)
-            if (
-                target is None
-                or target.generation != generation
-                or now >= target.expires_at
-            ):
-                return True
-        return False
-
-    def put(self, rrset, credibility, now, linked_to=None, pin=False) -> bool:
-        key = (rrset.name, rrset.rdtype, rrset.rdclass)
-        existing = self._entries.get(key)
-        if existing is not None and not self._is_dead(existing, now):
-            refreshable = credibility > existing.credibility or (
-                credibility == existing.credibility
-                and credibility >= Credibility.AUTH_ANSWER
-            )
-            if existing.pinned or not refreshable:
-                self.stats.refused_downgrades += 1
-                return False
-        self._generation = generation = self._generation + 1
-        link = None
-        if linked_to is not None:
-            target = self._entries.get(linked_to)
-            if target is not None:
-                link = (linked_to, target.generation)
-        ttl = self.effective_ttl(rrset.ttl)
-        if existing is not None:
-            del self._entries[key]
-        self._entries[key] = CacheEntry(
-            rrset=rrset,
-            credibility=credibility,
-            inserted_at=now,
-            expires_at=now + ttl,
-            generation=generation,
-            linked_to=link,
-            pinned=pin,
-        )
-        self.stats.inserts += 1
-        self._end_write(now)
-        return True
-
-    def _end_write(self, now: float) -> None:
-        """How every write ends: note the size peak, drop the expired
-        negatives, then evict down to ``max_entries``."""
-        self.stats.size_peak = max(self.stats.size_peak or 0, len(self._entries))
-        for key, entry in list(self._entries.items()):
-            if entry.credibility <= Credibility.NODATA and now >= entry.expires_at:
-                del self._entries[key]
-        if self.max_entries is None:
-            return
-        while len(self._entries) > self.max_entries:
-            victim = None
-            for key, entry in self._entries.items():  # dead first, LRU order
-                if self._is_dead(entry, now):
-                    victim = key
-                    break
-            if victim is None:
-                for key, entry in self._entries.items():  # then LRU unpinned
-                    if not entry.pinned:
-                        victim = key
-                        break
-            if victim is None:
-                victim = next(iter(self._entries))  # all pinned
-            del self._entries[victim]
-            self.stats.evictions += 1
-
-    def peek(self, name, rdtype, rdclass=RdataClass.IN):
-        return self._entries.get((name, rdtype, rdclass))
-
-    def get(
-        self,
-        name,
-        rdtype,
-        now,
-        rdclass=RdataClass.IN,
-        min_credibility=Credibility.ADDITIONAL,
-    ):
-        key = (name, rdtype, rdclass)
-        entry = self._entries.get(key)
-        if entry is None:
-            self.stats.misses += 1
-            return None
-        if self._is_dead(entry, now) or entry.credibility < min_credibility:
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        if self.max_entries is not None and next(reversed(self._entries)) != key:
-            del self._entries[key]
-            self._entries[key] = entry
-        return entry
-
-    def get_stale(self, name, rdtype, rdclass=RdataClass.IN):
-        entry = self._entries.get((name, rdtype, rdclass))
-        if entry is None or entry.credibility <= Credibility.NODATA:
-            return None
-        self.stats.stale_hits += 1
-        return entry
-
-    def put_negative(self, qname, qtype, nxdomain, now, ttl=300) -> None:
-        key = (qname, qtype, RdataClass.IN)
-        self._entries.pop(key, None)
-        self._generation += 1
-        self._entries[key] = CacheEntry(
-            rrset=RRset(qname, qtype, ttl),
-            credibility=Credibility.NXDOMAIN if nxdomain else Credibility.NODATA,
-            inserted_at=now,
-            expires_at=now + self.effective_ttl(ttl),
-            generation=self._generation,
-        )
-        self._end_write(now)
-
-    def get_negative(self, qname, qtype, now):
-        key = (qname, qtype, RdataClass.IN)
-        entry = self._entries.get(key)
-        if entry is None or entry.credibility > Credibility.NODATA or now >= entry.expires_at:
-            self.stats.negative_misses += 1
-            return None
-        self.stats.negative_hits += 1
-        if self.max_entries is not None:  # a hit is a use, negative or not
-            del self._entries[key]
-            self._entries[key] = entry
-        return entry
-
-    def refresh_expiry(self, key, now) -> None:
-        entry = self._entries.get(key)
-        if entry is None:
-            return
-        lifetime = entry.expires_at - entry.inserted_at
-        entry.inserted_at = now
-        entry.expires_at = now + lifetime
-        self._end_write(now)
-
-    def expire_now(self, key, now) -> None:
-        entry = self._entries.get(key)
-        if entry is not None:
-            entry.expires_at = now
-            self._end_write(now)
-
-    def put_scoped(self, rrset, subnet, scope, now) -> None:
-        bits = 32 if subnet.family == 1 else 128
-        network = subnet.network_bits() >> (bits - scope) << (bits - scope)
-        key = (rrset.name, rrset.rdtype, rrset.rdclass)
-        bucket = self._ecs.get(key)
-        if bucket is None:
-            bucket = self._ecs[key] = []
-        else:
-            bucket[:] = [entry for entry in bucket if now < entry.expires_at]
-        entry = ScannedScopedEntry(
-            rrset=rrset,
-            family=subnet.family,
-            scope=scope,
-            network=network,
-            source_network=subnet.network_bits(),
-            expires_at=now + self.effective_ttl(rrset.ttl),
-        )
-        for index, existing in enumerate(bucket):
-            if (
-                existing.family == entry.family
-                and existing.scope == scope
-                and existing.network == network
-            ):
-                bucket[index] = entry
-                break
-        else:
-            bucket.append(entry)
-        self.stats.inserts += 1
-        self.scope_merges = self.scope_merges or 0
-        self.ecs_entries_peak = max(self.ecs_entries_peak or 0, self.ecs_scoped_len())
-
-    def get_scoped(self, name, rdtype, subnet, now, rdclass=RdataClass.IN):
-        bucket = self._ecs.get((name, rdtype, rdclass))
-        if not bucket:
-            return None
-        query_bits = subnet.network_bits()
-        family_bits = 32 if subnet.family == 1 else 128
-        best = None
-        bucket[:] = [entry for entry in bucket if now < entry.expires_at]
-        for entry in bucket:
-            if entry.family != subnet.family or subnet.source_prefix < entry.scope:
-                continue
-            if (entry.network ^ query_bits) >> (family_bits - entry.scope):
-                continue
-            if best is None or entry.scope > best.scope:
-                best = entry
-        if best is None:
-            return None
-        self.stats.hits += 1
-        if best.source_network != query_bits:
-            self.scope_merges += 1
-        return best
-
-    def ecs_scoped_len(self) -> int:
-        return sum(len(bucket) for bucket in self._ecs.values())
 
 
 # -- operation language -------------------------------------------------------
@@ -350,6 +115,8 @@ operations = st.one_of(
     # so scoped answers expire mid-sequence.
     st.tuples(st.just("put_scoped"), name_ix, subnet_ix, st.sampled_from(SCOPES), ttls),
     st.tuples(st.just("get_scoped"), name_ix, subnet_ix),
+    # The refresh-ahead reader: its first call starts indexing positives.
+    st.tuples(st.just("due"), st.floats(min_value=0.0, max_value=600.0, allow_nan=False)),
     st.tuples(st.just("advance"), deltas),
 )
 
@@ -383,6 +150,7 @@ def _stats_tuple(stats: CacheStats):
     return (
         stats.hits,
         stats.misses,
+        stats.expired,
         stats.stale_hits,
         stats.inserts,
         stats.refused_downgrades,
@@ -412,7 +180,9 @@ def _stamps_hold(real: Cache, reference: ScanReferenceCache, stamps, compare_mem
             )
 
 
-def _drive(real: Cache, reference: ScanReferenceCache, ops, *, registry, compare_membership):
+def _drive(
+    real: Cache, reference: ScanReferenceCache, ops, *, registries, compare_membership
+):
     #: ``(entry, generation, expires_at, rdatas, credibility)`` per hit.
     stamps: list = []
     now = 0.0
@@ -478,7 +248,7 @@ def _drive(real: Cache, reference: ScanReferenceCache, ops, *, registry, compare
             rdata = SOA(Name("ns.example"), Name("h.example"), 1, 7200, 3600, 86400, ttl)
             soa = RRset(Name("example"), RdataType.SOA, ttl, [rdata])
             real.put_negative(NAMES[ix], QTYPE, nxdomain, now=now, soa=soa)
-            reference.put_negative(NAMES[ix], QTYPE, nxdomain, now=now, ttl=ttl)
+            reference.put_negative(NAMES[ix], QTYPE, nxdomain, now=now, soa=soa)
         elif kind == "get_neg":
             got = real.get_negative(NAMES[op[1]], QTYPE, now=now)
             assert _snapshot(got) == _snapshot(
@@ -508,15 +278,19 @@ def _drive(real: Cache, reference: ScanReferenceCache, ops, *, registry, compare
                 assert got.rrset is expected.rrset
                 assert got.scope == expected.scope
                 assert got.aged_rrset(now).ttl == int(expected.expires_at - now)
+        elif kind == "due":
+            due = real.due_expirations(now=now, horizon=op[1])
+            assert Counter(due) == Counter(reference.due_expirations(now=now, horizon=op[1]))
+            assert [at for _, at in due] == sorted(at for _, at in due)
         elif kind == "advance":
             now += op[1]
         # The overlay is outside ``max_entries``, so it is compared in full
         # even where global membership legally differs.
         assert real.ecs_scoped_len() == reference.ecs_scoped_len()
         assert real.ecs_scoped_len() == sum(1 for _ in real.scoped_entries())
-        collected = registry.snapshot()
-        assert collected.value("ecs.scope_merges") == reference.scope_merges
-        assert collected.value("cache.ecs_scoped_entries") == reference.ecs_entries_peak
+        collected, expected = (registry.snapshot() for registry in registries)
+        for metric in ("ecs.scope_merges", "cache.ecs_scoped_entries"):
+            assert collected.value(metric) == expected.value(metric)
         assert real.stats.hits == reference.stats.hits
         assert real.stats.inserts == reference.stats.inserts
         assert _heap_within_bound(real)
@@ -524,6 +298,7 @@ def _drive(real: Cache, reference: ScanReferenceCache, ops, *, registry, compare
         if compare_membership:
             assert len(real) == len(reference)
             assert _stats_tuple(real.stats) == _stats_tuple(reference.stats)
+            assert collected == expected
             for name in NAMES:
                 assert _snapshot(real.peek(name, QTYPE)) == _snapshot(
                     reference.peek(name, QTYPE)
@@ -531,19 +306,54 @@ def _drive(real: Cache, reference: ScanReferenceCache, ops, *, registry, compare
     return now
 
 
+def _caches(**options):
+    """A production cache and a reference built alike, each collected by
+    its own registry."""
+    registries = (MetricsRegistry(), MetricsRegistry())
+    real = Cache(metrics=registries[0], **options)
+    return real, ScanReferenceCache(metrics=registries[1], **options), registries
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(operations, max_size=40))
+@example(
+    # The reader arrives after a positive, a refresh and a negative: the
+    # first read indexes what is cached, and later writes are indexed.
+    ops=[
+        ("put", 0, 100, Credibility.AUTH_ANSWER, False, None),
+        ("put_neg", 1, True, 50),
+        ("advance", 50.0),
+        ("refresh", 0),
+        ("due", 400.0),
+        ("put", 2, 100, Credibility.AUTH_ANSWER, False, None),
+        ("due", 400.0),
+    ],
+)
+@example(
+    # A refresh leaves n0 a record at each expiry; the feed reports it once.
+    ops=[
+        ("due", 10.0),
+        ("put", 0, 100, Credibility.AUTH_ANSWER, False, None),
+        ("advance", 50.0),
+        ("refresh", 0),
+        ("due", 400.0),
+    ],
+)
+@example(
+    # expire_now cuts n0's life short: its first record reports nothing.
+    ops=[
+        ("due", 10.0),
+        ("put", 0, 100, Credibility.AUTH_ANSWER, False, None),
+        ("advance", 50.0),
+        ("expire", 0),
+        ("due", 400.0),
+    ],
+)
 def test_unbounded_cache_matches_scan_reference(ops):
     """With no size bound, every observable — return values, membership,
     statistics — is identical between the heap cache and the eager scans."""
-    registry = MetricsRegistry()
-    _drive(
-        Cache(metrics=registry),
-        ScanReferenceCache(),
-        ops,
-        registry=registry,
-        compare_membership=True,
-    )
+    real, reference, registries = _caches()
+    _drive(real, reference, ops, registries=registries, compare_membership=True)
 
 
 @settings(max_examples=100, deadline=None)
@@ -554,14 +364,8 @@ def test_unbounded_cache_matches_scan_reference(ops):
 )
 def test_clamped_cache_matches_scan_reference(ops, max_ttl, min_ttl):
     """TTL clamping composes identically with every other rule."""
-    registry = MetricsRegistry()
-    _drive(
-        Cache(max_ttl=max_ttl, min_ttl=min_ttl, metrics=registry),
-        ScanReferenceCache(max_ttl=max_ttl, min_ttl=min_ttl),
-        ops,
-        registry=registry,
-        compare_membership=True,
-    )
+    real, reference, registries = _caches(max_ttl=max_ttl, min_ttl=min_ttl)
+    _drive(real, reference, ops, registries=registries, compare_membership=True)
 
 
 @settings(max_examples=100, deadline=None)
@@ -594,10 +398,8 @@ def test_bounded_cache_matches_scan_reference_aggregates(ops, max_entries):
     """Under LRU pressure both evict by one rule — the first dead entry in
     recency order, else the least recently used unpinned one — so
     membership, every return value and the full statistics agree."""
-    registry = MetricsRegistry()
-    real = Cache(max_entries=max_entries, metrics=registry)
-    reference = ScanReferenceCache(max_entries=max_entries)
-    _drive(real, reference, ops, registry=registry, compare_membership=True)
+    real, reference, registries = _caches(max_entries=max_entries)
+    _drive(real, reference, ops, registries=registries, compare_membership=True)
     assert len(real) <= max_entries
     assert _stats_tuple(real.stats) == _stats_tuple(reference.stats)
 

@@ -203,7 +203,8 @@ def test_lru_eviction_prefers_dead_entries(liveness, fresh_inserts):
 # Every write surfaces what is due — dropping expired negative entries —
 # and rebuilds the heap once garbage outweighs content, so neither the heap
 # nor the cache can grow with the number of writes — only with what is
-# actually live.
+# actually live.  A positive entry's expiry is indexed only once a
+# refresh-ahead reader has asked.
 
 
 def heap_within_bound(cache: Cache) -> bool:
@@ -268,6 +269,39 @@ def test_campaign_caches_end_with_bounded_heaps(monkeypatch):
     records = sum(len(cache._expiry_heap) for cache in caches)
     assert entries > 0
     assert records <= 64 * len(caches) + 4 * entries
+    # No refresh-ahead reader asked: no record describes a positive entry.
+    for cache in caches:
+        for _, _, key, generation in cache._expiry_heap:
+            entry = cache.peek(*key)
+            assert entry is None or entry.generation != generation or (
+                entry.credibility <= Credibility.NODATA
+            )
+
+
+def test_positive_writes_are_indexed_once_a_reader_has_asked():
+    """The first due_expirations indexes what is cached; every positive
+    write after it pushes a record the feed returns, clear() included."""
+    from repro.dns.rdtypes import RdataClass
+
+    def key(name):
+        return (name, RdataType.A, RdataClass.IN)
+
+    early, late = Name("early.example"), Name("late.example")
+    cache = Cache()
+    cache.put(rrset_for(early, 100, 1), Credibility.AUTH_ANSWER, now=0.0)
+    assert not cache._expiry_heap
+    assert cache.due_expirations(now=0.0, horizon=50.0) == []
+    assert len(cache._expiry_heap) == 1
+    cache.put(rrset_for(late, 60, 2), Credibility.AUTH_ANSWER, now=10.0)
+    assert len(cache._expiry_heap) == 2
+    assert cache.due_expirations(now=20.0, horizon=100.0) == [
+        (key(late), 70.0), (key(early), 100.0),
+    ]
+    # A restarted resolver keeps its reader: clear() leaves indexing on.
+    cache.clear()
+    cache.put(rrset_for(early, 30, 3), Credibility.AUTH_ANSWER, now=200.0)
+    assert cache.due_expirations(now=200.0, horizon=60.0) == [(key(early), 230.0)]
+    assert heap_within_bound(cache)
 
 
 def test_clear_leaves_a_cache_that_works():

@@ -97,6 +97,10 @@ def test_short_ttl_campaign_builds_no_records_and_regroups_nothing(monkeypatch):
     assert calls_from(stats, "resolver/recursive.py", Cache.get) == 0
     assert calls_from(stats, "resolver/recursive.py", Cache._is_dead) == 0
     assert calls_from(stats, "resolver/cache.py", Cache._is_dead) < calls(stats, Cache.put)
+    # No negative answer and no refresh-ahead reader: the expiry heap
+    # indexes nothing, so no write pays for upkeep.
+    assert calls(stats, Cache._maintain) == calls(stats, Cache._surface_expired) == 0
+    assert [len(cache._expiry_heap) for cache in caches] == [0] * len(caches)
 
 
 def test_long_ttl_campaign_answers_its_hits_from_leases(monkeypatch):

@@ -17,7 +17,7 @@ CEILINGS = {
     "core/scenarios.py": 1543,
     "resolver/recursive.py": 1017,
     "core/worlds.py": 938,
-    "resolver/cache.py": 725,
+    "resolver/cache.py": 744,
     "serve/memo.py": 218,
     "serve/frontend.py": 444,
     "net/latency.py": 162,
@@ -26,7 +26,7 @@ CEILINGS = {
     "server/anycast.py": 112,
     "dns/name.py": 326,
     "metrics/registry.py": 236,
-    "": 20779,
+    "": 20798,
 }
 
 
