@@ -13,8 +13,9 @@ associative and commutative with an empty identity:
   log-spaced via :func:`log_buckets`), so two snapshots of the same
   histogram always have identical bucket bounds and merging is exact
   elementwise integer addition, never an approximation.  Value sums are
-  accumulated in fixed-point integers (:data:`FIXED_POINT` units) because
-  float addition is not associative — integer sums are.
+  fixed-point integers (:data:`FIXED_POINT` units): float addition is not
+  associative, integer sums are, so folding per :data:`BATCH` values
+  gives the bytes per-value tallying does.
 
 Metrics carry a *domain*: ``"sim"`` for facts of the simulated world
 (deterministic: byte-identical for any worker count) and ``"host"`` for
@@ -28,7 +29,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from functools import partial, reduce
-from operator import ge, is_not
+from itertools import repeat
+from operator import ge, is_not, mul
 from typing import Iterable, Optional, Sequence, Union
 
 __all__ = [
@@ -49,6 +51,11 @@ __all__ = [
 #: Observations are rounded to fixed point *per observation*, so sums are
 #: integers and merge exactly in any order.
 FIXED_POINT = 10**6
+_to_fixed_point = partial(mul, FIXED_POINT)
+
+#: Observations a histogram holds before folding them in one pass (a power
+#: of two, so its buffer, doubling from 4 slots, ends at exactly this size).
+BATCH = 64
 
 #: Metric domains.
 SIM = "sim"
@@ -80,14 +87,16 @@ def log_buckets(low: float, high: float, per_decade: int = 4) -> tuple[float, ..
 class Histogram:
     """Fixed-bucket histogram; bounds are upper edges, chosen at declaration.
 
-    ``counts[i]`` tallies observations ``<= bounds[i]`` (and greater than
-    ``bounds[i-1]``); ``overflow`` tallies observations above the last
-    bound.  ``sum_fp`` accumulates values in :data:`FIXED_POINT` units.
+    :meth:`observe` only stores the value.  A full :data:`BATCH`, and every
+    read, folds the pending values into the payload's ``counts[i]`` (values
+    ``<= bounds[i]``, above ``bounds[i-1]``), ``overflow``, ``count``,
+    ``sum_fp``, ``min`` and ``max`` (first seen wins a tie).  A NaN,
+    infinity or non-number raises from that fold, which drops its batch.
     """
 
     __slots__ = (
-        "name", "domain", "bounds", "counts", "overflow",
-        "count", "sum_fp", "min", "max", "_overflow_index",
+        "name", "domain", "bounds", "_counts", "_count", "_sum_fp", "_min", "_max", "_pending",
+        "_filled",
     )
     kind = "histogram"
 
@@ -102,45 +111,58 @@ class Histogram:
         self.name = name
         self.domain = domain
         self.bounds = bounds
-        self.counts = [0] * len(bounds)
-        self._overflow_index = len(bounds)  # bisect's index past the last bound
-        self.overflow = 0
-        self.count = 0
-        self.sum_fp = 0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
+        self._counts = [0] * (len(bounds) + 1)  # bisect's index past the last bound overflows
+        self._count = 0
+        self._sum_fp = 0
+        self._min: Optional[float] = None
+        self._max: Optional[float] = None
+        self._pending: list = [None] * 4  # doubles up to BATCH: most histograms see few values
+        self._filled = 0
 
     def observe(self, value: Number) -> None:
-        value = float(value)
-        index = bisect_left(self.bounds, value)
-        if index == self._overflow_index:
-            self.overflow += 1
-        else:
-            self.counts[index] += 1
-        self.count += 1
-        self.sum_fp += round(value * FIXED_POINT)
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
+        try:
+            self._pending[self._filled] = value
+        except IndexError:
+            self._pending *= 2
+            self._pending[self._filled] = value
+        self._filled += 1
+        if self._filled == BATCH:
+            self._fold()
+
+    def _fold(self) -> None:
+        filled = self._filled
+        if not filled:
+            return
+        self._filled = 0
+        values = list(map(float, self._pending[:filled]))
+        self._sum_fp += sum(map(round, map(_to_fixed_point, values)))
+        counts = self._counts
+        for index in map(bisect_left, repeat(self.bounds), values):
+            counts[index] += 1
+        self._count += filled
+        low, high = min(values), max(values)
+        if self._min is None or low < self._min:
+            self._min = low
+        if self._max is None or high > self._max:
+            self._max = high
 
     @property
     def mean(self) -> Optional[float]:
-        if self.count == 0:
-            return None
-        return self.sum_fp / self.count / FIXED_POINT
+        self._fold()
+        return self._sum_fp / self._count / FIXED_POINT if self._count else None
 
     def payload(self) -> dict:
+        self._fold()
         return {
             "kind": self.kind,
             "domain": self.domain,
             "bounds": list(self.bounds),
-            "counts": list(self.counts),
-            "overflow": self.overflow,
-            "count": self.count,
-            "sum_fp": self.sum_fp,
-            "min": self.min,
-            "max": self.max,
+            "counts": self._counts[:-1],
+            "overflow": self._counts[-1],
+            "count": self._count,
+            "sum_fp": self._sum_fp,
+            "min": self._min,
+            "max": self._max,
         }
 
 

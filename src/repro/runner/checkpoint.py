@@ -41,8 +41,9 @@ _FORMAT_VERSION = 1
 #: instruments; 5 = caches keep no dead-mark sets and entries no
 #: dependents list or source zone; 6 = stubs hold their bound client leg,
 #: not the latency model, and servers a public ``log_queries`` flag;
-#: 7 = resolvers hold a public ``track_arrival`` hook.
-_WSNAP_VERSION = 7
+#: 7 = resolvers hold a public ``track_arrival`` hook; 8 = histograms hold
+#: a pending batch.
+_WSNAP_VERSION = 8
 
 
 class CheckpointMismatch(RuntimeError):

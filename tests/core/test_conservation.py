@@ -10,7 +10,10 @@ confirmation is an identity over a campaign's ``--metrics`` snapshot:
 - every lost transmission was either retried or ended in a timeout;
 - every client query a resolver answers probes its negative cache once
   (a response-memo hit stands in for the probe of the cache hit it
-  replaces).
+  replaces);
+- every exchange records one RTT in ``net.rtt_ms``, and every datagram a
+  frontend answers one latency in ``serve.latency_ms``, so a histogram
+  batch lost or folded twice shows.
 
 Each registered campaign is checked at its ``ORACLE`` arguments, serial
 and sharded, plus one ``t2-uy`` run under a loss + outage plan; the memo
@@ -71,6 +74,12 @@ def conservation_problems(metrics: dict) -> list[str]:
         if probes != count["resolver.client_queries"]:
             problems.append(f"cache.negative_hits + cache.negative_misses {probes} "
                             f"!= resolver.client_queries {count['resolver.client_queries']}")
+    if metrics["net.rtt_ms"]["count"] != exchanges:
+        problems.append(f"net.rtt_ms count {metrics['net.rtt_ms']['count']} "
+                        f"!= net.exchanges {exchanges}")
+    if "serve.rcode" in count and count["serve.rcode"] != metrics["serve.latency_ms"]["count"]:
+        problems.append(f"serve.rcode {count['serve.rcode']} != serve.latency_ms count "
+                        f"{metrics['serve.latency_ms']['count']}")
     return problems
 
 

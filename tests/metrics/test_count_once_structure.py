@@ -7,6 +7,9 @@ they are exact and independent of host speed:
 
 - a warm cache-hit ``resolve`` makes no call into ``repro.metrics``;
 - a miss-path resolution calls only :meth:`Histogram.observe` there;
+- an observation that leaves the batch unfilled is one ``observe`` frame
+  and no C call; the one that fills it adds one fold, whose calls do not
+  grow with the bucket count;
 - a fabric exchange never formats an :class:`Endpoint` for its label;
 - a resolver whose network has a registry attached makes exactly the
   calls of one without;
@@ -19,14 +22,18 @@ they are exact and independent of host speed:
 import gc
 import sys
 from collections import Counter
+from functools import partial
 from pathlib import Path
+
+import pytest
 
 import repro.metrics
 from repro.core.worlds import build_push_world
 from repro.dns.message import Message
 from repro.dns.name import Name
 from repro.dns.rdtypes import RdataType
-from repro.metrics import Histogram, MetricsRegistry
+from repro.metrics import Histogram, MetricsRegistry, log_buckets
+from repro.metrics.registry import BATCH
 from repro.net.topology import Endpoint, Region
 from repro.push import PushClient, PushPolicy, attach_publisher
 from repro.resolver.cache import Cache
@@ -92,6 +99,20 @@ def test_a_miss_calls_only_histogram_observe():
     assert into_metrics(seen) == {Histogram.observe.__code__}
 
 
+@pytest.mark.parametrize("bounds", [(1.0,), log_buckets(0.1, 10_000.0)])
+def test_an_observation_is_one_frame_until_its_batch_fills(bounds):
+    histogram = Histogram("h", bounds)
+    for value in range(BATCH - 1):
+        seen = calls(partial(histogram.observe, value))
+        del seen["setprofile"]
+        assert seen == Counter({Histogram.observe.__code__: 1})
+    seen = calls(partial(histogram.observe, 1e9))
+    del seen["setprofile"]
+    assert seen == Counter({
+        Histogram.observe.__code__: 1, Histogram._fold.__code__: 1, "sum": 1, "min": 1, "max": 1,
+    })
+
+
 def test_an_exchange_never_formats_an_endpoint():
     world = build_mini_world()
     world.network.attach_metrics(MetricsRegistry())
@@ -146,7 +167,7 @@ def test_a_notify_drain_calls_only_histogram_observe():
         assert applied == [1]
     assert into_metrics(seen) == {Histogram.observe.__code__}
     assert network.tally.counts["push.applied"] == 2
-    assert network.tally.push_staleness_s.count == 2
+    assert network.tally.push_staleness_s.payload()["count"] == 2
 
 
 def test_collect_is_the_registrys_only_input():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.metrics.registry import (
+    BATCH,
     COUNTER,
     FIXED_POINT,
     GAUGE,
@@ -108,19 +109,43 @@ class TestHistogram:
         hist = Histogram("h", bounds=(1.0, 10.0, 100.0))
         for value in (0.5, 1.0, 5.0, 100.0, 1000.0):
             hist.observe(value)
+        payload = hist.payload()
         # <=1, <=10, <=100, overflow
-        assert hist.counts == [2, 1, 1]
-        assert hist.overflow == 1
-        assert hist.count == 5
-        assert hist.min == 0.5
-        assert hist.max == 1000.0
+        assert payload["counts"] == [2, 1, 1]
+        assert payload["overflow"] == 1
+        assert payload["count"] == 5
+        assert payload["min"] == 0.5
+        assert payload["max"] == 1000.0
 
     def test_fixed_point_sum_and_mean(self):
         hist = Histogram("h", bounds=(10.0,))
         hist.observe(0.1)
         hist.observe(0.2)
-        assert hist.sum_fp == round(0.1 * FIXED_POINT) + round(0.2 * FIXED_POINT)
+        assert hist.payload()["sum_fp"] == round(0.1 * FIXED_POINT) + round(0.2 * FIXED_POINT)
         assert hist.mean == pytest.approx(0.15)
+
+    @pytest.mark.parametrize("observations", [0, 1, BATCH - 1, BATCH, BATCH + 1, 3 * BATCH + 5])
+    def test_the_buffer_stays_one_batch_and_a_read_leaves_nothing_pending(self, observations):
+        hist = Histogram("h", bounds=(10.0,))
+        for value in range(observations):
+            hist.observe(value)
+        assert len(hist._pending) <= BATCH
+        assert hist.payload()["count"] == observations
+        assert hist._filled == 0
+        for value in range(BATCH + 1):
+            hist.observe(value)
+        assert hist.payload()["count"] == observations + BATCH + 1
+        assert len(hist._pending) == BATCH
+
+    def test_a_bad_value_raises_at_the_fold_not_the_observation(self):
+        hist = Histogram("h", bounds=(10.0,))
+        hist.observe(1.0)
+        hist.observe(float("nan"))
+        with pytest.raises(ValueError):
+            hist.payload()
+        assert hist.payload()["count"] == 0  # the batch that held it is dropped
+        hist.observe(2.0)
+        assert hist.mean == 2.0
 
     def test_empty_mean_is_none(self):
         assert Histogram("h", bounds=(1.0,)).mean is None

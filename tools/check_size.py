@@ -25,8 +25,8 @@ CEILINGS = {
     "server/authoritative.py": 161,
     "server/anycast.py": 112,
     "dns/name.py": 326,
-    "metrics/registry.py": 236,
-    "": 20798,
+    "metrics/registry.py": 258,
+    "": 20821,
 }
 
 
