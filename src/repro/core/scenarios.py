@@ -108,6 +108,22 @@ def _attach_faults(
     return injector
 
 
+def _measurement(
+    world, seed: int, probes: int, qname: str, qtype: RdataType,
+    duration: float, description: str, interval: float = 600.0,
+) -> tuple[AtlasPopulation, Measurement]:
+    """``probes`` vantage points of ``world`` and the campaign asking each
+    for ``qname`` every ``interval`` seconds."""
+    population = make_population(world, probes=probes, seed=seed)
+    spec = MeasurementSpec(
+        qname=qname, qtype=qtype, interval=interval, duration=duration,
+        description=description,
+    )
+    return population, Measurement(
+        spec=spec, vantage_points=population.vantage_points(), seed=seed
+    )
+
+
 # ------------------------------------------------------------------- Table 1
 
 
@@ -193,48 +209,54 @@ class _CentricityTarget(NamedTuple):
     description: str
     #: ``repro run`` table title.
     title: str
-    #: Seconds between a vantage point's queries.
-    interval: float = 600.0
+    #: The public scenario's default campaign length, seconds.
+    duration: float
+    #: The public scenario's default ``child_ns_ttl`` (``None``: the
+    #: builder's own); a set value is part of the campaign fingerprint.
+    child_ns_ttl: Optional[int] = None
 
 
 _CENTRICITY_TARGETS = {
     "t2-uy": _CentricityTarget(
         "uy", "uy.", RdataType.NS, 172800, 300, classify_active_ttls,
         ".uy-NS (child TTL {child_ttl})", "T2: .uy-NS centricity campaign",
+        7200.0, child_ns_ttl=300,
     ),
     "t2-anicuy": _CentricityTarget(
         "uy", "a.nic.uy.", RdataType.A, 172800, 120, classify_active_ttls,
-        "a.nic.uy-A", "T2: a.nic.uy-A centricity campaign",
+        "a.nic.uy-A", "T2: a.nic.uy-A centricity campaign", 10800.0,
     ),
     "t2-googleco": _CentricityTarget(
         "googleco", "google.co.", RdataType.NS, 900, 345600,
         functools.partial(classify_capped_or_child, cap=21599),
-        "google.co-NS", "T2: google.co-NS centricity campaign",
+        "google.co-NS", "T2: google.co-NS centricity campaign", 3600.0,
     ),
 }
 
 
 def _run_centricity(
     campaign: str,
+    seed: int = 0,
+    probes: int = 300,
     *,
-    seed: int,
-    probes: int,
     duration: float,
-    parallelism: Optional[int],
-    shards: Optional[int],
-    run_dir: Optional[str],
-    progress,
-    faults,
-    predict: bool,
-    profile: Optional[str],
-    snapshot_every: int,
-    child_ns_ttl: Optional[int] = None,
-    interval: Optional[float] = None,
+    child_ns_ttl: Optional[int],
+    interval: float = 600.0,
+    parallelism: Optional[int] = None,
+    shards: Optional[int] = None,
+    run_dir: Optional[str] = None,
+    progress=None,
+    faults=None,
+    predict: bool = False,
+    profile: Optional[str] = None,
+    snapshot_every: int = 0,
 ) -> CentricityRun:
     """Run registered centricity ``campaign`` over its probes and classify.
 
-    The keywords are the public scenarios' own parameters: each is its
-    signature, its docstring and ``_run_centricity(name, **locals())``.
+    :func:`scenario_uy_ns`, :func:`scenario_anicuy_a` and
+    :func:`scenario_googleco_ns` are this function bound to one
+    :data:`_CENTRICITY_TARGETS` row and its defaults; each carries its
+    own docstring.
 
     With ``parallelism`` set, probes are sharded deterministically and
     the shards execute on that many workers (1 = the serial in-process
@@ -243,15 +265,22 @@ def _run_centricity(
     seeded with ``seed`` itself — the plan the paper's figures are
     recorded under.
 
-    ``snapshot_every`` (with ``run_dir``) makes each shard checkpoint
-    its world-level state every that-many queries, so a killed run
-    resumes mid-shard.  Snapshot cadence is deliberately *not* part of
-    the fingerprint — it changes when state hits disk, never the
-    results.
+    ``run_dir`` enables checkpoint/resume.  ``snapshot_every`` (with
+    ``run_dir``) makes each shard checkpoint its world-level state every
+    that-many queries, so a killed run resumes mid-shard (see
+    docs/performance.md).  Snapshot cadence is deliberately *not* part
+    of the fingerprint — it changes when state hits disk, never the
+    results.  ``faults`` (a :class:`FaultPlan` or its payload) schedules
+    failures against the campaign's virtual clock — see
+    docs/resilience.md.  ``predict`` arms every resolver with the
+    default predictive policy (refresh-ahead + RFC 8767) — see
+    docs/prediction.md.  ``profile`` writes per-shard cProfile stats.
 
     ``child_ns_ttl`` rebuilds the world with that child NS TTL (the
     operator's change behind the paper's uy-NS-new column); ``interval``
-    overrides the target's probing interval.
+    is the seconds between a vantage point's queries.  Only t2-uy takes
+    either: any other campaign raises :class:`TypeError` on a set
+    ``child_ns_ttl`` or an ``interval`` other than 600 s.
     """
     from repro.runner.campaigns import campaign_fingerprint
     from repro.runner.merge import merge_result_sets
@@ -260,6 +289,8 @@ def _run_centricity(
 
     spec = CAMPAIGNS[campaign]
     target = _CENTRICITY_TARGETS[campaign]
+    if target.child_ns_ttl is None and (child_ns_ttl, interval) != (None, 600.0):
+        raise TypeError(f"{campaign} takes no child_ns_ttl or interval")
     world_kwargs = {} if child_ns_ttl is None else {"child_ns_ttl": child_ns_ttl}
     child_ttl = target.child_ttl if child_ns_ttl is None else child_ns_ttl
     kwargs = {
@@ -267,7 +298,7 @@ def _run_centricity(
         "world_kwargs": world_kwargs,
         "spec_kwargs": dict(
             qname=target.qname,
-            interval=target.interval if interval is None else interval,
+            interval=interval,
             duration=duration,
             description=target.description.format(child_ttl=child_ttl),
         ),
@@ -318,71 +349,19 @@ def _run_centricity(
     )
 
 
-def scenario_uy_ns(
-    seed: int = 0,
-    probes: int = 300,
-    child_ns_ttl: int = 300,
-    duration: float = 7200.0,
-    interval: float = 600.0,
-    parallelism: Optional[int] = None,
-    shards: Optional[int] = None,
-    run_dir: Optional[str] = None,
-    progress=None,
-    faults=None,
-    predict: bool = False,
-    profile: Optional[str] = None,
-    snapshot_every: int = 0,
-) -> CentricityRun:
-    """The .uy-NS campaign (Table 2 col 1; Figure 1): parent 172800 s,
-    child 300 s, queries every 10 min for 2 h.
-
-    The campaign runs through :mod:`repro.runner` — see
-    :func:`_run_centricity` for ``parallelism``/``shards``.  ``run_dir``
-    enables checkpoint/resume; ``snapshot_every`` additionally
-    checkpoints world-level state mid-shard (see docs/performance.md).
-    ``faults`` (a :class:`FaultPlan` or its payload) schedules failures
-    against the campaign's virtual clock — see docs/resilience.md.
-    ``predict`` arms every resolver with the default predictive policy
-    (refresh-ahead + RFC 8767) — see docs/prediction.md.  ``profile``
-    writes per-shard cProfile stats.
-    """
-    return _run_centricity("t2-uy", **locals())
-
-
-def scenario_anicuy_a(
-    seed: int = 0,
-    probes: int = 300,
-    duration: float = 10800.0,
-    parallelism: Optional[int] = None,
-    shards: Optional[int] = None,
-    run_dir: Optional[str] = None,
-    progress=None,
-    faults=None,
-    predict: bool = False,
-    profile: Optional[str] = None,
-    snapshot_every: int = 0,
-) -> CentricityRun:
-    """The a.nic.uy-A campaign (Table 2 col 2; Figure 1): parent glue
-    172800 s, child A 120 s, every 10 min for 3 h."""
-    return _run_centricity("t2-anicuy", **locals())
-
-
-def scenario_googleco_ns(
-    seed: int = 0,
-    probes: int = 300,
-    duration: float = 3600.0,
-    parallelism: Optional[int] = None,
-    shards: Optional[int] = None,
-    run_dir: Optional[str] = None,
-    progress=None,
-    faults=None,
-    predict: bool = False,
-    profile: Optional[str] = None,
-    snapshot_every: int = 0,
-) -> CentricityRun:
-    """The google.co-NS campaign (Table 2 col 3; Figure 2): parent 900 s,
-    child 345600 s, every 10 min for 1 h."""
-    return _run_centricity("t2-googleco", **locals())
+scenario_uy_ns, scenario_anicuy_a, scenario_googleco_ns = (
+    functools.partial(
+        _run_centricity, campaign, duration=target.duration,
+        child_ns_ttl=target.child_ns_ttl,
+    )
+    for campaign, target in _CENTRICITY_TARGETS.items()
+)
+scenario_uy_ns.__doc__ = """The .uy-NS campaign (Table 2 col 1; Figure 1):
+parent 172800 s, child 300 s, every 10 min for 2 h."""
+scenario_anicuy_a.__doc__ = """The a.nic.uy-A campaign (Table 2 col 2; Figure 1):
+parent glue 172800 s, child A 120 s, every 10 min for 3 h."""
+scenario_googleco_ns.__doc__ = """The google.co-NS campaign (Table 2 col 3; Figure 2):
+parent 900 s, child 345600 s, every 10 min for 1 h."""
 
 
 def report_centricity(run: CentricityRun):
@@ -404,10 +383,7 @@ class NlPassiveRun:
     world: NlWorld
     groups: dict[tuple[str, Name], list[float]]
     breakdown: object
-    queries_per_group: list[int]
     min_interarrivals: list[float]
-    total_queries: int
-    unique_resolvers: int
 
 
 def scenario_nl_passive(
@@ -456,22 +432,13 @@ def scenario_nl_passive(
         for key, stamps in nl.monitored_log_groups().items()
         if key[1] in ns_names
     }
-    from repro.analysis.interarrival import (
-        min_interarrival_per_group,
-        queries_per_group,
-    )
+    from repro.analysis.interarrival import min_interarrival_per_group
 
-    breakdown = classify_passive_groups(groups)
     return NlPassiveRun(
         world=nl,
         groups=groups,
-        breakdown=breakdown,
-        queries_per_group=queries_per_group(groups),
+        breakdown=classify_passive_groups(groups),
         min_interarrivals=min_interarrival_per_group(groups),
-        total_queries=sum(
-            world.servers[name].queries_received for name in nl.monitored
-        ),
-        unique_resolvers=len({resolver for resolver, _ in groups}),
     )
 
 
@@ -483,7 +450,6 @@ class BailiwickRun:
     world: CachetestWorld
     results: ResultSet
     summary: dict[str, int]
-    timeseries: dict[str, dict[int, int]]
     sticky_vp_ids: set[str]
     switched_by_round: dict[int, float]  # round -> fraction answered by new
 
@@ -506,16 +472,10 @@ def scenario_bailiwick(
     from every VP; the server is renumbered at t=9 min (paper §4.2).
     """
     ct = build_cachetest_world(seed, in_bailiwick=in_bailiwick)
-    population = make_population(ct.world, probes=probes, seed=seed)
-    spec = MeasurementSpec(
-        qname="PROBEID.sub.cachetest.net.",
-        qtype=RdataType.AAAA,
-        interval=interval,
-        duration=duration,
-        description=f"{'in' if in_bailiwick else 'out-of'}-bailiwick renumbering",
-    )
-    measurement = Measurement(
-        spec=spec, vantage_points=population.vantage_points(), seed=seed
+    _, measurement = _measurement(
+        ct.world, seed, probes, "PROBEID.sub.cachetest.net.", RdataType.AAAA,
+        duration, f"{'in' if in_bailiwick else 'out-of'}-bailiwick renumbering",
+        interval,
     )
     measurement.schedule(renumber_at, ct.renumber, label="renumber")
     results = measurement.run()
@@ -527,7 +487,7 @@ def scenario_bailiwick(
     sticky = sticky_vps(per_vp, ct.old_answer, first_round_end=interval)
 
     switched: dict[int, float] = {}
-    for round_index in range(spec.rounds()):
+    for round_index in range(measurement.spec.rounds()):
         round_results = valid.for_round(round_index)
         if len(round_results) == 0:
             continue
@@ -540,7 +500,6 @@ def scenario_bailiwick(
         world=ct,
         results=valid,
         summary=results.summary(),
-        timeseries=valid.answer_timeseries(bin_seconds=interval),
         sticky_vp_ids=sticky,
         switched_by_round=switched,
     )
@@ -640,19 +599,12 @@ def scenario_zurrundedu_offline(
 ) -> tuple[ResultSet, AtlasPopulation]:
     """§4.4: child servers down; only parent-centric resolvers answer."""
     ct = build_cachetest_world(seed, in_bailiwick=False)
-    population = make_population(ct.world, probes=probes, seed=seed)
-    ct.take_child_offline()
-    spec = MeasurementSpec(
-        qname="sub.cachetest.net.",
-        qtype=RdataType.NS,
-        interval=600.0,
-        duration=1200.0,
-        description="child authoritatives offline",
+    population, measurement = _measurement(
+        ct.world, seed, probes, "sub.cachetest.net.", RdataType.NS, 1200.0,
+        "child authoritatives offline",
     )
-    results = Measurement(
-        spec=spec, vantage_points=population.vantage_points(), seed=seed
-    ).run()
-    return results, population
+    ct.take_child_offline()
+    return measurement.run(), population
 
 
 # ----------------------------------------------------------- §5.3 (Figure 10)
@@ -738,17 +690,10 @@ def _run_controlled(
     qname, zone_attr, server_attr = _CONTROLLED_RUNS[label]
     world = build_controlled_world(seed)
     world.world.network.attach_metrics(metrics)
-    population = make_population(world.world, probes=probes, seed=seed)
-    spec = MeasurementSpec(
-        qname=qname,
-        qtype=RdataType.AAAA,
-        interval=600.0,
-        duration=duration,
-        description=label,
+    _, measurement = _measurement(
+        world.world, seed, probes, qname, RdataType.AAAA, duration, label
     )
-    results = Measurement(
-        spec=spec, vantage_points=population.vantage_points(), seed=seed
-    ).run()
+    results = measurement.run()
     valid = results.valid()
     server = getattr(world, server_attr)
     log = server.query_log
@@ -1248,10 +1193,6 @@ def report_ecs(run: GridRun):
 # ------------------------------------------------------- push vs TTL polling
 
 
-#: Analytic population rungs for the 1k -> 1M projection.
-PUSH_POPULATIONS = (1_000, 10_000, 100_000, 1_000_000)
-
-
 @dataclass(frozen=True)
 class PushCell:
     """One (plan, mode, TTL) cell of the push-vs-poll matrix."""
@@ -1280,22 +1221,10 @@ class PushCell:
     session_resets: int
     #: Client-side session reconnects (push mode).
     reconnects: int
-    #: Probe-observed staleness windows, seconds: per change and seat,
-    #: how long after the change the seat's answers kept showing the old
-    #: address (censored at the next change or end of run).
+    #: Mean probe-observed staleness window, seconds: per change and
+    #: seat, how long after the change the seat's answers kept showing the
+    #: old address (censored at the next change or end of run).
     mean_staleness_s: float
-    p95_staleness_s: float
-    max_staleness_s: float
-    #: Measured per-seat authoritative query rate, queries/hour.
-    per_seat_auth_per_hour: float
-    #: ``(population, projected authoritative queries/s)``: the measured
-    #: per-seat rate scaled to resolver populations the simulation never
-    #: instantiates — the same aggregate treatment docs/ecs.md applies
-    #: with the Jung model.
-    projected_auth_qps: tuple[tuple[int, float], ...]
-    #: Jung et al. closed-form check: a poll-mode seat probing at
-    #: ``1/probe_interval`` misses at ``lambda/(1 + lambda*TTL)`` qps.
-    analytic_poll_miss_qps: float
 
     @property
     def answered_rate(self) -> float:
@@ -1352,7 +1281,6 @@ def _run_push_cell(
     metrics: MetricsRegistry,
 ) -> PushCell:
     """Probe one update channel through one fault family at one TTL."""
-    from repro.analysis.hitrate import analytic_hit_rate
     from repro.push import PushPolicy, attach_publisher
 
     testbed = build_push_world(ttl, seed)
@@ -1449,11 +1377,8 @@ def _run_push_cell(
             stale += seen != truth
     lags = sorted(_push_staleness_lags(change_log, observations, duration))
     mean_lag = sum(lags) / len(lags) if lags else 0.0
-    p95_lag = lags[min(len(lags) - 1, int(0.95 * len(lags)))] if lags else 0.0
 
     snapshot = metrics.snapshot()
-    auth_queries = testbed.server.queries_received
-    probe_rate = 1.0 / probe_interval
     return PushCell(
         plan=plan,
         mode=mode,
@@ -1463,21 +1388,12 @@ def _run_push_cell(
         probes=probes,
         answered=answered,
         stale_probes=stale,
-        auth_queries=auth_queries,
+        auth_queries=testbed.server.queries_received,
         notifications=_counter(snapshot, "push.notifications"),
         coalesced=_counter(snapshot, "push.coalesced"),
         session_resets=_counter(snapshot, "push.session_resets"),
         reconnects=_counter(snapshot, "push.reconnects"),
         mean_staleness_s=mean_lag,
-        p95_staleness_s=p95_lag,
-        max_staleness_s=lags[-1] if lags else 0.0,
-        per_seat_auth_per_hour=auth_queries / seats / (duration / 3600.0),
-        projected_auth_qps=tuple(
-            (population, auth_queries / seats / duration * population)
-            for population in PUSH_POPULATIONS
-        ),
-        analytic_poll_miss_qps=probe_rate
-        * (1.0 - analytic_hit_rate(probe_rate, ttl)),
     )
 
 

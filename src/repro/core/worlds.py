@@ -124,6 +124,14 @@ class World:
         self._server_addresses[name] = service_address
         return cluster
 
+    def add_root_glue(self, server_name: str) -> None:
+        """An A record at the root for ``server_name``, which lies outside
+        the TLD it serves, so delegating that TLD adds no glue for it."""
+        self.root_zone.add(
+            f"{server_name}.", RdataType.A, A(self.address_of(server_name)),
+            ttl=ROOT_DELEGATION_TTL,
+        )
+
     def resolver(self, endpoint: Endpoint, policy: ResolverPolicy) -> RecursiveResolver:
         """A recursive resolver at ``endpoint``, on this world's fabric
         and root hints.
@@ -260,9 +268,7 @@ class UyWorld:
     """The .uy configuration plus the natural-experiment TTL switch."""
 
     world: World
-    uy_zone: Zone
     child_ns_ttl: int
-    child_a_ttl: int
 
 
 def build_uy_world(
@@ -270,10 +276,10 @@ def build_uy_world(
 ) -> UyWorld:
     """Uruguay's .uy: parent NS/glue 172800 s, child NS 300 s, A 120 s."""
     world = build_base_world(seed)
-    uy = world.add_delegated_zone(
+    world.add_delegated_zone(
         "uy.", [("a.nic.uy", Region.SA)], child_ns_ttl, a_ttl=child_a_ttl
     )
-    return UyWorld(world=world, uy_zone=uy, child_ns_ttl=child_ns_ttl, child_a_ttl=child_a_ttl)
+    return UyWorld(world=world, child_ns_ttl=child_ns_ttl)
 
 
 # --------------------------------------------------------------------------- §3.3
@@ -286,12 +292,7 @@ def build_googleco_world(seed: int = 0) -> World:
     com = world.add_delegated_zone(
         "com.", [("a.gtld-servers.net", Region.NA)], ROOT_DELEGATION_TTL
     )
-    world.root_zone.add(
-        "a.gtld-servers.net.",
-        RdataType.A,
-        A(world.address_of("a.gtld-servers.net")),
-        ttl=ROOT_DELEGATION_TTL,
-    )
+    world.add_root_glue("a.gtld-servers.net")
 
     googlecom = world.add_zone(Zone("google.com.", default_ttl=345600))
     googlecom.add_soa("ns1.google.com.")
@@ -331,7 +332,6 @@ class CachetestWorld:
     world: World
     in_bailiwick: bool
     sub_zone_old: Zone
-    sub_zone_new: Zone
     old_server: AuthoritativeServer
     new_server: AuthoritativeServer
     old_answer: str
@@ -439,12 +439,7 @@ def build_cachetest_world(seed: int = 0, in_bailiwick: bool = True) -> Cachetest
         com = world.add_delegated_zone(
             "com.", [("a.com-servers.net", Region.NA)], ROOT_DELEGATION_TTL
         )
-        world.root_zone.add(
-            "a.com-servers.net.",
-            RdataType.A,
-            A(world.address_of("a.com-servers.net")),
-            ttl=ROOT_DELEGATION_TTL,
-        )
+        world.add_root_glue("a.com-servers.net")
 
         # zurrundedu.com is served by ns1.zurrundedu.com itself (the very
         # machine being renumbered), so .com publishes 2-day glue for it —
@@ -464,7 +459,6 @@ def build_cachetest_world(seed: int = 0, in_bailiwick: bool = True) -> Cachetest
         world=world,
         in_bailiwick=in_bailiwick,
         sub_zone_old=sub_old,
-        sub_zone_new=sub_new,
         old_server=old_server,
         new_server=new_server,
         old_answer=old_answer,
@@ -479,7 +473,6 @@ class NlWorld:
     """.nl with four authoritative servers, two of them monitored."""
 
     world: World
-    nl_zone: Zone
     server_names: list[str]
     monitored: list[str]  # the ns[1,3].dns.nl ENTRADA view
 
@@ -511,12 +504,7 @@ def build_nl_world(seed: int = 0, domain_count: int = 500) -> NlWorld:
     org = world.add_delegated_zone(
         "org.", [("a0.org-servers.net", Region.NA)], ROOT_DELEGATION_TTL
     )
-    world.root_zone.add(
-        "a0.org-servers.net.",
-        RdataType.A,
-        A(world.address_of("a0.org-servers.net")),
-        ttl=ROOT_DELEGATION_TTL,
-    )
+    world.add_root_glue("a0.org-servers.net")
     isc = world.add_delegated_zone(
         "isc.org.", [("ns.isc.org", Region.NA)], 7200, parent=org, parent_ttl=86400
     )
@@ -552,7 +540,6 @@ def build_nl_world(seed: int = 0, domain_count: int = 500) -> NlWorld:
 
     return NlWorld(
         world=world,
-        nl_zone=nl,
         server_names=server_names,
         monitored=["ns1.dns.nl", "ns3.dns.nl"],
     )

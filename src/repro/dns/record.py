@@ -22,7 +22,7 @@ from typing import Iterable, Iterator
 
 from repro.dns.name import Name
 from repro.dns.rdtypes import CLASSES, TYPES, Rdata, RdataClass, RdataType, read_rdata
-from repro.dns.ttl import validate_ttl
+from repro.dns.ttl import TTL_MAX, validate_ttl
 from repro.dns.wire import WireReader, WireWriter
 
 
@@ -90,7 +90,7 @@ class ResourceRecord:
         reader: WireReader,
     ) -> "ResourceRecord":
         """Finish decoding a record whose name and :data:`RR_FIXED` block
-        are already read.
+        are already read; a TTL with its top bit set reads as 0 (RFC 2181 §8).
 
         The message codec looks at the type to divert OPT pseudo-records
         (EDNS, RFC 6891) before they reach the record constructor — an
@@ -99,7 +99,7 @@ class ResourceRecord:
         rdtype = TYPES[type_value]
         rdata = read_rdata(rdtype, reader, rdlength)
         return cls(
-            name=name, rdtype=rdtype, ttl=ttl, rdata=rdata, rdclass=CLASSES[class_value]
+            name, rdtype, ttl if ttl <= TTL_MAX else 0, rdata, CLASSES[class_value]
         )
 
 

@@ -832,15 +832,13 @@ class RecursiveResolver:
             elapsed += exchange_time
             contacted.append(address)
             self.queries_sent += 1
-            if response.rcode in (Rcode.REFUSED, Rcode.NOTIMP, Rcode.FORMERR):
-                # A lame server (not actually serving the zone): try the
-                # next one, as real resolvers do.
-                if index < last:
-                    self.failovers += 1
-                continue
-            if response.flags.tc:
-                # Truncated (e.g. an RRL slip).  We model no TCP retry, so
-                # a TC answer is unusable — fail over to a sibling.
+            if (
+                response.rcode in (Rcode.REFUSED, Rcode.NOTIMP, Rcode.FORMERR)
+                or response.flags.tc
+            ):
+                # A lame server (not actually serving the zone), or a
+                # truncated answer (e.g. an RRL slip; we model no TCP
+                # retry): try a sibling, as real resolvers do.
                 if index < last:
                     self.failovers += 1
                 continue

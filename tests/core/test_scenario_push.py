@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.scenarios import PUSH_POPULATIONS, scenario_push_vs_poll
+from repro.core.scenarios import scenario_push_vs_poll
 
 
 class TestPushVsPoll:
@@ -62,25 +62,24 @@ class TestPushVsPoll:
         assert push.session_resets > 0
         assert push.reconnects > 0
 
-    def test_projection_scales_linearly(self, run):
-        cell = run.cell("renumbering", "poll", 60)
-        assert [p for p, _ in cell.projected_auth_qps] == list(PUSH_POPULATIONS)
-        base_population, base_qps = cell.projected_auth_qps[0]
-        for population, qps in cell.projected_auth_qps:
-            assert qps == pytest.approx(base_qps * population / base_population)
-        # The measured per-seat rate and the projection agree at 1 seat.
-        assert base_qps * 3600.0 / base_population == pytest.approx(
-            cell.per_seat_auth_per_hour
-        )
-
     def test_analytic_poll_miss_rate_brackets_the_measurement(self, run):
         # Jung et al.: a seat probing at rate lambda misses (and hence
-        # queries the authoritative) at lambda/(1 + lambda*TTL) qps.
-        cell = run.cell("renumbering", "poll", 86400)
+        # queries the authoritative) at lambda/(1 + lambda*TTL) qps.  The
+        # form counts content misses only, so it bounds the measured
+        # volume from below.  The allowance above it is derived, not
+        # fitted: the seats probe on a fixed period P, not as a Poisson
+        # stream, so over D seconds a seat makes D/P + 1 probes and, at
+        # TTL = kP, misses on every k-th of them -- at most twice the
+        # Poisson count plus one (the first fill) -- and each seat
+        # refetches the glue (the A of the child's own server name) once.
+        # At TTL = P the bound is tight: seed 0 measures 248 = 4 seats x
+        # (61 probes + 1 glue) against a model of 120; at TTL 86400 it
+        # measures 8 against 0.17 (see EXPERIMENTS.md).
         lam = 1.0 / run.probe_interval
-        assert cell.analytic_poll_miss_qps == pytest.approx(
-            lam / (1.0 + lam * 86400), rel=1e-6
-        )
+        for ttl in (60, 86400):
+            measured = run.cell("renumbering", "poll", ttl).auth_queries
+            model = lam / (1.0 + lam * ttl) * run.seats * run.duration
+            assert model <= measured <= 2 * model + 2 * run.seats
 
     def test_metrics_ride_along(self, run):
         assert run.metrics is not None

@@ -5,9 +5,14 @@ calibration targets from DESIGN.md §5.  They are the slowest tests in the
 suite (a few seconds each).
 """
 
+import inspect
+
 import pytest
 
 from repro.core import scenarios
+
+POSITIONAL_OR_KEYWORD = inspect.Parameter.POSITIONAL_OR_KEYWORD
+KEYWORD = inspect.Parameter.KEYWORD_ONLY
 
 
 class TestTable1:
@@ -22,6 +27,43 @@ class TestTable1:
         child_rows = [r for r in rows if r.server == "a.nic.cl"]
         assert not any(r.authoritative for r in root_rows)
         assert all(r.authoritative for r in child_rows)
+
+
+_CENTRICITY_COMMON = {
+    "seed": 0, "probes": 300, "parallelism": None, "shards": None, "run_dir": None,
+    "progress": None, "faults": None, "predict": False, "profile": None,
+    "snapshot_every": 0,
+}
+
+
+@pytest.mark.parametrize("name, own", [
+    ("scenario_uy_ns", {"child_ns_ttl": 300, "duration": 7200.0, "interval": 600.0}),
+    ("scenario_anicuy_a", {"duration": 10800.0}),
+    ("scenario_googleco_ns", {"duration": 3600.0}),
+])
+def test_centricity_entry_points_keep_their_keywords_and_defaults(name, own):
+    """Every keyword each Table 2 entry point has always accepted, with
+    its default, so existing calls keep their meaning; ``seed`` and
+    ``probes`` also stay positional (``scenario_uy_ns(seed, ...)``)."""
+    entry = getattr(scenarios, name)
+    assert "Table 2" in inspect.getdoc(entry)
+    parameters = inspect.signature(entry).parameters
+    for keyword, default in {**_CENTRICITY_COMMON, **own}.items():
+        assert keyword in parameters, keyword
+        assert parameters[keyword].default == default, keyword
+        assert parameters[keyword].kind in (KEYWORD, POSITIONAL_OR_KEYWORD)
+    assert list(parameters)[:2] == ["seed", "probes"]
+    assert {parameters[p].kind for p in ("seed", "probes")} == {POSITIONAL_OR_KEYWORD}
+
+
+@pytest.mark.parametrize("name", ["scenario_anicuy_a", "scenario_googleco_ns"])
+@pytest.mark.parametrize("keyword", [{"child_ns_ttl": 60}, {"interval": 300.0}])
+def test_only_the_uy_ns_campaign_takes_child_ns_ttl_or_interval(name, keyword):
+    """The bindings share ``_run_centricity``'s keywords, but the rows
+    without a ``child_ns_ttl`` reject what they never accepted instead of
+    running a mislabelled campaign."""
+    with pytest.raises(TypeError, match="takes no child_ns_ttl or interval"):
+        getattr(scenarios, name)(probes=1, duration=600.0, **keyword)
 
 
 @pytest.fixture(scope="module")

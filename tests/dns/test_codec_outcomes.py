@@ -67,6 +67,21 @@ RRSIG_OVERRUN_FIX = {
     "valid_interleaved_rrset.bin": "ee5b193c67a9e2520b65c6a425b7ac3a8253d6f4ce85bd9bc70be3b40eb98070",  # 1
 }
 
+#: The second intended change: a record TTL with its top bit set used to
+#: raise ``TTLError`` (a ``ValueError``); RFC 2181 §8 reads it as 0.  The
+#: value is the hash with both fixes in place; the comment counts the
+#: inputs whose outcome moved from ``ValueError`` (each a ``TTLError``
+#: before the fix, checked input by input): to a clean decode carrying
+#: TTL 0, or to a ``WireError`` further on that the ``TTLError`` had cut
+#: short.  Every other input agrees.
+RFC2181_TTL_FIX = {
+    "valid_compressed_names.bin": "d654b65a74dd82b61a61e0245994dc6658f00dea4e2489d7d7151bc1f5221f83",  # 24 ok, 1 WireError
+    "valid_ecs_v6_scoped.bin": "e2957d849f0b02987c3e03a0eb74face90f8d77e63a6b2a9c3ca16e5d1527467",  # 3 ok, 1 WireError
+    "valid_every_rdata.bin": "eee750adc1278d851688c546d5e9e823777ac1a2ecd771b2f704abc3de337900",  # 27 ok
+    "valid_interleaved_rrset.bin": "18d411f66b1e033ba6003e1f8d584390c121d2618ecf4c51f24d80959a2d53ab",  # 12 ok
+    "valid_response.bin": "91ad3134ed85f795db6621a29ce37ab2381bc77514bee15d30a1ac79be9360e3",  # 6 ok
+}
+
 
 def outcome(blob: bytes) -> bytes:
     """One input's observable behaviour, as bytes to hash."""
@@ -103,12 +118,14 @@ CORPUS = sorted(DATA_DIR.glob("*.bin"))
 
 def test_every_corpus_blob_is_pinned():
     assert {path.name for path in CORPUS} == set(RECORDED)
-    assert set(RRSIG_OVERRUN_FIX) <= set(RECORDED)
+    assert set(RRSIG_OVERRUN_FIX) | set(RFC2181_TTL_FIX) <= set(RECORDED)
 
 
 @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.name)
 def test_outcomes_match_the_per_integer_codec(path):
-    expected = RRSIG_OVERRUN_FIX.get(path.name, RECORDED[path.name])
+    expected = RFC2181_TTL_FIX.get(path.name) or RRSIG_OVERRUN_FIX.get(
+        path.name, RECORDED[path.name]
+    )
     assert digest(path.read_bytes()) == expected
 
 

@@ -190,6 +190,18 @@ class TestWire:
         with pytest.raises(WireError):
             Message.from_wire(bytes(blob))
 
+    @pytest.mark.parametrize("wire_ttl", [0x80000000, 0xC000012C, 0xFFFFFFFF])
+    def test_ttl_with_top_bit_set_decodes_as_zero(self, wire_ttl):
+        # RFC 2181 §8: a TTL whose most significant bit is set is read as 0.
+        query = Message.make_query("example.com", RdataType.A, id=7)
+        query.add(Section.ADDITIONAL, answer_rrset("x.example.com"))
+        blob = bytearray(query.to_wire())
+        blob[-10:-6] = wire_ttl.to_bytes(4, "big")  # TTL, RDLENGTH, 4-octet A
+        decoded = Message.from_wire(bytes(blob))
+        assert [rrset.ttl for rrset in decoded.additional] == [0]
+        blob[-10:-6] = (0x7FFFFFFF).to_bytes(4, "big")
+        assert Message.from_wire(bytes(blob)).additional[0].ttl == 0x7FFFFFFF
+
 
 def golden_zone(signed=False):
     from repro.dns.dnssec import sign_zone

@@ -83,6 +83,20 @@ def test_garbage_gets_formerr_with_echoed_id(frontend_and_wall):
     assert response.flags.qr
 
 
+def test_record_ttl_with_top_bit_set_is_answered(frontend_and_wall):
+    # RFC 2181 §8: the additional record's TTL reads as 0; the query is
+    # well formed and gets an answer, not FORMERR.
+    frontend, _ = frontend_and_wall
+    wire = bytearray(query_wire(id=14))
+    wire[11] = 1  # ARCOUNT
+    wire += b"\x00" + struct.pack("!HHIH", RdataType.A, 1, 0x80000000, 4)
+    wire += bytes([192, 0, 2, 1])
+    result = frontend.handle_wire(bytes(wire), client="10.0.0.1")
+    assert result.outcome == "answered"
+    response = Message.from_wire(result.wire)
+    assert response.id == 14 and response.rcode == Rcode.NOERROR
+
+
 def test_short_garbage_is_dropped_silently(frontend_and_wall):
     frontend, _ = frontend_and_wall
     result = frontend.handle_wire(b"\x01\x02\x03", client="10.0.0.1")

@@ -12,11 +12,14 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
-#: Path under ``src/repro`` ("" = every ``*.py`` below it) -> line ceiling.
+#: Path under ``src/repro`` ("" = every ``*.py`` below it), or a tuple of
+#: paths whose lines sum under one ceiling -> line ceiling.
 CEILINGS = {
-    "core/scenarios.py": 1543,
-    "resolver/recursive.py": 1017,
-    "core/worlds.py": 938,
+    # ROADMAP item 8's gate: the three files together, whatever each holds.
+    ("core/scenarios.py", "resolver/recursive.py", "core/worlds.py"): 3400,
+    "core/scenarios.py": 1459,
+    "resolver/recursive.py": 1015,
+    "core/worlds.py": 925,
     "resolver/cache.py": 744,
     "serve/memo.py": 218,
     "serve/frontend.py": 444,
@@ -26,7 +29,7 @@ CEILINGS = {
     "server/anycast.py": 112,
     "dns/name.py": 326,
     "metrics/registry.py": 258,
-    "": 20821,
+    "": 20722,
 }
 
 
@@ -38,9 +41,11 @@ def lines(path: Path) -> int:
 def main() -> int:
     grown = 0
     for rel, ceiling in CEILINGS.items():
-        size = lines(SRC / rel)
+        group = rel if isinstance(rel, tuple) else (rel,)
+        size = sum(lines(SRC / path) for path in group)
+        name = " + ".join(f"src/repro/{path or '**/*.py'}" for path in group)
         verdict = "ok" if size <= ceiling else "GROWN"
-        print(f"{verdict:>5} src/repro/{rel or '**/*.py'}: {size} lines "
+        print(f"{verdict:>5} {name}: {size} lines "
               f"(ceiling {ceiling}, headroom {ceiling - size})")
         grown += size > ceiling
     return 1 if grown else 0
