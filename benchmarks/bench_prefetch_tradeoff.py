@@ -14,7 +14,7 @@ authoritative premium.
 from benchmarks.conftest import SEED, write_report
 from repro.analysis.tables import Table
 from repro.core.scenarios import scenario_prefetch_tradeoff
-from repro.predict import PredictPolicy
+from repro.predict import MAX_REFRESH_PER_S, REFRESH_BURST
 
 DURATION = 1800.0
 
@@ -58,8 +58,7 @@ def bench_prefetch_tradeoff(benchmark):
     # ...with authoritative volume inside the refresh budget: the extra
     # auth queries over predict-off cannot exceed what the token bucket
     # could ever emit.
-    policy = PredictPolicy()
-    budget = policy.max_refresh_per_s * DURATION + policy.refresh_burst
+    budget = MAX_REFRESH_PER_S * DURATION + REFRESH_BURST
     for ttl in (60, 300, 3600, 86400):
         ahead = run.cell("ahead", ttl)
         assert ahead.refreshes <= budget

@@ -70,9 +70,8 @@ class AtlasConfig:
             "opendns-like": ("parent", 0.30, 4),
         }
     )
-    #: Give every generated resolver a default :class:`PredictPolicy`
-    #: (refresh-ahead + RFC 8767 stale-while-revalidate) on top of its
-    #: centricity behaviour.
+    #: Arm every generated resolver's ``predict`` (refresh-ahead + RFC 8767
+    #: stale-while-revalidate) on top of its centricity behaviour.
     predict: bool = False
 
 
@@ -188,11 +187,7 @@ class AtlasPopulation:
         return forwarder
 
     def _maybe_predictive(self, policy: ResolverPolicy) -> ResolverPolicy:
-        if not self.config.predict:
-            return policy
-        from repro.predict import PredictPolicy
-
-        return policy.with_(predict=PredictPolicy())
+        return policy.with_(predict=True) if self.config.predict else policy
 
     def _pick_local_label(self) -> str:
         labels = list(self.config.local_mix)

@@ -22,8 +22,8 @@ def make_population(
     Pass ``seed`` explicitly from scenarios (falling back to
     ``world.seed`` is kept for ad-hoc use); sharded campaigns pass
     ``probe_id_base`` so each shard's probe ids are globally unique.
-    ``predict`` arms every generated resolver with the default
-    :class:`repro.predict.PredictPolicy`.
+    ``predict`` arms every generated resolver's ``predict`` policy
+    (:mod:`repro.predict`).
     """
     cfg = config or AtlasConfig(
         probes=probes,

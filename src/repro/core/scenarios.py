@@ -47,7 +47,7 @@ from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.metrics.registry import MetricsRegistry
 from repro.metrics.snapshot import MetricsSnapshot, merge_snapshots
 from repro.net.topology import Region
-from repro.resolver.policy import EcsPolicy, ResolverPolicy
+from repro.resolver.policy import ResolverPolicy
 
 # ------------------------------------------------------- campaign plumbing
 #
@@ -1078,7 +1078,7 @@ def _run_ecs_cell(
 
     policy = ResolverPolicy.child_centric()
     if mode == "public-ecs":
-        policy = policy.with_(ecs=EcsPolicy())
+        policy = policy.with_(ecs=True)
     if mode == "isp":
         resolvers = {
             region: world.resolver(endpoint, policy)
@@ -1281,7 +1281,7 @@ def _run_push_cell(
     metrics: MetricsRegistry,
 ) -> PushCell:
     """Probe one update channel through one fault family at one TTL."""
-    from repro.push import PushPolicy, attach_publisher
+    from repro.push import attach_publisher
 
     testbed = build_push_world(ttl, seed)
     world = testbed.world
@@ -1312,7 +1312,7 @@ def _run_push_cell(
     policy = ResolverPolicy.child_centric()
     if mode == "push":
         publisher = attach_publisher(testbed.server, world.network)
-        policy = ResolverPolicy.pushing(PushPolicy())
+        policy = ResolverPolicy.pushing()
 
     resolvers = [
         world.resolver(

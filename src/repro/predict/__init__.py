@@ -10,9 +10,12 @@ pieces:
   deciding *when* hot names are re-resolved (shortly before expiry,
   never on the client path, never past the refresh budget),
 - RFC 8767 stale-while-revalidate — implemented in
-  :mod:`repro.resolver.recursive` behind :class:`PredictPolicy`: a miss
-  with usable stale data answers immediately with a capped TTL while an
-  asynchronous revalidation job repopulates the cache.
+  :mod:`repro.resolver.recursive` behind ``ResolverPolicy.predict``: a
+  miss with usable stale data answers immediately with a capped TTL
+  while an asynchronous revalidation job repopulates the cache.
+
+One tuning serves every caller, so its values are module constants
+(``TRACK_TOP_K``, ``MIN_HITS``, ``MAX_REFRESH_PER_S``, ...), not knobs.
 
 Everything is driven by explicit sim timestamps, so serial and sharded
 campaigns see byte-identical refresh traffic; :mod:`repro.serve` drives
@@ -22,7 +25,10 @@ the same machinery live through its :class:`WallClockBridge`.
 from repro._exports import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
-    "policy": ("PredictPolicy",),
-    "popularity": ("PopularityTracker",),
-    "scheduler": ("LEAD_BUCKETS_S", "RefreshScheduler"),
+    "popularity": ("MIN_HITS", "TRACK_TOP_K", "PopularityTracker"),
+    "scheduler": (
+        "FAILURE_BACKOFF_CAP_S", "FAILURE_BACKOFF_S", "FEED_HORIZON_S", "LEAD_BUCKETS_S",
+        "LEAD_FRACTION", "MAX_REFRESH_PER_S", "MAX_STALE_S", "MIN_LEAD_S",
+        "REFRESH_BURST", "RefreshScheduler",
+    ),
 })

@@ -9,27 +9,24 @@ on the key's true arrivals.  Hotness tests use the guaranteed count, so
 a one-hit wonder that inherited a large count is never mistaken for a
 hot name.
 
-With a ``window_s``, the tracker ages: every window boundary halves all
-counts and errors and drops keys that reach zero, so yesterday's hot set
-decays out instead of squatting in the sketch forever (exponential decay
-with a one-window half-life — the standard sliding-window treatment for
-space-saving sketches).  Aging only ever shrinks the tracked set; it
-never resurrects an evicted key or promotes a cold one.
-
 Everything is deterministic: ties break by admission order, no RNG, no
 wall clock — two trackers fed the same arrival sequence are equal, which
 is what the serial-vs-parallel byte-identity contract requires.  The
 count structure is a lazy min-heap in the style of the resolver cache's
-expiry heap: counts only grow *between agings*, so a popped record whose
-count matches the live count *is* the minimum; stale records are
-discarded on pop, and :meth:`age` rebuilds the heap wholesale (counts
-just shrank, which the lazy invariant cannot absorb incrementally).
+expiry heap: counts only grow, so a popped record whose count matches
+the live count *is* the minimum; stale records are discarded on pop.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Hashable, Optional
+from typing import Hashable
+
+#: A predictive resolver's tracker capacity: how many (qname, qtype)
+#: keys are counted.
+TRACK_TOP_K = 256
+#: Guaranteed arrivals before a key counts as hot (refresh-ahead eligible).
+MIN_HITS = 2
 
 #: Heap compaction threshold, in multiples of capacity.
 _HEAP_SLACK = 8
@@ -38,26 +35,15 @@ _HEAP_SLACK = 8
 class PopularityTracker:
     """Space-saving top-K arrival counter."""
 
-    def __init__(
-        self,
-        capacity: int,
-        min_hits: int = 2,
-        window_s: Optional[float] = None,
-    ) -> None:
+    def __init__(self, capacity: int, min_hits: int = MIN_HITS) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, not {capacity}")
         if min_hits < 1:
             raise ValueError(f"min_hits must be >= 1, not {min_hits}")
-        if window_s is not None and window_s <= 0:
-            raise ValueError(f"window_s must be > 0, not {window_s}")
         self.capacity = capacity
         self.min_hits = min_hits
-        #: Aging window; ``None`` = never decay (counts accumulate forever).
-        self.window_s = window_s
-        self._window_started: Optional[float] = None
         self._counts: dict[Hashable, int] = {}
         self._errors: dict[Hashable, int] = {}
-        self._first_seen: dict[Hashable, float] = {}
         #: Lazy min-heap of (count, seq, key); validated on pop.
         self._heap: list[tuple[int, int, Hashable]] = []
         self._seq = 0
@@ -92,52 +78,12 @@ class PopularityTracker:
                 continue  # stale record (key evicted or count since grown)
             del self._counts[key]
             del self._errors[key]
-            del self._first_seen[key]
             return count
 
-    # -- aging ---------------------------------------------------------------
-    def age(self, now: float) -> int:
-        """Halve every count and error, dropping keys that reach zero.
-
-        Returns the number of keys dropped.  Called automatically from
-        :meth:`record` at window boundaries (``window_s``); callable
-        directly for trackers aged on an external schedule.  Only ever
-        removes or diminishes: a key absent before aging is absent after,
-        and no key's guaranteed count grows — so aging can never
-        resurrect an evicted key or promote a cold one to hot.
-        """
-        self._window_started = now
-        if not self._counts:
-            return 0
-        dropped = 0
-        for key in list(self._counts):
-            count = self._counts[key] // 2
-            if count <= 0:
-                del self._counts[key]
-                del self._errors[key]
-                del self._first_seen[key]
-                dropped += 1
-            else:
-                self._counts[key] = count
-                self._errors[key] = self._errors[key] // 2
-        # Counts just shrank, which the lazy heap's counts-only-grow
-        # invariant cannot absorb: rebuild from the survivors.
-        self._compact()
-        return dropped
-
-    def _maybe_age(self, now: float) -> None:
-        if self.window_s is None:
-            return
-        if self._window_started is None:
-            self._window_started = now
-        elif now - self._window_started >= self.window_s:
-            self.age(now)
-
     # -- recording -----------------------------------------------------------
-    def record(self, key: Hashable, now: float) -> int:
-        """Count one arrival of ``key`` at sim time ``now``; returns the
-        key's (possibly overestimated) count."""
-        self._maybe_age(now)
+    def record(self, key: Hashable) -> int:
+        """Count one arrival of ``key``; returns the key's (possibly
+        overestimated) count."""
         count = self._counts.get(key)
         if count is not None:
             count += 1
@@ -151,7 +97,6 @@ class PopularityTracker:
         count = floor + 1
         self._counts[key] = count
         self._errors[key] = floor
-        self._first_seen[key] = now
         self._push(key, count)
         return count
 
@@ -170,46 +115,8 @@ class PopularityTracker:
         """Whether ``key`` has provably arrived at least ``min_hits`` times."""
         return self.guaranteed_count(key) >= self.min_hits
 
-    def rate(self, key: Hashable, now: float) -> float:
-        """Guaranteed arrivals per sim second since the key was admitted."""
-        guaranteed = self.guaranteed_count(key)
-        if guaranteed <= 0:
-            return 0.0
-        first = self._first_seen[key]
-        return guaranteed / max(now - first, 1.0)
-
-    # -- snapshot / merge ----------------------------------------------------
-    def snapshot(self) -> list[tuple[Hashable, int, int, float]]:
-        """The tracked set as ``(key, count, error, first_seen)`` rows,
-        admission order.  Rows are plain data; callers that need JSON
-        encode the keys themselves."""
-        return [
-            (key, count, self._errors[key], self._first_seen[key])
-            for key, count in self._counts.items()
-        ]
-
-    def merge(self, rows: list[tuple[Hashable, int, int, float]]) -> None:
-        """Fold another tracker's snapshot in: counts and errors add, first
-        seen takes the earlier stamp, then the union is trimmed back to
-        capacity by evicting minimum counts (deterministically)."""
-        for key, count, error, first_seen in rows:
-            if key in self._counts:
-                self._counts[key] += count
-                self._errors[key] += error
-                self._first_seen[key] = min(self._first_seen[key], first_seen)
-                self._push(key, self._counts[key])
-            else:
-                self._counts[key] = count
-                self._errors[key] = error
-                self._first_seen[key] = first_seen
-                self._push(key, count)
-        while len(self._counts) > self.capacity:
-            self._evict_min()
-
     def clear(self) -> None:
         self._counts.clear()
         self._errors.clear()
-        self._first_seen.clear()
         self._heap.clear()
         self._seq = 0
-        self._window_started = None

@@ -34,6 +34,27 @@ from repro.metrics.registry import COUNTER, HISTOGRAM, Histogram, log_buckets
 if TYPE_CHECKING:
     from repro.metrics import MetricsRegistry
 
+#: A predictive resolver's refresh budget: scheduler-issued refreshes per
+#: sim second, and how many may burst back-to-back.  The budget is what
+#: keeps refresh-ahead from storming authoritatives.
+MAX_REFRESH_PER_S = 10.0
+REFRESH_BURST = 20
+#: Refresh once the remaining lifetime falls below this fraction of the
+#: original (Unbound's prefetch window, shared by on-hit prefetch)...
+LEAD_FRACTION = 0.1
+#: ...but always leave at least this many seconds of lead, so very short
+#: TTLs still get refreshed before they expire.
+MIN_LEAD_S = 1.0
+#: How far ahead of now the expiry feed looks for refresh candidates.
+FEED_HORIZON_S = 60.0
+#: How long past expiry stale-while-revalidate may still answer (RFC 8767
+#: §5 suggests 1-3 days).
+MAX_STALE_S = 86400.0
+#: First per-key backoff after a failed refresh, doubling per failure up
+#: to the cap.
+FAILURE_BACKOFF_S = 30.0
+FAILURE_BACKOFF_CAP_S = 3600.0
+
 #: Refresh lead time (seconds before expiry) buckets: 0.1 s .. 100 000 s.
 LEAD_BUCKETS_S = log_buckets(0.1, 100_000.0, per_decade=2)
 
@@ -51,8 +72,6 @@ class RefreshScheduler:
         refresh: RefreshFn,
         max_refresh_per_s: Optional[float] = None,
         refresh_burst: int = 1,
-        failure_backoff_s: float = 30.0,
-        failure_backoff_cap_s: float = 3600.0,
         metrics: Optional["MetricsRegistry"] = None,
     ) -> None:
         """``max_refresh_per_s``: ``None`` means unbudgeted (the plain
@@ -62,8 +81,6 @@ class RefreshScheduler:
         self._refresh = refresh
         self.max_refresh_per_s = max_refresh_per_s
         self.refresh_burst = refresh_burst
-        self.failure_backoff_s = failure_backoff_s
-        self.failure_backoff_cap_s = failure_backoff_cap_s
         #: (due, seq, key); validated against ``_pending`` on pop.
         self._heap: list[tuple[float, int, JobKey]] = []
         #: key -> (due, kind, expires_at): the one live job per key.
@@ -117,10 +134,6 @@ class RefreshScheduler:
         heapq.heappush(self._heap, (due, self._seq, key))
         return True
 
-    def cancel(self, qname: Name, qtype: RdataType) -> None:
-        """Drop any pending job for the key (heap records lazily expire)."""
-        self._pending.pop((qname, qtype), None)
-
     # -- execution -----------------------------------------------------------
     def _refill(self, now: float) -> None:
         if self.max_refresh_per_s is None:
@@ -150,7 +163,7 @@ class RefreshScheduler:
             due, _, key = heapq.heappop(heap)
             pending = self._pending.get(key)
             if pending is None or pending[0] != due:
-                continue  # cancelled or superseded by an earlier due time
+                continue  # superseded by an earlier due time
             del self._pending[key]
             _, kind, expires_at = pending
             self._refill(due)
@@ -174,8 +187,7 @@ class RefreshScheduler:
                 failures = self._failures.get(key, 0) + 1
                 self._failures[key] = failures
                 backoff = min(
-                    self.failure_backoff_s * (2.0 ** (failures - 1)),
-                    self.failure_backoff_cap_s,
+                    FAILURE_BACKOFF_S * (2.0 ** (failures - 1)), FAILURE_BACKOFF_CAP_S
                 )
                 self._blocked_until[key] = due + backoff
                 self.refresh_failures += 1

@@ -2,7 +2,7 @@
 
 A :class:`PushClient` rides inside one
 :class:`~repro.resolver.recursive.RecursiveResolver` (created when the
-policy carries a :class:`~repro.push.policy.PushPolicy`):
+policy arms ``push``):
 
 - after a successful resolution the resolver calls :meth:`note_answer`;
   if the answering authoritative has a publisher attached, the client
@@ -12,7 +12,7 @@ policy carries a :class:`~repro.push.policy.PushPolicy`):
   as reconciliation;
 - :meth:`pump` (called from the resolver's own pump, ahead of every
   client answer) drains delivered NOTIFY frames into the cache —
-  update-in-place or invalidate per policy — observes each record's
+  updated in place, or force-expired on a removal — observes each record's
   staleness window (``push.staleness_s``: apply time minus change time),
   sends keepalives on idle sessions, and walks broken sessions through
   a seeded reconnect backoff (the fabric's ``BackoffPolicy``, RNG
@@ -37,8 +37,7 @@ from repro.dns.name import Name
 from repro.dns.rdtypes import RdataClass, RdataType
 from repro.dns.record import RRset
 from repro.metrics.registry import Histogram, log_buckets
-from repro.net.transport import NetworkTimeout, SessionBroken, TcpSession
-from repro.push.policy import PushPolicy
+from repro.net.transport import BackoffPolicy, NetworkTimeout, SessionBroken, TcpSession
 from repro.push.publisher import PushKey, PushPublisher
 from repro.resolver.cache import Credibility
 
@@ -50,6 +49,16 @@ if TYPE_CHECKING:
 #: Staleness-window buckets: 10 ms .. ~28 h, two per decade.  Fixed at
 #: module level so shard histograms merge exactly.
 STALENESS_BUCKETS_S = log_buckets(0.01, 100_000.0, per_decade=2)
+
+#: Idle-session probe interval: keepalives are how a subscriber notices a
+#: dead session when no NOTIFYs are flowing.
+KEEPALIVE_INTERVAL_S = 30.0
+#: Client-side bound on the subscription table.
+MAX_SUBSCRIPTIONS = 1024
+#: Reconnect schedule after a session break: 1 s doubling per attempt,
+#: plateauing after six (the subscriber never gives up), with 10 % jitter
+#: drawn from the subscriber's own address-seeded RNG.
+RECONNECT_BACKOFF = BackoffPolicy(timeout=1.0, retries=6, factor=2.0, jitter=0.1)
 
 
 def derive_client_seed(address: str) -> int:
@@ -93,13 +102,10 @@ class PushClient:
         endpoint: "Endpoint",
         network: "Network",
         cache: "Cache",
-        policy: PushPolicy,
     ) -> None:
         self.endpoint = endpoint
         self.network = network
         self.cache = cache
-        self.policy = policy
-        self._backoff = policy.backoff()
         self._rng = random.Random(derive_client_seed(endpoint.address))
         self._channels: dict[str, _Channel] = {}
 
@@ -159,7 +165,7 @@ class PushClient:
         channel = self._channels.get(server_address)
         if channel is not None and key in channel.keys:
             return
-        if self.subscription_count() >= self.policy.max_subscriptions:
+        if self.subscription_count() >= MAX_SUBSCRIPTIONS:
             return
         if channel is None:
             channel = _Channel(
@@ -189,13 +195,13 @@ class PushClient:
             return False
         channel.attempt = 0
         channel.retry_at = 0.0
-        channel.next_keepalive = now + self.policy.keepalive_interval_s
+        channel.next_keepalive = now + KEEPALIVE_INTERVAL_S
         self._record_sessions()
         return True
 
     def _schedule_retry(self, channel: _Channel, now: float) -> None:
-        rung = min(channel.attempt, self._backoff.retries)
-        wait = self._backoff.attempt_wait(rung, self._rng)
+        rung = min(channel.attempt, RECONNECT_BACKOFF.retries)
+        wait = RECONNECT_BACKOFF.attempt_wait(rung, self._rng)
         channel.attempt += 1
         channel.retry_at = now + wait
 
@@ -224,28 +230,27 @@ class PushClient:
             self._on_break(channel, now)
             return False
         channel.keys[key] = None
-        channel.next_keepalive = now + self.policy.keepalive_interval_s
+        channel.next_keepalive = now + KEEPALIVE_INTERVAL_S
         rrset = response.answer_rrset()
-        if rrset is not None and self.policy.update_in_place:
+        if rrset is not None:
             self._apply(key, rrset, now + elapsed)
         return True
 
     def _apply(self, key: PushKey, rrset: Optional[RRset], now: float) -> None:
         """Land one pushed change in the cache.
 
-        With an RRset in hand (and an update-in-place policy) the data is
-        the authoritative answer by construction, so it is written at
-        :attr:`Credibility.AUTH_ANSWER` and replaces any live unpinned
-        entry; the lifetime restarts at the pushed TTL, exactly as if the
-        resolver had refetched at the instant of the change.  Otherwise —
-        invalidate mode, or a removal — the cached entry is force-expired
-        so the next query refetches; serve-stale policies may still hand
-        the old value out, exactly as they would for a naturally-expired
-        record.  Both counters appear with the first pushed change,
-        whichever way it lands.
+        With an RRset in hand the data is the authoritative answer by
+        construction, so it is written at :attr:`Credibility.AUTH_ANSWER`
+        and replaces any live unpinned entry; the lifetime restarts at the
+        pushed TTL, exactly as if the resolver had refetched at the instant
+        of the change.  A removal force-expires the cached entry so the
+        next query refetches; serve-stale policies may still hand the old
+        value out, exactly as they would for a naturally-expired record.
+        Both counters appear with the first pushed change, whichever way
+        it lands.
         """
         updated = invalidated = 0
-        if rrset is not None and self.policy.update_in_place:
+        if rrset is not None:
             updated = int(self.cache.put(rrset, Credibility.AUTH_ANSWER, now))
         elif self.cache.peek(*key) is not None:
             self.cache.expire_now((*key, RdataClass.IN), now)
@@ -271,9 +276,7 @@ class PushClient:
             if channel.session.alive and now >= channel.next_keepalive:
                 try:
                     channel.session.keepalive(now)
-                    channel.next_keepalive = (
-                        now + self.policy.keepalive_interval_s
-                    )
+                    channel.next_keepalive = now + KEEPALIVE_INTERVAL_S
                     self.network.tally.counts["push.keepalives"] += 1
                 except SessionBroken:
                     self._on_break(channel, now)

@@ -21,59 +21,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
-if TYPE_CHECKING:
-    from repro.predict.policy import PredictPolicy
-    from repro.push.policy import PushPolicy
-
-
-@dataclass(frozen=True)
-class EcsPolicy:
-    """RFC 7871 EDNS Client Subnet behaviour for one resolver.
-
-    A resolver with ECS armed truncates the client's address to
-    ``source_prefix_v4``/``source_prefix_v6`` bits (the privacy-motivated
-    defaults large public resolvers use), attaches it to upstream queries
-    for whitelisted domains, and caches non-zero-scope answers in the
-    subnet-scoped overlay.  ``whitelist`` is a tuple of domain suffixes
-    (``None`` = send ECS for every domain), mirroring the opt-in lists
-    public resolvers maintain for CDN operators.
-    """
-
-    source_prefix_v4: int = 24
-    source_prefix_v6: int = 56
-    whitelist: Optional[tuple[str, ...]] = None
-
-    def __post_init__(self) -> None:
-        if not 0 < self.source_prefix_v4 <= 32:
-            raise ValueError(
-                f"source_prefix_v4 {self.source_prefix_v4} outside 1..32"
-            )
-        if not 0 < self.source_prefix_v6 <= 128:
-            raise ValueError(
-                f"source_prefix_v6 {self.source_prefix_v6} outside 1..128"
-            )
-
-    def source_prefix(self, family: int) -> int:
-        return self.source_prefix_v4 if family == 1 else self.source_prefix_v6
-
-    def allows(self, qname: object) -> bool:
-        """Whether ``qname`` (a :class:`~repro.dns.name.Name`) gets ECS."""
-        if self.whitelist is None:
-            return True
-        text = str(qname).rstrip(".").lower()
-        for suffix in self.whitelist:
-            suffix = suffix.rstrip(".").lower()
-            if text == suffix or text.endswith("." + suffix):
-                return True
-        return False
-
-    def describe(self) -> str:
-        scope = f"ecs/{self.source_prefix_v4}"
-        if self.whitelist is not None:
-            scope += f"+wl{len(self.whitelist)}"
-        return scope
+#: RFC 7871 source prefixes an ECS resolver truncates client addresses
+#: to: the privacy-motivated defaults large public resolvers use.
+ECS_SOURCE_PREFIX_V4 = 24
+ECS_SOURCE_PREFIX_V6 = 56
 
 
 class Centricity(enum.Enum):
@@ -81,18 +34,6 @@ class Centricity(enum.Enum):
 
     CHILD = "child"
     PARENT = "parent"
-
-
-class ServerSelection(enum.Enum):
-    """How a resolver picks among a zone's authoritative servers.
-
-    The paper cites prior work showing "resolvers tend to rotate between
-    authoritative servers" (§3.4, [37]).
-    """
-
-    ROTATE = "rotate"
-    RANDOM = "random"
-    FIRST = "first"
 
 
 @dataclass(frozen=True)
@@ -117,8 +58,6 @@ class ResolverPolicy:
     #: Sticky: refresh cached server addresses on expiry instead of
     #: re-fetching, so the resolver never notices renumbering (§4.2).
     sticky: bool = False
-    #: How to pick among NS targets.
-    server_selection: ServerSelection = ServerSelection.ROTATE
     #: Answer client NS queries from referral-credibility cache data
     #: (parent-centric resolvers do; child-centric ones re-query the child).
     answer_from_referral: bool = False
@@ -135,21 +74,19 @@ class ResolverPolicy:
     #: paper's §7 cites): refresh popular records out-of-band when a hit
     #: lands in the last tenth of their lifetime, hiding the miss latency.
     prefetch: bool = False
-    #: Fraction of lifetime remaining below which prefetch triggers.
-    prefetch_window: float = 0.1
     #: Predictive caching (repro.predict): popularity-driven refresh-ahead
-    #: and RFC 8767 stale-while-revalidate.  ``None`` disables all of it.
-    predict: Optional[PredictPolicy] = None
-    #: RFC 7871 EDNS Client Subnet: attach truncated client prefixes to
-    #: upstream queries and cache scoped answers per subnet.  ``None``
-    #: (the default) leaves every code path byte-identical to a build
-    #: without ECS.
-    ecs: Optional[EcsPolicy] = None
+    #: and RFC 8767 stale-while-revalidate, tuned by that package's
+    #: constants.
+    predict: bool = False
+    #: RFC 7871 EDNS Client Subnet: attach client prefixes truncated to
+    #: :data:`ECS_SOURCE_PREFIX_V4`/``_V6`` to upstream queries and cache
+    #: scoped answers per subnet.  Off, every code path is byte-identical
+    #: to a build without ECS.
+    ecs: bool = False
     #: Push subscriptions (repro.push): subscribe to resolved records at
-    #: push-capable authoritatives and accept NOTIFY updates in place.
-    #: ``None`` (the default) leaves every code path byte-identical to a
-    #: build without push.
-    push: Optional[PushPolicy] = None
+    #: push-capable authoritatives and apply NOTIFY updates in place.
+    #: Off, every code path is byte-identical to a build without push.
+    push: bool = False
 
     def __post_init__(self) -> None:
         if self.ttl_cap is not None and self.ttl_cap < self.ttl_floor:
@@ -222,12 +159,12 @@ class ResolverPolicy:
             parts.append("validating")
         if self.prefetch:
             parts.append("prefetch")
-        if self.predict is not None:
-            parts.append(self.predict.describe())
-        if self.ecs is not None:
-            parts.append(self.ecs.describe())
-        if self.push is not None:
-            parts.append(self.push.describe())
+        if self.predict:
+            parts.append("predict")
+        if self.ecs:
+            parts.append("ecs")
+        if self.push:
+            parts.append("push")
         return "+".join(parts)
 
     @classmethod
@@ -242,18 +179,14 @@ class ResolverPolicy:
         return cls(prefetch=True)
 
     @classmethod
-    def predictive(cls, predict: Optional[PredictPolicy] = None) -> "ResolverPolicy":
+    def predictive(cls) -> "ResolverPolicy":
         """Child-centric with the full repro.predict stack: popularity
         tracking, budgeted refresh-ahead, and RFC 8767 serve-stale."""
-        from repro.predict.policy import PredictPolicy
-
-        return cls(predict=predict if predict is not None else PredictPolicy())
+        return cls(predict=True)
 
     @classmethod
-    def pushing(cls, push: Optional[PushPolicy] = None) -> "ResolverPolicy":
+    def pushing(cls) -> "ResolverPolicy":
         """Child-centric with push subscriptions (repro.push): records
         resolved at push-capable authoritatives are subscribed to and
         updated in place on NOTIFY instead of re-polled on TTL expiry."""
-        from repro.push.policy import PushPolicy
-
-        return cls(push=push if push is not None else PushPolicy())
+        return cls(push=True)

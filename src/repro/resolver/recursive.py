@@ -20,8 +20,6 @@ the paper's measured behaviours emerge from the policy knobs:
 
 from __future__ import annotations
 
-import random
-import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -35,17 +33,24 @@ from repro.dns.zone import Zone
 from repro.metrics.registry import COUNTER, HISTOGRAM, Histogram
 from repro.net.topology import Endpoint
 from repro.net.transport import Network, NetworkTimeout
-from repro.predict import PopularityTracker, RefreshScheduler
+from repro.predict import (
+    FEED_HORIZON_S, LEAD_FRACTION, MAX_REFRESH_PER_S, MAX_STALE_S, MIN_LEAD_S,
+    REFRESH_BURST, TRACK_TOP_K, PopularityTracker, RefreshScheduler,
+)
 from repro.resolver.cache import Cache, CacheEntry, CacheKey, Credibility
-from repro.resolver.policy import Centricity, ResolverPolicy, ServerSelection
+from repro.resolver.policy import (
+    ECS_SOURCE_PREFIX_V4, ECS_SOURCE_PREFIX_V6, Centricity, ResolverPolicy,
+)
 
 #: Hard ceilings that bound any resolution, however broken the zone setup.
 MAX_REFERRAL_STEPS = 24
 MAX_CNAME_HOPS = 8
 MAX_SUBRESOLUTION_DEPTH = 4
 
-#: TTL handed to clients for answers served stale (serve-stale drafts use
-#: a small non-zero value so downstreams do not re-query instantly).
+#: TTL handed to clients for answers served stale, by the serve-stale
+#: fallback and by stale-while-revalidate alike (RFC 8767 §5 recommends
+#: at most 30 s: small but non-zero, so downstreams do not re-query
+#: instantly).
 STALE_ANSWER_TTL = 30
 
 #: Bound on the refreshed-generation memo behind ``predict.refresh_hits``.
@@ -140,11 +145,6 @@ class RecursiveResolver:
             metrics=metrics,
         )
         self._rotation: dict[Name, int] = {}
-        #: ``ServerSelection.RANDOM``'s stream, seeded from a digest of the
-        #: address that is the same in every process (``hash`` is not).
-        self._shuffle: Optional[random.Random] = None
-        if policy.server_selection is ServerSelection.RANDOM:
-            self._shuffle = random.Random(zlib.crc32(self.address.encode()))
         self._query_skeletons: dict[tuple[Name, RdataType], Message] = {}
         #: ECS context for the resolution in flight (single-threaded): the
         #: truncated client subnet attached to upstream queries, and the
@@ -169,39 +169,30 @@ class RecursiveResolver:
         # Predictive caching (repro.predict).  The scheduler also backs
         # plain on-hit prefetch — unbudgeted, matching Unbound — so a
         # prefetch refresh is never charged to the triggering client.
-        predict = self.policy.predict
-        self._predict = predict
+        predict = policy.predict
         self._tracker: Optional[PopularityTracker] = None
         self._scheduler: Optional[RefreshScheduler] = None
         #: (qname, qtype) -> generation written by a scheduler refresh;
         #: a client hit on that generation counts as a refresh hit.
         self._refreshed: dict[tuple[Name, RdataType], int] = {}
-        if predict is not None:
-            self._tracker = PopularityTracker(
-                capacity=predict.track_top_k,
-                min_hits=predict.min_hits,
-                window_s=predict.popularity_window_s,
-            )
+        if predict:
+            self._tracker = PopularityTracker(TRACK_TOP_K)
             self._scheduler = RefreshScheduler(
                 self._scheduled_refresh,
-                max_refresh_per_s=predict.max_refresh_per_s,
-                refresh_burst=predict.refresh_burst,
-                failure_backoff_s=predict.failure_backoff_s,
-                failure_backoff_cap_s=predict.failure_backoff_cap_s,
+                max_refresh_per_s=MAX_REFRESH_PER_S,
+                refresh_burst=REFRESH_BURST,
                 metrics=metrics,
             )
-        elif self.policy.prefetch:
+        elif policy.prefetch:
             self._scheduler = RefreshScheduler(self._scheduled_refresh, metrics=metrics)
         # Push subscriptions (repro.push): armed policies get a client
         # that subscribes to resolved records at push-capable servers and
         # applies NOTIFY frames on the resolve/pump path.
         self._push = None
-        if self.policy.push is not None:
+        if policy.push:
             from repro.push.subscriber import PushClient
 
-            self._push = PushClient(
-                endpoint, network, self.cache, self.policy.push
-            )
+            self._push = PushClient(endpoint, network, self.cache)
         if metrics is not None and self._scheduler is not None:
             metrics.collect(self, (  # only runs with a scheduler snapshot this pair
                 ("predict.refresh_hits", COUNTER, "refresh_hits"),
@@ -242,15 +233,10 @@ class RecursiveResolver:
         self._on_hit = _installed(
             (scheduled, self._tally_refresh_hit),
             (policy.prefetch, self._maybe_prefetch),
-            (predict is not None and not policy.prefetch, self._maybe_refresh_ahead),
+            (predict and not policy.prefetch, self._maybe_refresh_ahead),
         )
         #: ``hook(qname, qtype, now)`` may answer a cache miss before iteration.
-        self._on_miss = _installed(
-            (
-                predict is not None and predict.serve_stale_while_revalidate,
-                self._stale_while_revalidate,
-            )
-        )
+        self._on_miss = _installed((predict, self._stale_while_revalidate))
         #: ``hook(qname, qtype, now)`` may answer when iteration failed.
         self._on_failure = _installed((policy.serve_stale, self._serve_stale))
         #: ``hook(qname, qtype, now, result)`` after iteration answered.
@@ -273,8 +259,7 @@ class RecursiveResolver:
         ``elapsed`` is the upstream time spent beyond that instant.
 
         ``client_subnet`` is the querying client's subnet; it is only
-        acted on when the policy arms :class:`~repro.resolver.policy.
-        EcsPolicy` *and* the domain is whitelisted — the resolver then
+        acted on when the policy arms ``ecs`` — the resolver then
         checks the scoped cache overlay first and attaches the truncated
         prefix to upstream queries (RFC 7871).  Scope-0 answers take the
         exact non-ECS path, so an all-global run is byte-identical to one
@@ -289,7 +274,7 @@ class RecursiveResolver:
         self.client_queries += 1
         subnet = None
         if client_subnet is not None:
-            subnet = self._upstream_subnet(name, client_subnet)
+            subnet = self._upstream_subnet(client_subnet)
 
         negative = self.cache.get_negative(name, qtype, now)
         if negative is not None:
@@ -372,17 +357,16 @@ class RecursiveResolver:
         self.pump(now)
 
     def _track(self, qname: Name, qtype: RdataType, now: float) -> None:
-        self._tracker.record((qname, qtype), now)
+        self._tracker.record((qname, qtype))
 
-    def _upstream_subnet(
-        self, qname: Name, client_subnet: ClientSubnet
-    ) -> Optional[ClientSubnet]:
-        """The truncated client subnet upstream queries for ``qname``
-        carry: ``None`` unless the policy arms ECS and whitelists the name."""
-        ecs_policy = self.policy.ecs
-        if ecs_policy is None or not ecs_policy.allows(qname):
+    def _upstream_subnet(self, client_subnet: ClientSubnet) -> Optional[ClientSubnet]:
+        """The truncated client subnet upstream queries carry: ``None``
+        unless the policy arms ECS."""
+        if not self.policy.ecs:
             return None
-        subnet = client_subnet.truncate(ecs_policy.source_prefix(client_subnet.family))
+        subnet = client_subnet.truncate(
+            ECS_SOURCE_PREFIX_V4 if client_subnet.family == 1 else ECS_SOURCE_PREFIX_V6
+        )
         return subnet.with_scope(0) if subnet.scope_prefix else subnet
 
     def _tally_refresh_hit(self, qname: Name, qtype: RdataType, now: float) -> None:
@@ -418,10 +402,9 @@ class RecursiveResolver:
         scheduler = self._scheduler
         if scheduler is None:
             return pumped
-        predict = self._predict
-        if predict is not None:
+        if self._tracker is not None:
             for (name, rdtype, rdclass), _ in self.cache.due_expirations(
-                now, predict.feed_horizon_s
+                now, FEED_HORIZON_S
             ):
                 if rdclass is RdataClass.IN:
                     self._maybe_refresh_ahead(name, rdtype, now)
@@ -438,8 +421,6 @@ class RecursiveResolver:
         """
         self.cache.clear()
         self._rotation.clear()
-        if self._shuffle is not None:
-            self._shuffle.seed(zlib.crc32(self.address.encode()))
         if self._scheduler is not None:
             self._scheduler.clear()
         if self._tracker is not None:
@@ -466,13 +447,12 @@ class RecursiveResolver:
         if lifetime <= 0:
             return
         remaining = entry.expires_at - now
-        if remaining > self.policy.prefetch_window * lifetime:
+        if remaining > LEAD_FRACTION * lifetime:
             return
         self._scheduler.schedule(qname, qtype, due=now, expires_at=entry.expires_at)
 
     def _maybe_refresh_ahead(self, qname: Name, qtype: RdataType, now: float) -> None:
         """Schedule a refresh for a hot hit, ``lead`` seconds before expiry."""
-        predict = self._predict
         if not self._tracker.is_hot((qname, qtype)):
             return
         entry = self.cache.peek(qname, qtype)
@@ -481,7 +461,7 @@ class RecursiveResolver:
         lifetime = entry.expires_at - entry.inserted_at
         if lifetime <= 0:
             return
-        lead = max(predict.min_lead_s, predict.lead_fraction * lifetime)
+        lead = max(MIN_LEAD_S, LEAD_FRACTION * lifetime)
         self._scheduler.schedule(
             qname,
             qtype,
@@ -543,16 +523,15 @@ class RecursiveResolver:
         revalidation.  The revalidation's ``put`` replaces the stale
         entry atomically (dead entries always lose to fresh data), so
         later clients see either the old stale answer or the complete
-        new one, never a gap.  Data older than ``max_stale_s`` is not
-        served (RFC 8767 §5's bound); the exact (qname, qtype) key only,
-        no stale CNAME chain reassembly.
+        new one, never a gap.  Data more than :data:`MAX_STALE_S` past
+        expiry is not served (RFC 8767 §5's bound); the exact (qname,
+        qtype) key only, no stale CNAME chain reassembly.
         """
-        predict = self._predict
         entry = self.cache.get_stale(qname, qtype)
         if (
             entry is None
             or entry.credibility < self._min_cred
-            or now - entry.expires_at > predict.max_stale_s
+            or now - entry.expires_at > MAX_STALE_S
         ):
             return None
         self._scheduler.schedule(qname, qtype, due=now, kind="revalidate")
@@ -560,7 +539,7 @@ class RecursiveResolver:
         self.served_stale += 1
         return ResolutionResult(
             rcode=Rcode.NOERROR,
-            answers=[entry.rrset.with_ttl(predict.stale_answer_ttl)],
+            answers=[entry.rrset.with_ttl(STALE_ANSWER_TTL)],
             served_stale=True,
         )
 
@@ -759,7 +738,8 @@ class RecursiveResolver:
         return None, False
 
     def _order_servers(self, cut: Name, servers: list[_Server]) -> list[_Server]:
-        """Apply the policy's server-selection strategy.
+        """Rotate among the cut's servers: "resolvers tend to rotate between
+        authoritative servers" (§3.4, [37]).
 
         Servers with known addresses are tried before those needing a
         sub-resolution, mirroring real resolvers' preference for glue.
@@ -768,14 +748,9 @@ class RecursiveResolver:
             if server[1] is None:  # rare: a cut usually arrives with its glue
                 servers = sorted(servers, key=lambda item: item[1] is None)
                 break
-        selection = self.policy.server_selection
         count = len(servers)
-        if selection is ServerSelection.FIRST or count == 1:
+        if count == 1:
             return servers
-        if selection is ServerSelection.RANDOM:
-            shuffled = servers[:]
-            self._shuffle.shuffle(shuffled)
-            return shuffled
         start = self._rotation.get(cut, 0) % count
         self._rotation[cut] = start + 1
         return servers[start:] + servers[:start]
@@ -790,7 +765,7 @@ class RecursiveResolver:
         depth: int,
         contacted: list[str],
     ) -> tuple[Optional[Message], float]:
-        """Try the cut's servers in policy order; returns (response, time).
+        """Try the cut's servers in rotation order; returns (response, time).
 
         Sibling-NS failover: a timeout, a lame response, or a truncated
         answer moves on to the next server of the cut (counted in
@@ -800,10 +775,9 @@ class RecursiveResolver:
         """
         elapsed = 0.0
         subnet = self._ecs_subnet
-        if subnet is not None and self.policy.ecs.allows(qname):
+        if subnet is not None:
             # ECS queries are built fresh, never memoized: the option
-            # bytes vary by client subnet, and sub-resolutions for other
-            # (non-whitelisted) names must stay subnet-free.
+            # bytes vary by client subnet.
             query = Message.make_query(qname, qtype, recursion_desired=False)
             query.use_edns(options=subnet.to_wire())
         else:

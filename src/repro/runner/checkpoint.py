@@ -42,8 +42,12 @@ _FORMAT_VERSION = 1
 #: dependents list or source zone; 6 = stubs hold their bound client leg,
 #: not the latency model, and servers a public ``log_queries`` flag;
 #: 7 = resolvers hold a public ``track_arrival`` hook; 8 = histograms hold
-#: a pending batch.
-_WSNAP_VERSION = 8
+#: a pending batch; 9 = resolver policies hold plain ``predict``/``ecs``/
+#: ``push`` flags, not knob-bundle objects, and resolvers no shuffle RNG.
+#: A record naming a class this build lacks fails to unpickle before its
+#: version is read; :meth:`CheckpointStore.load_world_snapshot` reports
+#: that as a mismatch too.
+_WSNAP_VERSION = 9
 
 
 class CheckpointMismatch(RuntimeError):
@@ -144,7 +148,12 @@ class CheckpointStore:
         if not path.exists():
             return None
         with path.open("rb") as handle:
-            record = pickle.load(handle)
+            try:
+                record = pickle.load(handle)
+            except (ImportError, AttributeError) as error:
+                raise CheckpointMismatch(
+                    f"{path}: world snapshot names code this build lacks ({error})"
+                ) from error
         if not isinstance(record, dict) or record.get("version") != _WSNAP_VERSION:
             raise CheckpointMismatch(
                 f"{path}: unsupported world-snapshot version "

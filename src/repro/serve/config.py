@@ -125,9 +125,7 @@ def build_frontend(
         else ResolverPolicy.child_centric()
     )
     if config.ecs:
-        from repro.resolver.policy import EcsPolicy
-
-        policy = policy.with_(ecs=EcsPolicy())
+        policy = policy.with_(ecs=True)
     resolver = RecursiveResolver(
         endpoint=world.topology.endpoint_in_region(
             Region.EU, name=f"{config.server_name}-resolver"

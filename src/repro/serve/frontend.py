@@ -328,7 +328,7 @@ class DnsFrontend:
         question = query.question
         assert question is not None
         subnet = None
-        if result is None and self.resolver.policy.ecs is not None and query.edns is not None:
+        if result is None and self.resolver.policy.ecs and query.edns is not None:
             # RFC 7871 §7.1: a resolver accepts ECS from its clients the
             # same way it would derive a subnet from their address.  The
             # gate on policy.ecs keeps ECS-off serving byte-identical.

@@ -100,7 +100,7 @@ class ServeServer:
             reuse_port=self.reuse_port or None,
         )
         self._drain_task = asyncio.create_task(self._drain())
-        if self.frontend.resolver.policy.predict is not None:
+        if self.frontend.resolver.policy.predict:
             self._predict_task = asyncio.create_task(self._predict_pump())
         return self.bound_port
 

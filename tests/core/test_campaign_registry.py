@@ -82,16 +82,28 @@ ORACLE = {
     ),
 }
 
+#: ``t2-uy --predict``: the one run that arms every population resolver
+#: with refresh-ahead and stale-while-revalidate.  Kept beside ``ORACLE``,
+#: whose keys must be exactly the registry's campaigns.
+PREDICT_ORACLE = (
+    ["--probes", "16", "--duration", "1200", "--predict"],
+    "ff9786ab702c3f9585d1e535e26fcdd5ab20166a4e65056efdb9f658d88fe050",
+    "2f89cc07bec2b51893a5bfc45b3239ba414e8172556e94833737825d891b4f6f",
+    "8444829eeac61f6a9e0a6964f0fb1add596d38527ac6e41decfa2a05aab751b0",
+)
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _run(name, parallel, tmp_path, capsys):
-    """``repro run NAME`` at reduced size; (stdout, metrics, manifest) bytes."""
+def _run(name, parallel, tmp_path, capsys, args=None):
+    """``repro run NAME`` at reduced size (``ORACLE``'s arguments unless
+    ``args`` is given); (stdout, metrics, manifest) bytes."""
     out = tmp_path / f"p{parallel}"
     status = main([
-        "run", name, *ORACLE[name][0], "--parallel", str(parallel), "--quiet",
+        "run", name, *(ORACLE[name][0] if args is None else args),
+        "--parallel", str(parallel), "--quiet",
         "--metrics", str(out / "metrics.json"), "--run-dir", str(out),
     ])
     assert status == 0
@@ -112,6 +124,13 @@ def test_serial_and_parallel_match_the_recorded_bytes(name, tmp_path, capsys):
     assert tuple(map(_sha, serial)) == ORACLE[name][1:]
     # Results depend on the shard plan, never on the worker count.
     assert _run(name, 4, tmp_path, capsys) == serial
+
+
+def test_predict_run_matches_the_recorded_bytes(tmp_path, capsys):
+    args, *digests = PREDICT_ORACLE
+    serial = _run("t2-uy", 1, tmp_path, capsys, args)
+    assert list(map(_sha, serial)) == digests
+    assert _run("t2-uy", 4, tmp_path, capsys, args) == serial
 
 
 @pytest.fixture

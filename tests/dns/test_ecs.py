@@ -186,7 +186,7 @@ def test_scope_zero_cache_is_byte_identical_to_ecs_disabled():
     from repro.core.worlds import build_hotset_world
     from repro.metrics import MetricsRegistry
     from repro.net.topology import Region
-    from repro.resolver.policy import EcsPolicy, ResolverPolicy
+    from repro.resolver.policy import ResolverPolicy
     from repro.resolver.recursive import RecursiveResolver
 
     def run(ecs: bool):
@@ -195,7 +195,7 @@ def test_scope_zero_cache_is_byte_identical_to_ecs_disabled():
         hotset.world.network.attach_metrics(registry)
         policy = ResolverPolicy.child_centric()
         if ecs:
-            policy = policy.with_(ecs=EcsPolicy())
+            policy = policy.with_(ecs=True)
         resolver = RecursiveResolver(
             endpoint=hotset.world.topology.endpoint_in_region(Region.EU, "res"),
             network=hotset.world.network,

@@ -35,7 +35,7 @@ from repro.dns.rdtypes import RdataType
 from repro.metrics import Histogram, MetricsRegistry, log_buckets
 from repro.metrics.registry import BATCH
 from repro.net.topology import Endpoint, Region
-from repro.push import PushClient, PushPolicy, attach_publisher
+from repro.push import PushClient, attach_publisher
 from repro.resolver.cache import Cache
 from repro.resolver.recursive import RecursiveResolver
 from tests.conftest import build_mini_world
@@ -155,7 +155,7 @@ def test_a_notify_drain_calls_only_histogram_observe():
     network.attach_metrics(MetricsRegistry())
     publisher = attach_publisher(testbed.server, network)
     client = PushClient(
-        testbed.world.topology.endpoint_in_region(Region.EU, "sub"), network, Cache(), PushPolicy()
+        testbed.world.topology.endpoint_in_region(Region.EU, "sub"), network, Cache()
     )
     www = Name("www.pushed.example.")
     client.note_answer(www, RdataType.A, testbed.target_address, 0.0)

@@ -3,7 +3,7 @@
 A snapshot of a world that never pushed carries no ``push.*``,
 ``net.tcp.*`` or ``cache.push_*`` name, so push-free campaigns export
 the bytes they did before push existed.  A name appears with its first
-count, even a count of 0: the first invalidate-mode NOTIFY lands
+count, even a count of 0: a first NOTIFY that pushes a removal lands
 ``cache.push_updates`` at 0 beside ``cache.push_invalidations`` at 1.
 """
 
@@ -12,7 +12,7 @@ from repro.dns.name import Name
 from repro.dns.rdtypes import RdataType
 from repro.metrics import MetricsRegistry
 from repro.net.topology import Region
-from repro.push import PushClient, PushPolicy, attach_publisher
+from repro.push import PushClient, attach_publisher
 from repro.resolver.cache import Cache, Credibility
 from repro.resolver.recursive import RecursiveResolver
 
@@ -56,19 +56,22 @@ def test_an_invalidation_declares_push_updates_at_zero():
     publisher = attach_publisher(testbed.server, network)
     cache = Cache()
     client = PushClient(
-        testbed.world.topology.endpoint_in_region(Region.EU, "sub"),
-        network, cache, PushPolicy(update_in_place=False),
+        testbed.world.topology.endpoint_in_region(Region.EU, "sub"), network, cache
     )
+    # The record was resolved, then removed before the subscription, so
+    # the SUBSCRIBE answer carries no RRset and lands nothing.
+    resolved = testbed.zone.get(WWW, RdataType.A)
+    testbed.zone.remove(WWW, RdataType.A)
     client.note_answer(WWW, RdataType.A, testbed.target_address, 0.0)
-    cache.put(testbed.zone.get(WWW, RdataType.A), Credibility.AUTH_ANSWER, 0.0)
+    cache.put(resolved, Credibility.AUTH_ANSWER, 0.0)
     subscribed = first_use_names(registry)
     assert "cache.push_updates" not in subscribed
     assert subscribed["push.subscribes"] == 1
     assert subscribed["net.tcp.opens"] == 1
 
-    testbed.apply_change(0)
-    publisher.publish(WWW, RdataType.A, 100.0)
+    publisher.publish(WWW, RdataType.A, 100.0)  # the removal
     assert client.pump(110.0) == 1
+    assert cache.get(WWW, RdataType.A, 110.0) is None
     applied = first_use_names(registry)
     assert applied["cache.push_updates"] == 0
     assert applied["cache.push_invalidations"] == 1

@@ -74,13 +74,6 @@ class TestDedupe:
         scheduler.pump(30.0)
         assert recorder.calls == [("a.example.", RdataType.A, 5.0)]
 
-    def test_cancel(self):
-        recorder = Recorder()
-        scheduler = RefreshScheduler(recorder)
-        scheduler.schedule(name("a"), RdataType.A, due=10.0)
-        scheduler.cancel(name("a"), RdataType.A)
-        assert scheduler.pump(10.0) == 0
-
     def test_types_are_distinct_keys(self):
         recorder = Recorder()
         scheduler = RefreshScheduler(recorder)
@@ -145,7 +138,7 @@ class TestBudget:
 class TestFailureBackoff:
     def test_failed_key_backs_off(self):
         recorder = Recorder(fail={"a.example."})
-        scheduler = RefreshScheduler(recorder, failure_backoff_s=30.0)
+        scheduler = RefreshScheduler(recorder)
         scheduler.schedule(name("a"), RdataType.A, due=0.0)
         scheduler.pump(0.0)
         # Resubmitted inside the backoff window: clamped to t=30.
@@ -155,11 +148,10 @@ class TestFailureBackoff:
 
     def test_backoff_doubles_and_caps(self):
         recorder = Recorder(fail={"a.example."})
-        scheduler = RefreshScheduler(
-            recorder, failure_backoff_s=10.0, failure_backoff_cap_s=25.0
-        )
+        scheduler = RefreshScheduler(recorder)
         at = 0.0
-        for expected_gap in (10.0, 20.0, 25.0, 25.0):
+        # 30 s doubling per failure, capped at an hour.
+        for expected_gap in (30.0, 60.0, 120.0, 240.0, 480.0, 960.0, 1920.0, 3600.0, 3600.0):
             scheduler.schedule(name("a"), RdataType.A, due=at)
             assert scheduler.pump(at) == 1
             scheduler.schedule(name("a"), RdataType.A, due=at)
@@ -168,7 +160,7 @@ class TestFailureBackoff:
 
     def test_success_clears_backoff(self):
         recorder = Recorder(fail={"a.example."})
-        scheduler = RefreshScheduler(recorder, failure_backoff_s=30.0)
+        scheduler = RefreshScheduler(recorder)
         scheduler.schedule(name("a"), RdataType.A, due=0.0)
         scheduler.pump(0.0)
         recorder.fail.clear()  # upstream recovered

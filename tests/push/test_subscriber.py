@@ -8,22 +8,20 @@ from repro.dns.rdtypes import RdataType
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.metrics.registry import MetricsRegistry
 from repro.net.topology import Region
-from repro.push import PushClient, PushPolicy, attach_publisher, derive_client_seed
-from repro.resolver.cache import Cache, Credibility
+from repro.push import MAX_SUBSCRIPTIONS, PushClient, attach_publisher, derive_client_seed
+from repro.resolver.cache import Cache
 from repro.resolver.policy import ResolverPolicy
 from repro.resolver.recursive import RecursiveResolver
 
 WWW = Name("www.pushed.example.")
 
 
-def make_rig(ttl=300, policy=None, publisher=True):
+def make_rig(ttl=300, publisher=True):
     testbed = build_push_world(ttl=ttl)
     pub = attach_publisher(testbed.server, testbed.world.network) if publisher else None
     endpoint = testbed.world.topology.endpoint_in_region(Region.EU, "sub")
     cache = Cache()
-    client = PushClient(
-        endpoint, testbed.world.network, cache, policy or PushPolicy()
-    )
+    client = PushClient(endpoint, testbed.world.network, cache)
     return testbed, pub, client, cache
 
 
@@ -67,15 +65,18 @@ class TestNoteAnswer:
         assert client.session_count() == 0
 
     def test_respects_the_subscription_bound(self):
-        testbed, pub, client, _ = make_rig(
-            policy=PushPolicy(max_subscriptions=1)
-        )
-        client.note_answer(WWW, RdataType.A, testbed.target_address, 0.0)
-        client.note_answer(
-            Name("ns1.pushed.example."), RdataType.A,
-            testbed.target_address, 1.0,
-        )
-        assert client.subscription_count() == 1
+        testbed, pub, client, _ = make_rig()
+        count = counted(testbed)
+        assert MAX_SUBSCRIPTIONS == 1024
+        for index in range(MAX_SUBSCRIPTIONS + 1):
+            client.note_answer(
+                Name(f"n{index}.pushed.example."), RdataType.A,
+                testbed.target_address, float(index),
+            )
+        assert client.subscription_count() == MAX_SUBSCRIPTIONS
+        # The client held the last one back: the server never saw it.
+        assert count("push.subscribes") == MAX_SUBSCRIPTIONS
+        assert count("push.refused_subscriptions") == 0
 
     def test_restart_drops_sessions(self):
         testbed, _, client, _ = make_rig()
@@ -97,26 +98,8 @@ class TestPump:
         assert cached_address(cache, 110.0) == testbed.content_address(0)
         assert count("push.applied") == 1
 
-    def test_invalidate_mode_expires_instead(self):
-        testbed, pub, client, cache = make_rig(
-            policy=PushPolicy(update_in_place=False)
-        )
-        client.note_answer(WWW, RdataType.A, testbed.target_address, 0.0)
-        # Invalidate mode never applies pushed RRsets, so seed the cache
-        # through the normal path the resolver would have used.
-        zone_rrset = testbed.zone.get(WWW, RdataType.A)
-        cache.put(zone_rrset, Credibility.AUTH_ANSWER, 0.0)
-        assert cached_address(cache, 1.0) == "203.0.113.10"
-        testbed.apply_change(0)
-        pub.publish(WWW, RdataType.A, 100.0)
-        assert client.pump(110.0) == 1
-        # The entry is force-expired: the next lookup misses.
-        assert cached_address(cache, 110.0) is None
-
     def test_keepalive_rides_the_idle_session(self):
-        testbed, _, client, _ = make_rig(
-            policy=PushPolicy(keepalive_interval_s=30.0)
-        )
+        testbed, _, client, _ = make_rig()
         count = counted(testbed)
         client.note_answer(WWW, RdataType.A, testbed.target_address, 0.0)
         client.pump(10.0)
@@ -129,9 +112,7 @@ class TestPump:
 
 class TestOutageRecovery:
     def outage_rig(self):
-        testbed, pub, client, cache = make_rig(
-            policy=PushPolicy(reconnect_jitter=0.0)
-        )
+        testbed, pub, client, cache = make_rig()
         plan = FaultPlan(
             faults=(FaultSpec(kind="server_outage", start=100.0,
                               duration=100.0, target=testbed.target_address),),

@@ -24,6 +24,7 @@ from repro.dns.message import Rcode
 from repro.dns.name import Name
 from repro.dns.rdtypes import RdataType
 from repro.resolver.cache import Credibility
+from repro.resolver.policy import ECS_SOURCE_PREFIX_V4, ECS_SOURCE_PREFIX_V6
 from repro.resolver.recursive import (
     RecursiveResolver,
     ResolutionError,
@@ -47,16 +48,13 @@ def reference_resolve(
     self.client_queries += 1
     name = Name(qname)
     if self._tracker is not None:
-        self._tracker.record((name, qtype), now)
+        self._tracker.record((name, qtype))
 
     subnet: Optional[ClientSubnet] = None
-    ecs_policy = self.policy.ecs
-    if (
-        ecs_policy is not None
-        and client_subnet is not None
-        and ecs_policy.allows(name)
-    ):
-        subnet = client_subnet.truncate(ecs_policy.source_prefix(client_subnet.family))
+    if self.policy.ecs and client_subnet is not None:
+        subnet = client_subnet.truncate(
+            ECS_SOURCE_PREFIX_V4 if client_subnet.family == 1 else ECS_SOURCE_PREFIX_V6
+        )
         if subnet.scope_prefix:
             subnet = subnet.with_scope(0)
 
@@ -86,11 +84,11 @@ def reference_resolve(
                 self.refresh_hits += 1
         if self.policy.prefetch:
             self._maybe_prefetch(name, qtype, now)
-        elif self._predict is not None:
+        elif self.policy.predict:
             self._maybe_refresh_ahead(name, qtype, now)
         return cached
 
-    if self._predict is not None and self._predict.serve_stale_while_revalidate:
+    if self.policy.predict:
         stale = self._stale_while_revalidate(name, qtype, now)
         if stale is not None:
             return stale

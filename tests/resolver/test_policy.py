@@ -1,8 +1,10 @@
 """Tests for repro.resolver.policy."""
 
+import dataclasses
+
 import pytest
 
-from repro.resolver.policy import Centricity, ResolverPolicy, ServerSelection
+from repro.resolver.policy import Centricity, ResolverPolicy
 
 
 class TestArchetypes:
@@ -42,8 +44,6 @@ class TestValidation:
             ResolverPolicy(ttl_cap=10, ttl_floor=60)
 
     def test_frozen(self):
-        import dataclasses
-
         with pytest.raises(dataclasses.FrozenInstanceError):
             ResolverPolicy().sticky = True  # type: ignore[misc]
 
@@ -79,7 +79,22 @@ class TestDescribe:
         assert "rfc7706" in ResolverPolicy.local_root().describe()
 
 
-class TestServerSelection:
-    def test_default_is_rotate(self):
-        # Paper §3.4: resolvers rotate between authoritative servers.
-        assert ResolverPolicy().server_selection is ServerSelection.ROTATE
+class TestSurface:
+    """Every settable value of a resolver, so that a new knob shows up as
+    an edit to this list.  A value every caller sets alike is a constant."""
+
+    def test_field_names(self):
+        assert [field.name for field in dataclasses.fields(ResolverPolicy)] == [
+            "centricity", "ttl_cap", "ttl_floor", "serve_stale", "rfc7706_local_root",
+            "link_inbailiwick_glue", "sticky", "answer_from_referral", "target_fetch",
+            "validate_dnssec", "prefetch", "predict", "ecs", "push",
+        ]
+
+    def test_features_are_switches(self):
+        off = ResolverPolicy()
+        armed = off.with_(predict=True, ecs=True, push=True)
+        for feature in ("predict", "ecs", "push"):
+            assert getattr(off, feature) is False
+            assert getattr(armed, feature) is True
+        assert ResolverPolicy.predictive().predict is True
+        assert ResolverPolicy.pushing().push is True

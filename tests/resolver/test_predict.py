@@ -4,25 +4,22 @@ Covers RFC 8767 stale-while-revalidate, popularity-gated refresh-ahead,
 the expiry feed, restart hygiene, and the refresh-hit metric.
 """
 
-import pytest
-
 from repro.dns.message import Rcode
-from repro.dns.name import Name
-from repro.dns.rdtypes import RdataType
+from repro.dns.rdtypes import A, RdataType
 from repro.metrics import MetricsRegistry
 from repro.net.topology import Region
-from repro.predict import PredictPolicy
+from repro.predict import MAX_REFRESH_PER_S, MAX_STALE_S, REFRESH_BURST
 from repro.resolver.policy import ResolverPolicy
 from repro.resolver.recursive import RecursiveResolver
 
 WWW = "www.example.tld."
 
 
-def make_resolver(world, policy, registry=None):
+def make_resolver(world, policy, registry=None, name=None):
     if registry is not None:
         world.network.attach_metrics(registry)
     return RecursiveResolver(
-        endpoint=world.topology.endpoint_in_region(Region.EU),
+        endpoint=world.topology.endpoint_in_region(Region.EU, name),
         network=world.network,
         root_hints=world.hints,
         policy=policy,
@@ -43,12 +40,11 @@ class TestStaleWhileRevalidate:
         assert not out.cache_hit
 
     def test_stale_answer_ttl_is_capped(self, mini_world):
-        policy = ResolverPolicy.predictive(PredictPolicy(stale_answer_ttl=17))
-        resolver = make_resolver(mini_world, policy)
+        resolver = make_resolver(mini_world, ResolverPolicy.predictive())
         resolver.resolve(WWW, RdataType.A, now=0.0)
         out = resolver.resolve(WWW, RdataType.A, now=100.0)
         assert out.served_stale
-        assert out.answers[0].ttl == 17
+        assert out.answers[0].ttl == 30  # RFC 8767 §5's ceiling
 
     def test_revalidation_repopulates_cache(self, mini_world):
         resolver = make_resolver(mini_world, ResolverPolicy.predictive())
@@ -61,24 +57,18 @@ class TestStaleWhileRevalidate:
         assert out.answers[0].ttl == 59  # refreshed at t=100, aged 1 s
 
     def test_stale_beyond_max_stale_is_not_served(self, mini_world):
-        policy = ResolverPolicy.predictive(PredictPolicy(max_stale_s=30.0))
-        resolver = make_resolver(mini_world, policy)
-        resolver.resolve(WWW, RdataType.A, now=0.0)
-        # Expired at 60; t=200 is 140 s stale, far past the 30 s bound.
-        out = resolver.resolve(WWW, RdataType.A, now=200.0)
-        assert not out.served_stale
-        assert out.cache_hit is False  # resolved fresh upstream
-        assert out.rcode == Rcode.NOERROR
-
-    def test_swr_can_be_disabled(self, mini_world):
-        policy = ResolverPolicy.predictive(
-            PredictPolicy(serve_stale_while_revalidate=False)
-        )
-        resolver = make_resolver(mini_world, policy)
-        resolver.resolve(WWW, RdataType.A, now=0.0)
-        mini_world.network.loss.take_down(mini_world.child_server.endpoint.address)
-        out = resolver.resolve(WWW, RdataType.A, now=100.0)
-        assert out.rcode == Rcode.SERVFAIL  # the old fallback semantics
+        assert MAX_STALE_S == 86400.0  # RFC 8767 §5: one day
+        # Both copies expired at 60: one is served at the bound, the other
+        # one second past it is resolved fresh upstream instead.
+        for stale_for, served in ((MAX_STALE_S, True), (MAX_STALE_S + 1.0, False)):
+            resolver = make_resolver(
+                mini_world, ResolverPolicy.predictive(), name=f"res{stale_for:g}"
+            )
+            resolver.resolve(WWW, RdataType.A, now=0.0)
+            out = resolver.resolve(WWW, RdataType.A, now=60.0 + stale_for)
+            assert out.served_stale is served
+            assert out.cache_hit is False
+            assert out.rcode == Rcode.NOERROR
 
     def test_no_stale_data_still_resolves(self, mini_world):
         resolver = make_resolver(mini_world, ResolverPolicy.predictive())
@@ -149,27 +139,27 @@ class TestRefreshAhead:
 
 class TestStormSafety:
     def test_refresh_budget_bounds_upstream_volume(self, mini_world):
-        policy = ResolverPolicy.predictive(
-            PredictPolicy(max_refresh_per_s=0.001, refresh_burst=1)
-        )
-        resolver = make_resolver(mini_world, policy)
-        resolver.resolve(WWW, RdataType.A, now=0.0)
-        resolver.resolve(WWW, RdataType.A, now=1.0)
-        resolver.resolve(WWW, RdataType.AAAA, now=2.0)
-        resolver.resolve(WWW, RdataType.AAAA, now=3.0)
-        # Both records are hot and both expire at once — the bucket only
-        # lets one refresh through.
-        assert resolver.pump(59.0) == 1
+        names = [f"h{index}.example.tld." for index in range(3 * REFRESH_BURST)]
+        for index, name in enumerate(names):
+            mini_world.child_zone.add(name, RdataType.A, A(f"203.0.113.{index}"), ttl=60)
+        resolver = make_resolver(mini_world, ResolverPolicy.predictive())
+        for now in (0.0, 1.0):
+            for name in names:
+                resolver.resolve(name, RdataType.A, now=now)
+        # Every record is hot and all fall due within one second — the
+        # bucket lets its burst of 20 through, plus at most the 10 tokens
+        # that second refills, and drops the rest.
+        assert (REFRESH_BURST, MAX_REFRESH_PER_S) == (20, 10.0)
+        assert REFRESH_BURST <= resolver.pump(59.0) <= REFRESH_BURST + MAX_REFRESH_PER_S
 
     def test_failed_refresh_backs_off(self, mini_world):
-        policy = ResolverPolicy.predictive(PredictPolicy(failure_backoff_s=100.0))
-        resolver = make_resolver(mini_world, policy)
+        resolver = make_resolver(mini_world, ResolverPolicy.predictive())
         resolver.resolve(WWW, RdataType.A, now=0.0)
         resolver.resolve(WWW, RdataType.A, now=1.0)
         mini_world.network.loss.take_down(mini_world.child_server.endpoint.address)
         assert resolver.pump(55.0) == 1  # refresh attempt fails
         sent_after_failure = resolver.queries_sent
-        # The feed re-arms the key, but backoff holds it until t=155.
+        # The feed re-arms the key, but the 30 s backoff holds it until t=84.
         assert resolver.pump(60.0) == 0
         assert resolver.queries_sent == sent_after_failure
 
@@ -187,13 +177,7 @@ class TestHygiene:
 
     def test_describe_mentions_predict(self):
         policy = ResolverPolicy.predictive()
-        assert "predict(" in policy.describe()
-
-    def test_payload_round_trip(self):
-        policy = PredictPolicy(track_top_k=7, max_refresh_per_s=3.5)
-        assert PredictPolicy.from_payload(policy.to_payload()) == policy
-        with pytest.raises(ValueError):
-            PredictPolicy.from_payload({"nope": 1})
+        assert "predict" in policy.describe()
 
     def test_plain_policies_unaffected(self, mini_world):
         resolver = make_resolver(mini_world, ResolverPolicy.child_centric())

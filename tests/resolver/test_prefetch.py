@@ -83,15 +83,6 @@ class TestPrefetch:
         out = resolver.resolve("www.example.tld.", RdataType.A, now=58.0)
         assert out.cache_hit  # original entry still live and served
 
-    def test_custom_window(self, mini_world):
-        policy = ResolverPolicy(prefetch=True, prefetch_window=0.5)
-        resolver = make_resolver(mini_world, policy)
-        resolver.resolve("www.example.tld.", RdataType.A, now=0.0)
-        sent_before = resolver.queries_sent
-        resolver.resolve("www.example.tld.", RdataType.A, now=35.0)  # 42% left
-        assert resolver.pump(35.0) == 1
-        assert resolver.queries_sent > sent_before
-
     def test_refresh_deduplicated_across_hits(self, mini_world):
         """Many hits in the window schedule exactly one refresh."""
         resolver = make_resolver(mini_world, ResolverPolicy.prefetching())

@@ -21,9 +21,8 @@ from repro.dns.rdtypes import CNAME, RdataType
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.metrics import MetricsRegistry
 from repro.net.topology import Region
-from repro.predict.policy import PredictPolicy
 from repro.push.publisher import attach_publisher
-from repro.resolver.policy import EcsPolicy, ResolverPolicy, ServerSelection
+from repro.resolver.policy import ResolverPolicy
 from repro.resolver.recursive import RecursiveResolver
 
 from tests.conftest import build_mini_world
@@ -40,14 +39,10 @@ POLICIES = {
     "unlinked": ResolverPolicy.unlinked(),
     "validating": ResolverPolicy.validating(),
     "prefetch": ResolverPolicy.prefetching(),
-    "prefetch+predict": ResolverPolicy(prefetch=True, predict=PredictPolicy(min_hits=2)),
-    "predict": ResolverPolicy.predictive(PredictPolicy(min_hits=2)),
-    "predict-no-swr": ResolverPolicy.predictive(
-        PredictPolicy(min_hits=2, serve_stale_while_revalidate=False)
-    ),
-    "ecs": ResolverPolicy(ecs=EcsPolicy()),
+    "prefetch+predict": ResolverPolicy(prefetch=True, predict=True),
+    "predict": ResolverPolicy.predictive(),
+    "ecs": ResolverPolicy(ecs=True),
     "push": ResolverPolicy.pushing(),
-    "random-selection": ResolverPolicy(server_selection=ServerSelection.RANDOM),
 }
 
 

@@ -80,6 +80,27 @@ def test_store_rejects_foreign_snapshot_records(tmp_path):
             store.load_world_snapshot(1)
 
 
+class _Stand:
+    """Pickled, then renamed in the bytes to a class that does not exist."""
+
+
+@pytest.mark.parametrize("module,name", [
+    ("repro.predict.policy", "NoSuchPolicy"),  # the module is gone
+    ("repro.resolver.policy", "EcsPolicy"),  # the module stays, the class is gone
+])
+def test_store_rejects_snapshots_naming_missing_code(tmp_path, module, name):
+    # A snapshot written by an older build can name a class that build
+    # had; unpickling fails before the version check can see the record.
+    store = CheckpointStore(tmp_path, {"c": 1})
+    record = {"version": 9, "shard": 0, "state": _Stand()}
+    data = pickle.dumps(record, protocol=0).replace(
+        f"{__name__}\n_Stand\n".encode(), f"{module}\n{name}\n".encode()
+    )
+    (tmp_path / "wsnap-0000.pkl").write_bytes(data)
+    with pytest.raises(CheckpointMismatch, match=r"wsnap-0000\.pkl: .* names code"):
+        store.load_world_snapshot(0)
+
+
 def test_completed_shard_discards_its_snapshot(tmp_path):
     store = CheckpointStore(tmp_path, {"c": 1})
     store.save_world_snapshot(3, {"cursor": 1})

@@ -37,7 +37,7 @@ def test_predict_flag_builds_predictive_resolver():
     from repro.serve.config import build_frontend
 
     frontend, _ = build_frontend(ServeConfig(world="nl", predict=True))
-    assert frontend.resolver.policy.predict is not None
+    assert frontend.resolver.policy.predict is True
     assert frontend.pump() == 0  # empty cache: nothing due, nothing breaks
 
 
@@ -45,7 +45,7 @@ def test_default_config_has_no_predict_policy():
     from repro.serve.config import build_frontend
 
     frontend, _ = build_frontend(ServeConfig(world="nl"))
-    assert frontend.resolver.policy.predict is None
+    assert frontend.resolver.policy.predict is False
     assert frontend.pump() == 0  # pump is a safe no-op without predict
 
 

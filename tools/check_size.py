@@ -16,9 +16,9 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 #: paths whose lines sum under one ceiling -> line ceiling.
 CEILINGS = {
     # ROADMAP item 8's gate: the three files together, whatever each holds.
-    ("core/scenarios.py", "resolver/recursive.py", "core/worlds.py"): 3400,
+    ("core/scenarios.py", "resolver/recursive.py", "core/worlds.py"): 3373,
     "core/scenarios.py": 1459,
-    "resolver/recursive.py": 1015,
+    "resolver/recursive.py": 989,
     "core/worlds.py": 925,
     "resolver/cache.py": 744,
     "serve/memo.py": 218,
@@ -29,7 +29,7 @@ CEILINGS = {
     "server/anycast.py": 112,
     "dns/name.py": 326,
     "metrics/registry.py": 258,
-    "": 20722,
+    "": 20332,
 }
 
 
