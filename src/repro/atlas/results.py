@@ -31,7 +31,7 @@ TTL_NONE = -1
 CACHE_HIT, SERVED_STALE = 1, 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MeasurementResult:
     """One query from one VP in one round."""
 
@@ -306,8 +306,8 @@ class ResultSet:
     # -- summaries -------------------------------------------------------------
     def summary(self) -> dict[str, int]:
         """The Table 2/Table 3 bookkeeping for this dataset."""
-        valid = self.valid()
-        probes, probes_valid = len(self.probe_ids()), len(valid.probe_ids())
+        valid, vp, vps = self._valid_indices(None), self.columns.vp, self.vps
+        probes, probes_valid = len(self.probe_ids()), len({vps[vp[i]].probe_id for i in valid})
         queries, responses_valid = len(self), len(valid)
         timeouts = self.columns.rcode.count(Rcode.SERVFAIL)
         return {

@@ -208,7 +208,6 @@ def run_campaign(
     """
     from repro.metrics.registry import MetricsRegistry
     from repro.runner import campaigns
-    from repro.runner.checkpoint import CheckpointStore
     from repro.runner.codec import decode_shard_payload
     from repro.runner.executor import ShardExecutor
     from repro.runner.merge import merge_shard_metrics
@@ -217,15 +216,16 @@ def run_campaign(
     host_registry = MetricsRegistry()
     executor = ShardExecutor(
         parallelism=parallelism or 1,
-        checkpoint=(
-            CheckpointStore(run_dir, fingerprint) if run_dir is not None else None
-        ),
         tracker=ProgressTracker(campaign=spec.label or spec.kind, callback=progress),
         metrics=host_registry,
         initializer=initializer,
         initargs=initargs,
         profile_path=profile,
     )
+    if run_dir is not None:
+        from repro.runner.checkpoint import CheckpointStore
+
+        executor.checkpoint = CheckpointStore(run_dir, fingerprint)
     outcomes = executor.run(getattr(campaigns, spec.shard), plan, kwargs)
     for outcome in outcomes:
         # In place, so each columnar envelope is freed as soon as its

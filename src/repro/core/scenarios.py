@@ -43,7 +43,6 @@ from repro.core.worlds import (
 from repro.dns.message import Message, Rcode, Section
 from repro.dns.name import Name
 from repro.dns.rdtypes import RdataType
-from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.metrics.registry import MetricsRegistry
 from repro.metrics.snapshot import MetricsSnapshot, merge_snapshots
 from repro.net.topology import Region
@@ -66,9 +65,10 @@ def _normalize_fault_plan(faults) -> Optional[dict]:
     """
     if faults is None:
         return None
-    if isinstance(faults, FaultPlan):
-        return faults.to_payload()
-    return FaultPlan.from_payload(faults).to_payload()
+    from repro.faults.plan import FaultPlan
+
+    plan = faults if isinstance(faults, FaultPlan) else FaultPlan.from_payload(faults)
+    return plan.to_payload()
 
 
 def _counter(snapshot: MetricsSnapshot, name: str) -> int:
@@ -82,30 +82,6 @@ def _latency_percentiles(samples_ms: list[float]) -> dict[str, float]:
     return dict(
         p50_ms=cdf.median, p95_ms=cdf.quantile(0.95), p99_ms=cdf.quantile(0.99)
     )
-
-
-def _attach_faults(
-    world, own_specs, name: str, seed: int, fault_plan: Optional[dict]
-) -> FaultInjector:
-    """Arm ``world`` with a cell's own fault schedule plus the user's.
-
-    ``fault_plan`` (a :class:`FaultPlan` payload, or ``None``) rides
-    along after ``own_specs``; when present its seed — and its name, if
-    it has one — identify the combined plan.  The injector's own RNG is
-    always derived from the cell ``seed``.
-    """
-    specs = list(own_specs)
-    plan_seed = seed
-    if fault_plan is not None:
-        extra = FaultPlan.from_payload(fault_plan)
-        specs.extend(extra.faults)
-        name = extra.name or name
-        plan_seed = extra.seed
-    injector = FaultInjector(
-        FaultPlan(faults=tuple(specs), name=name, seed=plan_seed), seed=seed
-    )
-    world.network.attach_faults(injector)
-    return injector
 
 
 def _measurement(
@@ -794,6 +770,9 @@ def _run_ddos_tier(
     the loss model directly), so every fault event is observable in the
     metrics stream and extra faults can ride along via ``fault_plan``.
     """
+    from repro.faults.injector import attach_fault_plan
+    from repro.faults.plan import FaultSpec
+
     outage = build_outage_world(ttl, seed)
     world = outage.world
     world.network.attach_metrics(metrics)
@@ -803,7 +782,7 @@ def _run_ddos_tier(
         duration=attack_seconds,
         target=outage.target_address,
     )
-    _attach_faults(world, [attack], "ddos", seed, fault_plan)
+    attach_fault_plan(world.network, [attack], "ddos", seed, fault_plan)
 
     resolver = world.resolver(
         world.topology.endpoint_in_region(Region.EU, "res"),
@@ -1281,6 +1260,8 @@ def _run_push_cell(
     metrics: MetricsRegistry,
 ) -> PushCell:
     """Probe one update channel through one fault family at one TTL."""
+    from repro.faults.injector import attach_fault_plan
+    from repro.faults.plan import FaultPlan, FaultSpec
     from repro.push import attach_publisher
 
     testbed = build_push_world(ttl, seed)
@@ -1306,7 +1287,7 @@ def _run_push_cell(
                 target=testbed.target_address,
             )
         )
-    injector = _attach_faults(world, specs, f"push-{plan}", seed, fault_plan)
+    injector = attach_fault_plan(world.network, specs, f"push-{plan}", seed, fault_plan)
 
     publisher = None
     policy = ResolverPolicy.child_centric()

@@ -16,7 +16,7 @@ checkpoint produces byte-identical sim-domain metrics.
 from repro._exports import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
-    "injector": ("FaultInjector", "TTR_BUCKETS_S"),
+    "injector": ("FaultInjector", "TTR_BUCKETS_S", "attach_fault_plan"),
     "plan": ("KINDS", "SCHEMA_ID", "FaultPlan", "FaultPlanError", "FaultSpec",
              "derive_fault_seed", "validate_json", "validate_payload"),
 })

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.faults.plan import (
     SERVER_KINDS,
@@ -53,6 +53,7 @@ if TYPE_CHECKING:
     from repro.metrics import MetricsRegistry
     from repro.net.latency import LatencyModel
     from repro.net.topology import Endpoint
+    from repro.net.transport import Network
 
 #: Time-to-recovery buckets: 100 ms .. ~28 h, two per decade.  Fixed at
 #: module level so shard histograms merge exactly.
@@ -347,3 +348,28 @@ class FaultInjector:
         if spec.src is not None and spec.src != src:
             return False
         return spec.target in (None, dst)
+
+
+def attach_fault_plan(
+    network: Network, own_specs: Iterable[FaultSpec], name: str, seed: int,
+    fault_plan: Optional[dict],
+) -> FaultInjector:
+    """Arm ``network`` with a cell's own fault schedule plus the user's.
+
+    ``fault_plan`` (a :class:`FaultPlan` payload, or ``None``) rides
+    along after ``own_specs``; when present its seed — and its name, if
+    it has one — identify the combined plan.  The injector's own RNG is
+    always derived from the cell ``seed``.
+    """
+    specs = list(own_specs)
+    plan_seed = seed
+    if fault_plan is not None:
+        extra = FaultPlan.from_payload(fault_plan)
+        specs.extend(extra.faults)
+        name = extra.name or name
+        plan_seed = extra.seed
+    injector = FaultInjector(
+        FaultPlan(faults=tuple(specs), name=name, seed=plan_seed), seed=seed
+    )
+    network.attach_faults(injector)
+    return injector

@@ -27,8 +27,7 @@ from repro._exports import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "popularity": ("MIN_HITS", "TRACK_TOP_K", "PopularityTracker"),
     "scheduler": (
-        "FAILURE_BACKOFF_CAP_S", "FAILURE_BACKOFF_S", "FEED_HORIZON_S", "LEAD_BUCKETS_S",
-        "LEAD_FRACTION", "MAX_REFRESH_PER_S", "MAX_STALE_S", "MIN_LEAD_S",
+        "FAILURE_BACKOFF_CAP_S", "FAILURE_BACKOFF_S", "LEAD_BUCKETS_S", "MAX_REFRESH_PER_S",
         "REFRESH_BURST", "RefreshScheduler",
     ),
 })

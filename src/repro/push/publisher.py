@@ -48,6 +48,11 @@ if TYPE_CHECKING:
 #: A subscription key: one record the subscriber wants pushed.
 PushKey = tuple[Name, RdataType]
 
+#: A SUBSCRIBE past these is REFUSED: sessions per publisher, keys per
+#: session.  Server-side guards, apart from the client's MAX_SUBSCRIPTIONS.
+MAX_SUBSCRIBERS = 4096
+MAX_SUBSCRIPTIONS_PER_SESSION = 1024
+
 
 @dataclass
 class PendingNotify:
@@ -82,20 +87,12 @@ class _SubscriberState:
 class PushPublisher:
     """The zone change feed for one authoritative service."""
 
-    def __init__(
-        self,
-        server: "AuthoritativeServer",
-        network: "Network",
-        max_subscribers: int = 4096,
-        max_subscriptions_per_session: int = 1024,
-    ) -> None:
+    def __init__(self, server: "AuthoritativeServer", network: "Network") -> None:
         """``server`` (unicast or anycast) must be registered on
         ``network`` at its service address; ``network`` supplies the
         session path's fate, latency and the metrics registry."""
         self.server = server
         self.network = network
-        self.max_subscribers = max_subscribers
-        self.max_subscriptions_per_session = max_subscriptions_per_session
         self.service_address = server.service_address
         self._subs: dict[str, _SubscriberState] = {}
         #: Reverse index: key -> ordered set of subscriber addresses.
@@ -144,7 +141,7 @@ class PushPublisher:
     ) -> Message:
         state = self._subs.get(client.address)
         if state is None:
-            if len(self._subs) >= self.max_subscribers:
+            if len(self._subs) >= MAX_SUBSCRIBERS:
                 self.network.tally.counts["push.refused_subscribers"] += 1
                 return query.make_response(rcode=Rcode.REFUSED)
             state = _SubscriberState(client)
@@ -156,7 +153,7 @@ class PushPublisher:
             state.broken_at = None
             state.queue.clear()
         if key not in state.keys:
-            if len(state.keys) >= self.max_subscriptions_per_session:
+            if len(state.keys) >= MAX_SUBSCRIPTIONS_PER_SESSION:
                 self.network.tally.counts["push.refused_subscriptions"] += 1
                 return query.make_response(rcode=Rcode.REFUSED)
             state.keys[key] = None
@@ -256,22 +253,12 @@ class PushPublisher:
         return tuple(due), None
 
 
-def attach_publisher(
-    server: "AuthoritativeServer",
-    network: "Network",
-    max_subscribers: int = 4096,
-    max_subscriptions_per_session: int = 1024,
-) -> PushPublisher:
+def attach_publisher(server: "AuthoritativeServer", network: "Network") -> PushPublisher:
     """Build a publisher and hook it into ``server`` as ``server.push``.
 
     The server's ``handle_query`` dispatches SUBSCRIBE/UNSUBSCRIBE frames
     to it; ``reset_runtime_state`` drops it (scenarios attach per run).
     """
-    publisher = PushPublisher(
-        server,
-        network,
-        max_subscribers=max_subscribers,
-        max_subscriptions_per_session=max_subscriptions_per_session,
-    )
+    publisher = PushPublisher(server, network)
     server.push = publisher
     return publisher

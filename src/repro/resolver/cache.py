@@ -60,13 +60,13 @@ import heapq
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Optional
 
-from repro.dns.ecs import ClientSubnet
 from repro.dns.name import Name
 from repro.dns.rdtypes import SOA, RdataClass, RdataType
 from repro.dns.record import RRset
 from repro.metrics.registry import COUNTER, GAUGE
 
 if TYPE_CHECKING:
+    from repro.dns.ecs import ClientSubnet
     from repro.metrics import MetricsRegistry
 
 CacheKey = tuple[Name, RdataType, RdataClass]

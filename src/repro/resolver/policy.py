@@ -28,6 +28,18 @@ from typing import Optional
 ECS_SOURCE_PREFIX_V4 = 24
 ECS_SOURCE_PREFIX_V6 = 56
 
+#: Refresh once the remaining lifetime falls below this fraction of the
+#: original (Unbound's prefetch window, shared by on-hit prefetch)...
+LEAD_FRACTION = 0.1
+#: ...but always leave at least this many seconds of lead, so very short
+#: TTLs still get refreshed before they expire.
+MIN_LEAD_S = 1.0
+#: How far ahead of now the expiry feed looks for refresh candidates.
+FEED_HORIZON_S = 60.0
+#: How long past expiry stale-while-revalidate may still answer (RFC 8767
+#: §5 suggests 1-3 days).
+MAX_STALE_S = 86400.0
+
 
 class Centricity(enum.Enum):
     """Which side of a delegation the resolver believes (paper §3)."""

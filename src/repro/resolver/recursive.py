@@ -21,9 +21,8 @@ the paper's measured behaviours emerge from the policy knobs:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.dns.ecs import ClientSubnet, extract_client_subnet
 from repro.dns.message import Message, Rcode, Section
 from repro.dns.name import Name, root
 from repro.dns.wire import WireError
@@ -33,14 +32,15 @@ from repro.dns.zone import Zone
 from repro.metrics.registry import COUNTER, HISTOGRAM, Histogram
 from repro.net.topology import Endpoint
 from repro.net.transport import Network, NetworkTimeout
-from repro.predict import (
-    FEED_HORIZON_S, LEAD_FRACTION, MAX_REFRESH_PER_S, MAX_STALE_S, MIN_LEAD_S,
-    REFRESH_BURST, TRACK_TOP_K, PopularityTracker, RefreshScheduler,
-)
 from repro.resolver.cache import Cache, CacheEntry, CacheKey, Credibility
 from repro.resolver.policy import (
-    ECS_SOURCE_PREFIX_V4, ECS_SOURCE_PREFIX_V6, Centricity, ResolverPolicy,
+    ECS_SOURCE_PREFIX_V4, ECS_SOURCE_PREFIX_V6, FEED_HORIZON_S, LEAD_FRACTION, MAX_STALE_S,
+    MIN_LEAD_S, Centricity, ResolverPolicy,
 )
+
+if TYPE_CHECKING:
+    from repro.dns.ecs import ClientSubnet
+    from repro.predict import PopularityTracker, RefreshScheduler
 
 #: Hard ceilings that bound any resolution, however broken the zone setup.
 MAX_REFERRAL_STEPS = 24
@@ -76,10 +76,6 @@ class ResolutionResult:
     #: RFC 7871 scope of the answer (None when ECS was not in play,
     #: 0 when the authoritative declared the answer global).
     ecs_scope: Optional[int] = None
-
-    @property
-    def answer_rrset(self) -> Optional[RRset]:
-        return self.answers[-1] if self.answers else None
 
 
 class ResolutionError(Exception):
@@ -175,7 +171,11 @@ class RecursiveResolver:
         #: (qname, qtype) -> generation written by a scheduler refresh;
         #: a client hit on that generation counts as a refresh hit.
         self._refreshed: dict[tuple[Name, RdataType], int] = {}
+        if predict or policy.prefetch:
+            from repro.predict.scheduler import MAX_REFRESH_PER_S, REFRESH_BURST, RefreshScheduler
         if predict:
+            from repro.predict.popularity import TRACK_TOP_K, PopularityTracker
+
             self._tracker = PopularityTracker(TRACK_TOP_K)
             self._scheduler = RefreshScheduler(
                 self._scheduled_refresh,
@@ -904,6 +904,8 @@ class RecursiveResolver:
         subnet = self._ecs_subnet
         scope = 0
         if subnet is not None and response.edns is not None and response.edns.options:
+            from repro.dns.ecs import extract_client_subnet
+
             try:
                 echo = extract_client_subnet(response.edns.options)
             except WireError:
@@ -963,9 +965,7 @@ class RecursiveResolver:
                 break
             answers.append(alias)
             current = alias.rdatas[0].target
-        if answers:
-            return answers, current
-        return [], None
+        return answers, (current if answers else None)
 
     def _client_view(self, rrsets: list[RRset], now: float) -> list[RRset]:
         """Fresh answers as the client sees them: cache-clamped TTLs.

@@ -30,11 +30,9 @@ runaway simulation rather than blocked I/O.
 
 from __future__ import annotations
 
-import concurrent.futures
 import time
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from repro.metrics.registry import (
     COUNTER,
@@ -44,10 +42,14 @@ from repro.metrics.registry import (
     MetricsRegistry,
     log_buckets,
 )
-from repro.runner.checkpoint import CheckpointStore
 from repro.runner.codec import query_count as _query_count
 from repro.runner.progress import ProgressTracker
 from repro.runner.shard import Shard
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future, ProcessPoolExecutor
+
+    from repro.runner.checkpoint import CheckpointStore
 
 __all__ = ["RetryPolicy", "ShardError", "ShardOutcome", "ShardExecutor"]
 
@@ -266,8 +268,10 @@ class ShardExecutor:
         return outcomes
 
     # -- process pool --------------------------------------------------------
-    def _new_pool(self) -> concurrent.futures.ProcessPoolExecutor:
-        return concurrent.futures.ProcessPoolExecutor(
+    def _new_pool(self) -> ProcessPoolExecutor:
+        from concurrent.futures.process import ProcessPoolExecutor
+
+        return ProcessPoolExecutor(
             max_workers=self.parallelism,
             initializer=self.initializer,
             initargs=self.initargs,
@@ -277,6 +281,7 @@ class ShardExecutor:
         self, fn: Callable[..., Any], shards: Sequence[Shard], kwargs: dict[str, Any]
     ) -> list[ShardOutcome]:
         import gc
+        from concurrent.futures.process import BrokenProcessPool
 
         # Workers fork from this process (Linux default).  Freezing the
         # parent's GC generations first keeps the children's collector
@@ -290,7 +295,7 @@ class ShardExecutor:
         outcomes: list[ShardOutcome] = []
         attempts = {shard.index: 0 for shard in shards}
         by_index = {shard.index: shard for shard in shards}
-        pending: dict[int, concurrent.futures.Future] = {}
+        pending: dict[int, Future] = {}
         started: dict[int, float] = {}
         pool = self._new_pool()
 

@@ -107,18 +107,19 @@ def _check_monotone_timestamps(parts: list[ResultSet]) -> None:
 
 def _check_unique_rounds(merged: ResultSet) -> None:
     vp_ids = [vp.vp_id for vp in merged.vps]
-    keys = [
-        (vp_ids[v], round_index)
-        for v, round_index in zip(merged.columns.vp, merged.columns.round_index)
-    ]
+    # One int per (VP id, round): the VP id's rank times the round span.
+    cell, rounds = _ranks(vp_ids), merged.columns.round_index
+    low = min(rounds, default=0)
+    width = max(rounds, default=0) - low + 1
+    keys = [cell[v] * width + r - low for v, r in zip(merged.columns.vp, rounds)]
     if len(set(keys)) == len(keys):
         return
-    seen: set[tuple[str, int]] = set()
-    for key in keys:
+    seen: set[int] = set()
+    for v, round_index, key in zip(merged.columns.vp, rounds, keys):
         if key in seen:
             raise MergeError(
-                f"VP {key[0]} has two results for round "
-                f"{key[1]}: duplicate shard output?"
+                f"VP {vp_ids[v]} has two results for round "
+                f"{round_index}: duplicate shard output?"
             )
         seen.add(key)
 

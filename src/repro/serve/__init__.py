@@ -12,10 +12,9 @@ repeat queries (:mod:`repro.serve.memo`).  See ``docs/serving.md``.
 from repro._exports import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
-    "batchio": ("DEFAULT_BATCH_SIZE", "FallbackBatcher", "MmsgBatcher", "make_batcher",
-                "mmsg_available"),
+    "batchio": ("FallbackBatcher", "MmsgBatcher", "make_batcher", "mmsg_available"),
     "bridge": ("WallClockBridge",),
-    "config": ("WORLD_BUILDERS", "ServeConfig", "build_frontend"),
+    "config": ("DEFAULT_BATCH_SIZE", "WORLD_BUILDERS", "ServeConfig", "build_frontend"),
     "frontend": ("DnsFrontend", "ServeResult", "servfail_wire"),
     "memo": ("DEFAULT_MEMO_CAPACITY", "ResponseMemo"),
     "server": ("ServeServer",),

@@ -25,9 +25,6 @@ import struct
 import sys
 from typing import Optional
 
-#: Default datagrams drained (or flushed) per syscall.
-DEFAULT_BATCH_SIZE = 32
-
 #: Largest datagram one slot accepts (EDNS can advertise up to 64 KiB).
 RECV_BUFFER_SIZE = 0xFFFF
 
@@ -134,7 +131,7 @@ class MmsgBatcher:
 
     kind = "mmsg"
 
-    def __init__(self, sock: socket.socket, batch_size: int = DEFAULT_BATCH_SIZE) -> None:
+    def __init__(self, sock: socket.socket, batch_size: int) -> None:
         if _MMSG_SYMBOLS is None:
             raise OSError("recvmmsg/sendmmsg unavailable on this platform")
         if batch_size < 1:
@@ -318,7 +315,7 @@ class FallbackBatcher:
 
     kind = "fallback"
 
-    def __init__(self, sock: socket.socket, batch_size: int = DEFAULT_BATCH_SIZE) -> None:
+    def __init__(self, sock: socket.socket, batch_size: int) -> None:
         if batch_size < 1:
             raise ValueError(f"batch size must be positive, not {batch_size}")
         self.sock = sock
@@ -357,7 +354,7 @@ def mmsg_available() -> bool:
 
 def make_batcher(
     sock: socket.socket,
-    batch_size: int = DEFAULT_BATCH_SIZE,
+    batch_size: int,
     prefer_mmsg: Optional[bool] = None,
 ):
     """The best batcher for ``sock``: mmsg where possible, else fallback.

@@ -25,12 +25,14 @@ from repro.metrics import MetricsRegistry
 from repro.net.topology import Region
 from repro.resolver.policy import ResolverPolicy
 from repro.resolver.recursive import RecursiveResolver
-from repro.serve.batchio import DEFAULT_BATCH_SIZE
 from repro.serve.bridge import WallClockBridge
 from repro.serve.frontend import DnsFrontend
 from repro.serve.memo import ResponseMemo
 from repro.server.querylog import QueryLogWriter
 from repro.server.rrl import ResponseRateLimiter
+
+#: Default datagrams drained (or flushed) per syscall.
+DEFAULT_BATCH_SIZE = 32
 
 #: Canonical worlds a live server can front.  Wrapper dataclasses
 #: (NlWorld, UyWorld, ...) are unwrapped to the underlying World.

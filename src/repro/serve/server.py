@@ -32,7 +32,8 @@ import struct
 from typing import Optional
 
 from repro.metrics.registry import GAUGE, HOST
-from repro.serve.batchio import DEFAULT_BATCH_SIZE, make_batcher
+from repro.serve.batchio import make_batcher
+from repro.serve.config import DEFAULT_BATCH_SIZE
 from repro.serve.frontend import DnsFrontend, servfail_wire
 
 #: Longest framed TCP query we will read (RFC 1035 allows up to 64 KiB).

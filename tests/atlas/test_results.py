@@ -1,5 +1,10 @@
 """Tests for repro.atlas.results."""
 
+import dataclasses
+import pickle
+
+import pytest
+
 from repro.atlas.results import MeasurementResult, ResultSet
 from repro.dns.message import Rcode
 from repro.dns.name import Name
@@ -34,6 +39,19 @@ def result(
         answers=answers,
         rtt=rtt,
     )
+
+
+class TestRow:
+    def test_a_row_is_a_frozen_slotted_value(self):
+        row = result()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            row.ttl = 60
+        assert not hasattr(row, "__dict__")
+        assert result() == row and hash(result()) == hash(row)
+        assert pickle.loads(pickle.dumps(row)) == row
+        changed = dataclasses.replace(row, ttl=60)
+        assert changed == result(ttl=60) and row.ttl == 300
+        assert ResultSet([row]).results == [row]
 
 
 class TestValidity:

@@ -14,7 +14,7 @@ import pytest
 from repro.core import scenarios
 from repro.core.campaign import CAMPAIGNS, run_grid
 from repro.core.worlds import build_outage_world, build_push_world
-from repro.faults import FaultInjector, FaultPlan, FaultSpec
+from repro.faults import FaultInjector, FaultPlan, FaultSpec, injector
 from repro.metrics.registry import MetricsRegistry
 
 #: campaign -> (chosen axis values, shared parameters, a cell field to profile).
@@ -141,7 +141,7 @@ def armed(monkeypatch):
             seen.append((plan, seed))
             super().__init__(plan, seed=seed)
 
-    monkeypatch.setattr(scenarios, "FaultInjector", Spy)
+    monkeypatch.setattr(injector, "FaultInjector", Spy)
     return seen
 
 

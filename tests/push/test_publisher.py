@@ -10,6 +10,7 @@ from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.metrics.registry import MetricsRegistry
 from repro.net.topology import Region
 from repro.push import attach_publisher
+from repro.push.publisher import MAX_SUBSCRIBERS, MAX_SUBSCRIPTIONS_PER_SESSION
 
 WWW = Name("www.pushed.example.")
 
@@ -58,28 +59,31 @@ class TestSubscribe:
         assert publisher.subscriber_count() == 1
         assert publisher.subscription_count() == 1
 
-    def test_subscriber_bound_refuses(self):
-        testbed = build_push_world(ttl=300)
-        attach_publisher(testbed.server, testbed.world.network,
-                         max_subscribers=1)
+    def test_subscriber_bound_refuses(self, rig):
+        testbed, publisher, _ = rig
         topology = testbed.world.topology
-        first = topology.endpoint_in_region(Region.EU, "one")
-        second = topology.endpoint_in_region(Region.EU, "two")
-        assert testbed.server.handle_query(
-            subscribe_query(), first, 0.0).rcode is Rcode.NOERROR
-        assert testbed.server.handle_query(
-            subscribe_query(), second, 0.0).rcode is Rcode.REFUSED
+        home = topology.create_as(Region.EU)
+        codes = [
+            testbed.server.handle_query(
+                subscribe_query(), topology.create_endpoint(home, name=f"c{index}"), 0.0
+            ).rcode
+            for index in range(MAX_SUBSCRIBERS + 1)
+        ]
+        assert MAX_SUBSCRIBERS == 4096
+        assert codes == [Rcode.NOERROR] * MAX_SUBSCRIBERS + [Rcode.REFUSED]
+        assert publisher.subscriber_count() == MAX_SUBSCRIBERS
 
-    def test_per_session_bound_refuses(self):
-        testbed = build_push_world(ttl=300)
-        attach_publisher(testbed.server, testbed.world.network,
-                         max_subscriptions_per_session=1)
-        client = testbed.world.topology.endpoint_in_region(Region.EU, "cli")
-        assert testbed.server.handle_query(
-            subscribe_query(), client, 0.0).rcode is Rcode.NOERROR
-        other = subscribe_query(Name("ns1.pushed.example."), RdataType.A)
-        assert testbed.server.handle_query(
-            other, client, 1.0).rcode is Rcode.REFUSED
+    def test_per_session_bound_refuses(self, rig):
+        testbed, publisher, client = rig
+        codes = [
+            testbed.server.handle_query(
+                subscribe_query(Name(f"n{index}.pushed.example.")), client, 0.0
+            ).rcode
+            for index in range(MAX_SUBSCRIPTIONS_PER_SESSION + 1)
+        ]
+        assert MAX_SUBSCRIPTIONS_PER_SESSION == 1024
+        assert codes == [Rcode.NOERROR] * MAX_SUBSCRIPTIONS_PER_SESSION + [Rcode.REFUSED]
+        assert publisher.subscription_count() == MAX_SUBSCRIPTIONS_PER_SESSION
 
     def test_unsubscribe_forgets_the_subscriber(self, rig):
         testbed, publisher, client = rig

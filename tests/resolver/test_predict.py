@@ -8,8 +8,8 @@ from repro.dns.message import Rcode
 from repro.dns.rdtypes import A, RdataType
 from repro.metrics import MetricsRegistry
 from repro.net.topology import Region
-from repro.predict import MAX_REFRESH_PER_S, MAX_STALE_S, REFRESH_BURST
-from repro.resolver.policy import ResolverPolicy
+from repro.predict import MAX_REFRESH_PER_S, REFRESH_BURST
+from repro.resolver.policy import MAX_STALE_S, ResolverPolicy
 from repro.resolver.recursive import RecursiveResolver
 
 WWW = "www.example.tld."

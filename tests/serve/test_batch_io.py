@@ -15,14 +15,8 @@ import pytest
 
 from repro.dns.message import Message, Rcode
 from repro.dns.rdtypes import RdataType
-from repro.serve import ServeConfig, ServeServer, build_frontend
-from repro.serve.batchio import (
-    DEFAULT_BATCH_SIZE,
-    FallbackBatcher,
-    MmsgBatcher,
-    make_batcher,
-    mmsg_available,
-)
+from repro.serve import DEFAULT_BATCH_SIZE, ServeConfig, ServeServer, build_frontend
+from repro.serve.batchio import FallbackBatcher, MmsgBatcher, make_batcher, mmsg_available
 
 needs_mmsg = pytest.mark.skipif(
     not mmsg_available(), reason="recvmmsg/sendmmsg not available on this platform"

@@ -12,10 +12,14 @@ loads its siblings.  Two kinds of check:
   them all, ``dir`` lists them, and an unknown name is an
   :class:`AttributeError`.
 
+A run loads only what it executes, too: a serial campaign starts no
+process pool and keeps no checkpoints, and a frontend answers without
+the socket layer, so neither may load them.
+
 A structure test guards the trap the lazy tables set: an import inside a
 per-construction or per-query path runs ``importlib._bootstrap`` frames on
 every call, so building a resolver and answering from warm state must run
-none.
+none, with each deferred feature armed as well.
 """
 
 import importlib
@@ -29,9 +33,11 @@ from unittest import mock
 import pytest
 
 import repro
+from repro.core.worlds import build_ecs_cdn_world
 from repro.dns.message import Message
 from repro.dns.rdtypes import RdataType
 from repro.net.topology import Region
+from repro.resolver.policy import ResolverPolicy
 from repro.resolver.recursive import RecursiveResolver
 from tests.conftest import build_mini_world
 from tests.metrics.test_count_once_structure import QNAME, calls
@@ -50,6 +56,24 @@ CLOSURES = {
     "repro.runner.merge": ("repro.crawler",),
     "repro.core.scenarios": ("repro.serve", "repro.crawler", "repro.push", "asyncio"),
     "repro.cli": ("repro.core.worlds", "repro.resolver.recursive", "repro.serve"),
+}
+
+#: Code run in a fresh interpreter -> what running it must not load.
+RUN_CLOSURES = {
+    "serial campaign": (
+        "from repro.core.scenarios import scenario_uy_ns\n"
+        "scenario_uy_ns(probes=8, duration=1200, parallelism=1, shards=4)",
+        ("concurrent.futures", "multiprocessing", "pickle", "repro.runner.checkpoint"),
+    ),
+    "frontend answer": (
+        "from repro.dns.message import Message\n"
+        "from repro.dns.rdtypes import RdataType\n"
+        "from repro.serve.config import ServeConfig, build_frontend\n"
+        "frontend, _ = build_frontend(ServeConfig(world='nl'))\n"
+        "query = Message.make_query('www.example.nl.', RdataType.A).to_wire()\n"
+        "assert frontend.handle_wire(query, '192.0.2.1').wire",
+        ("socket", "ctypes", "selectors", "repro.serve.batchio"),
+    ),
 }
 
 
@@ -74,6 +98,13 @@ def test_an_import_loads_only_what_it_runs(module):
     loaded = fresh(f"import json, sys, {module}; print(json.dumps(sorted(sys.modules)))")
     assert module in loaded
     assert covered(loaded, CLOSURES[module]) == []
+
+
+@pytest.mark.parametrize("run", sorted(RUN_CLOSURES))
+def test_a_run_loads_only_what_it_executes(run):
+    code, unused = RUN_CLOSURES[run]
+    loaded = fresh(f"import json, sys\n{code}\nprint(json.dumps(sorted(sys.modules)))")
+    assert covered(loaded, unused) == []
 
 
 def test_a_package_import_loads_no_submodule_and_dir_lists_every_export():
@@ -144,4 +175,30 @@ def test_a_resolver_build_and_warm_answers_run_no_import():
     query = Message.make_query(QNAME, RdataType.A, recursion_desired=False)
     world.network.exchange(endpoint, address, query, 2.0)
     seen += calls(lambda: world.network.exchange(endpoint, address, query, 3.0))
+
+    # A feature's modules load with the first resolver that arms it; the
+    # next one builds and answers, upstream and from cache, importing
+    # nothing.  The CDN servers echo ECS, so the ECS intake runs too.
+    cdn = build_ecs_cdn_world(ttl=300, subnets=1)
+    endpoint, [client] = cdn.isp_endpoints[Region.EU], cdn.clients
+    for policy in (
+        ResolverPolicy.predictive(),
+        ResolverPolicy.prefetching(),
+        ResolverPolicy.child_centric().with_(ecs=True),
+    ):
+        subnet = client.subnet if policy.ecs else None
+
+        def answer(resolver, now):
+            answered.append(resolver.resolve(
+                cdn.content_name, RdataType.A, now, client_subnet=subnet
+            ))
+
+        answer(cdn.world.resolver(endpoint, policy), 0.0)
+        built.clear()
+        seen += calls(lambda: built.append(cdn.world.resolver(endpoint, policy)))
+        [resolver] = built
+        seen += calls(lambda: answer(resolver, 0.0))
+        seen += calls(lambda: answer(resolver, 1.0))
+        assert not answered[-2].cache_hit and answered[-1].cache_hit
+        assert answered[-1].ecs_scope == (24 if policy.ecs else None)
     assert into_importlib(seen) == set()

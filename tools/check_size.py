@@ -16,8 +16,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 #: paths whose lines sum under one ceiling -> line ceiling.
 CEILINGS = {
     # ROADMAP item 8's gate: the three files together, whatever each holds.
-    ("core/scenarios.py", "resolver/recursive.py", "core/worlds.py"): 3373,
-    "core/scenarios.py": 1459,
+    ("core/scenarios.py", "resolver/recursive.py", "core/worlds.py"): 3354,
+    "core/scenarios.py": 1440,
     "resolver/recursive.py": 989,
     "core/worlds.py": 925,
     "resolver/cache.py": 744,
@@ -29,7 +29,7 @@ CEILINGS = {
     "server/anycast.py": 112,
     "dns/name.py": 326,
     "metrics/registry.py": 258,
-    "": 20332,
+    "": 20331,
 }
 
 
