@@ -768,7 +768,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument("--batch", type=int, default=32, metavar="N",
                        help="datagrams drained/flushed per syscall on the "
-                            "UDP hot path (default 32)")
+                            "UDP hot path (default %(default)s)")
     serve.add_argument("--no-batch", action="store_true",
                        help="force the portable one-datagram I/O loop "
                             "instead of recvmmsg/sendmmsg")

@@ -113,9 +113,6 @@ class PushPublisher:
     def subscriber_count(self) -> int:
         return len(self._subs)
 
-    def subscription_count(self) -> int:
-        return sum(len(state.keys) for state in self._subs.values())
-
     def reset(self) -> None:
         """Forget all session state (worldcache/baseline reuse)."""
         self._subs.clear()

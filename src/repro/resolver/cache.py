@@ -38,9 +38,9 @@ reuse.
 
 Whether an entry is dead is decided one way, when it is read
 (:meth:`Cache._is_dead`: expired, or its link target expired, rewritten
-or gone), and a bounded cache evicts by that rule: a scan of the recency
-order takes the first dead entry, else the least recently used unpinned
-one.  One lazy min-heap of ``(expires_at, seq, key, generation)`` records
+or gone).  A bounded cache evicts by one rule, dead or pinned alike: a
+write that adds a key past ``max_entries`` drops the least recently used
+entry.  One lazy min-heap of ``(expires_at, seq, key, generation)`` records
 indexes the expiries the cache acts on: a negative entry's (a write drops
 it once due; nothing serves it stale) and, once a refresh-ahead reader
 has asked (:meth:`Cache.due_expirations`), a positive entry's; until
@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import enum
 import heapq
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Optional
 
@@ -194,10 +195,10 @@ class Cache:
         A 21599 s ``max_ttl`` reproduces the capping the paper attributes
         to Google Public DNS (§3.3); a ``min_ttl`` of tens of seconds
         reproduces the floor that limits CDN agility (§6.1).
-        ``max_entries`` bounds the cache size with least-recently-used
-        eviction, dead entries first, enforced by a scan on every overflow;
-        no caller under ``src/`` sets one, and ``None`` (the default) means
-        unbounded — the paper's experiments never fill real caches.
+        ``max_entries`` bounds the cache size: a write that adds a key
+        past it drops the least recently used entry, in O(1).  No caller
+        under ``src/`` sets one, and ``None`` (the default) means unbounded
+        — the paper's experiments never fill real caches.
 
         ``metrics``: an optional shared registry; it collects every
         attached cache's :attr:`stats` into the world-wide ``cache.*``
@@ -205,7 +206,8 @@ class Cache:
         """
         if max_entries is not None and max_entries < 1:
             raise ValueError(f"max_entries must be positive, got {max_entries}")
-        # dict preserves insertion order; get() re-inserts to track recency.
+        # Insertion order is the recency order: bounded, a hit or renewal
+        # re-inserts its key, and :meth:`_evict` pops from the front.
         self._entries: dict[CacheKey, CacheEntry] = {}
         #: Lazy expiry heap: (expires_at, seq, key, generation).  ``seq`` is
         #: unique per record, so ties never compare keys.
@@ -363,20 +365,19 @@ class Cache:
             heapq.heappush(heap, (expires_at, generation, key, generation))
             self._heap_room -= 1
         self.stats.inserts += 1
-        if heap and heap[0][0] <= now or self._heap_room < 0 or self.max_entries is not None:
+        if heap and heap[0][0] <= now or self._heap_room < 0:
             self._maintain(now)
+        if self.max_entries is not None and len(entries) > self.max_entries:
+            self._evict()
         return True
 
     def _maintain(self, now: float) -> None:
-        """The upkeep a write ends with once something is due, the cache is
-        bounded or the heap may be over its bound: surface what has
-        expired by ``now``, evict down to ``max_entries``, and rebuild the
-        expiry heap once garbage outweighs content."""
+        """The upkeep a write ends with once something is due or the heap
+        may be over its bound: surface what has expired by ``now``, and
+        rebuild the expiry heap once garbage outweighs content."""
         heap = self._expiry_heap
         if heap and heap[0][0] <= now:
             self._surface_expired(now)
-        if self.max_entries is not None:
-            self._evict_if_full(now)
         self._heap_room = _HEAP_SLACK + 4 * len(self._entries) - len(heap)
         if self._heap_room < 0:
             self._reindex()
@@ -418,21 +419,17 @@ class Cache:
                 del entries[key]
                 entry.generation = _RETIRED
 
-    def _evict_if_full(self, now: float) -> None:
-        """Evict down to ``max_entries``: the first dead entry in recency
-        order (:meth:`_is_dead`, its expiry test inlined), else the least
-        recently used unpinned one, else the least recently used one."""
+    def _evict(self) -> None:
+        """Drop least recently used entries down to ``max_entries``.  The
+        first overflow moves the recency order into an OrderedDict: its
+        front pops in O(1), a dict's behind the holes earlier pops left."""
         entries = self._entries
-        is_dead = self._is_dead
+        if type(entries) is dict:
+            self._entries = entries = OrderedDict(entries)
         while len(entries) > self.max_entries:
-            victim = next((
-                key for key, entry in entries.items()
-                if now >= entry.expires_at or (entry.linked_to and is_dead(entry, now))
-            ), None)
-            if victim is None:
-                victim = next((k for k, e in entries.items() if not e.pinned), next(iter(entries)))
-            entries.pop(victim).generation = _RETIRED
+            entries.popitem(last=False)[1].generation = _RETIRED
             self.stats.evictions += 1
+            self._heap_room -= 4  # the room :meth:`_maintain` grants per entry
 
     def put_negative(
         self,
@@ -462,6 +459,8 @@ class Cache:
         if len(entries) > (self.stats.size_peak or 0):
             self.stats.size_peak = len(entries)
         self._maintain(now)
+        if self.max_entries is not None and len(entries) > self.max_entries:
+            self._evict()
 
     # -- ECS scoped overlay (RFC 7871) ---------------------------------------
     def _prune_scoped(self, tables: dict, heap: list, now: float) -> None:

@@ -3,10 +3,10 @@
 :class:`ScanReferenceCache` has no expiry heap, no in-place renewal and no
 per-prefix-length tables: every lookup re-derives liveness by direct
 inspection, every write ends by scanning for expired negatives and (when
-bounded) for an eviction victim, and the refresh-ahead feed is a sorted
-scan.  No auxiliary structure exists that could drift out of sync, which
-is what makes it a trustworthy oracle for the heap-based
-:class:`~repro.resolver.cache.Cache`.
+bounded) dropping the least recently used entries, and the refresh-ahead
+feed is a sorted scan.  No auxiliary structure exists that could drift
+out of sync, which is what makes it a trustworthy oracle for the
+heap-based :class:`~repro.resolver.cache.Cache`.
 
 It answers everything :class:`~repro.resolver.recursive.RecursiveResolver`
 asks of its cache, feeds the same ``cache.*`` and ``ecs.*`` collectors,
@@ -123,7 +123,8 @@ class ScanReferenceCache:
 
     def _end_write(self, now: float) -> None:
         """How every write ends: note the size peak, drop the expired
-        negatives, then evict down to ``max_entries``."""
+        negatives, then evict the least recently used entries down to
+        ``max_entries``, dead or pinned alike."""
         self.stats.size_peak = max(self.stats.size_peak or 0, len(self._entries))
         for key, entry in list(self._entries.items()):
             if entry.credibility <= Credibility.NODATA and now >= entry.expires_at:
@@ -132,19 +133,7 @@ class ScanReferenceCache:
         if self.max_entries is None:
             return
         while len(self._entries) > self.max_entries:
-            victim = None
-            for key, entry in self._entries.items():  # dead first, LRU order
-                if self._is_dead(entry, now):
-                    victim = key
-                    break
-            if victim is None:
-                for key, entry in self._entries.items():  # then LRU unpinned
-                    if not entry.pinned:
-                        victim = key
-                        break
-            if victim is None:
-                victim = next(iter(self._entries))  # all pinned
-            self._entries.pop(victim).generation = RETIRED
+            self._entries.pop(next(iter(self._entries))).generation = RETIRED
             self.stats.evictions += 1
 
     def _touch(self, key, entry: CacheEntry) -> None:

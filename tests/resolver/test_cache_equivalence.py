@@ -395,9 +395,9 @@ def test_clamped_cache_matches_scan_reference(ops, max_ttl, min_ttl):
     max_entries=2,
 )
 def test_bounded_cache_matches_scan_reference_aggregates(ops, max_entries):
-    """Under LRU pressure both evict by one rule — the first dead entry in
-    recency order, else the least recently used unpinned one — so
-    membership, every return value and the full statistics agree."""
+    """Under LRU pressure both evict by one rule — the least recently used
+    entry goes, dead or pinned alike — so membership, every return value
+    and the full statistics agree."""
     real, reference, registries = _caches(max_entries=max_entries)
     _drive(real, reference, ops, registries=registries, compare_membership=True)
     assert len(real) <= max_entries

@@ -50,57 +50,44 @@ class TestEvictionOrder:
         cache.put(rrset(0, ttl=1), Credibility.AUTH_ANSWER, now=0.0)  # dies at t=1
         cache.put(rrset(1), Credibility.AUTH_ANSWER, now=0.0)
         cache.put(rrset(2), Credibility.AUTH_ANSWER, now=0.0)
-        cache.put(rrset(3), Credibility.AUTH_ANSWER, now=10.0)  # h0 is dead now
+        # h0 is dead now, and the least recently used: the one rule takes it.
+        cache.put(rrset(3), Credibility.AUTH_ANSWER, now=10.0)
         assert cache.peek(Name("h0.example."), RdataType.A) is None
         assert cache.peek(Name("h1.example."), RdataType.A) is not None
 
-    def test_pinned_entries_evicted_last(self):
-        cache = Cache(max_entries=2)
-        cache.put(rrset(0), Credibility.ADDITIONAL, now=0.0, pin=True)
-        cache.put(rrset(1), Credibility.AUTH_ANSWER, now=0.0)
-        cache.put(rrset(2), Credibility.AUTH_ANSWER, now=0.0)
-        assert cache.peek(Name("h0.example."), RdataType.A) is not None  # pinned kept
-        assert len(cache) == 2
 
+class TestEvictionCost:
+    def test_overflowing_put_runs_as_many_lines_at_any_bound(self):
+        """One rule and no scan: a write that overflows a full cache of
+        live entries runs as many lines of the cache module at a bound of
+        2000 as at a bound of 10."""
+        import sys
 
-class TestFreshWriteClearsStandingMarks:
-    def test_mark_left_by_an_evicted_incarnation_does_not_outrank_older_dead(self):
-        """A key evicted while link-dead and then re-created starts at the
-        recent end: when its link dies again, less recently used dead
-        entries go before it, whatever its old incarnation's place was."""
-        from repro.dns.rdtypes import NS, RdataClass
+        from repro.resolver import cache as cache_module
 
-        def ns(name: str, target: str) -> RRset:
-            return RRset(Name(name), RdataType.NS, 10000, [NS(Name(target))])
+        def lines_run(bound: int) -> int:
+            cache = Cache(max_entries=bound)
+            fill(cache, bound)
+            count = 0
 
-        def glue(name: str, ttl: int) -> RRset:
-            return RRset(Name(name), RdataType.A, ttl, [A("192.0.2.53")])
+            def tracer(frame, event, arg):
+                nonlocal count
+                if frame.f_code.co_filename != cache_module.__file__:
+                    return None
+                count += event == "line"
+                return tracer
 
-        one = (Name("one.example."), RdataType.NS, RdataClass.IN)
-        two = (Name("two.example."), RdataType.NS, RdataClass.IN)
-        cache = Cache(max_entries=5)
-        cache.put(ns("one.example.", "d.one.example."), Credibility.AUTHORITY, now=0.0)
-        cache.put(ns("two.example.", "e.two.example."), Credibility.AUTHORITY, now=0.0)
-        cache.put(glue("d.one.example.", 10), Credibility.ADDITIONAL, now=0.0, linked_to=one)
-        cache.put(glue("e.two.example.", 10000), Credibility.ADDITIONAL, now=0.0, linked_to=two)
-        # d's NS set is replaced (d is link-dead), then d expires and is the
-        # dead victim of the next overflow.
-        cache.put(ns("one.example.", "d.one.example."), Credibility.AUTH_ANSWER, now=5.0)
-        cache.put(rrset(1), Credibility.AUTH_ANSWER, now=20.0)
-        cache.put(rrset(2), Credibility.AUTH_ANSWER, now=21.0)
-        assert cache.peek(Name("d.one.example."), RdataType.A) is None
-        assert cache.stats.evictions == 1
-        # Room to re-create d without an eviction pass.
-        cache.max_entries = 7
-        cache.put(glue("d.one.example.", 10000), Credibility.ADDITIONAL, now=30.0, linked_to=one)
-        # e's link dies first, the new d's second; e is less recently used.
-        cache.put(ns("two.example.", "e.two.example."), Credibility.AUTH_ANSWER, now=31.0)
-        cache.put(ns("one.example.", "d.one.example."), Credibility.AUTH_ANSWER, now=32.0)
-        cache.put(rrset(3), Credibility.AUTH_ANSWER, now=33.0)
-        cache.put(rrset(4), Credibility.AUTH_ANSWER, now=33.0)  # overflow by one
-        assert cache.stats.evictions == 2
-        assert cache.peek(Name("e.two.example."), RdataType.A) is None
-        assert cache.peek(Name("d.one.example."), RdataType.A) is not None
+            previous = sys.gettrace()
+            sys.settrace(tracer)
+            try:
+                cache.put(rrset(bound), Credibility.AUTH_ANSWER, now=1.0)
+            finally:
+                sys.settrace(previous)
+            assert cache.stats.evictions == 1
+            assert cache.peek(Name("h0.example."), RdataType.A) is None
+            return count
+
+        assert lines_run(10) == lines_run(2000)
 
 
 class TestBoundedResolverStillWorks:

@@ -161,43 +161,6 @@ def test_linked_entry_dies_when_target_is_replaced(ns_ttl, a_ttl, fraction):
     assert cache.peek(server, RdataType.A).expires_at > probe_at
 
 
-@given(
-    st.lists(st.booleans(), min_size=2, max_size=12),
-    st.integers(min_value=1, max_value=8),
-)
-def test_lru_eviction_prefers_dead_entries(liveness, fresh_inserts):
-    """A bounded cache under pressure evicts dead entries (expired or
-    link-broken) before sacrificing any live one."""
-    assume(any(liveness))  # at least one live original, else trivial
-    cache = Cache(max_entries=len(liveness))
-    originals = []
-    for index, lives in enumerate(liveness):
-        name = Name(f"orig-{index}.example")
-        ttl = 10**6 if lives else 1  # dead entries expire at t=1
-        cache.put(rrset_for(name, ttl, index), Credibility.AUTH_ANSWER, now=0.0)
-        originals.append((name, lives))
-    now = 100.0  # every short-TTL entry is dead, every long one live
-    for index in range(fresh_inserts):
-        cache.put(
-            rrset_for(Name(f"fresh-{index}.example"), 10**6, index),
-            Credibility.AUTH_ANSWER,
-            now=now,
-        )
-        dead_remaining = [
-            name for name, lives in originals
-            if not lives and cache.peek(name, RdataType.A) is not None
-        ]
-        live_evicted = [
-            name for name, lives in originals
-            if lives and cache.peek(name, RdataType.A) is None
-        ]
-        # Invariant after every overflow: no live entry goes while a dead
-        # one stays.
-        assert not (dead_remaining and live_evicted)
-        assert len(cache) <= len(liveness)
-    assert cache.stats.evictions == fresh_inserts
-
-
 # -- the expiry heap drains ----------------------------------------------------
 #
 # Every write surfaces what is due — dropping expired negative entries —

@@ -1,11 +1,12 @@
 """Serve-stale retention under eviction pressure.
 
 RFC 8767 only works if expired entries actually survive in the cache
-until something needs them.  These tests pin the contract between the
-dead-first LRU eviction and ``get_stale``: eviction removes exactly as
-many dead entries as the overflow requires (not all of them), link death
-alone never removes anything, and a stale entry consumed by a
-revalidation is replaced atomically.
+until something needs them.  These tests pin the contract between LRU
+eviction and ``get_stale``: eviction removes exactly as many entries as
+the overflow requires, least recently used first (an expired entry is
+not taken ahead of its turn, nor kept past it), link death alone never
+removes anything, and a stale entry consumed by a revalidation is
+replaced atomically.
 """
 
 from repro.dns.name import Name
@@ -31,7 +32,7 @@ class TestDeadFirstEvictionRetention:
         cache.put(a_rrset("b.example.", ttl=10), Credibility.AUTH_ANSWER, now=0.0)
         cache.put(a_rrset("c.example.", ttl=1000), Credibility.AUTH_ANSWER, now=0.0)
         # t=20: a and b are both expired.  Inserting d overflows by one;
-        # dead-first eviction takes exactly one victim (a, least recent).
+        # eviction takes exactly one victim (a, least recent).
         cache.put(a_rrset("d.example.", ttl=1000), Credibility.AUTH_ANSWER, now=20.0)
         assert len(cache) == 3
         assert cache.get_stale(Name("a.example."), RdataType.A) is None
@@ -56,15 +57,15 @@ class TestDeadFirstEvictionRetention:
         cache.put(a_rrset("dead.example.", ttl=10), Credibility.AUTH_ANSWER, now=0.0)
         cache.put(a_rrset("live.example.", ttl=1000), Credibility.AUTH_ANSWER, now=0.0)
         cache.put(a_rrset("new.example.", ttl=1000), Credibility.AUTH_ANSWER, now=20.0)
-        # The expired entry was evicted in preference to the live LRU one.
+        # The least recently used entry, expired here, was the one evicted.
         assert cache.get_stale(Name("dead.example."), RdataType.A) is None
         assert cache.get(Name("live.example."), RdataType.A, now=20.0) is not None
 
 
 class TestLinkDeathRetention:
     def test_link_dead_entry_still_stale_servable(self):
-        """Link death is an eviction preference, not a removal: glue whose
-        NS set was replaced must remain stale-servable."""
+        """Link death is not a removal: glue whose NS set was replaced
+        must remain stale-servable."""
         cache = Cache(max_entries=8)
         cache.put(ns_rrset("example.com."), Credibility.AUTHORITY, now=0.0)
         ns_key = (Name("example.com."), RdataType.NS, RdataClass.IN)
@@ -105,7 +106,8 @@ class TestLinkDeathRetention:
         assert cache.get_stale(Name("srv.example.com."), RdataType.A) is not None
         cache.put(a_rrset("x.example.", ttl=100), Credibility.AUTH_ANSWER, now=20.0)
         cache.put(a_rrset("y.example.", ttl=100), Credibility.AUTH_ANSWER, now=20.0)
-        # Overflow: the link-dead glue goes first, live entries stay.
+        # Overflow: the glue, least recently used (its NS set's renewal
+        # moved that to the recent end), goes; live entries stay.
         assert cache.get_stale(Name("srv.example.com."), RdataType.A) is None
         assert cache.get(Name("x.example."), RdataType.A, now=20.0) is not None
 
