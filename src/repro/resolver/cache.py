@@ -343,7 +343,7 @@ class Cache:
             entry = entries[key] = CacheEntry(
                 rrset, credibility, now, expires_at, generation, link, pin
             )
-            if len(entries) > (self.stats.size_peak or 0):
+            if self.max_entries is None and len(entries) > (self.stats.size_peak or 0):
                 self.stats.size_peak = len(entries)
         else:
             # A renewal: the key keeps its entry object (and, unbounded,
@@ -367,7 +367,7 @@ class Cache:
         self.stats.inserts += 1
         if heap and heap[0][0] <= now or self._heap_room < 0:
             self._maintain(now)
-        if self.max_entries is not None and len(entries) > self.max_entries:
+        if self.max_entries is not None:
             self._evict()
         return True
 
@@ -420,16 +420,17 @@ class Cache:
                 entry.generation = _RETIRED
 
     def _evict(self) -> None:
-        """Drop least recently used entries down to ``max_entries``.  The
-        first overflow moves the recency order into an OrderedDict: its
-        front pops in O(1), a dict's behind the holes earlier pops left."""
+        """Drop least recently used entries down to ``max_entries``, then note
+        the size peak.  The first overflow moves the recency order into an
+        OrderedDict: its front pops in O(1), a dict's behind the holes earlier pops left."""
         entries = self._entries
-        if type(entries) is dict:
+        if len(entries) > self.max_entries and type(entries) is dict:
             self._entries = entries = OrderedDict(entries)
         while len(entries) > self.max_entries:
             entries.popitem(last=False)[1].generation = _RETIRED
             self.stats.evictions += 1
             self._heap_room -= 4  # the room :meth:`_maintain` grants per entry
+        self.stats.size_peak = max(self.stats.size_peak or 0, len(entries))
 
     def put_negative(
         self,
@@ -456,10 +457,10 @@ class Cache:
         rank = Credibility.NXDOMAIN if nxdomain else Credibility.NODATA
         entries[key] = CacheEntry(RRset(qname, qtype, ttl), rank, now, expires_at, generation)
         heapq.heappush(self._expiry_heap, (expires_at, generation, key, generation))
-        if len(entries) > (self.stats.size_peak or 0):
+        if self.max_entries is None and len(entries) > (self.stats.size_peak or 0):
             self.stats.size_peak = len(entries)
         self._maintain(now)
-        if self.max_entries is not None and len(entries) > self.max_entries:
+        if self.max_entries is not None:
             self._evict()
 
     # -- ECS scoped overlay (RFC 7871) ---------------------------------------

@@ -37,20 +37,21 @@ class WallClockBridge:
             raise ValueError(f"sim epoch cannot be negative ({sim_start})")
         self.sim_start = float(sim_start)
         self.time_scale = float(time_scale)
-        self._wall_clock = wall_clock if wall_clock is not None else time.monotonic
-        self._wall_epoch = self._wall_clock()
+        self.wall_clock = wall_clock if wall_clock is not None else time.monotonic
+        self.wall_epoch = self.wall_clock()
         # The sim clock must never run backwards even if the injected wall
         # clock misbehaves; remember the high-water mark.
-        self._high_water = self.sim_start
+        self.high_water = self.sim_start
 
     def now(self) -> float:
-        """Current position on the simulated timeline."""
-        elapsed = self._wall_clock() - self._wall_epoch
+        """Current position on the simulated timeline.  The frontend's
+        memo-hit path reads these same fields inline, in this order."""
+        elapsed = self.wall_clock() - self.wall_epoch
         sim_now = self.sim_start + elapsed * self.time_scale
-        if sim_now > self._high_water:
-            self._high_water = sim_now
-        return self._high_water
+        if sim_now > self.high_water:
+            self.high_water = sim_now
+        return self.high_water
 
     def wall_elapsed(self) -> float:
         """Wall seconds since the bridge was created."""
-        return self._wall_clock() - self._wall_epoch
+        return self.wall_clock() - self.wall_epoch

@@ -228,34 +228,51 @@ class DnsFrontend:
         """Answer a repeat UDP query from the response memo, or ``None``.
 
         The serving loop tries this before queueing a datagram for the
-        full pipeline.  A hit costs one dict probe plus a 2-byte ID
-        splice — no decode, no call into the resolver — and is
-        byte-identical to what the slow path would have produced at this
-        instant (the memo's validity contract).  Full accounting still
-        happens: query counters, rcode, latency, the querylog line, the
-        ``--predict`` popularity hook, and the memo's hit counts, which a
-        snapshot adds into ``resolver.*`` and ``cache.*`` — so fast-path
-        answers are indistinguishable downstream.  A datagram shorter
-        than a header is a memo miss: every key is a decoded query's.
-
-        Never used when RRL is armed (the limiter must see every client)
-        and never for TCP (framing differs; TCP repeats are rare).
+        full pipeline.  An exact hit is one frame: the sim clock
+        (:meth:`WallClockBridge.now`), the memo probe and stamp check
+        (:meth:`ResponseMemo.get`) and the accounting (:meth:`_account`)
+        run inline, then a 2-byte ID splice.  Anything else — an absent
+        key, a lapsed image, a TTL past its bound — goes to
+        :meth:`ResponseMemo.get`, the whole rule.  An answer is the slow
+        path's bytes at this instant, counted as the slow path's cache hit
+        would be (the querylog line and ``--predict`` hook too).  A
+        datagram shorter than a header misses: every key is a decoded
+        query's.  Never used when RRL is armed (the limiter must see every
+        client) and never for TCP (framing differs; repeats are rare).
         """
         memo = self.memo
         if memo is None or self.rrl.rate > 0:
             return None
         started = time.monotonic()
-        sim_now = self.bridge.now()
-        entry = memo.get(data[2:], sim_now)
-        if entry is None:
+        bridge = self.bridge
+        sim_now = bridge.sim_start + (bridge.wall_clock() - bridge.wall_epoch) * bridge.time_scale
+        if sim_now < bridge.high_water:
+            sim_now = bridge.high_water
+        bridge.high_water = sim_now
+        key = data[2:]
+        entry = memo.entries.get(key)
+        stamps = entry.stamps if entry is not None and sim_now <= entry.valid_until else None
+        for holder, generation, expires_at in stamps or ():
+            if (holder.generation != generation or holder.expires_at != expires_at
+                    or sim_now >= expires_at):
+                stamps = None
+                break
+        if stamps is not None:
+            memo.hits += 1
+            if not entry.shape:
+                memo.negative_hits += 1
+        elif (entry := memo.get(key, sim_now)) is None:
             return None
         track = self.resolver.track_arrival
         if track is not None:
             track(entry.qname, entry.qtype, sim_now)
-        self._account(
-            False, entry.rcode_name, started, sim_now, client,
-            entry.qname, entry.qtype, cache_hit=True,
-        )
+        self.queries += 1
+        self.cache_hits += 1
+        self.rcode[entry.rcode_name] += 1
+        self.latency_ms.observe((time.monotonic() - started) * 1000.0)
+        if self.querylog is not None:
+            self.querylog.append(QueryLogEntry(sim_now, client, 0, entry.qname, entry.qtype,
+                                               self.server_name))
         return data[:2] + entry.wire[2:]
 
     def _memoize(self, data: bytes, wire: bytes, qname: Name, qtype: RdataType, rcode: Rcode,
@@ -397,26 +414,14 @@ class DnsFrontend:
             return None
         return _HEADER.pack(query_id, 0x8001 | (bits & 0x0100), 0, 0, 0, 0)
 
-    def _account(
-        self,
-        via_tcp: bool,
-        rcode_label: Optional[str] = None,
-        started: float = 0.0,
-        sim_now: float = 0.0,
-        client: str = "",
-        qname: Optional[Name] = None,
-        qtype: Optional[RdataType] = None,
-        cache_hit: bool = False,
-    ) -> None:
-        """The one accounting step per datagram, fast path and slow alike.
-
-        Each ``serve.*`` slot the datagram moves is written once: this
-        runs per query on the memo-hit path, where a method call per
-        metric was a quarter of the work.  The caller counts the
-        datagram's own event, if it has one (malformed, dropped,
+    def _account(self, via_tcp: bool, rcode_label: Optional[str] = None, started: float = 0.0,
+                 sim_now: float = 0.0, client: str = "", qname: Optional[Name] = None,
+                 qtype: Optional[RdataType] = None, cache_hit: bool = False) -> None:
+        """The one accounting step per slow-path datagram; a memo hit
+        writes the same slots inline (:meth:`fast_answer`).  The caller
+        counts the datagram's own event, if it has one (malformed, dropped,
         slipped); ``rcode_label`` is ``None`` when nothing was answered —
-        then there is no rcode, latency or querylog line either.  A memo
-        hit's sim-domain counts are the memo's (see :meth:`fast_answer`).
+        then there is no rcode, latency or querylog line either.
         """
         self.queries += 1
         if via_tcp:
@@ -428,16 +433,7 @@ class DnsFrontend:
         self.rcode[rcode_label] += 1
         self.latency_ms.observe((time.monotonic() - started) * 1000.0)
         if self.querylog is not None:
-            self.querylog.append(
-                QueryLogEntry(
-                    timestamp=sim_now,
-                    client_address=client,
-                    client_asn=0,
-                    qname=qname,
-                    qtype=qtype,
-                    server=self.server_name,
-                )
-            )
+            self.querylog.append(QueryLogEntry(sim_now, client, 0, qname, qtype, self.server_name))
 
     def close(self) -> None:
         if self.querylog is not None:

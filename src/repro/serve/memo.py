@@ -139,11 +139,11 @@ class ResponseMemo:
         if capacity < 1:
             raise ValueError(f"memo capacity must be positive, not {capacity}")
         self.capacity = capacity
-        self._entries: dict[bytes, MemoEntry] = {}
+        self.entries: dict[bytes, MemoEntry] = {}
         self.hits = self.misses = self.negative_hits = 0  # negative: NXDOMAIN/NODATA
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.entries)
 
     # -- the fast path -----------------------------------------------------
     def get(self, key: bytes, sim_now: float) -> Optional[MemoEntry]:
@@ -154,11 +154,11 @@ class ResponseMemo:
         is held for that slow pass and never served again.  Past its
         validity bound a patchable entry has its TTLs rewritten to the
         ones the slow path would age to; any other lapses.  The stamps are
-        checked inline — a hit on exact bytes makes no call beyond the
-        dict probe, and counts itself in :attr:`hits` (and in
-        :attr:`negative_hits` when it carries no answer RRset).
+        checked inline: a hit makes no call beyond the dict probe and counts
+        itself in :attr:`hits` (and :attr:`negative_hits` if it has no answer
+        RRset).  :meth:`DnsFrontend.fast_answer` serves exact hits itself.
         """
-        entry = self._entries.get(key)
+        entry = self.entries.get(key)
         if entry is not None and entry.stamps is not None:
             for holder, generation, expires_at in entry.stamps:
                 if (
@@ -192,10 +192,10 @@ class ResponseMemo:
     def take(self, key: bytes) -> Optional[MemoEntry]:
         """Remove and return the lapsed image held for ``key``, if any: the
         slow pass that takes it re-stamps it with :meth:`put` or lets it go."""
-        image = self._entries.get(key)
+        image = self.entries.get(key)
         if image is None or image.stamps is not None:
             return None
-        del self._entries[key]
+        del self.entries[key]
         return image
 
     def put(self, key: bytes, wire: bytes, valid_until: float, qname: Name, qtype: RdataType,
@@ -207,7 +207,7 @@ class ResponseMemo:
         shape: tuple = ()
         for rrset in answers:
             shape += ((rrset.name, rrset.rdtype, rrset.rdclass, rrset.rdatas),)
-        entries = self._entries
+        entries = self.entries
         if entries.pop(key, None) is None and len(entries) >= self.capacity:
             del entries[next(iter(entries))]
         if image is not None:

@@ -122,10 +122,11 @@ class ScanReferenceCache:
         return True
 
     def _end_write(self, now: float) -> None:
-        """How every write ends: note the size peak, drop the expired
-        negatives, then evict the least recently used entries down to
-        ``max_entries``, dead or pinned alike."""
-        self.stats.size_peak = max(self.stats.size_peak or 0, len(self._entries))
+        """How every write ends: drop the expired negatives, evict the least
+        recently used entries down to ``max_entries``, dead or pinned alike,
+        and note the size peak — unbounded, before the drop."""
+        if self.max_entries is None:
+            self.stats.size_peak = max(self.stats.size_peak or 0, len(self._entries))
         for key, entry in list(self._entries.items()):
             if entry.credibility <= Credibility.NODATA and now >= entry.expires_at:
                 del self._entries[key]
@@ -135,6 +136,7 @@ class ScanReferenceCache:
         while len(self._entries) > self.max_entries:
             self._entries.pop(next(iter(self._entries))).generation = RETIRED
             self.stats.evictions += 1
+        self.stats.size_peak = max(self.stats.size_peak or 0, len(self._entries))
 
     def _touch(self, key, entry: CacheEntry) -> None:
         """A hit is a use: bounded, it moves the key to the recent end."""

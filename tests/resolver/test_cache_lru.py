@@ -30,6 +30,20 @@ class TestBounds:
         assert len(cache) == 10
         assert cache.stats.evictions == 40
 
+    def test_size_peak_never_exceeds_the_bound(self):
+        """The peak is noted after the write's eviction, so the transient
+        extra entry an overflowing write holds is never reported."""
+        cache = Cache(max_entries=10)
+        fill(cache, 50)
+        for index in range(50, 60):
+            cache.put_negative(Name(f"n{index}.example."), RdataType.A, True, 0.0)
+        assert cache.stats.size_peak == 10
+
+    def test_unbounded_size_peak_counts_every_entry(self):
+        cache = Cache()
+        fill(cache, 50)
+        assert cache.stats.size_peak == 50
+
     def test_invalid_bound_rejected(self):
         with pytest.raises(ValueError):
             Cache(max_entries=0)

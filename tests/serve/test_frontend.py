@@ -247,11 +247,15 @@ def serve_counts(frontend) -> dict:
     return counts
 
 
-def scripted_query_mix():
-    """A frontend that has served one query of each accounting shape."""
-    frontend, _ = build_frontend(
-        ServeConfig(world="nl", max_udp_payload=100), wall_clock=FakeWall()
-    )
+def scripted_query_mix(frontend=None, responses=None):
+    """A frontend that has served one query of each accounting shape: by
+    default a fresh one, on the 100-octet UDP limit the truncation case
+    needs.  ``responses``, if given, collects what each datagram got."""
+    if frontend is None:
+        frontend, _ = build_frontend(
+            ServeConfig(world="nl", max_udp_payload=100), wall_clock=FakeWall()
+        )
+    responses = [] if responses is None else responses
     assert serve_counts(frontend)["serve.worker_queries"] == {}  # before any datagram
     client = "10.0.0.1"
     status = Message.make_query("www.domain1.nl.", RdataType.A, id=7)
@@ -273,10 +277,13 @@ def scripted_query_mix():
     ]
     for wire, via_tcp, expected in script:
         fast = None if via_tcp else frontend.fast_answer(wire, client)
+        responses.append(fast)
         if fast is not None:
             assert expected == "memo"
             continue
-        assert frontend.handle_wire(wire, client, via_tcp=via_tcp).outcome == expected
+        result = frontend.handle_wire(wire, client, via_tcp=via_tcp)
+        assert result.outcome == expected
+        responses[-1] = result.wire
     return frontend
 
 

@@ -9,11 +9,15 @@ the checks are exact and independent of host speed:
   :mod:`repro.serve`;
 - a memo hit calls no function inside :meth:`ResponseMemo.get` beyond
   its dict probe: the stamps are checked inline;
-- a memo hit makes exactly the calls of its accounting, none of them
-  into :mod:`repro.resolver` but the popularity tracker's hook under
+- a memo hit is one frame, :meth:`DnsFrontend.fast_answer`, which reads
+  the sim clock, checks the stamps and counts the hit inline: its only
+  calls are the clocks, the memo probe and the latency histogram, none of
+  them into :mod:`repro.resolver` but the popularity tracker's hook under
   ``--predict`` (the memo counts the hit, and a registry snapshot adds it
   into the resolver's and cache's counts), and ``serve.rcode`` serializes
   as it did when a plain dict tallied it;
+- a fast-path miss, on an absent key or a lapsed image, makes as many
+  calls as it did before the hit was inlined;
 - a patched hit, a tick later, calls nothing in the codec
   (:mod:`repro.dns`) or the cache (:mod:`repro.resolver.cache`);
 - a fast-path miss on a lapsed image calls nothing in
@@ -42,7 +46,6 @@ from repro.metrics import Histogram
 from repro.resolver import RecursiveResolver
 from repro.resolver.cache import Credibility
 from repro.serve import ServeConfig, build_frontend
-from repro.serve.bridge import WallClockBridge
 from repro.serve.frontend import DnsFrontend
 from repro.serve.memo import ResponseMemo
 from tests.metrics.test_count_once_structure import calls
@@ -108,6 +111,8 @@ def wall_clock() -> float:
 
 
 def test_a_memo_hit_makes_only_its_accounting_calls():
+    """One frame: the sim clock, the stamps and the counts are inline, and
+    the latency is the one call into the histogram."""
     frontend, wire = memoized_frontend(wall_clock)
     seen = calls(partial(frontend.fast_answer, wire, "c"))
     assert frontend.memo.hits == 1
@@ -115,12 +120,31 @@ def test_a_memo_hit_makes_only_its_accounting_calls():
     assert seen == Counter({
         DnsFrontend.fast_answer.__code__: 1,
         "monotonic": 2,  # started, then the latency
-        WallClockBridge.now.__code__: 1,
-        wall_clock.__code__: 1,
-        ResponseMemo.get.__code__: 1,
-        "dict.get": 1,
-        DnsFrontend._account.__code__: 1,
+        wall_clock.__code__: 1,  # the sim clock
+        "dict.get": 1,  # the memo probe
         Histogram.observe.__code__: 1,
+    })
+
+
+@pytest.mark.parametrize("miss", ["absent", "lapsed"])
+def test_a_fast_path_miss_makes_the_calls_it_made_before_the_inline_hit(miss):
+    """A miss costs the six calls it cost when every memo probe went
+    through ``WallClockBridge.now`` and ``ResponseMemo.get``: the bridge
+    frame is gone and the inline probe's ``dict.get`` takes its place."""
+    frontend, wire = memoized_frontend(wall_clock)
+    if miss == "absent":
+        wire = Message.make_query(Name("www.domain2.nl."), RdataType.A, id=1).to_wire()
+    else:
+        frontend.resolver.cache.expire_now(KEY, frontend.bridge.now())
+    seen = calls(partial(frontend.fast_answer, wire, "c"))
+    assert frontend.memo.misses == 1
+    del seen["setprofile"]
+    assert seen == Counter({
+        DnsFrontend.fast_answer.__code__: 1,
+        "monotonic": 1,  # started; a miss observes no latency
+        wall_clock.__code__: 1,
+        "dict.get": 2,  # the inline probe, then the full rule's
+        ResponseMemo.get.__code__: 1,
     })
 
 

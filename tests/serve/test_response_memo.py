@@ -32,26 +32,17 @@ from repro.serve.config import WORLD_BUILDERS
 from repro.serve.frontend import ServeResult
 from repro.serve.memo import DEFAULT_MEMO_CAPACITY, ResponseMemo
 from tests.core.test_conservation import conservation_problems
-
-
-class SimBridge:
-    """A directly settable sim clock standing in for WallClockBridge."""
-
-    def __init__(self, at: float = 0.0) -> None:
-        self.at = at
-
-    def now(self) -> float:
-        return self.at
-
-    def wall_elapsed(self) -> float:
-        return self.at
+from tests.serve.test_frontend import FakeWall
 
 
 def make_frontend(*, memo: bool = True, at: float = 0.0, **config_kwargs):
+    """A frontend whose WallClockBridge runs on a settable wall clock read
+    at 0 when the bridge was built, at time scale 1: its sim time is
+    exactly ``frontend.bridge.wall_clock.at``, which only moves forward."""
     frontend, registry = build_frontend(
-        ServeConfig(world="nl", memo=memo, **config_kwargs)
+        ServeConfig(world="nl", memo=memo, **config_kwargs), wall_clock=FakeWall()
     )
-    frontend.bridge = SimBridge(at)
+    frontend.bridge.wall_clock.at = at
     return frontend, registry
 
 
@@ -86,7 +77,7 @@ def full_pipeline(frontend, wire: bytes) -> bytes:
 def mutate(frontend, kind: str, name: Name) -> None:
     """One cache mutation behind the memo's back, at the frontend's instant."""
     cache = frontend.resolver.cache
-    now = frontend.bridge.at
+    now = frontend.bridge.wall_clock.at
     key = (name, RdataType.A, RdataClass.IN)
     if kind == "expire_now":
         cache.expire_now(key, now)
@@ -97,6 +88,10 @@ def mutate(frontend, kind: str, name: Name) -> None:
         cache.put(sibling, Credibility.AUTH_ANSWER, now)
     elif kind == "put_negative":
         cache.put_negative(name, RdataType.A, True, now)
+    elif kind == "put_cname":
+        # The owner becomes an alias, beside whatever else it holds.
+        target = Name("www.domain1.nl." if name == Name("www.domain0.nl.") else "www.domain0.nl.")
+        cache.put(RRset(name, RdataType.CNAME, 300, [CNAME(target)]), Credibility.AUTH_ANSWER, now)
     elif kind == "clear":
         cache.clear()
     elif kind == "pump":
@@ -104,7 +99,7 @@ def mutate(frontend, kind: str, name: Name) -> None:
         # name's refresh lead window (a no-op without predict).
         entry = cache.peek(name, RdataType.A)
         if entry is not None:
-            frontend.bridge.at = max(now, entry.expires_at - 60.0)
+            frontend.bridge.wall_clock.at = max(now, entry.expires_at - 60.0)
         frontend.pump()
 
 
@@ -124,14 +119,15 @@ queries = st.tuples(
 )
 mutations = st.tuples(
     st.sampled_from(
-        ["expire_now", "refresh_expiry", "put_aaaa", "put_negative", "clear", "pump"]
+        ["expire_now", "refresh_expiry", "put_aaaa", "put_negative", "put_cname", "clear",
+         "pump"]
     ),
     qnames,
 )
 
 
 def memo_state(memo: ResponseMemo) -> tuple:
-    return memo.hits, memo.misses, memo.negative_hits, dict(memo._entries)
+    return memo.hits, memo.misses, memo.negative_hits, dict(memo.entries)
 
 
 @settings(max_examples=40, deadline=None)
@@ -164,7 +160,7 @@ def test_memoized_responses_byte_identical_to_slow_path(steps, predict, capacity
     for kind, name, *query in steps:
         if kind in ("udp", "tcp"):
             message_id, edns, advance = query
-            frontend.bridge.at += advance
+            frontend.bridge.wall_clock.at += advance
             wire = query_wire(name, id=message_id, edns=edns)
         if kind == "tcp":
             before = memo_state(memo)
@@ -178,7 +174,7 @@ def test_memoized_responses_byte_identical_to_slow_path(steps, predict, capacity
                 frontend.handle_wire(wire, "127.0.0.1")
             else:
                 slow = full_pipeline(frontend, wire)
-                assert fast == slow, f"{name} at={frontend.bridge.at}"
+                assert fast == slow, f"{name} at={frontend.bridge.wall_clock.at}"
         else:
             mutate(frontend, kind, Name(name))
         assert conservation_problems(registry.snapshot().metrics) == []
@@ -188,8 +184,9 @@ def test_memoized_responses_byte_identical_to_slow_path(steps, predict, capacity
     # A positive answer takes two slow passes — a *fresh* resolution's
     # answer is aged by the simulated resolution latency, so only the
     # repeat (a cache hit, aged at the serving instant) is guaranteed to
-    # memoize.
-    for name, passes in (("www.nosuch0.nl.", 1), ("www.domain0.nl.", 2)):
+    # memoize.  The names are ones no step touched (ranks run 0–5): a CNAME
+    # written at an owner turns its answer into a chain, never memoized.
+    for name, passes in (("www.nosuch6.nl.", 1), ("www.domain6.nl.", 2)):
         wire = query_wire(name, id=0xBEEF)
         for _ in range(passes):
             frontend.handle_wire(wire, "127.0.0.1")
@@ -205,14 +202,14 @@ def test_memoized_responses_byte_identical_to_slow_path(steps, predict, capacity
     # positive one is patched exactly when the resolver would lease its
     # cache entry (no --predict hook); either way the bytes are still the
     # slow path's.
-    frontend.bridge.at += 1.5
-    name = Name("www.domain0.nl.")
+    frontend.bridge.wall_clock.at += 1.5
+    name = Name("www.domain6.nl.")
     holder = frontend.resolver.cache.get_negative(
-        name, RdataType.A, frontend.bridge.at
+        name, RdataType.A, frontend.bridge.wall_clock.at
     ) or frontend.resolver.hit_lease(name, RdataType.A)
     patched = frontend.fast_answer(wire, "127.0.0.1")
     assert (patched is not None) == (
-        holder is not None and frontend.bridge.at < holder.expires_at
+        holder is not None and frontend.bridge.wall_clock.at < holder.expires_at
     )
     if patched is not None:
         assert patched == full_pipeline(frontend, wire)
@@ -249,7 +246,7 @@ def test_a_ticked_ttl_is_patched():
 
     def fast_ttl(at: float) -> int:
         """The fast answer's TTL at ``at``, checked against the slow path."""
-        frontend.bridge.at = at
+        frontend.bridge.wall_clock.at = at
         wire = query_wire(name, id=2)
         fast = frontend.fast_answer(wire, "c")
         assert fast is not None
@@ -262,7 +259,7 @@ def test_a_ticked_ttl_is_patched():
     assert fast_ttl(math.nextafter(boundary, math.inf)) in (ttl, ttl - 1)
     for tick in range(ttl):
         assert fast_ttl(boundary + tick + 1e-6) == ttl - 1 - tick
-    frontend.bridge.at = entry.expires_at
+    frontend.bridge.wall_clock.at = entry.expires_at
     assert frontend.fast_answer(query_wire(name, id=3), "c") is None
 
 
@@ -273,7 +270,7 @@ def test_a_patch_spans_many_ticks():
     entry = frontend.resolver.cache.peek(Name("www.domain3.nl."), RdataType.A)
     wire = query_wire("www.domain3.nl.", id=0)
     for at in (11.5, 400.25, 3000.0, math.nextafter(entry.expires_at, -math.inf)):
-        frontend.bridge.at = at
+        frontend.bridge.wall_clock.at = at
         fast = frontend.fast_answer(wire, "c")
         assert fast is not None
         ttl = Message.from_wire(fast).rrsets(Section.ANSWER)[0].ttl
@@ -290,12 +287,12 @@ def test_negative_answer_memoized_until_expiry():
     assert negative.credibility is Credibility.NXDOMAIN
 
     for at in (1.5, math.nextafter(negative.expires_at, -math.inf)):
-        frontend.bridge.at = at
+        frontend.bridge.wall_clock.at = at
         hit = frontend.fast_answer(query_wire("www.doesnotexist.nl.", id=8), "c")
         assert hit is not None  # reusable across ticks, up to the expiry instant
         assert hit[2:] == first[2:]
 
-    frontend.bridge.at = negative.expires_at
+    frontend.bridge.wall_clock.at = negative.expires_at
     assert frontend.fast_answer(query_wire("www.doesnotexist.nl.", id=9), "c") is None
     assert registry.snapshot().value("serve.memo_hits") == 2
 
@@ -315,7 +312,7 @@ def test_a_cached_nxdomain_leaves_ttl_patching_on():
         ranks = rng.choices(range(20), weights=[1.0 / (rank + 1) for rank in range(20)], k=2000)
         answers = []
         for index, rank in enumerate(ranks):
-            frontend.bridge.at = index * 0.01  # 20 s: every answer ticks
+            frontend.bridge.wall_clock.at = index * 0.01  # 20 s: every answer ticks
             wire = query_wire(f"www.domain{rank}.nl.", id=index)
             fast = frontend.fast_answer(wire, "c")
             answers.append(fast or frontend.handle_wire(wire, "c").wire)
@@ -344,7 +341,7 @@ def test_cache_write_invalidates_affected_entry_only():
     # Forced expiry moves the entry's expiry away from the stamp.
     cache = frontend.resolver.cache
     entry = cache.peek(Name("www.domain1.nl."), RdataType.A)
-    cache.expire_now(entry.key(), now=frontend.bridge.at)
+    cache.expire_now(entry.key(), now=frontend.bridge.wall_clock.at)
 
     assert frontend.fast_answer(query_wire("www.domain1.nl.", id=3), "c") is None
     assert len(memo) == 2  # lapsed: held for its slow pass, never served
@@ -357,7 +354,7 @@ def test_sibling_type_write_keeps_the_hit():
     frontend, _ = make_frontend(at=5.0)
     memoized(frontend, "www.domain1.nl.")
     sibling = RRset(Name("www.domain1.nl."), RdataType.AAAA, 300, [AAAA("2001:db8::1")])
-    frontend.resolver.cache.put(sibling, Credibility.AUTH_ANSWER, frontend.bridge.at)
+    frontend.resolver.cache.put(sibling, Credibility.AUTH_ANSWER, frontend.bridge.wall_clock.at)
 
     wire = query_wire("www.domain1.nl.", id=9)
     hit = frontend.fast_answer(wire, "c")
@@ -375,7 +372,7 @@ def test_ecs_bearing_repeat_is_not_fast_answered():
     frontend.handle_wire(wire, "c")
     assert frontend.handle_wire(wire, "c").wire is not None
     assert frontend.fast_answer(wire, "c") is None
-    frontend.bridge.at += 1.5  # nor after a tick: there is nothing to patch
+    frontend.bridge.wall_clock.at += 1.5  # nor after a tick: there is nothing to patch
     assert frontend.fast_answer(wire, "c") is None
 
 
@@ -394,11 +391,11 @@ def test_alias_write_cuts_a_cname_chain_short():
     assert [rrset.rdtype for rrset in Message.from_wire(chained).rrsets(Section.ANSWER)] == [
         RdataType.CNAME, RdataType.A,
     ]
-    frontend.bridge.at += 1.5  # nor after a tick: there is nothing to patch
+    frontend.bridge.wall_clock.at += 1.5  # nor after a tick: there is nothing to patch
     assert serve(frontend, wire)[1] is False
 
     direct = RRset(alias, RdataType.A, 3600, [A("192.0.2.7")])
-    cache.put(direct, Credibility.AUTH_ANSWER, frontend.bridge.at)
+    cache.put(direct, Credibility.AUTH_ANSWER, frontend.bridge.wall_clock.at)
     served, _ = serve(frontend, wire)
     assert Message.from_wire(served).rrsets(Section.ANSWER) == [direct]
 
@@ -410,7 +407,7 @@ def test_predict_hit_past_a_tick_is_not_fast_answered():
     frontend, _ = make_frontend(at=0.0, predict=True)
     memoized(frontend, "www.domain4.nl.")
     assert frontend.fast_answer(query_wire("www.domain4.nl.", id=3), "c") is not None
-    frontend.bridge.at = 1.5
+    frontend.bridge.wall_clock.at = 1.5
     assert frontend.fast_answer(query_wire("www.domain4.nl.", id=4), "c") is None
 
 
@@ -429,7 +426,7 @@ def test_predict_refresh_invalidates_and_slow_path_rememoizes():
     old_expiry = entry.expires_at
     # Jump to just inside the refresh lead window and run the background
     # pump — exactly what the server's predict loop does.
-    frontend.bridge.at = old_expiry - 60.0
+    frontend.bridge.wall_clock.at = old_expiry - 60.0
     assert frontend.pump() >= 1
 
     refreshed = cache.peek(Name("www.domain4.nl."), RdataType.A)
