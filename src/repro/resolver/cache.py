@@ -37,20 +37,20 @@ entry, its ``generation`` and its ``expires_at``, and checks them before
 reuse.
 
 Whether an entry is dead is decided one way, when it is read
-(:meth:`Cache._is_dead`: expired, or its link target expired, rewritten
-or gone).  A bounded cache evicts by one rule, dead or pinned alike: a
-write that adds a key past ``max_entries`` drops the least recently used
-entry.  One lazy min-heap of ``(expires_at, seq, key, generation)`` records
-indexes the expiries the cache acts on: a negative entry's (a write drops
-it once due; nothing serves it stale) and, once a refresh-ahead reader
-has asked (:meth:`Cache.due_expirations`), a positive entry's; until
-then a positive write pushes nothing.  Records are validated when popped
-(superseded generations discarded, extended lifetimes re-pushed), never
-removed in place.  Records that outlive what they describe (a 2-day
-referral superseded by a 60 s answer) are garbage until their own time
-comes; when garbage outweighs content the heap is rebuilt from what is
-cached, so it never holds more than
-``_HEAP_SLACK + 4 * len(entries)`` records.
+(:meth:`Cache._is_dead`: expired, or its link target expired, rewritten or
+gone).  A read changes only counters.  A bounded cache evicts by one rule,
+dead or pinned alike: a write that adds a key past ``max_entries`` drops
+the least recently written entry.  One lazy min-heap of
+``(expires_at, seq, key, generation)`` records indexes the expiries the
+cache acts on: a negative entry's (a write drops it once due; nothing
+serves it stale) and, once a refresh-ahead reader has asked
+(:meth:`Cache.due_expirations`), a positive entry's; until then a positive
+write pushes nothing.  Records are validated when popped (superseded
+generations discarded, extended lifetimes re-pushed), never removed in
+place.  Records that outlive what they describe (a 2-day referral
+superseded by a 60 s answer) are garbage until their own time comes; when
+garbage outweighs content the heap is rebuilt from what is cached, so it
+never holds more than ``_HEAP_SLACK + 4 * len(entries)`` records.
 """
 
 from __future__ import annotations
@@ -196,7 +196,7 @@ class Cache:
         to Google Public DNS (§3.3); a ``min_ttl`` of tens of seconds
         reproduces the floor that limits CDN agility (§6.1).
         ``max_entries`` bounds the cache size: a write that adds a key
-        past it drops the least recently used entry, in O(1).  No caller
+        past it drops the least recently written entry, in O(1).  No caller
         under ``src/`` sets one, and ``None`` (the default) means unbounded
         — the paper's experiments never fill real caches.
 
@@ -206,8 +206,8 @@ class Cache:
         """
         if max_entries is not None and max_entries < 1:
             raise ValueError(f"max_entries must be positive, got {max_entries}")
-        # Insertion order is the recency order: bounded, a hit or renewal
-        # re-inserts its key, and :meth:`_evict` pops from the front.
+        # Insertion order is the write order: bounded, a renewal re-inserts
+        # its key, and :meth:`_evict` pops from the front.
         self._entries: dict[CacheKey, CacheEntry] = {}
         #: Lazy expiry heap: (expires_at, seq, key, generation).  ``seq`` is
         #: unique per record, so ties never compare keys.
@@ -347,7 +347,7 @@ class Cache:
                 self.stats.size_peak = len(entries)
         else:
             # A renewal: the key keeps its entry object (and, unbounded,
-            # its place in the recency order).  The new generation is what
+            # its place in the write order).  The new generation is what
             # kills anything linked to the previous one.
             entry.rrset = rrset
             entry.credibility = credibility
@@ -420,8 +420,8 @@ class Cache:
                 entry.generation = _RETIRED
 
     def _evict(self) -> None:
-        """Drop least recently used entries down to ``max_entries``, then note
-        the size peak.  The first overflow moves the recency order into an
+        """Drop least recently written entries down to ``max_entries``, then
+        note the size peak.  The first overflow moves the write order into an
         OrderedDict: its front pops in O(1), a dict's behind the holes earlier pops left."""
         entries = self._entries
         if len(entries) > self.max_entries and type(entries) is dict:
@@ -620,11 +620,6 @@ class Cache:
                 )
             if live and entry.credibility >= min_credibility:
                 self.stats.hits += 1
-                if self.max_entries is not None and next(reversed(entries)) != key:
-                    # Touch for LRU recency (only tracked when bounded, and
-                    # only when the entry is not already the most recent).
-                    del entries[key]
-                    entries[key] = entry
                 return entry
             if not live:
                 self.stats.expired += 1
@@ -641,12 +636,9 @@ class Cache:
         the first, returns this entry from the second and changes nothing
         but the counters :meth:`count_leased_hits` adds up — so the holder
         may answer those hits from the reference.  Declined (``None``)
-        when a read does more than that: a bounded cache reorders on
-        every hit, and a linked entry's life hangs on another key.  A
-        negative entry ranks below every ``min_credibility``.
+        for a linked entry, whose life hangs on another key.  A negative
+        entry ranks below every ``min_credibility``.
         """
-        if self.max_entries is not None:
-            return None
         entry = self._entries.get(key)
         if entry is None or entry.linked_to is not None or entry.credibility < min_credibility:
             return None
@@ -678,9 +670,6 @@ class Cache:
             entry = entries[key]
             if entry.credibility <= Credibility.NODATA and now < entry.expires_at:
                 self.stats.negative_hits += 1
-                if self.max_entries is not None:  # a hit is a use, as in get_entry
-                    del entries[key]
-                    entries[key] = entry
                 return entry
         self.stats.negative_misses += 1
         return None

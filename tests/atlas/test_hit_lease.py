@@ -172,7 +172,8 @@ def kill_link_target(twin, resolver, now):
 
 
 def bound_cache(twin, resolver, now):
-    """From here on every write evicts down to two entries."""
+    """From here on every write evicts down to two entries: an evicted
+    entry is retired, so its lease ends; a hit still only reads."""
     resolver.cache.max_entries = 2
 
 
@@ -195,19 +196,21 @@ def note_counters(twin, resolver, now):
 
 
 #: Operations that change cache entries and nothing else: safe between two
-#: queries, where nothing tells the kernel.
+#: queries, where nothing tells the kernel.  A bound changes what a write
+#: does, never what a hit does, so it is one of them.
 ENTRY_OPS = {
     op.__name__: op
     for op in (
         put_auth, put_same, expire_now, refresh_expiry, clear, restart, reset_caches,
-        put_negative, put_negative_elsewhere, kill_link_target,
+        put_negative, put_negative_elsewhere, kill_link_target, bound_cache,
     )
 }
 #: Operations that change what a *hit* does (the resolver stops granting
-#: leases, but an entry cannot show it): a scheduled event's business.
+#: leases, but an entry cannot show it), or read the books: a scheduled
+#: event's business.
 EVENT_OPS = {
     **ENTRY_OPS,
-    **{op.__name__: op for op in (bound_cache, attach_faults, note_counters)},
+    **{op.__name__: op for op in (attach_faults, note_counters)},
 }
 
 
@@ -441,7 +444,8 @@ def test_a_cache_declines_what_an_entry_cannot_vouch_for():
     assert cache.lease(key) is entry  # a negative elsewhere cannot go first
     assert cache.lease((Name("nope.example."), RdataType.A, RdataClass.IN)) is None
     bounded = Cache(max_entries=8)
-    assert bounded.lease(_cached(bounded, "a.example.").key()) is None  # hits reorder
+    entry = _cached(bounded, "a.example.")
+    assert bounded.lease(entry.key()) is entry  # a hit reorders nothing
 
 
 def test_a_resolver_declines_when_a_hit_does_more_than_read(mini_world):

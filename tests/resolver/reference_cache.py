@@ -3,10 +3,11 @@
 :class:`ScanReferenceCache` has no expiry heap, no in-place renewal and no
 per-prefix-length tables: every lookup re-derives liveness by direct
 inspection, every write ends by scanning for expired negatives and (when
-bounded) dropping the least recently used entries, and the refresh-ahead
-feed is a sorted scan.  No auxiliary structure exists that could drift
-out of sync, which is what makes it a trustworthy oracle for the
-heap-based :class:`~repro.resolver.cache.Cache`.
+bounded) dropping the least recently written entries, and the
+refresh-ahead feed is a sorted scan.  A read changes only counters.  No
+auxiliary structure exists that could drift out of sync, which is what
+makes it a trustworthy oracle for the heap-based
+:class:`~repro.resolver.cache.Cache`.
 
 It answers everything :class:`~repro.resolver.recursive.RecursiveResolver`
 asks of its cache, feeds the same ``cache.*`` and ``ecs.*`` collectors,
@@ -123,7 +124,7 @@ class ScanReferenceCache:
 
     def _end_write(self, now: float) -> None:
         """How every write ends: drop the expired negatives, evict the least
-        recently used entries down to ``max_entries``, dead or pinned alike,
+        recently written entries down to ``max_entries``, dead or pinned alike,
         and note the size peak — unbounded, before the drop."""
         if self.max_entries is None:
             self.stats.size_peak = max(self.stats.size_peak or 0, len(self._entries))
@@ -138,12 +139,6 @@ class ScanReferenceCache:
             self.stats.evictions += 1
         self.stats.size_peak = max(self.stats.size_peak or 0, len(self._entries))
 
-    def _touch(self, key, entry: CacheEntry) -> None:
-        """A hit is a use: bounded, it moves the key to the recent end."""
-        if self.max_entries is not None and next(reversed(self._entries)) != key:
-            del self._entries[key]
-            self._entries[key] = entry
-
     def peek(self, name, rdtype, rdclass=RdataClass.IN):
         return self._entries.get((name, rdtype, rdclass))
 
@@ -155,8 +150,7 @@ class ScanReferenceCache:
         rdclass=RdataClass.IN,
         min_credibility=Credibility.ADDITIONAL,
     ):
-        key = (name, rdtype, rdclass)
-        entry = self._entries.get(key)
+        entry = self._entries.get((name, rdtype, rdclass))
         if entry is None:
             self.stats.misses += 1
             return None
@@ -168,7 +162,6 @@ class ScanReferenceCache:
             self.stats.misses += 1
             return None
         self.stats.hits += 1
-        self._touch(key, entry)
         return entry
 
     def get_entry(self, key, now, min_credibility=Credibility.ADDITIONAL):
@@ -206,13 +199,11 @@ class ScanReferenceCache:
         self._end_write(now)
 
     def get_negative(self, qname, qtype, now):
-        key = (qname, qtype, RdataClass.IN)
-        entry = self._entries.get(key)
+        entry = self._entries.get((qname, qtype, RdataClass.IN))
         if entry is None or entry.credibility > Credibility.NODATA or now >= entry.expires_at:
             self.stats.negative_misses += 1
             return None
         self.stats.negative_hits += 1
-        self._touch(key, entry)
         return entry
 
     def due_expirations(self, now, horizon):

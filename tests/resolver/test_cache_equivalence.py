@@ -372,7 +372,7 @@ def test_clamped_cache_matches_scan_reference(ops, max_ttl, min_ttl):
 @given(st.lists(operations, max_size=40), st.integers(min_value=1, max_value=4))
 @example(
     # n1's write overflows with n3 and n2 both dead: the victim is n3, the
-    # less recently used, not n2, whose expiry the heap surfaces first.
+    # less recently written, not n2, whose expiry the heap surfaces first.
     ops=[("put", 0, 0, Credibility.ADDITIONAL, False, None)] * 4 + [
         ("relink", 0, 3, 1, Credibility.ADDITIONAL),
         ("relink", 0, 2, 0, Credibility.ADDITIONAL),
@@ -384,8 +384,9 @@ def test_clamped_cache_matches_scan_reference(ops, max_ttl, min_ttl):
     max_entries=3,
 )
 @example(
-    # A negative entry counts toward the bound, and a hit on it is a use:
-    # n2's write evicts n1, not the negative n0 read after it.
+    # A negative entry counts toward the bound, and a hit on it is only a
+    # read: n2's write evicts the negative n0, the least recently written,
+    # though n0 was read after n1 was written.
     ops=[
         ("put_neg", 0, True, 100),
         ("put", 1, 100, Credibility.ADDITIONAL, False, None),
@@ -394,8 +395,19 @@ def test_clamped_cache_matches_scan_reference(ops, max_ttl, min_ttl):
     ],
     max_entries=2,
 )
+@example(
+    # A positive hit is only a read too: n2's write evicts n0, read after
+    # n1 was written.
+    ops=[
+        ("put", 0, 100, Credibility.ADDITIONAL, False, None),
+        ("put", 1, 100, Credibility.ADDITIONAL, False, None),
+        ("get", 0, Credibility.ADDITIONAL),
+        ("put", 2, 100, Credibility.ADDITIONAL, False, None),
+    ],
+    max_entries=2,
+)
 def test_bounded_cache_matches_scan_reference_aggregates(ops, max_entries):
-    """Under LRU pressure both evict by one rule — the least recently used
+    """Under a bound both evict by one rule — the least recently written
     entry goes, dead or pinned alike — so membership, every return value
     and the full statistics agree."""
     real, reference, registries = _caches(max_entries=max_entries)

@@ -1,4 +1,4 @@
-"""Tests for the bounded-cache (LRU) behaviour."""
+"""Tests for the bounded cache: it evicts the least recently written entry."""
 
 import pytest
 
@@ -50,21 +50,26 @@ class TestBounds:
 
 
 class TestEvictionOrder:
-    def test_least_recently_used_evicted_first(self):
-        cache = Cache(max_entries=3)
+    def test_least_recently_written_evicted_first(self):
+        """A hit is a read, not a write: it leaves the eviction order as
+        it was, so the hit h0 is still the first to go."""
+        cache = Cache(max_entries=4)
         fill(cache, 3)
-        # Touch h0 so h1 becomes the LRU victim.
+        cache.put_negative(Name("h0.example."), RdataType.AAAA, True, now=0.5)
+        order = list(cache._entries)
         assert cache.get(Name("h0.example."), RdataType.A, now=1.0) is not None
+        assert cache.get_negative(Name("h0.example."), RdataType.AAAA, now=1.0) is not None
+        assert list(cache._entries) == order
         cache.put(rrset(99), Credibility.AUTH_ANSWER, now=2.0)
-        assert cache.peek(Name("h1.example."), RdataType.A) is None
-        assert cache.peek(Name("h0.example."), RdataType.A) is not None
+        assert cache.peek(Name("h0.example."), RdataType.A) is None
+        assert cache.peek(Name("h1.example."), RdataType.A) is not None
 
     def test_dead_entries_evicted_before_live(self):
         cache = Cache(max_entries=3)
         cache.put(rrset(0, ttl=1), Credibility.AUTH_ANSWER, now=0.0)  # dies at t=1
         cache.put(rrset(1), Credibility.AUTH_ANSWER, now=0.0)
         cache.put(rrset(2), Credibility.AUTH_ANSWER, now=0.0)
-        # h0 is dead now, and the least recently used: the one rule takes it.
+        # h0 is dead now, and the least recently written: the one rule takes it.
         cache.put(rrset(3), Credibility.AUTH_ANSWER, now=10.0)
         assert cache.peek(Name("h0.example."), RdataType.A) is None
         assert cache.peek(Name("h1.example."), RdataType.A) is not None

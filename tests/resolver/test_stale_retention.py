@@ -1,9 +1,9 @@
 """Serve-stale retention under eviction pressure.
 
 RFC 8767 only works if expired entries actually survive in the cache
-until something needs them.  These tests pin the contract between LRU
+until something needs them.  These tests pin the contract between
 eviction and ``get_stale``: eviction removes exactly as many entries as
-the overflow requires, least recently used first (an expired entry is
+the overflow requires, least recently written first (an expired entry is
 not taken ahead of its turn, nor kept past it), link death alone never
 removes anything, and a stale entry consumed by a revalidation is
 replaced atomically.
@@ -57,7 +57,7 @@ class TestDeadFirstEvictionRetention:
         cache.put(a_rrset("dead.example.", ttl=10), Credibility.AUTH_ANSWER, now=0.0)
         cache.put(a_rrset("live.example.", ttl=1000), Credibility.AUTH_ANSWER, now=0.0)
         cache.put(a_rrset("new.example.", ttl=1000), Credibility.AUTH_ANSWER, now=20.0)
-        # The least recently used entry, expired here, was the one evicted.
+        # The least recently written entry, expired here, was the one evicted.
         assert cache.get_stale(Name("dead.example."), RdataType.A) is None
         assert cache.get(Name("live.example."), RdataType.A, now=20.0) is not None
 
@@ -106,7 +106,7 @@ class TestLinkDeathRetention:
         assert cache.get_stale(Name("srv.example.com."), RdataType.A) is not None
         cache.put(a_rrset("x.example.", ttl=100), Credibility.AUTH_ANSWER, now=20.0)
         cache.put(a_rrset("y.example.", ttl=100), Credibility.AUTH_ANSWER, now=20.0)
-        # Overflow: the glue, least recently used (its NS set's renewal
+        # Overflow: the glue, least recently written (its NS set's renewal
         # moved that to the recent end), goes; live entries stay.
         assert cache.get_stale(Name("srv.example.com."), RdataType.A) is None
         assert cache.get(Name("x.example."), RdataType.A, now=20.0) is not None

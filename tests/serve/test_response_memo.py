@@ -478,31 +478,37 @@ def replay(
     capacity: int = DEFAULT_MEMO_CAPACITY,
     qnames: str = "www.domain{}.nl.",
     renumber_at: Optional[int] = None,
+    max_entries: Optional[int] = None,
+    time_scale: float = 3600,
 ):
     """A small ``serve_churn``: Zipf over 500 names, 2,000 queries 500 µs
-    apart at ``time_scale=3600``, so most repeats arrive ticks later.
+    apart at ``time_scale`` (3600: most repeats arrive ticks later).
 
     ``step`` spaces the queries further, so cache entries expire and
     lapsed images are re-resolved; ``capacity`` bounds the memo;
     ``qnames`` names the stream (the nl world has no ``www.nosuch*``);
     ``renumber_at`` is the query at which ``www.domain0.nl.``'s A rdata
-    changes in its zone.  Also returns how many times the query decoder
-    ran, how many slow passes took no lapsed image, and how many took one
-    the renumbering had outdated.
+    changes in its zone; ``max_entries`` bounds the resolver cache.  Also
+    returns how many times the query decoder ran, how many slow passes
+    took no lapsed image, how many took one the renumbering had outdated,
+    and how many memo hits had their TTLs patched.
     """
     wall = [0.0]
     worlds = []
     build = WORLD_BUILDERS["nl"]
     with mock.patch.dict(WORLD_BUILDERS, nl=lambda seed: worlds.append(build(seed)) or worlds[0]):
         frontend, registry = build_frontend(
-            ServeConfig(world="nl", time_scale=3600, memo=memo), wall_clock=lambda: wall[0]
+            ServeConfig(world="nl", time_scale=time_scale, memo=memo),
+            wall_clock=lambda: wall[0],
         )
+    frontend.resolver.cache.max_entries = max_entries
     if memo:
         frontend.memo = ResponseMemo(capacity)
     decodes = [0]
     decode = Message.from_wire.__func__
     taken = []
-    take = ResponseMemo.take
+    take, get = ResponseMemo.take, ResponseMemo.get
+    patched = [0]
 
     def counted(cls, data, *args, **kwargs):
         decodes[0] += 1
@@ -512,12 +518,20 @@ def replay(
         taken.append(take(memo, key))
         return taken[-1]
 
+    def patching(memo, key, sim_now):
+        # fast_answer serves an exact hit itself: what it asks the full
+        # rule for and gets is a hit past its bound, TTLs patched.
+        entry = get(memo, key, sim_now)
+        patched[0] += entry is not None
+        return entry
+
     rng = random.Random(1)
     ranks = rng.choices(range(500), weights=[1.0 / (rank + 1) for rank in range(500)], k=2000)
     responses = []
     missing = reshaped = 0
     with mock.patch.object(Message, "from_wire", classmethod(counted)), \
-            mock.patch.object(ResponseMemo, "take", recorded):
+            mock.patch.object(ResponseMemo, "take", recorded), \
+            mock.patch.object(ResponseMemo, "get", patching):
         for index, rank in enumerate(ranks):
             wall[0] = index * step
             if index == renumber_at:
@@ -533,21 +547,42 @@ def replay(
             responses.append(fast)
     snapshot = registry.snapshot().without_host()
     assert conservation_problems(snapshot.metrics) == []
-    return responses, snapshot, frontend.memo, (decodes[0], missing, reshaped)
+    return responses, snapshot, frontend.memo, (decodes[0], missing, reshaped, patched[0])
 
 
 RENUMBERED = A("192.0.2.200")
 NEW_ADDRESS = bytes([192, 0, 2, 200])
 
 
-def test_memo_on_and_off_agree_under_a_ticking_clock():
+#: Resolver cache bound, time scale, and the least memo hit share: a bound
+#: evicts entries, and an evicted entry's image lapses.
+TICKING = {
+    "unbounded": (None, 3600, 0.5),
+    "bound40-scale1": (40, 1, 0.2),
+    "bound40-scale3600": (40, 3600, 0.2),
+    "bound200-scale1": (200, 1, 0.5),
+    "bound200-scale3600": (200, 3600, 0.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TICKING))
+def test_memo_on_and_off_agree_under_a_ticking_clock(case):
     """Patched hits are invisible: the same bytes and the same sim-domain
-    counters as running every query through the full pipeline."""
-    fast, fast_metrics, memo, _ = replay(memo=True)
-    slow, slow_metrics, _, _ = replay(memo=False)
+    counters as running every query through the full pipeline — with the
+    resolver cache bounded too, where a hit the memo answers is one the
+    cache would only have read, so it evicts alike with the memo on or off."""
+    max_entries, time_scale, least_share = TICKING[case]
+    kwargs = dict(max_entries=max_entries, time_scale=time_scale)
+    fast, fast_metrics, memo, (_, _, _, patched) = replay(memo=True, **kwargs)
+    slow, slow_metrics, _, _ = replay(memo=False, **kwargs)
     assert fast == slow
     assert fast_metrics.metrics == slow_metrics.metrics
-    assert memo.hits / (memo.hits + memo.misses) >= 0.5
+    assert memo.hits / (memo.hits + memo.misses) >= least_share
+    # Bounded or not, the cache grants the hit lease, so images are
+    # patchable; at a bound of 40 and time scale 1 every image's entry is
+    # evicted before its TTL ticks, so none is patched there.
+    assert any(entry.patchable for entry in memo.entries.values())
+    assert patched > 0 or case == "bound40-scale1"
 
 
 #: Four TTLs long: every hot name's cache entry expires and is refetched.
@@ -565,8 +600,8 @@ def test_memo_on_and_off_agree_when_images_lapse(case):
     and on a stream of NXDOMAIN answers — and the decoder runs only where
     no image can stand in: a slow pass that finds none (a first sight, or
     a form whose last slow pass was not admitted), or a changed shape."""
-    fast, fast_metrics, _, (decodes, missing, reshaped) = replay(memo=True, **LAPSING[case])
-    slow, slow_metrics, _, (full_decodes, _, _) = replay(memo=False, **LAPSING[case])
+    fast, fast_metrics, _, (decodes, missing, reshaped, _) = replay(memo=True, **LAPSING[case])
+    slow, slow_metrics, _, (full_decodes, _, _, _) = replay(memo=False, **LAPSING[case])
     assert fast == slow
     assert fast_metrics.metrics == slow_metrics.metrics
     assert decodes == missing + reshaped
