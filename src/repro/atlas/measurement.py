@@ -221,9 +221,9 @@ class Measurement:
         vp_of, _, timestamps, rcodes, ttls, answer_of, rtts, flags = results.columns
 
         # Answer tuples repeat massively (cache hits return the same
-        # rrset), so memoize the table index per rdata tuple — rdatas
-        # are frozen dataclasses, hashable by value.  Index 0 is ``()``,
-        # which a zeroed cell already names.
+        # rrset), so memoize the table index per rdata tuple, keyed by its
+        # id (hashed in C; the tuple rides in the value, so the id is never
+        # reused).  Index 0 is ``()``, which a zeroed cell already names.
         answer_tuples = results.answer_tuples
         answer_index = {answers: index for index, answers in enumerate(answer_tuples)}
         answer_memo: dict = {}
@@ -280,8 +280,10 @@ class Measurement:
                 else:
                     # Several rrsets (a CNAME chain) are rendered every time.
                     rdatas = rrsets[0].rdatas if len(rrsets) == 1 else None
-                    index = answer_memo.get(rdatas)
-                    if index is None:
+                    known = answer_memo.get(id(rdatas))
+                    if known is not None and known[0] is rdatas:
+                        index = known[1]
+                    else:
                         answers = tuple(
                             str(rdata) for rrset in rrsets for rdata in rrset.rdatas
                         )
@@ -290,7 +292,7 @@ class Measurement:
                             index = answer_index[answers] = len(answer_tuples)
                             answer_tuples.append(answers)
                         if rdatas is not None:
-                            answer_memo[rdatas] = index
+                            answer_memo[id(rdatas)] = (rdatas, index)
                     answer_of[i] = index
                     ttls[i] = rrsets[-1].ttl
                     if rdatas is not None:

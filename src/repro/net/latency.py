@@ -18,6 +18,20 @@ Each sampled RTT scales its base by one jitter factor under the contract of
 the stdlib's ``Random.lognormvariate(0, σ)``: the same draws, in the same
 order, and the same float (Figures 10/11 and every campaign digest rest on
 it), drawn inline so that an RTT is one Python frame.
+
+The draw is ``normalvariate``'s Kinderman–Monahan loop, whose acceptance
+test ``zz <= -log(u2)`` is squeezed (Kinderman & Monahan 1977, Leva 1992).
+With ``d = 1 - u2`` the series of ``-ln(1 - d)`` gives
+
+    lo = d + d²/2  <=  -ln(u2)  <=  lo + d³/(3·u2) = hi,
+
+so a try with ``zz <= 0.999·lo`` is accepted and one with
+``zz > 1.001·hi`` is rejected without calling ``log``; only the gap
+between the two runs the stdlib's comparison (about one draw in ten).  The
+0.1% margin dwarfs the rounding of ``d``, ``lo``, ``hi`` and a libm
+``log`` (a few parts in 10¹⁶), so every decision is the float
+comparison's: the uniforms drawn, the RNG state after and the returned
+float are all the stdlib's.
 """
 
 from __future__ import annotations
@@ -124,7 +138,10 @@ class LatencyModel:
 
     # -- sampled RTTs ----------------------------------------------------------
     # Both run ``Random.normalvariate``'s Kinderman–Monahan loop inline (two
-    # ``random`` and a ``log`` per try); with μ = 0, ``μ + z·σ`` is ``z·σ``.
+    # ``random`` per try); with μ = 0, ``μ + z·σ`` is ``z·σ``.  Outside
+    # ``0.999·lo < zz <= 1.001·hi`` (the module docstring's bounds on
+    # ``-ln(u2)``) a bound decides ``zz <= -log(u2)``: the 0.1% margin
+    # exceeds every rounding involved, so it decides as ``log`` would.
     def rtt(self, src: Endpoint, dst: Endpoint, rng: Optional[random.Random] = None) -> float:
         """One sampled round trip time between endpoints, in **seconds**."""
         uniform = (rng or self._rng).random
@@ -136,7 +153,11 @@ class LatencyModel:
         while True:
             u1, u2 = uniform(), 1.0 - uniform()
             z = NV_MAGICCONST * (u1 - 0.5) / u2
-            if z * z / 4.0 <= -log(u2):
+            zz, d = z * z / 4.0, 1.0 - u2
+            lo = d + d * d / 2.0
+            if zz <= 0.999 * lo or (
+                zz <= 1.001 * (lo + d * d * d / (3.0 * u2)) and zz <= -log(u2)
+            ):
                 return base_ms * exp(z * self._jitter_sigma) / 1000.0
 
     def last_mile_rtt(self, rng: Optional[random.Random] = None) -> float:
@@ -149,7 +170,11 @@ class LatencyModel:
         while True:
             u1, u2 = uniform(), 1.0 - uniform()
             z = NV_MAGICCONST * (u1 - 0.5) / u2
-            if z * z / 4.0 <= -log(u2):
+            zz, d = z * z / 4.0, 1.0 - u2
+            lo = d + d * d / 2.0
+            if zz <= 0.999 * lo or (
+                zz <= 1.001 * (lo + d * d * d / (3.0 * u2)) and zz <= -log(u2)
+            ):
                 return self.last_mile_ms * exp(z * self._jitter_sigma) / 1000.0
 
     def nearest(self, src: Endpoint, candidates: list[Endpoint]) -> Endpoint:

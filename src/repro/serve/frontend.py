@@ -232,10 +232,10 @@ class DnsFrontend:
         (:meth:`WallClockBridge.now`), the memo probe and stamp check
         (:meth:`ResponseMemo.get`) and the accounting (:meth:`_account`)
         run inline, then a 2-byte ID splice.  Anything else — an absent
-        key, a lapsed image, a TTL past its bound — goes to
-        :meth:`ResponseMemo.get`, the whole rule.  An answer is the slow
-        path's bytes at this instant, counted as the slow path's cache hit
-        would be (the querylog line and ``--predict`` hook too).  A
+        key, a lapsed image, a TTL past its bound — goes with the probed
+        entry to :meth:`ResponseMemo.get`, the whole rule.  An answer is
+        the slow path's bytes at this instant, counted as the slow path's
+        cache hit would be (the querylog line and ``--predict`` hook too).  A
         datagram shorter than a header misses: every key is a decoded
         query's.  Never used when RRL is armed (the limiter must see every
         client) and never for TCP (framing differs; repeats are rare).
@@ -261,7 +261,7 @@ class DnsFrontend:
             memo.hits += 1
             if not entry.shape:
                 memo.negative_hits += 1
-        elif (entry := memo.get(key, sim_now)) is None:
+        elif (entry := memo.get(key, sim_now, entry)) is None:
             return None
         track = self.resolver.track_arrival
         if track is not None:

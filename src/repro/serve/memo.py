@@ -66,6 +66,8 @@ DEFAULT_MEMO_CAPACITY = 4096
 
 _TTL = Struct(">I")
 
+_UNPROBED = object()  # ResponseMemo.get's default: no caller probed the table
+
 
 def _skip_name(wire: bytes, offset: int) -> int:
     """The offset just past the (possibly compressed) name at ``offset``."""
@@ -146,8 +148,9 @@ class ResponseMemo:
         return len(self.entries)
 
     # -- the fast path -----------------------------------------------------
-    def get(self, key: bytes, sim_now: float) -> Optional[MemoEntry]:
-        """The entry for ``key`` exact at ``sim_now``, else ``None``.
+    def get(self, key: bytes, sim_now: float, entry: object = _UNPROBED) -> Optional[MemoEntry]:
+        """The entry for ``key`` exact at ``sim_now``, else ``None``;
+        ``entry`` is what a caller's own probe of :attr:`entries` found.
 
         An entry with a stamp whose holder has moved or expired lapses:
         its bytes may no longer be what the slow path would encode, so it
@@ -158,7 +161,8 @@ class ResponseMemo:
         itself in :attr:`hits` (and :attr:`negative_hits` if it has no answer
         RRset).  :meth:`DnsFrontend.fast_answer` serves exact hits itself.
         """
-        entry = self.entries.get(key)
+        if entry is _UNPROBED:
+            entry = self.entries.get(key)
         if entry is not None and entry.stamps is not None:
             for holder, generation, expires_at in entry.stamps:
                 if (

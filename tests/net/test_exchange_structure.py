@@ -23,10 +23,12 @@ QNAME = "www.example.tld."
 
 #: Every call of one warm unicast exchange, 40 before the per-path and
 #: per-qname memos: exchange, endpoint_for, rtt and its jitter draw (2
-#: random, log, exp), handle_query, the log entry's __init__ and
-#: list.append, Zone.respond and its Message, the RTT histogram's observe
-#: (it only stores the value) and three dict.get.  Hashing the name keys of
-#: those dict probes is tuple's C slot, not a call.
+#: random and exp, and log only when the try lands in the squeeze's gap,
+#: about one draw in ten: this one's does not, so it makes 15), handle_query,
+#: the log entry's __init__ and list.append, Zone.respond and its Message,
+#: the RTT histogram's observe (it only stores the value) and three
+#: dict.get.  Hashing the name keys of those dict probes is tuple's C slot,
+#: not a call.
 EXCHANGE_CALLS = 16
 
 NEVER_CALLED = {

@@ -130,6 +130,24 @@ class TestRttStream:
                 tries.add(drawn.count // 2)
         assert {1, 2, 3} <= tries
 
+    def test_a_long_stream_is_the_stdlib_stream(self):
+        """100k draws per σ from the model's own rng, alternating the two
+        samplers, are the stdlib's draws, and leave its rng state: enough
+        tries that the squeezed test's gap (where ``log`` decides) is
+        entered thousands of times."""
+        src, dst = self.pairs()[3]
+        for sigma in self.SIGMAS:
+            model = LatencyModel(seed=3, jitter_sigma=sigma, last_mile_ms=3.0)
+            reference = random.Random(3 ^ 0x5A17)
+            base_ms = model.base_rtt_ms(src, dst)
+            rtt, last_mile, lognormal = model.rtt, model.last_mile_rtt, reference.lognormvariate
+            mismatches = 0
+            for _ in range(50_000):
+                mismatches += rtt(src, dst) != base_ms * lognormal(0.0, sigma) / 1000.0
+                mismatches += last_mile() != 3.0 * lognormal(0.0, sigma) / 1000.0
+            assert mismatches == 0
+            assert model._rng.getstate() == reference.getstate()
+
     def test_the_model_stream_is_used_without_an_rng(self):
         model, reference = LatencyModel(seed=7, jitter_sigma=1.0), random.Random(7 ^ 0x5A17)
         src, dst = self.pairs()[3]

@@ -16,8 +16,8 @@ the checks are exact and independent of host speed:
   ``--predict`` (the memo counts the hit, and a registry snapshot adds it
   into the resolver's and cache's counts), and ``serve.rcode`` serializes
   as it did when a plain dict tallied it;
-- a fast-path miss, on an absent key or a lapsed image, makes as many
-  calls as it did before the hit was inlined;
+- a fast-path miss, on an absent key or a lapsed image, probes the memo
+  once: :meth:`ResponseMemo.get` is handed the entry the inline probe found;
 - a patched hit, a tick later, calls nothing in the codec
   (:mod:`repro.dns`) or the cache (:mod:`repro.resolver.cache`);
 - a fast-path miss on a lapsed image calls nothing in
@@ -128,9 +128,10 @@ def test_a_memo_hit_makes_only_its_accounting_calls():
 
 @pytest.mark.parametrize("miss", ["absent", "lapsed"])
 def test_a_fast_path_miss_makes_the_calls_it_made_before_the_inline_hit(miss):
-    """A miss costs the six calls it cost when every memo probe went
+    """A miss costs five calls, one fewer than when every memo probe went
     through ``WallClockBridge.now`` and ``ResponseMemo.get``: the bridge
-    frame is gone and the inline probe's ``dict.get`` takes its place."""
+    frame is gone, and the inline probe's ``dict.get`` is the only one —
+    ``ResponseMemo.get`` is handed the entry it found."""
     frontend, wire = memoized_frontend(wall_clock)
     if miss == "absent":
         wire = Message.make_query(Name("www.domain2.nl."), RdataType.A, id=1).to_wire()
@@ -143,7 +144,7 @@ def test_a_fast_path_miss_makes_the_calls_it_made_before_the_inline_hit(miss):
         DnsFrontend.fast_answer.__code__: 1,
         "monotonic": 1,  # started; a miss observes no latency
         wall_clock.__code__: 1,
-        "dict.get": 2,  # the inline probe, then the full rule's
+        "dict.get": 1,  # the inline probe; the full rule reuses its entry
         ResponseMemo.get.__code__: 1,
     })
 

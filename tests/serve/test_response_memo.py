@@ -518,10 +518,11 @@ def replay(
         taken.append(take(memo, key))
         return taken[-1]
 
-    def patching(memo, key, sim_now):
+    def patching(memo, key, sim_now, *probed):
         # fast_answer serves an exact hit itself: what it asks the full
-        # rule for and gets is a hit past its bound, TTLs patched.
-        entry = get(memo, key, sim_now)
+        # rule for (handing it the entry it probed) and gets is a hit past
+        # its bound, TTLs patched.
+        entry = get(memo, key, sim_now, *probed)
         patched[0] += entry is not None
         return entry
 

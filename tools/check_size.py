@@ -21,15 +21,15 @@ CEILINGS = {
     "resolver/recursive.py": 989,
     "core/worlds.py": 925,
     "resolver/cache.py": 733,
-    "serve/memo.py": 218,
+    "serve/memo.py": 222,
     "serve/frontend.py": 440,
-    "net/latency.py": 162,
+    "net/latency.py": 187,
     "net/transport.py": 580,
     "server/authoritative.py": 161,
     "server/anycast.py": 112,
     "dns/name.py": 326,
     "metrics/registry.py": 258,
-    "": 20314,
+    "": 20345,
 }
 
 
