@@ -42,7 +42,9 @@ _POLICIES = {
     "capping": ResolverPolicy.capping,
     "sticky": ResolverPolicy.sticky_resolver,
     "unlinked": ResolverPolicy.unlinked,
-    "validating": ResolverPolicy.validating,
+    # The signature encloses the child's TTL, so a validating resolver is
+    # child-centric (paper §2).
+    "validating": ResolverPolicy.child_centric,
 }
 
 

@@ -133,20 +133,6 @@ class ClientSubnet:
         bits = FAMILY_BITS[self.family]
         return int.from_bytes(self.address, "big") << (bits - len(self.address) * 8)
 
-    def covers(self, other: "ClientSubnet", scope: int) -> bool:
-        """True when ``other``'s first ``scope`` bits equal ours.
-
-        This is the scoped-cache match: an answer scoped at ``scope``
-        serves any client subnet agreeing on those leading bits, provided
-        the client's source prefix is at least that specific.
-        """
-        if other.family != self.family or other.source_prefix < scope:
-            return False
-        if scope == 0:
-            return True
-        bits = FAMILY_BITS[self.family]
-        return (self.network_bits() ^ other.network_bits()) >> (bits - scope) == 0
-
     # -- wire -----------------------------------------------------------------
     def to_option_data(self) -> bytes:
         """The option payload (everything after code/length)."""

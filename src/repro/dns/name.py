@@ -25,7 +25,7 @@ canonical instance for its labels, which only costs the identity fast path.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 MAX_LABEL_LENGTH = 63
 MAX_NAME_LENGTH = 255
@@ -263,14 +263,6 @@ class Name(tuple):
             object.__setattr__(self, "_lineage", lineage)
         return lineage
 
-    def ancestors(self) -> Iterator["Name"]:
-        """Yield every proper ancestor, nearest first, ending with the root.
-
-        >>> [str(a) for a in Name("a.b.c").ancestors()]
-        ['b.c.', 'c.', '.']
-        """
-        return iter(self.lineage()[1:])
-
     def split(self, depth: int) -> tuple["Name", "Name"]:
         """Split into (prefix, suffix) where the suffix keeps ``depth`` labels.
 
@@ -293,10 +285,6 @@ class Name(tuple):
         # A shorter self yields a slice that cannot equal the suffix.  Both
         # sides are plain tuples, so the comparison stays in C.
         return self[-len(other):] == other[:]
-
-    def is_proper_subdomain_of(self, other: "Name") -> bool:
-        """True when ``self`` lies strictly beneath ``other``."""
-        return self != other and self.is_subdomain_of(other)
 
     def in_bailiwick_of(self, zone_origin: "Name") -> bool:
         """RFC 8499 bailiwick test: is this name at/under ``zone_origin``?

@@ -137,33 +137,6 @@ class RRset:
                     f"rdata of type {rdata.rdtype.name} in a {self.rdtype.name} RRset"
                 )
 
-    @classmethod
-    def from_records(cls, records: Iterable[ResourceRecord]) -> "RRset":
-        """Build an RRset from records that must share (name, type, class).
-
-        Per RFC 2181 §5.2, differing TTLs within a set are an error; callers
-        that tolerate them should normalize first.
-        """
-        materialized = list(records)
-        if not materialized:
-            raise ValueError("cannot build an RRset from no records")
-        first = materialized[0]
-        for record in materialized[1:]:
-            if record.key() != first.key():
-                raise ValueError(f"mixed keys in RRset: {record.key()} vs {first.key()}")
-            if record.ttl != first.ttl:
-                raise ValueError(
-                    f"RFC 2181 violation: differing TTLs {record.ttl} vs {first.ttl} "
-                    f"for {first.name}/{first.rdtype.name}"
-                )
-        return cls(
-            name=first.name,
-            rdtype=first.rdtype,
-            ttl=first.ttl,
-            rdatas=tuple(record.rdata for record in materialized),
-            rdclass=first.rdclass,
-        )
-
     def records(self) -> Iterator[ResourceRecord]:
         """The per-record view: one validated record per rdata."""
         for rdata in self.rdatas:
@@ -266,9 +239,8 @@ def _write_record(
 def group_rrsets(records: Iterable[ResourceRecord]) -> list[RRset]:
     """Group records into RRsets, preserving first-seen order.
 
-    Unlike :meth:`RRset.from_records` this tolerates mixed TTLs by taking
-    the *minimum* (the conservative reading of RFC 2181 §5.2 that real
-    resolvers apply).
+    Mixed TTLs within a set take the *minimum* (the conservative reading
+    of RFC 2181 §5.2 that real resolvers apply).
     """
     ordered: dict[tuple[Name, RdataType, RdataClass], list[ResourceRecord]] = {}
     for record in records:

@@ -111,11 +111,6 @@ class WireReader:
     def remaining(self) -> int:
         return self._size - self._offset
 
-    def seek(self, offset: int) -> None:
-        if offset < 0 or offset > self._size:
-            raise WireError(f"seek to {offset} outside buffer of {self._size}")
-        self._offset = offset
-
     # -- fixed layouts -------------------------------------------------------
     def unpack(self, layout: Struct) -> tuple[int, ...]:
         """Read one fixed-layout block: one bounds check, one

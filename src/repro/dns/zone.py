@@ -30,7 +30,7 @@ from repro.dns.message import (
     response_flags,
 )
 from repro.dns.name import Name
-from repro.dns.rdtypes import CNAME, NS, RRSIG, Rdata, RdataType, SOA
+from repro.dns.rdtypes import CNAME, NS, Rdata, RdataType, SOA
 from repro.dns.record import RRset
 from repro.dns.ttl import validate_ttl
 
@@ -205,12 +205,6 @@ class Zone:
     def soa(self) -> Optional[RRset]:
         return self._rrsets.get((self.origin, RdataType.SOA))
 
-    def delegations(self) -> Iterator[RRset]:
-        """NS RRsets owned strictly below the origin — the zone cuts."""
-        for (name, rdtype), rrset in self._rrsets.items():
-            if rdtype == RdataType.NS and name != self.origin:
-                yield rrset
-
     def is_delegated(self, name: Name) -> Optional[Name]:
         """The deepest zone cut at-or-above ``name``, if any.
 
@@ -362,8 +356,7 @@ class Zone:
             body.add(Section.AUTHORITY, *result.rrsets)
             body.add(Section.ADDITIONAL, *result.glue)
         elif result.status in (LookupStatus.ANSWER, LookupStatus.CNAME):
-            for rrset in result.rrsets:
-                body.add(Section.ANSWER, rrset, *self._rrsigs_for(rrset))
+            body.add(Section.ANSWER, *result.rrsets)
             apex_ns = self._rrsets.get((self.origin, RdataType.NS))
             if apex_ns is not None and qtype != RdataType.NS:
                 body.add(Section.AUTHORITY, apex_ns)
@@ -379,31 +372,6 @@ class Zone:
                 self._compiled.clear()
             self._compiled[(qname, qtype)] = compiled
         return compiled
-
-    def _rrsigs_for(self, answered: RRset) -> list[RRset]:
-        """The RRSIG set covering an answered RRset (signed zones only).
-
-        DNSSEC requires the signature — which encloses the child's TTL —
-        to travel with the data (§2 of the paper); validating resolvers
-        use it to clamp cached TTLs.
-        """
-        if answered.rdtype == RdataType.RRSIG:
-            return []
-        sig_set = self._rrsets.get((answered.name, RdataType.RRSIG))
-        if sig_set is None:
-            return []
-        covering = tuple(
-            rdata
-            for rdata in sig_set.rdatas
-            if isinstance(rdata, RRSIG) and rdata.type_covered == answered.rdtype
-        )
-        if not covering:
-            return []
-        return [
-            RRset._build(
-                answered.name, RdataType.RRSIG, sig_set.ttl, covering, sig_set.rdclass
-            )
-        ]
 
     # -- convenience -------------------------------------------------------------
     def add_soa(

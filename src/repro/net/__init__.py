@@ -3,7 +3,7 @@
 The paper's measurements run on the real Internet; here we substitute a
 round-driven simulation with three pieces:
 
-- :mod:`repro.net.clock` — a virtual clock that experiments advance,
+- :mod:`repro.net.clock` — a world's virtual start time,
 - :mod:`repro.net.topology` — regions, autonomous systems and addressed
   endpoints,
 - :mod:`repro.net.latency` — a geographic RTT model calibrated so that

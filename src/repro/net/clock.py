@@ -1,9 +1,9 @@
 """Virtual time.
 
-All timestamps in the simulation are seconds since the experiment epoch,
-held in a :class:`SimClock` that only the experiment driver advances.
-Caches, logs and measurement results all read the same clock, so TTL
-expiry is exact and reproducible.
+All timestamps in the simulation are seconds since the experiment epoch.
+Experiments pass the time to caches, resolvers and servers as an explicit
+``now`` argument, so TTL expiry is exact and reproducible; a world's
+:class:`SimClock` holds its start time.
 """
 
 from __future__ import annotations
@@ -20,13 +20,6 @@ class SimClock:
     @property
     def now(self) -> float:
         """Current virtual time in seconds since the epoch."""
-        return self._now
-
-    def advance(self, seconds: float) -> float:
-        """Move time forward by ``seconds`` and return the new time."""
-        if seconds < 0:
-            raise ValueError(f"cannot advance clock by negative {seconds}")
-        self._now += seconds
         return self._now
 
     def __repr__(self) -> str:

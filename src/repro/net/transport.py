@@ -51,14 +51,13 @@ class BackoffPolicy:
     """How a client waits between retransmissions.
 
     The defaults reproduce the historical fixed-interval behaviour
-    (``factor=1.0``, no jitter, no budget), so existing experiments are
-    bit-for-bit unchanged.  :meth:`hardened` is the resilient profile the
-    fault-injection scenarios use: exponential backoff spreads retries
-    out of a congested window, jitter desynchronizes clients hammering a
-    recovering server, and the retry *budget* caps the total virtual
-    time burned waiting — a resolver under an upstream storm gives up
-    and falls back (sibling NS, serve-stale) instead of stalling clients
-    for the full retry ladder.
+    (``factor=1.0``, no jitter, no budget); every exchange runs with them,
+    and only the push subscriber's reconnect ladder sets ``factor`` and
+    ``jitter``.  Set by hand, exponential backoff spreads retries out of a
+    congested window, jitter desynchronizes clients hammering a recovering
+    server, and the retry *budget* caps the virtual time burned waiting: a
+    resolver under an upstream storm falls back (sibling NS, serve-stale)
+    instead of stalling clients for the full retry ladder.
     """
 
     timeout: float = DEFAULT_TIMEOUT
@@ -91,18 +90,6 @@ class BackoffPolicy:
             wait *= 1.0 + self.jitter * (rng.random() * 2.0 - 1.0)
         return wait
 
-    @classmethod
-    def hardened(
-        cls,
-        timeout: float = 0.4,
-        retries: int = 4,
-        budget: Optional[float] = 6.0,
-    ) -> "BackoffPolicy":
-        """Exponential backoff with jitter and a bounded retry budget."""
-        return cls(
-            timeout=timeout, retries=retries, factor=2.0, jitter=0.1,
-            budget=budget,
-        )
 
 
 #: The flat policy of ``exchange``'s default ``timeout``/``retries``

@@ -438,15 +438,15 @@ class Cache:
         qtype: RdataType,
         nxdomain: bool,
         now: float,
-        soa: Optional[RRset] = None,
+        soa: Optional[RRset],
     ) -> None:
-        """Cache a negative answer for min(SOA TTL, SOA MINIMUM) seconds in
-        the key's slot, whatever held it; the entry it replaces is retired."""
-        ttl = 300
-        if soa is not None and soa.rdatas:
-            soa_rdata = soa.rdatas[0]
-            assert isinstance(soa_rdata, SOA)
-            ttl = min(soa.ttl, soa_rdata.minimum)
+        """Cache a negative answer for min(SOA TTL, SOA MINIMUM) seconds in the
+        key's slot, retiring what held it; without an SOA, nothing (RFC 2308 §5)."""
+        if soa is None or not soa.rdatas:
+            return
+        soa_rdata = soa.rdatas[0]
+        assert isinstance(soa_rdata, SOA)
+        ttl = min(soa.ttl, soa_rdata.minimum)
         key: CacheKey = (qname, qtype, RdataClass.IN)
         entries = self._entries
         replaced = entries.pop(key, None)

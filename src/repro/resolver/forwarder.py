@@ -92,6 +92,7 @@ class ForwardingResolver:
         result = upstream.resolve(name, qtype, now + leg / 2.0)
         elapsed = leg + result.elapsed
 
+        # A negative result carries no SOA, so it is not cached (RFC 2308 §5).
         if result.rcode == Rcode.NOERROR and result.answers:
             for rrset in result.answers:
                 # The upstream is non-authoritative; its answers cache at
@@ -99,10 +100,6 @@ class ForwardingResolver:
                 self.cache.put(
                     rrset, Credibility.NONAUTH_ANSWER, now + elapsed
                 )
-        elif result.rcode in (Rcode.NOERROR, Rcode.NXDOMAIN) and not result.answers:
-            self.cache.put_negative(
-                name, qtype, result.rcode == Rcode.NXDOMAIN, now + elapsed
-            )
 
         return ResolutionResult(
             rcode=result.rcode,

@@ -78,10 +78,6 @@ class ResolverPolicy:
     #: explicit A queries for NS names at the child's own servers are what
     #: the paper's §3.4 passive study observes at the .nl authoritatives.
     target_fetch: bool = True
-    #: DNSSEC validation (TTL enclosure only): clamp cached TTLs to the
-    #: RRSIG's original_ttl (RFC 4035 §5.3.3) — the paper's §2 argument
-    #: for why validating resolvers are child-centric for TTLs.
-    validate_dnssec: bool = False
     #: Unbound-style prefetch (the Pappas et al. renewal strategy the
     #: paper's §7 cites): refresh popular records out-of-band when a hit
     #: lands in the last tenth of their lifetime, hiding the miss latency.
@@ -167,8 +163,6 @@ class ResolverPolicy:
             parts.append("serve-stale")
         if not self.link_inbailiwick_glue:
             parts.append("unlinked")
-        if self.validate_dnssec:
-            parts.append("validating")
         if self.prefetch:
             parts.append("prefetch")
         if self.predict:
@@ -178,12 +172,6 @@ class ResolverPolicy:
         if self.push:
             parts.append("push")
         return "+".join(parts)
-
-    @classmethod
-    def validating(cls) -> "ResolverPolicy":
-        """A DNSSEC-validating resolver: child-centric with signed-TTL
-        clamping and target fetching (it must query the child)."""
-        return cls(validate_dnssec=True)
 
     @classmethod
     def prefetching(cls) -> "ResolverPolicy":

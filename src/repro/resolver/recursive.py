@@ -914,14 +914,6 @@ class RecursiveResolver:
                 scope = min(echo.scope_prefix, subnet.source_prefix)
 
         for rrset in response.answer:
-            if self.policy.validate_dnssec:
-                from repro.dns.dnssec import clamp_to_signed_ttl, covering_rrsig
-
-                rrsig = covering_rrsig(response.answer, rrset)
-                if rrsig is not None:
-                    # RFC 4035 §5.3.3: the signed (child) TTL is the
-                    # ceiling — the §2 argument for child-centricity.
-                    rrset = clamp_to_signed_ttl(rrset, rrsig)
             if scope:
                 self.cache.put_scoped(rrset, subnet, scope, now)
                 self._ecs_scope = scope

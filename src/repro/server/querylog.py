@@ -51,10 +51,6 @@ class QueryLog:
     def filtered(self, predicate: Callable[[QueryLogEntry], bool]) -> "QueryLog":
         return QueryLog([entry for entry in self.entries if predicate(entry)])
 
-    def between(self, start: float, end: float) -> "QueryLog":
-        """Entries with start <= timestamp < end."""
-        return self.filtered(lambda e: start <= e.timestamp < end)
-
     # -- aggregations ----------------------------------------------------------
     def unique_clients(self) -> set[str]:
         return {entry.client_address for entry in self.entries}
@@ -84,17 +80,10 @@ class QueryLog:
         return counts
 
     # -- persistence -----------------------------------------------------------
-    def write_jsonl(self, path: Union[str, Path]) -> int:
-        """Write all entries as JSON lines; returns the entry count."""
-        with open(path, "w", encoding="utf-8") as stream:
-            for entry in self.entries:
-                stream.write(json.dumps(entry_to_dict(entry)) + "\n")
-        return len(self.entries)
-
     @classmethod
     def read_jsonl(cls, path: Union[str, Path]) -> "QueryLog":
-        """Load a log previously written by :meth:`write_jsonl` (or the
-        live server's streaming :class:`QueryLogWriter`)."""
+        """Load a log written by the live server's streaming
+        :class:`QueryLogWriter`."""
         log = cls()
         with open(path, "r", encoding="utf-8") as stream:
             for line in stream:

@@ -43,7 +43,7 @@ from repro.resolver.recursive import ResolutionResult
 from repro.resolver.stub import StubResolver
 
 from tests.atlas.reference_measurement import reference_run
-from tests.conftest import build_mini_world
+from tests.conftest import build_mini_world, soa_rrset
 
 INTERVAL = 20.0
 DURATION = 400.0
@@ -160,11 +160,11 @@ def reset_caches(twin, resolver, now):
 
 
 def put_negative(twin, resolver, now):
-    resolver.cache.put_negative(twin.qname, twin.qtype, False, now)
+    resolver.cache.put_negative(twin.qname, twin.qtype, False, now, soa_rrset())
 
 
 def put_negative_elsewhere(twin, resolver, now):
-    resolver.cache.put_negative(Name("nope.example.tld."), twin.qtype, True, now)
+    resolver.cache.put_negative(Name("nope.example.tld."), twin.qtype, True, now, soa_rrset())
 
 
 def kill_link_target(twin, resolver, now):
@@ -420,7 +420,7 @@ def test_entries_the_cache_lets_go_of_are_retired():
     replaced = Cache()
     entry = _cached(replaced, "a.example.")
     generation = entry.generation
-    replaced.put_negative(Name("a.example."), RdataType.A, True, 70.0)
+    replaced.put_negative(Name("a.example."), RdataType.A, True, 70.0, soa_rrset())
     negative = replaced.peek(Name("a.example."), RdataType.A)
     assert negative is not entry and negative.credibility is Credibility.NXDOMAIN
     assert entry.generation != generation
@@ -440,7 +440,7 @@ def test_a_cache_declines_what_an_entry_cannot_vouch_for():
     cache.put(low, Credibility.ADDITIONAL, 0.0)
     assert cache.lease((low.name, RdataType.A, RdataClass.IN), Credibility.NONAUTH_ANSWER) is None
 
-    cache.put_negative(Name("nope.example."), RdataType.A, True, 0.0)
+    cache.put_negative(Name("nope.example."), RdataType.A, True, 0.0, soa_rrset())
     assert cache.lease(key) is entry  # a negative elsewhere cannot go first
     assert cache.lease((Name("nope.example."), RdataType.A, RdataClass.IN)) is None
     bounded = Cache(max_entries=8)

@@ -15,11 +15,19 @@ from dataclasses import dataclass
 import pytest
 
 from repro.dns.name import Name
-from repro.dns.rdtypes import AAAA, A, NS, RdataType
+from repro.dns.rdtypes import AAAA, A, NS, RdataType, SOA
+from repro.dns.record import RRset
 from repro.dns.zone import Zone
 from repro.net.topology import Region, Topology
 from repro.net.transport import LossModel, Network
 from repro.server.authoritative import AuthoritativeServer
+
+
+def soa_rrset(name="example.com", ttl=3600, minimum=300):
+    """An SOA RRset; a negative answer cached under it lives
+    min(``ttl``, ``minimum``) seconds (RFC 2308 §5)."""
+    rdata = SOA(Name(f"ns.{name}"), Name("h.e"), 1, 7200, 3600, 86400, minimum)
+    return RRset(Name(name), RdataType.SOA, ttl, [rdata])
 
 
 @dataclass

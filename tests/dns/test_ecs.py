@@ -83,8 +83,9 @@ def test_truncate_narrows_and_is_idempotent(ip, prefix, narrower):
     cut = subnet.truncate(narrower)
     assert cut.source_prefix == min(prefix, narrower)
     assert cut.truncate(narrower) == cut
-    # The narrowed subnet covers the original at its own width.
-    assert cut.covers(subnet, cut.source_prefix) or prefix < cut.source_prefix
+    # The narrowed subnet agrees with the original on its own leading bits.
+    shift = 32 - cut.source_prefix
+    assert cut.network_bits() >> shift == subnet.network_bits() >> shift
 
 
 @settings(max_examples=100)
@@ -163,19 +164,6 @@ def test_replace_preserves_other_options():
     assert blob.startswith(cookie)
     assert extract_client_subnet(blob) == new
     assert replace_client_subnet(blob, None) == cookie
-
-
-def test_covers_matches_leading_bits():
-    answer = ClientSubnet.from_ip("198.18.0.0", 24)
-    sibling = ClientSubnet.from_ip("198.18.0.0", 24)
-    cousin = ClientSubnet.from_ip("198.18.1.0", 24)
-    assert answer.covers(sibling, 24)
-    assert not answer.covers(cousin, 24)
-    assert answer.covers(cousin, 16)  # /16 scope spans both
-    assert answer.covers(cousin, 0)   # scope 0 is global
-    # A query less specific than the scope cannot be covered.
-    wide = ClientSubnet.from_ip("198.18.0.0", 16)
-    assert not answer.covers(wide, 24)
 
 
 # -- differential: scope 0 must equal ECS-off --------------------------------

@@ -203,8 +203,7 @@ class TestWire:
         assert Message.from_wire(bytes(blob)).additional[0].ttl == 0x7FFFFFFF
 
 
-def golden_zone(signed=False):
-    from repro.dns.dnssec import sign_zone
+def golden_zone():
     from repro.dns.rdtypes import AAAA, CNAME
     from repro.dns.zone import Zone
 
@@ -223,8 +222,6 @@ def golden_zone(signed=False):
     )
     z.add("ns.sub.example.org.", RdataType.A, A("192.0.2.99"), ttl=1800)
     z.add("ns.sub.example.org.", RdataType.AAAA, AAAA("2001:db8::99"), ttl=900)
-    if signed:
-        sign_zone(z)
     return z
 
 
@@ -273,19 +270,28 @@ class TestWireGolden:
     @staticmethod
     def messages():
         from repro.dns.ecs import ClientSubnet
+        from repro.dns.rdtypes import RRSIG
 
-        plain, signed = golden_zone(), golden_zone(signed=True)
+        zone = golden_zone()
 
-        def ask(zone, qname, id):
+        def ask(qname, id):
             return zone.respond(Message.make_query(qname, RdataType.A, id=id))
 
-        ecs = ask(plain, "www.example.org.", 0x0105)
+        ecs = ask("www.example.org.", 0x0105)
         ecs.use_edns(options=ClientSubnet.from_ip("192.0.2.0", 24, scope=16).to_wire())
+        # The A RRset followed by the RRSIG a signer encloses its TTL in
+        # (RFC 4034 §3.1.4), with opaque signature bytes.
+        signed = ask("www.example.org.", 0x0103)
+        www = signed.answer[0]
+        rrsig = RRSIG(type_covered=RdataType.A, algorithm=13, labels=3,
+                      original_ttl=www.ttl, expiration=2**31 - 1, inception=0,
+                      key_tag=12345, signer=Name("example.org."), signature=b"\x3a" * 8)
+        signed.add(Section.ANSWER, RRset(www.name, RdataType.RRSIG, www.ttl, [rrsig]))
         return {
-            "referral_with_glue": ask(plain, "deep.sub.example.org.", 0x0101),
-            "cname_chain": ask(plain, "alias.example.org.", 0x0102),
-            "rrsig_answer": ask(signed, "www.example.org.", 0x0103),
-            "nxdomain_soa": ask(plain, "missing.example.org.", 0x0104),
+            "referral_with_glue": ask("deep.sub.example.org.", 0x0101),
+            "cname_chain": ask("alias.example.org.", 0x0102),
+            "rrsig_answer": signed,
+            "nxdomain_soa": ask("missing.example.org.", 0x0104),
             "edns_ecs": ecs,
         }
 

@@ -110,9 +110,6 @@ class TestStructure:
         with pytest.raises(NameError_):
             root.parent()
 
-    def test_ancestors(self):
-        assert [str(a) for a in Name("a.b.c").ancestors()] == ["b.c.", "c.", "."]
-
     def test_prepend(self):
         assert Name("example.com").prepend("www") == Name("www.example.com")
 
@@ -145,10 +142,6 @@ class TestRelationships:
     def test_label_boundary_respected(self):
         # notexample.com is NOT under example.com despite the suffix match.
         assert not Name("notexample.com").is_subdomain_of(Name("example.com"))
-
-    def test_proper_subdomain_excludes_self(self):
-        assert not Name("a.b").is_proper_subdomain_of(Name("a.b"))
-        assert Name("x.a.b").is_proper_subdomain_of(Name("a.b"))
 
     def test_bailiwick_paper_example(self):
         # RFC 8499 / paper §2: ns.example.org is in bailiwick of

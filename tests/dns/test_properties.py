@@ -79,14 +79,14 @@ def test_compression_never_grows(name_list):
 
 @given(names, names)
 def test_subdomain_antisymmetry(a, b):
-    if a.is_proper_subdomain_of(b):
+    if a != b and a.is_subdomain_of(b):
         assert not b.is_subdomain_of(a)
 
 
 @given(names)
 def test_ancestors_chain_is_strictly_shorter(name):
     previous = len(name)
-    for ancestor in name.ancestors():
+    for ancestor in name.lineage()[1:]:
         assert len(ancestor) == previous - 1
         previous = len(ancestor)
 
@@ -131,7 +131,10 @@ def test_message_wire_round_trip(
         (Section.AUTHORITY, authority),
         (Section.ADDITIONAL, additional),
     ):
-        message.add(section, *(RRset.from_records([record]) for record in drawn))
+        message.add(section, *(
+            RRset(record.name, record.rdtype, record.ttl, (record.rdata,), record.rdclass)
+            for record in drawn
+        ))
         assert len(list(message.records(section))) == len(drawn)
     decoded = Message.from_wire(message.to_wire())
     assert decoded.id == message.id

@@ -180,16 +180,6 @@ class TestNames:
 
 
 class TestReaderCursor:
-    def test_seek_and_offset(self):
-        reader = WireReader(b"\x01\x02\x03")
-        reader.seek(2)
-        assert reader.offset == 2
-        assert reader.read_u8() == 3
-
-    def test_seek_out_of_range(self):
-        with pytest.raises(WireError):
-            WireReader(b"ab").seek(5)
-
     def test_remaining(self):
         reader = WireReader(b"abcd", offset=1)
         assert reader.remaining == 3

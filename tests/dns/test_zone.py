@@ -128,9 +128,6 @@ class TestDelegation:
         result = zone.lookup("a.b.sub.example.com.", RdataType.A)
         assert result.rrsets[0].name == Name("sub.example.com.")
 
-    def test_delegations_iterator(self, zone):
-        assert {str(d.name) for d in zone.delegations()} == {"sub.example.com."}
-
     def test_removing_ns_removes_cut(self, zone):
         zone.remove("sub.example.com.", RdataType.NS)
         result = zone.lookup("host.sub.example.com.", RdataType.A)

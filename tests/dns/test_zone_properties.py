@@ -9,7 +9,6 @@ import string
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dns.dnssec import sign_zone
 from repro.dns.message import Message, Rcode, Section
 from repro.dns.name import Name
 from repro.dns.rdtypes import AAAA, A, CNAME, NS, RdataType
@@ -141,9 +140,7 @@ questions = st.tuples(
 def mutations(draw, zone):
     """One mutator call, aimed mostly at what the zone holds (a set_ttl or
     remove of a missing set exercises only the refusal)."""
-    kind = draw(st.sampled_from(["add", "replace", "remove", "set_ttl", "sign"]))
-    if kind == "sign":
-        return (kind,)
+    kind = draw(st.sampled_from(["add", "replace", "remove", "set_ttl"]))
     held = [(str(rrset.name), rrset.rdtype) for rrset in zone.rrsets()]
     keys = st.tuples(st.sampled_from(OWNERS), st.sampled_from(list(RDATAS)))
     if kind in ("remove", "set_ttl"):
@@ -163,8 +160,6 @@ def mutate(zone, mutation):
     """Apply one mutation; the outcome (refusals included) as a value."""
     kind, *args = mutation
     try:
-        if kind == "sign":
-            return sign_zone(zone)
         return getattr(zone, kind)(*args)
     except ZoneError as refusal:
         return str(refusal)

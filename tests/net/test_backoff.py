@@ -35,11 +35,6 @@ class TestPolicy:
         assert all(0.9 <= wait <= 1.1 for wait in waits)
         assert len(set(waits)) > 1  # actually random, not constant
 
-    def test_hardened_profile(self):
-        policy = BackoffPolicy.hardened()
-        assert policy.factor > 1.0 and policy.jitter > 0.0
-        assert policy.budget is not None
-
     @pytest.mark.parametrize("kwargs", [
         dict(timeout=0.0),
         dict(retries=-1),

@@ -16,14 +16,5 @@ class TestSimClock:
         with pytest.raises(ValueError):
             SimClock(-1.0)
 
-    def test_advance(self):
-        clock = SimClock()
-        assert clock.advance(5.5) == 5.5
-        assert clock.now == 5.5
-
-    def test_advance_negative_rejected(self):
-        with pytest.raises(ValueError):
-            SimClock().advance(-0.1)
-
     def test_repr(self):
         assert "12.000" in repr(SimClock(12.0))

@@ -182,12 +182,12 @@ class ScanReferenceCache:
         self.stats.stale_hits += 1
         return entry
 
-    def put_negative(self, qname, qtype, nxdomain, now, soa=None) -> None:
-        ttl = 300
-        if soa is not None and soa.rdatas:
-            rdata = soa.rdatas[0]
-            assert isinstance(rdata, SOA)
-            ttl = min(soa.ttl, rdata.minimum)
+    def put_negative(self, qname, qtype, nxdomain, now, soa) -> None:
+        if soa is None or not soa.rdatas:
+            return
+        rdata = soa.rdatas[0]
+        assert isinstance(rdata, SOA)
+        ttl = min(soa.ttl, rdata.minimum)
         self._generation += 1
         self._store((qname, qtype, RdataClass.IN), CacheEntry(
             rrset=RRset(qname, qtype, ttl),

@@ -3,9 +3,11 @@
 import pytest
 
 from repro.dns.name import Name
-from repro.dns.rdtypes import A, NS, RdataClass, RdataType, SOA
+from repro.dns.rdtypes import A, NS, RdataClass, RdataType
 from repro.dns.record import RRset
 from repro.resolver.cache import Cache, Credibility
+
+from tests.conftest import soa_rrset
 
 
 def a_rrset(name="srv.example.com", ttl=300, address="192.0.2.1"):
@@ -14,11 +16,6 @@ def a_rrset(name="srv.example.com", ttl=300, address="192.0.2.1"):
 
 def ns_rrset(name="example.com", ttl=3600, target="srv.example.com"):
     return RRset(Name(name), RdataType.NS, ttl, [NS(Name(target))])
-
-
-def soa_rrset(name="example.com", ttl=3600, minimum=900):
-    rdata = SOA(Name(f"ns.{name}"), Name("h.e"), 1, 7200, 3600, 86400, minimum)
-    return RRset(Name(name), RdataType.SOA, ttl, [rdata])
 
 
 class TestBasicLifecycle:
@@ -227,18 +224,12 @@ class TestNegative:
         assert cache.get_negative(Name("gone.example"), RdataType.A, now=899.0)
         assert cache.get_negative(Name("gone.example"), RdataType.A, now=901.0) is None
 
-    def test_negative_without_soa_uses_default(self):
-        cache = Cache()
-        cache.put_negative(Name("gone.example"), RdataType.A, True, now=0.0)
-        assert cache.get_negative(Name("gone.example"), RdataType.A, now=299.0)
-        assert cache.get_negative(Name("gone.example"), RdataType.A, now=301.0) is None
-
     def test_replaced_or_cleared_negative_is_retired(self):
         cache = Cache()
-        cache.put_negative(Name("gone.example"), RdataType.A, True, now=0.0)
+        cache.put_negative(Name("gone.example"), RdataType.A, True, now=0.0, soa=soa_rrset())
         first = cache.peek(Name("gone.example"), RdataType.A)
         assert first.generation > 0
-        cache.put_negative(Name("gone.example"), RdataType.A, False, now=10.0)
+        cache.put_negative(Name("gone.example"), RdataType.A, False, now=10.0, soa=soa_rrset())
         second = cache.peek(Name("gone.example"), RdataType.A)
         assert second is not first and second.generation > 0
         assert first.generation == -1
@@ -251,7 +242,8 @@ class TestNegative:
         cache = Cache()
         cache.put(a_rrset(ttl=1000), Credibility.AUTH_ANSWER, now=0.0)
         positive = cache.peek(Name("srv.example.com"), RdataType.A)
-        cache.put_negative(Name("srv.example.com"), RdataType.A, False, now=10.0)
+        cache.put_negative(Name("srv.example.com"), RdataType.A, False, now=10.0,
+                           soa=soa_rrset())
         assert positive.generation == -1 and len(cache) == 1
         assert cache.get(Name("srv.example.com"), RdataType.A, now=20.0) is None
         assert cache.get_stale(Name("srv.example.com"), RdataType.A) is None
@@ -263,7 +255,7 @@ class TestNegative:
 
     def test_expired_negative_is_dropped_by_the_next_write(self):
         cache = Cache()
-        cache.put_negative(Name("gone.example"), RdataType.A, True, now=0.0)
+        cache.put_negative(Name("gone.example"), RdataType.A, True, now=0.0, soa=soa_rrset())
         negative = cache.peek(Name("gone.example"), RdataType.A)
         assert cache.due_expirations(now=0.0, horizon=1000.0) == []
         assert cache.get_stale(Name("gone.example"), RdataType.A) is None

@@ -7,6 +7,8 @@ from repro.dns.rdtypes import A, RdataType
 from repro.dns.record import RRset
 from repro.resolver.cache import Cache, Credibility
 
+from tests.conftest import soa_rrset
+
 
 def rrset(index: int, ttl: int = 3600) -> RRset:
     return RRset(Name(f"h{index}.example."), RdataType.A, ttl,
@@ -36,7 +38,7 @@ class TestBounds:
         cache = Cache(max_entries=10)
         fill(cache, 50)
         for index in range(50, 60):
-            cache.put_negative(Name(f"n{index}.example."), RdataType.A, True, 0.0)
+            cache.put_negative(Name(f"n{index}.example."), RdataType.A, True, 0.0, soa_rrset())
         assert cache.stats.size_peak == 10
 
     def test_unbounded_size_peak_counts_every_entry(self):
@@ -55,7 +57,7 @@ class TestEvictionOrder:
         it was, so the hit h0 is still the first to go."""
         cache = Cache(max_entries=4)
         fill(cache, 3)
-        cache.put_negative(Name("h0.example."), RdataType.AAAA, True, now=0.5)
+        cache.put_negative(Name("h0.example."), RdataType.AAAA, True, now=0.5, soa=soa_rrset())
         order = list(cache._entries)
         assert cache.get(Name("h0.example."), RdataType.A, now=1.0) is not None
         assert cache.get_negative(Name("h0.example."), RdataType.AAAA, now=1.0) is not None

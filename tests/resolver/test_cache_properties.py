@@ -10,6 +10,8 @@ from repro.dns.rdtypes import A, RdataType
 from repro.dns.record import RRset
 from repro.resolver.cache import Cache, Credibility
 
+from tests.conftest import soa_rrset
+
 names = st.lists(
     st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=6),
     min_size=1,
@@ -280,7 +282,7 @@ def test_clear_leaves_a_cache_that_works():
 
     def fill(now):
         cache.put_scoped(rrset_for(name, 60, 1), subnet, 24, now=now)
-        cache.put_negative(Name("gone.example"), RdataType.A, True, now=now)
+        cache.put_negative(Name("gone.example"), RdataType.A, True, now=now, soa=soa_rrset())
         for index in range(4):
             cache.put(
                 rrset_for(Name(f"h{index}.example"), 60, index),

@@ -53,13 +53,15 @@ class TestForwarding:
         hit = forwarder.resolve("www.example.tld.", RdataType.A, now=20.0)
         assert hit.answers[-1].ttl <= 40
 
-    def test_negative_answers_cached(self, mini_world):
+    def test_negative_answers_are_forwarded_again(self, mini_world):
+        """The upstream's result carries no SOA, and a negative answer
+        without one is not cached (RFC 2308 §5)."""
         forwarder = make_forwarder(mini_world, [make_recursive(mini_world)])
         first = forwarder.resolve("missing.example.tld.", RdataType.A, now=0.0)
         assert first.rcode == Rcode.NXDOMAIN
         second = forwarder.resolve("missing.example.tld.", RdataType.A, now=1.0)
-        assert second.cache_hit
-        assert forwarder.forwarded_queries == 1
+        assert second.rcode == Rcode.NXDOMAIN and not second.cache_hit
+        assert forwarder.forwarded_queries == 2 and len(forwarder.cache) == 0
 
     def test_round_robin_fragments_caches(self, mini_world):
         """§4.4: different upstream backends hold different remaining TTLs,

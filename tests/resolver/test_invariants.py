@@ -27,7 +27,6 @@ POLICIES = [
     ResolverPolicy.capping(21599),
     ResolverPolicy.sticky_resolver(),
     ResolverPolicy.unlinked(),
-    ResolverPolicy.validating(),
     ResolverPolicy.prefetching(),
 ]
 

@@ -87,7 +87,7 @@ class TestSurface:
         assert [field.name for field in dataclasses.fields(ResolverPolicy)] == [
             "centricity", "ttl_cap", "ttl_floor", "serve_stale", "rfc7706_local_root",
             "link_inbailiwick_glue", "sticky", "answer_from_referral", "target_fetch",
-            "validate_dnssec", "prefetch", "predict", "ecs", "push",
+            "prefetch", "predict", "ecs", "push",
         ]
 
     def test_features_are_switches(self):

@@ -37,7 +37,6 @@ POLICIES = {
     "serve-stale": ResolverPolicy(serve_stale=True),
     "local-root": ResolverPolicy.local_root(),
     "unlinked": ResolverPolicy.unlinked(),
-    "validating": ResolverPolicy.validating(),
     "prefetch": ResolverPolicy.prefetching(),
     "prefetch+predict": ResolverPolicy(prefetch=True, predict=True),
     "predict": ResolverPolicy.predictive(),

@@ -1,0 +1,70 @@
+"""RFC clauses on TTL semantics: one row per normative clause.
+
+Each row names the RFC and section, quotes the clause, and holds a check
+that runs against the production :class:`~repro.resolver.cache.Cache` and
+against :class:`~tests.resolver.reference_cache.ScanReferenceCache`, so a
+clause holds for the specification as well as for the fast path.
+"""
+
+from typing import Callable, NamedTuple
+
+import pytest
+
+from repro.dns.name import Name
+from repro.dns.rdtypes import RdataType
+from repro.dns.record import RRset
+from repro.resolver.cache import Cache, Credibility
+
+from tests.conftest import soa_rrset
+from tests.resolver.reference_cache import ScanReferenceCache
+
+GONE = Name("gone.example.")
+
+
+class Clause(NamedTuple):
+    id: str
+    rfc: str
+    quote: str
+    check: Callable[[object], None]
+
+
+def no_soa_is_not_cached(cache) -> None:
+    for soa in (None, RRset(Name("example."), RdataType.SOA, 3600)):
+        cache.put_negative(GONE, RdataType.A, True, 0.0, soa)
+    assert len(cache) == 0
+    assert cache.get_negative(GONE, RdataType.A, 0.0) is None
+
+
+def negative_ttl_is_min_of_soa_ttl_and_minimum(cache) -> None:
+    for start, (ttl, minimum) in enumerate(((3600, 900), (60, 900), (900, 900))):
+        now = start * 10_000.0
+        cache.put_negative(GONE, RdataType.A, False, now, soa_rrset(ttl=ttl, minimum=minimum))
+        lifetime = min(ttl, minimum)
+        entry = cache.get_negative(GONE, RdataType.A, now + lifetime - 1)
+        assert entry is not None and entry.credibility is Credibility.NODATA
+        assert entry.expires_at == now + lifetime
+        assert cache.get_negative(GONE, RdataType.A, now + lifetime) is None
+
+
+CLAUSES = [
+    Clause(
+        "rfc2308-5-no-soa", "RFC 2308 §5",
+        "Negative responses without SOA records SHOULD NOT be cached as there is "
+        "no way to prevent the negative responses looping forever between a pair "
+        "of servers even with a TTL of zero.",
+        no_soa_is_not_cached,
+    ),
+    Clause(
+        "rfc2308-5-negative-ttl", "RFC 2308 §5",
+        "When the authoritative server creates this record its TTL is taken from "
+        "the minimum of the SOA.MINIMUM field and SOA's TTL.",
+        negative_ttl_is_min_of_soa_ttl_and_minimum,
+    ),
+]
+
+
+@pytest.mark.parametrize("make_cache", [Cache, ScanReferenceCache],
+                         ids=["cache", "reference"])
+@pytest.mark.parametrize("clause", CLAUSES, ids=[clause.id for clause in CLAUSES])
+def test_clause(clause, make_cache):
+    clause.check(make_cache())

@@ -48,6 +48,7 @@ from repro.resolver.cache import Credibility
 from repro.serve import ServeConfig, build_frontend
 from repro.serve.frontend import DnsFrontend
 from repro.serve.memo import ResponseMemo
+from tests.conftest import soa_rrset
 from tests.metrics.test_count_once_structure import calls
 from tests.serve.test_frontend import scripted_query_mix
 
@@ -85,7 +86,9 @@ WRITES = {
     ),
     "expire_now": lambda cache, now: cache.expire_now(KEY, now),
     "refresh_expiry": lambda cache, now: cache.refresh_expiry(KEY, now),
-    "put_negative": lambda cache, now: cache.put_negative(QNAME, RdataType.A, True, now),
+    "put_negative": lambda cache, now: cache.put_negative(
+        QNAME, RdataType.A, True, now, soa_rrset()
+    ),
     "clear": lambda cache, now: cache.clear(),
 }
 

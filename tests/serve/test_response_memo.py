@@ -31,6 +31,7 @@ from repro.serve import ServeConfig, build_frontend
 from repro.serve.config import WORLD_BUILDERS
 from repro.serve.frontend import ServeResult
 from repro.serve.memo import DEFAULT_MEMO_CAPACITY, ResponseMemo
+from tests.conftest import soa_rrset
 from tests.core.test_conservation import conservation_problems
 from tests.serve.test_frontend import FakeWall
 
@@ -87,7 +88,7 @@ def mutate(frontend, kind: str, name: Name) -> None:
         sibling = RRset(name, RdataType.AAAA, 300, [AAAA("2001:db8::1")])
         cache.put(sibling, Credibility.AUTH_ANSWER, now)
     elif kind == "put_negative":
-        cache.put_negative(name, RdataType.A, True, now)
+        cache.put_negative(name, RdataType.A, True, now, soa_rrset())
     elif kind == "put_cname":
         # The owner becomes an alias, beside whatever else it holds.
         target = Name("www.domain1.nl." if name == Name("www.domain0.nl.") else "www.domain0.nl.")
@@ -306,7 +307,7 @@ def test_a_cached_nxdomain_leaves_ttl_patching_on():
         frontend, _ = make_frontend(at=0.0)
         if nxdomain:
             frontend.resolver.cache.put_negative(
-                Name("www.doesnotexist.nl."), RdataType.A, True, 0.0
+                Name("www.doesnotexist.nl."), RdataType.A, True, 0.0, soa_rrset()
             )
         rng = random.Random(1)
         ranks = rng.choices(range(20), weights=[1.0 / (rank + 1) for rank in range(20)], k=2000)

@@ -94,6 +94,64 @@ def test_a_stale_allowlist_entry_fails(tree, capsys, entry):
     assert f"{entry} is reached or gone" in capsys.readouterr().err
 
 
+#: Files that name ``only_tested`` in prose alone.
+PROSE_USES = {
+    "docstring": '''
+        def caller():
+            """Unlike only_tested(), this one is called."""
+            return 3
+
+
+        print(caller())
+    ''',
+    "comment": """
+        VALUE = 1  # only_tested() would also give 2
+    """,
+    "string-statement": '''
+        VALUE = 2
+        """only_tested"""
+    ''',
+}
+
+#: Files that reach ``only_tested`` in code without a plain call.
+CODE_USES = {
+    "getattr": """
+        import repro.lib
+
+        print(getattr(repro.lib, "only_tested")())
+    """,
+    "spec-string": """
+        SPEC = "repro.lib:only_tested"
+    """,
+    "import-alias": """
+        from repro.lib import only_tested as second
+
+        print(second())
+    """,
+}
+
+
+@pytest.mark.parametrize("use", sorted(PROSE_USES))
+def test_a_use_in_prose_does_not_reach(tree, capsys, use):
+    status = tree({
+        "src/repro/lib.py": LIBRARY,
+        "examples/demo.py": CALLER,
+        "examples/prose.py": PROSE_USES[use],
+    })
+    assert status == 1
+    assert "only_tested is not reached outside tests" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("use", sorted(CODE_USES))
+def test_a_use_in_code_reaches(tree, capsys, use):
+    status = tree({
+        "src/repro/lib.py": LIBRARY,
+        "examples/demo.py": CALLER,
+        "examples/use.py": CODE_USES[use],
+    })
+    assert status == 0, capsys.readouterr().err
+
+
 def test_registrations_and_protocol_callbacks_pass(tree, capsys):
     status = tree({
         "src/repro/cli.py": """
@@ -147,6 +205,15 @@ def test_a_module_only_a_test_imports_fails(tree, capsys):
     status = tree({
         "src/repro/orphan.py": "VALUE = 1\n",
         "tests/test_orphan.py": "import repro.orphan\n",
+    })
+    assert status == 1
+    assert "module repro.orphan is imported by no non-test file" in capsys.readouterr().err
+
+
+def test_a_module_named_only_in_prose_fails(tree, capsys):
+    status = tree({
+        "src/repro/orphan.py": "VALUE = 1\n",
+        "examples/demo.py": '"""Also see "repro.orphan" and "repro.orphan:VALUE"."""\n',
     })
     assert status == 1
     assert "module repro.orphan is imported by no non-test file" in capsys.readouterr().err

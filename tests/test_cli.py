@@ -53,6 +53,18 @@ class TestEffective:
         out = capsys.readouterr().out
         assert "7200s" in out
 
+    def test_validating_is_child_centric(self, capsys):
+        # The signature encloses the child's TTL (paper §2).
+        assert main([
+            "effective", "--parent-ns", "172800", "--child-ns", "300",
+            "--policies", "child", "validating",
+        ]) == 0
+        rows = {}
+        for line in capsys.readouterr().out.splitlines():
+            label, *columns = (cell.strip() for cell in line.split("|"))
+            rows[label] = columns
+        assert rows["validating"] == rows["child"] == ["300s", "-", "child", "300s"]
+
 
 class TestHitrate:
     def test_table_and_knee(self, capsys):
@@ -315,14 +327,13 @@ class TestServeLoadgen:
     def test_analyze_querylog_flag(self, tmp_path, capsys):
         from repro.dns.name import Name
         from repro.dns.rdtypes import RdataType
-        from repro.server.querylog import QueryLog, QueryLogEntry
+        from repro.server.querylog import QueryLogEntry, QueryLogWriter
 
-        log = QueryLog()
-        for ts in (0.0, 10.0, 3700.0):
-            log.append(QueryLogEntry(ts, "10.0.0.1", 0, Name("www.domain1.nl."),
-                                     RdataType.A, "serve"))
         path = tmp_path / "live.jsonl"
-        log.write_jsonl(path)
+        with QueryLogWriter(path) as writer:
+            for ts in (0.0, 10.0, 3700.0):
+                writer.append(QueryLogEntry(ts, "10.0.0.1", 0, Name("www.domain1.nl."),
+                                            RdataType.A, "serve"))
         assert main(["analyze", str(path), "--querylog"]) == 0
         out = capsys.readouterr().out
         assert "groups (client, qname)" in out

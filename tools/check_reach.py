@@ -1,24 +1,28 @@
 #!/usr/bin/env python3
 """Reach check: code under ``src/repro`` that only tests call.
 
-Run by ``make docs-check`` (the CI ``docs`` job).  Two rules, on names and
-``ast`` alone — nothing is imported:
+Run by ``make docs-check`` (the CI ``docs`` job).  Two rules, on ``ast``
+alone — nothing is imported:
 
 1. **Definitions.** Every module-level function and class under
    ``src/repro``, and every method but the ``__dunder__`` and ``_sunder_``
-   hooks Python calls by name (``Enum._missing_``), must be *reached*: its name
-   appears as a word in some non-test ``.py`` file under ``src/``,
-   ``bench/``, ``benchmarks/``, ``examples/`` or ``tools/``, not counting
-   the ``def``/``class`` statements that define it and not counting the
-   lazy-export tables in package ``__init__``s (they restate every
-   export).  A definition with a decorator other than the plain wrappers
+   hooks Python calls by name (``Enum._missing_``), must be *reached* by
+   code in some non-test ``.py`` file under ``src/``, ``bench/``,
+   ``benchmarks/``, ``examples/`` or ``tools/``.  Code means a name
+   (``ast.Name``), an attribute (``obj.name``), an imported name (``from m
+   import name``), a string constant that is exactly an identifier
+   (``getattr(obj, "name")``) or the attribute of a ``"module:attr"`` spec
+   string.  Docstrings, comments, other prose strings and the lazy-export
+   tables in package ``__init__``s (they restate every export) reach
+   nothing.  A definition with a decorator other than the plain wrappers
    (``@property``, ``@dataclass``, ...) is reached, because the decorator
    registers it (``cli._artifact``); so is an asyncio protocol callback,
    which the event loop calls by name.  One use of a name reaches every
    definition of that name, so collisions only make the check lenient.
 2. **Modules.** Every module under ``src/repro`` is imported by a non-test
-   file, named in an export table, or named in a ``"module:attr"`` spec
-   string (or a bare ``"repro.x"`` string such as a ``-m`` argument).
+   file, named in an export table, or named by a ``"module:attr"`` spec
+   string or a bare ``"repro.x"`` string (a ``-m`` argument) in code, as
+   rule 1 reads code.
 
 Unreached code is deleted or listed in ``tools/check_reach_allowlist.txt``,
 one ``path::Qual.name  # reason`` per line (``path`` alone for a module;
@@ -32,7 +36,6 @@ from __future__ import annotations
 import ast
 import re
 import sys
-from collections import Counter
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -50,8 +53,8 @@ CALLBACKS = {"connection_made", "connection_lost", "data_received", "eof_receive
              "datagram_received", "error_received", "pause_writing", "resume_writing",
              "get_buffer", "buffer_updated"}
 
-WORD_RE = re.compile(r"\w+")
-MODULE_STRING_RE = re.compile(r"""["'](repro(?:\.\w+)*)[:"']""")
+#: A ``"module:attr"`` spec string, or a bare ``"repro.x"`` module string.
+SPEC_RE = re.compile(r"(repro(?:\.\w+)*)(?::([\w.]+))?")
 
 
 def _decorator_name(node: ast.expr) -> str:
@@ -83,6 +86,32 @@ def _export_tables(tree: ast.Module):
             yield node.args[1]
 
 
+def _prose(tree: ast.Module) -> set[int]:
+    """``id``s of the string constants that are statements of their own:
+    docstrings and other prose, which reach nothing."""
+    return {id(node.value) for node in ast.walk(tree)
+            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+            and isinstance(node.value.value, str)}
+
+
+def _names(tree: ast.Module):
+    """Every name, attribute and imported name in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield from node.name.split(".")
+
+
+def _strings(tree: ast.Module, skip: set[int]):
+    """Every string constant in ``tree`` but those in ``skip``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in skip:
+            yield node.value
+
+
 def _module_name(path: Path, src: Path) -> str:
     parts = path.relative_to(src).with_suffix("").parts
     return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
@@ -93,18 +122,22 @@ def find_unreached(root: Path) -> dict[str, str]:
     src, package = root / "src", root / "src" / "repro"
     files = [path for top in SCAN_DIRS for path in sorted((root / top).rglob("*.py"))
              if not path.name.startswith("test_")]
-    words: Counter[str] = Counter()
+    used: set[str] = set()
     imported: set[str] = set()
     defined: dict[str, tuple[str, ast.AST]] = {}
     for path in files:
-        text = path.read_text(encoding="utf-8")
-        tree = ast.parse(text, filename=str(path))
-        lines = text.splitlines()
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        skip = _prose(tree)
         for table in _export_tables(tree):
             imported.update(f"{_module_name(path, src)}.{key.value}" for key in table.keys)
-            lines[table.lineno - 1:table.end_lineno] = [""] * (table.end_lineno - table.lineno + 1)
-        words.update(WORD_RE.findall("\n".join(lines)))
-        imported.update(MODULE_STRING_RE.findall(text))
+            skip.update(id(node) for node in ast.walk(table))
+        used.update(_names(tree))
+        for value in _strings(tree, skip):
+            if value.isidentifier():
+                used.add(value)
+            elif spec := SPEC_RE.fullmatch(value):
+                imported.add(spec[1])
+                used.update(spec[2].split(".") if spec[2] else ())
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 imported.update(alias.name for alias in node.names)
@@ -112,7 +145,6 @@ def find_unreached(root: Path) -> dict[str, str]:
                 imported.add(node.module)
                 imported.update(f"{node.module}.{alias.name}" for alias in node.names)
         for qualname, node in _definitions(tree):
-            words[node.name] -= 1
             if path.is_relative_to(package):
                 rel = path.relative_to(package).as_posix()
                 defined[f"{rel}::{qualname}"] = (f"src/repro/{rel}:{node.lineno}", node)
@@ -125,7 +157,7 @@ def find_unreached(root: Path) -> dict[str, str]:
             unreached[rel] = (f"src/repro/{rel}: module {_module_name(path, src)} "
                               "is imported by no non-test file")
     for key, (where, node) in defined.items():
-        if words[node.name] <= 0 and not _registered(node) and node.name not in CALLBACKS:
+        if node.name not in used and not _registered(node) and node.name not in CALLBACKS:
             unreached[key] = f"{where}: {key.split('::')[1]} is not reached outside tests"
     return unreached
 

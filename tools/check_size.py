@@ -16,20 +16,20 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 #: paths whose lines sum under one ceiling -> line ceiling.
 CEILINGS = {
     # ROADMAP item 8's gate: the three files together, whatever each holds.
-    ("core/scenarios.py", "resolver/recursive.py", "core/worlds.py"): 3354,
+    ("core/scenarios.py", "resolver/recursive.py", "core/worlds.py"): 3346,
     "core/scenarios.py": 1440,
-    "resolver/recursive.py": 989,
+    "resolver/recursive.py": 981,
     "core/worlds.py": 925,
     "resolver/cache.py": 733,
     "serve/memo.py": 222,
     "serve/frontend.py": 440,
     "net/latency.py": 187,
-    "net/transport.py": 580,
+    "net/transport.py": 567,
     "server/authoritative.py": 161,
     "server/anycast.py": 112,
-    "dns/name.py": 326,
+    "dns/name.py": 314,
     "metrics/registry.py": 258,
-    "": 20345,
+    "": 20108,
 }
 
 
