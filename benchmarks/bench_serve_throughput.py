@@ -3,7 +3,7 @@
 Not a paper artifact: this is the whole-stack wall-clock number the perf
 trajectory was missing — real sockets, real wire codec, the resolver and
 cache behind them.  Each bench boots a server subprocess (the default
-fast path: batched I/O + response memo, caches prewarmed), drives it
+fast path: response memo on, caches prewarmed), drives it
 with the closed-loop generator at fixed concurrency (so the achieved
 rate *is* the capacity), and files qps plus p50/p99 latency into
 ``BENCH_perf.json``.
@@ -147,7 +147,7 @@ def test_serve_throughput(benchmark, workers):
 
 
 def test_serve_throughput_fast_path_off(benchmark):
-    """The ablation: same load with batching and the memo disabled.
+    """The ablation: same load with the response memo disabled.
 
     Filed alongside the default number so the fast path's contribution
     stays visible in the perf trajectory (and a regression that only
@@ -155,7 +155,7 @@ def test_serve_throughput_fast_path_off(benchmark):
     """
     result = benchmark.pedantic(
         measure_capacity,
-        args=(1, 1, ("--no-batch", "--no-memo")),
+        args=(1, 1, ("--no-memo",)),
         rounds=1,
         iterations=1,
     )

@@ -493,8 +493,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         time_scale=args.time_scale,
         predict=args.predict,
         ecs=args.ecs,
-        batch_size=args.batch,
-        batching=not args.no_batch,
         memo=not args.no_memo,
         prewarm=args.prewarm,
         querylog_path=args.querylog,
@@ -768,12 +766,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--time-scale", type=float, default=1.0,
                        help="sim seconds per wall second (TTLs age faster)")
     serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--batch", type=int, default=32, metavar="N",
-                       help="datagrams drained/flushed per syscall on the "
-                            "UDP hot path (default %(default)s)")
-    serve.add_argument("--no-batch", action="store_true",
-                       help="force the portable one-datagram I/O loop "
-                            "instead of recvmmsg/sendmmsg")
     serve.add_argument("--no-memo", action="store_true",
                        help="disable the encode-once hot-response memo")
     serve.add_argument("--prewarm", type=int, default=0, metavar="N",

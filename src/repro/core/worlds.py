@@ -16,7 +16,6 @@ from typing import Optional
 from repro.dns.name import Name, root
 from repro.dns.rdtypes import AAAA, A, NS, RdataType
 from repro.dns.zone import Zone
-from repro.net.clock import SimClock
 from repro.net.topology import Endpoint, Region, Topology, TopologyMark
 from repro.net.transport import Network
 from repro.resolver.policy import ResolverPolicy
@@ -49,7 +48,6 @@ class World:
     seed: int
     topology: Topology
     network: Network
-    clock: SimClock
     root_zone: Zone
     hints: dict[Name, str]
     zones: dict[str, Zone] = field(default_factory=dict)
@@ -75,13 +73,12 @@ class World:
         Equivalent to ``builder(seed, **same_kwargs)`` because world
         structure is seed-independent: the topology rewinds (dropping
         endpoints the previous shard's population allocated) and reseeds,
-        the fabric's RNG streams/metrics/faults reset, every server
-        forgets its query traffic, and the clock restarts at zero.
+        the fabric's RNG streams/metrics/faults reset, and every server
+        forgets its query traffic.
         """
         self.seed = seed
         self.topology.reset_to(baseline.topology_mark, seed)
         self.network.reset_runtime(seed)
-        self.clock = SimClock()
 
     # -- infrastructure -----------------------------------------------------
     def address_of(self, server_name: str) -> str:
@@ -220,7 +217,6 @@ def _root_world(seed: int) -> World:
         seed=seed,
         topology=Topology(seed=seed),
         network=Network(seed=seed),
-        clock=SimClock(),
         root_zone=root_zone,
         hints={},
     )

@@ -3,7 +3,6 @@
 The paper's measurements run on the real Internet; here we substitute a
 round-driven simulation with three pieces:
 
-- :mod:`repro.net.clock` — a world's virtual start time,
 - :mod:`repro.net.topology` — regions, autonomous systems and addressed
   endpoints,
 - :mod:`repro.net.latency` — a geographic RTT model calibrated so that
@@ -19,7 +18,6 @@ datasets.
 from repro._exports import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
-    "clock": ("SimClock",),
     "latency": ("LatencyModel",),
     "topology": ("AddressAllocator", "AutonomousSystem", "Endpoint", "Region", "Topology"),
     "transport": ("LossModel", "Network", "NetworkTimeout", "Server", "SessionBroken",

@@ -72,12 +72,6 @@ class ForwardingResolver:
         """Answer from the local cache, else forward."""
         self.client_queries += 1
         name = qname if type(qname) is Name else Name(qname)
-
-        negative = self.cache.get_negative(name, qtype, now)
-        if negative is not None:
-            rcode = Rcode.NXDOMAIN if negative.credibility is Credibility.NXDOMAIN else Rcode.NOERROR
-            return ResolutionResult(rcode=rcode, cache_hit=True)
-
         entry = self.cache.get_entry((name, qtype, RdataClass.IN), now)
         if entry is not None:
             return ResolutionResult(
@@ -117,6 +111,7 @@ class ForwardingResolver:
         return self.cache.lease((qname, qtype, RdataClass.IN))
 
     def count_leased_hits(self, count: int) -> None:
-        """Account ``count`` client queries answered from a hit lease."""
+        """Account ``count`` client queries answered from a hit lease:
+        what that many :meth:`Cache.get_entry` hits count."""
         self.client_queries += count
-        self.cache.count_leased_hits(count)
+        self.cache.stats.hits += count

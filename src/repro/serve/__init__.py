@@ -4,17 +4,16 @@
 with the :mod:`repro.dns` codec, and answers from a
 :class:`RecursiveResolver` whose cache fronts one of the canonical
 simulated worlds, with wall time bridged onto the sim clock so TTLs age
-for real.  The hot path batches datagram I/O (``recvmmsg``/``sendmmsg``
-via :mod:`repro.serve.batchio`) and memoizes encoded responses for
-repeat queries (:mod:`repro.serve.memo`).  See ``docs/serving.md``.
+for real.  The hot path drains each UDP wakeup in one callback and
+answers repeat queries from a memo of encoded responses
+(:mod:`repro.serve.memo`).  See ``docs/serving.md``.
 """
 
 from repro._exports import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
-    "batchio": ("FallbackBatcher", "MmsgBatcher", "make_batcher", "mmsg_available"),
     "bridge": ("WallClockBridge",),
-    "config": ("DEFAULT_BATCH_SIZE", "WORLD_BUILDERS", "ServeConfig", "build_frontend"),
+    "config": ("WORLD_BUILDERS", "ServeConfig", "build_frontend"),
     "frontend": ("DnsFrontend", "ServeResult", "servfail_wire"),
     "memo": ("DEFAULT_MEMO_CAPACITY", "ResponseMemo"),
     "server": ("ServeServer",),

@@ -31,9 +31,6 @@ from repro.serve.memo import ResponseMemo
 from repro.server.querylog import QueryLogWriter
 from repro.server.rrl import ResponseRateLimiter
 
-#: Default datagrams drained (or flushed) per syscall.
-DEFAULT_BATCH_SIZE = 32
-
 #: Canonical worlds a live server can front.  Wrapper dataclasses
 #: (NlWorld, UyWorld, ...) are unwrapped to the underlying World.
 WORLD_BUILDERS: dict[str, Callable[[int], World]] = {
@@ -69,10 +66,6 @@ class ServeConfig:
     #: and cache scoped answers per subnet (--ecs).  Off by default so
     #: the serving hot path stays byte-identical without it.
     ecs: bool = False
-    #: Datagrams drained/flushed per syscall on the UDP hot path.
-    batch_size: int = DEFAULT_BATCH_SIZE
-    #: False forces the portable one-datagram I/O loop (--no-batch).
-    batching: bool = True
     #: False disables the encode-once response memo (--no-memo).
     memo: bool = True
     #: Resolve the top-N hot names into each worker's cache before it
@@ -96,8 +89,6 @@ class ServeConfig:
             )
         if self.max_inflight < 1:
             raise ValueError(f"in-flight budget must be positive, not {self.max_inflight}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch size must be positive, not {self.batch_size}")
         if self.prewarm < 0:
             raise ValueError(f"prewarm count must be >= 0, not {self.prewarm}")
 

@@ -1,15 +1,14 @@
-"""The asyncio serving loop: batched UDP, framed TCP, bounded in-flight.
+"""The asyncio serving loop: eager UDP drain, framed TCP, bounded in-flight.
 
 One :class:`ServeServer` is one event loop owning one
 :class:`DnsFrontend`.  The UDP socket is drained *eagerly* on every
-readiness event — a burst sitting in the kernel buffer is pulled into
-userspace in batches (``recvmmsg`` where available, a portable loop
-otherwise; see :mod:`repro.serve.batchio`) — and each datagram takes one
+readiness event — a burst sitting in the kernel buffer is read out with
+``recvfrom`` until the socket would block — and each datagram takes one
 of three doors, cheapest first:
 
 1. **fast path** — a memoized hot response is spliced with the client's
-   DNS ID and collected for a batched ``sendmmsg`` flush, never touching
-   the queue, the decoder, or the resolver;
+   DNS ID and sent once the wakeup's reads are done, never touching the
+   queue, the decoder, or the resolver;
 2. **admission** — everything else enters the bounded in-flight queue
    for the full decode→resolve→encode pipeline;
 3. **shed** — a full queue answers straight from the receive path with a
@@ -32,18 +31,19 @@ import struct
 from typing import Optional
 
 from repro.metrics.registry import GAUGE, HOST
-from repro.serve.batchio import make_batcher
-from repro.serve.config import DEFAULT_BATCH_SIZE
 from repro.serve.frontend import DnsFrontend, servfail_wire
 
 #: Longest framed TCP query we will read (RFC 1035 allows up to 64 KiB).
 MAX_TCP_QUERY = 0xFFFF
 
-#: Readiness callbacks process at most this many receive batches before
-#: yielding, so a sustained flood of fast-path hits cannot starve the
-#: drain task, TCP readers, or signal handlers.  Level-triggered
-#: ``add_reader`` re-fires immediately if datagrams remain.
-MAX_BATCHES_PER_WAKEUP = 8
+#: Largest UDP datagram one read accepts (EDNS can advertise up to 64 KiB).
+MAX_DATAGRAM = 0xFFFF
+
+#: Readiness callbacks read at most this many datagrams before yielding,
+#: so a sustained flood of fast-path hits cannot starve the drain task,
+#: TCP readers, or signal handlers.  Level-triggered ``add_reader``
+#: re-fires immediately if datagrams remain.
+MAX_DATAGRAMS_PER_WAKEUP = 256
 
 
 class ServeServer:
@@ -57,8 +57,6 @@ class ServeServer:
         max_inflight: int = 256,
         reuse_port: bool = False,
         predict_interval: float = 1.0,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        batching: bool = True,
     ) -> None:
         self.frontend = frontend
         self.host = host
@@ -66,11 +64,8 @@ class ServeServer:
         self.max_inflight = max_inflight
         self.reuse_port = reuse_port
         self.predict_interval = predict_interval
-        self.batch_size = batch_size
-        self.batching = batching
         self._queue: asyncio.Queue = asyncio.Queue(maxsize=max_inflight)
         self._udp_sock: Optional[socket.socket] = None
-        self.batcher = None  # built at start(), once the socket exists
         self._tcp_server: Optional[asyncio.AbstractServer] = None
         self._drain_task: Optional[asyncio.Task] = None
         self._predict_task: Optional[asyncio.Task] = None
@@ -88,11 +83,6 @@ class ServeServer:
         udp_sock.bind((self.host, self.port))
         self.bound_port = udp_sock.getsockname()[1]
         self._udp_sock = udp_sock
-        # ``batching=False`` forces the portable one-datagram loop (the
-        # CI equivalence job and --no-batch); auto-detect otherwise.
-        self.batcher = make_batcher(
-            udp_sock, self.batch_size, prefer_mmsg=None if self.batching else False
-        )
         loop.add_reader(udp_sock.fileno(), self._on_udp_readable)
         self._tcp_server = await asyncio.start_server(
             self._serve_tcp,
@@ -129,57 +119,52 @@ class ServeServer:
         if self._udp_sock is not None:
             self._udp_sock.close()
             self._udp_sock = None
-            self.batcher = None
         peak = (("serve.inflight_peak", GAUGE, "_inflight_peak"),)
         self.frontend.registry.collect(self, peak, HOST)
         self.frontend.close()
 
     # -- UDP ---------------------------------------------------------------
     def _on_udp_readable(self) -> None:
-        """Drain the kernel buffer in batches; answer, admit, or shed.
+        """Drain the kernel buffer; answer, admit, or shed each datagram.
 
         Pulling the burst out in one callback is what makes overload
         visible: every datagram is either answered inline from the memo,
         admitted under the in-flight budget, or refused with an early
         SERVFAIL right here, instead of rotting in (and eventually
         overflowing) the kernel's receive buffer.  All inline responses
-        from one wakeup — fast-path hits and sheds alike — leave in a
-        single batched flush at the end.
+        from one wakeup — fast-path hits and sheds alike — leave after the
+        reads, one ``sendto`` each.
         """
-        batcher = self.batcher
-        if batcher is None:
+        sock = self._udp_sock
+        if sock is None:
             return
+        recvfrom = sock.recvfrom
         frontend = self.frontend
         fast_answer = frontend.fast_answer if frontend.memo is not None else None
         queue = self._queue
         out: list[tuple[bytes, tuple]] = []
-        for _ in range(MAX_BATCHES_PER_WAKEUP):
+        for _ in range(MAX_DATAGRAMS_PER_WAKEUP):
             try:
-                batch = batcher.recv_batch()
-            except OSError:
-                break
-            if not batch:
-                break
-            for data, addr in batch:
-                if fast_answer is not None:
-                    wire = fast_answer(data, addr[0])
-                    if wire is not None:
-                        out.append((wire, addr))
-                        continue
-                try:
-                    queue.put_nowait((data, addr))
-                    depth = queue.qsize()
-                    if depth > self._inflight_peak:
-                        self._inflight_peak = depth
-                except asyncio.QueueFull:
-                    frontend.shed += 1
-                    shed = servfail_wire(data)
-                    if shed is not None:
-                        out.append((shed, addr))
-            if len(batch) < batcher.batch_size:
-                break  # kernel buffer drained; skip the empty syscall
-        if out:
-            batcher.send_batch(out)
+                data, addr = recvfrom(MAX_DATAGRAM)
+            except (BlockingIOError, InterruptedError, OSError):
+                break  # drained (or the socket failed): wait for readiness
+            if fast_answer is not None:
+                wire = fast_answer(data, addr[0])
+                if wire is not None:
+                    out.append((wire, addr))
+                    continue
+            try:
+                queue.put_nowait((data, addr))
+                depth = queue.qsize()
+                if depth > self._inflight_peak:
+                    self._inflight_peak = depth
+            except asyncio.QueueFull:
+                frontend.shed += 1
+                shed = servfail_wire(data)
+                if shed is not None:
+                    out.append((shed, addr))
+        for wire, addr in out:
+            self._sendto(wire, addr)
 
     def _sendto(self, wire: bytes, addr) -> None:
         if self._udp_sock is None:

@@ -44,8 +44,6 @@ def run_worker(config: ServeConfig, worker_index: int = 0) -> None:
         port=config.port,
         max_inflight=config.max_inflight,
         reuse_port=config.workers > 1,
-        batch_size=config.batch_size,
-        batching=config.batching,
     )
 
     async def main() -> None:
@@ -59,14 +57,12 @@ def run_worker(config: ServeConfig, worker_index: int = 0) -> None:
         # share this pipe, so each line goes out as ONE write (atomic on
         # POSIX pipes below PIPE_BUF) — print()'s separate text/newline
         # writes can tear, merging two workers' ready lines into one.
-        batcher = server.batcher
         sys.stdout.write(
             f"repro-serve: worker {worker_index} listening on "
             f"{config.host}:{port} (udp+tcp)\n"
         )
         sys.stdout.write(
             f"repro-serve: worker {worker_index} fast path: "
-            f"io={batcher.kind if batcher is not None else 'none'}x{config.batch_size} "
             f"memo={'on' if frontend.memo is not None else 'off'} "
             f"prewarm={config.prewarm}\n"
         )

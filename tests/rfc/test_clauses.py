@@ -11,7 +11,7 @@ from typing import Callable, NamedTuple
 import pytest
 
 from repro.dns.name import Name
-from repro.dns.rdtypes import RdataType
+from repro.dns.rdtypes import A, RdataType
 from repro.dns.record import RRset
 from repro.resolver.cache import Cache, Credibility
 
@@ -19,6 +19,7 @@ from tests.conftest import soa_rrset
 from tests.resolver.reference_cache import ScanReferenceCache
 
 GONE = Name("gone.example.")
+WWW = Name("www.example.")
 
 
 class Clause(NamedTuple):
@@ -46,6 +47,25 @@ def negative_ttl_is_min_of_soa_ttl_and_minimum(cache) -> None:
         assert cache.get_negative(GONE, RdataType.A, now + lifetime) is None
 
 
+def lower_rank_never_replaces_live_higher_rank(cache) -> None:
+    answer = RRset(WWW, RdataType.A, 3600, [A("192.0.2.1")])
+    glue = RRset(WWW, RdataType.A, 3600, [A("198.51.100.9")])
+    assert cache.put(answer, Credibility.AUTH_ANSWER, 0.0)
+    for rank in (Credibility.ADDITIONAL, Credibility.NONAUTH_ANSWER,
+                 Credibility.AUTH_AUTHORITY):
+        assert cache.put(glue, rank, 10.0) is False
+        entry = cache.get(WWW, RdataType.A, 10.0)
+        assert entry.rrset is answer and entry.credibility is Credibility.AUTH_ANSWER
+
+
+def zero_ttl_is_never_served(cache) -> None:
+    rrset = RRset(WWW, RdataType.A, 0, [A("192.0.2.1")])
+    for rank in (Credibility.AUTH_ANSWER, Credibility.ADDITIONAL):
+        cache.put(rrset, rank, 100.0)
+        for now in (100.0, 100.5, 101.0):
+            assert cache.get(WWW, RdataType.A, now) is None
+
+
 CLAUSES = [
     Clause(
         "rfc2308-5-no-soa", "RFC 2308 §5",
@@ -59,6 +79,20 @@ CLAUSES = [
         "When the authoritative server creates this record its TTL is taken from "
         "the minimum of the SOA.MINIMUM field and SOA's TTL.",
         negative_ttl_is_min_of_soa_ttl_and_minimum,
+    ),
+    Clause(
+        "rfc2181-5.4.1-ranking", "RFC 2181 §5.4.1",
+        "An authoritative answer from a reply should replace cached data that had "
+        "been obtained from additional information in an earlier reply.  However "
+        "additional information from a reply will be ignored if the cache contains "
+        "data from an authoritative answer or a zone file.",
+        lower_rank_never_replaces_live_higher_rank,
+    ),
+    Clause(
+        "rfc1035-3.2.1-zero-ttl", "RFC 1035 §3.2.1",
+        "Zero values are interpreted to mean that the RR can only be used for the "
+        "transaction in progress, and should not be cached.",
+        zero_ttl_is_never_served,
     ),
 ]
 

@@ -33,13 +33,6 @@ def test_cli_worlds_mirror_registry():
     assert set(_SERVE_WORLDS) == set(WORLD_BUILDERS)
 
 
-def test_cli_batch_default_mirrors_config():
-    from repro.cli import build_parser
-    from repro.serve.config import DEFAULT_BATCH_SIZE
-
-    assert build_parser().parse_args(["serve"]).batch == DEFAULT_BATCH_SIZE
-
-
 def test_predict_flag_builds_predictive_resolver():
     from repro.serve.config import build_frontend
 

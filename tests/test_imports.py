@@ -72,7 +72,7 @@ RUN_CLOSURES = {
         "frontend, _ = build_frontend(ServeConfig(world='nl'))\n"
         "query = Message.make_query('www.example.nl.', RdataType.A).to_wire()\n"
         "assert frontend.handle_wire(query, '192.0.2.1').wire",
-        ("socket", "ctypes", "selectors", "repro.serve.batchio"),
+        ("socket", "ctypes", "selectors"),
     ),
 }
 

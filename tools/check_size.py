@@ -16,10 +16,10 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 #: paths whose lines sum under one ceiling -> line ceiling.
 CEILINGS = {
     # ROADMAP item 8's gate: the three files together, whatever each holds.
-    ("core/scenarios.py", "resolver/recursive.py", "core/worlds.py"): 3346,
+    ("core/scenarios.py", "resolver/recursive.py", "core/worlds.py"): 3342,
     "core/scenarios.py": 1440,
     "resolver/recursive.py": 981,
-    "core/worlds.py": 925,
+    "core/worlds.py": 921,
     "resolver/cache.py": 733,
     "serve/memo.py": 222,
     "serve/frontend.py": 440,
@@ -29,7 +29,7 @@ CEILINGS = {
     "server/anycast.py": 112,
     "dns/name.py": 314,
     "metrics/registry.py": 258,
-    "": 20108,
+    "": 19664,
 }
 
 
