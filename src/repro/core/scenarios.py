@@ -766,8 +766,8 @@ def _run_ddos_tier(
 ) -> DdosTierResult:
     """Probe one warmed resolver through an authoritative outage.
 
-    The outage is injected through :mod:`repro.faults` (never by mutating
-    the loss model directly), so every fault event is observable in the
+    The outage is injected through :mod:`repro.faults` (never through
+    ``Network.down``), so every fault event is observable in the
     metrics stream and extra faults can ride along via ``fault_plan``.
     """
     from repro.faults.injector import attach_fault_plan

@@ -367,8 +367,8 @@ class CachetestWorld:
     def take_child_offline(self) -> None:
         """The zurrundedu-offline scenario (§4.4): both sub-zone servers
         stop answering; only parent-centric resolvers still resolve."""
-        self.world.network.loss.take_down(self.old_server.endpoint.address)
-        self.world.network.loss.take_down(self.new_server.endpoint.address)
+        self.world.network.down.add(self.old_server.endpoint.address)
+        self.world.network.down.add(self.new_server.endpoint.address)
 
 
 def build_cachetest_world(seed: int = 0, in_bailiwick: bool = True) -> CachetestWorld:

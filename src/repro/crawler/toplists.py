@@ -31,9 +31,8 @@ from typing import Optional
 from repro.dns.name import Name
 from repro.dns.rdtypes import AAAA, A, CNAME, DNSKEY, MX, NS, RdataType
 from repro.dns.zone import Zone
-from repro.net.latency import LatencyModel
 from repro.net.topology import Region, Topology
-from repro.net.transport import LossModel, Network
+from repro.net.transport import Network
 from repro.server.authoritative import AuthoritativeServer
 
 #: TTL buckets (value, weight) — "times reflect human-chosen values
@@ -314,9 +313,7 @@ class _UniverseBuilder:
         self.rng = random.Random(seed ^ 0xC4A31)
         self.seed = seed
         self.topology = Topology(seed=seed)
-        self.network = Network(
-            latency=LatencyModel(seed=seed), loss=LossModel(seed=seed), seed=seed
-        )
+        self.network = Network(seed=seed)
         self.tld_zones: dict[str, Zone] = {}
         self.tld_server_addresses: dict[str, str] = {}
         self.host_addresses: dict[Name, str] = {}

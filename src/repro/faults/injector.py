@@ -158,7 +158,7 @@ class FaultInjector:
         """Decide one transmission's fate: ``(lost, extra_delay_seconds)``.
 
         Called by :meth:`Network.exchange` for every transmission whose
-        destination is up (the base :class:`LossModel` runs first).  All
+        destination is registered and not in :attr:`Network.down`.  All
         matching windows apply; loss draws happen even when an earlier
         window already doomed the transmission, so the RNG stream — and
         with it every later draw — does not depend on spec order.

@@ -2,7 +2,7 @@
 
 `repro loadgen` fires real UDP queries at a live server (normally
 `repro serve`) with Poisson or fixed-rate arrivals and Zipf-distributed
-qname popularity, retries on the resolver's own backoff ladder, and
+qname popularity, retries on the resolver's own flat timeout ladder, and
 reports achieved qps, loss, and latency percentiles.  See
 ``docs/serving.md``.
 """

@@ -5,8 +5,8 @@ not wait for responses, so an overloaded server faces the arrival rate
 it would face from real, mutually oblivious clients (closed-loop
 generators flatter a slow server by self-throttling — kept here only as
 a baseline mode).  Each in-flight query is matched to its response by
-DNS message ID; timeouts and retransmissions follow the same
-:class:`BackoffPolicy` the simulated resolvers use.
+DNS message ID; a lost attempt waits ``timeout_s`` and is retransmitted
+up to ``retries`` times, the flat ladder the simulated resolvers use.
 
 Driving a *batched* server hard needs the generator itself to be cheap
 and to look like many clients, so the hot path here mirrors the server's
@@ -32,7 +32,6 @@ from repro.dns.rdtypes import RdataType
 from repro.dns.wire import WireError
 from repro.loadgen.arrivals import ZipfSampler, fixed_schedule, poisson_schedule
 from repro.loadgen.report import LoadReport
-from repro.net.transport import BackoffPolicy
 
 #: DNS message IDs are 16-bit; one socket never has more outstanding.
 _ID_SPACE = 0x10000
@@ -83,6 +82,10 @@ class LoadgenConfig:
     ecs_subnets: int = 0
 
     def __post_init__(self) -> None:
+        if self.timeout_s <= 0:
+            raise ValueError(f"timeout {self.timeout_s} must be > 0")
+        if self.retries < 0:
+            raise ValueError(f"retries {self.retries} must be >= 0")
         if self.ecs_subnets < 0:
             raise ValueError(f"ecs_subnets must be >= 0, not {self.ecs_subnets}")
         if self.ecs_subnets > 4096:
@@ -104,9 +107,6 @@ class LoadgenConfig:
                 raise ValueError(f"count must be >= 1, not {self.count}")
             if self.mode != "closed":
                 raise ValueError("count runs are closed-loop; use mode='closed'")
-
-    def backoff(self) -> BackoffPolicy:
-        return BackoffPolicy(timeout=self.timeout_s, retries=self.retries)
 
 
 class _LoadgenProtocol(asyncio.DatagramProtocol):
@@ -198,8 +198,8 @@ class LoadGenerator:
             self._wire_cache[key] = base
         return message_id.to_bytes(2, "big") + base[2:]
 
-    async def _query_once(self, backoff: BackoffPolicy) -> _Outcome:
-        """Send one query, retrying per the backoff ladder."""
+    async def _query_once(self) -> _Outcome:
+        """Send one query, retransmitting after each ``timeout_s``."""
         endpoint = self._endpoints[self._round_robin % len(self._endpoints)]
         self._round_robin += 1
         message_id = endpoint.take_id()
@@ -212,13 +212,13 @@ class LoadGenerator:
         wire = self._query_wire(rank, message_id, subnet)
         loop = asyncio.get_running_loop()
         started = time.monotonic()
-        for attempt in range(backoff.retries + 1):
+        timeout_s, retries = self.config.timeout_s, self.config.retries
+        for attempt in range(retries + 1):
             future: asyncio.Future = loop.create_future()
             endpoint.protocol.waiters[message_id] = future
             endpoint.transport.sendto(wire)
-            wait = backoff.attempt_wait(attempt, self.rng)
             try:
-                data = await asyncio.wait_for(future, timeout=wait)
+                data = await asyncio.wait_for(future, timeout=timeout_s)
             except asyncio.TimeoutError:
                 endpoint.protocol.waiters.pop(message_id, None)
                 continue
@@ -236,7 +236,7 @@ class LoadGenerator:
             except (WireError, ValueError):
                 return _Outcome(latency_ms, attempt + 1, parse_error=True)
             return _Outcome(latency_ms, attempt + 1, rcode=int(response.rcode))
-        return _Outcome(None, backoff.retries + 1)
+        return _Outcome(None, retries + 1)
 
     # -- run modes ---------------------------------------------------------
     async def run(self) -> LoadReport:
@@ -252,13 +252,12 @@ class LoadGenerator:
             self._endpoints.append(
                 _Endpoint(protocol, transport, next_id=self.rng.randrange(_ID_SPACE))
             )
-        backoff = config.backoff()
         started = time.monotonic()
         try:
             if config.mode == "open":
-                outcomes = await self._run_open(backoff)
+                outcomes = await self._run_open()
             else:
-                outcomes = await self._run_closed(backoff)
+                outcomes = await self._run_closed()
         finally:
             for endpoint in self._endpoints:
                 endpoint.transport.close()
@@ -283,7 +282,7 @@ class LoadGenerator:
             + sum(endpoint.protocol.malformed for endpoint in self._endpoints),
         )
 
-    async def _run_open(self, backoff: BackoffPolicy) -> list[_Outcome]:
+    async def _run_open(self) -> list[_Outcome]:
         config = self.config
         if config.arrivals == "poisson":
             schedule = poisson_schedule(config.rate_qps, config.duration_s, self.rng)
@@ -296,10 +295,10 @@ class LoadGenerator:
             delay = epoch + send_at - loop.time()
             if delay > 0:
                 await asyncio.sleep(delay)
-            tasks.append(asyncio.create_task(self._query_once(backoff)))
+            tasks.append(asyncio.create_task(self._query_once()))
         return list(await asyncio.gather(*tasks))
 
-    async def _run_closed(self, backoff: BackoffPolicy) -> list[_Outcome]:
+    async def _run_closed(self) -> list[_Outcome]:
         """Baseline mode: ``concurrency`` workers, each waiting its turn.
 
         A ``count`` budget takes precedence over the wall-clock deadline;
@@ -316,7 +315,7 @@ class LoadGenerator:
                 nonlocal remaining
                 while remaining > 0:
                     remaining -= 1
-                    outcomes.append(await self._query_once(backoff))
+                    outcomes.append(await self._query_once())
 
             await asyncio.gather(
                 *(counted_worker() for _ in range(config.concurrency))
@@ -327,7 +326,7 @@ class LoadGenerator:
 
         async def worker() -> None:
             while asyncio.get_running_loop().time() < deadline:
-                outcomes.append(await self._query_once(backoff))
+                outcomes.append(await self._query_once())
 
         await asyncio.gather(*(worker() for _ in range(config.concurrency)))
         return outcomes

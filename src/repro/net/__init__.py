@@ -9,7 +9,7 @@ round-driven simulation with three pieces:
   intra-region paths are tens of milliseconds and inter-continental paths
   are hundreds, matching the contrast the latency figures rely on, and
 - :mod:`repro.net.transport` — a datagram fabric connecting endpoints to
-  servers, with configurable loss, timeouts and retries.
+  servers, with down addresses, fault-plan hooks, timeouts and retries.
 
 Everything is seeded; two runs with the same seed produce identical
 datasets.
@@ -20,6 +20,5 @@ from repro._exports import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "latency": ("LatencyModel",),
     "topology": ("AddressAllocator", "AutonomousSystem", "Endpoint", "Region", "Topology"),
-    "transport": ("LossModel", "Network", "NetworkTimeout", "Server", "SessionBroken",
-                  "TcpSession"),
+    "transport": ("Network", "NetworkTimeout", "Server", "SessionBroken", "TcpSession"),
 })

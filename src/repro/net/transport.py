@@ -3,16 +3,16 @@
 The :class:`Network` is the simulation's fabric: servers register under
 their endpoint addresses, and a client exchange is a synchronous call that
 returns the response plus the elapsed time (RTT, or timeout-and-retry
-accumulations).  Loss is applied per transmission by a seeded
-:class:`LossModel`, so failure-injection experiments (the paper's
-unreachable-child scenario, §4.4) are reproducible.
+accumulations).  A datagram is dropped when its destination is in
+:attr:`Network.down` (the paper's unreachable-child scenario, §4.4) or
+when an attached fault plan dooms it (loss, outage and storm windows), so
+failure-injection experiments are reproducible.
 """
 
 from __future__ import annotations
 
 import random
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Protocol
 
 from repro.dns.message import Message
@@ -46,57 +46,6 @@ class NetworkTimeout(Exception):
         self.elapsed = elapsed
 
 
-@dataclass(frozen=True)
-class BackoffPolicy:
-    """How a client waits between retransmissions.
-
-    The defaults reproduce the historical fixed-interval behaviour
-    (``factor=1.0``, no jitter, no budget); every exchange runs with them,
-    and only the push subscriber's reconnect ladder sets ``factor`` and
-    ``jitter``.  Set by hand, exponential backoff spreads retries out of a
-    congested window, jitter desynchronizes clients hammering a recovering
-    server, and the retry *budget* caps the virtual time burned waiting: a
-    resolver under an upstream storm falls back (sibling NS, serve-stale)
-    instead of stalling clients for the full retry ladder.
-    """
-
-    timeout: float = DEFAULT_TIMEOUT
-    retries: int = DEFAULT_RETRIES
-    #: Multiplier applied per attempt: wait_n = timeout * factor**n.
-    factor: float = 1.0
-    #: Fractional jitter in [0, 1): each wait is scaled by a uniform
-    #: draw from [1-jitter, 1+jitter] (from the fabric's own seeded RNG,
-    #: so jittered runs stay deterministic).
-    jitter: float = 0.0
-    #: Cap on total wait across all attempts; ``None`` means unbounded.
-    budget: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.timeout <= 0:
-            raise ValueError(f"timeout {self.timeout} must be > 0")
-        if self.retries < 0:
-            raise ValueError(f"retries {self.retries} must be >= 0")
-        if self.factor < 1.0:
-            raise ValueError(f"backoff factor {self.factor} must be >= 1")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError(f"jitter {self.jitter} outside [0, 1)")
-        if self.budget is not None and self.budget <= 0:
-            raise ValueError(f"retry budget {self.budget} must be > 0")
-
-    def attempt_wait(self, attempt: int, rng: random.Random) -> float:
-        """The timeout burned by (lost) attempt number ``attempt``."""
-        wait = self.timeout * self.factor**attempt
-        if self.jitter:
-            wait *= 1.0 + self.jitter * (rng.random() * 2.0 - 1.0)
-        return wait
-
-
-
-#: The flat policy of ``exchange``'s default ``timeout``/``retries``
-#: arguments, validated once instead of on every exchange.
-_DEFAULT_POLICY = BackoffPolicy()
-
-
 class Server(Protocol):
     """Anything that can answer DNS queries on the fabric."""
 
@@ -110,56 +59,11 @@ class Server(Protocol):
     def handle_query(self, query: Message, client: Endpoint, now: float) -> Message: ...
 
 
-@dataclass
-class LossModel:
-    """Independent per-transmission loss with optional per-address overrides.
-
-    ``down`` addresses drop everything — used to take the child
-    authoritative servers offline (zurrundedu-offline scenario).
-    ``lossless`` is true while :meth:`lost` cannot return true (rate 0,
-    nothing down), so callers may skip asking; no draw is skipped.
-    """
-
-    rate: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.rate < 1.0:
-            raise ValueError(f"loss rate {self.rate} outside [0, 1)")
-        self._rng = random.Random(self.seed ^ 0x10552)
-        self._down: set[str] = set()
-        self.lossless = self.rate == 0
-
-    def take_down(self, address: str) -> None:
-        self._down.add(address)
-        self.lossless = False
-
-    def bring_up(self, address: str) -> None:
-        self._down.discard(address)
-        self.lossless = self.rate == 0 and not self._down
-
-    def is_down(self, address: str) -> bool:
-        return address in self._down
-
-    def lost(self, dst_address: str) -> bool:
-        if dst_address in self._down:
-            return True
-        return self.rate > 0 and self._rng.random() < self.rate
-
-    def reseed(self, seed: int) -> None:
-        """Restore the just-constructed state under a new seed."""
-        self.seed = seed
-        self._rng = random.Random(seed ^ 0x10552)
-        self._down.clear()
-        self.lossless = self.rate == 0
-
-
 class FabricTally:
     """The fabric's counts for one registry (see :meth:`Network.attach_metrics`)."""
 
     def __init__(self) -> None:
         self.exchanges = self.timeouts = self.lost_transmissions = self.retries = 0
-        self.retry_budget_exhausted = 0
         self.rtt = Histogram("net.rtt_ms", RTT_BUCKETS_MS)
         #: Queries answered per authoritative site, by :attr:`Endpoint.label`.
         self.site_queries: defaultdict[str, int] = defaultdict(int)
@@ -171,27 +75,18 @@ class FabricTally:
 
 
 class Network:
-    """The datagram fabric: address → server registry plus latency/loss."""
+    """The datagram fabric: address → server registry plus latency and
+    the set of addresses that are down."""
 
-    def __init__(
-        self,
-        latency: Optional[LatencyModel] = None,
-        loss: Optional[LossModel] = None,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, latency: Optional[LatencyModel] = None, seed: int = 0) -> None:
         self.latency = latency or LatencyModel(seed=seed)
-        self.loss = loss or LossModel(seed=seed)
+        #: Addresses that drop everything sent to them — the child
+        #: authoritatives taken offline (zurrundedu-offline scenario).
+        self.down: set[str] = set()
         self._servers: dict[str, Server] = {}
         self._rng = random.Random(seed ^ 0x7E77)
-        #: Jitter draws come from their own stream so enabling backoff
-        #: jitter never perturbs the latency RNG (and thus the RTTs) of
-        #: an otherwise-identical run.
-        self._jitter_rng = random.Random(seed ^ 0x8ACF)
         self.metrics: Optional["MetricsRegistry"] = None
         self.faults: Optional["FaultInjector"] = None
-        #: Fabric-wide default retry policy; ``None`` keeps the historical
-        #: per-call ``timeout``/``retries`` behaviour.
-        self.backoff: Optional[BackoffPolicy] = None
         self.tally = FabricTally()
 
     def reset_runtime(self, seed: int) -> None:
@@ -199,20 +94,18 @@ class Network:
 
         The campaign worldcache calls this between shards instead of
         rebuilding the world: RNG streams restart exactly where a fresh
-        ``Network(seed=seed)`` would, attached metrics/faults/backoff are
-        dropped back to ``None`` (shards attach their own), and every
-        registered server's runtime state (query tallies, logs, fault
-        hooks, catchment caches) is reset.  The server *registry* itself
+        ``Network(seed=seed)`` would, every address comes back up, attached
+        metrics/faults are dropped back to ``None`` (shards attach their
+        own), and every registered server's runtime state (query tallies,
+        logs, fault hooks, catchment caches) is reset.  The server *registry* itself
         is structural and untouched — builders never register servers
         conditionally on the seed.
         """
         self.latency.reseed(seed)
-        self.loss.reseed(seed)
+        self.down.clear()
         self._rng = random.Random(seed ^ 0x7E77)
-        self._jitter_rng = random.Random(seed ^ 0x8ACF)
         self.metrics = None
         self.faults = None
-        self.backoff = None
         self.tally = FabricTally()
         seen: set[int] = set()
         for server in self._servers.values():
@@ -235,7 +128,7 @@ class Network:
         self.tally = FabricTally()
         registry.collect(self.tally, (
             *((f"net.{slot}", COUNTER, slot) for slot in (
-                "exchanges", "timeouts", "lost_transmissions", "retries", "retry_budget_exhausted",
+                "exchanges", "timeouts", "lost_transmissions", "retries",
             )),
             ("net.rtt_ms", HISTOGRAM, "rtt"),
             ("auth.queries", LABELED_COUNTER, "site_queries"),
@@ -282,49 +175,30 @@ class Network:
         now: float,
         timeout: float = DEFAULT_TIMEOUT,
         retries: int = DEFAULT_RETRIES,
-        backoff: Optional[BackoffPolicy] = None,
     ) -> tuple[Message, float]:
         """Send ``query`` and wait for the answer.
 
         Returns ``(response, elapsed_seconds)``.  Each lost transmission
-        burns the attempt's wait (a flat ``timeout`` under the default
-        policy); after ``retries`` extra attempts a :class:`NetworkTimeout`
-        carrying the total elapsed time is raised.  The server sees the
-        query at ``now + elapsed + rtt/2``.
-
-        The retry schedule comes from, in order: the explicit ``backoff``
-        argument, the fabric-wide :attr:`backoff`, or a flat policy built
-        from ``timeout``/``retries``.  A policy budget caps the total
-        wait: the last wait is clipped to the remaining budget and no
-        further attempts are made once it is spent (counted in
-        ``net.retry_budget_exhausted``).
+        burns a flat ``timeout``; after ``retries`` extra attempts a
+        :class:`NetworkTimeout` carrying the total elapsed time is raised.
+        A transmission to an unregistered or :attr:`down` address is lost
+        without asking anything else.  The server sees the query at
+        ``now + elapsed + rtt/2``.
 
         An attached :class:`FaultInjector` is consulted per transmission
         (loss/blackhole/outage/storm windows, extra delay) and per
         anycast delivery (down-site rerouting).
         """
-        policy = backoff if backoff is not None else self.backoff
-        if policy is None:
-            if timeout == DEFAULT_TIMEOUT and retries == DEFAULT_RETRIES:
-                policy = _DEFAULT_POLICY
-            else:
-                policy = BackoffPolicy(timeout=timeout, retries=retries)
         elapsed = 0.0
-        attempts = 1 + policy.retries
-        budget = policy.budget
         server = self._servers.get(dst_address)
         faults = self.faults
         tally = self.tally
-        loss = self.loss
         src = client.address
-        for attempt in range(attempts):
-            if budget is not None and attempt > 0 and elapsed >= budget:
-                tally.retry_budget_exhausted += 1
-                break
+        for attempt in range(1 + retries):
             if attempt > 0:
                 tally.retries += 1
             t = now + elapsed
-            lost = server is None or (not loss.lossless and loss.lost(dst_address))
+            lost = server is None or dst_address in self.down
             extra_delay = 0.0
             if not lost and faults is not None:
                 lost, extra_delay = faults.transmission_fate(src, dst_address, t)
@@ -337,11 +211,8 @@ class Network:
                     )
                     lost = site is None
             if lost:
-                wait = policy.attempt_wait(attempt, self._jitter_rng)
-                if budget is not None:
-                    wait = min(wait, max(0.0, budget - elapsed))
                 tally.lost_transmissions += 1
-                elapsed += wait
+                elapsed += timeout
                 continue
             assert site is not None
             rtt = self.latency.rtt(client, site, self._rng) + extra_delay
@@ -368,11 +239,10 @@ class Network:
         and a ``delay`` window's added RTT.  ``None`` when the destination
         is unregistered or down, or a fault window dooms the frame.  The
         checks run in :meth:`exchange`'s order — down, transmission fate,
-        site pick — so the fault injector's RNG advances identically; the
-        base loss rate is absorbed (TCP retransmits below this model).
+        site pick — so the fault injector's RNG advances identically.
         """
         server = self._servers.get(dst_address)
-        if server is None or self.loss.is_down(dst_address):
+        if server is None or dst_address in self.down:
             return None
         faults = self.faults
         extra = 0.0
@@ -424,18 +294,17 @@ class TcpSession:
     - RTTs draw from the fabric's latency model and RNG exactly like
       datagram exchanges, so armed runs stay byte-identical serial vs
       ``--parallel N``.
-    - The base :class:`LossModel`'s probabilistic datagram loss is
-      *absorbed* (TCP retransmits below this abstraction, at the cost of
-      delay the sim ignores); only hard conditions break a session: the
-      destination marked down, or an active fault window dooming the
-      transmission (``blackhole``/``server_outage``/``upstream_storm``,
-      or an unlucky ``loss`` draw — heavy loss storms do reset real TCP
-      connections).
+    - Only hard conditions break a session: the destination marked
+      down, or an active fault window dooming the transmission
+      (``blackhole``/``server_outage``/``upstream_storm``, or an unlucky
+      ``loss`` draw — heavy loss storms do reset real TCP connections).
     - A ``delay`` fault window stretches the RTT; it never breaks the
       session.
     - Once broken, every call raises :class:`SessionBroken` until
       :meth:`connect` succeeds again; reconnect pacing is the owner's
-      job (seeded :class:`BackoffPolicy`, see ``repro.push``).
+      job (a seeded ladder, see ``repro.push``).
+    - A doomed frame burns :data:`DEFAULT_TIMEOUT` before the owner
+      notices.
 
     Session activity lands in the fabric tally's ``net.tcp.*`` counts,
     which enter a snapshot with their first count, so runs that never open
@@ -498,17 +367,18 @@ class TcpSession:
             self.network.tally.counts["net.tcp.breaks"] += 1
 
     # -- lifecycle ------------------------------------------------------------
-    def connect(self, now: float, timeout: float = DEFAULT_TIMEOUT) -> float:
+    def connect(self, now: float) -> float:
         """Open (or reopen) the connection; returns the handshake RTT.
 
-        Raises :class:`NetworkTimeout` (carrying ``timeout`` as elapsed)
-        when the handshake is doomed — the caller schedules the retry.
+        Raises :class:`NetworkTimeout` (carrying :data:`DEFAULT_TIMEOUT`
+        as elapsed) when the handshake is doomed — the caller schedules
+        the retry.
         """
         sent = self._transmit(now)
         if sent is None:
             self.established = False
             self.broken_at = now
-            raise NetworkTimeout(f"connect to {self.dst_address} failed", timeout)
+            raise NetworkTimeout(f"connect to {self.dst_address} failed", DEFAULT_TIMEOUT)
         rtt, _ = sent
         self.established = True
         self.broken_at = None
@@ -522,17 +392,15 @@ class TcpSession:
         self.broken_at = None
 
     # -- framed traffic --------------------------------------------------------
-    def exchange(
-        self, query: Message, now: float, timeout: float = DEFAULT_TIMEOUT
-    ) -> tuple[Message, float]:
+    def exchange(self, query: Message, now: float) -> tuple[Message, float]:
         """One framed request/response on the established connection.
 
         Returns ``(response, elapsed_seconds)``.  The server sees the
         frame at ``now + rtt/2`` and its answer is counted under
         ``auth.queries`` like any datagram exchange.  A doomed
         transmission breaks the session and raises :class:`SessionBroken`
-        with ``elapsed=timeout`` (the reader gave up on the half-open
-        connection).
+        with ``elapsed=DEFAULT_TIMEOUT`` (the reader gave up on the
+        half-open connection).
         """
         if not self.established:
             raise SessionBroken(f"session to {self.dst_address} is not connected")
@@ -540,19 +408,19 @@ class TcpSession:
         if sent is None:
             self._mark_broken(now)
             raise SessionBroken(
-                f"session to {self.dst_address} broke mid-exchange", timeout
+                f"session to {self.dst_address} broke mid-exchange", DEFAULT_TIMEOUT
             )
         rtt, response = sent
         self.network.tally.counts["net.tcp.exchanges"] += 1
         return response, rtt
 
-    def keepalive(self, now: float, timeout: float = DEFAULT_TIMEOUT) -> float:
+    def keepalive(self, now: float) -> float:
         """A liveness probe on the connection; returns its RTT.
 
         Keepalives are transport-level (no DNS message reaches the zone,
         nothing lands in ``auth.queries``); a doomed probe is how an idle
         subscriber discovers a broken session, raising
-        :class:`SessionBroken` with ``elapsed=timeout``.
+        :class:`SessionBroken` with ``elapsed=DEFAULT_TIMEOUT``.
         """
         if not self.established:
             raise SessionBroken(f"session to {self.dst_address} is not connected")
@@ -560,7 +428,7 @@ class TcpSession:
         if sent is None:
             self._mark_broken(now)
             raise SessionBroken(
-                f"session to {self.dst_address} broke on keepalive", timeout
+                f"session to {self.dst_address} broke on keepalive", DEFAULT_TIMEOUT
             )
         rtt, _ = sent
         self.network.tally.counts["net.tcp.keepalives"] += 1

@@ -13,8 +13,8 @@ due job through a caller-supplied callback.  Three properties matter:
   the budget are *dropped and counted*, not queued, so a TTL cliff or a
   fault-injected outage can never turn the scheduler into an amplifier.
   Failed refreshes additionally back the key off exponentially, on top
-  of whatever :class:`repro.net.transport.BackoffPolicy` the fabric
-  already applies per query;
+  of the flat timeout-and-retry ladder the fabric already applies per
+  query;
 - **deterministic** — jobs execute in (due, submission) order with
   ``now`` equal to their due time, so a pump at sim time 400 executing a
   job due at 310 behaves exactly as if it had run at 310 (every cache

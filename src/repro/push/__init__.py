@@ -12,7 +12,8 @@ applying each update in place.
   coalescing per-subscriber queues and fault-aware fan-out.
 - :mod:`repro.push.subscriber` — resolver-side sessions, NOTIFY intake,
   keepalives and seeded reconnect backoff, tuned by its constants
-  (``KEEPALIVE_INTERVAL_S``, ``MAX_SUBSCRIPTIONS``, ``RECONNECT_BACKOFF``).
+  (``KEEPALIVE_INTERVAL_S``, ``MAX_SUBSCRIPTIONS`` and the ``RECONNECT_*``
+  ladder).
 
 ``scenario_push_vs_poll`` (:mod:`repro.core.scenarios`) runs the two
 models head to head under renumbering and DDoS fault plans.
@@ -23,7 +24,8 @@ from repro._exports import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "publisher": ("PendingNotify", "PushKey", "PushPublisher", "attach_publisher"),
     "subscriber": (
-        "KEEPALIVE_INTERVAL_S", "MAX_SUBSCRIPTIONS", "RECONNECT_BACKOFF",
+        "KEEPALIVE_INTERVAL_S", "MAX_SUBSCRIPTIONS", "RECONNECT_BASE_S",
+        "RECONNECT_FACTOR", "RECONNECT_JITTER", "RECONNECT_RUNGS",
         "STALENESS_BUCKETS_S", "PushClient", "derive_client_seed",
     ),
 })

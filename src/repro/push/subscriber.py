@@ -15,7 +15,7 @@ policy arms ``push``):
   updated in place, or force-expired on a removal — observes each record's
   staleness window (``push.staleness_s``: apply time minus change time),
   sends keepalives on idle sessions, and walks broken sessions through
-  a seeded reconnect backoff (the fabric's ``BackoffPolicy``, RNG
+  a seeded reconnect ladder (the ``RECONNECT_*`` constants, RNG
   derived from the resolver's address so serial and ``--parallel N``
   runs draw identically);
 - a reconnect re-SUBSCRIBEs every key, restoring freshness after the
@@ -37,7 +37,7 @@ from repro.dns.name import Name
 from repro.dns.rdtypes import RdataClass, RdataType
 from repro.dns.record import RRset
 from repro.metrics.registry import Histogram, log_buckets
-from repro.net.transport import BackoffPolicy, NetworkTimeout, SessionBroken, TcpSession
+from repro.net.transport import NetworkTimeout, SessionBroken, TcpSession
 from repro.push.publisher import PushKey, PushPublisher
 from repro.resolver.cache import Credibility
 
@@ -58,7 +58,10 @@ MAX_SUBSCRIPTIONS = 1024
 #: Reconnect schedule after a session break: 1 s doubling per attempt,
 #: plateauing after six (the subscriber never gives up), with 10 % jitter
 #: drawn from the subscriber's own address-seeded RNG.
-RECONNECT_BACKOFF = BackoffPolicy(timeout=1.0, retries=6, factor=2.0, jitter=0.1)
+RECONNECT_BASE_S = 1.0
+RECONNECT_FACTOR = 2.0
+RECONNECT_RUNGS = 6
+RECONNECT_JITTER = 0.1
 
 
 def derive_client_seed(address: str) -> int:
@@ -200,8 +203,9 @@ class PushClient:
         return True
 
     def _schedule_retry(self, channel: _Channel, now: float) -> None:
-        rung = min(channel.attempt, RECONNECT_BACKOFF.retries)
-        wait = RECONNECT_BACKOFF.attempt_wait(rung, self._rng)
+        rung = min(channel.attempt, RECONNECT_RUNGS)
+        wait = RECONNECT_BASE_S * RECONNECT_FACTOR**rung
+        wait *= 1.0 + RECONNECT_JITTER * (self._rng.random() * 2.0 - 1.0)
         channel.attempt += 1
         channel.retry_at = now + wait
 

@@ -52,11 +52,14 @@ __all__ = [
     "metrics_payload",
 ]
 
-#: Version of the per-shard payload layout.  v4: the ResultSet's own
-#: columns plus a rendered vantage-point table (v3 re-encoded every row
-#: into a string table and fourteen columns; v2 was the bare
-#: ``{"results", "queries", "metrics"}`` dict of pickled object graphs).
-PAYLOAD_VERSION = 4
+#: Version of the per-shard payload layout.  v5: v4's layout, whose
+#: metrics no longer carry ``net.retry_budget_exhausted`` and whose
+#: pickled worlds hold the fabric's down set, not a loss model.  v4: the
+#: ResultSet's own columns plus a rendered vantage-point table (v3
+#: re-encoded every row into a string table and fourteen columns; v2 was
+#: the bare ``{"results", "queries", "metrics"}`` dict of pickled object
+#: graphs).
+PAYLOAD_VERSION = 5
 
 
 class PayloadError(RuntimeError):

@@ -18,8 +18,9 @@ from repro.dns.name import Name
 from repro.dns.rdtypes import AAAA, A, NS, RdataType, SOA
 from repro.dns.record import RRset
 from repro.dns.zone import Zone
+from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.net.topology import Region, Topology
-from repro.net.transport import LossModel, Network
+from repro.net.transport import Network
 from repro.server.authoritative import AuthoritativeServer
 
 
@@ -63,8 +64,13 @@ class MiniWorld:
 
 
 def build_mini_world(seed: int = 0, loss_rate: float = 0.0) -> MiniWorld:
+    """The hierarchy above; a ``loss_rate`` arms a ``loss`` fault window
+    over every transmission, seeded by ``seed``."""
     topology = Topology(seed=seed)
-    network = Network(loss=LossModel(rate=loss_rate, seed=seed), seed=seed)
+    network = Network(seed=seed)
+    if loss_rate:
+        window = FaultSpec(kind="loss", start=0.0, duration=1e9, rate=loss_rate)
+        network.attach_faults(FaultInjector(FaultPlan(faults=(window,)), seed=seed))
 
     root_zone = Zone("", default_ttl=172800)
     root_zone.add_soa("a.rootsrv.net.")

@@ -10,7 +10,14 @@ still resume.
 The manifest digests were recorded again when the shard payload went to
 version 4: the fingerprint embeds that version so that a run directory
 holding older envelopes is refused, and nothing else in them moved.  The
-stdout and metrics digests are the first recording.
+stdout digests are the first recording.
+
+The metrics and manifest digests were recorded again when the fabric's
+unused retry budget went, and with it the ``net.retry_budget_exhausted``
+counter (0 in every run).  Each metrics JSON is the previous one without
+that key.  Each manifest is the previous one with ``payload_version``
+5 in place of 4, so a run directory whose shards still carry the key is
+refused.
 """
 
 import hashlib
@@ -29,56 +36,56 @@ ORACLE = {
     "t2-uy": (
         ["--probes", "16", "--duration", "1200"],
         "ff9786ab702c3f9585d1e535e26fcdd5ab20166a4e65056efdb9f658d88fe050",
-        "1901b7adc40010b374c86de2b1e0ff1a27442f0bad89ec723c216d0270e2bab5",
-        "7e5d42122e9bd519f07c73eca0d378b80fa3d15c9a32a4e00bf3805775058cd9",
+        "172685e5494fee044c03bd026ce3a1559eecb522346a7e52f52accd322609a19",
+        "2555a46ac20eb71c7df2fdad4e2289f9649ed5f278a3f2595306ca3c85be4942",
     ),
     "t2-anicuy": (
         ["--probes", "16", "--duration", "1200"],
         "23ca513b63a1cc31d5e5bf919ec71e5256a22bdd59da9b4f840d9e306892ca02",
-        "0ba87d5f524860370340dd1fb7fb336ffb16b76d8cf9673270a61ca47bf84762",
-        "9f735cfd806e8d2f7af813f18cff3e93cdbd260e8e27732fe66646ccf91e4de2",
+        "b7478a83761d90a531f2a0de6f815fef734220cb5881c5efab32b34f87d8e970",
+        "10afa226077b650f9a1831c8bbac0eadb8e699361bc38b52178a7d7a00f986c5",
     ),
     "t2-googleco": (
         ["--probes", "16", "--duration", "1200"],
         "8ef00f03ece15b0f206567ecfb2dbb0cf90fd8570772f8f126ed58a00af95351",
-        "67786f8908928e2097821f0776561c163e7892b21ff5102b6a86981864947272",
-        "1e0667b90a941e76aee227785e4ca69894a7948e44505b945340a4d55e2e61d2",
+        "bf3103783553f7e7ac1837896bbbd367f6c597f12e2901a9a27277a672198916",
+        "3fb928f3d4a54fdf2ba15ae0f72f8f85d3c20216ef7c36e6ad76e2ed4bc55857",
     ),
     "t10-controlled": (
         ["--probes", "8", "--duration", "1200"],
         "6c6cc9ac69138680b654e6cb889cfd629bcceabe518045f644d9a8c366756f06",
-        "51e087defb3a7ff3d9932e91e2ff9357992eedb91338f315bfab758bf5e6b0e2",
-        "31738c056ae5000299a97f0161cdd7167b08d3ae573fb30b89b642e8c36a7b43",
+        "c4f3719a72481f4536a548e1c5ebb406708ce9b95b6c9edc625cbf11efab4946",
+        "ce3f0071a1173934f83a6d268147f0b63c8f2abe1ec9173f80ba486ea701067f",
     ),
     "crawl": (
         ["--scale", "0.0001"],
         "06666b3202a647193ec03eff2c71c97d581befe0e420dcbcde0dfaa24b849d0d",
-        "45707c0a598ebc6cb81fa723b8a78dd88b08f8f90292f9697abd122e7d3dd86b",
-        "d113ab0f01673c67d7fddb568efc6d77718c23083139fbfc33803a5e6bb02119",
+        "69f6e967ee4576a5286731b2db44b30ceffa99c93dc5c901a22c5884b43c16e1",
+        "5b5f3f8da2d72f21f7e3d4f35d185a1217db8af454aa15860d12dd7f57912859",
     ),
     "ddos": (
         ["--duration", "1200"],
         "bca007683c741856ded691a479ab1cfb3147ddc04ef4ab17bccd81bfebfe351c",
-        "b53785e86e1036c8ab400ff8e7f4b442626ba294b1a8fd198669097e96c7b45a",
-        "98a043635b2004d461efefd33dfd125c1bf55773d3a372b573f4e0c7a425cc09",
+        "ccfbdea869016740af769f0b7c9743d8ff08d702983fe02f4c847046bd769cbc",
+        "265741c91f77c22d2f528b1c15a08003306289e7374dd9a605beecc1c622805a",
     ),
     "prefetch": (
         ["--duration", "300"],
         "371f9590af109f2a00b332ae53f49e89cfbdf1e4aeec3763e451a1520a4d276a",
-        "2c7fd405abcabab71e25ae0de044ec3059e58c1cf10c1815255963a084265410",
-        "4dcefd6d4b4337347f0ff99303872157a890bbb7a9403e9a8ad3112028ed523b",
+        "4287620864be5d6f63f23fb783c07e4a5b341b700d332323ebe288812e46f556",
+        "22cbaeb825ea1cc26a3d46df349a96ed5d83d3e990a4dbe7c9b4464d659faf6c",
     ),
     "ecs": (
         ["--duration", "300"],
         "9d93e59772b9148770a06b7a7b2d52273d3a71bef41586c67a4ae28b24a2c114",
-        "92515c027287b03b9dc227b5edefa4f03f2d1a1271b128d0f44b2b3273c813d5",
-        "21da6233916a04d152a128c43cb7845ab2f9c3a04812769199146e9a43455746",
+        "c3de961aedf643398c3787f22ee8e2fd2b70a37ad1840985ec8799b44df1a55c",
+        "8312a9493589f3aa0400dc138000f847cdb3c6fd5ab5866f28043ec2e38259c1",
     ),
     "push": (
         ["--duration", "900"],
         "ac6bce70356d86c28e89977db43d70d1d993548170671731035b5190afae961b",
-        "26dfaa77cd38a11635bfdb9fb4a70946e5092497562d5dd1fa551370a57c64a4",
-        "5093e7e498d24977559aadd3fe241f5b5894843611e48160dd9bd0fc5cc0da0b",
+        "4666d049ff10fbce5004e3c608733f9444434142ca63925ce3ba2f057370831d",
+        "6983006c1455731c7ba19ac331a99693ef6ace77b064f6204b011107c5c6b319",
     ),
 }
 
@@ -88,8 +95,8 @@ ORACLE = {
 PREDICT_ORACLE = (
     ["--probes", "16", "--duration", "1200", "--predict"],
     "ff9786ab702c3f9585d1e535e26fcdd5ab20166a4e65056efdb9f658d88fe050",
-    "2f89cc07bec2b51893a5bfc45b3239ba414e8172556e94833737825d891b4f6f",
-    "8444829eeac61f6a9e0a6964f0fb1add596d38527ac6e41decfa2a05aab751b0",
+    "f4d32da24475b1fefdfb742222cfc702dd797876a5c4fce9fdc7209df0a9e612",
+    "902affadab11c9120a56242f0f56ac7bbef3ea0a0d79ae1e6acbc338c2163bad",
 )
 
 

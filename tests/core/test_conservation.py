@@ -16,7 +16,9 @@ confirmation is an identity over a campaign's ``--metrics`` snapshot:
   batch lost or folded twice shows.
 
 Each registered campaign is checked at its ``ORACLE`` arguments, serial
-and sharded, plus one ``t2-uy`` run under a loss + outage plan; the memo
+and sharded, plus one faulted run per fault kind, on a campaign whose
+world holds the kind's target, which must also move the kind's own
+instruments; the memo
 tests in ``tests/serve/test_response_memo.py`` check live frontends'
 snapshots.  The same snapshots (and a live frontend's) must name only
 metrics that ``docs/observability.md`` documents.
@@ -31,10 +33,11 @@ import pytest
 
 from repro.cli import main
 from repro.core.campaign import CAMPAIGNS
-from repro.core.worlds import build_uy_world
+from repro.core.worlds import build_googleco_world, build_uy_world
 from repro.dns.rdtypes import RdataType
 from repro.dns.message import Message
 from repro.faults import FaultPlan, FaultSpec
+from repro.faults.plan import KINDS
 from repro.serve.config import ServeConfig, build_frontend
 from repro.serve.server import ServeServer
 from tests.core.test_campaign_registry import ORACLE
@@ -98,26 +101,74 @@ def test_every_campaign_conserves_queries(name, parallel, tmp_path, capsys):
     assert sorted(set(metrics) - DOCUMENTED) == []
 
 
-def test_a_faulted_campaign_accounts_for_every_drop(tmp_path, capsys):
-    target = build_uy_world().world.address_of("a.nic.uy")
-    plan = FaultPlan(
-        faults=(
-            FaultSpec(kind="loss", start=0.0, duration=1200.0, rate=0.3),
-            FaultSpec(kind="server_outage", start=300.0, duration=300.0, target=target),
-        ),
-        name="conservation",
-        seed=7,
-    )
+_ANICUY = build_uy_world().world.address_of("a.nic.uy")
+_NS1_GOOGLE = build_googleco_world().address_of("ns1.google.com")
+
+#: kind -> (campaign, the window's fields, instruments it must raise
+#: above the unfaulted run: ``name`` or ``name{label}``).  Windows span the
+#: ``ORACLE`` run (1,200 s; push runs 900 s).
+FAULT_CASES = {
+    "loss": ("t2-uy", dict(rate=0.3), (
+        "faults.injected{loss}", "net.retries", "net.timeouts")),
+    "delay": ("t2-uy", dict(delay_ms=250.0), ("faults.injected{delay}",)),
+    "blackhole": ("t2-uy", dict(target=_ANICUY), (
+        "faults.injected{blackhole}", "net.timeouts")),
+    "server_outage": ("t2-googleco", dict(target=_NS1_GOOGLE), (
+        "faults.injected{server_outage}", "resolver.failovers", "net.timeouts")),
+    "servfail": ("t2-uy", dict(target=_ANICUY), ("faults.injected{servfail}",)),
+    "truncate": ("t2-uy", dict(target=_ANICUY), ("faults.injected{truncate}",)),
+    "ratelimit": ("t2-uy", dict(target=_ANICUY, rate=0.0), (
+        "faults.injected{ratelimit}",)),
+    "anycast_site_down": ("t2-anicuy", dict(site="a.nic.uy"), (
+        "faults.injected{anycast_site_down}", "net.timeouts")),
+    "resolver_restart": ("t2-uy", dict(start=600.0, duration=0.0), (
+        "faults.injected{resolver_restart}", "resolver.restarts")),
+    "upstream_storm": ("t2-uy", dict(start=300.0, duration=300.0), (
+        "faults.injected{upstream_storm}", "net.timeouts")),
+    "record_change": ("push", dict(
+        target="www.pushed.example.", start=450.0, duration=0.0,
+    ), ("faults.injected{record_change}", "push.notifications")),
+}
+
+
+def _reading(metrics: dict, instrument: str) -> int:
+    name, _, label = instrument.rstrip("}").partition("{")
+    metric = metrics.get(name)
+    if metric is None:
+        return 0
+    return metric["values"].get(label, 0) if label else metric["value"]
+
+
+@pytest.fixture(scope="module")
+def unfaulted(tmp_path_factory):
+    """campaign -> its unfaulted ``ORACLE`` run's metrics, run once."""
+    runs: dict = {}
+
+    def metrics(campaign: str) -> dict:
+        if campaign not in runs:
+            out = tmp_path_factory.mktemp(campaign)
+            runs[campaign] = _metrics(out, campaign, *ORACLE[campaign][0])
+        return runs[campaign]
+
+    return metrics
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_faulted_campaign_accounts_for_every_drop(kind, unfaulted, tmp_path, capsys):
+    campaign, fields, instruments = FAULT_CASES[kind]
+    window = dict(start=0.0, duration=1200.0) | fields
+    plan = FaultPlan(faults=(FaultSpec(kind=kind, **window),), name=kind, seed=7)
     plan_file = tmp_path / "plan.json"
     plan_file.write_text(plan.to_json(), encoding="ascii")
-    metrics = _metrics(
-        tmp_path, "t2-uy", *ORACLE["t2-uy"][0], "--faults", str(plan_file)
-    )
+    metrics = _metrics(tmp_path, campaign, *ORACLE[campaign][0], "--faults", str(plan_file))
     assert conservation_problems(metrics) == []
-    injected = metrics["faults.injected"]["values"]
-    assert injected["loss"] > 0 and injected["server_outage"] > 0
-    assert metrics["net.timeouts"]["value"] > 0 and metrics["net.retries"]["value"] > 0
     assert sorted(set(metrics) - DOCUMENTED) == []
+    baseline = unfaulted(campaign)
+    moved = {
+        instrument: (_reading(baseline, instrument), _reading(metrics, instrument))
+        for instrument in instruments
+    }
+    assert all(after > before for before, after in moved.values()), moved
 
 
 def test_a_served_query_mix_names_only_documented_metrics():

@@ -14,7 +14,7 @@ from repro.dns.name import Name
 from repro.dns.rdtypes import RdataType
 from repro.net.latency import LatencyModel
 from repro.net.topology import Region
-from repro.net.transport import LossModel, NetworkTimeout
+from repro.net.transport import Network, NetworkTimeout
 from repro.server.querylog import QueryLog
 from tests.conftest import build_mini_world
 from tests.metrics.test_count_once_structure import calls
@@ -38,7 +38,6 @@ NEVER_CALLED = {
     Name.lineage.__code__: "the zone route is memoized per qname",
     enum.Enum.__hash__.__code__: "no dict is keyed by a Region",
     QueryLog.append.__code__: "servers append to the entry list",
-    LossModel.lost.__code__: "a lossless model is not asked",
 }
 
 
@@ -70,11 +69,12 @@ def test_a_warm_exchange_makes_a_pinned_number_of_calls():
 
 
 def test_a_down_address_is_still_asked_and_dropped():
+    """Three lost attempts make no call but the probe for the server and
+    the timeout they end in: no loss draw, no per-attempt wait."""
     world = build_mini_world()
     client = world.topology.endpoint_in_region(Region.EU)
     address = world.hints[next(iter(world.hints))]
-    world.network.loss.take_down(address)
-    assert not world.network.loss.lossless
+    world.network.down.add(address)
     query = Message.make_query(QNAME, RdataType.A, recursion_desired=False)
     timeouts = []
 
@@ -85,7 +85,12 @@ def test_a_down_address_is_still_asked_and_dropped():
             timeouts.append(timeout)
 
     seen = calls(exchange)
-    assert len(timeouts) == 1
-    assert seen[LossModel.lost.__code__] == 3  # one per transmission
-    world.network.loss.bring_up(address)
-    assert world.network.loss.lossless
+    # The harness's own frames, and its append of the timeout.
+    del seen[exchange.__code__], seen["setprofile"], seen["list.append"]
+    assert [timeout.elapsed for timeout in timeouts] == [6.0]
+    assert seen == {
+        Network.exchange.__code__: 1,
+        "dict.get": 1,
+        NetworkTimeout.__init__.__code__: 1,
+    }
+    assert world.network.tally.lost_transmissions == 3

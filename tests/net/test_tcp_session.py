@@ -7,7 +7,7 @@ from repro.dns.rdtypes import RdataType
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.metrics.registry import MetricsRegistry
 from repro.net.topology import Region, Topology
-from repro.net.transport import LossModel, Network, NetworkTimeout, SessionBroken
+from repro.net.transport import Network, NetworkTimeout, SessionBroken
 
 
 class EchoServer:
@@ -162,25 +162,9 @@ class TestSessionFaults:
         assert slowed >= 0.5
         assert slowed > clean
 
-    def test_datagram_loss_model_is_absorbed(self):
-        """TCP retransmits under the abstraction: the fabric's baseline
-        probabilistic datagram loss never breaks an established session
-        (unlike a ``loss`` fault storm, which can)."""
-        topology = Topology(seed=0)
-        network = Network(seed=0, loss=LossModel(rate=0.9, seed=0))
-        server = EchoServer(topology.endpoint_in_region(Region.EU, "srv"))
-        network.register(server)
-        client = topology.endpoint_in_region(Region.EU, "cli")
-        session = network.open_session(client, server.endpoint.address)
-        session.connect(0.0)
-        for k in range(20):
-            response, _ = session.exchange(query(), float(k + 1))
-            assert response.flags.qr
-        assert session.alive
-
     def test_loss_storm_fault_can_break_session(self, rig):
-        """A ``loss`` fault window is a storm, not baseline noise: its
-        unlucky draws doom framed transmissions like datagrams."""
+        """A ``loss`` fault window's unlucky draws doom framed
+        transmissions like datagrams."""
         network, server, client = rig
         self._attach(
             network,

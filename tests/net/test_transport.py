@@ -4,9 +4,10 @@ import pytest
 
 from repro.dns.message import Message, Rcode
 from repro.dns.rdtypes import RdataType
+from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.net.latency import LatencyModel
 from repro.net.topology import Region, Topology
-from repro.net.transport import LossModel, Network, NetworkTimeout
+from repro.net.transport import Network, NetworkTimeout
 
 
 class EchoServer:
@@ -67,38 +68,31 @@ class TestExchange:
         assert network.server_at("198.18.0.1") is None
 
 
+def arm_loss(network, rate, seed):
+    """Cross every transmission with a ``loss`` fault window."""
+    window = FaultSpec(kind="loss", start=0.0, duration=1e9, rate=rate)
+    network.attach_faults(FaultInjector(FaultPlan(faults=(window,)), seed=seed))
+
+
 class TestLoss:
-    def test_invalid_rate_rejected(self):
-        with pytest.raises(ValueError):
-            LossModel(rate=1.0)
+    def test_down_address_always_lost(self, rig):
+        network, server, client = rig
+        network.down.add(server.endpoint.address)
+        with pytest.raises(NetworkTimeout) as exc:
+            network.exchange(client, server.endpoint.address, query(), 0.0)
+        assert exc.value.elapsed == pytest.approx(6.0)
+        assert server.seen == []
 
-    def test_zero_rate_never_loses(self):
-        loss = LossModel(rate=0.0)
-        assert not any(loss.lost("10.0.0.1") for _ in range(100))
+    def test_bring_up(self, rig):
+        network, server, client = rig
+        network.down.add(server.endpoint.address)
+        network.down.discard(server.endpoint.address)
+        response, _ = network.exchange(client, server.endpoint.address, query(), 0.0)
+        assert response.flags.qr
 
-    def test_rate_statistics(self):
-        loss = LossModel(rate=0.3, seed=1)
-        losses = sum(loss.lost("10.0.0.1") for _ in range(5000))
-        assert 0.25 < losses / 5000 < 0.35
-
-    def test_down_address_always_lost(self):
-        loss = LossModel(rate=0.0)
-        loss.take_down("10.0.0.9")
-        assert loss.lost("10.0.0.9")
-        assert loss.is_down("10.0.0.9")
-
-    def test_bring_up(self):
-        loss = LossModel(rate=0.0)
-        loss.take_down("10.0.0.9")
-        loss.bring_up("10.0.0.9")
-        assert not loss.lost("10.0.0.9")
-
-    def test_retry_succeeds_after_losses(self):
-        topology = Topology(seed=0)
-        network = Network(loss=LossModel(rate=0.5, seed=4), seed=0)
-        server = EchoServer(topology.endpoint_in_region(Region.EU, "srv"))
-        network.register(server)
-        client = topology.endpoint_in_region(Region.EU, "cli")
+    def test_retry_succeeds_after_losses(self, rig):
+        network, server, client = rig
+        arm_loss(network, 0.5, seed=4)
         successes = 0
         for _ in range(50):
             try:
@@ -107,13 +101,11 @@ class TestLoss:
             except NetworkTimeout:
                 pass
         assert successes > 45  # (1/2)^6 residual failure odds
+        assert network.tally.retries > 0
 
-    def test_loss_burns_timeout_into_elapsed(self):
-        topology = Topology(seed=0)
-        network = Network(loss=LossModel(rate=0.999999, seed=2), seed=0)
-        server = EchoServer(topology.endpoint_in_region(Region.EU, "srv"))
-        network.register(server)
-        client = topology.endpoint_in_region(Region.EU, "cli")
+    def test_loss_burns_timeout_into_elapsed(self, rig):
+        network, server, client = rig
+        arm_loss(network, 1.0, seed=2)
         with pytest.raises(NetworkTimeout) as exc:
             network.exchange(client, server.endpoint.address, query(), 0.0,
                              timeout=2.0, retries=1)

@@ -7,8 +7,10 @@ from repro.dns.name import Name
 from repro.dns.rdtypes import RdataType
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.metrics.registry import MetricsRegistry
-from repro.net.topology import Region
+from repro.net.topology import Endpoint, Region
+from repro.net.transport import Network
 from repro.push import MAX_SUBSCRIPTIONS, PushClient, attach_publisher, derive_client_seed
+from repro.push.subscriber import _Channel
 from repro.resolver.cache import Cache
 from repro.resolver.policy import ResolverPolicy
 from repro.resolver.recursive import RecursiveResolver
@@ -172,6 +174,28 @@ class TestOutageRecovery:
         assert first_events == second_events
         assert first_metrics == second_metrics
         assert any(alive == 0 for _, alive in first_events)
+
+    def test_reconnect_waits_double_then_plateau(self):
+        # Recorded from the ladder as it stood on the fabric's retry
+        # policy class; every float and RNG draw must stay the same.
+        recorded = [
+            1.0076005920482012, 2.109511745679718, 3.7882263086081562,
+            8.756410208176181, 14.578356574756953, 30.172979892539725,
+            62.28388093794167, 66.53208951793485, 64.1123009435506,
+        ]
+        network = Network(seed=0)
+        endpoint = Endpoint("192.0.2.53", Region.EU, 64500)
+        client = PushClient(endpoint, network, Cache())
+        channel = _Channel("192.0.2.1", network.open_session(endpoint, "192.0.2.1"))
+        waits = []
+        for _ in range(9):
+            client._schedule_retry(channel, 0.0)
+            waits.append(channel.retry_at)
+        assert waits == recorded
+        assert channel.attempt == 9
+        # From rung 6 on every wait is 64 s within the 10 % jitter.
+        assert all(57.6 <= wait <= 70.4 for wait in waits[6:])
+        assert waits[5] < 57.6
 
 
 class TestResolverIntegration:

@@ -91,7 +91,7 @@ class TestForwarding:
         assert len(out.servers_contacted) >= 2
 
     def test_upstream_failure_propagates(self, mini_world):
-        mini_world.network.loss.take_down(mini_world.child_server.endpoint.address)
+        mini_world.network.down.add(mini_world.child_server.endpoint.address)
         forwarder = make_forwarder(mini_world, [make_recursive(mini_world)])
         out = forwarder.resolve("www.example.tld.", RdataType.A, now=0.0)
         assert out.rcode == Rcode.SERVFAIL

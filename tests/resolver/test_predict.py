@@ -32,7 +32,7 @@ class TestStaleWhileRevalidate:
         resolver.resolve(WWW, RdataType.A, now=0.0)
         # TTL 60: by t=100 the entry is expired.  Upstream is down, but
         # RFC 8767 never even tries it on this query.
-        mini_world.network.loss.take_down(mini_world.child_server.endpoint.address)
+        mini_world.network.down.add(mini_world.child_server.endpoint.address)
         out = resolver.resolve(WWW, RdataType.A, now=100.0)
         assert out.rcode == Rcode.NOERROR
         assert out.served_stale
@@ -156,7 +156,7 @@ class TestStormSafety:
         resolver = make_resolver(mini_world, ResolverPolicy.predictive())
         resolver.resolve(WWW, RdataType.A, now=0.0)
         resolver.resolve(WWW, RdataType.A, now=1.0)
-        mini_world.network.loss.take_down(mini_world.child_server.endpoint.address)
+        mini_world.network.down.add(mini_world.child_server.endpoint.address)
         assert resolver.pump(55.0) == 1  # refresh attempt fails
         sent_after_failure = resolver.queries_sent
         # The feed re-arms the key, but the 30 s backoff holds it until t=84.

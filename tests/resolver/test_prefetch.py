@@ -74,7 +74,7 @@ class TestPrefetch:
         """A failed refresh must not break the client-facing hit."""
         resolver = make_resolver(mini_world, ResolverPolicy.prefetching())
         resolver.resolve("www.example.tld.", RdataType.A, now=0.0)
-        mini_world.network.loss.take_down(
+        mini_world.network.down.add(
             mini_world.child_server.endpoint.address
         )
         out = resolver.resolve("www.example.tld.", RdataType.A, now=55.0)

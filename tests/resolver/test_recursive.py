@@ -192,7 +192,7 @@ class TestRfc7706:
 class TestFailures:
     def test_all_servers_down_servfail(self):
         world = build_mini_world()
-        world.network.loss.take_down(world.child_server.endpoint.address)
+        world.network.down.add(world.child_server.endpoint.address)
         r = resolver_for(world)
         out = r.resolve("www.example.tld.", RdataType.A, now=0.0)
         assert out.rcode == Rcode.SERVFAIL
@@ -203,7 +203,7 @@ class TestFailures:
         policy = ResolverPolicy.child_centric().with_(serve_stale=True)
         r = resolver_for(world, policy)
         r.resolve("www.example.tld.", RdataType.A, now=0.0)
-        world.network.loss.take_down(world.child_server.endpoint.address)
+        world.network.down.add(world.child_server.endpoint.address)
         # Well past every TTL: the answer (and infrastructure) is stale.
         out = r.resolve("www.example.tld.", RdataType.A, now=90000.0)
         assert out.rcode == Rcode.NOERROR
@@ -214,7 +214,7 @@ class TestFailures:
         world = build_mini_world()
         r = resolver_for(world)
         r.resolve("www.example.tld.", RdataType.A, now=0.0)
-        world.network.loss.take_down(world.child_server.endpoint.address)
+        world.network.down.add(world.child_server.endpoint.address)
         out = r.resolve("www.example.tld.", RdataType.A, now=90000.0)
         assert out.rcode == Rcode.SERVFAIL
 

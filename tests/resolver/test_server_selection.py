@@ -89,7 +89,7 @@ class TestFailover:
     def test_failover_to_second_server(self):
         world = build_mini_world()
         second = add_second_child_server(world)
-        world.network.loss.take_down(world.child_server.endpoint.address)
+        world.network.down.add(world.child_server.endpoint.address)
         resolver = RecursiveResolver(
             endpoint=world.topology.endpoint_in_region(Region.EU),
             network=world.network,
@@ -102,7 +102,7 @@ class TestFailover:
     def test_failover_latency_includes_timeouts(self):
         world = build_mini_world()
         add_second_child_server(world)
-        world.network.loss.take_down(world.child_server.endpoint.address)
+        world.network.down.add(world.child_server.endpoint.address)
         resolver = RecursiveResolver(
             endpoint=world.topology.endpoint_in_region(Region.EU),
             network=world.network,

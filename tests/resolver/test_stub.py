@@ -53,7 +53,7 @@ class TestQuery:
         assert public_hit.rtt > local_hit.rtt
 
     def test_ttl_none_on_failure(self, mini_world):
-        mini_world.network.loss.take_down(mini_world.child_server.endpoint.address)
+        mini_world.network.down.add(mini_world.child_server.endpoint.address)
         stub = make_stub(mini_world)
         answer = stub.query("www.example.tld.", RdataType.A, now=0.0)
         assert answer.rcode == Rcode.SERVFAIL

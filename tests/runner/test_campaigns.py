@@ -112,14 +112,16 @@ def test_t2_run_dir_checkpointed_with_payload_v3_is_rejected(tmp_path):
         parallelism=1, shards=4, run_dir=str(run_dir),
     )
     scenario_uy_ns(**campaign)
-    # The same campaign as an older build recorded it: its shard spills
-    # hold row-by-row v3 envelopes, which must not be merged.
+    # The same campaign as older builds recorded it: v3 shard spills hold
+    # row-by-row envelopes, and v4 metrics still carry the deleted
+    # ``net.retry_budget_exhausted``; neither may be merged.
     manifest = json.loads((run_dir / "manifest.json").read_text())
-    assert manifest["fingerprint"]["payload_version"] == 4
-    manifest["fingerprint"]["payload_version"] = 3
-    (run_dir / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(CheckpointMismatch, match="different campaign"):
-        scenario_uy_ns(**campaign)
+    assert manifest["fingerprint"]["payload_version"] == 5
+    for older in (3, 4):
+        manifest["fingerprint"]["payload_version"] = older
+        (run_dir / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointMismatch, match="different campaign"):
+            scenario_uy_ns(**campaign)
 
 
 def test_controlled_ttl_parallel_equals_legacy_serial():

@@ -87,7 +87,7 @@ def test_row_by_row_layout_of_version_3_is_refused():
     # fourteen re-encoded columns.  Nothing decodes it any more.
     v3 = {"v": 3, "kind": "resultset", "queries": 0, "metrics": None,
           "data": {"n": 0, "spec": None, "strings": [], "answer_tuples": []}}
-    assert PAYLOAD_VERSION == 4
+    assert PAYLOAD_VERSION == 5
     with pytest.raises(PayloadError, match="version 3 unsupported"):
         decode_shard_payload(v3)
 

@@ -91,13 +91,13 @@ class TestOutages:
         world = build_mini_world()
         resolver = make_resolver(world)
         resolver.resolve("www.example.tld.", RdataType.A, now=0.0)
-        world.network.loss.take_down(world.root_server.endpoint.address)
+        world.network.down.add(world.root_server.endpoint.address)
         out = resolver.resolve("www.example.tld.", RdataType.A, now=120.0)
         assert out.rcode == Rcode.NOERROR
 
     def test_root_down_cold_cache_fails(self):
         world = build_mini_world()
-        world.network.loss.take_down(world.root_server.endpoint.address)
+        world.network.down.add(world.root_server.endpoint.address)
         resolver = make_resolver(world)
         out = resolver.resolve("www.example.tld.", RdataType.A, now=0.0)
         assert out.rcode == Rcode.SERVFAIL
@@ -106,7 +106,7 @@ class TestOutages:
         world = build_mini_world()
         resolver = make_resolver(world)
         resolver.resolve("www.example.tld.", RdataType.A, now=0.0)
-        world.network.loss.take_down(world.tld_server.endpoint.address)
+        world.network.down.add(world.tld_server.endpoint.address)
         # Child NS/A are cached; answer TTL (60) expired but child zone is
         # reachable directly.
         out = resolver.resolve("www.example.tld.", RdataType.A, now=100.0)
@@ -114,7 +114,7 @@ class TestOutages:
 
     def test_outage_latency_reflects_timeouts(self):
         world = build_mini_world()
-        world.network.loss.take_down(world.child_server.endpoint.address)
+        world.network.down.add(world.child_server.endpoint.address)
         resolver = make_resolver(world)
         out = resolver.resolve("www.example.tld.", RdataType.A, now=0.0)
         assert out.rcode == Rcode.SERVFAIL
@@ -123,9 +123,9 @@ class TestOutages:
     def test_recovery_after_outage(self):
         world = build_mini_world()
         resolver = make_resolver(world)
-        world.network.loss.take_down(world.child_server.endpoint.address)
+        world.network.down.add(world.child_server.endpoint.address)
         assert resolver.resolve("www.example.tld.", RdataType.A, now=0.0).rcode == Rcode.SERVFAIL
-        world.network.loss.bring_up(world.child_server.endpoint.address)
+        world.network.down.discard(world.child_server.endpoint.address)
         out = resolver.resolve("www.example.tld.", RdataType.A, now=10.0)
         assert out.rcode == Rcode.NOERROR
 
