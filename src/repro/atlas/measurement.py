@@ -82,10 +82,10 @@ class Measurement:
     vantage_points: list[VantagePoint]
     events: list[ScheduledEvent] = field(default_factory=list)
     seed: int = 0
-    #: Optional telemetry hook, called as ``progress(done, total)`` every
-    #: ``progress_every`` queries and once at the end of the run.  The
-    #: ``repro run`` CLI and the runner's serial fallback use it to drive
-    #: :class:`repro.runner.progress.ProgressTracker` displays.
+    #: Optional hook, called as ``progress(done, total)`` every
+    #: ``progress_every`` queries and once at the end of the run.  No
+    #: campaign sets it: it is the seam the hit-lease property test uses to
+    #: change resolver state between queries.
     progress: Optional[Callable[[int, int], None]] = None
     progress_every: int = 1000
 

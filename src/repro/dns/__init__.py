@@ -10,8 +10,7 @@ delegations and glue.
 from repro._exports import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
-    "ecs": ("OPTION_CLIENT_SUBNET", "ClientSubnet", "extract_client_subnet",
-            "replace_client_subnet"),
+    "ecs": ("OPTION_CLIENT_SUBNET", "ClientSubnet", "extract_client_subnet"),
     "name": ("Name", "NameError_", "root"),
     "rdtypes": ("A", "AAAA", "CNAME", "DNSKEY", "MX", "NS", "OPT", "RRSIG", "SOA", "TXT",
                 "OpaqueRdata", "Rdata", "RdataClass", "RdataType"),

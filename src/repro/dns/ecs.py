@@ -41,7 +41,6 @@ __all__ = [
     "FAMILY_IPV6",
     "ClientSubnet",
     "extract_client_subnet",
-    "replace_client_subnet",
 ]
 
 #: EDNS option code assigned to Client Subnet (RFC 7871 §6).
@@ -183,26 +182,3 @@ def extract_client_subnet(options: bytes) -> Optional[ClientSubnet]:
         offset += size
     return None
 
-
-def replace_client_subnet(
-    options: bytes, subnet: Optional[ClientSubnet]
-) -> bytes:
-    """``options`` with any ECS TLVs removed and ``subnet`` appended.
-
-    Other options are preserved in order.  Passing ``None`` strips ECS.
-    """
-    kept = bytearray()
-    offset = 0
-    length = len(options)
-    while offset < length:
-        if length - offset < 4:
-            raise WireError("truncated EDNS option header")
-        code, size = struct.unpack_from(">HH", options, offset)
-        if length - offset - 4 < size:
-            raise WireError(f"EDNS option {code} overruns the options blob")
-        if code != OPTION_CLIENT_SUBNET:
-            kept += options[offset : offset + 4 + size]
-        offset += 4 + size
-    if subnet is not None:
-        kept += subnet.to_wire()
-    return bytes(kept)

@@ -186,7 +186,10 @@ def _normalize(fingerprint: dict[str, Any]) -> dict[str, Any]:
 
 
 def _atomic_write_bytes(path: Path, data: bytes) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
+    # One temporary name per process: pool workers that open a fresh run
+    # directory together all write its manifest, and a shared name lets
+    # one worker rename away the file another is about to rename.
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     with tmp.open("wb") as handle:
         handle.write(data)
         handle.flush()

@@ -1,37 +1,36 @@
 """The shard execution engine.
 
-``ShardExecutor`` runs a picklable shard function over a shard plan:
+``ShardExecutor`` runs a shard function over a shard plan:
 
-- ``parallelism <= 1`` → serial in-process execution (the debugging
+- ``parallelism <= 1`` → in-process, one shard at a time (the debugging
   fallback: no pickling, no subprocesses, identical results);
 - ``parallelism > 1`` → a :class:`concurrent.futures.ProcessPoolExecutor`
   with ``parallelism`` workers.
 
-Either way the executor consults an optional :class:`CheckpointStore`
-(completed shards load instead of recomputing and new completions are
-spilled immediately), retries crashed shards with exponential backoff,
+Both run through one attempt loop: every shard is submitted, then
+awaited in plan order.  Serially the submissions go to an in-process
+stand-in for the pool whose futures run the shard when awaited.  The
+executor consults an optional :class:`CheckpointStore` (completed shards
+load instead of recomputing and new completions are spilled
+immediately), gives a failed shard up to :data:`MAX_ATTEMPTS` attempts,
 and reports lifecycle transitions to a :class:`ProgressTracker`.
 Results are returned in *shard-index order* regardless of completion
 order, which is what makes downstream merges reproducible.
 
-The per-shard ``timeout`` bounds each attempt's wall time, measured
-from submission — which in pool mode includes any time spent queued
-for a free worker, so size it generously when shards outnumber
-workers.  In pool mode an attempt that exceeds it counts as a
-failed attempt and is resubmitted; a worker crash that breaks the pool
-(segfault, OOM kill → :class:`BrokenProcessPool`) also counts as a
-failed attempt, and the pool is rebuilt before the retry.  In serial
-mode a running shard cannot be interrupted, so the timeout is checked
-after the attempt returns — a too-slow shard still counts as failed.
-A truly hung worker keeps its (abandoned) process until interpreter
-exit — acceptable for simulation workloads, where a "hang" is a
-runaway simulation rather than blocked I/O.
+A worker crash that breaks the pool (segfault, OOM kill →
+:class:`BrokenProcessPool`) counts as a failed attempt of the shard
+being awaited, even when another shard's worker died.  The pool is
+rebuilt and that shard's retry runs alone on it, so a second break is
+its own: no shard is charged for more than one other shard's crash.
 """
 
 from __future__ import annotations
 
+import gc
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from repro.metrics.registry import (
@@ -47,32 +46,22 @@ from repro.runner.progress import ProgressTracker
 from repro.runner.shard import Shard
 
 if TYPE_CHECKING:
-    from concurrent.futures import Future, ProcessPoolExecutor
-
     from repro.runner.checkpoint import CheckpointStore
 
-__all__ = ["RetryPolicy", "ShardError", "ShardOutcome", "ShardExecutor"]
+__all__ = ["MAX_ATTEMPTS", "ShardError", "ShardOutcome", "ShardExecutor"]
+
+#: Attempts a shard gets before :class:`ShardError`.  No backoff between
+#: them: a shard is a pure function of its inputs, so waiting gains
+#: nothing, and a broken pool is rebuilt before the retry anyway.
+MAX_ATTEMPTS = 3
 
 #: Per-shard wall-time buckets: 1 ms .. 1 h.  Host-domain telemetry only —
 #: wall clocks never enter the deterministic (sim) snapshot.
 SHARD_WALL_BUCKETS = log_buckets(0.001, 3600.0, per_decade=2)
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retry with exponential backoff for crashed shards."""
-
-    max_attempts: int = 3
-    backoff: float = 0.05
-    backoff_factor: float = 2.0
-
-    def delay(self, attempt: int) -> float:
-        """Seconds to sleep before retry number ``attempt`` (1-based)."""
-        return self.backoff * (self.backoff_factor ** (attempt - 1))
-
-
 class ShardError(RuntimeError):
-    """A shard exhausted its retry budget."""
+    """A shard failed :data:`MAX_ATTEMPTS` times."""
 
     def __init__(self, shard: Shard, attempts: int, cause: BaseException) -> None:
         super().__init__(
@@ -98,7 +87,7 @@ class ShardOutcome:
 def _call_profiled(
     fn: Callable[..., Any], path: str, shard: Shard, kwargs: dict[str, Any]
 ) -> Any:
-    """Pool-side wrapper: run one shard under cProfile, dump to ``path``.
+    """Run one shard under cProfile, dump to ``path``.
 
     Module-level so it pickles into workers; the stats file is written
     even when the shard raises, so a crashing shard still leaves data.
@@ -112,25 +101,36 @@ def _call_profiled(
         profile.dump_stats(path)
 
 
+class _Deferred(partial):
+    """The in-process pool's future: awaiting its result runs the call."""
+
+    result = partial.__call__
+
+
+class _InProcessPool:
+    """The pool's stand-in for ``parallelism <= 1``: nothing is pickled and
+    no process starts.  A submitted call runs only when awaited, so shards
+    run in plan order and a retry runs before the next shard."""
+
+    submit = _Deferred
+
+
 @dataclass
 class ShardExecutor:
     """Runs ``fn(shard, **kwargs)`` over a shard plan."""
 
     parallelism: int = 1
-    timeout: Optional[float] = None
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
     checkpoint: Optional[CheckpointStore] = None
     tracker: Optional[ProgressTracker] = None
     #: Host-domain execution telemetry lands here when set (wall times,
     #: retries, checkpoint hits); sim-domain metrics come from the shards.
     metrics: Optional[MetricsRegistry] = None
-    #: Injectable sleep, so tests can pin backoff waits.
-    sleep: Callable[[float], None] = time.sleep
     #: Run once in every worker process before any shard executes (and
-    #: once in-process on the serial path, for symmetry).  Campaigns use
-    #: it to prewarm the per-process world cache so the first shard a
-    #: worker receives doesn't pay world construction.  Must be a
-    #: module-level callable; ``initargs`` must pickle.
+    #: once in-process on the serial path, for symmetry), and only when a
+    #: shard is left to run.  Campaigns use it to prewarm the per-process
+    #: world cache so the first shard a worker receives doesn't pay world
+    #: construction.  Must be a module-level callable; ``initargs`` must
+    #: pickle.
     initializer: Optional[Callable[..., None]] = None
     initargs: tuple = ()
     #: When set, each shard attempt runs under cProfile and dumps to
@@ -144,9 +144,9 @@ class ShardExecutor:
         self.shard_wall = Histogram("runner.shard_wall_seconds", SHARD_WALL_BUCKETS, HOST)
         if self.metrics is not None:
             self.metrics.collect(self, (
-                *((f"runner.{slot}", COUNTER, slot) for slot in (
+                *[(f"runner.{slot}", COUNTER, slot) for slot in (
                     "shards_completed", "shards_cached", "retries", "failures",
-                )),
+                )],
                 ("runner.shard_wall_seconds", HISTOGRAM, "shard_wall"),
             ), HOST)
 
@@ -160,20 +160,17 @@ class ShardExecutor:
 
         ``fn`` must be a module-level callable and ``kwargs`` picklable
         when ``parallelism > 1``.  Raises :class:`ShardError` once any
-        shard exhausts :class:`RetryPolicy.max_attempts`; shards that
-        completed before the failure remain checkpointed, so a rerun
-        resumes rather than recomputes.
+        shard fails :data:`MAX_ATTEMPTS` times; shards that completed
+        before the failure remain checkpointed, so a rerun resumes rather
+        than recomputes.
         """
         kwargs = kwargs or {}
         if self.tracker is not None:
             self.tracker.shards_total = len(shards)
             self.tracker.start()
         cached, pending = self._split_checkpointed(shards)
-        if self.parallelism <= 1:
-            fresh = self._run_serial(fn, pending, kwargs)
-        else:
-            fresh = self._run_pool(fn, pending, kwargs)
-        outcomes = sorted(cached + fresh, key=lambda o: o.shard.index)
+        fresh = self._attempt_all(fn, pending, kwargs) if pending else []
+        outcomes = sorted(cached + fresh, key=attrgetter("shard.index"))
         if self.tracker is not None:
             self.tracker.done()
         return outcomes
@@ -225,158 +222,118 @@ class ShardExecutor:
     def _shard_profile_path(self, index: int) -> str:
         return f"{self.profile_path}.shard-{index:04d}"
 
-    # -- serial fallback -----------------------------------------------------
-    def _run_serial(
-        self, fn: Callable[..., Any], shards: Sequence[Shard], kwargs: dict[str, Any]
-    ) -> list[ShardOutcome]:
-        if shards and self.initializer is not None:
+    # -- the attempt loop -----------------------------------------------------
+    def _new_pool(self) -> Any:
+        if self.parallelism > 1:
+            from concurrent.futures.process import ProcessPoolExecutor
+
+            return ProcessPoolExecutor(
+                max_workers=self.parallelism,
+                initializer=self.initializer,
+                initargs=self.initargs,
+            )
+        if self.initializer is not None:
             self.initializer(*self.initargs)
-        outcomes: list[ShardOutcome] = []
-        for shard in shards:
-            attempt = 0
-            while True:
-                attempt += 1
-                started = time.monotonic()
-                try:
-                    if self.profile_path is not None:
-                        value = _call_profiled(
-                            fn, self._shard_profile_path(shard.index), shard, kwargs
-                        )
-                    else:
-                        value = fn(shard, **kwargs)
-                    elapsed = time.monotonic() - started
-                    if self.timeout is not None and elapsed > self.timeout:
-                        # Serial mode can't interrupt a running shard, so
-                        # the budget is checked after the fact; the
-                        # attempt still counts as failed, matching pool
-                        # mode's per-attempt timeout.
-                        raise TimeoutError(
-                            f"shard {shard.index} ran {elapsed:.3f}s, "
-                            f"over the {self.timeout}s per-shard timeout"
-                        )
-                except Exception as error:
-                    final = attempt >= self.retry.max_attempts
-                    self._note_failure(shard, attempt, final)
-                    if final:
-                        raise ShardError(shard, attempt, error) from error
-                    self.sleep(self.retry.delay(attempt))
-                    continue
-                outcomes.append(
-                    self._record(shard, value, attempt, time.monotonic() - started)
-                )
-                break
-        return outcomes
+        return _InProcessPool()
 
-    # -- process pool --------------------------------------------------------
-    def _new_pool(self) -> ProcessPoolExecutor:
-        from concurrent.futures.process import ProcessPoolExecutor
-
-        return ProcessPoolExecutor(
-            max_workers=self.parallelism,
-            initializer=self.initializer,
-            initargs=self.initargs,
-        )
-
-    def _run_pool(
+    def _attempt_all(
         self, fn: Callable[..., Any], shards: Sequence[Shard], kwargs: dict[str, Any]
     ) -> list[ShardOutcome]:
-        import gc
-        from concurrent.futures.process import BrokenProcessPool
+        in_process = self.parallelism <= 1
+        if in_process:
+            broken: Any = ()  # an in-process pool never breaks
+        else:
+            from concurrent.futures.process import BrokenProcessPool as broken
 
-        # Workers fork from this process (Linux default).  Freezing the
-        # parent's GC generations first keeps the children's collector
-        # from traversing — and so copy-on-write faulting — every page
-        # the parent heap holds at fork time; with a large ResultSet
-        # already in memory (serial-vs-parallel comparisons, multi-stage
-        # campaigns) that thrash costs ~20% of 4-worker wall time on a
-        # 1-core host.  Unfrozen once the pool is done.
-        gc.collect()
-        gc.freeze()
+            # Workers fork from this process (Linux default).  Freezing
+            # the parent's GC generations first keeps the children's
+            # collector from traversing — and so copy-on-write faulting —
+            # every page the parent heap holds at fork time; with a large
+            # ResultSet already in memory (serial-vs-parallel comparisons,
+            # multi-stage campaigns) that thrash costs ~20% of 4-worker
+            # wall time on a 1-core host.  Unfrozen once the pool is done.
+            gc.collect()
+            gc.freeze()
         outcomes: list[ShardOutcome] = []
-        attempts = {shard.index: 0 for shard in shards}
-        by_index = {shard.index: shard for shard in shards}
-        pending: dict[int, Future] = {}
+        pending: dict[int, Any] = {}
         started: dict[int, float] = {}
+        held: list[Shard] = []
         pool = self._new_pool()
 
-        def submit(index: int) -> None:
-            started[index] = time.monotonic()
+        def submit(shard: Shard) -> None:
+            started[shard.index] = time.monotonic()
             if self.profile_path is not None:
-                pending[index] = pool.submit(
+                pending[shard.index] = pool.submit(
                     _call_profiled,
                     fn,
-                    self._shard_profile_path(index),
-                    by_index[index],
+                    self._shard_profile_path(shard.index),
+                    shard,
                     kwargs,
                 )
             else:
-                pending[index] = pool.submit(fn, by_index[index], **kwargs)
+                pending[shard.index] = pool.submit(fn, shard, **kwargs)
 
-        def rebuild_pool() -> None:
+        def rebuild_pool(shard: Shard) -> None:
             # A worker died hard (segfault, OOM kill): the pool is
             # permanently broken and every future still riding on it
-            # fails with BrokenProcessPool.  Replace the pool and
-            # resubmit every shard that hadn't already delivered a
-            # result; completed results survive the crash.
+            # fails with BrokenProcessPool.  The break is charged to the
+            # awaited ``shard`` even when another shard's worker died, so
+            # its retry runs alone on a fresh pool, where a break is its
+            # own: no shard is charged for more than one other shard's
+            # crash.  The rest that had not delivered a result wait in
+            # ``held`` until it ends; completed results survive the crash.
             nonlocal pool
             pool.shutdown(wait=False, cancel_futures=True)
             pool = self._new_pool()
-            for index, future in list(pending.items()):
-                if future.done() and future.exception() is None:
-                    continue
-                submit(index)
+            for other in shards:
+                future = pending.get(other.index)
+                if future is not None and not (
+                    future.done() and future.exception() is None
+                ):
+                    del pending[other.index]
+                    held.append(other)
+            submit(shard)
 
         try:
             for shard in shards:
-                submit(shard.index)
-            while pending:
-                # Await shards in index order: earlier waits overlap later
-                # shards' compute, so this costs nothing in wall time.
-                index = min(pending)
-                future = pending.pop(index)
-                shard = by_index[index]
-                attempts[index] += 1
-                wait = None
-                if self.timeout is not None:
-                    # The attempt's clock starts at submission, not when
-                    # this loop gets around to awaiting its future.
-                    wait = max(
-                        0.0, self.timeout - (time.monotonic() - started[index])
-                    )
-                try:
-                    value = future.result(timeout=wait)
-                except Exception as error:  # crash, BrokenProcessPool, timeout
-                    future.cancel()
-                    final = attempts[index] >= self.retry.max_attempts
-                    self._note_failure(shard, attempts[index], final)
-                    if final:
-                        for other in pending.values():
-                            other.cancel()
-                        raise ShardError(shard, attempts[index], error) from error
-                    self.sleep(self.retry.delay(attempts[index]))
-                    if isinstance(error, BrokenProcessPool):
-                        pending[index] = future  # rebuild resubmits it
-                        rebuild_pool()
-                    else:
-                        try:
-                            submit(index)
-                        except BrokenProcessPool:
-                            # The pool broke between the failure and the
-                            # resubmit; recover the same way.
-                            pending[index] = future
-                            rebuild_pool()
-                    continue
+                submit(shard)
+            # Await shards in plan order: earlier waits overlap later
+            # shards' compute, so this costs nothing in wall time.
+            for shard in shards:
+                attempt = 0
+                while True:
+                    attempt += 1
+                    future = pending.pop(shard.index)
+                    if in_process:
+                        # The shard runs inside result(), so its clock
+                        # starts now rather than at submission.
+                        started[shard.index] = time.monotonic()
+                    try:
+                        value = future.result()
+                        break
+                    except Exception as error:  # a crash, or BrokenProcessPool
+                        final = attempt >= MAX_ATTEMPTS
+                        self._note_failure(shard, attempt, final)
+                        if final:
+                            raise ShardError(shard, attempt, error) from error
+                        if not isinstance(error, broken):
+                            try:
+                                submit(shard)
+                                continue
+                            except broken:
+                                pass  # the pool broke before the resubmit
+                        rebuild_pool(shard)
                 outcomes.append(
                     self._record(
-                        shard,
-                        value,
-                        attempts[index],
-                        time.monotonic() - started[index],
+                        shard, value, attempt, time.monotonic() - started[shard.index]
                     )
                 )
+                while held:
+                    submit(held.pop(0))
         finally:
-            # wait=False: a hung worker must not stall shutdown (the
-            # abandoned process is reaped at interpreter exit).
-            pool.shutdown(wait=False, cancel_futures=True)
-            gc.unfreeze()
+            if not in_process:
+                # wait=False: shards still running after a ShardError must
+                # not hold it up; interpreter exit reaps their processes.
+                pool.shutdown(wait=False, cancel_futures=True)
+                gc.unfreeze()
         return outcomes

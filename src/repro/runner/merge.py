@@ -25,7 +25,6 @@ __all__ = [
     "MergeError",
     "merge_result_sets",
     "merge_crawl_results",
-    "merge_counts",
     "merge_shard_metrics",
 ]
 
@@ -34,12 +33,10 @@ class MergeError(ValueError):
     """Shard outputs violate a merge invariant."""
 
 
-def merge_result_sets(
-    parts: Iterable[ResultSet], *, check: bool = True
-) -> ResultSet:
+def merge_result_sets(parts: Iterable[ResultSet]) -> ResultSet:
     """Merge per-shard :class:`ResultSet`s into one canonical set.
 
-    Invariants checked (``check=True``):
+    Invariants checked:
 
     - shards are disjoint: no probe id appears in more than one part;
     - no VP answers the same round twice;
@@ -52,13 +49,11 @@ def merge_result_sets(
     parts = list(parts)
     if not parts:
         return ResultSet([])
-    if check:
-        _check_disjoint_probes(parts)
-        _check_monotone_timestamps(parts)
+    _check_disjoint_probes(parts)
+    _check_monotone_timestamps(parts)
     spec = next((part.spec for part in parts if part.spec is not None), None)
     merged = ResultSet.concat(parts, spec)
-    if check:
-        _check_unique_rounds(merged)
+    _check_unique_rounds(merged)
     # Sort a permutation, not rows: a VP's (probe id, VP id) pair is
     # ranked once, so every key is three numbers read off the columns.
     rank = _ranks([(vp.probe_id, vp.vp_id) for vp in merged.vps])
@@ -125,32 +120,29 @@ def _check_unique_rounds(merged: ResultSet) -> None:
 
 
 def merge_crawl_results(
-    parts: Iterable[CrawlResult],
-    *,
-    check: bool = True,
-    queries: Optional[Iterable[int]] = None,
+    parts: Iterable[CrawlResult], *, queries: Optional[Iterable[int]] = None
 ) -> tuple[CrawlResult, int]:
     """Merge per-shard :class:`CrawlResult`s (and query counters).
 
     Parts arrive keyed by shard index (contiguous domain slices), so
     concatenation in shard order reproduces the serial crawl's record
-    order.  Returns ``(result, total_queries)``.
+    order; a domain in two parts raises :class:`MergeError`.  Returns
+    ``(result, total_queries)``.
     """
     from repro.crawler.crawl import CrawlResult
 
     records: list[CrawlRecord] = []
     for part in parts:
         records.extend(part.records)
-    if check:
-        seen: set = set()
-        for record in records:
-            name = record.domain.name
-            if name in seen:
-                raise MergeError(
-                    f"domain {name} crawled twice: shards must cover "
-                    f"disjoint list slices"
-                )
-            seen.add(name)
+    seen: set = set()
+    for record in records:
+        name = record.domain.name
+        if name in seen:
+            raise MergeError(
+                f"domain {name} crawled twice: shards must cover "
+                f"disjoint list slices"
+            )
+        seen.add(name)
     total_queries = sum(queries) if queries is not None else 0
     return CrawlResult(records), total_queries
 
@@ -166,16 +158,7 @@ def merge_shard_metrics(values: Iterable[dict]) -> MetricsSnapshot:
     """
     parts = [
         MetricsSnapshot.from_payload(payload)
-        for payload in (metrics_payload(value) for value in values)
+        for payload in map(metrics_payload, values)
         if payload is not None
     ]
     return merge_snapshots(parts)
-
-
-def merge_counts(parts: Iterable[dict[str, int]]) -> dict[str, int]:
-    """Sum per-shard counter dicts (e.g. query-log tallies)."""
-    merged: dict[str, int] = {}
-    for part in parts:
-        for key, value in part.items():
-            merged[key] = merged.get(key, 0) + value
-    return merged

@@ -4,8 +4,8 @@ The executor reports shard lifecycle transitions to a
 :class:`ProgressTracker`; the tracker turns them into immutable
 :class:`ProgressEvent` records (shards done/total, simulated queries,
 queries/sec, wall time) and hands each one to an optional callback.  The
-CLI renders events with :func:`render_event`; benches consume the event
-stream directly (``tracker.events``) to report throughput.
+CLI renders events with :func:`render_event`; tests read the event
+stream directly (``tracker.events``).
 """
 
 from __future__ import annotations

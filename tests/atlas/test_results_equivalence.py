@@ -114,9 +114,9 @@ def test_every_method_agrees_with_the_row_list(rows, bin_seconds):
         assert ordered(subset.summary()) == ordered(ref_subset.summary())
 
 
-def _outcome(merge, parts, check):
+def _outcome(merge, parts):
     try:
-        return merge(parts, check=check).results
+        return merge(parts).results
     except MergeError as error:
         return str(error)
 
@@ -125,10 +125,9 @@ def _outcome(merge, parts, check):
 @given(
     rows=shard_outputs() | st.lists(rows, max_size=10),
     by_probe=st.booleans(),
-    check=st.booleans(),
     data=st.data(),
 )
-def test_merge_agrees_with_the_row_list_merge(rows, by_probe, check, data):
+def test_merge_agrees_with_the_row_list_merge(rows, by_probe, data):
     # Split by probe (what a shard plan does) or row by row (which a plan
     # never does, and the disjoint-probes check must say so).
     n_parts = data.draw(st.integers(1, 4))
@@ -139,15 +138,15 @@ def test_merge_agrees_with_the_row_list_merge(rows, by_probe, check, data):
         split[part_of[row.probe_id if by_probe else index]].append(row)
     split = data.draw(st.permutations(split))
 
-    merged = _outcome(merge_result_sets, [ResultSet(part, spec="s") for part in split], check)
+    merged = _outcome(merge_result_sets, [ResultSet(part, spec="s") for part in split])
     expected = _outcome(
-        reference.merge_result_sets, [reference.ResultSet(part, spec="s") for part in split], check
+        reference.merge_result_sets, [reference.ResultSet(part, spec="s") for part in split]
     )
     assert merged == expected
     if by_probe and not isinstance(expected, str):
         # Order independence: any other arrangement of the parts merges the same.
         again = data.draw(st.permutations(split))
-        assert merge_result_sets([ResultSet(part) for part in again], check=check).results == merged
+        assert merge_result_sets([ResultSet(part) for part in again]).results == merged
 
 
 @settings(max_examples=100, deadline=None)

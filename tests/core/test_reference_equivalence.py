@@ -11,21 +11,25 @@ The branch-per-feature ``resolve()`` in place of the construction-time
 resolve plan, the per-query probe loop in place of the one that answers a
 live entry's hits from a lease, the stdlib's ``lognormvariate`` in place of
 the jitter draw the latency model runs inline, a zone that compiles
-every response afresh in place of its compiled-answer memo, and a
+every response afresh in place of its compiled-answer memo, a
 resolver cache with no expiry heap (every scan spelled out, every lease
-declined) in place of the heap cache.  Add a reference by adding a row.
+declined) in place of the heap cache, and the row-list merge in place of
+the columnar one.  Add a reference by adding a row.
 """
 
 import pytest
 
 from repro.atlas.measurement import Measurement
+from repro.atlas.results import ResultSet
 from repro.core.campaign import CAMPAIGNS
 from repro.dns.message import Message, Rcode
 from repro.dns.zone import Zone
 from repro.net.latency import LatencyModel
 from repro.resolver import recursive
 from repro.resolver.recursive import RecursiveResolver
+from repro.runner import merge
 
+from tests.atlas import reference_results
 from tests.atlas.reference_measurement import reference_run
 from tests.core.test_campaign_registry import ORACLE, _run, _sha
 from tests.resolver.reference_cache import ScanReferenceCache
@@ -62,6 +66,15 @@ def cold_respond(zone, query):
     )
 
 
+def row_list_merge(parts):
+    """``merge_result_sets`` by the row-list reference: each columnar part
+    goes in as its rows, and the merged rows come back as a columnar set."""
+    merged = reference_results.merge_result_sets(
+        [reference_results.ResultSet(part.results, spec=part.spec) for part in parts]
+    )
+    return ResultSet(merged.results, spec=merged.spec)
+
+
 #: The campaigns whose clients are no Atlas population: the crawler
 #: iterates by itself, without a resolver, and the grid cells drive their
 #: clients with loops of their own.
@@ -77,6 +90,7 @@ REFERENCES = {
     "stdlib-last-mile": (LatencyModel, "last_mile_rtt", stdlib_last_mile_rtt, GRID),
     "cold-zone": (Zone, "respond", cold_respond, set()),
     "scan-cache": (recursive, "Cache", ScanReferenceCache, {"crawl"}),
+    "row-list-merge": (merge, "merge_result_sets", row_list_merge, GRID | {"t10-controlled"}),
 }
 
 

@@ -19,7 +19,6 @@ from repro.dns.ecs import (
     OPTION_CLIENT_SUBNET,
     ClientSubnet,
     extract_client_subnet,
-    replace_client_subnet,
 )
 from repro.dns.message import Message
 from repro.dns.rdtypes import RdataType
@@ -154,16 +153,6 @@ def test_extract_skips_unknown_options():
     assert extract_client_subnet(cookie + subnet.to_wire()) == subnet
     assert extract_client_subnet(cookie) is None
     assert extract_client_subnet(b"") is None
-
-
-def test_replace_preserves_other_options():
-    cookie = b"\x00\x0a\x00\x08" + b"\x01" * 8
-    old = ClientSubnet.from_ip("198.18.0.0", 24)
-    new = ClientSubnet.from_ip("203.0.113.0", 24)
-    blob = replace_client_subnet(cookie + old.to_wire(), new)
-    assert blob.startswith(cookie)
-    assert extract_client_subnet(blob) == new
-    assert replace_client_subnet(blob, None) == cookie
 
 
 # -- differential: scope 0 must equal ECS-off --------------------------------

@@ -1,5 +1,7 @@
 """Checkpoint store: spill, resume, fingerprint guarding, atomicity."""
 
+import multiprocessing
+
 import pytest
 
 from repro.runner.checkpoint import CheckpointMismatch, CheckpointStore
@@ -55,6 +57,31 @@ def test_discard_and_clear(tmp_path):
     # The manifest survives a clear: the run dir still belongs to this
     # campaign and can be reused.
     CheckpointStore(tmp_path, {})
+
+
+def _open_at_once(run_dir, barrier):
+    barrier.wait(timeout=30)
+    CheckpointStore(run_dir, {"seed": 0})
+
+
+def test_workers_opening_one_fresh_run_dir_at_once(tmp_path):
+    # Shard workers with mid-shard snapshots each open the store, and on a
+    # fresh run directory each one writes the manifest.  With one shared
+    # temporary name, one worker's rename can take the file another is
+    # about to rename, and that worker dies on FileNotFoundError.
+    context = multiprocessing.get_context("fork")
+    for attempt in range(10):
+        barrier = context.Barrier(4)
+        workers = [
+            context.Process(target=_open_at_once, args=(tmp_path / f"run-{attempt}", barrier))
+            for _ in range(4)
+        ]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=30)
+        assert [worker.exitcode for worker in workers] == [0, 0, 0, 0]
+        assert list((tmp_path / f"run-{attempt}").glob("*.tmp")) == []
 
 
 def test_no_temp_files_left_behind(tmp_path):

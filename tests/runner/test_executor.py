@@ -1,11 +1,12 @@
 """Executor engine: serial/parallel parity, crash retry, checkpoints."""
 
-import time
+import gc
+import types
 
 import pytest
 
 from repro.runner.checkpoint import CheckpointStore
-from repro.runner.executor import RetryPolicy, ShardError, ShardExecutor
+from repro.runner.executor import MAX_ATTEMPTS, ShardError, ShardExecutor
 from repro.runner.progress import ProgressTracker
 from repro.runner.shard import plan_shards
 
@@ -49,11 +50,6 @@ def record_execution(shard, *, marker_dir):
     return shard.index
 
 
-def sleepy(shard, *, seconds):
-    time.sleep(seconds)
-    return shard.index
-
-
 def hard_crash_once(shard, *, marker_dir, fail_index):
     """Kills its worker process outright on the first attempt.
 
@@ -71,6 +67,24 @@ def hard_crash_once(shard, *, marker_dir, fail_index):
         if attempt == 1:
             os._exit(1)
     return list(shard.unit_range())
+
+
+def hard_crash_each_once(shard, *, marker_dir, crashing):
+    """The shards in ``crashing`` kill their worker on their first attempt.
+    Any other shard outlives them: its first attempt sleeps until a crash
+    kills it, and a later one naps half a second."""
+    import os
+    import pathlib
+    import time
+
+    marker = pathlib.Path(marker_dir) / f"hard-{shard.index}"
+    first = not marker.exists()
+    marker.touch()
+    if shard.index not in crashing:
+        time.sleep(10.0 if first else 0.5)
+    elif first:
+        os._exit(1)
+    return shard.index
 
 
 def mark_initialized(marker_dir):
@@ -101,29 +115,19 @@ def test_parallel_equals_serial():
 
 def test_serial_retries_transient_crash(tmp_path):
     plan = plan_shards(6, 3, campaign_seed=1)
-    executor = ShardExecutor(
-        parallelism=1,
-        retry=RetryPolicy(max_attempts=3, backoff=0.0),
-        sleep=lambda _: None,
-    )
-    outcomes = executor.run(
+    outcomes = ShardExecutor(parallelism=1).run(
         flaky,
         plan,
-        {"marker_dir": str(tmp_path), "fail_index": 1, "fail_times": 2},
+        {"marker_dir": str(tmp_path), "fail_index": 1, "fail_times": MAX_ATTEMPTS - 1},
     )
     assert [unit for value in _values(outcomes) for unit in value] == list(range(6))
-    assert outcomes[1].attempts == 3
+    assert outcomes[1].attempts == MAX_ATTEMPTS
     assert outcomes[0].attempts == 1
 
 
 def test_parallel_retries_transient_crash(tmp_path):
     plan = plan_shards(8, 4, campaign_seed=2)
-    executor = ShardExecutor(
-        parallelism=2,
-        retry=RetryPolicy(max_attempts=2, backoff=0.0),
-        sleep=lambda _: None,
-    )
-    outcomes = executor.run(
+    outcomes = ShardExecutor(parallelism=2).run(
         flaky,
         plan,
         {"marker_dir": str(tmp_path), "fail_index": 2, "fail_times": 1},
@@ -132,20 +136,41 @@ def test_parallel_retries_transient_crash(tmp_path):
     assert outcomes[2].attempts == 2
 
 
+def test_serial_runs_a_closure_in_process():
+    # Nothing is pickled: a closure works, and it sees this process's state.
+    seen = []
+    frozen = gc.get_freeze_count()
+
+    def shard_fn(shard):
+        seen.append((shard.index, gc.get_freeze_count()))
+        return shard.index * 10
+
+    outcomes = ShardExecutor(parallelism=1).run(shard_fn, plan_shards(6, 3, campaign_seed=1))
+    assert _values(outcomes) == [0, 10, 20]
+    # In index order, and no gc.freeze() around the in-process pool.
+    assert seen == [(0, frozen), (1, frozen), (2, frozen)]
+
+
+def test_serial_wall_time_is_the_shards_own_run(monkeypatch):
+    # Every shard advances a fake clock by one second; had the clock
+    # started at submission, shard k would read k + 1 seconds.
+    clock = [0.0]
+    monkeypatch.setattr(
+        "repro.runner.executor.time", types.SimpleNamespace(monotonic=lambda: clock[0])
+    )
+
+    def tick(shard):
+        clock[0] += 1.0
+        return shard.index
+
+    outcomes = ShardExecutor(parallelism=1).run(tick, plan_shards(3, 3, campaign_seed=1))
+    assert [outcome.wall_seconds for outcome in outcomes] == [1.0, 1.0, 1.0]
+
+
 def test_retry_budget_exhausted_raises_shard_error():
     plan = plan_shards(4, 2, campaign_seed=0)
-    executor = ShardExecutor(
-        parallelism=1,
-        retry=RetryPolicy(max_attempts=2, backoff=0.0),
-        sleep=lambda _: None,
-    )
-    with pytest.raises(ShardError, match="after 2 attempt"):
-        executor.run(always_fails, plan)
-
-
-def test_backoff_delays_grow_exponentially():
-    policy = RetryPolicy(max_attempts=4, backoff=0.1, backoff_factor=2.0)
-    assert [policy.delay(a) for a in (1, 2, 3)] == pytest.approx([0.1, 0.2, 0.4])
+    with pytest.raises(ShardError, match=f"after {MAX_ATTEMPTS} attempt"):
+        ShardExecutor(parallelism=1).run(always_fails, plan)
 
 
 def test_checkpointed_shards_are_not_recomputed(tmp_path):
@@ -178,12 +203,7 @@ def test_interrupted_campaign_resumes_from_checkpoints(tmp_path):
     markers = tmp_path / "markers"
     markers.mkdir()
 
-    crashing = ShardExecutor(
-        parallelism=1,
-        checkpoint=store,
-        retry=RetryPolicy(max_attempts=1),
-        sleep=lambda _: None,
-    )
+    crashing = ShardExecutor(parallelism=1, checkpoint=store)
     with pytest.raises(ShardError):
         crashing.run(
             flaky,
@@ -200,51 +220,31 @@ def test_interrupted_campaign_resumes_from_checkpoints(tmp_path):
     assert [o.cached for o in resumed] == [True, True, True, False]
 
 
-def test_per_shard_timeout_counts_as_failure():
-    plan = plan_shards(2, 2, campaign_seed=6)
-    executor = ShardExecutor(
-        parallelism=2,
-        timeout=0.1,
-        retry=RetryPolicy(max_attempts=1),
-        sleep=lambda _: None,
-    )
-    # Keep the nap short: the abandoned workers linger until it ends.
-    with pytest.raises(ShardError):
-        executor.run(sleepy, plan, {"seconds": 1.5})
-
-
-def test_serial_timeout_counts_as_failure():
-    # The serial fallback enforces the same per-attempt budget as the
-    # pool (checked after the attempt, since it can't be interrupted).
-    plan = plan_shards(2, 2, campaign_seed=6)
-    executor = ShardExecutor(
-        parallelism=1,
-        timeout=0.05,
-        retry=RetryPolicy(max_attempts=1),
-        sleep=lambda _: None,
-    )
-    with pytest.raises(ShardError) as excinfo:
-        executor.run(sleepy, plan, {"seconds": 0.2})
-    assert isinstance(excinfo.value.cause, TimeoutError)
-
-
 def test_pool_rebuilt_after_hard_worker_crash(tmp_path):
     """A worker death breaks the whole ProcessPoolExecutor; the engine
     must rebuild the pool and retry instead of surfacing the raw
     BrokenProcessPool."""
     plan = plan_shards(8, 4, campaign_seed=8)
-    executor = ShardExecutor(
-        parallelism=2,
-        retry=RetryPolicy(max_attempts=3, backoff=0.0),
-        sleep=lambda _: None,
-    )
-    outcomes = executor.run(
+    outcomes = ShardExecutor(parallelism=2).run(
         hard_crash_once, plan, {"marker_dir": str(tmp_path), "fail_index": 1}
     )
     assert [unit for value in _values(outcomes) for unit in value] == list(range(8))
     # The crashing shard really ran twice: once killing its worker, once
     # to completion on the rebuilt pool.
     assert len(list(tmp_path.glob("hard-1-*"))) == 2
+
+
+def test_no_shard_is_charged_for_two_other_shards_crashes(tmp_path):
+    # Shards 1-3 each kill a worker while shard 0 is awaited.  The first
+    # break is charged to shard 0; its retry then runs alone, so the next
+    # two breaks are charged to the shards whose workers died.
+    plan = plan_shards(4, 4, campaign_seed=8)
+    outcomes = ShardExecutor(parallelism=2).run(
+        hard_crash_each_once, plan, {"marker_dir": str(tmp_path), "crashing": {1, 2, 3}}
+    )
+    assert _values(outcomes) == [0, 1, 2, 3]
+    assert outcomes[0].attempts == 2
+    assert all(outcome.attempts <= 2 for outcome in outcomes)
 
 
 def test_initializer_runs_once_in_serial_mode(tmp_path):
@@ -295,12 +295,7 @@ def test_profile_path_writes_per_shard_stats(tmp_path):
 def test_profile_written_even_when_shard_crashes(tmp_path):
     plan = plan_shards(2, 2, campaign_seed=10)
     base = tmp_path / "crash.pstats"
-    executor = ShardExecutor(
-        parallelism=1,
-        profile_path=str(base),
-        retry=RetryPolicy(max_attempts=1),
-        sleep=lambda _: None,
-    )
+    executor = ShardExecutor(parallelism=1, profile_path=str(base))
     with pytest.raises(ShardError):
         executor.run(always_fails, plan)
     assert (tmp_path / "crash.pstats.shard-0000").exists()
@@ -309,20 +304,18 @@ def test_profile_written_even_when_shard_crashes(tmp_path):
 def test_tracker_sees_lifecycle_events(tmp_path):
     plan = plan_shards(4, 2, campaign_seed=7)
     tracker = ProgressTracker(campaign="exec-test")
-    executor = ShardExecutor(
-        parallelism=1,
-        tracker=tracker,
-        retry=RetryPolicy(max_attempts=2, backoff=0.0),
-        sleep=lambda _: None,
-    )
+    executor = ShardExecutor(parallelism=1, tracker=tracker)
     executor.run(
         flaky, plan, {"marker_dir": str(tmp_path), "fail_index": 0, "fail_times": 1}
     )
-    statuses = [event.status for event in tracker.events]
-    assert statuses[0] == "start"
-    assert statuses[-1] == "done"
-    assert statuses.count("shard-done") == 2
-    assert "shard-retry" in statuses
+    # Serially, shard 0's retry runs before shard 1 starts.
+    assert [(event.status, event.shard_index) for event in tracker.events] == [
+        ("start", -1),
+        ("shard-retry", 0),
+        ("shard-done", 0),
+        ("shard-done", 1),
+        ("done", -1),
+    ]
     # Progress telemetry accumulated the simulated query counts (here,
     # the per-shard unit-list lengths).
     assert tracker.events[-1].queries == 4

@@ -10,12 +10,7 @@ from repro.dns.message import Rcode
 from repro.dns.name import Name
 from repro.dns.rdtypes import RdataType
 from repro.net.topology import Region
-from repro.runner.merge import (
-    MergeError,
-    merge_counts,
-    merge_crawl_results,
-    merge_result_sets,
-)
+from repro.runner.merge import MergeError, merge_crawl_results, merge_result_sets
 
 
 def _result(probe_id: int, round_index: int, timestamp: float) -> MeasurementResult:
@@ -135,10 +130,3 @@ def test_crawl_merge_rejects_duplicate_domains():
     with pytest.raises(MergeError, match="crawled twice"):
         merge_crawl_results([part, part])
 
-
-def test_merge_counts_sums_keys():
-    assert merge_counts([{"a": 1, "b": 2}, {"b": 3, "c": 4}]) == {
-        "a": 1,
-        "b": 5,
-        "c": 4,
-    }

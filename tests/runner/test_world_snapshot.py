@@ -15,7 +15,7 @@ from repro.runner import worldcache
 from repro.runner.campaigns import campaign_fingerprint, centricity_shard
 from repro.runner.checkpoint import CheckpointMismatch, CheckpointStore
 from repro.runner.codec import decode_shard_payload
-from repro.runner.executor import RetryPolicy, ShardExecutor
+from repro.runner.executor import ShardExecutor
 from repro.runner.merge import merge_result_sets
 from repro.runner.shard import plan_shards
 
@@ -180,10 +180,7 @@ def test_serial_executor_retry_resumes_mid_shard(tmp_path):
 
     worldcache.clear()
     kwargs = {**UY_KWARGS, "snapshot": _snapshot(tmp_path, every=10, crash_after=15)}
-    executor = ShardExecutor(
-        parallelism=1, retry=RetryPolicy(max_attempts=3, backoff=0.0),
-        sleep=lambda _: None,
-    )
+    executor = ShardExecutor(parallelism=1)
     outcomes = executor.run(centricity_shard, shards, kwargs)
     merged = merge_result_sets(
         [decode_shard_payload(o.value)["results"] for o in outcomes]
@@ -209,10 +206,7 @@ def test_pool_worker_hard_kill_resumes_mid_shard(tmp_path):
             tmp_path, every=10, crash_after=15, crash_hard=True
         ),
     }
-    executor = ShardExecutor(
-        parallelism=2, retry=RetryPolicy(max_attempts=4, backoff=0.0),
-        sleep=lambda _: None,
-    )
+    executor = ShardExecutor(parallelism=2)
     outcomes = executor.run(centricity_shard, shards, kwargs)
     merged = merge_result_sets(
         [decode_shard_payload(o.value)["results"] for o in outcomes]

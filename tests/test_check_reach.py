@@ -201,6 +201,28 @@ def test_export_tables_do_not_count_as_use(tree, capsys):
     assert "module repro.pkg.lib" not in err
 
 
+def test_an_all_list_does_not_count_as_use(tree, capsys):
+    status = tree({
+        "src/repro/lib.py": """
+            __all__ = ["used", "only_exported"]
+            __all__ += ["only_exported"]
+
+
+            def used():
+                return 1
+
+
+            def only_exported():
+                return 2
+        """,
+        "examples/demo.py": CALLER,
+    })
+    assert status == 1
+    err = capsys.readouterr().err
+    assert "only_exported is not reached outside tests" in err
+    assert err.count("is not reached") == 1
+
+
 def test_a_module_only_a_test_imports_fails(tree, capsys):
     status = tree({
         "src/repro/orphan.py": "VALUE = 1\n",

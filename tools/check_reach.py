@@ -12,9 +12,9 @@ alone — nothing is imported:
    (``ast.Name``), an attribute (``obj.name``), an imported name (``from m
    import name``), a string constant that is exactly an identifier
    (``getattr(obj, "name")``) or the attribute of a ``"module:attr"`` spec
-   string.  Docstrings, comments, other prose strings and the lazy-export
-   tables in package ``__init__``s (they restate every export) reach
-   nothing.  A definition with a decorator other than the plain wrappers
+   string.  Docstrings, comments, other prose strings, ``__all__`` lists
+   and the lazy-export tables in package ``__init__``s (they restate every
+   export) reach nothing.  A definition with a decorator other than the plain wrappers
    (``@property``, ``@dataclass``, ...) is reached, because the decorator
    registers it (``cli._artifact``); so is an asyncio protocol callback,
    which the event loop calls by name.  One use of a name reaches every
@@ -86,6 +86,21 @@ def _export_tables(tree: ast.Module):
             yield node.args[1]
 
 
+def _all_lists(tree: ast.Module):
+    """The values assigned to ``__all__``: exporting a name is not using it."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        if node.value is not None and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in targets
+        ):
+            yield node.value
+
+
 def _prose(tree: ast.Module) -> set[int]:
     """``id``s of the string constants that are statements of their own:
     docstrings and other prose, which reach nothing."""
@@ -131,6 +146,8 @@ def find_unreached(root: Path) -> dict[str, str]:
         for table in _export_tables(tree):
             imported.update(f"{_module_name(path, src)}.{key.value}" for key in table.keys)
             skip.update(id(node) for node in ast.walk(table))
+        for exported in _all_lists(tree):
+            skip.update(id(node) for node in ast.walk(exported))
         used.update(_names(tree))
         for value in _strings(tree, skip):
             if value.isidentifier():

@@ -29,7 +29,8 @@ CEILINGS = {
     "server/anycast.py": 112,
     "dns/name.py": 314,
     "metrics/registry.py": 258,
-    "": 19536,
+    "runner/executor.py": 339,
+    "": 19455,
 }
 
 
