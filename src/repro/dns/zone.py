@@ -107,9 +107,11 @@ class Zone:
         # non-terminals above them).
         self._cuts: set[Name] = set()
         self._nodes: set[Name] = set()
-        # Compiled answers by (qname, qtype), filled by respond() and
-        # dropped whole by every writer of _rrsets.
-        self._compiled: dict[tuple[Name, RdataType], _Answer] = {}
+        #: Compiled answers by (qname, qtype), filled by :meth:`respond`
+        #: and dropped whole by every writer of ``_rrsets``.  A server
+        #: answers a key found here itself and calls :meth:`respond` only
+        #: for the rest.
+        self.compiled: dict[tuple[Name, RdataType], _Answer] = {}
 
     def __repr__(self) -> str:
         return f"Zone({str(self.origin)!r}, {len(self._rrsets)} rrsets)"
@@ -138,7 +140,7 @@ class Zone:
         else:
             rrset = RRset(owner, rdtype, effective_ttl, rdatas)
         self._rrsets[(owner, rdtype)] = rrset
-        self._compiled.clear()
+        self.compiled.clear()
         if rdtype == RdataType.NS and owner != self.origin:
             self._cuts.add(owner)
         node = owner
@@ -163,13 +165,13 @@ class Zone:
         """
         owner = self._require_in_zone(Name(name))
         self._rrsets.pop((owner, rdtype), None)
-        self._compiled.clear()  # here too: add() may refuse the new rdata
+        self.compiled.clear()  # here too: add() may refuse the new rdata
         return self.add(owner, rdtype, rdata, ttl)
 
     def remove(self, name: Name | str, rdtype: RdataType) -> None:
         owner = Name(name)
         self._rrsets.pop((owner, rdtype), None)
-        self._compiled.clear()
+        self.compiled.clear()
         if rdtype == RdataType.NS:
             self._cuts.discard(owner)
         # Node bookkeeping is append-only: a removed name may leave an
@@ -183,7 +185,7 @@ class Zone:
             raise ZoneError(f"no {rdtype.name} RRset at {owner}")
         rrset = existing.with_ttl(validate_ttl(ttl))
         self._rrsets[(owner, rdtype)] = rrset
-        self._compiled.clear()
+        self.compiled.clear()
         return rrset
 
     def _require_in_zone(self, name: Name) -> Name:
@@ -323,9 +325,7 @@ class Zone:
         question = query.question
         if question is None:
             return query.make_response(rcode=Rcode.FORMERR)
-        body = self._compiled.get((question.qname, question.qtype))
-        if body is None:
-            body = self._compile(question)
+        body = self.compiled.get((question.qname, question.qtype)) or self._compile(question)
         return Message(
             id=query.id,
             rcode=body.rcode,
@@ -368,9 +368,9 @@ class Zone:
                 body.add(Section.AUTHORITY, result.soa)
         compiled = _Answer.of(body, authoritative)
         if body.rcode is Rcode.NOERROR and not result.synthesized:
-            if len(self._compiled) >= _COMPILED_MAX:
-                self._compiled.clear()
-            self._compiled[(qname, qtype)] = compiled
+            if len(self.compiled) >= _COMPILED_MAX:
+                self.compiled.clear()
+            self.compiled[(qname, qtype)] = compiled
         return compiled
 
     # -- convenience -------------------------------------------------------------

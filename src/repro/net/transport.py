@@ -52,8 +52,12 @@ class Server(Protocol):
     @property
     def endpoint(self) -> Endpoint: ...
 
+    #: The endpoint that answers every client, or ``None`` when
+    #: :meth:`endpoint_for` picks one per client (anycast).
+    site: Optional[Endpoint]
+
     def endpoint_for(self, client: Endpoint, latency: LatencyModel) -> Endpoint:
-        """The concrete endpoint answering ``client`` (anycast picks a site)."""
+        """The site answering ``client``; asked only when :attr:`site` is ``None``."""
         ...
 
     def handle_query(self, query: Message, client: Endpoint, now: float) -> Message: ...
@@ -204,7 +208,7 @@ class Network:
                 lost, extra_delay = faults.transmission_fate(src, dst_address, t)
             site: Optional[Endpoint] = None
             if not lost:
-                site = server.endpoint_for(client, self.latency)
+                site = server.site or server.endpoint_for(client, self.latency)
                 if faults is not None:
                     site = faults.pick_site(
                         server, dst_address, client, self.latency, site, t
@@ -250,7 +254,7 @@ class Network:
             lost, extra = faults.transmission_fate(client.address, dst_address, now)
             if lost:
                 return None
-        site = server.endpoint_for(client, self.latency)
+        site = server.site or server.endpoint_for(client, self.latency)
         if faults is not None:
             site = faults.pick_site(server, dst_address, client, self.latency, site, now)
             if site is None:

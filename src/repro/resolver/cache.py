@@ -36,10 +36,10 @@ cache has no subscribers: whoever derives data from an entry keeps the
 entry, its ``generation`` and its ``expires_at``, and checks them before
 reuse.
 
-Whether an entry is dead is decided one way, when it is read
-(:meth:`Cache._is_dead`: expired, or its link target expired, rewritten or
-gone).  A read changes only counters.  A bounded cache evicts by one rule,
-dead or pinned alike: a write that adds a key past ``max_entries`` drops
+Whether an entry is dead is decided one way, when it is read or
+overwritten: expired, or its link target expired, rewritten or gone.  A
+read changes only counters.  A bounded cache evicts by one rule, dead or
+pinned alike: a write that adds a key past ``max_entries`` drops
 the least recently written entry.  One lazy min-heap of
 ``(expires_at, seq, key, generation)`` records indexes the expiries the
 cache acts on: a negative entry's (a write drops it once due; nothing
@@ -271,18 +271,6 @@ class Cache:
             effective = min(effective, self.max_ttl)
         return max(effective, self.min_ttl)
 
-    def _is_dead(self, entry: CacheEntry, now: float) -> bool:
-        """Expired, or linked to an entry that has expired or been replaced."""
-        if now >= entry.expires_at:
-            return True
-        link = entry.linked_to
-        if link is not None:
-            target_key, generation = link
-            target = self._entries.get(target_key)
-            if target is None or target.generation != generation or now >= target.expires_at:
-                return True
-        return False
-
     def _push(self, key: CacheKey, entry: CacheEntry) -> None:
         if self._index_positives or entry.credibility <= Credibility.NODATA:
             self._seq = seq = self._seq + 1
@@ -314,11 +302,17 @@ class Cache:
         key: CacheKey = (rrset.name, rrset.rdtype, rrset.rdclass)
         entries = self._entries
         entry = entries.get(key)
-        if (
-            entry is not None
-            and now < entry.expires_at
-            and (entry.linked_to is None or not self._is_dead(entry, now))
-        ):
+        live = entry is not None and now < entry.expires_at
+        if live and entry.linked_to is not None:
+            # The link rule, spelled out as in get_entry.
+            target_key, generation = entry.linked_to
+            target = entries.get(target_key)
+            live = (
+                target is not None
+                and target.generation == generation
+                and now < target.expires_at
+            )
+        if live:
             refreshable = credibility > entry.credibility or (
                 credibility == entry.credibility and credibility >= Credibility.AUTH_ANSWER
             )
@@ -604,7 +598,7 @@ class Cache:
         """The read: :meth:`get` for callers that hold a :data:`CacheKey`.
 
         One frame per probe — the resolver's form: the liveness and link
-        checks (:meth:`_is_dead`'s rule) are spelled out here.
+        checks are spelled out here, as in :meth:`put`.
         """
         entries = self._entries
         entry = entries.get(key)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.dns.message import Message, Rcode, Section
+from repro.dns.message import Message, Rcode
 from repro.dns.name import Name, root
 from repro.dns.wire import WireError
 from repro.dns.rdtypes import RdataClass, RdataType
@@ -91,6 +91,24 @@ class ResolutionError(Exception):
 _Server = tuple[Name, Optional[str], bool]
 
 
+class _QuerySkeletons(dict):
+    """(qname, qtype) -> a reusable non-RD query.
+
+    Servers treat queries as read-only (``make_response`` copies the
+    fields it echoes), so one skeleton serves every referral step and
+    repeat resolution, and a hit is a subscript that calls nothing.  The
+    table is bounded: past 1,024 keys a miss builds afresh.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, key: tuple[Name, RdataType]) -> Message:
+        query = Message.make_query(key[0], key[1], recursion_desired=False)
+        if len(self) < 1024:
+            self[key] = query
+        return query
+
+
 def _installed(*hooks: tuple[object, Callable]) -> tuple[Callable, ...]:
     """The hooks of one resolve stage whose feature is armed, in order."""
     return tuple(hook for armed, hook in hooks if armed)
@@ -141,7 +159,7 @@ class RecursiveResolver:
             metrics=metrics,
         )
         self._rotation: dict[Name, int] = {}
-        self._query_skeletons: dict[tuple[Name, RdataType], Message] = {}
+        self._query_skeletons = _QuerySkeletons()
         #: ECS context for the resolution in flight (single-threaded): the
         #: truncated client subnet attached to upstream queries, and the
         #: scope the final answer came back with.  Always ``None`` when
@@ -609,7 +627,7 @@ class RecursiveResolver:
                     # The copy is a zone-transfer snapshot refreshed on the
                     # SOA schedule, so root changes arrive with transfer lag.
                     response = self._root_mirror.zone(now + elapsed).respond(
-                        self._make_query(qname, qtype)
+                        self._query_skeletons[(qname, qtype)]
                     )
                 else:
                     response, query_time = self._query_servers(
@@ -632,13 +650,12 @@ class RecursiveResolver:
                     )
 
                 if response.answer:
-                    answers, target = self._extract_answers(response, qname, qtype)
+                    answers, target = self._answer_chain(
+                        response.answer, qname, qtype, now + elapsed
+                    )
                     if answers or target is not None:
-                        answers = self._client_view(answers, now + elapsed)
                         return Rcode.NOERROR, elapsed, answers, target
-
-                if response.is_referral():
-                    assert ns_owner is not None
+                elif ns_owner is not None:  # a referral
                     # Parent-centric resolvers treat a referral for the very
                     # name and type being asked as the answer (§3.2: OpenDNS
                     # returns the root's 2-day TTL for ``NS .uy``).
@@ -647,11 +664,9 @@ class RecursiveResolver:
                         and qtype == RdataType.NS
                         and ns_owner == qname
                     ):
-                        referral_ns = response.find_rrset(
-                            Section.AUTHORITY, ns_owner, RdataType.NS
+                        answers, _ = self._answer_chain(
+                            response.authority, qname, qtype, now + elapsed
                         )
-                        assert referral_ns is not None
-                        answers = self._client_view([referral_ns], now + elapsed)
                         return Rcode.NOERROR, elapsed, answers, None
                     cut_depth = len(ns_owner)
                     if cut_depth <= previous_cut_depth:
@@ -671,21 +686,6 @@ class RecursiveResolver:
             raise ResolutionError(f"too many referrals for {qname}", elapsed)
         finally:
             self.referral_depth.observe(steps)
-
-    def _make_query(self, qname: Name, qtype: RdataType) -> Message:
-        """A reusable non-RD query skeleton for (qname, qtype).
-
-        Servers treat queries as read-only (``make_response`` copies the
-        fields it echoes), so one skeleton serves every referral step and
-        repeat resolution.  The memo is bounded; overflow builds afresh.
-        """
-        key = (qname, qtype)
-        query = self._query_skeletons.get(key)
-        if query is None:
-            query = Message.make_query(qname, qtype, recursion_desired=False)
-            if len(self._query_skeletons) < 1024:
-                self._query_skeletons[key] = query
-        return query
 
     # ------------------------------------------------------------- server choice
     def _best_servers(self, qname: Name, now: float) -> tuple[Name, list[_Server]]:
@@ -707,10 +707,18 @@ class RecursiveResolver:
             reachable = False
             for rdata in ns_entry.rrset.rdatas:
                 target = rdata.target
-                address, glue_only = self._address_for(target, now)
-                if address is not None or not target.is_subdomain_of(ancestor):
+                # A cached address, and whether it is only glue (what
+                # _target_fetch upgrades).
+                server: _Server = (target, None, False)
+                for rdtype in (RdataType.A, RdataType.AAAA):
+                    entry = infrastructure((target, rdtype, RdataClass.IN), now)
+                    if entry is not None and entry.rrset.rdatas:
+                        glue_only = entry.credibility <= Credibility.ADDITIONAL
+                        server = (target, entry.rrset.rdatas[0].address, glue_only)
+                        break
+                if server[1] is not None or not target.is_subdomain_of(ancestor):
                     reachable = True
-                servers.append((target, address, glue_only))
+                servers.append(server)
             if reachable:
                 return ancestor, servers
         return root, self._hint_servers
@@ -727,34 +735,6 @@ class RecursiveResolver:
                     self.cache.refresh_expiry(entry.linked_to[0], now)
         return entry
 
-    def _address_for(self, server_name: Name, now: float) -> tuple[Optional[str], bool]:
-        """A cached address for ``server_name``, and whether it is only
-        glue (what :meth:`_target_fetch` upgrades)."""
-        for rdtype in (RdataType.A, RdataType.AAAA):
-            entry = self._infrastructure((server_name, rdtype, RdataClass.IN), now)
-            if entry is not None and entry.rrset.rdatas:
-                glue_only = entry.credibility <= Credibility.ADDITIONAL
-                return entry.rrset.rdatas[0].address, glue_only
-        return None, False
-
-    def _order_servers(self, cut: Name, servers: list[_Server]) -> list[_Server]:
-        """Rotate among the cut's servers: "resolvers tend to rotate between
-        authoritative servers" (§3.4, [37]).
-
-        Servers with known addresses are tried before those needing a
-        sub-resolution, mirroring real resolvers' preference for glue.
-        """
-        for server in servers:
-            if server[1] is None:  # rare: a cut usually arrives with its glue
-                servers = sorted(servers, key=lambda item: item[1] is None)
-                break
-        count = len(servers)
-        if count == 1:
-            return servers
-        start = self._rotation.get(cut, 0) % count
-        self._rotation[cut] = start + 1
-        return servers[start:] + servers[:start]
-
     def _query_servers(
         self,
         cut: Name,
@@ -767,7 +747,10 @@ class RecursiveResolver:
     ) -> tuple[Optional[Message], float]:
         """Try the cut's servers in rotation order; returns (response, time).
 
-        Sibling-NS failover: a timeout, a lame response, or a truncated
+        Rotation: "resolvers tend to rotate between authoritative servers"
+        (§3.4, [37]).  Servers with known addresses are tried before those
+        needing a sub-resolution, mirroring real resolvers' preference for
+        glue.  Sibling-NS failover: a timeout, a lame response, or a truncated
         answer moves on to the next server of the cut (counted in
         ``resolver.failovers`` when another candidate exists) — the
         graceful-degradation path that keeps multi-NS zones answering
@@ -781,12 +764,18 @@ class RecursiveResolver:
             query = Message.make_query(qname, qtype, recursion_desired=False)
             query.use_edns(options=subnet.to_wire())
         else:
-            query = self._query_skeletons.get((qname, qtype)) or self._make_query(
-                qname, qtype
-            )
-        ordered = self._order_servers(cut, servers)
-        last = len(ordered) - 1
-        for index, (server_name, address, glue_only) in enumerate(ordered):
+            query = self._query_skeletons[(qname, qtype)]
+        for server in servers:
+            if server[1] is None:  # rare: a cut usually arrives with its glue
+                servers = sorted(servers, key=lambda item: item[1] is None)
+                break
+        count = len(servers)
+        if count > 1:
+            start = self._rotation.get(cut, 0) % count
+            self._rotation[cut] = start + 1
+            servers = servers[start:] + servers[:start]
+        last = count - 1
+        for index, (server_name, address, glue_only) in enumerate(servers):
             if address is None:
                 address, lookup_time = self._resolve_server_address(
                     server_name, cut, now + elapsed, depth
@@ -834,7 +823,7 @@ class RecursiveResolver:
         """
         if not server_name.is_subdomain_of(cut):
             return
-        fetch = self._make_query(server_name, RdataType.A)
+        fetch = self._query_skeletons[(server_name, RdataType.A)]
         try:
             response, _ = self.network.exchange(self.endpoint, address, fetch, now)
         except NetworkTimeout:
@@ -846,8 +835,11 @@ class RecursiveResolver:
             # The upgraded address is still an in-bailiwick server address:
             # keep it tied to the covering NS set so it expires with it
             # (§4.2), unless this resolver trusts addresses independently.
+            # The server name's own bailiwick was tested above.
             linked: Optional[CacheKey] = None
-            if self.policy.link_inbailiwick_glue and rrset.name.is_subdomain_of(cut):
+            if self.policy.link_inbailiwick_glue and (
+                rrset.name is server_name or rrset.name.is_subdomain_of(cut)
+            ):
                 linked = (cut, RdataType.NS, RdataClass.IN)
             self.cache.put(rrset, Credibility.AUTH_ANSWER, now, linked_to=linked)
 
@@ -941,38 +933,41 @@ class RecursiveResolver:
             self.cache.put(rrset, glue_rank, now, linked_to=linked, pin=parent_side)
         return ns_owner
 
-    def _extract_answers(
-        self, response: Message, qname: Name, qtype: RdataType
+    def _answer_chain(
+        self, section: list[RRset], qname: Name, qtype: RdataType, now: float
     ) -> tuple[list[RRset], Optional[Name]]:
-        """The in-response chain for ``qname`` plus a pending CNAME target."""
+        """The in-response chain for ``qname`` as the client sees it, plus a
+        pending CNAME target: one scan of ``section`` per hop.  An RRset
+        the cache holds with the same data is read back through its entry
+        (caps, floors, remaining lifetime); any other gets the TTL clamp."""
+        cache = self.cache
         answers: list[RRset] = []
         current = qname
         for _ in range(MAX_CNAME_HOPS):
-            exact = response.find_rrset(Section.ANSWER, current, qtype)
-            if exact is not None:
-                answers.append(exact)
-                return answers, None
-            alias = response.find_rrset(Section.ANSWER, current, RdataType.CNAME)
-            if alias is None or qtype == RdataType.CNAME:
+            found = alias = None
+            for rrset in section:
+                # Identity first: interned names skip Name.__eq__.
+                if rrset.rdclass != RdataClass.IN or not (
+                    rrset.name is current or rrset.name == current
+                ):
+                    continue
+                if rrset.rdtype == qtype:
+                    found = rrset
+                    break
+                if alias is None and rrset.rdtype == RdataType.CNAME:
+                    alias = rrset
+            if found is None and (alias is None or qtype == RdataType.CNAME):
                 break
-            answers.append(alias)
+            rrset = alias if found is None else found
+            entry = cache.peek(rrset.name, rrset.rdtype)
+            if entry is not None and entry.rrset.rdatas == rrset.rdatas:
+                answers.append(entry.aged_rrset(now))
+            else:
+                answers.append(rrset.with_ttl(cache.effective_ttl(rrset.ttl)))
+            if found is not None:
+                return answers, None
             current = alias.rdatas[0].target
         return answers, (current if answers else None)
-
-    def _client_view(self, rrsets: list[RRset], now: float) -> list[RRset]:
-        """Fresh answers as the client sees them: cache-clamped TTLs.
-
-        Reads back through the cache when possible so caps, floors and
-        remaining-lifetime arithmetic all apply uniformly.
-        """
-        viewed: list[RRset] = []
-        for rrset in rrsets:
-            entry = self.cache.peek(rrset.name, rrset.rdtype)
-            if entry is not None and entry.rrset.rdatas == rrset.rdatas:
-                viewed.append(entry.aged_rrset(now))
-            else:
-                viewed.append(rrset.with_ttl(self.cache.effective_ttl(rrset.ttl)))
-        return viewed
 
     def _soa_from(self, response: Message) -> Optional[RRset]:
         for rrset in response.authority:

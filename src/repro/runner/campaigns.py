@@ -170,13 +170,11 @@ def centricity_shard(
                     f"injected crash after {run_state.position} queries (test hook)"
                 )
 
+    # The snapshot outlives this return: the executor's save of the payload
+    # discards it, so a result lost before then resumes, not restarts.
     results = measurement.run(
         resume=state, checkpoint_every=every, checkpoint=checkpoint_cb
     )
-    if store is not None:
-        # The shard is complete: its mid-run snapshot is obsolete (and
-        # the executor is about to spill the final payload anyway).
-        store.discard_world_snapshot(shard.index)
     return encode_shard_payload(
         results=results,
         queries=len(results),

@@ -43,11 +43,13 @@ _FORMAT_VERSION = 1
 #: not the latency model, and servers a public ``log_queries`` flag;
 #: 7 = resolvers hold a public ``track_arrival`` hook; 8 = histograms hold
 #: a pending batch; 9 = resolver policies hold plain ``predict``/``ecs``/
-#: ``push`` flags, not knob-bundle objects, and resolvers no shuffle RNG.
+#: ``push`` flags, not knob-bundle objects, and resolvers no shuffle RNG;
+#: 10 = servers hold a ``site`` the fabric reads, zones a public
+#: ``compiled`` table and resolvers a self-filling query-skeleton table.
 #: A record naming a class this build lacks fails to unpickle before its
 #: version is read; :meth:`CheckpointStore.load_world_snapshot` reports
 #: that as a mismatch too.
-_WSNAP_VERSION = 9
+_WSNAP_VERSION = 10
 
 
 class CheckpointMismatch(RuntimeError):

@@ -294,6 +294,7 @@ class ShardExecutor:
                     held.append(other)
             submit(shard)
 
+        finished = False
         try:
             for shard in shards:
                 submit(shard)
@@ -330,10 +331,11 @@ class ShardExecutor:
                 )
                 while held:
                     submit(held.pop(0))
+            finished = True
         finally:
             if not in_process:
-                # wait=False: shards still running after a ShardError must
-                # not hold it up; interpreter exit reaps their processes.
-                pool.shutdown(wait=False, cancel_futures=True)
+                # Finished, every future is done: join the manager thread now,
+                # not at exit.  After a ShardError, wait on no running shard.
+                pool.shutdown(wait=finished, cancel_futures=True)
                 gc.unfreeze()
         return outcomes

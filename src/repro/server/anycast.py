@@ -39,6 +39,7 @@ class AnycastCluster(AuthoritativeServer):
             raise ValueError("an anycast cluster needs at least one site")
         # The nominal endpoint (first site) is used only as a fallback.
         super().__init__(self._sites[0], zones, log_queries)
+        self.site = None  # the fabric asks endpoint_for, per client
         self.service_address = service_address
         self._latency = latency
         self._catchment_cache: dict[str, Endpoint] = {}

@@ -64,6 +64,8 @@ class AuthoritativeServer:
         log_queries: bool = True,
     ) -> None:
         self._endpoint = endpoint
+        #: The one site every client reaches; an anycast cluster has none.
+        self.site: Optional[Endpoint] = endpoint
         #: The address clients send to, which fault windows name.
         self.service_address = endpoint.address
         self._zones: dict[Name, Zone] = {}
@@ -101,7 +103,8 @@ class AuthoritativeServer:
         return self._endpoint
 
     def endpoint_for(self, client: Endpoint, latency: LatencyModel) -> Endpoint:
-        """Unicast servers answer from their single endpoint."""
+        """Unicast servers answer from their single endpoint (the fabric
+        reads :attr:`site` instead of asking)."""
         return self._endpoint
 
     # -- zone management -----------------------------------------------------
@@ -158,4 +161,13 @@ class AuthoritativeServer:
         zone = self._routes[question.qname]
         if zone is None:
             return query.make_response(rcode=Rcode.REFUSED)
-        return zone.respond(query)
+        body = zone.compiled.get((question.qname, question.qtype))
+        if body is None:
+            return zone.respond(query)  # compiles the body
+        # Zone.respond's build, spelled out: a compiled answer costs no
+        # frame beyond this one.
+        return Message(
+            id=query.id, rcode=body.rcode, flags=body.flags[query.flags.rd], question=question,
+            answer=list(body.answer), authority=list(body.authority),
+            additional=list(body.additional),
+        )

@@ -11,10 +11,11 @@ The branch-per-feature ``resolve()`` in place of the construction-time
 resolve plan, the per-query probe loop in place of the one that answers a
 live entry's hits from a lease, the stdlib's ``lognormvariate`` in place of
 the jitter draw the latency model runs inline, a zone that compiles
-every response afresh in place of its compiled-answer memo, a
-resolver cache with no expiry heap (every scan spelled out, every lease
-declined) in place of the heap cache, and the row-list merge in place of
-the columnar one.  Add a reference by adding a row.
+every response afresh in place of its compiled-answer memo (which the
+server probes itself), a resolver cache with no expiry heap (every scan
+spelled out, every lease declined) in place of the heap cache, and the
+row-list merge in place of the columnar one (whose rows must match the
+reference's, in order).  Add a reference by adding a row.
 """
 
 import pytest
@@ -22,12 +23,11 @@ import pytest
 from repro.atlas.measurement import Measurement
 from repro.atlas.results import ResultSet
 from repro.core.campaign import CAMPAIGNS
-from repro.dns.message import Message, Rcode
 from repro.dns.zone import Zone
 from repro.net.latency import LatencyModel
 from repro.resolver import recursive
 from repro.resolver.recursive import RecursiveResolver
-from repro.runner import merge
+from repro.runner import merge, worldcache
 
 from tests.atlas import reference_results
 from tests.atlas.reference_measurement import reference_run
@@ -48,30 +48,33 @@ def stdlib_last_mile_rtt(model, rng=None):
     return model.last_mile_ms * sampler.lognormvariate(0.0, model._jitter_sigma) / 1000.0
 
 
-def cold_respond(zone, query):
-    """``Zone.respond`` compiling every body afresh: ``_compiled`` is never
-    read, so no response can come from a stale memo."""
-    question = query.question
-    if question is None:
-        return query.make_response(rcode=Rcode.FORMERR)
-    body = zone._compile(question)
-    return Message(
-        id=query.id,
-        rcode=body.rcode,
-        flags=body.flags[query.flags.rd],
-        question=question,
-        answer=list(body.answer),
-        authority=list(body.authority),
-        additional=list(body.additional),
-    )
+#: The production compile, which stores every body it may reuse.
+compile_and_store = Zone._compile
+
+
+def cold_compile(zone, question):
+    """``Zone._compile`` that never stores: the compiled table stays empty,
+    so every exchange compiles its body afresh and no response can come
+    from a stale memo."""
+    body = compile_and_store(zone, question)
+    zone.compiled.clear()
+    return body
+
+
+#: The production merge, which the reference's rows are checked against.
+columnar_merge = merge.merge_result_sets
 
 
 def row_list_merge(parts):
     """``merge_result_sets`` by the row-list reference: each columnar part
-    goes in as its rows, and the merged rows come back as a columnar set."""
+    goes in as its rows, and the merged rows come back as a columnar set,
+    after the production merge of the same parts gave the same rows in
+    the same order."""
+    parts = list(parts)
     merged = reference_results.merge_result_sets(
         [reference_results.ResultSet(part.results, spec=part.spec) for part in parts]
     )
+    assert columnar_merge(parts).results == merged.results
     return ResultSet(merged.results, spec=merged.spec)
 
 
@@ -88,10 +91,19 @@ REFERENCES = {
     "per-query-kernel": (Measurement, "run", reference_run, GRID),
     "stdlib-rtt": (LatencyModel, "rtt", stdlib_rtt, set()),
     "stdlib-last-mile": (LatencyModel, "last_mile_rtt", stdlib_last_mile_rtt, GRID),
-    "cold-zone": (Zone, "respond", cold_respond, set()),
+    "cold-zone": (Zone, "_compile", cold_compile, set()),
     "scan-cache": (recursive, "Cache", ScanReferenceCache, {"crawl"}),
     "row-list-merge": (merge, "merge_result_sets", row_list_merge, GRID | {"t10-controlled"}),
 }
+
+
+@pytest.fixture(autouse=True)
+def fresh_worlds():
+    """Every row builds its worlds under its swap: a world another test
+    left in the cache holds compiled answers no exchange would recompile."""
+    worldcache.clear()
+    yield
+    worldcache.clear()
 
 
 @pytest.mark.parametrize("reference", sorted(REFERENCES))

@@ -28,6 +28,15 @@ def direct_query(world, server_name, qname, qtype):
     return response
 
 
+def is_referral(response) -> bool:
+    """A delegation: no answer, not authoritative, an NS set in authority."""
+    return (
+        not response.answer
+        and not response.flags.aa
+        and any(rrset.rdtype == RdataType.NS for rrset in response.authority)
+    )
+
+
 class TestBaseWorld:
     def test_root_servers_serve_root(self):
         world = build_base_world()
@@ -104,7 +113,7 @@ class TestGoogleCoWorld:
     def test_parent_ns_ttl_900(self):
         world = build_googleco_world()
         response = direct_query(world, "ns.cctld.co", "google.co.", RdataType.NS)
-        assert response.is_referral()
+        assert is_referral(response)
         assert response.authority[0].ttl == 900
 
     def test_child_ns_ttl_345600(self):
@@ -125,7 +134,7 @@ class TestCachetestWorld:
         response = direct_query(
             ct.world, "ns1.cachetest.net", "x.sub.cachetest.net.", RdataType.AAAA
         )
-        assert response.is_referral()
+        assert is_referral(response)
         assert any(r.name == Name("ns1.sub.cachetest.net.") for r in response.additional)
 
     def test_out_of_bailiwick_no_glue(self):
@@ -133,7 +142,7 @@ class TestCachetestWorld:
         response = direct_query(
             ct.world, "ns1.cachetest.net", "x.sub.cachetest.net.", RdataType.AAAA
         )
-        assert response.is_referral()
+        assert is_referral(response)
         assert not response.additional
 
     def test_wildcard_answers_with_probe_ids(self):

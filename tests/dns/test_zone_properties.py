@@ -186,7 +186,7 @@ def assert_answers_as_cold(zone, cold, question, bound):
     first, again = zone.respond(query), zone.respond(query)
     assert first == expected
     assert again == expected
-    assert len(zone._compiled) <= bound
+    assert len(zone.compiled) <= bound
     for section in Section:
         # Receivers own their section lists (the frontend's truncation
         # clears them in place) ...

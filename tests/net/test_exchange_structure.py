@@ -12,9 +12,11 @@ import random
 from repro.dns.message import Message
 from repro.dns.name import Name
 from repro.dns.rdtypes import RdataType
+from repro.dns.zone import Zone
 from repro.net.latency import LatencyModel
 from repro.net.topology import Region
 from repro.net.transport import Network, NetworkTimeout
+from repro.server.authoritative import AuthoritativeServer
 from repro.server.querylog import QueryLog
 from tests.conftest import build_mini_world
 from tests.metrics.test_count_once_structure import calls
@@ -22,14 +24,14 @@ from tests.metrics.test_count_once_structure import calls
 QNAME = "www.example.tld."
 
 #: Every call of one warm unicast exchange, 40 before the per-path and
-#: per-qname memos: exchange, endpoint_for, rtt and its jitter draw (2
-#: random and exp, and log only when the try lands in the squeeze's gap,
-#: about one draw in ten: this one's does not, so it makes 15), handle_query,
-#: the log entry's __init__ and list.append, Zone.respond and its Message,
-#: the RTT histogram's observe (it only stores the value) and three
-#: dict.get.  Hashing the name keys of those dict probes is tuple's C slot,
-#: not a call.
-EXCHANGE_CALLS = 16
+#: per-qname memos and 16 before the site and the compiled answer were
+#: read in the caller's frame: exchange, rtt and its jitter draw (2 random
+#: and exp, and log only when the try lands in the squeeze's gap, about one
+#: draw in ten: this one's does not, so it makes 13), handle_query, the log
+#: entry's __init__ and list.append, the response Message, the RTT
+#: histogram's observe (it only stores the value) and three dict.get.
+#: Hashing the name keys of those dict probes is tuple's C slot, not a call.
+EXCHANGE_CALLS = 14
 
 NEVER_CALLED = {
     LatencyModel.base_rtt_ms.__code__: "base RTT is memoized per endpoint pair",
@@ -38,6 +40,8 @@ NEVER_CALLED = {
     Name.lineage.__code__: "the zone route is memoized per qname",
     enum.Enum.__hash__.__code__: "no dict is keyed by a Region",
     QueryLog.append.__code__: "servers append to the entry list",
+    AuthoritativeServer.endpoint_for.__code__: "a unicast server's site is an attribute",
+    Zone.respond.__code__: "the server builds a compiled answer itself",
 }
 
 

@@ -15,13 +15,12 @@ class EchoServer:
 
     def __init__(self, endpoint):
         self._endpoint = endpoint
+        #: Unicast: every frame reaches this one site.
+        self.site = endpoint
         self.seen: list[tuple[str, float]] = []
 
     @property
     def endpoint(self):
-        return self._endpoint
-
-    def endpoint_for(self, client, latency):
         return self._endpoint
 
     def handle_query(self, query, client, now):

@@ -11,7 +11,12 @@ from repro.net.transport import Network, NetworkTimeout
 
 
 class EchoServer:
-    """Minimal Server implementation recording arrivals."""
+    """Minimal Server implementation recording arrivals.
+
+    It has no fixed :attr:`site`, so the fabric asks :meth:`endpoint_for`
+    on every delivery (what :class:`TestAnycastHook` overrides)."""
+
+    site = None
 
     def __init__(self, endpoint):
         self._endpoint = endpoint

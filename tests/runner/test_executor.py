@@ -173,6 +173,29 @@ def test_retry_budget_exhausted_raises_shard_error():
         ShardExecutor(parallelism=1).run(always_fails, plan)
 
 
+@pytest.mark.parametrize("fn,waits", [(unit_list, [True]), (always_fails, [False])])
+def test_pool_shutdown_waits_only_when_every_shard_finished(monkeypatch, fn, waits):
+    """A finished run joins the pool (every future is done, so nothing is
+    left to wait for but its manager thread); a ShardError does not wait
+    for the shards still running."""
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    seen = []
+    shutdown = ProcessPoolExecutor.shutdown
+
+    def recording_shutdown(self, wait=True, *, cancel_futures=False):
+        seen.append(wait)
+        shutdown(self, wait=wait, cancel_futures=cancel_futures)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "shutdown", recording_shutdown)
+    plan = plan_shards(4, 2, campaign_seed=0)
+    try:
+        ShardExecutor(parallelism=2).run(fn, plan)
+    except ShardError:
+        pass
+    assert seen == waits
+
+
 def test_checkpointed_shards_are_not_recomputed(tmp_path):
     plan = plan_shards(6, 3, campaign_seed=4)
     store = CheckpointStore(tmp_path / "run", {"campaign": "exec-test"})

@@ -69,9 +69,10 @@ def test_store_rejects_foreign_snapshot_records(tmp_path):
     # A future layout, the one written before resolver caches changed
     # shape (version 1), the one whose run state held a row list
     # (version 2), the one whose registry held instruments (version 3) and
-    # the one whose caches kept dead-mark sets (version 4): resuming any
+    # the one whose caches kept dead-mark sets (version 4) and the one
+    # whose servers had no fabric-read site (version 9): resuming any
     # would revive objects whose attributes no longer match the code.
-    for version in (99, 1, 2, 3, 4):
+    for version in (99, 1, 2, 3, 4, 9):
         record["version"] = version
         (tmp_path / "wsnap-0001.pkl").write_bytes(pickle.dumps(record))
         with pytest.raises(
@@ -92,7 +93,7 @@ def test_store_rejects_snapshots_naming_missing_code(tmp_path, module, name):
     # A snapshot written by an older build can name a class that build
     # had; unpickling fails before the version check can see the record.
     store = CheckpointStore(tmp_path, {"c": 1})
-    record = {"version": 9, "shard": 0, "state": _Stand()}
+    record = {"version": 10, "shard": 0, "state": _Stand()}
     data = pickle.dumps(record, protocol=0).replace(
         f"{__name__}\n_Stand\n".encode(), f"{module}\n{name}\n".encode()
     )
@@ -180,7 +181,8 @@ def test_serial_executor_retry_resumes_mid_shard(tmp_path):
 
     worldcache.clear()
     kwargs = {**UY_KWARGS, "snapshot": _snapshot(tmp_path, every=10, crash_after=15)}
-    executor = ShardExecutor(parallelism=1)
+    store = CheckpointStore(tmp_path, _fingerprint())
+    executor = ShardExecutor(parallelism=1, checkpoint=store)
     outcomes = executor.run(centricity_shard, shards, kwargs)
     merged = merge_result_sets(
         [decode_shard_payload(o.value)["results"] for o in outcomes]
@@ -189,7 +191,6 @@ def test_serial_executor_retry_resumes_mid_shard(tmp_path):
     assert merged.results == expected.results
     # Every retried shard crashed once, then resumed.
     assert all(o.attempts == 2 for o in outcomes)
-    store = CheckpointStore(tmp_path, _fingerprint())
     assert not any(store.has_world_snapshot(s.index) for s in shards)
 
 
@@ -206,15 +207,31 @@ def test_pool_worker_hard_kill_resumes_mid_shard(tmp_path):
             tmp_path, every=10, crash_after=15, crash_hard=True
         ),
     }
-    executor = ShardExecutor(parallelism=2)
+    store = CheckpointStore(tmp_path, _fingerprint())
+    executor = ShardExecutor(parallelism=2, checkpoint=store)
     outcomes = executor.run(centricity_shard, shards, kwargs)
     merged = merge_result_sets(
         [decode_shard_payload(o.value)["results"] for o in outcomes]
     )
     expected = merge_result_sets([p["results"] for p in baseline])
     assert merged.results == expected.results
-    store = CheckpointStore(tmp_path, _fingerprint())
     assert not any(store.has_world_snapshot(s.index) for s in shards)
+
+
+def test_snapshot_outlives_the_shard_until_its_payload_is_saved(tmp_path):
+    """The worker returns with its snapshot on disk; the executor's save of
+    the payload discards it.  A result lost in between (another worker's
+    crash breaking the pool) resumes from the snapshot: same bytes."""
+    shard = plan_shards(24, 3, 7)[1]
+    snap = _snapshot(tmp_path, every=10)
+    payload = centricity_shard(shard, **UY_KWARGS, snapshot=snap)
+    store = CheckpointStore(tmp_path, _fingerprint())
+    assert store.has_world_snapshot(shard.index)
+
+    again = centricity_shard(shard, **UY_KWARGS, snapshot=snap)
+    assert decode_shard_payload(again)["results"] == decode_shard_payload(payload)["results"]
+    store.save(shard.index, payload)
+    assert not store.has_world_snapshot(shard.index)
 
 
 # -- campaign-level snapshot runs --------------------------------------------
