@@ -555,13 +555,12 @@ def scenario_opendns_case_study(
     ns_queries = 0
     for server in (ct.old_server, ct.new_server):
         log = server.query_log
-        if log is not None:
-            ns_queries += sum(
-                1
-                for entry in log
-                if entry.qtype == RdataType.NS
-                and entry.qname == Name("zurrundedu.com.")
-            )
+        assert log is not None
+        ns_queries += sum(
+            1
+            for entry in log
+            if entry.qtype == RdataType.NS and entry.qname == Name("zurrundedu.com.")
+        )
     return OpenDnsCaseStudy(
         responses=responses,
         old_answers=old,

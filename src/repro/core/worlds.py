@@ -80,6 +80,13 @@ class World:
         self.topology.reset_to(baseline.topology_mark, seed)
         self.network.reset_runtime(seed)
 
+    def keep_query_logs(self, on: bool = True) -> None:
+        """Turn every server's per-query log on (or off), empty: servers only
+        count queries unless an experiment reads the log."""
+        for server in (*self.servers.values(), *self.clusters.values()):
+            server.log_queries = on
+            server.reset_runtime_state()
+
     # -- infrastructure -----------------------------------------------------
     def address_of(self, server_name: str) -> str:
         return self._server_addresses[server_name]
@@ -451,6 +458,7 @@ def build_cachetest_world(seed: int = 0, in_bailiwick: bool = True) -> Cachetest
         com.add(server_name, RdataType.A, A(old_server.endpoint.address), ttl=172800)
         server_host_zone = zurr
 
+    world.keep_query_logs()
     return CachetestWorld(
         world=world,
         in_bailiwick=in_bailiwick,
@@ -534,6 +542,7 @@ def build_nl_world(seed: int = 0, domain_count: int = 500) -> NlWorld:
         world.servers[hoster].add_zone(zone)
         nl.add(domain, RdataType.NS, NS(Name(hoster)), ttl=3600)
 
+    world.keep_query_logs()
     return NlWorld(
         world=world,
         server_names=server_names,
@@ -594,6 +603,7 @@ def build_controlled_world(seed: int = 0, anycast_sites: int = 45) -> Controlled
     cluster = world.add_anycast("route53-like", site_regions, [zone_any])
     delegate_test_zone(zone_any, cluster.service_address)
 
+    world.keep_query_logs()
     return ControlledWorld(
         world=world,
         zone_unicast_60=zone60,

@@ -333,7 +333,7 @@ class _UniverseBuilder:
     ) -> AuthoritativeServer:
         region = self.rng.choice(list(Region))
         endpoint = self.topology.endpoint_in_region(region, name=name)
-        server = AuthoritativeServer(endpoint, zones or [], log_queries=False)
+        server = AuthoritativeServer(endpoint, zones or [])
         self.network.register(server)
         return server
 

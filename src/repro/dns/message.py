@@ -168,7 +168,7 @@ def response_flags(
     ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Question:
     """A question-section entry."""
 
@@ -194,7 +194,7 @@ class Question:
         return cls(qname, TYPES[qtype], CLASSES[qclass])
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """A DNS query or response."""
 

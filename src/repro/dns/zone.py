@@ -10,27 +10,29 @@ TTLs" of the paper: a parent-centric resolver caches them for the parent's
 TTL, while a child-centric resolver replaces them with the child's
 authoritative values (RFC 2181 §5.4.1 trust ranking).
 
-:meth:`Zone.respond` compiles the body of each answer once — the way NSD
-answers from precompiled packets — and every mutator drops the compiled
-table, so a changed zone answers with its new data on the next query.
+:meth:`Zone.respond` compiles each answer once — the way NSD answers from
+precompiled packets — into a response every resolver's query shares, and
+every mutator drops the compiled table, so a changed zone answers with its
+new data on the next query.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple, Optional
+import weakref
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Iterator, Optional
 
 from repro.dns.message import (
-    Flags,
     Message,
+    Opcode,
     Question,
     Rcode,
     Section,
     response_flags,
 )
 from repro.dns.name import Name
-from repro.dns.rdtypes import CNAME, NS, Rdata, RdataType, SOA
+from repro.dns.rdtypes import CNAME, NS, Rdata, RdataClass, RdataType, SOA
 from repro.dns.record import RRset
 from repro.dns.ttl import validate_ttl
 
@@ -69,29 +71,36 @@ class LookupResult:
     synthesized: bool = False
 
 
-class _Answer(NamedTuple):
-    """Everything of a response that does not depend on the query's ID and
-    RD bit: the RRsets are the zone's own, shared by every response."""
+class _Compiled(dict):
+    """(qname, qtype) -> the zone's shared response to a *plain* query for
+    it: ID 0, RD clear, class ``IN`` — every resolver's.
 
-    rcode: Rcode
-    #: Response header by the query's RD bit (echoed, RFC 1035 §4.1.1).
-    flags: tuple[Flags, Flags]
-    answer: tuple[RRset, ...]
-    authority: tuple[RRset, ...]
-    additional: tuple[RRset, ...]
+    A miss compiles (:meth:`Zone._compile`), and keeps what may be reused:
+    NOERROR bodies not synthesised from a wildcard.  Every writer of the
+    zone's data clears the table; it also resets when full.  The zone is
+    held weakly, so a dropped world is freed at once, not by the cycle
+    collector.
+    """
 
-    @classmethod
-    def of(cls, body: Message, authoritative: bool) -> "_Answer":
-        return cls(
-            body.rcode,
-            (response_flags(authoritative, False), response_flags(authoritative, True)),
-            tuple(body.answer),
-            tuple(body.authority),
-            tuple(body.additional),
-        )
+    __slots__ = ("zone",)
+
+    def __init__(self, zone: "Zone") -> None:
+        self.zone = weakref.ref(zone)
+
+    def __missing__(self, key: tuple[Name, RdataType]) -> Message:
+        return self.zone()._compile(key)
+
+    def __reduce__(self):
+        return _Compiled, (self.zone(),), None, None, iter(self.items())
 
 
-_REFUSED = _Answer.of(Message(rcode=Rcode.REFUSED), authoritative=False)
+def _shared_response(question: Question, body: Message, authoritative: bool) -> Message:
+    """``body`` as the response to a plain query: tuple sections of the
+    zone's own RRsets, which no receiver can change under the next query."""
+    return Message(
+        0, Opcode.QUERY, body.rcode, response_flags(authoritative, False), question,
+        tuple(body.answer), tuple(body.authority), tuple(body.additional),
+    )
 
 
 class Zone:
@@ -107,11 +116,11 @@ class Zone:
         # non-terminals above them).
         self._cuts: set[Name] = set()
         self._nodes: set[Name] = set()
-        #: Compiled answers by (qname, qtype), filled by :meth:`respond`
-        #: and dropped whole by every writer of ``_rrsets``.  A server
-        #: answers a key found here itself and calls :meth:`respond` only
-        #: for the rest.
-        self.compiled: dict[tuple[Name, RdataType], _Answer] = {}
+        #: Shared responses by (qname, qtype), compiled on first read and
+        #: dropped whole by every writer of ``_rrsets``.  A server reads a
+        #: plain query's response here itself and calls :meth:`respond`
+        #: only for the rest.
+        self.compiled = _Compiled(self)
 
     def __repr__(self) -> str:
         return f"Zone({str(self.origin)!r}, {len(self._rrsets)} rrsets)"
@@ -318,38 +327,39 @@ class Zone:
     def respond(self, query: Message) -> Message:
         """Build the full response message an authoritative server sends.
 
-        The body is compiled once per (qname, qtype) and reused until the
-        zone changes; each response gets its own section lists (receivers
-        may clear or extend them) holding the zone's shared RRsets.
+        The response is compiled once per (qname, qtype) and reused until
+        the zone changes.  A plain query (ID 0, RD clear, class ``IN``)
+        gets the shared response itself; any other a fresh
+        :class:`Message` echoing its ID, RD bit and question over the same
+        (tuple) sections.  No receiver may change an authoritative
+        response: it is the next query's too.
         """
         question = query.question
         if question is None:
             return query.make_response(rcode=Rcode.FORMERR)
-        body = self.compiled.get((question.qname, question.qtype)) or self._compile(question)
-        return Message(
-            id=query.id,
-            rcode=body.rcode,
-            flags=body.flags[query.flags.rd],
-            question=question,
-            answer=list(body.answer),
-            authority=list(body.authority),
-            additional=list(body.additional),
-        )
+        shared = self.compiled[question.qname, question.qtype]
+        rd = query.flags.rd
+        if query.id == 0 and not rd and question.qclass is RdataClass.IN:
+            return shared
+        flags = response_flags(shared.flags.aa, rd)
+        return replace(shared, id=query.id, flags=flags, question=question)
 
-    def _compile(self, question: Question) -> _Answer:
-        """Look the question up and assemble its response body.
+    def _compile(self, key: tuple[Name, RdataType]) -> Message:
+        """Look the question up and build its shared response.
 
-        Bodies for names the zone does not hold — NXDOMAIN, wildcard
+        Responses for names the zone does not hold — NXDOMAIN, wildcard
         matches, out-of-zone names — are built afresh each time: their
         key space is whatever clients choose to ask.
         """
-        qname, qtype = question.qname, question.qtype
-        if not qname.is_subdomain_of(self.origin):
-            return _REFUSED
-
-        result = self.lookup(qname, qtype)
+        qname, qtype = key
         # A scratch message: add() keeps one RRset per key in each section.
         body = Message()
+        question = Question(qname, qtype)
+        if not qname.is_subdomain_of(self.origin):
+            body.rcode = Rcode.REFUSED
+            return _shared_response(question, body, authoritative=False)
+
+        result = self.lookup(qname, qtype)
         authoritative = True
         if result.status is LookupStatus.DELEGATION:
             authoritative = False
@@ -366,12 +376,12 @@ class Zone:
                 body.rcode = Rcode.NXDOMAIN
             if result.soa is not None:
                 body.add(Section.AUTHORITY, result.soa)
-        compiled = _Answer.of(body, authoritative)
+        response = _shared_response(question, body, authoritative)
         if body.rcode is Rcode.NOERROR and not result.synthesized:
             if len(self.compiled) >= _COMPILED_MAX:
                 self.compiled.clear()
-            self.compiled[(qname, qtype)] = compiled
-        return compiled
+            self.compiled[key] = response
+        return response
 
     # -- convenience -------------------------------------------------------------
     def add_soa(

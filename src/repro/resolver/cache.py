@@ -78,8 +78,8 @@ _HEAP_SLACK = 64
 
 #: The generation of an entry object the cache no longer holds (flushed,
 #: evicted, expired as a negative, replaced by a negative).  Writes
-#: stamp positive sequence numbers, so a lease on a retired entry never
-#: validates.
+#: stamp positive sequence numbers, so neither a lease on a retired entry
+#: nor a link to one ever validates.
 _RETIRED = -1
 
 
@@ -106,10 +106,12 @@ class CacheEntry:
     expires_at: float
     #: Generation stamp; bumped every time the key is (re)written.
     generation: int = 0
-    #: (key, generation) this entry's life is tied to — in-bailiwick glue is
-    #: linked to the *specific* NS entry it arrived with, so a later refresh
-    #: of the NS set does not resurrect old glue.
-    linked_to: Optional[tuple[CacheKey, int]] = None
+    #: (key, entry, generation) this entry's life is tied to — in-bailiwick
+    #: glue is linked to the *specific* NS entry it arrived with, so a later
+    #: refresh of the NS set does not resurrect old glue.  The target is
+    #: held, not looked up: an entry that leaves its key is retired, so
+    #: ``entry.generation == generation`` alone says it still holds it.
+    linked_to: Optional[tuple[CacheKey, "CacheEntry", int]] = None
     #: Pinned entries are never overwritten while live (parent-centric hold).
     pinned: bool = False
     #: ECS scope prefix length (RFC 7871 §7.3.1): 0 is the ordinary,
@@ -305,13 +307,8 @@ class Cache:
         live = entry is not None and now < entry.expires_at
         if live and entry.linked_to is not None:
             # The link rule, spelled out as in get_entry.
-            target_key, generation = entry.linked_to
-            target = entries.get(target_key)
-            live = (
-                target is not None
-                and target.generation == generation
-                and now < target.expires_at
-            )
+            _, target, generation = entry.linked_to
+            live = target.generation == generation and now < target.expires_at
         if live:
             refreshable = credibility > entry.credibility or (
                 credibility == entry.credibility and credibility >= Credibility.AUTH_ANSWER
@@ -326,7 +323,7 @@ class Cache:
             # tied to the generation it is about to replace.
             target = entries.get(linked_to)
             if target is not None:
-                link = (linked_to, target.generation)
+                link = (linked_to, target, target.generation)
         ttl = rrset.ttl  # effective_ttl(), inlined: this is the hot write
         if self.max_ttl is not None and ttl > self.max_ttl:
             ttl = self.max_ttl
@@ -600,18 +597,12 @@ class Cache:
         One frame per probe — the resolver's form: the liveness and link
         checks are spelled out here, as in :meth:`put`.
         """
-        entries = self._entries
-        entry = entries.get(key)
+        entry = self._entries.get(key)
         if entry is not None:
             live = now < entry.expires_at
             if live and entry.linked_to is not None:
-                target_key, generation = entry.linked_to
-                target = entries.get(target_key)
-                live = (
-                    target is not None
-                    and target.generation == generation
-                    and now < target.expires_at
-                )
+                _, target, generation = entry.linked_to
+                live = target.generation == generation and now < target.expires_at
             if live and entry.credibility >= min_credibility:
                 self.stats.hits += 1
                 return entry

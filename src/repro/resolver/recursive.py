@@ -695,7 +695,7 @@ class RecursiveResolver:
         Falls back to the root hints when nothing useful is cached.
         """
         infrastructure = self._infrastructure
-        for ancestor in qname.lineage():
+        for ancestor in qname._lineage or qname.lineage():
             ns_entry = infrastructure((ancestor, RdataType.NS, RdataClass.IN), now)
             if ns_entry is None:
                 continue

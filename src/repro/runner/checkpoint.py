@@ -45,11 +45,14 @@ _FORMAT_VERSION = 1
 #: a pending batch; 9 = resolver policies hold plain ``predict``/``ecs``/
 #: ``push`` flags, not knob-bundle objects, and resolvers no shuffle RNG;
 #: 10 = servers hold a ``site`` the fabric reads, zones a public
-#: ``compiled`` table and resolvers a self-filling query-skeleton table.
+#: ``compiled`` table and resolvers a self-filling query-skeleton table;
+#: 11 = zones compile into a self-filling table of shared responses,
+#: messages and questions are slotted, and cache links hold their target
+#: entry.
 #: A record naming a class this build lacks fails to unpickle before its
 #: version is read; :meth:`CheckpointStore.load_world_snapshot` reports
 #: that as a mismatch too.
-_WSNAP_VERSION = 10
+_WSNAP_VERSION = 11
 
 
 class CheckpointMismatch(RuntimeError):

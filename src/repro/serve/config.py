@@ -108,9 +108,7 @@ def build_frontend(
     world = WORLD_BUILDERS[config.world](config.seed + worker_index)
     # Nothing in serve reads an authoritative query log, and it would
     # grow by one entry per upstream query for the worker's lifetime.
-    for server in (*world.servers.values(), *world.clusters.values()):
-        server.log_queries = False
-        server.reset_runtime_state()
+    world.keep_query_logs(False)
     world.network.attach_metrics(registry)
     policy = (
         ResolverPolicy.predictive()

@@ -32,7 +32,7 @@ class AnycastCluster(AuthoritativeServer):
         sites: Iterable[Endpoint],
         latency: LatencyModel,
         zones: Optional[Iterable[Zone]] = None,
-        log_queries: bool = True,
+        log_queries: bool = False,
     ) -> None:
         self._sites = list(sites)
         if not self._sites:

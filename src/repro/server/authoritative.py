@@ -11,6 +11,7 @@ from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.dns.message import Message, Opcode, Rcode
 from repro.dns.name import Name
+from repro.dns.rdtypes import RdataClass
 from repro.dns.zone import Zone
 from repro.net.latency import LatencyModel
 from repro.net.topology import Endpoint
@@ -61,7 +62,7 @@ class AuthoritativeServer:
         self,
         endpoint: Endpoint,
         zones: Optional[Iterable[Zone]] = None,
-        log_queries: bool = True,
+        log_queries: bool = False,
     ) -> None:
         self._endpoint = endpoint
         #: The one site every client reaches; an anycast cluster has none.
@@ -72,6 +73,9 @@ class AuthoritativeServer:
         self._routes = _Routes(self._zones)
         for zone in zones or ():
             self.add_zone(zone)
+        #: Keep one :class:`QueryLogEntry` per query.  Off by default: only
+        #: the worlds whose experiments read logs turn it on (a short-TTL
+        #: campaign would log two entries per client query).
         self.log_queries = log_queries
         self.query_log: Optional[QueryLog] = QueryLog() if log_queries else None
         #: Total queries handled, counted even when the per-entry log is off.
@@ -148,7 +152,7 @@ class AuthoritativeServer:
                 )
             )
         if self.faults is not None:
-            # The query reached the server and is logged above — exactly
+            # The query reached the server and is counted above — exactly
             # like a real SERVFAIL/RRL incident, where the victim's logs
             # fill up while clients see errors.
             override = self.faults.intercept_server(self.service_address, query, now)
@@ -161,13 +165,8 @@ class AuthoritativeServer:
         zone = self._routes[question.qname]
         if zone is None:
             return query.make_response(rcode=Rcode.REFUSED)
-        body = zone.compiled.get((question.qname, question.qtype))
-        if body is None:
-            return zone.respond(query)  # compiles the body
-        # Zone.respond's build, spelled out: a compiled answer costs no
-        # frame beyond this one.
-        return Message(
-            id=query.id, rcode=body.rcode, flags=body.flags[query.flags.rd], question=question,
-            answer=list(body.answer), authority=list(body.authority),
-            additional=list(body.additional),
-        )
+        if query.id or query.flags.rd or question.qclass is not RdataClass.IN:
+            return zone.respond(query)
+        # Zone.respond's shared answer, read here: a plain query (every
+        # resolver's) costs no frame beyond this one.
+        return zone.compiled[question.qname, question.qtype]

@@ -73,7 +73,7 @@ class CdnAuthoritativeServer(AuthoritativeServer):
         sites: Iterable[CdnSite],
         site_map: Iterable[tuple[str, str]],
         default_site: str,
-        log_queries: bool = True,
+        log_queries: bool = False,
     ) -> None:
         super().__init__(endpoint, zones, log_queries=log_queries)
         self.sites: dict[str, CdnSite] = {site.name: site for site in sites}

@@ -63,9 +63,12 @@ class MiniWorld:
         )
 
 
-def build_mini_world(seed: int = 0, loss_rate: float = 0.0) -> MiniWorld:
+def build_mini_world(
+    seed: int = 0, loss_rate: float = 0.0, log_queries: bool = False
+) -> MiniWorld:
     """The hierarchy above; a ``loss_rate`` arms a ``loss`` fault window
-    over every transmission, seeded by ``seed``."""
+    over every transmission, seeded by ``seed``.  ``log_queries`` keeps a
+    per-query log on each server, for tests that read one."""
     topology = Topology(seed=seed)
     network = Network(seed=seed)
     if loss_rate:
@@ -88,13 +91,13 @@ def build_mini_world(seed: int = 0, loss_rate: float = 0.0) -> MiniWorld:
     )
 
     root_server = AuthoritativeServer(
-        topology.endpoint_in_region(Region.NA, "a.rootsrv.net"), [root_zone]
+        topology.endpoint_in_region(Region.NA, "a.rootsrv.net"), [root_zone], log_queries
     )
     tld_server = AuthoritativeServer(
-        topology.endpoint_in_region(Region.SA, "a.nic.tld"), [tld_zone]
+        topology.endpoint_in_region(Region.SA, "a.nic.tld"), [tld_zone], log_queries
     )
     child_server = AuthoritativeServer(
-        topology.endpoint_in_region(Region.EU, "ns1.example.tld"), [child_zone]
+        topology.endpoint_in_region(Region.EU, "ns1.example.tld"), [child_zone], log_queries
     )
     for server in (root_server, tld_server, child_server):
         network.register(server)
@@ -132,3 +135,9 @@ def build_mini_world(seed: int = 0, loss_rate: float = 0.0) -> MiniWorld:
 @pytest.fixture
 def mini_world() -> MiniWorld:
     return build_mini_world()
+
+
+@pytest.fixture
+def logged_world() -> MiniWorld:
+    """:func:`mini_world` with every server keeping its query log."""
+    return build_mini_world(log_queries=True)

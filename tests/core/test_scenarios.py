@@ -99,6 +99,29 @@ class TestUyCentricity:
         strictly_below = sum(1 for t in child_ttls if t < 300)
         assert strictly_below / len(child_ttls) > 0.2
 
+    def test_a_campaign_keeps_no_query_log(self, monkeypatch):
+        """Nothing in a t2-uy run reads an authoritative query log, so no
+        server keeps one; every query is still counted."""
+        from repro.runner import worldcache
+        from repro.server.authoritative import AuthoritativeServer
+
+        servers = []
+        init = AuthoritativeServer.__init__
+
+        def recording_init(self, *args, **kwargs):
+            servers.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(AuthoritativeServer, "__init__", recording_init)
+        worldcache.clear()  # the campaign builds its world under the recorder
+        try:
+            run = scenarios.scenario_uy_ns(seed=1, probes=8, duration=1200)
+        finally:
+            worldcache.clear()
+        assert run.summary["responses_valid"] > 0
+        assert servers and [s for s in servers if s.query_log is not None] == []
+        assert sum(server.queries_received for server in servers) > 0
+
     def test_uy_new_ttl_campaign(self):
         """The .uy-NS-new column of Table 2: after the raise, answers
         follow the new one-day child TTL."""

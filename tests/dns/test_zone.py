@@ -4,7 +4,7 @@ import pytest
 
 from repro.dns.message import Message, Rcode, Section
 from repro.dns.name import Name
-from repro.dns.rdtypes import AAAA, A, CNAME, NS, RdataType
+from repro.dns.rdtypes import AAAA, A, CNAME, NS, RdataClass, RdataType
 from repro.dns.zone import LookupStatus, Zone, ZoneError
 
 
@@ -241,14 +241,99 @@ class TestCompiledAnswers:
         assert first.additional[0] is zone.get("ns1.example.com.", RdataType.A)
         assert (first.id, first.flags.rd) == (1, True)
         assert (again.id, again.flags.rd) == (2, False)
-        assert again.answer == first.answer and again.answer is not first.answer
+        # A fresh message per non-zero ID, over the same section tuples.
+        assert again is not first and again.answer is first.answer
+
+    def test_a_plain_query_gets_the_shared_response(self, zone):
+        """ID 0, RD clear, class IN — a resolver's query — gets the one
+        shared response; any other query a fresh message over its sections."""
+        shared = self.ask(zone, "www.example.com.", recursion_desired=False)
+        assert self.ask(zone, "www.example.com.", recursion_desired=False) is shared
+        assert (shared.id, shared.flags.rd, shared.flags.aa) == (0, False, True)
+        recursive = self.ask(zone, "www.example.com.")
+        assert recursive is not shared and recursive.flags.rd and recursive.flags.aa
+        assert recursive.answer is shared.answer
+        chaos = self.ask(zone, "www.example.com.", qclass=RdataClass.CH, recursion_desired=False)
+        assert chaos is not shared and chaos.question.qclass is RdataClass.CH
 
     def test_clearing_one_responses_sections_leaves_the_next_intact(self, zone):
         first = self.ask(zone, "www.example.com.")
         for section in Section:
-            first.section(section).clear()
+            held = first.section(section)
+            assert type(held) is tuple and held
+            with pytest.raises(AttributeError):
+                held.clear()
         again = self.ask(zone, "www.example.com.")
         assert again.answer and again.authority and again.additional
+
+    @staticmethod
+    def list_built(zone, query):
+        """The response as built before sections were shared tuples: a
+        ``make_response`` skeleton whose section lists are filled from
+        :meth:`Zone.lookup`."""
+        qname, qtype = query.question.qname, query.question.qtype
+        result = zone.lookup(qname, qtype)
+        delegation = result.status is LookupStatus.DELEGATION
+        response = query.make_response(authoritative=not delegation)
+        if delegation:
+            response.add(Section.AUTHORITY, *result.rrsets)
+            response.add(Section.ADDITIONAL, *result.glue)
+        elif result.status in (LookupStatus.ANSWER, LookupStatus.CNAME):
+            apex_ns = zone.get(zone.origin, RdataType.NS)
+            response.add(Section.ANSWER, *result.rrsets)
+            response.add(Section.AUTHORITY, apex_ns)
+            response.add(Section.ADDITIONAL, *zone._glue_for(apex_ns))
+        else:
+            if result.status is LookupStatus.NXDOMAIN:
+                response.rcode = Rcode.NXDOMAIN
+            response.add(Section.AUTHORITY, result.soa)
+        return response
+
+    @pytest.mark.parametrize("qname, qtype, status", [
+        ("www.example.com.", RdataType.A, LookupStatus.ANSWER),
+        ("x.sub.example.com.", RdataType.A, LookupStatus.DELEGATION),
+        ("www.example.com.", RdataType.MX, LookupStatus.NODATA),
+        ("gone.example.com.", RdataType.A, LookupStatus.NXDOMAIN),
+        ("alias.example.com.", RdataType.A, LookupStatus.CNAME),
+    ])
+    @pytest.mark.parametrize("query_id", [0, 0x1234])
+    @pytest.mark.parametrize("rd", [False, True])
+    def test_shared_and_fresh_responses_encode_as_list_built_ones(
+        self, zone, qname, qtype, status, query_id, rd
+    ):
+        from repro.net.topology import Region, Topology
+        from repro.server.authoritative import AuthoritativeServer
+
+        assert zone.lookup(qname, qtype).status is status
+        topology = Topology(seed=0)
+        server = AuthoritativeServer(topology.endpoint_in_region(Region.EU), [zone])
+        client = topology.endpoint_in_region(Region.NA)
+        query = Message.make_query(qname, qtype, id=query_id, recursion_desired=rd)
+        expected = self.list_built(zone, query).to_wire()
+        # Compiling, then from the table; through the zone and the server.
+        for _ in range(2):
+            assert zone.respond(query).to_wire() == expected
+            assert server.handle_query(query, client, 0.0).to_wire() == expected
+
+    def test_the_table_holds_its_zone_weakly_and_pickles_with_it(self):
+        import gc
+        import pickle
+        import weakref
+
+        zone = Zone("example.net.")
+        zone.add_soa("ns1.example.net.")
+        zone.add("www.example.net.", RdataType.A, A("192.0.2.8"))
+        self.ask(zone, "www.example.net.")
+        copy = pickle.loads(pickle.dumps(zone))
+        assert copy.compiled.zone() is copy and list(copy.compiled) == list(zone.compiled)
+        assert self.ask(copy, "nope.example.net.").rcode == Rcode.NXDOMAIN  # compiles
+        gc.disable()  # a dropped zone goes by reference count alone
+        try:
+            dropped = weakref.ref(zone)
+            del zone
+            assert dropped() is None
+        finally:
+            gc.enable()
 
     def test_retains_only_bodies_for_names_the_zone_holds(self, zone):
         zone.add("*.dyn.example.com.", RdataType.A, A("192.0.2.7"), ttl=60)

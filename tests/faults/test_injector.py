@@ -142,7 +142,9 @@ class TestAnycastSiteDown:
             topology.endpoint_in_region(Region.EU, "site-eu"),
             topology.endpoint_in_region(Region.NA, "site-na"),
         ]
-        cluster = AnycastCluster("198.51.100.1", sites, network.latency, [zone])
+        cluster = AnycastCluster(
+            "198.51.100.1", sites, network.latency, [zone], log_queries=True
+        )
         network.register(cluster, "198.51.100.1")
         client = topology.endpoint_in_region(Region.EU, "cli")
         return network, cluster, client, sites

@@ -17,21 +17,22 @@ from repro.net.latency import LatencyModel
 from repro.net.topology import Region
 from repro.net.transport import Network, NetworkTimeout
 from repro.server.authoritative import AuthoritativeServer
-from repro.server.querylog import QueryLog
+from repro.server.querylog import QueryLog, QueryLogEntry
 from tests.conftest import build_mini_world
 from tests.metrics.test_count_once_structure import calls
 
 QNAME = "www.example.tld."
 
 #: Every call of one warm unicast exchange, 40 before the per-path and
-#: per-qname memos and 16 before the site and the compiled answer were
-#: read in the caller's frame: exchange, rtt and its jitter draw (2 random
-#: and exp, and log only when the try lands in the squeeze's gap, about one
-#: draw in ten: this one's does not, so it makes 13), handle_query, the log
-#: entry's __init__ and list.append, the response Message, the RTT
-#: histogram's observe (it only stores the value) and three dict.get.
-#: Hashing the name keys of those dict probes is tuple's C slot, not a call.
-EXCHANGE_CALLS = 14
+#: per-qname memos, 16 before the site and the compiled answer were read
+#: in the caller's frame and 14 before query logs were opt-in and the
+#: zone's response shared: exchange, rtt and its jitter draw (2 random and
+#: exp, and log only when the try lands in the squeeze's gap, about one
+#: draw in ten: this one's does not, so it makes 9), handle_query, the RTT
+#: histogram's observe (it only stores the value) and two dict.get.  The
+#: compiled response is a subscript, and hashing the name keys of the
+#: probes is tuple's C slot: neither is a call.
+EXCHANGE_CALLS = 10
 
 NEVER_CALLED = {
     LatencyModel.base_rtt_ms.__code__: "base RTT is memoized per endpoint pair",
@@ -41,7 +42,9 @@ NEVER_CALLED = {
     enum.Enum.__hash__.__code__: "no dict is keyed by a Region",
     QueryLog.append.__code__: "servers append to the entry list",
     AuthoritativeServer.endpoint_for.__code__: "a unicast server's site is an attribute",
-    Zone.respond.__code__: "the server builds a compiled answer itself",
+    Zone.respond.__code__: "the server reads a compiled answer itself",
+    Message.__init__.__code__: "a plain query gets the zone's shared response",
+    QueryLogEntry.__init__.__code__: "query logs are opt-in",
 }
 
 

@@ -46,6 +46,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Optional
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -56,6 +57,7 @@ from repro.dns.record import RRset
 from repro.metrics import MetricsRegistry
 from repro.resolver.cache import Cache, CacheEntry, CacheStats, Credibility
 
+from tests.conftest import soa_rrset
 from tests.resolver.reference_cache import ScanReferenceCache
 
 # A small closed world keeps collisions (refreshes, link chains, downgrades)
@@ -452,7 +454,9 @@ def test_entry_held_across_a_renewal_is_the_renewed_entry():
     )
     held = cache.peek(NAMES[1], QTYPE)
     old_generation = held.generation
-    assert held.linked_to == (_key(0), cache.peek(NAMES[0], QTYPE).generation)
+    target = cache.peek(NAMES[0], QTYPE)
+    assert held.linked_to == (_key(0), target, target.generation)
+    assert held.linked_to[1] is target  # the entry itself, not a copy
     assert held.aged_rrset(250.0).ttl == 50  # memoizes a 50 s view of the old data
 
     renewed = RRset(NAMES[1], QTYPE, 60, [A("192.0.2.99")])
@@ -469,3 +473,42 @@ def test_entry_held_across_a_renewal_is_the_renewed_entry():
     # not touch the renewed (unlinked) entry's liveness.
     cache.put(ns, Credibility.AUTH_ANSWER, now=410.0)
     assert cache.get(NAMES[1], QTYPE, now=411.0) is held
+
+
+@pytest.mark.parametrize("retire", ["evict", "put_negative", "clear"])
+def test_a_link_to_a_retired_target_stays_dead_once_its_key_is_recreated(retire):
+    """A link holds its target entry, not a key to look up: the target's
+    retirement is what kills the link, and the key's next entry — a new
+    write, so a new generation — never revives it."""
+    cache = Cache(max_entries=3 if retire == "evict" else None)
+    ns = RRset(NAMES[0], QTYPE, 300, [A("192.0.2.1")])
+    glue = RRset(NAMES[1], QTYPE, 300, [A("192.0.2.2")])
+    cache.put(ns, Credibility.AUTHORITY, now=0.0)
+    cache.put(RRset(NAMES[2], QTYPE, 300, [A("192.0.2.3")]), Credibility.AUTHORITY, now=0.0)
+    cache.put(glue, Credibility.ADDITIONAL, now=0.0, linked_to=_key(0))
+    linking = cache.peek(NAMES[1], QTYPE)
+    _, target, generation = linking.linked_to
+    assert cache.get_entry(_key(1), now=1.0) is linking
+
+    if retire == "evict":  # the NS set is the least recently written
+        cache.put(RRset(NAMES[3], QTYPE, 300, [A("192.0.2.4")]), Credibility.AUTHORITY, now=2.0)
+    elif retire == "put_negative":
+        cache.put_negative(NAMES[0], QTYPE, False, 2.0, soa_rrset())
+    else:
+        cache.clear()
+    assert target.generation != generation and cache.peek(NAMES[0], QTYPE) is not target
+
+    cache.put(ns, Credibility.AUTH_ANSWER, now=3.0)
+    recreated = cache.get_entry(_key(0), now=4.0)
+    assert recreated is not None and recreated is not target
+    if retire == "clear":  # the linking entry went with everything else
+        assert cache.peek(NAMES[1], QTYPE) is None and linking.linked_to[1] is target
+        return
+    # Still cached, still linked to the retired entry: dead to the read ...
+    assert cache.peek(NAMES[1], QTYPE) is linking and linking.linked_to[1] is target
+    expired = cache.stats.expired
+    assert cache.get_entry(_key(1), now=4.0) is None
+    assert cache.stats.expired == expired + 1
+    # ... and to the write: equal-rank glue replaces it, as only a dead
+    # entry's may be.
+    assert cache.put(glue, Credibility.ADDITIONAL, now=5.0)

@@ -158,10 +158,10 @@ class TestCentricity:
         assert out.cache_hit
         assert out.answers[-1].ttl > MiniWorld.CHILD_A_TTL
 
-    def test_parent_centric_never_asks_child_for_ns(self, mini_world):
-        r = resolver_for(mini_world, ResolverPolicy.parent_centric())
+    def test_parent_centric_never_asks_child_for_ns(self, logged_world):
+        r = resolver_for(logged_world, ResolverPolicy.parent_centric())
         r.resolve("example.tld.", RdataType.NS, now=0.0)
-        log = mini_world.child_server.query_log
+        log = logged_world.child_server.query_log
         assert not any(e.qtype == RdataType.NS for e in log)
 
     def test_capping_policy(self, mini_world):
@@ -172,21 +172,21 @@ class TestCentricity:
 
 
 class TestRfc7706:
-    def test_no_root_queries(self, mini_world):
+    def test_no_root_queries(self, logged_world):
         r = resolver_for(
-            mini_world, ResolverPolicy.local_root(), root_zone=mini_world.root_zone
+            logged_world, ResolverPolicy.local_root(), root_zone=logged_world.root_zone
         )
         out = r.resolve("www.example.tld.", RdataType.A, now=0.0)
         assert out.rcode == Rcode.NOERROR
-        assert len(mini_world.root_server.query_log) == 0
+        assert len(logged_world.root_server.query_log) == 0
 
-    def test_tld_ns_answered_locally_with_parent_ttl(self, mini_world):
+    def test_tld_ns_answered_locally_with_parent_ttl(self, logged_world):
         r = resolver_for(
-            mini_world, ResolverPolicy.local_root(), root_zone=mini_world.root_zone
+            logged_world, ResolverPolicy.local_root(), root_zone=logged_world.root_zone
         )
         out = r.resolve("tld.", RdataType.NS, now=0.0)
         assert out.answers[-1].ttl == MiniWorld.PARENT_NS_TTL
-        assert len(mini_world.root_server.query_log) == 0
+        assert len(logged_world.root_server.query_log) == 0
 
 
 class TestFailures:
@@ -230,12 +230,12 @@ class TestFailures:
 
 
 class TestStickiness:
-    def test_sticky_keeps_expired_infrastructure(self, mini_world):
-        r = resolver_for(mini_world, ResolverPolicy.sticky_resolver())
+    def test_sticky_keeps_expired_infrastructure(self, logged_world):
+        r = resolver_for(logged_world, ResolverPolicy.sticky_resolver())
         r.resolve("www.example.tld.", RdataType.A, now=0.0)
-        queries_before = len(mini_world.tld_server.query_log)
+        queries_before = len(logged_world.tld_server.query_log)
         # Far past the TLD delegation TTL: a sticky resolver still must not
         # walk back up to the TLD.
         out = r.resolve("www.example.tld.", RdataType.A, now=50000.0)
         assert out.rcode == Rcode.NOERROR
-        assert len(mini_world.tld_server.query_log) == queries_before
+        assert len(logged_world.tld_server.query_log) == queries_before

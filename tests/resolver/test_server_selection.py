@@ -13,7 +13,7 @@ from tests.conftest import build_mini_world
 def add_second_child_server(world):
     """Give example.tld a second authoritative server."""
     endpoint = world.topology.endpoint_in_region(Region.NA, "ns2.example.tld")
-    server = AuthoritativeServer(endpoint, [world.child_zone])
+    server = AuthoritativeServer(endpoint, [world.child_zone], world.child_server.log_queries)
     world.network.register(server)
     world.child_zone.add(
         "example.tld.", RdataType.NS, NS("ns2.example.tld."), ttl=300
@@ -29,7 +29,7 @@ def add_second_child_server(world):
 class TestRotation:
     def test_rotating_resolver_uses_both_servers(self):
         """Paper §3.4 ([37]): resolvers rotate between authoritatives."""
-        world = build_mini_world()
+        world = build_mini_world(log_queries=True)
         second = add_second_child_server(world)
         resolver = RecursiveResolver(
             endpoint=world.topology.endpoint_in_region(Region.EU),
@@ -87,7 +87,7 @@ class TestLameDelegation:
 
 class TestFailover:
     def test_failover_to_second_server(self):
-        world = build_mini_world()
+        world = build_mini_world(log_queries=True)
         second = add_second_child_server(world)
         world.network.down.add(world.child_server.endpoint.address)
         resolver = RecursiveResolver(

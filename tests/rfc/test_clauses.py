@@ -10,8 +10,9 @@ from typing import Callable, NamedTuple
 
 import pytest
 
+from repro.dns.message import Message, Section
 from repro.dns.name import Name
-from repro.dns.rdtypes import A, RdataType
+from repro.dns.rdtypes import NS, A, RdataClass, RdataType
 from repro.dns.record import RRset
 from repro.resolver.cache import Cache, Credibility
 
@@ -66,6 +67,38 @@ def zero_ttl_is_never_served(cache) -> None:
             assert cache.get(WWW, RdataType.A, now) is None
 
 
+def top_bit_ttl_reads_as_zero(cache) -> None:
+    query = Message.make_query("example.", RdataType.A, id=7)
+    query.add(Section.ADDITIONAL, RRset(WWW, RdataType.A, 300, [A("192.0.2.1")]))
+    blob = bytearray(query.to_wire())
+    for wire_ttl, ttl in ((0x80000000, 0), (0xC000012C, 0), (0xFFFFFFFF, 0),
+                          (0x7FFFFFFF, 0x7FFFFFFF)):
+        blob[-10:-6] = wire_ttl.to_bytes(4, "big")  # TTL, RDLENGTH, 4-octet A
+        (rrset,) = Message.from_wire(bytes(blob)).additional
+        assert rrset.ttl == ttl
+        cache.put(rrset, Credibility.AUTH_ANSWER, 0.0)
+        assert (cache.get(WWW, RdataType.A, 0.0) is not None) == (ttl > 0)
+
+
+def glue_link_follows_bailiwick(cache) -> None:
+    cut = Name("sub.example.")
+    inside, outside = Name("ns1.sub.example."), Name("ns1.other.example.")
+    assert inside.in_bailiwick_of(cut) and cut.in_bailiwick_of(cut)
+    assert not outside.in_bailiwick_of(cut)
+    assert not Name("xsub.example.").in_bailiwick_of(cut)  # whole labels only
+    ns = RRset(cut, RdataType.NS, 3600, [NS(inside), NS(outside)])
+    cache.put(ns, Credibility.AUTHORITY, 0.0)
+    for server in (inside, outside):
+        # The resolver's glue-link rule: only in-bailiwick glue is tied to
+        # the NS set it arrived with.
+        linked = (cut, RdataType.NS, RdataClass.IN) if server.in_bailiwick_of(cut) else None
+        glue = RRset(server, RdataType.A, 7200, [A("192.0.2.53")])
+        assert cache.put(glue, Credibility.ADDITIONAL, 0.0, linked_to=linked)
+    cache.put(ns, Credibility.AUTH_ANSWER, 10.0)  # the child's own NS set
+    assert cache.get(inside, RdataType.A, 11.0) is None
+    assert cache.get(outside, RdataType.A, 11.0) is not None
+
+
 CLAUSES = [
     Clause(
         "rfc2308-5-no-soa", "RFC 2308 §5",
@@ -93,6 +126,19 @@ CLAUSES = [
         "Zero values are interpreted to mean that the RR can only be used for the "
         "transaction in progress, and should not be cached.",
         zero_ttl_is_never_served,
+    ),
+    Clause(
+        "rfc2181-8-top-bit-ttl", "RFC 2181 §8",
+        "Implementations should treat a TTL value received which has the most "
+        "significant bit set as if the entire value received was zero.",
+        top_bit_ttl_reads_as_zero,
+    ),
+    Clause(
+        "rfc8499-7-in-bailiwick", "RFC 8499 §7",
+        "In-bailiwick: (a) An adjective to describe a name server whose name is "
+        "either subordinate to or (rarely) the same as the owner name of the NS "
+        "resource records.",
+        glue_link_follows_bailiwick,
     ),
 ]
 

@@ -69,10 +69,11 @@ def test_store_rejects_foreign_snapshot_records(tmp_path):
     # A future layout, the one written before resolver caches changed
     # shape (version 1), the one whose run state held a row list
     # (version 2), the one whose registry held instruments (version 3) and
-    # the one whose caches kept dead-mark sets (version 4) and the one
-    # whose servers had no fabric-read site (version 9): resuming any
+    # the one whose caches kept dead-mark sets (version 4), the one
+    # whose servers had no fabric-read site (version 9) and the one whose
+    # cache links named their target by key (version 10): resuming any
     # would revive objects whose attributes no longer match the code.
-    for version in (99, 1, 2, 3, 4, 9):
+    for version in (99, 1, 2, 3, 4, 9, 10):
         record["version"] = version
         (tmp_path / "wsnap-0001.pkl").write_bytes(pickle.dumps(record))
         with pytest.raises(
@@ -93,7 +94,7 @@ def test_store_rejects_snapshots_naming_missing_code(tmp_path, module, name):
     # A snapshot written by an older build can name a class that build
     # had; unpickling fails before the version check can see the record.
     store = CheckpointStore(tmp_path, {"c": 1})
-    record = {"version": 10, "shard": 0, "state": _Stand()}
+    record = {"version": 11, "shard": 0, "state": _Stand()}
     data = pickle.dumps(record, protocol=0).replace(
         f"{__name__}\n_Stand\n".encode(), f"{module}\n{name}\n".encode()
     )

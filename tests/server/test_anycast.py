@@ -23,7 +23,7 @@ def rig():
         topology.endpoint_in_region(region, f"site-{region.name}")
         for region in (Region.EU, Region.NA, Region.AS, Region.SA)
     ]
-    cluster = AnycastCluster("198.51.100.53", sites, latency, [zone])
+    cluster = AnycastCluster("198.51.100.53", sites, latency, [zone], log_queries=True)
     return topology, latency, cluster
 
 

@@ -73,7 +73,9 @@ class TestHandling:
 
     def test_queries_logged(self, topology):
         server = AuthoritativeServer(
-            topology.endpoint_in_region(Region.EU), [make_zone("example.com.")]
+            topology.endpoint_in_region(Region.EU),
+            [make_zone("example.com.")],
+            log_queries=True,
         )
         client = topology.endpoint_in_region(Region.EU)
         query = Message.make_query("ns1.example.com.", RdataType.A)
@@ -93,6 +95,16 @@ class TestHandling:
         client = topology.endpoint_in_region(Region.EU)
         server.handle_query(Message.make_query("example.com.", RdataType.NS), client, 0.0)
         assert server.query_log is None
+
+    def test_logging_is_off_by_default_and_every_query_counted(self, topology):
+        server = AuthoritativeServer(
+            topology.endpoint_in_region(Region.EU), [make_zone("example.com.")]
+        )
+        client = topology.endpoint_in_region(Region.EU)
+        for _ in range(2):
+            server.handle_query(Message.make_query("example.com.", RdataType.NS), client, 0.0)
+        assert server.query_log is None
+        assert server.queries_received == 2
 
     def test_endpoint_for_is_static(self, topology):
         from repro.net.latency import LatencyModel

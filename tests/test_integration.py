@@ -216,7 +216,7 @@ class TestQueryVolumeAccounting:
     def test_cache_cuts_authoritative_queries(self):
         """The §6.2 load result at micro scale: repeated client queries at
         a warm resolver generate no authoritative traffic."""
-        world = build_mini_world()
+        world = build_mini_world(log_queries=True)
         resolver = make_resolver(world)
         resolver.resolve("example.tld.", RdataType.NS, now=0.0)
         baseline = len(world.child_server.query_log)
@@ -225,7 +225,7 @@ class TestQueryVolumeAccounting:
         assert len(world.child_server.query_log) == baseline
 
     def test_short_ttl_generates_periodic_refetch(self):
-        world = build_mini_world()
+        world = build_mini_world(log_queries=True)
         resolver = make_resolver(world)
         for i in range(5):
             resolver.resolve("example.tld.", RdataType.NS, now=float(i * 600))

@@ -16,21 +16,26 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 #: paths whose lines sum under one ceiling -> line ceiling.
 CEILINGS = {
     # ROADMAP item 8's gate: the three files together, whatever each holds.
-    ("core/scenarios.py", "resolver/recursive.py", "core/worlds.py"): 3337,
-    "core/scenarios.py": 1440,
+    # Raised by worlds.py's 10 below.
+    ("core/scenarios.py", "resolver/recursive.py", "core/worlds.py"): 3346,
+    "core/scenarios.py": 1439,
     "resolver/recursive.py": 976,
-    "core/worlds.py": 921,
-    "resolver/cache.py": 727,
+    # Raised: query logs are opt-in, so World.keep_query_logs and the
+    # three builders whose experiments read logs turn them on.
+    "core/worlds.py": 931,
+    "resolver/cache.py": 718,
     "serve/memo.py": 222,
     "serve/frontend.py": 440,
     "net/latency.py": 187,
     "net/transport.py": 439,
-    "server/authoritative.py": 173,
+    "server/authoritative.py": 172,
     "server/anycast.py": 113,
     "dns/name.py": 314,
     "metrics/registry.py": 258,
     "runner/executor.py": 341,
-    "": 19455,
+    # Raised: worlds.py's log opt-in (+10) and dns/zone.py's weakly held,
+    # self-compiling response table (+10), less cache.py's link probes (-9).
+    "": 19465,
 }
 
 
